@@ -1,22 +1,13 @@
 #include "common/philox.h"
 
-#include <cmath>
-
 namespace fedcl {
 
 namespace {
 
-// Philox4x32 round constants (Salmon et al., "Parallel Random Numbers:
-// As Easy as 1, 2, 3", SC'11).
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
-constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;  // golden ratio
-constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;  // sqrt(3) - 1
-
 inline void philox_round(std::uint32_t (&c)[4], std::uint32_t k0,
                          std::uint32_t k1) {
-  const std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * c[0];
-  const std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * c[2];
+  const std::uint64_t p0 = static_cast<std::uint64_t>(philox::kM0) * c[0];
+  const std::uint64_t p1 = static_cast<std::uint64_t>(philox::kM1) * c[2];
   const std::uint32_t hi0 = static_cast<std::uint32_t>(p0 >> 32);
   const std::uint32_t lo0 = static_cast<std::uint32_t>(p0);
   const std::uint32_t hi1 = static_cast<std::uint32_t>(p1 >> 32);
@@ -31,70 +22,17 @@ inline void philox_round(std::uint32_t (&c)[4], std::uint32_t k0,
   c[3] = n3;
 }
 
-// 53 random bits -> double in (0, 1]: the +1 before scaling keeps
-// log(u) finite without the rejection loop the sequential Rng needs.
-inline double u53_open_closed(std::uint32_t hi, std::uint32_t lo) {
-  const std::uint64_t bits =
-      (static_cast<std::uint64_t>(hi) << 32) | static_cast<std::uint64_t>(lo);
-  return static_cast<double>((bits >> 11) + 1) * 0x1.0p-53;
-}
-
 }  // namespace
 
 PhiloxBlock philox4x32(std::uint32_t c0, std::uint32_t c1, std::uint32_t c2,
                        std::uint32_t c3, std::uint32_t k0, std::uint32_t k1) {
   std::uint32_t c[4] = {c0, c1, c2, c3};
-  for (int r = 0; r < 10; ++r) {
+  for (int r = 0; r < philox::kRounds; ++r) {
     philox_round(c, k0, k1);
-    k0 += kPhiloxW0;
-    k1 += kPhiloxW1;
+    k0 += philox::kW0;
+    k1 += philox::kW1;
   }
   return PhiloxBlock{{c[0], c[1], c[2], c[3]}};
-}
-
-void CounterNoise::normal_pair(std::uint64_t stream, std::uint64_t block,
-                               double* z0, double* z1) const {
-  const PhiloxBlock b = philox4x32(
-      static_cast<std::uint32_t>(block), static_cast<std::uint32_t>(block >> 32),
-      static_cast<std::uint32_t>(stream),
-      static_cast<std::uint32_t>(stream >> 32),
-      static_cast<std::uint32_t>(key_), static_cast<std::uint32_t>(key_ >> 32));
-  // Box-Muller, same transform (and glibc sincos shortcut) as
-  // Rng::normal so the two generators share rounding behaviour.
-  const double u1 = u53_open_closed(b.v[0], b.v[1]);
-  const double u2 = u53_open_closed(b.v[2], b.v[3]);
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  double sin_theta, cos_theta;
-#if defined(__GLIBC__)
-  ::sincos(theta, &sin_theta, &cos_theta);
-#else
-  sin_theta = std::sin(theta);
-  cos_theta = std::cos(theta);
-#endif
-  *z0 = r * cos_theta;
-  *z1 = r * sin_theta;
-}
-
-double CounterNoise::normal(std::uint64_t stream, std::uint64_t i) const {
-  double z0, z1;
-  normal_pair(stream, i >> 1, &z0, &z1);
-  return (i & 1) ? z1 : z0;
-}
-
-void CounterNoise::add_scaled(float* dst, std::int64_t n, std::uint64_t stream,
-                              double stddev) const {
-  double z0, z1;
-  const std::int64_t even = n & ~static_cast<std::int64_t>(1);
-  for (std::int64_t i = 0; i < even; i += 2) {
-    normal_pair(stream, static_cast<std::uint64_t>(i) >> 1, &z0, &z1);
-    dst[i] += static_cast<float>(stddev * z0);
-    dst[i + 1] += static_cast<float>(stddev * z1);
-  }
-  if (n & 1) {
-    normal_pair(stream, static_cast<std::uint64_t>(even) >> 1, &z0, &z1);
-    dst[even] += static_cast<float>(stddev * z0);
-  }
 }
 
 }  // namespace fedcl

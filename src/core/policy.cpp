@@ -1,11 +1,9 @@
 #include "core/policy.h"
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "common/error.h"
-#include "common/philox.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "dp/fused_sanitize.h"
@@ -149,47 +147,28 @@ void FedCdpPolicy::sanitize_per_example(TensorList& grad,
                                         std::int64_t round, Rng& rng) const {
   // Algorithm 2 lines 9-12: per-layer clip of this example's gradient,
   // then line 14's Gaussian noise with S <- C(round). The noise is
-  // added to every example's gradient (inside the batch sum).
+  // added to every example's gradient (inside the batch sum). One fused
+  // clip+noise traversal (dp/fused_sanitize.h), the same kernel the
+  // batched hook runs per example — which is what keeps the two hooks
+  // bitwise interchangeable.
   const double c = schedule_.bound_at(round);
   const ParamGroups clip_groups =
       effective_groups(granularity_, groups, grad.size());
-  if (dp::noise_mode() == dp::NoiseMode::kStream) {
-    const std::vector<double> norms = dp::clip_per_layer(grad, clip_groups, c);
-    count_clipped_groups(name(), norms, c);
-    dp::GaussianMechanism mechanism(sigma_, c);
-    mechanism.sanitize(grad, rng);
-    return;
-  }
-  // Counter mode: one fused clip+noise traversal (dp/fused_sanitize.h),
-  // the same kernel the batched hook runs per example — which is what
-  // keeps the two hooks bitwise interchangeable.
   const dp::ExampleView ex = dp::view_of(grad);
   const std::vector<double> norms = dp::group_norms(ex, clip_groups);
   count_clipped_groups(name(), norms, c);
-  const CounterNoise noise(rng.next_u64());
-  dp::scale_noise(ex, clip_groups, norms, c, sigma_ * c, noise);
+  dp::scale_noise(ex, clip_groups, norms, c, sigma_ * c, rng.next_u64());
 }
 
 void FedCdpPolicy::sanitize_per_example_batch(
     tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
     std::int64_t round, Rng& rng) const {
+  // Parallel norm pass, serial per-example key draws (matching the
+  // draws a loop of sanitize_per_example calls would make), then the
+  // parallel fused scale+noise pass.
   const double c = schedule_.bound_at(round);
   const ParamGroups clip_groups =
       effective_groups(granularity_, groups, grads.rows.size());
-  if (dp::noise_mode() == dp::NoiseMode::kStream) {
-    // Batched Algorithm 2 lines 9-14: one pass clips every example's
-    // per-layer slice in place, then noise is drawn example-major — the
-    // exact stream order of the per-example loop this replaces.
-    const std::vector<double> norms =
-        dp::clip_per_example_per_layer(grads, clip_groups, c);
-    count_clipped_groups(name(), norms, c);
-    dp::GaussianMechanism mechanism(sigma_, c);
-    mechanism.sanitize_per_example(grads, rng);
-    return;
-  }
-  // Counter mode: parallel norm pass, serial per-example key draws
-  // (matching the draws a loop of sanitize_per_example calls would
-  // make), then the parallel fused scale+noise pass.
   const std::size_t batch = static_cast<std::size_t>(grads.batch);
   const std::vector<double> norms = dp::batch_group_norms(grads, clip_groups);
   count_clipped_groups(name(), norms, c);
@@ -219,25 +198,16 @@ void FedCdpAdaptivePolicy::sanitize_per_example(TensorList& grad,
                                                 const ParamGroups& groups,
                                                 std::int64_t /*round*/,
                                                 Rng& rng) const {
+  // Clip at the current median-of-norms bound...
   double bound = initial_bound_;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (estimator_.ready()) bound = estimator_.median();
   }
-  std::vector<double> norms;
-  if (dp::noise_mode() == dp::NoiseMode::kStream) {
-    // Clip at the current median-of-norms bound...
-    norms = dp::clip_per_layer(grad, groups, bound);
-    count_clipped_groups(name(), norms, bound);
-    dp::GaussianMechanism mechanism(sigma_, bound);
-    mechanism.sanitize(grad, rng);
-  } else {
-    const dp::ExampleView ex = dp::view_of(grad);
-    norms = dp::group_norms(ex, groups);
-    count_clipped_groups(name(), norms, bound);
-    const CounterNoise noise(rng.next_u64());
-    dp::scale_noise(ex, groups, norms, bound, sigma_ * bound, noise);
-  }
+  const dp::ExampleView ex = dp::view_of(grad);
+  const std::vector<double> norms = dp::group_norms(ex, groups);
+  count_clipped_groups(name(), norms, bound);
+  dp::scale_noise(ex, groups, norms, bound, sigma_ * bound, rng.next_u64());
   // ...then fold this example's pre-clip norms into the estimator for
   // subsequent sanitizations.
   std::lock_guard<std::mutex> lock(mutex_);
@@ -252,95 +222,37 @@ void FedCdpAdaptivePolicy::sanitize_per_example_batch(
   // The estimator may move between examples (each example's pre-clip
   // norms are folded in before the next example is clipped), but the
   // pre-clip norms themselves only depend on example j's own slice —
-  // so the norm pass can run in parallel up front, leaving only the
-  // estimator walk (and in stream mode, the noise draws) serial.
-  const std::int64_t batch = grads.batch;
-  std::int64_t groups_seen = 0;
+  // so the norm pass runs in parallel up front, leaving only the
+  // estimator walk and the key draws serial.
+  const std::size_t batch = static_cast<std::size_t>(grads.batch);
+  const std::vector<double> norms = dp::batch_group_norms(grads, groups);
+  std::vector<double> bounds(batch);
+  std::vector<double> stddevs(batch);
+  std::vector<std::uint64_t> keys(batch);
   std::int64_t groups_clipped = 0;
-  if (dp::noise_mode() == dp::NoiseMode::kCounter) {
-    const std::vector<double> norms = dp::batch_group_norms(grads, groups);
-    std::vector<double> bounds(static_cast<std::size_t>(batch));
-    std::vector<double> stddevs(static_cast<std::size_t>(batch));
-    std::vector<std::uint64_t> keys(static_cast<std::size_t>(batch));
-    // Serial walk reproducing the per-example order: read the bound,
-    // draw the example's noise key, fold its norms into the estimator.
-    for (std::size_t j = 0; j < static_cast<std::size_t>(batch); ++j) {
-      double bound = initial_bound_;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (estimator_.ready()) bound = estimator_.median();
-      }
-      bounds[j] = bound;
-      stddevs[j] = sigma_ * bound;
-      keys[j] = rng.next_u64();
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const double norm = norms[j * groups.size() + g];
-        ++groups_seen;
-        if (norm > bound) ++groups_clipped;
-        if (norm > 0.0) estimator_.observe(norm);
-      }
-    }
-    dp::batch_scale_noise(grads, groups, norms, bounds, stddevs, keys);
-    auto& registry = telemetry::global_registry();
-    const telemetry::Labels labels{{"policy", name()}};
-    registry.counter("dp.clip.groups_total", labels).add(groups_seen);
-    registry.counter("dp.clip.groups_clipped_total", labels)
-        .add(groups_clipped);
-    return;
-  }
-  for (std::int64_t j = 0; j < batch; ++j) {
+  // Serial walk reproducing the per-example order: read the bound,
+  // draw the example's noise key, fold its norms into the estimator.
+  for (std::size_t j = 0; j < batch; ++j) {
     double bound = initial_bound_;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (estimator_.ready()) bound = estimator_.median();
     }
-    std::vector<double> norms;
-    norms.reserve(groups.size());
-    for (const auto& group : groups) {
-      double joint = 0.0;
-      for (std::size_t p : group) {
-        const std::int64_t width = grads.rows[p].numel() / batch;
-        const float* row = grads.rows[p].data() + j * width;
-        double s = 0.0;
-        for (std::int64_t i = 0; i < width; ++i)
-          s += static_cast<double>(row[i]) * static_cast<double>(row[i]);
-        // Rounded through float exactly like Tensor::l2_norm, so the
-        // bound comparison matches the sliced path bit for bit.
-        const double tensor_norm =
-            static_cast<double>(static_cast<float>(std::sqrt(s)));
-        joint += tensor_norm * tensor_norm;
-      }
-      const double norm = std::sqrt(joint);
-      norms.push_back(norm);
-      ++groups_seen;
-      if (norm > bound) {
-        ++groups_clipped;
-        const float scale = static_cast<float>(bound / norm);
-        for (std::size_t p : group) {
-          const std::int64_t width = grads.rows[p].numel() / batch;
-          float* row = grads.rows[p].data() + j * width;
-          for (std::int64_t i = 0; i < width; ++i) row[i] *= scale;
-        }
-      }
-    }
-    const float stddev = static_cast<float>(sigma_ * bound);
-    if (stddev > 0.0f) {
-      for (tensor::Tensor& rows : grads.rows) {
-        const std::int64_t width = rows.numel() / batch;
-        float* row = rows.data() + j * width;
-        for (std::int64_t i = 0; i < width; ++i)
-          row[i] += static_cast<float>(rng.normal(0.0, stddev));
-      }
-    }
+    bounds[j] = bound;
+    stddevs[j] = sigma_ * bound;
+    keys[j] = rng.next_u64();
     std::lock_guard<std::mutex> lock(mutex_);
-    for (double norm : norms) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const double norm = norms[j * groups.size() + g];
+      if (norm > bound) ++groups_clipped;
       if (norm > 0.0) estimator_.observe(norm);
     }
   }
+  dp::batch_scale_noise(grads, groups, norms, bounds, stddevs, keys);
   auto& registry = telemetry::global_registry();
   const telemetry::Labels labels{{"policy", name()}};
-  registry.counter("dp.clip.groups_total", labels).add(groups_seen);
+  registry.counter("dp.clip.groups_total", labels)
+      .add(static_cast<std::int64_t>(norms.size()));
   registry.counter("dp.clip.groups_clipped_total", labels).add(groups_clipped);
 }
 

@@ -30,46 +30,6 @@ std::vector<double> clip_per_layer(TensorList& grads,
   return norms;
 }
 
-std::vector<double> clip_per_example_per_layer(
-    tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-    double bound) {
-  FEDCL_CHECK_GT(bound, 0.0);
-  const std::int64_t batch = grads.batch;
-  std::vector<double> norms;
-  norms.reserve(static_cast<std::size_t>(batch) * groups.size());
-  for (std::int64_t j = 0; j < batch; ++j) {
-    for (const auto& group : groups) {
-      // Mirror l2_norm_subset bit for bit: per-tensor norm first
-      // (rounded through float exactly like Tensor::l2_norm), then the
-      // joint norm of the group, in the same accumulation order as the
-      // sliced path.
-      double joint = 0.0;
-      for (std::size_t p : group) {
-        FEDCL_CHECK_LT(p, grads.rows.size());
-        const std::int64_t width = grads.rows[p].numel() / batch;
-        const float* row = grads.rows[p].data() + j * width;
-        double s = 0.0;
-        for (std::int64_t i = 0; i < width; ++i)
-          s += static_cast<double>(row[i]) * static_cast<double>(row[i]);
-        const double tensor_norm =
-            static_cast<double>(static_cast<float>(std::sqrt(s)));
-        joint += tensor_norm * tensor_norm;
-      }
-      const double norm = std::sqrt(joint);
-      norms.push_back(norm);
-      if (norm > bound) {
-        const float scale = static_cast<float>(bound / norm);
-        for (std::size_t p : group) {
-          const std::int64_t width = grads.rows[p].numel() / batch;
-          float* row = grads.rows[p].data() + j * width;
-          for (std::int64_t i = 0; i < width; ++i) row[i] *= scale;
-        }
-      }
-    }
-  }
-  return norms;
-}
-
 double clip_global(TensorList& grads, double bound) {
   FEDCL_CHECK_GT(bound, 0.0);
   const double norm = tensor::list::l2_norm(grads);

@@ -30,17 +30,6 @@ std::vector<double> clip_per_layer(TensorList& grads,
 // Clips the concatenation of all tensors as one vector.
 double clip_global(TensorList& grads, double bound);
 
-// Per-example, per-group clipping on the batched layout: for every
-// example j and every group, example j's slice of the group is scaled
-// so its joint L2 norm is at most `bound`. Norms are accumulated in
-// the same order as clip_per_layer on a sliced-out example (group
-// params in order, elements in order, per-tensor sqrt), so the result
-// is bitwise identical to the per-example loop it replaces. Returns
-// the pre-clip norms, example-major: norms[j * groups.size() + g].
-std::vector<double> clip_per_example_per_layer(
-    tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-    double bound);
-
 // Clipping-bound schedule over federated rounds. Fed-CDP uses
 // kConstant; Fed-CDP(decay) uses kLinear (paper: C=6 -> C=2 over T
 // rounds). Exponential and step decay are provided for the ablation

@@ -1,38 +1,11 @@
 #include "dp/gaussian.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
 
 #include "common/error.h"
-#include "common/philox.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace fedcl::dp {
-
-namespace {
-
-NoiseMode noise_mode_from_env() {
-  const char* env = std::getenv("FEDCL_NOISE_MODE");
-  if (env != nullptr && std::strcmp(env, "stream") == 0) {
-    return NoiseMode::kStream;
-  }
-  return NoiseMode::kCounter;
-}
-
-std::atomic<NoiseMode>& noise_mode_storage() {
-  static std::atomic<NoiseMode> mode{noise_mode_from_env()};
-  return mode;
-}
-
-}  // namespace
-
-NoiseMode noise_mode() { return noise_mode_storage().load(); }
-
-void set_noise_mode(NoiseMode mode) { noise_mode_storage().store(mode); }
 
 GaussianMechanism::GaussianMechanism(double noise_scale, double sensitivity)
     : noise_scale_(noise_scale), sensitivity_(sensitivity) {
@@ -47,57 +20,6 @@ void GaussianMechanism::sanitize(TensorList& update, Rng& rng) const {
 
 void GaussianMechanism::sanitize(Tensor& update, Rng& rng) const {
   update.add_gaussian_noise_(rng, static_cast<float>(noise_stddev()));
-}
-
-void GaussianMechanism::sanitize_example(TensorList& grad, Rng& rng) const {
-  if (noise_mode() == NoiseMode::kStream) {
-    sanitize(grad, rng);
-    return;
-  }
-  const double stddev = noise_stddev();
-  if (stddev == 0.0) return;
-  const CounterNoise noise(rng.next_u64());
-  for (std::size_t p = 0; p < grad.size(); ++p) {
-    noise.add_scaled(grad[p].data(), grad[p].numel(),
-                     static_cast<std::uint64_t>(p), stddev);
-  }
-}
-
-void GaussianMechanism::sanitize_per_example(
-    tensor::list::PerExampleGrads& grads, Rng& rng) const {
-  const double stddev = noise_stddev();
-  if (stddev == 0.0) return;
-  if (noise_mode() == NoiseMode::kStream) {
-    const float fstddev = static_cast<float>(stddev);
-    for (std::int64_t j = 0; j < grads.batch; ++j) {
-      for (Tensor& rows : grads.rows) {
-        const std::int64_t width = rows.numel() / grads.batch;
-        float* row = rows.data() + j * width;
-        for (std::int64_t i = 0; i < width; ++i)
-          row[i] += static_cast<float>(rng.normal(0.0, fstddev));
-      }
-    }
-    return;
-  }
-  // Counter mode: the only serial work is one key draw per example;
-  // the fill itself is a pure function of (key, param, element) and
-  // parallelizes over examples with bitwise-stable results.
-  std::vector<std::uint64_t> keys(static_cast<std::size_t>(grads.batch));
-  for (auto& k : keys) k = rng.next_u64();
-  ThreadPool& pool = compute_pool();
-  pool.parallel_for_chunks(
-      static_cast<std::size_t>(grads.batch), 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          const CounterNoise noise(keys[j]);
-          for (std::size_t p = 0; p < grads.rows.size(); ++p) {
-            Tensor& rows = grads.rows[p];
-            const std::int64_t width = rows.numel() / grads.batch;
-            noise.add_scaled(rows.data() + static_cast<std::int64_t>(j) * width,
-                             width, static_cast<std::uint64_t>(p), stddev);
-          }
-        }
-      });
 }
 
 double GaussianMechanism::sigma_for(double epsilon, double delta) {

@@ -13,24 +13,6 @@ namespace fedcl::dp {
 using tensor::Tensor;
 using tensor::list::TensorList;
 
-// Which generator the per-example sanitizers draw Gaussian noise from.
-//
-// kCounter (default): Philox counter-based noise (common/philox.h).
-//   Each per-example sanitize consumes exactly ONE 64-bit key from the
-//   caller's Rng; every noise element is then a pure function of
-//   (key, param index, element index), so the fill parallelizes over
-//   examples and threads with bitwise-stable results.
-// kStream: the legacy sequential SplitMix64 stream (one rng.normal()
-//   per element, example-major). Kept behind this flag for one release
-//   so pre-migration baselines can be regenerated deliberately; the
-//   two modes produce different (equally calibrated) noise values.
-//
-// Selected once at startup from FEDCL_NOISE_MODE ("counter"/"philox"
-// vs "stream"); set_noise_mode overrides it for tests and benches.
-enum class NoiseMode { kCounter, kStream };
-NoiseMode noise_mode();
-void set_noise_mode(NoiseMode mode);
-
 class GaussianMechanism {
  public:
   // noise_scale is the paper's sigma; sensitivity is S (set to the
@@ -41,23 +23,12 @@ class GaussianMechanism {
   double sensitivity() const { return sensitivity_; }
   double noise_stddev() const { return noise_scale_ * sensitivity_; }
 
-  // Adds N(0, (sigma*S)^2) i.i.d. to every coordinate. Always uses the
+  // Adds N(0, (sigma*S)^2) i.i.d. to every coordinate from the
   // sequential stream: client-update noise is one draw per element once
-  // per round, far off the hot path.
+  // per round, far off the hot path. Per-example noise goes through the
+  // fused sanitizer (dp/fused_sanitize.h) instead.
   void sanitize(TensorList& update, Rng& rng) const;
   void sanitize(Tensor& update, Rng& rng) const;
-  // One example's gradient on the per-example hot path. In counter
-  // mode draws a single 64-bit key from `rng` and fills Philox noise
-  // (stream id = param index); in stream mode identical to sanitize().
-  void sanitize_example(TensorList& grad, Rng& rng) const;
-  // Batched per-example layout. Counter mode: one key per example,
-  // drawn in ascending example order (the same draws as calling
-  // sanitize_example per example), then an order-free parallel fill.
-  // Stream mode: noise drawn example-major from the sequential stream,
-  // matching the per-example loop. Both modes are bitwise identical to
-  // their per-example loop.
-  void sanitize_per_example(tensor::list::PerExampleGrads& grads,
-                            Rng& rng) const;
 
   // The minimal sigma that makes one application (epsilon, delta)-DP
   // per Definition 2 / Lemma 1 (valid for 0 < epsilon < 1).

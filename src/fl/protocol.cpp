@@ -1,5 +1,6 @@
 #include "fl/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -55,12 +56,16 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-// Reads one tensor-list blob; on failure returns the reason, leaving
-// `out` partially filled (callers discard it).
+// Reads one tensor-list blob into `out`, decoding tensor i over the
+// storage of the incoming out[i] when the shapes match; on failure
+// returns the reason, leaving `out` partially filled (callers discard
+// it).
 const char* read_tensor_list(ByteReader& reader, TensorList& out) {
   std::uint32_t count = 0;
   if (!reader.read(count)) return "truncated tensor count";
   if (count > kMaxTensors) return "implausible tensor count";
+  TensorList reuse = std::move(out);
+  out.clear();
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t ndim = 0;
@@ -82,7 +87,10 @@ const char* read_tensor_list(ByteReader& reader, TensorList& out) {
         reader.remaining()) {
       return "truncated tensor data";
     }
-    tensor::Tensor t(shape);
+    tensor::Tensor t = i < reuse.size() && reuse[i].defined() &&
+                               reuse[i].shape() == shape
+                           ? std::move(reuse[i])
+                           : tensor::Tensor(shape);
     if (!reader.read_floats(t.data(), static_cast<std::size_t>(t.numel()))) {
       return "truncated tensor data";
     }
@@ -108,13 +116,19 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
+// XORs byte i with byte (i % 8) of keystream word i / 8, little end
+// first. Word w is the SplitMix64 output one step past the state after
+// w + 1 steps from `key`.
 void apply_keystream(std::vector<std::uint8_t>& bytes, std::uint64_t key) {
   std::uint64_t state = key;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (i % 8 == 0) splitmix64_step(state);
+  for (std::size_t i = 0; i < bytes.size(); i += 8) {
+    splitmix64_step(state);
     std::uint64_t probe = state;
-    bytes[i] ^= static_cast<std::uint8_t>(
-        splitmix64_step(probe) >> ((i % 8) * 8));
+    const std::uint64_t word = splitmix64_step(probe);
+    const std::size_t n = std::min<std::size_t>(8, bytes.size() - i);
+    for (std::size_t b = 0; b < n; ++b) {
+      bytes[i + b] ^= static_cast<std::uint8_t>(word >> (8 * b));
+    }
   }
 }
 
@@ -135,7 +149,15 @@ void append_tensor_list(std::vector<std::uint8_t>& out,
 }
 
 std::vector<std::uint8_t> serialize_tensor_list(const TensorList& list) {
+  // Reserve the exact size: callers may keep the blob, and growth by
+  // repeated insert leaves up to 2x slack.
+  std::size_t bytes = sizeof(std::uint32_t);
+  for (const auto& t : list) {
+    bytes += sizeof(std::uint32_t) + sizeof(std::int64_t) * t.ndim() +
+             sizeof(float) * static_cast<std::size_t>(t.numel());
+  }
   std::vector<std::uint8_t> out;
+  out.reserve(bytes);
   append_tensor_list(out, list);
   return out;
 }
@@ -157,10 +179,10 @@ std::vector<std::uint8_t> serialize_update(const ClientUpdate& update) {
   return out;
 }
 
-Result<ClientUpdate> deserialize_update(ByteSpan bytes) {
+Result<ClientUpdate> deserialize_update(ByteSpan bytes, ClientUpdate reuse) {
   using R = Result<ClientUpdate>;
   ByteReader reader(bytes);
-  ClientUpdate update;
+  ClientUpdate update = std::move(reuse);
   if (!reader.read(update.client_id) || !reader.read(update.round)) {
     return R::failure("truncated header");
   }

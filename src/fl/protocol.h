@@ -50,8 +50,14 @@ struct ByteSpan {
 
 std::vector<std::uint8_t> serialize_update(const ClientUpdate& update);
 // Every read is bounds-checked; fails (never crashes or over-reads) on
-// truncated, oversized, or otherwise malformed buffers.
-Result<ClientUpdate> deserialize_update(ByteSpan bytes);
+// truncated, oversized, or otherwise malformed buffers. Tensors of
+// `reuse` whose shapes match the decoded ones are overwritten in place
+// rather than freshly allocated: the in-process engines decode each
+// update over the buffers it was serialized from, so a round holds one
+// copy of every update, not two. Pass only tensors nothing else
+// references.
+Result<ClientUpdate> deserialize_update(ByteSpan bytes,
+                                        ClientUpdate reuse = {});
 Result<ClientUpdate> deserialize_update(const std::vector<std::uint8_t>& bytes);
 
 // The tensor-list blob shared by update payloads and the wire

@@ -319,7 +319,8 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
         if (a.fault != FaultType::kNone) ++out.stats.fault_screened;
         return;
       }
-      Result<ClientUpdate> decoded = deserialize_update(opened.value());
+      Result<ClientUpdate> decoded = deserialize_update(
+          ByteSpan(opened.value()), std::move(outcome.update));
       if (!decoded.ok()) {
         ++out.stats.rejected_decode;
         if (a.fault != FaultType::kNone) ++out.stats.fault_screened;

@@ -400,7 +400,8 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
           a.decode_failed = true;
           return;
         }
-        Result<ClientUpdate> decoded = deserialize_update(opened.value());
+        Result<ClientUpdate> decoded = deserialize_update(
+            ByteSpan(opened.value()), std::move(a.outcome.update));
         if (!decoded.ok()) {
           a.decode_failed = true;
           return;
@@ -815,7 +816,8 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
           ++stats.rejected_decode;
           continue;
         }
-        Result<ClientUpdate> decoded = deserialize_update(opened.value());
+        Result<ClientUpdate> decoded = deserialize_update(
+            ByteSpan(opened.value()), std::move(outcome.update));
         if (!decoded.ok()) {
           ++stats.rejected_decode;
           continue;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -38,6 +40,30 @@ TEST(Protocol, SerializeRoundTrip) {
   EXPECT_EQ(back.round, 7);
   ASSERT_EQ(back.delta.size(), 2u);
   EXPECT_TRUE(tensor::list::allclose(back.delta, u.delta));
+}
+
+TEST(Protocol, DeserializeDecodesOverMatchingBuffers) {
+  ClientUpdate u;
+  u.client_id = 9;
+  u.round = 2;
+  Rng rng(8);
+  u.delta = {Tensor::randn({3, 4}, rng), Tensor::randn({5}, rng)};
+  const std::vector<std::uint8_t> bytes = serialize_update(u);
+  // A matching shape is decoded in place; a mismatched one (and a
+  // missing one) gets fresh storage. Values come off the wire either way.
+  ClientUpdate reuse;
+  reuse.delta = {Tensor::zeros({3, 4}), Tensor::zeros({6})};
+  const float* same = reuse.delta[0].data();
+  const float* other = reuse.delta[1].data();
+  Result<ClientUpdate> decoded = deserialize_update(bytes, std::move(reuse));
+  ASSERT_TRUE(decoded.ok());
+  const ClientUpdate back = decoded.take();
+  EXPECT_EQ(back.client_id, 9);
+  EXPECT_EQ(back.round, 2);
+  ASSERT_EQ(back.delta.size(), 2u);
+  EXPECT_EQ(back.delta[0].data(), same);
+  EXPECT_NE(back.delta[1].data(), other);
+  EXPECT_EQ(serialize_update(back), bytes);
 }
 
 TEST(Protocol, DeserializeRejectsGarbage) {
@@ -86,6 +112,46 @@ TEST(SecureChannel, EndToEndWithUpdates) {
           channel.open(channel.seal(serialize_update(u))).take())
           .take();
   EXPECT_TRUE(tensor::list::allclose(received.delta, u.delta));
+}
+
+TEST(SecureChannel, SealKnownAnswerBytes) {
+  // Sealed bytes are part of the wire contract (PROTOCOL.md §4); these
+  // pin them across keystream rewrites, including every partial tail
+  // word of the 8-byte keystream.
+  const SecureChannel channel(0x0123456789ABCDEFull);
+  const std::map<std::size_t, std::string> expected = {
+      {0, "b6f383b07fce811e"},
+      {1, "98fa66351d1eb5b611"},
+      {7, "98e0f44e04969a7c09aaec1f70456c"},
+      {8, "98e0f44e04969adb7bdce778a3f21e19"},
+      {9, "98e0f44e04969adb8dcebf0313a1b6fed1"},
+      {37, "98e0f44e04969adb8d94103be95b8119b7e7e386dc0dedfc8b285ee6fe702187"
+           "d99cde30736d78eeb0f6d38d9b"},
+  };
+  for (const auto& [n, hex] : expected) {
+    std::vector<std::uint8_t> plain(n);
+    for (std::size_t i = 0; i < n; ++i)
+      plain[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    std::string got;
+    for (std::uint8_t b : channel.seal(plain)) {
+      static const char kHex[] = "0123456789abcdef";
+      got += kHex[b >> 4];
+      got += kHex[b & 15];
+    }
+    EXPECT_EQ(got, hex) << "plaintext length " << n;
+  }
+}
+
+TEST(Protocol, SerializeTensorListReservesExactSize) {
+  EXPECT_EQ(serialize_tensor_list({}).capacity(),
+            serialize_tensor_list({}).size());
+  for (data::BenchmarkId id : data::all_benchmarks()) {
+    Rng rng(5);
+    auto model = nn::build_model(data::benchmark_config(id).model, rng);
+    const std::vector<std::uint8_t> blob =
+        serialize_tensor_list(model->weights());
+    EXPECT_EQ(blob.capacity(), blob.size()) << data::benchmark_name(id);
+  }
 }
 
 // ---- compression ----

@@ -1,8 +1,10 @@
 // Fast-vs-naive checks for the optimized kernels (matmul variants,
 // span-based im2col/col2im, fused conv input gradient, fused DP
-// sanitizer) and the counter-based Philox noise generator.
+// sanitizer) and the counter-based Philox Gaussian: bitwise against the
+// scalar reference, plus its distribution and tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -10,8 +12,8 @@
 #include "common/philox.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/policy.h"
 #include "dp/fused_sanitize.h"
-#include "dp/gaussian.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_list.h"
@@ -31,6 +33,8 @@ using testing::naive_im2col;
 using testing::naive_matmul_nn;
 using testing::naive_matmul_nt;
 using testing::naive_matmul_tn;
+using testing::reference_normal;
+using testing::reference_radius;
 using testing::rng_fill;
 
 // Shape sweep covering the kernel regimes: tiny (serial, below the
@@ -167,8 +171,8 @@ PerExampleGrads sample_grads(std::int64_t batch, std::uint64_t seed) {
 
 TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
   // The fused scale+noise pass against a from-scratch reference:
-  // per-tensor float-rounded norms, clip scale, and per-element
-  // counter noise queried through the random-access normal().
+  // per-tensor float-rounded norms, clip scale, and per-element counter
+  // noise from the scalar reference, bit for bit.
   const std::int64_t batch = 4;
   PerExampleGrads grads = sample_grads(batch, 42);
   PerExampleGrads original = sample_grads(batch, 42);
@@ -204,16 +208,15 @@ TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
           scales[p] = static_cast<float>(bound / norm);
       }
     }
-    const CounterNoise noise(keys[static_cast<std::size_t>(j)]);
+    const std::uint64_t key = keys[static_cast<std::size_t>(j)];
     for (std::size_t p = 0; p < grads.rows.size(); ++p) {
       const std::int64_t width = grads.rows[p].numel() / batch;
       for (std::int64_t i = 0; i < width; ++i) {
-        const float expected = static_cast<float>(
+        const float expected =
             original.rows[p].at(j * width + i) * scales[p] +
-            static_cast<float>(stddev *
-                               noise.normal(p, static_cast<std::uint64_t>(i))));
-        EXPECT_NEAR(grads.rows[p].at(j * width + i), expected,
-                    1e-6f * std::max(1.0f, std::abs(expected)))
+            static_cast<float>(stddev) *
+                reference_normal(key, p, static_cast<std::uint64_t>(i));
+        ASSERT_EQ(grads.rows[p].at(j * width + i), expected)
             << "example " << j << " param " << p << " element " << i;
       }
     }
@@ -238,7 +241,7 @@ TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
     const dp::ExampleView ex = dp::view_of(one);
     const std::vector<double> ex_norms = dp::group_norms(ex, groups);
     dp::scale_noise(ex, groups, ex_norms, bound, stddev,
-                    CounterNoise(keys[static_cast<std::size_t>(j)]));
+                    keys[static_cast<std::size_t>(j)]);
     for (std::size_t p = 0; p < one.size(); ++p) {
       const std::int64_t width = batched.rows[p].numel() / batch;
       for (std::int64_t i = 0; i < width; ++i) {
@@ -247,6 +250,54 @@ TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
       }
     }
   }
+}
+
+using NoiseRowFn = void (*)(float*, std::int64_t, float, float, std::uint64_t,
+                            std::uint64_t);
+
+// A noise-row kernel against the scalar reference at every row width
+// from 0 to 130, i.e. every tail of the 64-element chunk and a few
+// whole chunks; elements past the row must stay untouched.
+void expect_noise_row_matches_reference(NoiseRowFn row_fn, const char* what) {
+  const float scale = 0.75f, stddev = 1.25f;
+  struct Keying {
+    std::uint64_t key, stream;
+  };
+  const Keying keyings[] = {{0x0123456789ABCDEFull, 2},
+                            {7, 0x100000003ull}};
+  const std::int64_t kGuard = 8;
+  for (const Keying& k : keyings) {
+    for (std::int64_t width = 0; width <= 130; ++width) {
+      const Tensor init = rng_fill({width + kGuard}, 3000 + width);
+      std::vector<float> row(init.data(), init.data() + width + kGuard);
+      row_fn(row.data(), width, scale, stddev, k.key, k.stream);
+      for (std::int64_t i = 0; i < width + kGuard; ++i) {
+        const float expected =
+            i < width ? init.at(i) * scale +
+                            stddev * reference_normal(
+                                         k.key, k.stream,
+                                         static_cast<std::uint64_t>(i))
+                      : init.at(i);
+        ASSERT_EQ(row[static_cast<std::size_t>(i)], expected)
+            << what << " width " << width << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelCheck, NoiseRowMatchesScalarReferenceAtEveryTail) {
+  expect_noise_row_matches_reference(dp::scale_noise_row, "dispatched");
+  expect_noise_row_matches_reference(dp::scale_noise_row_portable,
+                                     "portable");
+}
+
+TEST(KernelCheck, NoiseRowV4MatchesScalarReference) {
+#if FEDCL_HAVE_V4_KERNELS
+  if (!fedcl_cpu_has_v4()) GTEST_SKIP() << "CPU lacks x86-64-v4";
+  expect_noise_row_matches_reference(dp::scale_noise_row_v4, "v4");
+#else
+  GTEST_SKIP() << "no explicit v4 kernels in this build";
+#endif
 }
 
 TEST(PhiloxNoise, KnownAnswerVectors) {
@@ -290,63 +341,144 @@ TEST(PhiloxNoise, BitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PhiloxNoise, IndependentOfVisitOrder) {
-  // Element i of a stream has one value no matter how it is reached:
-  // sequential fill, random access, reverse traversal.
-  const CounterNoise noise(0xDEADBEEFu);
-  const std::int64_t n = 33;
-  std::vector<float> fill(static_cast<std::size_t>(n), 0.0f);
-  noise.add_scaled(fill.data(), n, /*stream=*/3, /*stddev=*/1.0);
-  for (std::int64_t i = n - 1; i >= 0; --i) {
-    const float expected = static_cast<float>(
-        noise.normal(3, static_cast<std::uint64_t>(i)));
-    EXPECT_EQ(fill[static_cast<std::size_t>(i)], expected) << "element " << i;
-  }
-  // Streams do not collide: same element index, different stream.
-  EXPECT_NE(noise.normal(3, 0), noise.normal(4, 0));
-  // Keys do not collide either.
-  const CounterNoise other(0xDEADBEF0u);
-  EXPECT_NE(noise.normal(3, 0), other.normal(3, 0));
+// Standard normals z_0 .. z_{n-1} of (key, stream) through the shipped
+// row kernel: 0 * 1 + 1 * z is exactly z.
+std::vector<float> noise_fill(std::uint64_t key, std::uint64_t stream,
+                              std::int64_t n) {
+  std::vector<float> z(static_cast<std::size_t>(n), 0.0f);
+  dp::scale_noise_row(z.data(), n, 1.0f, 1.0f, key, stream);
+  return z;
 }
 
-TEST(PhiloxNoise, MechanismBatchMatchesExampleLoopBitwise) {
-  dp::set_noise_mode(dp::NoiseMode::kCounter);
-  const dp::GaussianMechanism mechanism(/*noise_scale=*/2.0,
-                                        /*sensitivity=*/1.5);
-  const std::int64_t batch = 5;
-  PerExampleGrads batched = sample_grads(batch, 77);
-  PerExampleGrads looped = sample_grads(batch, 77);
-  Rng rng_a(9), rng_b(9);
-  mechanism.sanitize_per_example(batched, rng_a);
-  for (std::int64_t j = 0; j < batch; ++j) {
-    TensorList one = looped.example(j);
-    mechanism.sanitize_example(one, rng_b);
-    looped.set_example(j, one);
-  }
-  // Identical draws consumed from the caller's Rng...
-  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
-  // ...and identical noise laid down.
-  for (std::size_t p = 0; p < batched.rows.size(); ++p) {
-    for (std::int64_t i = 0; i < batched.rows[p].numel(); ++i) {
-      ASSERT_EQ(batched.rows[p].at(i), looped.rows[p].at(i))
-          << "p " << p << " i " << i;
+TEST(PhiloxNoise, IndependentOfVisitOrder) {
+  // Element i of a stream has one value no matter how it is reached:
+  // a long fill, a short fill ending mid-chunk, and random access to
+  // the reference in reverse.
+  const std::uint64_t key = 0xDEADBEEFu;
+  const std::vector<float> fill = noise_fill(key, 3, 200);
+  const std::vector<float> prefix = noise_fill(key, 3, 33);
+  for (std::int64_t i = 199; i >= 0; --i) {
+    const std::size_t at = static_cast<std::size_t>(i);
+    EXPECT_EQ(fill[at], reference_normal(key, 3, static_cast<std::uint64_t>(i)))
+        << "element " << i;
+    if (i < 33) {
+      EXPECT_EQ(prefix[at], fill[at]) << "element " << i;
     }
   }
+  // Streams do not collide: same element index, different stream.
+  EXPECT_NE(fill[0], noise_fill(key, 4, 1)[0]);
+  // Keys do not collide either.
+  EXPECT_NE(fill[0], noise_fill(0xDEADBEF0u, 3, 1)[0]);
 }
 
 TEST(PhiloxNoise, MomentsAreSane) {
-  const CounterNoise noise(31337);
-  const std::int64_t n = 200000;
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double z = noise.normal(0, static_cast<std::uint64_t>(i));
-    sum += z;
-    sum_sq += z * z;
+  // First four moments of 2^22 draws against N(0, 1), each within five
+  // standard errors (sqrt(1/n), sqrt(2/n), sqrt(6/n), sqrt(24/n)).
+  const std::int64_t n = std::int64_t{1} << 22;
+  const std::vector<float> z = noise_fill(31337, 0, n);
+  double m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (float v : z) {
+    const double x = v;
+    m1 += x;
+    m2 += x * x;
+    m3 += x * x * x;
+    m4 += x * x * x * x;
   }
-  const double mean = sum / static_cast<double>(n);
-  const double var = sum_sq / static_cast<double>(n) - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.01);
-  EXPECT_NEAR(var, 1.0, 0.02);
+  const double dn = static_cast<double>(n);
+  m1 /= dn;
+  m2 /= dn;
+  m3 /= dn;
+  m4 /= dn;
+  const double var = m2 - m1 * m1;
+  const double skew =
+      (m3 - 3.0 * m1 * m2 + 2.0 * m1 * m1 * m1) / std::pow(var, 1.5);
+  const double kurt =
+      (m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 * m1 * m1 * m1) /
+      (var * var);
+  EXPECT_NEAR(m1, 0.0, 5.0 * std::sqrt(1.0 / dn));
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / dn));
+  EXPECT_NEAR(skew, 0.0, 5.0 * std::sqrt(6.0 / dn));
+  EXPECT_NEAR(kurt, 3.0, 5.0 * std::sqrt(24.0 / dn));
+}
+
+TEST(PhiloxNoise, KolmogorovSmirnovAgainstStandardNormal) {
+  const std::int64_t n = std::int64_t{1} << 22;
+  std::vector<float> z = noise_fill(4242, 1, n);
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  const double dn = static_cast<double>(n);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double cdf =
+        0.5 * std::erfc(-static_cast<double>(z[static_cast<std::size_t>(i)]) /
+                        std::sqrt(2.0));
+    d = std::max({d, static_cast<double>(i + 1) / dn - cdf,
+                  cdf - static_cast<double>(i) / dn});
+  }
+  // Critical value at alpha = 0.001: 1.95 / sqrt(n).
+  EXPECT_LT(d, 1.95 / std::sqrt(dn));
+}
+
+TEST(PhiloxNoise, TailReachAndRadialAccuracy) {
+  // The radial map of the shipped transform, read off the cosine leg at
+  // angle word 0 (cos = 1, sin = 0 exactly), over the 2^16 smallest
+  // radial words, which carry every radius above 4.7. Against double
+  // precision it stays within 2e-7 relative (about two float ulps; the
+  // worst case measured is 7.2e-8): the uniform is exact there, so only
+  // the log polynomial and the sqrt round.
+  const philox::U32x16 angle = {};
+  for (std::uint32_t base = 0; base < (1u << 16); base += philox::kLanes) {
+    philox::U32x16 wr;
+    for (int k = 0; k < philox::kLanes; ++k)
+      wr[k] = base + static_cast<std::uint32_t>(k);
+    philox::F32x16 z_cos, z_sin;
+    philox::box_muller(wr, angle, z_cos, z_sin);
+    for (int k = 0; k < philox::kLanes; ++k) {
+      const double u1 = static_cast<double>(wr[k]) * 0x1p-32 + 0x1p-33;
+      const double r = std::sqrt(-2.0 * std::log(u1));
+      ASSERT_NEAR(z_cos[k], r, 2e-7 * r) << "radial word " << wr[k];
+      ASSERT_EQ(z_sin[k], 0.0f) << "radial word " << wr[k];
+      ASSERT_EQ(z_cos[k], reference_radius(wr[k])) << "radial word " << wr[k];
+    }
+  }
+  // The smallest uniform (2^-33) reaches sqrt(66 ln 2) = 6.7636.
+  EXPECT_GE(reference_radius(0), 6.7f);
+  EXPECT_NEAR(reference_radius(0), std::sqrt(66.0 * std::log(2.0)), 1e-5);
+}
+
+TEST(PhiloxNoise, EveryExampleRowCarriesItsOwnNoise) {
+  // Fed-CDP noises each example's gradient (Algorithm 2 line 14), which
+  // is what defeats type-2 leakage: on a zero gradient every example's
+  // row must have variance sigma^2 C^2, and rows must be independent.
+  // Summing B draws into one N(0, B sigma^2 C^2) draw on the batch
+  // would leave the rows unprotected and fails here.
+  const double clip = 3.0, sigma = 0.5;
+  const double var = sigma * sigma * clip * clip;
+  core::FedCdpPolicy policy(clip, sigma);
+  const std::int64_t batch = 8;
+  PerExampleGrads grads =
+      t::list::make_per_example(batch, {{64, 32}, {32}});
+  Rng rng(99);
+  policy.sanitize_per_example_batch(grads, {{0, 1}}, /*round=*/0, rng);
+  const std::int64_t width = 64 * 32 + 32;
+  auto row = [&](std::int64_t j, std::int64_t i) {
+    return static_cast<double>(i < 64 * 32
+                                   ? grads.rows[0].at(j * 64 * 32 + i)
+                                   : grads.rows[1].at(j * 32 + i - 64 * 32));
+  };
+  for (std::int64_t j = 0; j < batch; ++j) {
+    double sum_sq = 0.0, cross = 0.0;
+    for (std::int64_t i = 0; i < width; ++i) {
+      sum_sq += row(j, i) * row(j, i);
+      cross += row(j, i) * row((j + 1) % batch, i);
+    }
+    const double n = static_cast<double>(width);
+    // Five standard errors: sqrt(2/n) relative for the variance,
+    // sqrt(1/n) for the correlation.
+    EXPECT_NEAR(sum_sq / n / var, 1.0, 5.0 * std::sqrt(2.0 / n))
+        << "example " << j;
+    EXPECT_NEAR(cross / n / var, 0.0, 5.0 * std::sqrt(1.0 / n))
+        << "examples " << j << " and " << (j + 1) % batch;
+  }
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
 // Fast-vs-naive kernel checking helpers shared by tests.
 //
 // Each optimized kernel (blocked matmul, span-based im2col/col2im, the
-// fused DP sanitizer) is checked against a deliberately naive
-// reference: straight loops, double accumulation where the reference
-// is numerical, and the exact float order where the comparison must be
-// bitwise. Inputs come from seeded per-op RNG fills so every shape in
-// a sweep exercises different data.
+// fused DP sanitizer and its counter Gaussian) is checked against a
+// deliberately naive reference: straight loops, double accumulation
+// where the reference is numerical, and the exact float order where the
+// comparison must be bitwise. Inputs come from seeded per-op RNG fills
+// so every shape in a sweep exercises different data.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/philox.h"
 #include "common/rng.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
@@ -154,6 +156,97 @@ inline Tensor naive_col2im(const Tensor& cols, const ConvSpec& spec,
     }
   }
   return x;
+}
+
+// Scalar reference of the counter Gaussian (common/philox.h), one
+// element at a time: the KAT-pinned scalar Philox block, then float
+// Box-Muller as straight-line code, with branches where the lane
+// kernel uses masks and shuffles. The vectorized fill must match it
+// bitwise. That holds because IEEE add, multiply, sqrt and int->float
+// conversion round the same on every ISA, and because both sides are
+// compiled without FMA contraction (tests/CMakeLists.txt,
+// src/dp/CMakeLists.txt).
+inline float reference_log(float u) {
+  std::int32_t bits;
+  std::memcpy(&bits, &u, sizeof(bits));
+  std::int32_t e = (bits >> 23) - 127;
+  const std::int32_t mantissa = (bits & 0x007FFFFF) | 0x3F800000;
+  float m;
+  std::memcpy(&m, &mantissa, sizeof(m));
+  if (m > philox::kSqrt2) {
+    m = m * 0.5f;
+    e += 1;
+  }
+  const float f = m - 1.0f;
+  const float fe = static_cast<float>(e);
+  const float z = f * f;
+  float y = philox::kLogP[0];
+  for (int i = 1; i < 9; ++i) y = y * f + philox::kLogP[i];
+  y = y * f * z;
+  y = y + philox::kLn2Lo * fe;
+  y = y - 0.5f * z;
+  return (f + y) + philox::kLn2Hi * fe;
+}
+
+// sqrt(-2 ln u1) with u1 = wr 2^-32 + 2^-33.
+inline float reference_radius(std::uint32_t wr) {
+  const float u1 = static_cast<float>(wr) * 0x1p-32f + 0x1p-33f;
+  return std::sqrt(-2.0f * reference_log(u1));
+}
+
+// cos and sin of wt 2^-32 turns.
+inline void reference_sincos(std::uint32_t wt, float* cos_out,
+                             float* sin_out) {
+  const std::uint32_t quadrant = (wt + 0x20000000u) >> 30;
+  const std::int32_t rem = static_cast<std::int32_t>(wt - (quadrant << 30));
+  const float x = static_cast<float>(rem) * philox::kTurnPerWord;
+  const float z = x * x;
+  const float s =
+      ((philox::kSinP[0] * z + philox::kSinP[1]) * z + philox::kSinP[2]) * z *
+          x +
+      x;
+  const float c =
+      ((philox::kCosP[0] * z + philox::kCosP[1]) * z + philox::kCosP[2]) * z *
+          z -
+      0.5f * z + 1.0f;
+  switch (quadrant) {
+    case 0:
+      *cos_out = c;
+      *sin_out = s;
+      break;
+    case 1:
+      *cos_out = -s;
+      *sin_out = c;
+      break;
+    case 2:
+      *cos_out = -c;
+      *sin_out = -s;
+      break;
+    default:
+      *cos_out = s;
+      *sin_out = -c;
+      break;
+  }
+}
+
+// Element i of the Gaussian stream (key, stream): block i >> 2, word
+// pair (i & 2), cosine or sine leg (i & 1).
+inline float reference_normal(std::uint64_t key, std::uint64_t stream,
+                              std::uint64_t i) {
+  const std::uint64_t block = i >> 2;
+  const PhiloxBlock b =
+      philox4x32(static_cast<std::uint32_t>(block),
+                 static_cast<std::uint32_t>(block >> 32),
+                 static_cast<std::uint32_t>(stream),
+                 static_cast<std::uint32_t>(stream >> 32),
+                 static_cast<std::uint32_t>(key),
+                 static_cast<std::uint32_t>(key >> 32));
+  const std::uint32_t wr = (i & 2) ? b.v[2] : b.v[0];
+  const std::uint32_t wt = (i & 2) ? b.v[3] : b.v[1];
+  float c, s;
+  reference_sincos(wt, &c, &s);
+  const float r = reference_radius(wr);
+  return (i & 1) ? r * s : r * c;
 }
 
 }  // namespace fedcl::testing
