@@ -5,8 +5,8 @@
 // the same seed (docs/PROTOCOL.md §5).
 //
 // Examples:
-//   fedcl_server --port=7100 --workers=2 --dataset=mnist \
-//                --policy=fed-cdp --clients=20 --per-round=10 \
+//   fedcl_server --port=7100 --workers=2 --dataset=mnist
+//                --policy=fed-cdp --clients=20 --per-round=10
 //                --rounds=10 --save=global.ckpt
 //   fedcl_server --port=0 --workers=4 --async --metrics-port=9100
 #include <cstdio>

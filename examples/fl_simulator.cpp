@@ -3,11 +3,11 @@
 // entry point.
 //
 // Examples:
-//   fl_simulator --dataset=mnist --policy=fed-cdp --clients=50 \
+//   fl_simulator --dataset=mnist --policy=fed-cdp --clients=50
 //                --per-round=10 --rounds=30 --sigma=0.25 --clip=4
 //   fl_simulator --dataset=adult --policy=fed-sdp --dropout=0.2
 //   fl_simulator --dataset=lfw --policy=fed-cdp-decay --attack
-//   fl_simulator --dataset=mnist --policy=non-private --prune=0.3 \
+//   fl_simulator --dataset=mnist --policy=non-private --prune=0.3
 //                --save=global.ckpt
 #include <algorithm>
 #include <cstdio>

@@ -108,6 +108,28 @@ void flip_random_bits(std::vector<std::uint8_t>& bytes, Rng& rng, int flips) {
   }
 }
 
+void RoundFailureStats::count_injected(FaultType fault) {
+  switch (fault) {
+    case FaultType::kCrash:
+      ++injected_crash;
+      return;
+    case FaultType::kStraggler:
+      ++injected_straggler;
+      return;
+    case FaultType::kCorruptDelta:
+      ++injected_corrupt;
+      return;
+    case FaultType::kBitFlip:
+      ++injected_bit_flip;
+      return;
+    case FaultType::kStaleRound:
+      ++injected_stale;
+      return;
+    case FaultType::kNone:
+      return;
+  }
+}
+
 void RoundFailureStats::accumulate(const RoundFailureStats& other) {
   injected_crash += other.injected_crash;
   injected_straggler += other.injected_straggler;

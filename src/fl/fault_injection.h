@@ -149,6 +149,10 @@ struct RoundFailureStats {
            fault_accepted_stale;
   }
 
+  // Counts one drawn fault instance as injected (kNone counts nothing).
+  // Engines call it once per instance, at draw time, so the disposition
+  // bijection above can be checked against injected_total().
+  void count_injected(FaultType fault);
   void accumulate(const RoundFailureStats& other);
 };
 

@@ -1,10 +1,12 @@
 #include "fl/protocol.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
 #include "common/error.h"
+#include "tensor/simd.h"
 
 namespace fedcl::fl {
 
@@ -99,37 +101,115 @@ const char* read_tensor_list(ByteReader& reader, TensorList& out) {
   return nullptr;
 }
 
-std::uint64_t splitmix64_step(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
+std::size_t tensor_list_bytes(const TensorList& list) {
+  std::size_t bytes = sizeof(std::uint32_t);
+  for (const auto& t : list) {
+    bytes += sizeof(std::uint32_t) + sizeof(std::int64_t) * t.ndim() +
+             sizeof(float) * static_cast<std::size_t>(t.numel());
+  }
+  return bytes;
+}
+
+// ---- SecureChannel (PROTOCOL.md §4) ----
+//
+// Both directions make one pass over the body as little-endian 64-bit
+// words, the last one zero-padded. Word w is XORed with keystream word
+// w, the SplitMix64 output for state key + (w + 2)·kGamma, and its
+// plaintext is absorbed into tag lane w mod 8 by the xxHash64 round.
+// The tag then merges the lanes one at a time, adds the byte length
+// and avalanches; it travels after the body, XORed with the keystream
+// bytes at its position. Every step is a bijection of the lane state,
+// so a change confined to one word always changes the tag.
+static_assert(std::endian::native == std::endian::little,
+              "the channel reads bytes as little-endian words");
+
+constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::size_t kLanes = 8;
+
+typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
+
+// The helpers below serve one word or 8 lanes at once (vector
+// operands); vectors go by reference, which keeps the calling
+// convention out of the ISA clones.
+
+// SplitMix64's output function, in place.
+template <typename T>
+[[gnu::always_inline]] inline void mix64(T& z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  z ^= z >> 31;
 }
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+// The xxHash64 round: folds `word` into `acc`.
+template <typename T>
+[[gnu::always_inline]] inline void absorb(T& acc, const T& word) {
+  acc += word * kP2;
+  acc = ((acc << 31) | (acc >> 33)) * kP1;
 }
 
-// XORs byte i with byte (i % 8) of keystream word i / 8, little end
-// first. Word w is the SplitMix64 output one step past the state after
-// w + 1 steps from `key`.
-void apply_keystream(std::vector<std::uint8_t>& bytes, std::uint64_t key) {
-  std::uint64_t state = key;
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    splitmix64_step(state);
-    std::uint64_t probe = state;
-    const std::uint64_t word = splitmix64_step(probe);
-    const std::size_t n = std::min<std::size_t>(8, bytes.size() - i);
-    for (std::size_t b = 0; b < n; ++b) {
-      bytes[i + b] ^= static_cast<std::uint8_t>(word >> (8 * b));
-    }
+[[gnu::always_inline]] inline std::uint64_t keystream_word(std::uint64_t key,
+                                                           std::uint64_t w) {
+  std::uint64_t z = key + (w + 2) * kGamma;
+  mix64(z);
+  return z;
+}
+
+// The keystream bytes [n, n + 8) that cover the tag, as one word.
+std::uint64_t tag_keystream(std::uint64_t key, std::size_t n) {
+  const std::uint64_t lo = keystream_word(key, n / 8);
+  const unsigned shift = 8 * (n % 8);
+  if (shift == 0) return lo;
+  return (lo >> shift) | (keystream_word(key, n / 8 + 1) << (64 - shift));
+}
+
+// XORs the keystream of `key` over bytes[0, n) in place and returns the
+// tag of the plaintext: the bytes as they arrive when sealing, as they
+// leave when opening. Whole 64-byte blocks go 8 words (one per lane) at
+// a time, so the x86-64-v4 clone holds the lanes and the keystream in
+// one register each; the rest goes a word at a time. Integer arithmetic
+// only, so every clone produces the same bytes.
+FEDCL_KERNEL_CLONES
+std::uint64_t crypt_and_tag(std::uint8_t* bytes, std::size_t n,
+                            std::uint64_t key, bool opening) {
+  const U64x8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
+  U64x8 acc = (lane + 1) * kP1;
+  U64x8 state = key + (lane + 2) * kGamma;
+  std::size_t i = 0;
+  for (; i + sizeof(U64x8) <= n; i += sizeof(U64x8)) {
+    U64x8 in;
+    std::memcpy(&in, bytes + i, sizeof(in));
+    U64x8 out = state;
+    mix64(out);
+    out ^= in;
+    std::memcpy(bytes + i, &out, sizeof(out));
+    absorb(acc, opening ? out : in);
+    state += kLanes * kGamma;
   }
+  for (std::size_t w = i / 8; i < n; i += 8, ++w) {
+    const std::size_t len = std::min<std::size_t>(8, n - i);
+    const std::uint64_t mask = ~std::uint64_t{0} >> (64 - 8 * len);
+    std::uint64_t in = 0;
+    std::memcpy(&in, bytes + i, len);
+    const std::uint64_t out = in ^ (keystream_word(key, w) & mask);
+    std::memcpy(bytes + i, &out, len);
+    std::uint64_t lane_acc = acc[w % kLanes];
+    absorb(lane_acc, opening ? out : in);
+    acc[w % kLanes] = lane_acc;
+  }
+  std::uint64_t tag = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    std::uint64_t merged = 0;
+    absorb(merged, acc[l]);
+    tag = (tag ^ merged) * kP1 + kP4;
+  }
+  tag += n;
+  tag = (tag ^ (tag >> 33)) * kP2;
+  tag = (tag ^ (tag >> 29)) * kP3;
+  return tag ^ (tag >> 32);
 }
 
 }  // namespace
@@ -151,13 +231,8 @@ void append_tensor_list(std::vector<std::uint8_t>& out,
 std::vector<std::uint8_t> serialize_tensor_list(const TensorList& list) {
   // Reserve the exact size: callers may keep the blob, and growth by
   // repeated insert leaves up to 2x slack.
-  std::size_t bytes = sizeof(std::uint32_t);
-  for (const auto& t : list) {
-    bytes += sizeof(std::uint32_t) + sizeof(std::int64_t) * t.ndim() +
-             sizeof(float) * static_cast<std::size_t>(t.numel());
-  }
   std::vector<std::uint8_t> out;
-  out.reserve(bytes);
+  out.reserve(tensor_list_bytes(list));
   append_tensor_list(out, list);
   return out;
 }
@@ -172,7 +247,10 @@ Result<TensorList> deserialize_tensor_list(ByteSpan bytes) {
 }
 
 std::vector<std::uint8_t> serialize_update(const ClientUpdate& update) {
+  // Exact size plus room for the tag SecureChannel::seal appends.
   std::vector<std::uint8_t> out;
+  out.reserve(sizeof(update.client_id) + sizeof(update.round) +
+              tensor_list_bytes(update.delta) + SecureChannel::kTagBytes);
   append_pod(out, update.client_id);
   append_pod(out, update.round);
   append_tensor_list(out, update.delta);
@@ -207,26 +285,25 @@ std::uint64_t client_channel_key(std::uint64_t experiment_seed,
 
 std::vector<std::uint8_t> SecureChannel::seal(
     std::vector<std::uint8_t> plaintext) const {
-  const std::uint64_t tag = fnv1a(plaintext.data(), plaintext.size());
+  const std::size_t n = plaintext.size();
+  const std::uint64_t tag = crypt_and_tag(plaintext.data(), n, key_, false) ^
+                            tag_keystream(key_, n);
   append_pod(plaintext, tag);
-  apply_keystream(plaintext, key_);
   return plaintext;
 }
 
 Result<std::vector<std::uint8_t>> SecureChannel::open(
     std::vector<std::uint8_t> sealed) const {
   using R = Result<std::vector<std::uint8_t>>;
-  if (sealed.size() < sizeof(std::uint64_t)) {
-    return R::failure("short ciphertext");
-  }
-  apply_keystream(sealed, key_);
-  const std::size_t body = sealed.size() - sizeof(std::uint64_t);
+  if (sealed.size() < kTagBytes) return R::failure("short ciphertext");
+  const std::size_t n = sealed.size() - kTagBytes;
   std::uint64_t tag = 0;
-  std::memcpy(&tag, sealed.data() + body, sizeof(tag));
-  if (tag != fnv1a(sealed.data(), body)) {
+  std::memcpy(&tag, sealed.data() + n, sizeof(tag));
+  if ((tag ^ tag_keystream(key_, n)) !=
+      crypt_and_tag(sealed.data(), n, key_, true)) {
     return R::failure("integrity tag mismatch");
   }
-  sealed.resize(body);
+  sealed.resize(n);
   return sealed;
 }
 

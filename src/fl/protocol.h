@@ -6,8 +6,12 @@
 // makes that assumption concrete: updates are sealed in transit, and
 // the three leakage observation points (type-0 at the server after
 // open(), type-1/2 at the client before seal()) are explicit in the
-// training loop. The cipher is a keystream XOR with an integrity tag —
-// deliberately simple and NOT real cryptography; transport security is
+// training loop. The cipher is a SplitMix64 keystream XOR plus an
+// 8-byte integrity tag over the plaintext, computed in one word-parallel
+// pass: 8 xxHash64-style lanes, merged and length-mixed at the end. Any
+// change confined to one 8-byte word (every single-bit flip, tag bytes
+// included) is always detected, any other with probability 1 - 2^-64.
+// Deliberately simple and NOT real cryptography; transport security is
 // not what the paper (or this reproduction) evaluates.
 //
 // Bytes arriving at the server cross a trust boundary: open() and
@@ -79,9 +83,12 @@ std::uint64_t client_channel_key(std::uint64_t experiment_seed,
 
 class SecureChannel {
  public:
+  // Bytes seal() appends to its input.
+  static constexpr std::size_t kTagBytes = sizeof(std::uint64_t);
+
   explicit SecureChannel(std::uint64_t key) : key_(key) {}
 
-  // Encrypts and appends an integrity tag.
+  // Encrypts in place and appends the integrity tag (PROTOCOL.md §4).
   std::vector<std::uint8_t> seal(std::vector<std::uint8_t> plaintext) const;
   // Decrypts; fails on a short ciphertext or a bad tag (tampered or
   // wrong-key ciphertext).

@@ -28,38 +28,6 @@ namespace fedcl::fl {
 
 namespace {
 
-// Same guard as the classic engine: in-model RNG state (Dropout) makes
-// scratch-model sharing schedule-dependent, so those models serialize.
-bool stochastic_model(const nn::Sequential& model) {
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (dynamic_cast<const nn::Dropout*>(&model.layer(i)) != nullptr)
-      return true;
-  }
-  return false;
-}
-
-void count_injected(RoundFailureStats& stats, FaultType fault) {
-  switch (fault) {
-    case FaultType::kCrash:
-      ++stats.injected_crash;
-      return;
-    case FaultType::kStraggler:
-      ++stats.injected_straggler;
-      return;
-    case FaultType::kCorruptDelta:
-      ++stats.injected_corrupt;
-      return;
-    case FaultType::kBitFlip:
-      ++stats.injected_bit_flip;
-      return;
-    case FaultType::kStaleRound:
-      ++stats.injected_stale;
-      return;
-    case FaultType::kNone:
-      return;
-  }
-}
-
 // One planned dispatch: the client to run and the final fault of its
 // crash-redraw chain (resolved serially, like the classic engine).
 struct Attempt {
@@ -133,7 +101,7 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
   ThreadPool& pool = compute_pool();
   const bool parallel_clients = config.parallel_clients && pool.size() > 1 &&
                                 !policy.order_dependent() &&
-                                !stochastic_model(*model);
+                                !nn::has_stochastic_layer(*model);
   std::vector<std::shared_ptr<nn::Sequential>> slot_models;
   if (parallel_clients) {
     const std::size_t slots =
@@ -282,14 +250,14 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
       while ((a.fault == FaultType::kCorruptDelta ||
               a.fault == FaultType::kBitFlip) &&
              a.attempt + 1 < config.retry.max_attempts) {
-        count_injected(out.stats, a.fault);
+        out.stats.count_injected(a.fault);
         ++out.stats.fault_retried;
         ++out.stats.retry_attempts;
         ++a.attempt;
         a.fault = plan.fault_for_attempt(t, id, a.attempt);
         if (a.fault == FaultType::kCrash ||
             a.fault == FaultType::kStraggler) {
-          count_injected(out.stats, a.fault);
+          out.stats.count_injected(a.fault);
           ++out.stats.fault_expired;
           ++out.transient_failed;
           return;

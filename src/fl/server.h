@@ -21,7 +21,7 @@ struct AggregationOptions {
   // the momentum-accelerated FL the paper cites as [32]).
   double server_momentum = 0.0;
   // Validation applied to every received update before aggregation.
-  ScreeningConfig screening;
+  ScreeningConfig screening{};
   // Minimum number of accepted updates required to apply the round;
   // below it aggregate() leaves the model untouched and the caller
   // falls back to skip_round().

@@ -25,46 +25,6 @@
 
 namespace fedcl::fl {
 
-namespace {
-
-// Stochastic layers (Dropout) hold their own RNG stream inside the
-// model, so sharing scratch models across differently-scheduled
-// clients would make the stream order depend on the schedule.
-bool has_stochastic_layer(const nn::Sequential& model) {
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (dynamic_cast<const nn::Dropout*>(&model.layer(i)) != nullptr)
-      return true;
-  }
-  return false;
-}
-
-// Every drawn fault instance is counted as injected exactly once, at
-// draw time, so the disposition bijection (fault_injection.h) can be
-// checked against injected_total().
-void count_injected_fault(RoundFailureStats& stats, FaultType fault) {
-  switch (fault) {
-    case FaultType::kCrash:
-      ++stats.injected_crash;
-      return;
-    case FaultType::kStraggler:
-      ++stats.injected_straggler;
-      return;
-    case FaultType::kCorruptDelta:
-      ++stats.injected_corrupt;
-      return;
-    case FaultType::kBitFlip:
-      ++stats.injected_bit_flip;
-      return;
-    case FaultType::kStaleRound:
-      ++stats.injected_stale;
-      return;
-    case FaultType::kNone:
-      return;
-  }
-}
-
-}  // namespace
-
 FlRunResult run_experiment(const FlExperimentConfig& config,
                            const core::PrivacyPolicy& policy) {
   if (config.streaming_aggregation) {
@@ -120,7 +80,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
   ThreadPool& pool = compute_pool();
   const bool parallel_clients = config.parallel_clients && pool.size() > 1 &&
                                 !policy.order_dependent() &&
-                                !has_stochastic_layer(*model);
+                                !nn::has_stochastic_layer(*model);
   // One private scratch model per concurrent training slot. Their
   // initial weights are irrelevant (run_round installs the global
   // weights first), so each is built from a throwaway fork.
@@ -335,7 +295,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
         for (;;) {
           const FaultType f = plan.fault_for_attempt(
               t, static_cast<std::int64_t>(ci), attempt);
-          count_injected_fault(stats, f);
+          stats.count_injected(f);
           const double lat = rpolicy.latency_ms(f, lat_rng);
           if (rpolicy.transient(f) &&
               attempt + 1 < config.retry.max_attempts) {
@@ -768,11 +728,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
         while ((a.fault == FaultType::kCorruptDelta ||
                 a.fault == FaultType::kBitFlip) &&
                a.attempt + 1 < config.retry.max_attempts) {
-          if (a.fault == FaultType::kCorruptDelta) {
-            ++stats.injected_corrupt;
-          } else {
-            ++stats.injected_bit_flip;
-          }
+          stats.count_injected(a.fault);
           ++stats.fault_retried;
           ++stats.retry_attempts;
           ++a.attempt;
@@ -780,7 +736,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
                                            a.attempt);
           if (a.fault == FaultType::kCrash ||
               a.fault == FaultType::kStraggler) {
-            count_injected_fault(stats, a.fault);
+            stats.count_injected(a.fault);
             ++stats.fault_expired;
             ++transient_failed;
             expired_in_redispatch = true;

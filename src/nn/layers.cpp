@@ -180,6 +180,13 @@ Var Dropout::forward(const Var& x) {
   return o::mul(x, o::constant(sample_mask(x.value().shape())));
 }
 
+bool has_stochastic_layer(const Sequential& model) {
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    if (dynamic_cast<const Dropout*>(&model.layer(i)) != nullptr) return true;
+  }
+  return false;
+}
+
 Var Flatten::forward(const Var& x) {
   const auto& s = x.value().shape();
   FEDCL_CHECK_GE(s.size(), 2u);

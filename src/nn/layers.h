@@ -112,6 +112,11 @@ class Dropout : public Layer {
   Rng rng_;
 };
 
+// True if the model holds a Dropout layer. Its mask stream lives in the
+// model, so engines that would share scratch models across clients run
+// such models serially instead.
+bool has_stochastic_layer(const Sequential& model);
+
 // [N,H,W,C] -> [N, H*W*C].
 class Flatten : public Layer {
  public:

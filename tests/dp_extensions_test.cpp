@@ -1,48 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/error.h"
-#include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/adaptive_clipping.h"
-#include "dp/laplace.h"
 
 namespace fedcl::dp {
 namespace {
-
-using tensor::Tensor;
-
-TEST(Laplace, ScaleFromEpsilonAndSensitivity) {
-  LaplaceMechanism mech(/*epsilon=*/0.5, /*l1_sensitivity=*/2.0);
-  EXPECT_DOUBLE_EQ(mech.scale(), 4.0);
-  EXPECT_THROW(LaplaceMechanism(0.0, 1.0), Error);
-  EXPECT_THROW(LaplaceMechanism(1.0, 0.0), Error);
-}
-
-TEST(Laplace, SampleMomentsMatchDistribution) {
-  Rng rng(1);
-  const double b = 3.0;
-  const int n = 40000;
-  double sum = 0.0, abs_sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = LaplaceMechanism::sample(rng, b);
-    sum += x;
-    abs_sum += std::abs(x);
-  }
-  // Laplace(0, b): mean 0, E|x| = b.
-  EXPECT_NEAR(sum / n, 0.0, 0.1);
-  EXPECT_NEAR(abs_sum / n, b, 0.1);
-}
-
-TEST(Laplace, SanitizePerturbsEveryTensor) {
-  LaplaceMechanism mech(1.0, 1.0);
-  Rng rng(2);
-  tensor::list::TensorList u = {Tensor::zeros({64}), Tensor::zeros({32})};
-  mech.sanitize(u, rng);
-  EXPECT_GT(u[0].l2_norm(), 0.0f);
-  EXPECT_GT(u[1].l2_norm(), 0.0f);
-}
 
 TEST(MedianNormEstimator, MedianOfWindow) {
   MedianNormEstimator est(5);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +18,7 @@
 #include "fl/trainer.h"
 #include "nn/grad_utils.h"
 #include "nn/model_zoo.h"
+#include "testing/seal_reference.h"
 
 namespace fedcl::fl {
 namespace {
@@ -97,8 +97,12 @@ TEST(SecureChannel, DetectsTampering) {
 
 TEST(SecureChannel, WrongKeyFails) {
   SecureChannel alice(1), eve(2);
-  auto sealed = alice.seal({1, 2, 3});
-  EXPECT_FALSE(eve.open(sealed).ok());
+  Rng rng(31);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::vector<std::uint8_t> plain(n);
+    for (auto& b : plain) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    EXPECT_FALSE(eve.open(alice.seal(plain)).ok()) << "length " << n;
+  }
 }
 
 TEST(SecureChannel, EndToEndWithUpdates) {
@@ -116,21 +120,33 @@ TEST(SecureChannel, EndToEndWithUpdates) {
 
 TEST(SecureChannel, SealKnownAnswerBytes) {
   // Sealed bytes are part of the wire contract (PROTOCOL.md §4); these
-  // pin them across keystream rewrites, including every partial tail
-  // word of the 8-byte keystream.
+  // pin them across rewrites, including every partial tail word of the
+  // keystream and of the tag. Protocol version 1 (FNV-1a tag) sealed
+  // the same body bytes under the same keystream; only the 8 trailing
+  // tag bytes differ from its recorded vectors.
   const SecureChannel channel(0x0123456789ABCDEFull);
-  const std::map<std::size_t, std::string> expected = {
-      {0, "b6f383b07fce811e"},
-      {1, "98fa66351d1eb5b611"},
-      {7, "98e0f44e04969a7c09aaec1f70456c"},
-      {8, "98e0f44e04969adb7bdce778a3f21e19"},
-      {9, "98e0f44e04969adb8dcebf0313a1b6fed1"},
-      {37, "98e0f44e04969adb8d94103be95b8119b7e7e386dc0dedfc8b285ee6fe702187"
-           "d99cde30736d78eeb0f6d38d9b"},
+  struct Vector {
+    std::size_t n;
+    std::string hex;
+    std::string version1_hex;
   };
-  for (const auto& [n, hex] : expected) {
-    std::vector<std::uint8_t> plain(n);
-    for (std::size_t i = 0; i < n; ++i)
+  const Vector vectors[] = {
+      {0, "de56d622faed2a07", "b6f383b07fce811e"},
+      {1, "9869c234adc1f5710b", "98fa66351d1eb5b611"},
+      {7, "98e0f44e04969ac343dc7153d9fb35", "98e0f44e04969a7c09aaec1f70456c"},
+      {8, "98e0f44e04969adb076428d84021d7d1",
+       "98e0f44e04969adb7bdce778a3f21e19"},
+      {9, "98e0f44e04969adb8d81a133fa76fc43ba",
+       "98e0f44e04969adb8dcebf0313a1b6fed1"},
+      {37,
+       "98e0f44e04969adb8d94103be95b8119b7e7e386dc0dedfc8b285ee6fe702187"
+       "d99cde3073345ea7efed75eb4b",
+       "98e0f44e04969adb8d94103be95b8119b7e7e386dc0dedfc8b285ee6fe702187"
+       "d99cde30736d78eeb0f6d38d9b"},
+  };
+  for (const Vector& v : vectors) {
+    std::vector<std::uint8_t> plain(v.n);
+    for (std::size_t i = 0; i < v.n; ++i)
       plain[i] = static_cast<std::uint8_t>(i * 37 + 11);
     std::string got;
     for (std::uint8_t b : channel.seal(plain)) {
@@ -138,8 +154,49 @@ TEST(SecureChannel, SealKnownAnswerBytes) {
       got += kHex[b >> 4];
       got += kHex[b & 15];
     }
-    EXPECT_EQ(got, hex) << "plaintext length " << n;
+    EXPECT_EQ(got, v.hex) << "plaintext length " << v.n;
+    EXPECT_EQ(got.substr(0, 2 * v.n), v.version1_hex.substr(0, 2 * v.n))
+        << "keystream changed at plaintext length " << v.n;
   }
+}
+
+TEST(SecureChannel, SealMatchesScalarReferenceAtEveryLength) {
+  // Every length 0-130 covers the 64-byte blocks, each tail word count
+  // and each tag offset within a keystream word; open() must round-trip
+  // each reference envelope.
+  for (const std::uint64_t key :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x0123456789ABCDEF},
+        ~std::uint64_t{0}}) {
+    const SecureChannel channel(key);
+    Rng rng(key ^ 0x5EA1);
+    for (std::size_t n = 0; n <= 130; ++n) {
+      std::vector<std::uint8_t> plain(n);
+      for (auto& b : plain) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+      const std::vector<std::uint8_t> expected =
+          testing::reference_seal(key, plain);
+      EXPECT_EQ(channel.seal(plain), expected)
+          << "key " << key << " length " << n;
+      Result<std::vector<std::uint8_t>> opened = channel.open(expected);
+      ASSERT_TRUE(opened.ok()) << "key " << key << " length " << n;
+      EXPECT_EQ(opened.value(), plain) << "key " << key << " length " << n;
+    }
+  }
+}
+
+TEST(SecureChannel, SealAppendsTagInPlace) {
+  // serialize_update reserves room for the tag, so sealing a fresh
+  // serialization encrypts and extends the same buffer: no copy.
+  ClientUpdate u;
+  u.client_id = 4;
+  u.round = 1;
+  Rng rng(2);
+  u.delta = {Tensor::randn({37, 5}, rng), Tensor::randn({5}, rng)};
+  std::vector<std::uint8_t> plain = serialize_update(u);
+  const std::uint8_t* buffer = plain.data();
+  const std::vector<std::uint8_t> sealed =
+      SecureChannel(5).seal(std::move(plain));
+  EXPECT_EQ(sealed.data(), buffer);
+  EXPECT_EQ(sealed.capacity(), sealed.size());
 }
 
 TEST(Protocol, SerializeTensorListReservesExactSize) {

@@ -100,6 +100,17 @@ TEST(NetFrame, RejectsBadVersion) {
   EXPECT_EQ(read_frame(pair.server, frame), FrameStatus::kBadVersion);
 }
 
+TEST(NetFrame, RejectsPreviousVersion) {
+  // Version 1 sealed updates with the FNV-1a tag; a peer still speaking
+  // it must be refused at the header, not ledgered as decode failures.
+  SocketPair pair = make_pair();
+  const auto h = raw_header(kFrameMagic, 1,
+                            static_cast<std::uint8_t>(MsgType::kHello), 0);
+  ASSERT_TRUE(pair.client.send_all(h.data(), h.size()));
+  Frame frame;
+  EXPECT_EQ(read_frame(pair.server, frame), FrameStatus::kBadVersion);
+}
+
 TEST(NetFrame, RejectsBadType) {
   SocketPair pair = make_pair();
   const auto h = raw_header(kFrameMagic, kProtocolVersion, 99, 0);
