@@ -266,10 +266,9 @@ int run_simulator(const FlagParser& flags) {
                 static_cast<long long>(result.async_applies),
                 static_cast<long long>(config.effective_rounds()),
                 static_cast<long long>(
-                    config.async.min_to_apply > 0
-                        ? config.async.min_to_apply
-                        : std::max<std::int64_t>(
-                              1, config.clients_per_round / 2)),
+                    fl::resolve_async_config(config.async,
+                                             config.clients_per_round)
+                        .min_to_apply),
                 config.async.staleness_alpha,
                 static_cast<long long>(config.async.max_staleness));
   }

@@ -1,5 +1,6 @@
 #include "fl/async_aggregator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -19,14 +20,23 @@ const std::vector<double>& staleness_buckets() {
 
 }  // namespace
 
+AsyncAggregatorConfig resolve_async_config(AsyncAggregatorConfig config,
+                                           std::int64_t clients_per_round) {
+  if (config.min_to_apply <= 0) {
+    config.min_to_apply = std::max<std::int64_t>(1, clients_per_round / 2);
+  }
+  return config;
+}
+
 AsyncAggregator::AsyncAggregator(TensorList initial_weights,
                                  AsyncAggregatorConfig config,
                                  const core::PrivacyPolicy& policy,
-                                 const dp::ParamGroups& groups, Rng rng)
+                                 const dp::ParamGroups& groups, Rng rng,
+                                 ScreeningConfig screening)
     : config_(config),
       policy_(policy),
       groups_(groups),
-      screener_(config.screening),
+      screener_(screening),
       rng_(rng),
       weights_(std::move(initial_weights)) {
   FEDCL_CHECK(!weights_.empty()) << "async aggregator needs a model";

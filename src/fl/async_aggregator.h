@@ -34,19 +34,20 @@
 namespace fedcl::fl {
 
 struct AsyncAggregatorConfig {
-  // M: buffered updates that trigger an apply. The trainer defaults
-  // this to max(1, clients_per_round / 2) when left at 0.
+  // M: buffered updates that trigger an apply; 0 leaves it to
+  // resolve_async_config's max(1, clients_per_round / 2).
   std::int64_t min_to_apply = 0;
   // Staleness-decay exponent: weight = 1 / (1 + staleness)^alpha.
   // 0 treats stale updates like fresh ones.
   double staleness_alpha = 0.5;
   // Oldest acceptable round tag, in rounds behind the current round.
   std::int64_t max_staleness = 8;
-  // Per-update screening (structural / finite / absolute-norm; the
-  // median-relative band needs a population and does not apply to the
-  // streaming path).
-  ScreeningConfig screening;
 };
+
+// `config` with an unset min_to_apply (<= 0) resolved to the engines'
+// default, max(1, clients_per_round / 2).
+AsyncAggregatorConfig resolve_async_config(AsyncAggregatorConfig config,
+                                           std::int64_t clients_per_round);
 
 class AsyncAggregator {
  public:
@@ -62,10 +63,14 @@ class AsyncAggregator {
   // `policy` and `groups` must outlive the aggregator; the policy's
   // server-side sanitization hook runs on every accepted update before
   // it is folded in (the same per-update placement as the synchronous
-  // Server). `rng` drives that hook, consumed in fold order.
+  // Server). `rng` drives that hook, consumed in fold order. Every
+  // offer is screened under `screening` (structural / finite /
+  // absolute-norm; the median-relative band needs a population and
+  // does not apply to a streamed update).
   AsyncAggregator(TensorList initial_weights, AsyncAggregatorConfig config,
                   const core::PrivacyPolicy& policy,
-                  const dp::ParamGroups& groups, Rng rng);
+                  const dp::ParamGroups& groups, Rng rng,
+                  ScreeningConfig screening = {});
 
   // Screens, weights, and folds `update` into the accumulator;
   // `now_round` is the engine's current round clock (staleness =

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "fl/update_screening.h"
 
 namespace fedcl::fl {
 
@@ -128,6 +129,30 @@ void RoundFailureStats::count_injected(FaultType fault) {
     case FaultType::kNone:
       return;
   }
+}
+
+void RoundFailureStats::count_rejected(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kShapeMismatch:
+      ++rejected_shape;
+      return;
+    case RejectReason::kNonFinite:
+      ++rejected_non_finite;
+      return;
+    case RejectReason::kNormOutlier:
+      ++rejected_norm_outlier;
+      return;
+    case RejectReason::kStaleRound:
+      ++rejected_stale;
+      return;
+  }
+}
+
+void RoundFailureStats::count_screening(const ScreeningReport& report) {
+  rejected_shape += report.rejected_shape;
+  rejected_non_finite += report.rejected_non_finite;
+  rejected_norm_outlier += report.rejected_norm_outlier;
+  rejected_stale += report.rejected_stale;
 }
 
 void RoundFailureStats::accumulate(const RoundFailureStats& other) {

@@ -89,12 +89,14 @@ void corrupt_delta(TensorList& delta, Rng& rng);
 void flip_random_bits(std::vector<std::uint8_t>& bytes, Rng& rng,
                       int flips = 3);
 
+enum class RejectReason;
+struct ScreeningReport;
+
 // Per-round failure accounting, aggregated across the run in
-// FlRunResult. Every injected fault lands in exactly one of the
-// "handled" counters: crashes and stragglers never report, and the
-// remaining faults are screened out before aggregation — so with
-// natural dropout and norm screening disabled, handled_total() equals
-// injected_total().
+// FlRunResult. Every injected fault instance resolves to exactly one
+// disposition (expired, screened, retried, accepted-stale), so
+// faults_resolved_total() == injected_total() in every engine, with or
+// without retries, dropout, or norm screening.
 struct RoundFailureStats {
   // Injected faults by type.
   std::int64_t injected_crash = 0;
@@ -136,14 +138,7 @@ struct RoundFailureStats {
     return rejected_decode + rejected_shape + rejected_non_finite +
            rejected_norm_outlier + rejected_stale;
   }
-  // Faults accounted for: never-reported clients plus screened updates.
-  std::int64_t handled_total() const {
-    return injected_crash + injected_straggler + dropouts +
-           rejected_total();
-  }
-  // Disposition total — equals injected_total() whenever every fault's
-  // fate is tracked (the retry/async engines; the legacy sync path
-  // also maintains it).
+  // Disposition total — equals injected_total() (see above).
   std::int64_t faults_resolved_total() const {
     return fault_expired + fault_screened + fault_retried +
            fault_accepted_stale;
@@ -153,6 +148,10 @@ struct RoundFailureStats {
   // Engines call it once per instance, at draw time, so the disposition
   // bijection above can be checked against injected_total().
   void count_injected(FaultType fault);
+  // Counts one screening rejection under its per-reason field.
+  void count_rejected(RejectReason reason);
+  // Adds a screening pass's per-reason rejections.
+  void count_screening(const ScreeningReport& report);
   void accumulate(const RoundFailureStats& other);
 };
 

@@ -50,9 +50,8 @@ enum class DegradationTier {
 const char* degradation_tier_name(DegradationTier tier);
 
 struct RetryPolicyConfig {
-  // Total dispatch attempts per client per round. 1 = no retries (the
-  // legacy engine); the resample-retry pass in the trainer is
-  // independent of this budget.
+  // Total dispatch attempts per client per round. 1 = no retries; the
+  // resample-retry pass in the trainer is independent of this budget.
   int max_attempts = 1;
   // Exponential backoff before re-dispatch: attempt a (2-based) waits
   // base_backoff_ms * multiplier^(a-2), scaled by a uniform jitter in

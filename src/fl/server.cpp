@@ -45,25 +45,15 @@ AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates,
     weights_buffer = *update_weights;
     kept_weights = &weights_buffer;
   }
-  AggregateOutcome outcome;
-  ScreeningReport& report = outcome.screening;
+  ScreeningReport report;
   std::vector<ClientUpdate> accepted =
       screener_.screen(std::move(updates), tensor::list::shapes_of(weights_),
                        round_, report, kept_weights);
-  if (report.accepted >= options_.min_reporting) {
-    outcome.tier = DegradationTier::kFullQuorum;
-  } else if (options_.reduced_min_reporting > 0 &&
-             report.accepted >= options_.reduced_min_reporting) {
-    // Degraded tier: apply anyway and surface how much wider the
-    // per-update noise is than the full quorum would have left it.
-    outcome.tier = DegradationTier::kReducedQuorum;
-    outcome.noise_widening = static_cast<double>(options_.min_reporting) /
-                             static_cast<double>(report.accepted);
-  } else {
-    // Quorum missed: leave the model and round untouched; the caller
-    // records the skip.
-    return outcome;
-  }
+  AggregateOutcome outcome = quorum(report.accepted);
+  outcome.screening = report;
+  // Quorum missed: leave the model and round untouched; the caller
+  // records the skip.
+  if (outcome.tier == DegradationTier::kSkipRound) return outcome;
 
   double total_weight = 0.0;
   for (std::size_t i = 0; i < accepted.size(); ++i) {
@@ -81,21 +71,23 @@ AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates,
     tensor::list::add_(mean_delta, u.delta,
                        static_cast<float>(w / total_weight));
   }
-
-  if (options_.server_momentum > 0.0) {
-    if (velocity_.empty()) velocity_ = tensor::list::zeros_like(weights_);
-    tensor::list::scale_(velocity_,
-                         static_cast<float>(options_.server_momentum));
-    tensor::list::add_(velocity_, mean_delta, 1.0f);
-    tensor::list::add_(weights_, velocity_, 1.0f);
-  } else {
-    tensor::list::add_(weights_, mean_delta, 1.0f);
-  }
-  ++round_;
+  apply_mean(mean_delta, report.accepted);
   outcome.applied = true;
-  telemetry::global_registry()
-      .counter("fl.server.updates_accepted_total")
-      .add(report.accepted);
+  return outcome;
+}
+
+AggregateOutcome Server::quorum(std::int64_t accepted) const {
+  AggregateOutcome outcome;
+  if (accepted >= options_.min_reporting) {
+    outcome.tier = DegradationTier::kFullQuorum;
+  } else if (options_.reduced_min_reporting > 0 &&
+             accepted >= options_.reduced_min_reporting) {
+    // Degraded tier: apply anyway and surface how much wider the
+    // per-update noise is than the full quorum would have left it.
+    outcome.tier = DegradationTier::kReducedQuorum;
+    outcome.noise_widening = static_cast<double>(options_.min_reporting) /
+                             static_cast<double>(accepted);
+  }
   return outcome;
 }
 

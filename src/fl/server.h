@@ -81,12 +81,19 @@ class Server {
                              const std::vector<double>* update_weights =
                                  nullptr);
 
-  // Applies an externally reduced mean delta (the streaming scale
-  // engine screens, sanitizes, and reduces updates as they arrive —
-  // see fl/scale_engine.h — and hands the server only the finished
-  // mean). Same momentum tail and round advance as aggregate();
-  // screening/quorum accounting stays with the caller, which also
-  // records the accepted count on fl.server.updates_accepted_total.
+  // The degradation tier (and noise widening) `accepted` screened
+  // updates earn under this server's quorum options — the decision
+  // aggregate() makes, exposed for callers that screen and reduce
+  // updates themselves. `applied` is left false.
+  AggregateOutcome quorum(std::int64_t accepted) const;
+
+  // Applies an externally reduced mean delta (the streamed fold of the
+  // sync engine, fl/trainer.cpp, screens, sanitizes, and reduces
+  // updates as they arrive and hands the server only the finished
+  // mean). Same momentum tail and round advance as aggregate(), which
+  // ends in it; the caller decides the quorum first (quorum()) and
+  // keeps the screening accounting. Adds `accepted` to
+  // fl.server.updates_accepted_total.
   void apply_mean(const TensorList& mean_delta, std::int64_t accepted);
 
   // Advances the round without an update (e.g. every sampled client

@@ -9,7 +9,10 @@
 // (fault_injection.h) and natural dropout are survived per client, the
 // server screens updates before aggregation (update_screening.h), and a
 // min_reporting quorum with one resample-retry pass governs when a
-// round is applied versus skipped.
+// round is applied versus skipped. One synchronous loop serves both
+// folds (streaming_aggregation) and one asynchronous loop serves
+// async_mode; both share the federation setup, the client runner, the
+// per-client delivery, and the round epilogue in fl/round_engine.h.
 #pragma once
 
 #include <cstdint>
@@ -78,38 +81,38 @@ struct FlExperimentConfig {
   // bounded-memory accumulator (fl/async_aggregator.h) and the model
   // advances as soon as `async.min_to_apply` updates are buffered;
   // stragglers arrive `rounds_late` rounds later and are folded in with
-  // a 1/(1+staleness)^alpha weight instead of being rejected. The
-  // sync engine is untouched when false. Determinism boundary: with
-  // parallel_clients=false the async engine is bitwise reproducible for
-  // a fixed seed; across thread counts the fold order (and therefore
-  // float rounding) may differ — see DESIGN.md.
+  // a 1/(1+staleness)^alpha weight instead of being rejected.
+  // Determinism boundary: with parallel_clients=false the async engine
+  // is bitwise reproducible for a fixed seed; across thread counts the
+  // fold order (and therefore float rounding) may differ — see
+  // DESIGN.md.
   bool async_mode = false;
   // Async engine knobs. min_to_apply <= 0 defaults to
-  // max(1, clients_per_round / 2); `async.screening` is overridden with
-  // `screening` above (one source of truth).
+  // max(1, clients_per_round / 2) (resolve_async_config); offers are
+  // screened under `screening` above.
   AsyncAggregatorConfig async;
   // Deadline / retry / backoff for client dispatch, in both engines.
-  // The default (max_attempts = 1) keeps the sync engine bitwise
-  // identical to the pre-retry behavior.
+  // The default (max_attempts = 1) disables re-dispatch.
   RetryPolicyConfig retry;
   // Graceful-degradation floor for the sync engine (see
   // AggregationOptions::reduced_min_reporting); 0 keeps the binary
   // apply-or-skip behavior. In the async engine the analogous tier is
   // the end-of-round partial flush, which is always on.
   std::int64_t reduced_min_reporting = 0;
-  // Streaming scale engine (fl/scale_engine.h): updates are screened,
+  // Selects the sync engine's streamed fold: updates are screened,
   // sanitized, and folded into an O(log K) binary-counter accumulator
   // as they arrive — no K-sized update buffer — with edge aggregators
-  // of `tree_fan_out` clients feeding a root reducer. Synchronous
-  // semantics (same cohort, quorum, and retry behavior); the reduction
-  // order is pinned so any fan-out produces bitwise-identical results
-  // on fault-free rounds (DESIGN.md §7). Mutually exclusive with
-  // async_mode. Note the rounding of the mean differs from the legacy
-  // engine (sum × 1/Σw vs incremental w/Σw folds), so streaming runs
-  // are bitwise self-consistent but not bitwise equal to legacy runs.
+  // of `tree_fan_out` clients feeding a root reducer. Same cohort,
+  // quorum, and retry behavior as the buffered fold (the default,
+  // Server::aggregate); the reduction order is pinned so any fan-out
+  // produces bitwise-identical results on fault-free rounds (DESIGN.md
+  // §7). The median-relative norm band needs the buffered round's
+  // population and does not apply. Mutually exclusive with async_mode.
+  // The mean rounds differently (sum × 1/Σw vs incremental w/Σw folds),
+  // so the two folds are bitwise self-consistent but not equal.
   bool streaming_aggregation = false;
-  // Edge-aggregator fan-out for the streaming engine; must be a power
-  // of two >= 2. Values >= clients_per_round degenerate to one flat
+  // Edge-aggregator fan-out for the streamed fold; must be a power of
+  // two >= 2. Values >= clients_per_round degenerate to one flat
   // streaming accumulator.
   std::int64_t tree_fan_out = 64;
 
@@ -146,7 +149,7 @@ struct FlRunResult {
   // Async engine: total aggregate applications (the final model
   // version); a round can apply more than once.
   std::int64_t async_applies = 0;
-  // Streaming engine: high-water binary-counter occupancy across every
+  // Streamed fold: high-water binary-counter occupancy across every
   // reducer the run created — the bounded-memory witness, bounded by
   // floor(log2(units)) + 1 regardless of K (fl/tree_aggregation.h).
   std::int64_t max_stream_levels = 0;

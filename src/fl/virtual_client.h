@@ -36,17 +36,17 @@ class VirtualClientProvider {
   const LocalTrainConfig& local_config() const { return local_; }
 
   // The per-(round, client) streams shared by every engine (in-process
-  // trainer, streaming scale engine, net worker). Centralizing the
-  // fork labels here is what keeps the engines bitwise interchangeable.
+  // sync and async loops, net worker). Centralizing the fork labels
+  // here is what keeps the engines bitwise interchangeable.
   static Rng training_stream(const Rng& round_rng, std::int64_t round,
                              std::int64_t id);
-  // Delivery-fault draws (corrupt bytes / bit-flip positions). The
-  // async engine introduced this per-client stream; the streaming
-  // engine reuses it so delivery noise is schedule-independent.
+  // Delivery-fault draws (corrupt bytes / bit-flip positions), per
+  // client so delivery runs on the pool and stays schedule-independent.
   static Rng delivery_fault_stream(const Rng& round_rng, std::int64_t round,
                                    std::int64_t id);
-  // Server-side sanitization stream for the streaming engine, where
-  // updates are folded as they arrive instead of in a serial pass.
+  // Server-side sanitization stream for the sync engine's streamed
+  // fold, where updates are folded as they arrive instead of in a
+  // serial pass.
   static Rng sanitize_stream(const Rng& round_rng, std::int64_t round,
                              std::int64_t id);
 

@@ -11,16 +11,14 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
-#include "data/partition.h"
-#include "data/synthetic.h"
 #include "fl/client.h"
 #include "fl/compression.h"
 #include "fl/protocol.h"
+#include "fl/round_engine.h"
 #include "fl/virtual_client.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "nn/model_zoo.h"
 
 namespace fedcl::net {
 
@@ -74,34 +72,15 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
 
   // ---- rebuild the client-side experiment from the descriptor: the
   // same forked streams the in-process trainer consumes, so shards,
-  // model init, and per-round training are bit-identical ----
-  const data::BenchmarkConfig bench = data::benchmark_config(
-      static_cast<data::BenchmarkId>(d.bench_id),
-      static_cast<BenchScale>(d.scale));
-  Rng root(d.seed);
-  Rng data_rng = root.fork("train-data");
-  Rng part_rng = root.fork("partition");
-  Rng model_rng = root.fork("model");
-  Rng round_rng = root.fork("rounds");
-
-  auto train = std::make_shared<data::Dataset>(
-      data::generate_synthetic(bench.train_spec, data_rng));
-  data::PartitionSpec part = bench.partition;
-  part.num_clients = d.total_clients;
-
-  const fl::LocalTrainConfig local{
-      .local_iterations = d.local_iterations,
-      .batch_size = bench.batch_size,
-      .learning_rate = bench.learning_rate,
-      .lr_decay_per_round = bench.lr_decay_per_round};
-  // Virtualized hosting: this worker owns every client id with
+  // model init, and per-round training are bit-identical. Virtualized
+  // hosting: this worker owns every client id with
   // id % num_workers == worker_index, but materializes a client only
-  // when a round asks for it. Startup is O(dataset) instead of
-  // O(total_clients), and the provider synthesizes the exact shard
-  // bytes the eager partition produced (fl/virtual_client.h), so the
-  // three-way serving parity pins are untouched.
-  const fl::VirtualClientProvider provider(train, part, part_rng, local,
-                                           /*faults=*/{}, d.seed);
+  // when a round asks for it, so startup is O(dataset) instead of
+  // O(total_clients) (fl/virtual_client.h) ----
+  const fl::Federation fed(
+      data::benchmark_config(static_cast<data::BenchmarkId>(d.bench_id),
+                             static_cast<BenchScale>(d.scale)),
+      d.total_clients, d.local_iterations, /*faults=*/{}, d.seed);
   const auto hosts = [&](std::int64_t ci) {
     return ci >= 0 && ci < d.total_clients &&
            ci % static_cast<std::int64_t>(config.num_workers) ==
@@ -113,14 +92,12 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
     ++hosted_count;
   }
 
-  std::shared_ptr<nn::Sequential> model =
-      nn::build_model(bench.model, model_rng);
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
 
   FEDCL_LOG(Info) << "fedcl_client: worker " << config.worker_index << "/"
                   << config.num_workers << " hosting " << hosted_count
                   << " of " << d.total_clients
-                  << " clients (virtualized) on " << bench.name;
+                  << " clients (virtualized) on " << fed.bench.name;
 
   telemetry::Registry& reg = telemetry::global_registry();
   const std::string worker_label = std::to_string(config.worker_index);
@@ -179,16 +156,17 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
         continue;
       }
       // Materialized on demand, bitwise identical on every request.
-      const fl::Client client = provider.client(ci);
+      const fl::Client client = fed.provider.client(ci);
       // The same per-(round, client) stream the in-process trainer
       // forks — the label discipline is the parity guarantee.
       Rng crng =
-          fl::VirtualClientProvider::training_stream(round_rng, req.round, ci);
+          fl::VirtualClientProvider::training_stream(fed.round_rng, req.round,
+                                                     ci);
       fl::ClientRoundOutcome outcome = [&] {
         telemetry::SpanTimer train_span(reg, "fl.client.phase",
                                         {{"phase", "local_train"}},
                                         req.round);
-        return client.run_round(*model, global_weights, *policy,
+        return client.run_round(*fed.model, global_weights, *policy,
                                 req.round, crng);
       }();
       fl::SecureChannel channel(fl::client_channel_key(d.seed, ci));

@@ -1,8 +1,6 @@
 #include "net/serving_server.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -16,14 +14,9 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "data/partition.h"
-#include "data/synthetic.h"
-#include "fl/client.h"
 #include "fl/protocol.h"
+#include "fl/round_engine.h"
 #include "fl/server.h"
-#include "fl/virtual_client.h"
-#include "nn/grad_utils.h"
-#include "nn/model_zoo.h"
 
 namespace fedcl::net {
 
@@ -92,37 +85,20 @@ ServingReport ServingServer::run() {
   report.rounds = d.rounds;
 
   // -------- experiment state, from the descriptor alone (the workers
-  // reconstruct theirs from the identical Welcome bytes) --------
-  const data::BenchmarkConfig bench = data::benchmark_config(
-      static_cast<data::BenchmarkId>(d.bench_id),
-      static_cast<BenchScale>(d.scale));
-  Rng root(d.seed);
-  Rng data_rng = root.fork("train-data");
-  Rng val_rng = root.fork("val-data");
-  Rng part_rng = root.fork("partition");
-  Rng model_rng = root.fork("model");
-  Rng round_rng = root.fork("rounds");
-  data::Dataset val = data::generate_synthetic(bench.val_spec, val_rng);
-  // The server derives data-size aggregation weights from its own
-  // virtualized provider — a pure function of (seed, client_id) over
-  // the same descriptor the workers got — instead of trusting the
-  // worker-reported data_size field, so a compromised worker cannot
-  // inflate its own weight (PROTOCOL.md threat model). The wire field
-  // stays for observability and pre-hardening compatibility.
-  auto train = std::make_shared<data::Dataset>(
-      data::generate_synthetic(bench.train_spec, data_rng));
-  data::PartitionSpec part = bench.partition;
-  part.num_clients = d.total_clients;
-  const fl::LocalTrainConfig local{
-      .local_iterations = d.local_iterations,
-      .batch_size = bench.batch_size,
-      .learning_rate = bench.learning_rate,
-      .lr_decay_per_round = bench.lr_decay_per_round};
-  const fl::VirtualClientProvider provider(train, part, part_rng, local,
-                                           /*faults=*/{}, d.seed);
-  std::shared_ptr<nn::Sequential> model =
-      nn::build_model(bench.model, model_rng);
-  const dp::ParamGroups groups = fl::to_param_groups(model->layer_groups());
+  // reconstruct theirs from the identical Welcome bytes). The server
+  // derives data-size aggregation weights from its own virtualized
+  // provider — a pure function of (seed, client_id) over the same
+  // descriptor the workers got — instead of trusting the worker-reported
+  // data_size field, so a compromised worker cannot inflate its own
+  // weight (PROTOCOL.md threat model). The wire field stays for
+  // observability and pre-hardening compatibility. --------
+  const fl::Federation fed(
+      data::benchmark_config(static_cast<data::BenchmarkId>(d.bench_id),
+                             static_cast<BenchScale>(d.scale)),
+      d.total_clients, d.local_iterations, /*faults=*/{}, d.seed);
+  const data::Dataset val = fed.validation_set();
+  const dp::ParamGroups groups =
+      fl::to_param_groups(fed.model->layer_groups());
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
 
   // -------- admission: roster handshake + standing Busy refusals ----
@@ -248,21 +224,43 @@ ServingReport ServingServer::run() {
     stats.fault_expired += static_cast<std::int64_t>(n);
   };
 
-  auto record_round_counters = [&](const fl::RoundFailureStats& stats) {
-    auto count_fault = [&](const char* type, std::int64_t n) {
-      if (n > 0) {
-        reg.counter("fl.faults.injected_total", {{"type", type}}).add(n);
-      }
-    };
-    count_fault("crash", stats.injected_crash);
-    count_fault("straggler", stats.injected_straggler);
-    if (stats.rejected_decode > 0) {
-      reg.counter("fl.transport.rejected_decode_total")
-          .add(stats.rejected_decode);
+  // Server-derived, never the wire-reported size.
+  auto data_weight = [&](std::int64_t client_id) {
+    return static_cast<double>(fed.provider.data_size(client_id));
+  };
+
+  // Cohort members per worker: client ci is hosted by worker ci % n.
+  auto split_by_worker = [&](const std::vector<std::size_t>& cohort) {
+    std::vector<std::vector<std::int64_t>> ids(workers.size());
+    for (std::size_t ci : cohort) {
+      ids[ci % workers.size()].push_back(static_cast<std::int64_t>(ci));
     }
-    if (stats.fault_expired > 0) {
-      reg.counter("fl.retry.expired_total").add(stats.fault_expired);
+    return ids;
+  };
+
+  // Sends one round's TrainRequest, with the round span's trace context
+  // when the worker advertised the capability. False = send failed.
+  auto send_train_request = [&](WorkerSlot& w, std::int64_t t,
+                                const std::vector<std::int64_t>& ids,
+                                const std::vector<std::uint8_t>& blob,
+                                const telemetry::SpanTimer& round_span) {
+    TrainRequestMsg req;
+    req.round = t;
+    req.client_ids = ids;
+    req.weights_blob = blob;
+    const telemetry::TraceContext rctx = round_span.context();
+    if ((w.flags & kFrameFlagTraceContext) && rctx.valid()) {
+      req.has_trace = true;
+      req.trace_hi = rctx.trace_hi;
+      req.trace_lo = rctx.trace_lo;
+      req.parent_span = rctx.span_id;
     }
+    if (!write_frame(w.conn, MsgType::kTrainRequest,
+                     encode_train_request(req))) {
+      return false;
+    }
+    reg.counter("fl.net.frames_sent_total").add(1);
+    return true;
   };
 
   // Opens and deserializes one UpdateMsg through the per-client channel
@@ -290,11 +288,28 @@ ServingReport ServingServer::run() {
   };
 
   const Clock::time_point run_start = Clock::now();
+  std::optional<fl::Server> server;
+  std::optional<fl::AsyncAggregator> agg;
+  auto current_weights = [&]() -> fl::TensorList {
+    return agg.has_value() ? agg->weights_snapshot() : server->weights();
+  };
+  fl::RoundLedger ledger({
+      .rounds = d.rounds,
+      .eval_every = options_.eval_every,
+      .local_iterations = d.local_iterations,
+      .eval_model = fed.model.get(),
+      .val = &val,
+      .weights = current_weights,
+      .log_prefix = options_.async_mode ? "fedcl_server: async"
+                                        : "fedcl_server:",
+      .log_level = LogLevel::kInfo,
+  });
 
   if (!options_.async_mode) {
     // ================= synchronous (bitwise-parity) engine ==========
-    fl::Server server(model->weights(),
-                      {.server_momentum = options_.server_momentum,
+    server.emplace(fed.model->weights(),
+                   fl::AggregationOptions{
+                       .server_momentum = options_.server_momentum,
                        .screening = options_.screening,
                        .min_reporting = options_.min_reporting,
                        .reduced_min_reporting =
@@ -307,59 +322,41 @@ ServingReport ServingServer::run() {
       // coordination round-trip; the server's round span is the root.
       telemetry::TraceScope trace(telemetry::round_trace_root(d.seed, t));
       telemetry::SpanTimer round_span(reg, "fl.round", {}, t);
-      fl::RoundFailureStats stats;
+      ledger.open_round();
+      fl::RoundTally tally;
+      fl::RoundFailureStats& stats = tally.stats;
 
       Rng sample_rng =
-          round_rng.fork("sample", static_cast<std::uint64_t>(t));
-      const std::vector<std::size_t> chosen = server.sample_clients(
+          fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
+      const std::vector<std::size_t> chosen = server->sample_clients(
           static_cast<std::size_t>(d.total_clients),
           static_cast<std::size_t>(d.clients_per_round), sample_rng);
-
       // Cohort slots, so updates re-assemble in sampling order no
       // matter which worker answers first — the order the in-process
-      // deliver phase consumes them in.
+      // fold consumes them in.
       std::unordered_map<std::int64_t, std::size_t> slot_of;
       for (std::size_t i = 0; i < chosen.size(); ++i) {
         slot_of[static_cast<std::int64_t>(chosen[i])] = i;
       }
-      std::vector<std::optional<std::pair<fl::ClientUpdate, double>>> got(
-          chosen.size());
+      std::vector<std::optional<fl::ClientUpdate>> got(chosen.size());
 
-      std::vector<std::vector<std::int64_t>> ids_per_worker(workers.size());
-      for (std::size_t ci : chosen) {
-        ids_per_worker[ci % workers.size()].push_back(
-            static_cast<std::int64_t>(ci));
-      }
+      const std::vector<std::vector<std::int64_t>> ids_per_worker =
+          split_by_worker(chosen);
       const std::vector<std::uint8_t> weights_blob =
-          fl::serialize_tensor_list(server.weights());
+          fl::serialize_tensor_list(server->weights());
 
       {
         telemetry::SpanTimer dispatch_span(
             reg, "fl.phase", {{"phase", "dispatch"}}, t);
-        const telemetry::TraceContext rctx = round_span.context();
         for (std::size_t w = 0; w < workers.size(); ++w) {
           if (ids_per_worker[w].empty()) continue;
           if (!workers[w].alive) {
             expire_crash(stats, ids_per_worker[w].size());
-            continue;
-          }
-          TrainRequestMsg req;
-          req.round = t;
-          req.client_ids = ids_per_worker[w];
-          req.weights_blob = weights_blob;
-          if ((workers[w].flags & kFrameFlagTraceContext) && rctx.valid()) {
-            req.has_trace = true;
-            req.trace_hi = rctx.trace_hi;
-            req.trace_lo = rctx.trace_lo;
-            req.parent_span = rctx.span_id;
-          }
-          if (!write_frame(workers[w].conn, MsgType::kTrainRequest,
-                           encode_train_request(req))) {
+          } else if (!send_train_request(workers[w], t, ids_per_worker[w],
+                                         weights_blob, round_span)) {
             kill_worker(workers[w], "send failed");
             expire_crash(stats, ids_per_worker[w].size());
-            continue;
           }
-          reg.counter("fl.net.frames_sent_total").add(1);
         }
       }
 
@@ -402,14 +399,8 @@ ServingReport ServingServer::run() {
             }
             UpdateMsg msg = decoded.take();
             pending.erase(msg.client_id);
-            // Server-derived, never the wire-reported size.
-            const double weight =
-                static_cast<double>(provider.data_size(msg.client_id));
             const std::size_t slot = slot_of[msg.client_id];
-            if (std::optional<fl::ClientUpdate> u =
-                    open_update(std::move(msg), w, t, stats)) {
-              got[slot] = std::make_pair(std::move(*u), weight);
-            }
+            got[slot] = open_update(std::move(msg), w, t, stats);
           } else if (frame.type == MsgType::kTrainError) {
             Result<TrainErrorMsg> err = decode_train_error(frame.payload);
             if (!err.ok() || pending.count(err.value().client_id) == 0) {
@@ -434,91 +425,32 @@ ServingReport ServingServer::run() {
 
       std::vector<fl::ClientUpdate> updates;
       std::vector<double> update_weights;
-      for (auto& g : got) {
-        if (!g.has_value()) continue;
-        updates.push_back(std::move(g->first));
-        update_weights.push_back(g->second);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (!got[i].has_value()) continue;
+        updates.push_back(std::move(*got[i]));
+        update_weights.push_back(data_weight(chosen[i]));
       }
-
-      bool applied = false;
-      std::int64_t round_accepted = 0;
-      if (!updates.empty()) {
-        telemetry::SpanTimer aggregate_span(
-            reg, "fl.phase", {{"phase", "aggregate"}}, t);
-        Rng agg_rng =
-            round_rng.fork("aggregate", static_cast<std::uint64_t>(t));
-        fl::AggregateOutcome outcome = server.aggregate(
-            std::move(updates), *policy, groups, agg_rng,
-            options_.weight_by_data_size ? &update_weights : nullptr);
-        stats.rejected_shape += outcome.screening.rejected_shape;
-        stats.rejected_non_finite += outcome.screening.rejected_non_finite;
-        stats.rejected_norm_outlier +=
-            outcome.screening.rejected_norm_outlier;
-        stats.rejected_stale += outcome.screening.rejected_stale;
-        round_accepted = outcome.screening.accepted;
-        applied = outcome.applied;
-        if (outcome.tier == fl::DegradationTier::kReducedQuorum) {
-          ++stats.reduced_quorum_rounds;
-          ++report.reduced_quorum_rounds;
-          reg.counter("fl.round.degraded_total",
-                      {{"tier", fl::degradation_tier_name(outcome.tier)}})
-              .add(1);
-          reg.record_point("fl.round.noise_widening", t,
-                           outcome.noise_widening);
-        }
-      }
-
-      reg.record_point("fl.round.accepted", t,
-                       static_cast<double>(round_accepted));
-      reg.record_point("fl.round.rejected", t,
-                       static_cast<double>(stats.rejected_total()));
-      record_round_counters(stats);
-
-      if (!applied) {
-        server.skip_round();
-        ++report.dropped_rounds;
-        ++stats.quorum_missed;
-        reg.counter("fl.round.quorum_missed_total").add(1);
-      } else {
-        const bool eval_now = (options_.eval_every > 0 &&
-                               (t + 1) % options_.eval_every == 0) ||
-                              t + 1 == d.rounds;
-        if (eval_now) {
-          telemetry::SpanTimer eval_span(reg, "fl.phase",
-                                         {{"phase", "eval"}}, t);
-          model->set_weights(server.weights());
-          const double acc =
-              nn::evaluate_accuracy(*model, val.features(), val.labels());
-          reg.record_point("fl.round.accuracy", t, acc);
-          FEDCL_LOG(Info) << "fedcl_server: round " << (t + 1) << "/"
-                          << d.rounds << " acc=" << acc;
-        }
-      }
-      report.updates_accepted += round_accepted;
-      report.updates_rejected += stats.rejected_total();
-      report.failures.accumulate(stats);
+      const fl::AggregateOutcome outcome = fl::aggregate_round(
+          *server, std::move(updates),
+          options_.weight_by_data_size ? &update_weights : nullptr, *policy,
+          groups, fed.round_rng, t, tally);
+      if (!outcome.applied) server->skip_round();
+      ledger.close_round(t, tally, outcome);
       report.round_ms.push_back(ms_since(round_start));
     }
-
-    model->set_weights(server.weights());
-    report.final_weights = tensor::list::clone(server.weights());
   } else {
     // ============ asynchronous (overlapping rounds) engine ==========
-    fl::AsyncAggregatorConfig async_cfg = options_.async;
-    if (async_cfg.min_to_apply <= 0) {
-      async_cfg.min_to_apply =
-          std::max<std::int64_t>(1, d.clients_per_round / 2);
-    }
-    async_cfg.screening = options_.screening;
-    fl::AsyncAggregator agg(model->weights(), async_cfg, *policy, groups,
-                            root.fork("async-aggregate"));
+    agg.emplace(fed.model->weights(),
+                fl::resolve_async_config(options_.async, d.clients_per_round),
+                *policy, groups, fed.root.fork("async-aggregate"),
+                options_.screening);
+    const std::int64_t max_staleness = agg->config().max_staleness;
 
     // Processes one received frame for worker `w`. Returns false when
     // the worker was killed (caller stops reading it).
     auto process_frame = [&](WorkerSlot& w, Frame frame, std::int64_t now,
-                             fl::RoundFailureStats& stats,
-                             std::int64_t& accepted,
-                             std::int64_t& rejected) -> bool {
+                             fl::RoundTally& tally) -> bool {
+      fl::RoundFailureStats& stats = tally.stats;
       auto fail = [&](const char* reason, const char* why) {
         reject_frame(reason);
         expire_crash(stats, w.outstanding_clients());
@@ -557,54 +489,31 @@ ServingReport ServingServer::run() {
         expire_crash(stats, 1);  // TrainError: this client never reports
         return true;
       }
-      // Server-derived, never the wire-reported size.
-      const double weight =
-          options_.weight_by_data_size
-              ? static_cast<double>(provider.data_size(update_msg->client_id))
-              : 1.0;
       std::optional<fl::ClientUpdate> update = open_update(
           std::move(*update_msg),
           static_cast<std::size_t>(&w - workers.data()), now, stats);
-      if (!update.has_value()) {
-        ++rejected;
+      if (!update.has_value()) return true;
+      const double weight =
+          options_.weight_by_data_size ? data_weight(client_id) : 1.0;
+      const fl::AsyncAggregator::OfferResult res =
+          agg->offer(std::move(*update), now, weight);
+      if (!res.accepted) {
+        stats.count_rejected(*res.reject);
         return true;
       }
-      fl::AsyncAggregator::OfferResult res =
-          agg.offer(std::move(*update), now, weight);
-      if (res.accepted) {
-        ++accepted;
-        if (res.staleness > 0) {
-          // A late arrival is a straggler fault absorbed via the
-          // staleness decay — injected and resolved in one step, so
-          // the disposition bijection still balances.
-          ++stats.injected_straggler;
-          ++stats.fault_accepted_stale;
-        }
-      } else {
-        ++rejected;
-        if (res.reject.has_value()) {
-          switch (*res.reject) {
-            case fl::RejectReason::kShapeMismatch:
-              ++stats.rejected_shape;
-              break;
-            case fl::RejectReason::kNonFinite:
-              ++stats.rejected_non_finite;
-              break;
-            case fl::RejectReason::kNormOutlier:
-              ++stats.rejected_norm_outlier;
-              break;
-            case fl::RejectReason::kStaleRound:
-              ++stats.rejected_stale;
-              break;
-          }
-        }
+      ++tally.accepted;
+      if (res.staleness > 0) {
+        // A late arrival is a straggler fault absorbed via the
+        // staleness decay — injected and resolved in one step, so the
+        // disposition bijection still balances.
+        ++stats.injected_straggler;
+        ++stats.fault_accepted_stale;
       }
       return true;
     };
 
     auto drain_worker = [&](WorkerSlot& w, std::int64_t now,
-                            fl::RoundFailureStats& stats,
-                            std::int64_t& accepted, std::int64_t& rejected) {
+                            fl::RoundTally& tally) {
       if (!(w.alive && !w.outstanding.empty() && w.conn.readable(0))) {
         return;  // nothing queued: no empty fl.net.recv span
       }
@@ -619,16 +528,13 @@ ServingReport ServingServer::run() {
             w.conn, frame, options_.max_frame_bytes, options_.io_timeout_ms);
         if (st != FrameStatus::kOk) {
           reject_frame(frame_status_name(st));
-          expire_crash(stats, w.outstanding_clients());
+          expire_crash(tally.stats, w.outstanding_clients());
           w.outstanding.clear();
           kill_worker(w, st == FrameStatus::kTimeout ? "timeout"
                                                      : "disconnect");
           return;
         }
-        if (!process_frame(w, std::move(frame), now, stats, accepted,
-                           rejected)) {
-          return;
-        }
+        if (!process_frame(w, std::move(frame), now, tally)) return;
       }
     };
 
@@ -636,21 +542,19 @@ ServingReport ServingServer::run() {
       const Clock::time_point round_start = Clock::now();
       telemetry::TraceScope trace(telemetry::round_trace_root(d.seed, t));
       telemetry::SpanTimer round_span(reg, "fl.round", {}, t);
-      fl::RoundFailureStats stats;
-      const std::int64_t applies_before = agg.applies();
-      std::int64_t round_accepted = 0;
-      std::int64_t round_rejected = 0;
+      ledger.open_round();
+      fl::RoundTally tally;
+      fl::RoundFailureStats& stats = tally.stats;
+      const std::int64_t applies_before = agg->applies();
 
       // Phase 0: fold in whatever already arrived (late updates from
       // earlier rounds enter staleness-weighted).
-      for (WorkerSlot& w : workers) {
-        drain_worker(w, t, stats, round_accepted, round_rejected);
-      }
+      for (WorkerSlot& w : workers) drain_worker(w, t, tally);
       // Expire dispatches past the staleness horizon: even if the
       // update arrived now, screening would reject it.
       for (WorkerSlot& w : workers) {
         while (!w.outstanding.empty() &&
-               w.outstanding.front().round + async_cfg.max_staleness < t) {
+               w.outstanding.front().round + max_staleness < t) {
           expire_straggler(stats, w.outstanding.front().remaining.size());
           w.outstanding.pop_front();
         }
@@ -663,21 +567,14 @@ ServingReport ServingServer::run() {
       {
         telemetry::SpanTimer dispatch_span(
             reg, "fl.phase", {{"phase", "dispatch"}}, t);
-        const telemetry::TraceContext rctx = round_span.context();
         Rng sample_rng =
-            round_rng.fork("sample", static_cast<std::uint64_t>(t));
-        const std::vector<std::size_t> chosen =
-            sample_rng.sample_without_replacement(
+            fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
+        const std::vector<std::vector<std::int64_t>> ids_per_worker =
+            split_by_worker(sample_rng.sample_without_replacement(
                 static_cast<std::size_t>(d.total_clients),
-                static_cast<std::size_t>(d.clients_per_round));
-        std::vector<std::vector<std::int64_t>> ids_per_worker(
-            workers.size());
-        for (std::size_t ci : chosen) {
-          ids_per_worker[ci % workers.size()].push_back(
-              static_cast<std::int64_t>(ci));
-        }
+                static_cast<std::size_t>(d.clients_per_round)));
         const std::vector<std::uint8_t> weights_blob =
-            fl::serialize_tensor_list(agg.weights_snapshot());
+            fl::serialize_tensor_list(agg->weights_snapshot());
         for (std::size_t w = 0; w < workers.size(); ++w) {
           if (ids_per_worker[w].empty()) continue;
           if (!workers[w].alive) {
@@ -691,25 +588,14 @@ ServingReport ServingServer::run() {
             expire_straggler(stats, ids_per_worker[w].size());
             continue;
           }
-          TrainRequestMsg req;
-          req.round = t;
-          req.client_ids = ids_per_worker[w];
-          req.weights_blob = weights_blob;
-          if ((workers[w].flags & kFrameFlagTraceContext) && rctx.valid()) {
-            req.has_trace = true;
-            req.trace_hi = rctx.trace_hi;
-            req.trace_lo = rctx.trace_lo;
-            req.parent_span = rctx.span_id;
-          }
-          if (!write_frame(workers[w].conn, MsgType::kTrainRequest,
-                           encode_train_request(req))) {
+          if (!send_train_request(workers[w], t, ids_per_worker[w],
+                                  weights_blob, round_span)) {
             expire_crash(stats, ids_per_worker[w].size() +
                                     workers[w].outstanding_clients());
             workers[w].outstanding.clear();
             kill_worker(workers[w], "send failed");
             continue;
           }
-          reg.counter("fl.net.frames_sent_total").add(1);
           WorkerSlot::Outstanding o;
           o.round = t;
           o.remaining.insert(ids_per_worker[w].begin(),
@@ -740,7 +626,7 @@ ServingReport ServingServer::run() {
           if (!w.alive || w.outstanding.empty()) continue;
           if (w.conn.readable(10)) {
             any_read = true;
-            drain_worker(w, t, stats, round_accepted, round_rejected);
+            drain_worker(w, t, tally);
           }
         }
         if (!any_read) {
@@ -748,58 +634,13 @@ ServingReport ServingServer::run() {
         }
       }
 
-      // End of round: a round that never tripped the threshold folds
-      // its partial buffer in — the reduced-quorum tier.
-      bool applied = agg.applies() > applies_before;
-      if (!applied && agg.buffered() > 0) {
-        const double widening = static_cast<double>(agg.min_to_apply()) /
-                                static_cast<double>(agg.buffered());
-        agg.flush();
-        applied = true;
-        ++stats.reduced_quorum_rounds;
-        ++report.reduced_quorum_rounds;
-        reg.counter("fl.round.degraded_total",
-                    {{"tier", fl::degradation_tier_name(
-                                  fl::DegradationTier::kReducedQuorum)}})
-            .add(1);
-        reg.record_point("fl.round.noise_widening", t, widening);
-      }
-
-      reg.record_point("fl.round.accepted", t,
-                       static_cast<double>(round_accepted));
-      reg.record_point("fl.round.rejected", t,
-                       static_cast<double>(round_rejected));
-      record_round_counters(stats);
-
-      if (!applied) {
-        ++report.dropped_rounds;
-        ++stats.quorum_missed;
-        reg.counter("fl.round.quorum_missed_total").add(1);
-      } else {
-        const bool eval_now = (options_.eval_every > 0 &&
-                               (t + 1) % options_.eval_every == 0) ||
-                              t + 1 == d.rounds;
-        if (eval_now) {
-          telemetry::SpanTimer eval_span(reg, "fl.phase",
-                                         {{"phase", "eval"}}, t);
-          model->set_weights(agg.weights_snapshot());
-          const double acc =
-              nn::evaluate_accuracy(*model, val.features(), val.labels());
-          reg.record_point("fl.round.accuracy", t, acc);
-          FEDCL_LOG(Info) << "fedcl_server: async round " << (t + 1) << "/"
-                          << d.rounds << " acc=" << acc;
-        }
-      }
-      report.updates_accepted += round_accepted;
-      report.updates_rejected += round_rejected;
-      report.failures.accumulate(stats);
+      ledger.close_round(t, tally, fl::close_async_round(*agg, applies_before));
       report.round_ms.push_back(ms_since(round_start));
     }
 
     // End of run: one final grace window for stragglers, then expire
     // the rest and drain the buffer.
-    fl::RoundFailureStats drain_stats;
-    std::int64_t drain_accepted = 0, drain_rejected = 0;
+    fl::RoundTally drain;
     const Clock::time_point drain_start = Clock::now();
     for (;;) {
       bool any_outstanding = false;
@@ -812,30 +653,30 @@ ServingReport ServingServer::run() {
       }
       for (WorkerSlot& w : workers) {
         if (w.alive && !w.outstanding.empty() && w.conn.readable(10)) {
-          drain_worker(w, d.rounds - 1, drain_stats, drain_accepted,
-                       drain_rejected);
+          drain_worker(w, d.rounds - 1, drain);
         }
       }
     }
     for (WorkerSlot& w : workers) {
       for (const auto& o : w.outstanding) {
-        expire_straggler(drain_stats, o.remaining.size());
+        expire_straggler(drain.stats, o.remaining.size());
       }
       w.outstanding.clear();
     }
-    record_round_counters(drain_stats);
-    report.failures.accumulate(drain_stats);
-    report.updates_accepted += drain_accepted;
-    report.updates_rejected += drain_rejected;
-    agg.flush();
-    report.async_applies = agg.applies();
-    report.final_weights = agg.weights_snapshot();
-    model->set_weights(report.final_weights);
+    ledger.close_run(drain);
+    agg->flush();
+    report.async_applies = agg->applies();
   }
 
-  report.completed_rounds = d.rounds - report.dropped_rounds;
-  report.final_accuracy =
-      nn::evaluate_accuracy(*model, val.features(), val.labels());
+  const fl::FlRunResult& run = ledger.result();
+  report.failures = run.total_failures;
+  report.dropped_rounds = run.dropped_rounds;
+  report.completed_rounds = d.rounds - run.dropped_rounds;
+  report.reduced_quorum_rounds = run.reduced_quorum_rounds;
+  report.updates_accepted = ledger.accepted_total();
+  report.updates_rejected = run.total_failures.rejected_total();
+  report.final_weights = tensor::list::clone(current_weights());
+  report.final_accuracy = ledger.evaluate();
   reg.gauge("fl.net.run_duration_ms").set(ms_since(run_start));
   report.ok = true;
   return finish(std::move(report));

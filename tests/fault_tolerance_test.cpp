@@ -279,9 +279,10 @@ TEST(TrainerFaults, MixedFaultsCompleteAllRoundsWithExactAccounting) {
 
   const RoundFailureStats& f = result.total_failures;
   EXPECT_GT(f.injected_total(), 0);  // rate 0.3 over 24+ draws
-  // Every injected fault is accounted for in exactly one handled
-  // counter (no natural dropout, norm screening off).
-  EXPECT_EQ(f.handled_total(), f.injected_total());
+  // Every injected fault resolves to exactly one disposition, and with
+  // norm screening off no update is rejected as an outlier.
+  EXPECT_EQ(f.faults_resolved_total(), f.injected_total());
+  EXPECT_EQ(f.rejected_norm_outlier, 0);
   // Bit flips surface as decode rejections, corruption as non-finite,
   // replays as stale.
   EXPECT_EQ(f.rejected_decode, f.injected_bit_flip);

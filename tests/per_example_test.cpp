@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -267,23 +268,35 @@ void expect_same_run(const fl::FlRunResult& a, const fl::FlRunResult& b) {
 }
 
 TEST(ParallelTrainer, SerialAndParallelSchedulesBitwiseIdentical) {
-  // The phase-split round consumes every shared RNG stream serially
-  // and trains each client from its own forked stream, so the
-  // parallel schedule must reproduce the serial one bit for bit —
-  // for the non-private batched path and for Fed-CDP.
-  for (const bool per_example : {false, true}) {
-    fl::FlExperimentConfig config = small_fl_config(911);
-    std::unique_ptr<core::PrivacyPolicy> policy;
-    if (per_example) {
-      policy = core::make_fed_cdp(2.0, 0.5);
-    } else {
-      policy = core::make_non_private();
+  // The round consumes every shared RNG stream serially and each client
+  // trains and delivers from its own forked streams, so the parallel
+  // schedule must reproduce the serial one bit for bit — for the
+  // non-private batched path and for Fed-CDP, through both folds, under
+  // dropout, faults, and post-train re-dispatch. tree_fan_out 2 splits
+  // the Kt = 4 cohort into two edge blocks in the streamed fold.
+  for (const bool streaming : {false, true}) {
+    for (const bool per_example : {false, true}) {
+      SCOPED_TRACE(std::string(streaming ? "streamed" : "buffered") +
+                   (per_example ? " Fed-CDP" : " non-private"));
+      fl::FlExperimentConfig config = small_fl_config(911);
+      config.streaming_aggregation = streaming;
+      config.tree_fan_out = 2;
+      config.retry.max_attempts = 3;
+      std::unique_ptr<core::PrivacyPolicy> policy;
+      if (per_example) {
+        policy = core::make_fed_cdp(2.0, 0.5);
+      } else {
+        policy = core::make_non_private();
+      }
+      config.parallel_clients = false;
+      fl::FlRunResult serial = fl::run_experiment(config, *policy);
+      config.parallel_clients = true;
+      fl::FlRunResult parallel = fl::run_experiment(config, *policy);
+      expect_same_run(serial, parallel);
+      // The pin covers re-dispatch: this seed draws no crash, so every
+      // retry is a post-train resend of a corrupt or bit-flipped update.
+      EXPECT_GT(serial.total_failures.retry_attempts, 0);
     }
-    config.parallel_clients = false;
-    fl::FlRunResult serial = fl::run_experiment(config, *policy);
-    config.parallel_clients = true;
-    fl::FlRunResult parallel = fl::run_experiment(config, *policy);
-    expect_same_run(serial, parallel);
   }
 }
 
