@@ -1,14 +1,18 @@
 // Perf bench for the per-example gradient hot path: times one client's
-// local round (B examples, L local iterations) under each policy, with
-// the per-example engine in sliced mode (B independent autograd
-// graphs, the pre-engine baseline) vs batched mode (one forward +
-// one backward, per-example weight gradients via the outer-product
-// trick — see DESIGN.md "Performance architecture").
+// local round (B examples, L local iterations) under each policy. The
+// batched leg is Client::run_round, whose per-example engine runs one
+// forward + one backward and recovers per-example weight gradients via
+// the outer-product trick (see DESIGN.md "Performance architecture").
+// The sliced leg is this bench's own copy of that round's per-example
+// loop (sample, sliced engine, sanitize hook, mean, SGD step) on the
+// reference engine: B independent autograd graphs, the pre-engine
+// baseline.
 //
-// Non-private and Fed-SDP never take the per-example path, so their
-// rows are mode-insensitive context; the headline numbers are the
-// Fed-CDP round speedup (batched vs sliced) and the engine-only
-// per-example-gradient speedup measured below the round table.
+// Non-private and Fed-SDP never take the per-example path, so both of
+// their legs run Client::run_round and their rows are context; the
+// headline numbers are the Fed-CDP round speedup (batched vs sliced)
+// and the engine-only per-example-gradient speedup measured below the
+// round table.
 //
 // Reading the numbers: the engine's win is avoided work per example —
 // graph construction, node/Var allocation, and per-example tensor
@@ -32,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -48,6 +53,7 @@
 #include "fl/client.h"
 #include "fl/trainer.h"
 #include "nn/model_zoo.h"
+#include "nn/optimizer.h"
 #include "nn/per_example.h"
 #include "tensor/tensor.h"
 
@@ -107,24 +113,45 @@ data::ClientData synthetic_client(const nn::ModelSpec& spec,
   return data::ClientData(base, std::move(indices));
 }
 
-// Mean wall-clock ms of one local round. Both modes replay the same
+// The sliced leg's local round: Client::run_round's per-example loop
+// with the reference engine in place of the batched one. It consumes
+// `rng` in the same order (batch sample, then one noise key per
+// example), so both legs sample the same batches and draw the same
+// noise.
+void sliced_round(const fl::Client& client, nn::Sequential& model,
+                  const tensor::list::TensorList& global_weights,
+                  const core::PrivacyPolicy& policy, Rng& rng) {
+  model.set_weights(global_weights);
+  std::vector<tensor::Var> params = model.parameters();
+  const dp::ParamGroups groups = fl::to_param_groups(model.layer_groups());
+  nn::SgdOptimizer optimizer(client.config().learning_rate_at(0));
+  for (std::int64_t l = 0; l < client.config().local_iterations; ++l) {
+    data::Batch batch =
+        client.data().sample_batch(rng, client.config().batch_size);
+    tensor::list::PerExampleGrads grads =
+        nn::compute_per_example_gradients_sliced(model, batch.x,
+                                                 batch.labels);
+    policy.sanitize_per_example_batch(grads, groups, /*round=*/0, rng);
+    optimizer.step(params, grads.mean());
+  }
+}
+
+// Mean wall-clock ms of one local round. Both legs replay the same
 // RNG streams (fresh forks per repeat), so they sample the same
 // batches and draw the same noise — identical arithmetic, different
 // engine.
-double time_rounds(const fl::Client& client, nn::Sequential& model,
-                   const tensor::list::TensorList& global_weights,
-                   const core::PrivacyPolicy& policy, const BenchDims& dims,
-                   const Rng& stream_root) {
+double time_rounds(const std::function<void(Rng&)>& round,
+                   const BenchDims& dims, const Rng& stream_root) {
   using Clock = std::chrono::steady_clock;
   for (int r = 0; r < dims.warmup_rounds; ++r) {
     Rng rng = stream_root.fork("warmup", static_cast<std::uint64_t>(r));
-    client.run_round(model, global_weights, policy, /*round=*/0, rng);
+    round(rng);
   }
   double total_ms = 0.0;
   for (int r = 0; r < dims.timed_rounds; ++r) {
     Rng rng = stream_root.fork("timed", static_cast<std::uint64_t>(r));
     const auto start = Clock::now();
-    client.run_round(model, global_weights, policy, /*round=*/0, rng);
+    round(rng);
     total_ms +=
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();
@@ -243,13 +270,17 @@ int main(int argc, char** argv) {
       row.model = mc.name;
       row.policy = name;
       row.per_example = policy->needs_per_example_gradients();
-      nn::set_per_example_mode(nn::PerExampleMode::kSliced);
-      row.sliced_ms = time_rounds(client, *model, global_weights, *policy,
-                                  dims, stream_root);
-      nn::set_per_example_mode(nn::PerExampleMode::kBatched);
-      row.batched_ms = time_rounds(client, *model, global_weights, *policy,
-                                   dims, stream_root);
-      nn::set_per_example_mode(nn::PerExampleMode::kAuto);
+      const std::function<void(Rng&)> batched_round = [&](Rng& rng) {
+        client.run_round(*model, global_weights, *policy, /*round=*/0, rng);
+      };
+      std::function<void(Rng&)> sliced_leg = batched_round;
+      if (row.per_example) {
+        sliced_leg = [&](Rng& rng) {
+          sliced_round(client, *model, global_weights, *policy, rng);
+        };
+      }
+      row.sliced_ms = time_rounds(sliced_leg, dims, stream_root);
+      row.batched_ms = time_rounds(batched_round, dims, stream_root);
       table.add_row({row.model, row.policy, bench::yes_no(row.per_example),
                      AsciiTable::fmt(row.sliced_ms, 2),
                      AsciiTable::fmt(row.batched_ms, 2),
@@ -288,7 +319,7 @@ int main(int argc, char** argv) {
       "batched engine replaces. Non-private and Fed-SDP never take the "
       "per-example path, so their round rows hover around 1x. Fed-CDP "
       "round time also pays for B x params Gaussian draws per iteration "
-      "(identical in both modes by design — the noise stream is "
+      "(identical in both legs by design — the noise stream is "
       "bit-for-bit shared), which bounds the round-level ratio on models "
       "where noise dominates. Speedups grow with cores: the batched "
       "engine threads its matmuls and the trainer rounds run clients in "

@@ -3,7 +3,8 @@
 // A PrivacyPolicy hooks into the three places a defense can act:
 //  - per-example gradients during local training (Algorithm 2,
 //    lines 9-14: Fed-CDP clips per layer and adds Gaussian noise to
-//    every example's gradient before batch averaging),
+//    every example's gradient before batch averaging), one call per
+//    local iteration on the batched engine's [B, numel] rows,
 //  - the per-client round update before it is shared (Algorithm 1:
 //    Fed-SDP clips the update; the noise can be added here when the
 //    client runs the DP module),
@@ -47,18 +48,11 @@ class PrivacyPolicy {
   // policies to keep runs bit-reproducible.
   virtual bool order_dependent() const { return false; }
 
-  // Hook 1: sanitize one example's gradient during local training.
-  virtual void sanitize_per_example(TensorList& grad,
-                                    const ParamGroups& groups,
-                                    std::int64_t round, Rng& rng) const;
-
-  // Hook 1, batched form: sanitize every example of a local iteration
+  // Hook 1: sanitize every example's gradient of one local iteration,
   // in the [B, numel] per-parameter layout the batched gradient engine
-  // produces. The default loops over examples through
-  // sanitize_per_example (correct for any subclass); Fed-CDP overrides
-  // it with an in-place batched clip+noise that draws from `rng` in
-  // the same example-major order, so both forms consume identical
-  // noise streams.
+  // produces. Draws one noise key per example from `rng`, in example
+  // order, so one call on B rows writes the same bits as B calls on
+  // one-row batches from the same stream. The default is a no-op.
   virtual void sanitize_per_example_batch(
       tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
       std::int64_t round, Rng& rng) const;
@@ -104,23 +98,6 @@ class FedSdpPolicy final : public PrivacyPolicy {
   bool noise_at_server_;
 };
 
-// Granularity at which the clipping bound applies. The paper's
-// Algorithm 2 clips per layer (one L2 norm per layer m); the other
-// granularities support the ablation bench.
-enum class ClipGranularity {
-  kPerLayer,      // weight+bias of each layer jointly (the paper)
-  kPerParameter,  // every parameter tensor independently
-  kGlobal,        // the whole gradient as one vector
-};
-
-const char* clip_granularity_name(ClipGranularity g);
-
-// Builds the effective clip groups for a granularity given the model's
-// per-layer groups.
-ParamGroups effective_groups(ClipGranularity granularity,
-                             const ParamGroups& layer_groups,
-                             std::size_t param_count);
-
 // Fed-CDP (Algorithm 2): per-example, per-layer clipping + Gaussian
 // noise at every local iteration. A ClippingSchedule makes this the
 // same class implement Fed-CDP (constant C) and Fed-CDP(decay)
@@ -133,14 +110,11 @@ class FedCdpPolicy final : public PrivacyPolicy {
   // Fed-CDP with an arbitrary schedule; `decay_label` switches the
   // reported name to "Fed-CDP(decay)".
   FedCdpPolicy(dp::ClippingSchedule schedule, double noise_scale,
-               bool decay_label,
-               ClipGranularity granularity = ClipGranularity::kPerLayer);
+               bool decay_label);
 
   std::string name() const override;
   bool needs_per_example_gradients() const override { return true; }
 
-  void sanitize_per_example(TensorList& grad, const ParamGroups& groups,
-                            std::int64_t round, Rng& rng) const override;
   void sanitize_per_example_batch(tensor::list::PerExampleGrads& grads,
                                   const ParamGroups& groups,
                                   std::int64_t round,
@@ -149,13 +123,11 @@ class FedCdpPolicy final : public PrivacyPolicy {
   double clipping_bound_at(std::int64_t round) const;
   double noise_scale() const { return sigma_; }
   const dp::ClippingSchedule& schedule() const { return schedule_; }
-  ClipGranularity granularity() const { return granularity_; }
 
  private:
   dp::ClippingSchedule schedule_;
   double sigma_;
   bool decay_label_;
-  ClipGranularity granularity_ = ClipGranularity::kPerLayer;
 };
 
 // Fed-CDP with the paper's median-norm adaptive clipping strategy
@@ -172,8 +144,6 @@ class FedCdpAdaptivePolicy final : public PrivacyPolicy {
   bool needs_per_example_gradients() const override { return true; }
   bool order_dependent() const override { return true; }
 
-  void sanitize_per_example(TensorList& grad, const ParamGroups& groups,
-                            std::int64_t round, Rng& rng) const override;
   void sanitize_per_example_batch(tensor::list::PerExampleGrads& grads,
                                   const ParamGroups& groups,
                                   std::int64_t round,

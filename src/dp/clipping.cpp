@@ -30,15 +30,6 @@ std::vector<double> clip_per_layer(TensorList& grads,
   return norms;
 }
 
-double clip_global(TensorList& grads, double bound) {
-  FEDCL_CHECK_GT(bound, 0.0);
-  const double norm = tensor::list::l2_norm(grads);
-  if (norm > bound) {
-    tensor::list::scale_(grads, static_cast<float>(bound / norm));
-  }
-  return norm;
-}
-
 ClippingSchedule ClippingSchedule::constant(double c) {
   FEDCL_CHECK_GT(c, 0.0);
   ClippingSchedule s;

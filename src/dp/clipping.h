@@ -27,9 +27,6 @@ ParamGroups single_group(std::size_t param_count);
 std::vector<double> clip_per_layer(TensorList& grads,
                                    const ParamGroups& groups, double bound);
 
-// Clips the concatenation of all tensors as one vector.
-double clip_global(TensorList& grads, double bound);
-
 // Clipping-bound schedule over federated rounds. Fed-CDP uses
 // kConstant; Fed-CDP(decay) uses kLinear (paper: C=6 -> C=2 over T
 // rounds). Exponential and step decay are provided for the ablation

@@ -93,8 +93,49 @@ FEDCL_KERNEL_V4 [[gnu::always_inline]] inline void encrypt_v4(
 }
 #endif  // FEDCL_HAVE_V4_KERNELS
 
-// Shared per-example kernel: per-param clip scales resolved from the
-// group norms, then one fused traversal per tensor. `norms` points at
+// Raw view of one example's gradient: pointer + element count per
+// parameter tensor, in model parameter order.
+struct ParamSpan {
+  float* data = nullptr;
+  std::int64_t numel = 0;
+};
+using ExampleView = std::vector<ParamSpan>;
+
+ExampleView view_of_example(tensor::list::PerExampleGrads& grads,
+                            std::int64_t j) {
+  ExampleView ex;
+  ex.reserve(grads.rows.size());
+  for (auto& rows : grads.rows) {
+    const std::int64_t width = rows.numel() / grads.batch;
+    ex.push_back(ParamSpan{rows.data() + j * width, width});
+  }
+  return ex;
+}
+
+// Pre-clip joint L2 norm of each group of one example into
+// norms[0, groups.size()).
+void group_norms(const ExampleView& ex, const ParamGroups& groups,
+                 double* norms) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    // Same accumulation order as l2_norm_subset: per-tensor sum of
+    // squares rounded through float, joint sqrt last.
+    double joint = 0.0;
+    for (std::size_t p : groups[g]) {
+      FEDCL_CHECK_LT(p, ex.size());
+      const float* d = ex[p].data;
+      double s = 0.0;
+      for (std::int64_t i = 0; i < ex[p].numel; ++i)
+        s += static_cast<double>(d[i]) * static_cast<double>(d[i]);
+      const double tensor_norm =
+          static_cast<double>(static_cast<float>(std::sqrt(s)));
+      joint += tensor_norm * tensor_norm;
+    }
+    norms[g] = std::sqrt(joint);
+  }
+}
+
+// Per-example kernel: per-param clip scales resolved from the group
+// norms, then one fused traversal per tensor. `norms` points at
 // this example's groups.size() entries.
 void scale_noise_impl(const ExampleView& ex, const ParamGroups& groups,
                       const double* norms, double bound, double stddev,
@@ -167,56 +208,6 @@ void scale_noise_row(float* d, std::int64_t n, float scale, float stddev,
   scale_noise_row_portable(d, n, scale, stddev, key, stream);
 }
 
-ExampleView view_of(TensorList& grad) {
-  ExampleView ex;
-  ex.reserve(grad.size());
-  for (std::size_t p = 0; p < grad.size(); ++p) {
-    ex.push_back(ParamSpan{grad[p].data(), grad[p].numel()});
-  }
-  return ex;
-}
-
-ExampleView view_of_example(tensor::list::PerExampleGrads& grads,
-                            std::int64_t j) {
-  ExampleView ex;
-  ex.reserve(grads.rows.size());
-  for (auto& rows : grads.rows) {
-    const std::int64_t width = rows.numel() / grads.batch;
-    ex.push_back(ParamSpan{rows.data() + j * width, width});
-  }
-  return ex;
-}
-
-std::vector<double> group_norms(const ExampleView& ex,
-                                const ParamGroups& groups) {
-  std::vector<double> norms;
-  norms.reserve(groups.size());
-  for (const auto& group : groups) {
-    // Same accumulation order as l2_norm_subset / the sliced path:
-    // per-tensor sum of squares rounded through float, joint sqrt last.
-    double joint = 0.0;
-    for (std::size_t p : group) {
-      FEDCL_CHECK_LT(p, ex.size());
-      const float* d = ex[p].data;
-      double s = 0.0;
-      for (std::int64_t i = 0; i < ex[p].numel; ++i)
-        s += static_cast<double>(d[i]) * static_cast<double>(d[i]);
-      const double tensor_norm =
-          static_cast<double>(static_cast<float>(std::sqrt(s)));
-      joint += tensor_norm * tensor_norm;
-    }
-    norms.push_back(std::sqrt(joint));
-  }
-  return norms;
-}
-
-void scale_noise(const ExampleView& ex, const ParamGroups& groups,
-                 const std::vector<double>& norms, double bound, double stddev,
-                 std::uint64_t key) {
-  FEDCL_CHECK_EQ(norms.size(), groups.size());
-  scale_noise_impl(ex, groups, norms.data(), bound, stddev, key);
-}
-
 std::vector<double> batch_group_norms(tensor::list::PerExampleGrads& grads,
                                       const ParamGroups& groups,
                                       ThreadPool* pool) {
@@ -227,11 +218,8 @@ std::vector<double> batch_group_norms(tensor::list::PerExampleGrads& grads,
       static_cast<std::size_t>(batch), 1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {
-          const ExampleView ex =
-              view_of_example(grads, static_cast<std::int64_t>(j));
-          const std::vector<double> ex_norms = group_norms(ex, groups);
-          for (std::size_t g = 0; g < groups.size(); ++g)
-            norms[j * groups.size() + g] = ex_norms[g];
+          group_norms(view_of_example(grads, static_cast<std::int64_t>(j)),
+                      groups, norms.data() + j * groups.size());
         }
       });
   return norms;

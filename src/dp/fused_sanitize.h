@@ -3,19 +3,17 @@
 // Two passes over the [B, numel] per-example gradient rows, both
 // parallel over examples:
 //
-//   1. group_norms / batch_group_norms — read-only norm pass, same
-//      per-tensor float-rounded accumulation as l2_norm_subset, so the
-//      clip decisions match the sliced path bit for bit;
-//   2. scale_noise / batch_scale_noise — ONE read-modify-write
-//      traversal that applies the clip scale AND the counter-based
-//      Gaussian noise (common/philox.h) to each element, 64 elements
-//      per generated chunk, never materializing a noise tensor.
+//   1. batch_group_norms — read-only norm pass, same per-tensor
+//      float-rounded accumulation as l2_norm_subset, so the clip
+//      decisions match a norm taken on the example's TensorList;
+//   2. batch_scale_noise — ONE read-modify-write traversal that
+//      applies the clip scale AND the counter-based Gaussian noise
+//      (common/philox.h) to each element, 64 elements per generated
+//      chunk, never materializing a noise tensor.
 //
-// The single-example hook and the batched hook run the SAME kernels
-// over a ParamSpan view, which keeps the policies'
-// `sanitize_per_example_batch` bitwise identical to a loop of
-// `sanitize_per_example` calls without constraining the traversal
-// order.
+// Every example runs the same kernel on its own rows with its own key,
+// so B rows written in one call equal B one-row calls with the same
+// keys, bit for bit, whatever the pool size or visit order.
 //
 // fused_sanitize.cpp is compiled with -ffp-contract=off (see
 // src/dp/CMakeLists.txt), so every ISA variant of the noise kernel and
@@ -35,31 +33,6 @@ class ThreadPool;
 }
 
 namespace fedcl::dp {
-
-// Raw view of one example's gradient: pointer + element count per
-// parameter tensor, in model parameter order.
-struct ParamSpan {
-  float* data = nullptr;
-  std::int64_t numel = 0;
-};
-using ExampleView = std::vector<ParamSpan>;
-
-ExampleView view_of(TensorList& grad);
-ExampleView view_of_example(tensor::list::PerExampleGrads& grads,
-                            std::int64_t j);
-
-// Pre-clip joint L2 norm of each group (per-tensor sums rounded
-// through float exactly like Tensor::l2_norm, then the joint sqrt).
-std::vector<double> group_norms(const ExampleView& ex,
-                                const ParamGroups& groups);
-
-// Fused clip-scale + Philox-noise pass over one example. Groups whose
-// norm exceeds `bound` are scaled by bound/norm; every element then
-// receives N(0, stddev^2) noise keyed by (key, param index, element
-// index). One traversal, order-free.
-void scale_noise(const ExampleView& ex, const ParamGroups& groups,
-                 const std::vector<double>& norms, double bound, double stddev,
-                 std::uint64_t key);
 
 // One row of the scale+noise pass: d[i] = d[i] * scale + stddev * z_i
 // for i in [0, n), where z_i is element i of the counter Gaussian of

@@ -51,19 +51,13 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
 
   ClientRoundOutcome outcome;
 
-  // Which gradient engine this round actually runs on: the batched
-  // per-example engine, the sliced B-graph fallback, or the plain
-  // batch backward for policies that never look at per-example grads.
-  const char* engine = "batch";
-  if (policy.needs_per_example_gradients()) {
-    const bool batched =
-        nn::per_example_mode() == nn::PerExampleMode::kBatched ||
-        (nn::per_example_mode() == nn::PerExampleMode::kAuto &&
-         nn::per_example_supported(model));
-    engine = batched ? "batched" : "sliced";
-  }
+  // Which gradient engine this round runs on: the batched per-example
+  // engine, or the plain batch backward for policies that never look
+  // at per-example grads.
   telemetry::global_registry()
-      .counter("fl.client.rounds_total", {{"engine", engine}})
+      .counter("fl.client.rounds_total",
+               {{"engine", policy.needs_per_example_gradients() ? "batched"
+                                                                : "batch"}})
       .add(1);
 
   for (std::int64_t l = 0; l < config_.local_iterations; ++l) {
@@ -76,7 +70,7 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
       // every example's gradient, then per-layer clip + per-example
       // noise in place, then the 1/B batch average.
       tensor::list::PerExampleGrads grads =
-          nn::per_example_gradients(model, batch.x, batch.labels);
+          nn::compute_per_example_gradients(model, batch.x, batch.labels);
       if (l == 0) {
         // The pre-policy batch gradient is the mean of the raw
         // per-example gradients — no second full backward needed for

@@ -1,6 +1,5 @@
 #include "nn/per_example.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -19,8 +18,6 @@ using tensor::Shape;
 using tensor::list::PerExampleGrads;
 
 namespace {
-
-std::atomic<PerExampleMode> g_mode{PerExampleMode::kAuto};
 
 enum class NodeKind {
   kLinear,
@@ -275,18 +272,6 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
 
 }  // namespace
 
-void set_per_example_mode(PerExampleMode mode) { g_mode.store(mode); }
-
-PerExampleMode per_example_mode() { return g_mode.load(); }
-
-bool per_example_supported(const Sequential& model) {
-  if (model.layer_count() == 0) return false;
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (classify(model.layer(i)) == NodeKind::kUnsupported) return false;
-  }
-  return true;
-}
-
 PerExampleGrads compute_per_example_gradients(
     Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss) {
@@ -533,23 +518,6 @@ PerExampleGrads compute_per_example_gradients_sliced(
   }
   if (out_loss != nullptr) *out_loss = total_loss / static_cast<double>(batch);
   return grads;
-}
-
-PerExampleGrads per_example_gradients(Sequential& model, const Tensor& x,
-                                      const std::vector<std::int64_t>& labels,
-                                      double* out_loss) {
-  switch (g_mode.load()) {
-    case PerExampleMode::kSliced:
-      return compute_per_example_gradients_sliced(model, x, labels, out_loss);
-    case PerExampleMode::kBatched:
-      return compute_per_example_gradients(model, x, labels, out_loss);
-    case PerExampleMode::kAuto:
-      break;
-  }
-  if (per_example_supported(model)) {
-    return compute_per_example_gradients(model, x, labels, out_loss);
-  }
-  return compute_per_example_gradients_sliced(model, x, labels, out_loss);
 }
 
 }  // namespace fedcl::nn

@@ -20,6 +20,11 @@
 // Gradients come back in the [B, numel] row layout of PerExampleGrads,
 // which the DP policies clip and noise in place without materializing
 // B TensorLists.
+//
+// This engine is the only per-example path of local training. It
+// covers every layer class in nn/layers.h (Linear, Conv2d, AvgPool2d,
+// MaxPool2d, Dropout, Flatten, InputScale, activations); a model with
+// any other Layer throws fedcl::Error.
 #pragma once
 
 #include <cstdint>
@@ -32,37 +37,19 @@ namespace fedcl::nn {
 
 using tensor::Tensor;
 
-// Which implementation per_example_gradients dispatches to.
-//  kAuto    — batched when the model is supported, sliced otherwise.
-//  kBatched — always batched (checks support).
-//  kSliced  — always the B-graph reference path (bench baseline).
-enum class PerExampleMode { kAuto, kBatched, kSliced };
-
-void set_per_example_mode(PerExampleMode mode);
-PerExampleMode per_example_mode();
-
-// True when every layer of the model is one the batched engine knows
-// how to differentiate (Linear, Conv2d, AvgPool2d, MaxPool2d, Dropout,
-// Flatten, InputScale, activations).
-bool per_example_supported(const Sequential& model);
-
 // Batched engine: one forward + one backward over the whole batch.
 // x: [B, ...], labels: size B. Returns one [B, numel(p)] row matrix
 // per model parameter, in Sequential::parameters() order. out_loss,
-// when non-null, receives the mean cross-entropy loss.
+// when non-null, receives the mean cross-entropy loss. Throws
+// fedcl::Error on a layer outside nn/layers.h.
 tensor::list::PerExampleGrads compute_per_example_gradients(
     Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 
 // Reference implementation: B single-example autograd graphs — the
-// exact computation the engine replaces. Kept for parity tests and as
-// the bench baseline.
+// exact computation the engine replaces. Only the parity tests and
+// bench_perf_hotpath's baseline legs call it.
 tensor::list::PerExampleGrads compute_per_example_gradients_sliced(
-    Sequential& model, const Tensor& x,
-    const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
-
-// Dispatches between the two according to per_example_mode().
-tensor::list::PerExampleGrads per_example_gradients(
     Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 

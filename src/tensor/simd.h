@@ -6,13 +6,23 @@
 // keeps the binary portable. Clones may contract multiply-adds into
 // FMA differently, so only mark kernels whose results are either
 // tolerance-checked or reached identically by every caller that must
-// agree bitwise (the fused-sanitize rule: both sanitize hooks run the
-// same kernel, so contraction cancels out of the comparison).
+// agree bitwise (the fused-sanitize rule: every Fed-CDP example, in a
+// batch of B or of one, runs the same kernel, so contraction cancels
+// out of the comparison).
 #pragma once
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#if defined(__SANITIZE_THREAD__)
+// Under ThreadSanitizer the clones compile to the baseline only. GCC
+// emits an ifunc resolver per cloned function; TSan instruments it,
+// and the loader runs it before the TSan runtime is initialized, so a
+// binary holding any clone segfaults at load (g++ 12). The v4 kernels
+// below need no resolver, so they keep running under TSan.
+#define FEDCL_KERNEL_CLONES
+#else
 #define FEDCL_KERNEL_CLONES \
   __attribute__((target_clones("default", "arch=haswell", "arch=x86-64-v4")))
+#endif
 // For kernels whose best tile shape differs by ISA (wider registers
 // want wider/taller tiles), clones are not enough: the clone mechanism
 // recompiles one body, it cannot change the blocking. Such kernels

@@ -139,18 +139,6 @@ TensorList PerExampleGrads::mean() const {
   return out;
 }
 
-double PerExampleGrads::example_l2_norm(std::int64_t j) const {
-  FEDCL_CHECK(j >= 0 && j < batch) << "example " << j << " batch " << batch;
-  double s = 0.0;
-  for (std::size_t p = 0; p < rows.size(); ++p) {
-    const std::int64_t width = rows[p].numel() / batch;
-    const float* row = rows[p].data() + j * width;
-    for (std::int64_t i = 0; i < width; ++i)
-      s += static_cast<double>(row[i]) * static_cast<double>(row[i]);
-  }
-  return std::sqrt(s);
-}
-
 PerExampleGrads make_per_example(std::int64_t batch,
                                  std::vector<Shape> shapes) {
   FEDCL_CHECK_GT(batch, 0);

@@ -53,8 +53,6 @@ struct PerExampleGrads {
   void set_example(std::int64_t j, const TensorList& grads);
   // Mean over examples, in the original parameter shapes.
   TensorList mean() const;
-  // L2 norm of example j's gradient across all parameters.
-  double example_l2_norm(std::int64_t j) const;
 };
 
 // Zero-initialized batched layout for the given parameter shapes.

@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "nn/grad_utils.h"
 #include "nn/model_zoo.h"
+#include "testing/sanitize.h"
 
 namespace fedcl::attack {
 namespace {
@@ -192,8 +193,8 @@ TEST(Reconstruction, FailsUnderFedCdpNoise) {
   core::FedCdpPolicy policy(/*clipping_bound=*/1.0, /*noise_scale=*/1.0);
   TensorList observed = tensor::list::clone(fx.true_gradient);
   Rng rng(6);
-  policy.sanitize_per_example(observed, dp::single_group(observed.size()), 0,
-                              rng);
+  testing::sanitize_one_example(policy, observed,
+                                dp::single_group(observed.size()), 0, rng);
   AttackConfig config;
   config.max_iterations = 60;  // keep the test fast; failure is robust
   GradientReconstructionAttack attack(fx.model, config);

@@ -5,44 +5,12 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/policy.h"
+#include "testing/sanitize.h"
 
 namespace fedcl::core {
 namespace {
 
 using tensor::Tensor;
-
-TEST(ClipGranularity, EffectiveGroups) {
-  ParamGroups layers = {{0, 1}, {2, 3}};
-  EXPECT_EQ(effective_groups(ClipGranularity::kPerLayer, layers, 4), layers);
-  ParamGroups per_param =
-      effective_groups(ClipGranularity::kPerParameter, layers, 4);
-  ASSERT_EQ(per_param.size(), 4u);
-  EXPECT_EQ(per_param[2], (std::vector<std::size_t>{2}));
-  ParamGroups global = effective_groups(ClipGranularity::kGlobal, layers, 4);
-  ASSERT_EQ(global.size(), 1u);
-  EXPECT_EQ(global[0].size(), 4u);
-  EXPECT_STREQ(clip_granularity_name(ClipGranularity::kGlobal), "global");
-}
-
-TEST(ClipGranularity, GlobalClipsJointNorm) {
-  // Two tensors each with norm 3 -> joint norm sqrt(18) ~= 4.24.
-  // Global clipping to 3 rescales both; per-layer leaves them alone.
-  FedCdpPolicy global(dp::ClippingSchedule::constant(3.0), 0.0, false,
-                      ClipGranularity::kGlobal);
-  FedCdpPolicy per_layer(dp::ClippingSchedule::constant(3.0), 0.0, false,
-                         ClipGranularity::kPerLayer);
-  ParamGroups layers = {{0}, {1}};
-  Rng rng(1);
-
-  TensorList g1 = {Tensor::full({9}, 1.0f), Tensor::full({9}, 1.0f)};
-  global.sanitize_per_example(g1, layers, 0, rng);
-  EXPECT_NEAR(tensor::list::l2_norm(g1), 3.0, 1e-4);
-
-  TensorList g2 = {Tensor::full({9}, 1.0f), Tensor::full({9}, 1.0f)};
-  per_layer.sanitize_per_example(g2, layers, 0, rng);
-  EXPECT_NEAR(g2[0].l2_norm(), 3.0f, 1e-4);  // untouched (norm exactly 3)
-  EXPECT_NEAR(tensor::list::l2_norm(g2), std::sqrt(18.0), 1e-3);
-}
 
 TEST(AdaptivePolicy, StartsAtInitialBound) {
   FedCdpAdaptivePolicy policy(/*initial_bound=*/2.5, /*noise_scale=*/0.0);
@@ -59,13 +27,13 @@ TEST(AdaptivePolicy, BoundTracksObservedMedian) {
   // Feed gradients with norm 4 repeatedly; bound converges to 4.
   for (int i = 0; i < 20; ++i) {
     TensorList g = {Tensor::full({16}, 1.0f)};  // norm 4
-    policy.sanitize_per_example(g, groups, 0, rng);
+    testing::sanitize_one_example(policy, g, groups, 0, rng);
   }
   EXPECT_NEAR(policy.current_bound(), 4.0, 1e-4);
   // Now a huge gradient gets clipped down to ~the median, not to the
   // stale initial bound.
   TensorList big = {Tensor::full({16}, 100.0f)};  // norm 400
-  policy.sanitize_per_example(big, groups, 0, rng);
+  testing::sanitize_one_example(policy, big, groups, 0, rng);
   EXPECT_NEAR(big[0].l2_norm(), 4.0f, 1e-3);
 }
 
@@ -77,7 +45,7 @@ TEST(AdaptivePolicy, MedianRobustToOutliers) {
   for (int i = 0; i < 30; ++i) {
     const float v = (i % 10 == 0) ? 250.0f : 0.5f;  // norms 1000 vs 2
     TensorList g = {Tensor::full({16}, v)};
-    policy.sanitize_per_example(g, groups, 0, rng);
+    testing::sanitize_one_example(policy, g, groups, 0, rng);
   }
   EXPECT_NEAR(policy.current_bound(), 2.0, 0.1);
 }
@@ -88,7 +56,7 @@ TEST(AdaptivePolicy, NoiseScalesWithBound) {
   ParamGroups groups = {{0}};
   Rng rng(4);
   TensorList g = {Tensor::zeros({4000})};
-  policy.sanitize_per_example(g, groups, 0, rng);
+  testing::sanitize_one_example(policy, g, groups, 0, rng);
   const double norm = g[0].l2_norm();
   // stddev 1 * bound 1 over 4000 coords -> norm ~ sqrt(4000) ~= 63.
   EXPECT_NEAR(norm, std::sqrt(4000.0), 8.0);

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/accounting.h"
 #include "core/policy.h"
+#include "testing/sanitize.h"
 
 namespace fedcl::core {
 namespace {
@@ -24,7 +25,7 @@ TEST(NonPrivatePolicy, AllHooksAreNoops) {
   Rng rng(1);
   TensorList u = sample_update();
   TensorList before = tensor::list::clone(u);
-  policy.sanitize_per_example(u, sample_groups(), 0, rng);
+  testing::sanitize_one_example(policy, u, sample_groups(), 0, rng);
   policy.sanitize_client_update(u, sample_groups(), 0, rng);
   policy.sanitize_at_server(u, sample_groups(), 0, rng);
   EXPECT_TRUE(tensor::list::allclose(u, before));
@@ -78,14 +79,14 @@ TEST(FedCdpPolicy, ClipsAndNoisesPerExample) {
   EXPECT_EQ(policy.name(), "Fed-CDP");
   Rng rng(5);
   TensorList g = sample_update();
-  policy.sanitize_per_example(g, sample_groups(), 0, rng);
+  testing::sanitize_one_example(policy, g, sample_groups(), 0, rng);
   // Norm can exceed C only by the noise contribution (stddev 1.0 over
   // 100 coords -> norm ~10); what matters is the signal was clipped:
   // remove noise by re-running with sigma=0 and compare.
   FedCdpPolicy noiseless(2.0, 0.0);
   TensorList g2 = sample_update();
   Rng rng2(6);
-  noiseless.sanitize_per_example(g2, sample_groups(), 0, rng2);
+  testing::sanitize_one_example(noiseless, g2, sample_groups(), 0, rng2);
   EXPECT_NEAR(g2[0].l2_norm(), 2.0f, 1e-4);
   EXPECT_NEAR(g2[1].l2_norm(), 1.0f, 1e-5);
 }
@@ -94,7 +95,7 @@ TEST(FedCdpPolicy, ZeroNoiseIsPureClipping) {
   FedCdpPolicy policy(3.0, 0.0);
   Rng rng(7);
   TensorList g = {Tensor::full({9}, 2.0f)};  // norm 6
-  policy.sanitize_per_example(g, {{0}}, 0, rng);
+  testing::sanitize_one_example(policy, g, {{0}}, 0, rng);
   EXPECT_NEAR(g[0].l2_norm(), 3.0f, 1e-5);
   EXPECT_NEAR(g[0].at(0), 1.0f, 1e-6);  // direction preserved
 }
@@ -107,7 +108,7 @@ TEST(FedCdpPolicy, DecayScheduleTracksRounds) {
   // Sanitization at a late round uses the decayed bound.
   Rng rng(8);
   TensorList g = {Tensor::full({100}, 1.0f)};  // norm 10
-  policy->sanitize_per_example(g, {{0}}, 99, rng);
+  testing::sanitize_one_example(*policy, g, {{0}}, 99, rng);
   EXPECT_NEAR(g[0].l2_norm(), 2.0f, 1e-4);
 }
 
@@ -117,7 +118,7 @@ TEST(FedCdpPolicy, DecayReducesNoiseVariance) {
   auto noise_norm_at = [&](std::int64_t round) {
     Rng rng(9);
     TensorList g = {Tensor::zeros({4000})};
-    policy->sanitize_per_example(g, {{0}}, round, rng);
+    testing::sanitize_one_example(*policy, g, {{0}}, round, rng);
     return g[0].l2_norm();
   };
   // stddev sigma*C: 6 early vs 2 late; norms scale accordingly.

@@ -35,14 +35,6 @@ TEST(Clipping, ExactlyAtBoundUntouched) {
   EXPECT_FLOAT_EQ(grads[0].at(0), 2.0f);
 }
 
-TEST(Clipping, GlobalClip) {
-  TensorList grads = {Tensor::full({9}, 1.0f), Tensor::full({16}, 1.0f)};
-  const double norm = clip_global(grads, 1.0);
-  EXPECT_NEAR(norm, 5.0, 1e-5);
-  EXPECT_NEAR(tensor::list::l2_norm(grads), 1.0, 1e-5);
-  EXPECT_THROW(clip_global(grads, 0.0), Error);
-}
-
 TEST(Clipping, SingleGroupHelper) {
   ParamGroups g = single_group(3);
   ASSERT_EQ(g.size(), 1u);

@@ -13,6 +13,7 @@
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "tensor/ops.h"
+#include "testing/sanitize.h"
 
 namespace fedcl {
 namespace {
@@ -130,7 +131,7 @@ TEST(PolicyEdge, FedCdpZeroGradientStaysZeroWithoutNoise) {
   core::FedCdpPolicy policy(4.0, 0.0);
   Rng rng(2);
   core::TensorList g = {Tensor::zeros({10})};
-  policy.sanitize_per_example(g, {{0}}, 0, rng);
+  testing::sanitize_one_example(policy, g, {{0}}, 0, rng);
   EXPECT_FLOAT_EQ(g[0].l2_norm(), 0.0f);
 }
 

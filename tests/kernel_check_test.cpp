@@ -26,7 +26,6 @@ namespace t = fedcl::tensor;
 using t::ConvSpec;
 using t::Tensor;
 using t::list::PerExampleGrads;
-using t::list::TensorList;
 using testing::expect_matmul_close;
 using testing::naive_col2im;
 using testing::naive_im2col;
@@ -224,11 +223,11 @@ TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
 }
 
 TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
-  // view_of (single-example hook) and view_of_example (batched hook)
-  // must run the identical kernel: bitwise equality, not closeness.
+  // B rows in one call and B calls on one-row batches must run the
+  // identical kernel: bitwise equality, not closeness.
   const std::int64_t batch = 3;
   PerExampleGrads batched = sample_grads(batch, 7);
-  PerExampleGrads source = sample_grads(batch, 7);
+  const PerExampleGrads source = sample_grads(batch, 7);
   const dp::ParamGroups groups = {{0, 1}, {2, 3}};
   const double bound = 1.2, stddev = 0.5;
   std::vector<std::uint64_t> keys = {5, 6, 7};
@@ -237,15 +236,15 @@ TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
                         std::vector<double>(batch, bound),
                         std::vector<double>(batch, stddev), keys);
   for (std::int64_t j = 0; j < batch; ++j) {
-    TensorList one = source.example(j);
-    const dp::ExampleView ex = dp::view_of(one);
-    const std::vector<double> ex_norms = dp::group_norms(ex, groups);
-    dp::scale_noise(ex, groups, ex_norms, bound, stddev,
-                    keys[static_cast<std::size_t>(j)]);
-    for (std::size_t p = 0; p < one.size(); ++p) {
-      const std::int64_t width = batched.rows[p].numel() / batch;
+    PerExampleGrads one = t::list::make_per_example(1, source.shapes);
+    one.set_example(0, source.example(j));
+    const std::vector<double> one_norms = dp::batch_group_norms(one, groups);
+    dp::batch_scale_noise(one, groups, one_norms, {bound}, {stddev},
+                          {keys[static_cast<std::size_t>(j)]});
+    for (std::size_t p = 0; p < one.rows.size(); ++p) {
+      const std::int64_t width = one.rows[p].numel();
       for (std::int64_t i = 0; i < width; ++i) {
-        ASSERT_EQ(one[p].at(i), batched.rows[p].at(j * width + i))
+        ASSERT_EQ(one.rows[p].at(i), batched.rows[p].at(j * width + i))
             << "example " << j << " param " << p << " element " << i;
       }
     }

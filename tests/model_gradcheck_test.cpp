@@ -164,14 +164,13 @@ TEST(ModelGradCheck, MaxPoolDropoutInputScaleStack) {
   // Eval mode: dropout is the identity, so the loss is deterministic
   // and finite differences are meaningful.
   model.set_training(false);
-  ASSERT_TRUE(nn::per_example_supported(model));
   const std::int64_t batch = 2;
   const Tensor x = Tensor::randn({batch, 4, 4, 2}, rng);
   expect_model_gradcheck(model, x, labels_for(batch, 3));
 }
 
 TEST(ModelGradCheck, SlicedEngineAgreesToo) {
-  // The sliced fallback engine goes through the same check on one
+  // The sliced reference engine goes through the same check on one
   // architecture, pinning all three gradient paths to the same truth.
   Rng rng(47);
   auto model = nn::build_model(mlp_spec(nn::Activation::kTanh), rng);

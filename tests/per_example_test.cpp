@@ -2,14 +2,23 @@
 // engine and the parallel federated round schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
+#include "dp/fused_sanitize.h"
+#include "fl/client.h"
 #include "fl/trainer.h"
 #include "nn/grad_utils.h"
 #include "nn/layers.h"
@@ -99,7 +108,6 @@ TEST(PerExampleEngine, MlpParityAcrossBatchSizes) {
   for (std::int64_t batch : {1, 3, 32}) {
     Rng rng(77 + static_cast<std::uint64_t>(batch));
     auto model = nn::build_model(mlp_spec(), rng);
-    ASSERT_TRUE(nn::per_example_supported(*model));
     Tensor x = Tensor::randn({batch, 20}, rng);
     expect_parity(*model, x, random_labels(rng, batch, 5));
   }
@@ -109,7 +117,6 @@ TEST(PerExampleEngine, CnnParityAcrossBatchSizes) {
   for (std::int64_t batch : {1, 4, 16}) {
     Rng rng(99 + static_cast<std::uint64_t>(batch));
     auto model = nn::build_model(cnn_spec(), rng);
-    ASSERT_TRUE(nn::per_example_supported(*model));
     Tensor x = Tensor::uniform({batch, 8, 8, 1}, rng);
     expect_parity(*model, x, random_labels(rng, batch, 4));
   }
@@ -128,7 +135,6 @@ TEST(PerExampleEngine, MaxPoolTanhSigmoidParity) {
   model.emplace<nn::Linear>(3 * 3 * 3, 8, rng);
   model.emplace<nn::ActivationLayer>(nn::Activation::kSigmoid);
   model.emplace<nn::Linear>(8, 3, rng);
-  ASSERT_TRUE(nn::per_example_supported(model));
   const std::int64_t batch = 6;
   Tensor x = Tensor::randn({batch, 6, 6, 2}, rng);
   expect_parity(model, x, random_labels(rng, batch, 3));
@@ -145,7 +151,6 @@ TEST(PerExampleEngine, DropoutEvalModeParity) {
   model.emplace<nn::Dropout>(0.4, 17);
   model.emplace<nn::Linear>(8, 3, rng);
   model.set_training(false);
-  ASSERT_TRUE(nn::per_example_supported(model));
   Tensor x = Tensor::randn({5, 10}, rng);
   expect_parity(model, x, random_labels(rng, 5, 3));
 }
@@ -165,20 +170,6 @@ TEST(PerExampleEngine, DropoutTrainingMasksWholeBatchConsistently) {
   EXPECT_EQ(grads.rows.size(), 4u);  // two Linear layers, W+b each
 }
 
-TEST(PerExampleEngine, ModeDispatch) {
-  Rng rng(7);
-  auto model = nn::build_model(mlp_spec(), rng);
-  Tensor x = Tensor::randn({3, 20}, rng);
-  std::vector<std::int64_t> labels = random_labels(rng, 3, 5);
-
-  nn::set_per_example_mode(nn::PerExampleMode::kSliced);
-  PerExampleGrads sliced = nn::per_example_gradients(*model, x, labels);
-  nn::set_per_example_mode(nn::PerExampleMode::kBatched);
-  PerExampleGrads batched = nn::per_example_gradients(*model, x, labels);
-  nn::set_per_example_mode(nn::PerExampleMode::kAuto);
-  EXPECT_LT(max_abs_diff(batched, sliced), 1e-5);
-}
-
 TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
   PerExampleGrads grads =
       tensor::list::make_per_example(3, {{2, 2}, {2}});
@@ -192,41 +183,128 @@ TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
   // Examples 0 and 2 stay zero; the mean is one third of example 1.
   TensorList mean = grads.mean();
   EXPECT_NEAR(mean[0].at(0), 1.0f / 3.0f, 1e-6);
-  const double expected =
-      std::sqrt(1.0 + 4.0 + 9.0 + 16.0 + 25.0 + 36.0);
-  EXPECT_NEAR(grads.example_l2_norm(1), expected, 1e-6);
-  EXPECT_NEAR(grads.example_l2_norm(0), 0.0, 1e-12);
+}
+
+// A layer outside nn/layers.h, which the batched engine has no
+// backward rule for.
+class UnknownLayer final : public nn::Layer {
+ public:
+  tensor::Var forward(const tensor::Var& x) override { return x; }
+  std::string name() const override { return "UnknownLayer"; }
+};
+
+TEST(PerExampleEngine, UnsupportedLayerThrows) {
+  // There is no fallback engine: a model the batched engine cannot
+  // differentiate is an error, called directly or from a Fed-CDP round.
+  Rng rng(13);
+  Sequential model;
+  model.emplace<nn::Linear>(4, 3, rng);
+  model.emplace<UnknownLayer>();
+  const Tensor x = Tensor::randn({2, 4}, rng);
+  EXPECT_THROW(
+      nn::compute_per_example_gradients(model, x, random_labels(rng, 2, 3)),
+      Error);
+
+  auto dataset = std::make_shared<const data::Dataset>(
+      Tensor::randn({6, 4}, rng), random_labels(rng, 6, 3), 3);
+  const fl::Client client(0, data::ClientData(dataset, {0, 1, 2, 3, 4, 5}),
+                          {.local_iterations = 1, .batch_size = 2});
+  const core::FedCdpPolicy policy(/*clipping_bound=*/1.0, /*noise_scale=*/0.5);
+  Rng round_rng(14);
+  EXPECT_THROW(
+      client.run_round(model, model.weights(), policy, /*round=*/0, round_rng),
+      Error);
+}
+
+PerExampleGrads clone_rows(const PerExampleGrads& grads) {
+  PerExampleGrads out;
+  out.batch = grads.batch;
+  out.shapes = grads.shapes;
+  for (const Tensor& r : grads.rows) out.rows.push_back(r.clone());
+  return out;
+}
+
+void expect_bitwise_equal(const PerExampleGrads& a, const PerExampleGrads& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t p = 0; p < a.rows.size(); ++p) {
+    ASSERT_EQ(a.rows[p].numel(), b.rows[p].numel());
+    EXPECT_EQ(std::memcmp(a.rows[p].data(), b.rows[p].data(),
+                          sizeof(float) *
+                              static_cast<std::size_t>(a.rows[p].numel())),
+              0)
+        << "param " << p;
+  }
 }
 
 TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
-  // Fed-CDP's batched clip+noise must consume the RNG stream in the
-  // same example-major order as the per-example loop, producing
-  // bitwise-identical sanitized gradients.
+  // One hook call on B = 8 rows must write the same bits as eight calls
+  // on one-row batches from the same stream: every example draws its
+  // one noise key in example order, and the median policy folds example
+  // j's norms into its estimator before it clips example j + 1.
   Rng rng(42);
   auto model = nn::build_model(mlp_spec(), rng);
   Tensor x = Tensor::randn({8, 20}, rng);
   std::vector<std::int64_t> labels = random_labels(rng, 8, 5);
-  PerExampleGrads batched =
+  const PerExampleGrads raw =
       nn::compute_per_example_gradients(*model, x, labels);
-  PerExampleGrads looped;
-  looped.batch = batched.batch;
-  looped.shapes = batched.shapes;
-  for (const Tensor& r : batched.rows) looped.rows.push_back(r.clone());
+  const core::ParamGroups groups = fl::to_param_groups(model->layer_groups());
+  const std::int64_t round = 3;
 
-  core::ParamGroups groups;
-  for (const auto& g : model->layer_groups()) groups.push_back(g.param_indices);
-  core::FedCdpPolicy policy(/*clipping_bound=*/0.7, /*noise_scale=*/1.3);
-
-  Rng noise_a(2024);
-  policy.sanitize_per_example_batch(batched, groups, /*round=*/3, noise_a);
-
-  Rng noise_b(2024);
-  for (std::int64_t j = 0; j < looped.batch; ++j) {
-    TensorList grad = looped.example(j);
-    policy.sanitize_per_example(grad, groups, /*round=*/3, noise_b);
-    looped.set_example(j, grad);
+  // The fixed bounds (2, and decay 4 -> 2 over 7 rounds, i.e. 3 at
+  // round 3) lie inside the spread of the group norms, so each case
+  // both clips and passes groups through.
+  PerExampleGrads probe = clone_rows(raw);
+  const std::vector<double> norms = dp::batch_group_norms(probe, groups);
+  const auto [lo, hi] = std::minmax_element(norms.begin(), norms.end());
+  for (const double bound : {2.0, 3.0}) {
+    ASSERT_LT(*lo, bound);
+    ASSERT_GT(*hi, bound);
   }
-  EXPECT_EQ(max_abs_diff(batched, looped), 0.0);
+
+  using MakePolicy = std::function<std::unique_ptr<core::PrivacyPolicy>()>;
+  const std::vector<std::pair<std::string, MakePolicy>> cases = {
+      {"Fed-CDP", [] { return core::make_fed_cdp(2.0, 1.3); }},
+      {"Fed-CDP(decay)",
+       [] { return core::make_fed_cdp_decay(7, 4.0, 2.0, 1.3); }},
+      // A 4-norm window over 3 groups per example: the median moves
+      // with every example of the batch.
+      {"Fed-CDP(median)",
+       [] {
+         return std::make_unique<core::FedCdpAdaptivePolicy>(2.0, 1.3,
+                                                             /*window=*/4);
+       }},
+  };
+  for (const auto& [label, make_policy] : cases) {
+    SCOPED_TRACE(label);
+    const std::unique_ptr<core::PrivacyPolicy> batch_policy = make_policy();
+    const std::unique_ptr<core::PrivacyPolicy> loop_policy = make_policy();
+
+    PerExampleGrads batched = clone_rows(raw);
+    Rng noise_a(2024);
+    batch_policy->sanitize_per_example_batch(batched, groups, round, noise_a);
+
+    const auto* adaptive =
+        dynamic_cast<const core::FedCdpAdaptivePolicy*>(loop_policy.get());
+    std::set<double> bounds_used;
+    PerExampleGrads looped = clone_rows(raw);
+    Rng noise_b(2024);
+    for (std::int64_t j = 0; j < looped.batch; ++j) {
+      if (adaptive != nullptr) bounds_used.insert(adaptive->current_bound());
+      PerExampleGrads one = tensor::list::make_per_example(1, raw.shapes);
+      one.set_example(0, looped.example(j));
+      loop_policy->sanitize_per_example_batch(one, groups, round, noise_b);
+      looped.set_example(j, one.example(0));
+    }
+
+    expect_bitwise_equal(batched, looped);
+    EXPECT_EQ(noise_a.next_u64(), noise_b.next_u64());
+    if (adaptive != nullptr) {
+      EXPECT_GE(bounds_used.size(), 3u);
+      EXPECT_EQ(dynamic_cast<const core::FedCdpAdaptivePolicy&>(*batch_policy)
+                    .current_bound(),
+                adaptive->current_bound());
+    }
+  }
 }
 
 fl::FlExperimentConfig small_fl_config(std::uint64_t seed) {
