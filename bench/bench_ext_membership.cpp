@@ -63,14 +63,14 @@ TrainedModel train_under_policy(const core::PrivacyPolicy& policy,
                 members.x.data() + (pick + 1) * row, x.data());
       std::vector<std::int64_t> label = {
           members.labels[static_cast<std::size_t>(pick)]};
-      // Each pick is sanitized as a one-row batch, so its noise key
+      // Each pick is sanitized as a one-example batch, so its noise key
       // comes right after its pick in the stream.
       const core::TensorList raw = nn::compute_gradients(*out.model, x, label);
       tensor::list::PerExampleGrads one =
           tensor::list::make_per_example(1, tensor::list::shapes_of(raw));
       one.set_example(0, raw);
-      policy.sanitize_per_example_batch(one, groups, 0, rng);
-      core::TensorList g = one.example(0);
+      core::TensorList g =
+          policy.sanitize_per_example_batch(one, groups, 0, rng, 0).observed;
       if (grad.empty()) {
         grad = std::move(g);
       } else {

@@ -24,9 +24,12 @@
 // matmuls and the trainer runs clients in parallel.
 //
 // Also measures (a) the fused DP sanitizer's throughput and its 1->4
-// thread scaling — the clip+noise pass is parallel over examples since
-// the Philox rewrite, so it should scale near-linearly with cores —
-// and (b) the telemetry-on vs telemetry-off overhead of the
+// thread scaling — the one-write pass is parallel over element spans,
+// since counter-based noise needs no visit order, so it should scale
+// with cores — (b) fedcdp_floor_ratio.MLP, the one-thread Fed-CDP
+// round over the floor per-example noise allows (the non-private round
+// plus L * B * |params| draws at the noise-row kernel's throughput),
+// and (c) the telemetry-on vs telemetry-off overhead of the
 // instrumented trainer round path (the number DESIGN.md §8 quotes):
 // --telemetry-out=FILE names the JSONL the telemetry-on leg writes
 // (default BENCH_perf_hotpath_telemetry.jsonl under bench_out_dir()).
@@ -38,6 +41,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,10 +118,10 @@ data::ClientData synthetic_client(const nn::ModelSpec& spec,
 }
 
 // The sliced leg's local round: Client::run_round's per-example loop
-// with the reference engine in place of the batched one. It consumes
-// `rng` in the same order (batch sample, then one noise key per
-// example), so both legs sample the same batches and draw the same
-// noise.
+// with the reference engine in place of the batched one, its step
+// gradient the hook's sanitized mean. It consumes `rng` in the same
+// order (batch sample, then one noise key per example), so both legs
+// sample the same batches and draw the same noise.
 void sliced_round(const fl::Client& client, nn::Sequential& model,
                   const tensor::list::TensorList& global_weights,
                   const core::PrivacyPolicy& policy, Rng& rng) {
@@ -128,11 +132,14 @@ void sliced_round(const fl::Client& client, nn::Sequential& model,
   for (std::int64_t l = 0; l < client.config().local_iterations; ++l) {
     data::Batch batch =
         client.data().sample_batch(rng, client.config().batch_size);
-    tensor::list::PerExampleGrads grads =
+    const tensor::list::PerExampleGrads grads =
         nn::compute_per_example_gradients_sliced(model, batch.x,
                                                  batch.labels);
-    policy.sanitize_per_example_batch(grads, groups, /*round=*/0, rng);
-    optimizer.step(params, grads.mean());
+    optimizer.step(params, policy
+                               .sanitize_per_example_batch(
+                                   grads, groups, /*round=*/0, rng,
+                                   /*observe=*/std::nullopt)
+                               .mean);
   }
 }
 
@@ -200,6 +207,86 @@ EngineRow time_engine(const std::string& name, nn::Sequential& model,
   return row;
 }
 
+// Fed-CDP's noise floor for one client's local round. Per-example
+// noise is irreducible: a Fed-CDP round draws L * B * |params|
+// Gaussians, so it cannot beat the non-private round plus that many
+// draws at the noise-row kernel's throughput. Every leg runs on one
+// compute-pool worker, where nested pool loops run inline, so all
+// three are one-thread costs from the same run.
+struct NoiseFloor {
+  double fedcdp_ms = 0.0;
+  double non_private_ms = 0.0;
+  double row_mfloats_per_s = 0.0;
+  double draws = 0.0;  // L * B * |params| per round
+
+  double floor_ms() const {
+    return non_private_ms + draws / (row_mfloats_per_s * 1e3);
+  }
+  double ratio() const { return fedcdp_ms / floor_ms(); }
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+NoiseFloor measure_noise_floor(const fl::Client& client,
+                               nn::Sequential& model,
+                               const tensor::list::TensorList& global_weights,
+                               const core::PrivacyPolicy& fed_cdp,
+                               const core::PrivacyPolicy& non_private,
+                               const Rng& stream_root) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kReps = 21;
+  const fl::LocalTrainConfig& train = client.config();
+  NoiseFloor f;
+  f.draws = static_cast<double>(train.local_iterations * train.batch_size *
+                                tensor::list::total_numel(global_weights));
+  auto median_ms = [&](const std::function<void(int)>& run) {
+    run(-1);  // warmup
+    std::vector<double> ms;
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = Clock::now();
+      run(r);
+      ms.push_back(std::chrono::duration<double, std::milli>(Clock::now() -
+                                                             start)
+                       .count());
+    }
+    return median_of(std::move(ms));
+  };
+  auto round_ms = [&](const core::PrivacyPolicy& policy) {
+    return median_ms([&](int r) {
+      Rng rng = stream_root.fork("floor", static_cast<std::uint64_t>(r + 1));
+      client.run_round(model, global_weights, policy, /*round=*/0, rng);
+    });
+  };
+  compute_pool()
+      .submit([&] {
+        f.fedcdp_ms = round_ms(fed_cdp);
+        f.non_private_ms = round_ms(non_private);
+        // One iteration's noise on the row kernel: B rows of every
+        // parameter's width, one key per example.
+        tensor::list::TensorList rows =
+            tensor::list::zeros_like(global_weights);
+        const double row_ms = median_ms([&](int r) {
+          for (std::int64_t j = 0; j < train.batch_size; ++j) {
+            const std::uint64_t key =
+                0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(
+                                            (r + 2) * train.batch_size + j);
+            for (std::size_t p = 0; p < rows.size(); ++p) {
+              dp::scale_noise_row(rows[p].data(), rows[p].numel(), 1.0f,
+                                  0.25f, key, p);
+            }
+          }
+        });
+        f.row_mfloats_per_s = f.draws /
+                              static_cast<double>(train.local_iterations) /
+                              row_ms / 1e3;
+      })
+      .get();
+  return f;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,6 +336,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::vector<EngineRow> engine_rows;
+  NoiseFloor mlp_floor;
   AsciiTable table("ms per local round: sliced vs batched per-example engine");
   table.set_header({"model", "policy", "per-example", "sliced ms",
                     "batched ms", "speedup"});
@@ -286,6 +374,13 @@ int main(int argc, char** argv) {
                      AsciiTable::fmt(row.batched_ms, 2),
                      AsciiTable::fmt(row.speedup(), 2) + "x"});
       rows.push_back(row);
+    }
+
+    if (mc.name == "MLP") {
+      mlp_floor = measure_noise_floor(client, *model, global_weights,
+                                      *policies.fed_cdp,
+                                      *policies.non_private,
+                                      root.fork("floor"));
     }
 
     // Engine-only: one batch of per-example gradients, no DP/SGD.
@@ -327,9 +422,9 @@ int main(int argc, char** argv) {
       "serial per example.\n");
 
   // ---- fused sanitizer throughput and thread scaling ----
-  // Times the full fused pipeline (norm pass + clip-scale+noise pass)
-  // over a synthetic CNN-sized [B, numel] gradient block with explicit
-  // 1- and 4-thread pools. The result is bitwise pool-size independent
+  // Times the full fused pipeline (norm pass + one-write pass) over a
+  // synthetic CNN-sized [B, numel] row-form gradient block with
+  // explicit 1- and 4-thread pools. The result is bitwise pool-size independent
   // (counter-based Philox), so the two legs do identical arithmetic
   // and the ratio isolates parallel efficiency.
   double sanitize_mfloats_1t = 0.0, sanitize_mfloats_4t = 0.0;
@@ -340,10 +435,12 @@ int main(int argc, char** argv) {
     tensor::list::PerExampleGrads grads =
         tensor::list::make_per_example(sanitize_batch, shapes);
     Rng fill_rng = root.fork("sanitize-fill", 0);
-    for (auto& t : grads.rows) t = tensor::Tensor::randn(t.shape(), fill_rng);
-    const dp::ParamGroups groups = dp::single_group(shapes.size());
     std::int64_t floats_per_pass = 0;
-    for (const auto& t : grads.rows) floats_per_pass += t.numel();
+    for (auto& p : grads.params) {
+      p.rows = tensor::Tensor::randn(p.rows.shape(), fill_rng);
+      floats_per_pass += p.rows.numel();
+    }
+    const dp::ParamGroups groups = dp::single_group(shapes.size());
     const std::vector<double> bounds(
         static_cast<std::size_t>(sanitize_batch), 1.0);
     const std::vector<double> stddevs(
@@ -385,6 +482,13 @@ int main(int argc, char** argv) {
                                   : 0.0,
         static_cast<std::size_t>(std::thread::hardware_concurrency()));
   }
+
+  std::printf(
+      "\nFed-CDP noise floor (MLP local round, 1 thread, median of 21):\n"
+      "  Fed-CDP %.3f ms | non-private %.3f ms + %.0f draws at %.1f "
+      "Mfloat/s (row kernel) = floor %.3f ms | ratio %.2fx\n",
+      mlp_floor.fedcdp_ms, mlp_floor.non_private_ms, mlp_floor.draws,
+      mlp_floor.row_mfloats_per_s, mlp_floor.floor_ms(), mlp_floor.ratio());
 
   // ---- telemetry overhead on the instrumented trainer path ----
   // The trainer is where telemetry concentrates (round/phase spans,
@@ -502,6 +606,14 @@ int main(int argc, char** argv) {
   sanitize["mfloats_per_s_1t"] = sanitize_mfloats_1t;
   sanitize["mfloats_per_s_4t"] = sanitize_mfloats_4t;
   doc["fused_sanitize"] = std::move(sanitize);
+  json::Value floor = json::Value::object();
+  floor["model"] = "MLP";
+  floor["fedcdp_ms"] = mlp_floor.fedcdp_ms;
+  floor["non_private_ms"] = mlp_floor.non_private_ms;
+  floor["draws"] = mlp_floor.draws;
+  floor["row_mfloats_per_s"] = mlp_floor.row_mfloats_per_s;
+  floor["floor_ms"] = mlp_floor.floor_ms();
+  doc["noise_floor"] = std::move(floor);
   json::Value overhead = json::Value::object();
   overhead["config"] = "cancer K=4 Kt=2 Fed-CDP";
   overhead["rounds"] = ocfg.rounds;
@@ -538,6 +650,10 @@ int main(int argc, char** argv) {
                         ? sanitize_mfloats_4t / sanitize_mfloats_1t
                         : 0.0,
                     "higher", "ratio");
+  // How far the Fed-CDP round sits above what per-example noise
+  // allows; all three legs come from this run on one thread.
+  bench::add_metric(doc, "fedcdp_floor_ratio.MLP", mlp_floor.ratio(),
+                    "lower", "ratio");
   // Class "time": the overhead is a delta between two wall-clock
   // timings and inherits their host noise, so cross-host CI skips it
   // with --ignore-class time like the other absolute timings.

@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "dp/fused_sanitize.h"
 
 namespace fedcl::core {
 
@@ -31,15 +30,16 @@ void count_clipped_groups(const std::string& policy,
 }
 
 // Algorithm 2 lines 9-14 over a batch: example j's groups are clipped
-// to bounds[j] and noised with stddev sigma * bounds[j] (S <- C). One
-// Philox key per example, drawn serially in example order, then the
-// parallel fused scale+noise pass.
-void clip_and_noise(const std::string& policy,
-                    tensor::list::PerExampleGrads& grads,
-                    const ParamGroups& groups,
-                    const std::vector<double>& norms,
-                    const std::vector<double>& bounds, double sigma,
-                    Rng& rng) {
+// to bounds[j] and noised with stddev sigma * bounds[j] (S <- C), then
+// averaged. One Philox key per example, drawn serially in example
+// order, then the parallel one-write pass.
+dp::SanitizedBatch clip_and_noise(const std::string& policy,
+                                  const tensor::list::PerExampleGrads& grads,
+                                  const ParamGroups& groups,
+                                  const std::vector<double>& norms,
+                                  const std::vector<double>& bounds,
+                                  double sigma, Rng& rng,
+                                  std::optional<std::int64_t> observe) {
   count_clipped_groups(policy, norms, bounds, groups.size());
   std::vector<double> stddevs(bounds.size());
   std::vector<std::uint64_t> keys(bounds.size());
@@ -47,14 +47,18 @@ void clip_and_noise(const std::string& policy,
     stddevs[j] = sigma * bounds[j];
     keys[j] = rng.next_u64();
   }
-  dp::batch_scale_noise(grads, groups, norms, bounds, stddevs, keys);
+  return dp::batch_scale_noise(grads, groups, norms, bounds, stddevs, keys,
+                               /*pool=*/nullptr, observe);
 }
 
 }  // namespace
 
-void PrivacyPolicy::sanitize_per_example_batch(tensor::list::PerExampleGrads&,
-                                               const ParamGroups&,
-                                               std::int64_t, Rng&) const {}
+dp::SanitizedBatch PrivacyPolicy::sanitize_per_example_batch(
+    const tensor::list::PerExampleGrads& grads, const ParamGroups&,
+    std::int64_t, Rng&, std::optional<std::int64_t> observe) const {
+  return {.mean = dp::batch_mean(grads),
+          .observed = observe ? grads.example(*observe) : TensorList{}};
+}
 
 void PrivacyPolicy::sanitize_client_update(TensorList&, const ParamGroups&,
                                            std::int64_t, Rng&) const {}
@@ -120,16 +124,17 @@ double FedCdpPolicy::clipping_bound_at(std::int64_t round) const {
   return schedule_.bound_at(round);
 }
 
-void FedCdpPolicy::sanitize_per_example_batch(
-    tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-    std::int64_t round, Rng& rng) const {
+dp::SanitizedBatch FedCdpPolicy::sanitize_per_example_batch(
+    const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+    std::int64_t round, Rng& rng, std::optional<std::int64_t> observe) const {
   // Algorithm 2 lines 9-12: per-layer clip of every example's
   // gradient, then line 14's Gaussian noise with S <- C(round), added
   // to every example's gradient (inside the batch sum).
   const std::vector<double> bounds(static_cast<std::size_t>(grads.batch),
                                    schedule_.bound_at(round));
-  clip_and_noise(name(), grads, groups, dp::batch_group_norms(grads, groups),
-                 bounds, sigma_, rng);
+  return clip_and_noise(name(), grads, groups,
+                        dp::batch_group_norms(grads, groups), bounds, sigma_,
+                        rng, observe);
 }
 
 FedCdpAdaptivePolicy::FedCdpAdaptivePolicy(double initial_bound,
@@ -147,9 +152,10 @@ double FedCdpAdaptivePolicy::current_bound() const {
   return estimator_.ready() ? estimator_.median() : initial_bound_;
 }
 
-void FedCdpAdaptivePolicy::sanitize_per_example_batch(
-    tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-    std::int64_t /*round*/, Rng& rng) const {
+dp::SanitizedBatch FedCdpAdaptivePolicy::sanitize_per_example_batch(
+    const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+    std::int64_t /*round*/, Rng& rng,
+    std::optional<std::int64_t> observe) const {
   // The estimator moves between examples (each example's pre-clip
   // norms are folded in before the next example is clipped), but the
   // pre-clip norms themselves only depend on example j's own slice —
@@ -168,7 +174,8 @@ void FedCdpAdaptivePolicy::sanitize_per_example_batch(
       }
     }
   }
-  clip_and_noise(name(), grads, groups, norms, bounds, sigma_, rng);
+  return clip_and_noise(name(), grads, groups, norms, bounds, sigma_, rng,
+                        observe);
 }
 
 std::unique_ptr<PrivacyPolicy> make_non_private() {

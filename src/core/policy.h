@@ -4,7 +4,8 @@
 //  - per-example gradients during local training (Algorithm 2,
 //    lines 9-14: Fed-CDP clips per layer and adds Gaussian noise to
 //    every example's gradient before batch averaging), one call per
-//    local iteration on the batched engine's [B, numel] rows,
+//    local iteration on the batched engine's output, returning the
+//    sanitized batch mean,
 //  - the per-client round update before it is shared (Algorithm 1:
 //    Fed-SDP clips the update; the noise can be added here when the
 //    client runs the DP module),
@@ -16,10 +17,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "dp/adaptive_clipping.h"
 #include "dp/clipping.h"
+#include "dp/fused_sanitize.h"
 #include "dp/gaussian.h"
 #include "tensor/tensor_list.h"
 
@@ -49,13 +52,16 @@ class PrivacyPolicy {
   virtual bool order_dependent() const { return false; }
 
   // Hook 1: sanitize every example's gradient of one local iteration,
-  // in the [B, numel] per-parameter layout the batched gradient engine
-  // produces. Draws one noise key per example from `rng`, in example
-  // order, so one call on B rows writes the same bits as B calls on
-  // one-row batches from the same stream. The default is a no-op.
-  virtual void sanitize_per_example_batch(
-      tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-      std::int64_t round, Rng& rng) const;
+  // as the batched gradient engine hands it over, and return the mean
+  // of the sanitized gradients (the step gradient) plus, when
+  // `observe` names one, that example's sanitized gradient. Draws one
+  // noise key per example from `rng`, in example order, so a B-example
+  // call adds up the same per-example bits as B one-example calls from
+  // the same stream. The default sanitizes nothing.
+  virtual dp::SanitizedBatch sanitize_per_example_batch(
+      const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+      std::int64_t round, Rng& rng,
+      std::optional<std::int64_t> observe) const;
 
   // Hook 2: sanitize the client's round update before sharing.
   virtual void sanitize_client_update(TensorList& update,
@@ -115,10 +121,10 @@ class FedCdpPolicy final : public PrivacyPolicy {
   std::string name() const override;
   bool needs_per_example_gradients() const override { return true; }
 
-  void sanitize_per_example_batch(tensor::list::PerExampleGrads& grads,
-                                  const ParamGroups& groups,
-                                  std::int64_t round,
-                                  Rng& rng) const override;
+  dp::SanitizedBatch sanitize_per_example_batch(
+      const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+      std::int64_t round, Rng& rng,
+      std::optional<std::int64_t> observe) const override;
 
   double clipping_bound_at(std::int64_t round) const;
   double noise_scale() const { return sigma_; }
@@ -144,10 +150,10 @@ class FedCdpAdaptivePolicy final : public PrivacyPolicy {
   bool needs_per_example_gradients() const override { return true; }
   bool order_dependent() const override { return true; }
 
-  void sanitize_per_example_batch(tensor::list::PerExampleGrads& grads,
-                                  const ParamGroups& groups,
-                                  std::int64_t round,
-                                  Rng& rng) const override;
+  dp::SanitizedBatch sanitize_per_example_batch(
+      const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+      std::int64_t round, Rng& rng,
+      std::optional<std::int64_t> observe) const override;
 
   // Bound the next sanitization will use.
   double current_bound() const;

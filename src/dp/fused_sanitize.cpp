@@ -4,6 +4,7 @@
 #include <immintrin.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -17,24 +18,124 @@ namespace {
 
 namespace px = philox;
 
-// d[i] = d[i] * scale + stddev * z[i] over one chunk's worth of the row
-// (`left` elements remain from d on). Full chunks run in vectors, the
-// tail through a buffer; both issue the same two roundings per element.
-[[gnu::always_inline]] inline void apply_chunk(float* d, std::int64_t left,
+using tensor::list::PerExampleGrads;
+using tensor::list::PerExampleParam;
+using tensor::list::TensorList;
+
+// Elements per step of the noise loop: two Philox chunks, so two
+// independent encryptions are in flight.
+constexpr std::int64_t kStep = 2 * px::kChunk;
+
+// Example j's gradient of one parameter as the one-write pass reads
+// it: a row (row-form rows, or a factored bias's delta row), or the
+// two factors of an outer product with `cols` columns.
+struct Source {
+  const float* row = nullptr;
+  const float* a = nullptr;
+  const float* delta = nullptr;
+  std::int64_t cols = 0;
+};
+
+Source source_of(const PerExampleParam& param, std::int64_t batch,
+                 std::int64_t j) {
+  if (!param.factored()) {
+    return {.row = param.rows.data() + j * (param.rows.numel() / batch)};
+  }
+  const std::int64_t cols = param.delta.numel() / batch;
+  if (!param.a.defined()) return {.row = param.delta.data() + j * cols};
+  return {.a = param.a.data() + j * (param.a.numel() / batch),
+          .delta = param.delta.data() + j * cols,
+          .cols = cols};
+}
+
+// Elements [first, first + n) of the source: a pointer into the row,
+// or the outer product multiplied out into buf.
+[[gnu::always_inline]] inline const float* values(const Source& src,
+                                                  std::int64_t first,
+                                                  std::int64_t n,
+                                                  float* buf) {
+  if (src.row != nullptr) return src.row + first;
+  std::int64_t r = first / src.cols, c = first % src.cols;
+  for (std::int64_t k = 0; k < n; ++r, c = 0) {
+    const std::int64_t run = std::min(src.cols - c, n - k);
+    const float ar = src.a[r];
+    for (std::int64_t t = 0; t < run; ++t) buf[k + t] = ar * src.delta[c + t];
+    k += run;
+  }
+  return buf;
+}
+
+// y = v * scale + stddev * z over one chunk (`left` elements remain
+// from v on), then acc += y where acc is non-null and out = y where
+// out is non-null (out may alias v). Full chunks run in vectors, the
+// tail element by element; both issue the same roundings.
+[[gnu::always_inline]] inline void apply_chunk(const float* v,
+                                               std::int64_t left,
                                                float scale, float stddev,
-                                               const px::F32x16 (&z)[4]) {
+                                               const px::F32x16 (&z)[4],
+                                               float* acc, float* out) {
   if (left >= px::kChunk) {
-    for (int v = 0; v < 4; ++v) {
-      px::F32x16 x;
-      std::memcpy(&x, d + 16 * v, sizeof(x));
-      x = x * scale + stddev * z[v];
-      std::memcpy(d + 16 * v, &x, sizeof(x));
+    for (int k = 0; k < 4; ++k) {
+      px::F32x16 y;
+      std::memcpy(&y, v + 16 * k, sizeof(y));
+      y = y * scale + stddev * z[k];
+      if (acc != nullptr) {
+        px::F32x16 sum;
+        std::memcpy(&sum, acc + 16 * k, sizeof(sum));
+        sum += y;
+        std::memcpy(acc + 16 * k, &sum, sizeof(sum));
+      }
+      if (out != nullptr) std::memcpy(out + 16 * k, &y, sizeof(y));
     }
     return;
   }
   float buf[px::kChunk];
   std::memcpy(buf, z, sizeof(buf));
-  for (std::int64_t i = 0; i < left; ++i) d[i] = d[i] * scale + stddev * buf[i];
+  for (std::int64_t i = 0; i < left; ++i) {
+    const float y = v[i] * scale + stddev * buf[i];
+    if (acc != nullptr) acc[i] += y;
+    if (out != nullptr) out[i] = y;
+  }
+}
+
+// One step of the noise loop at element `base`: its values and the
+// Philox counters of its one or two chunks.
+struct Step {
+  const float* v = nullptr;
+  std::int64_t n = 0;
+  int chunks = 0;
+  px::Words w[2];
+};
+
+[[gnu::always_inline]] inline Step begin_step(const Source& src,
+                                              std::int64_t base,
+                                              std::int64_t hi,
+                                              std::uint64_t stream,
+                                              float* buf) {
+  const std::int64_t n = std::min(kStep, hi - base);
+  const auto chunk = static_cast<std::uint64_t>(base / px::kChunk);
+  return {.v = values(src, base, n, buf),
+          .n = n,
+          .chunks = n > px::kChunk ? 2 : 1,
+          .w = {px::counters(stream, chunk), px::counters(stream, chunk + 1)}};
+}
+
+// The encrypted step's normals applied at element `base`. Both chunks'
+// Box-Muller chains are issued before either is applied, so they
+// overlap too.
+[[gnu::always_inline]] inline void finish_step(const Step& step,
+                                               std::int64_t base,
+                                               float scale, float stddev,
+                                               float* acc, float* out) {
+  px::F32x16 z[2][4];
+  px::normals(step.w[0], z[0]);
+  if (step.chunks == 2) px::normals(step.w[1], z[1]);
+  for (int c = 0; c < step.chunks; ++c) {
+    const std::int64_t at = base + c * px::kChunk;
+    apply_chunk(step.v + c * px::kChunk, step.n - c * px::kChunk, scale,
+                stddev, z[c], acc != nullptr ? acc + at : nullptr,
+                out != nullptr ? out + at : nullptr);
+  }
 }
 
 #if FEDCL_HAVE_V4_KERNELS
@@ -51,18 +152,21 @@ FEDCL_KERNEL_V4 [[gnu::always_inline]] inline U64x8 mul_lo32(const U64x8& a,
                                     __builtin_bit_cast(__m512i, b)));
 }
 
-// px::encrypt on AVX-512: each half of the chunk (8 blocks) keeps one
-// 32-bit word per 64-bit lane, so a product's low and high words land
-// in place without the even/odd blends. Upper lane halves carry
-// don't-care bits: vpmuludq reads only the low 32.
+// px::encrypt on AVX-512 over N chunks at once: each half of a chunk
+// (8 blocks) keeps one 32-bit word per 64-bit lane, so a product's low
+// and high words land in place without the even/odd blends. Upper lane
+// halves carry don't-care bits: vpmuludq reads only the low 32. The
+// 2N halves are independent chains, so their multiplies overlap.
+template <int N>
 FEDCL_KERNEL_V4 [[gnu::always_inline]] inline void encrypt_v4(
-    px::Words& c, std::uint64_t key) {
+    px::Words* c, std::uint64_t key) {
   typedef std::uint32_t U32x8 __attribute__((vector_size(32)));
-  U64x8 w[2][4];
-  for (int h = 0; h < 2; ++h) {
+  U64x8 w[2 * N][4];
+  for (int h = 0; h < 2 * N; ++h) {
     for (int m = 0; m < 4; ++m) {
       U32x8 half;
-      std::memcpy(&half, reinterpret_cast<const char*>(&c.w[m]) + 32 * h,
+      std::memcpy(&half,
+                  reinterpret_cast<const char*>(&c[h / 2].w[m]) + 32 * (h % 2),
                   sizeof(half));
       w[h][m] = __builtin_convertvector(half, U64x8);
     }
@@ -85,167 +189,252 @@ FEDCL_KERNEL_V4 [[gnu::always_inline]] inline void encrypt_v4(
   }
   const px::I32x16 low_words = {0,  2,  4,  6,  8,  10, 12, 14,
                                 16, 18, 20, 22, 24, 26, 28, 30};
-  for (int m = 0; m < 4; ++m) {
-    c.w[m] = __builtin_shuffle(__builtin_bit_cast(px::U32x16, w[0][m]),
-                               __builtin_bit_cast(px::U32x16, w[1][m]),
-                               low_words);
+  for (int i = 0; i < N; ++i) {
+    for (int m = 0; m < 4; ++m) {
+      c[i].w[m] =
+          __builtin_shuffle(__builtin_bit_cast(px::U32x16, w[2 * i][m]),
+                            __builtin_bit_cast(px::U32x16, w[2 * i + 1][m]),
+                            low_words);
+    }
   }
 }
 #endif  // FEDCL_HAVE_V4_KERNELS
 
-// Raw view of one example's gradient: pointer + element count per
-// parameter tensor, in model parameter order.
-struct ParamSpan {
-  float* data = nullptr;
-  std::int64_t numel = 0;
-};
-using ExampleView = std::vector<ParamSpan>;
-
-ExampleView view_of_example(tensor::list::PerExampleGrads& grads,
-                            std::int64_t j) {
-  ExampleView ex;
-  ex.reserve(grads.rows.size());
-  for (auto& rows : grads.rows) {
-    const std::int64_t width = rows.numel() / grads.batch;
-    ex.push_back(ParamSpan{rows.data() + j * width, width});
-  }
-  return ex;
-}
-
-// Pre-clip joint L2 norm of each group of one example into
-// norms[0, groups.size()).
-void group_norms(const ExampleView& ex, const ParamGroups& groups,
-                 double* norms) {
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    // Same accumulation order as l2_norm_subset: per-tensor sum of
-    // squares rounded through float, joint sqrt last.
-    double joint = 0.0;
-    for (std::size_t p : groups[g]) {
-      FEDCL_CHECK_LT(p, ex.size());
-      const float* d = ex[p].data;
-      double s = 0.0;
-      for (std::int64_t i = 0; i < ex[p].numel; ++i)
-        s += static_cast<double>(d[i]) * static_cast<double>(d[i]);
-      const double tensor_norm =
-          static_cast<double>(static_cast<float>(std::sqrt(s)));
-      joint += tensor_norm * tensor_norm;
-    }
-    norms[g] = std::sqrt(joint);
-  }
-}
-
-// Per-example kernel: per-param clip scales resolved from the group
-// norms, then one fused traversal per tensor. `norms` points at
-// this example's groups.size() entries.
-void scale_noise_impl(const ExampleView& ex, const ParamGroups& groups,
-                      const double* norms, double bound, double stddev,
-                      std::uint64_t key) {
-  // scale == 1.0f for unclipped params: x * 1.0f is exact, so the fused
-  // loop below stays branch-free without perturbing unclipped values.
-  std::vector<float> scales(ex.size(), 1.0f);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const double norm = norms[g];
-    if (norm > bound) {
-      const float scale = static_cast<float>(bound / norm);
-      for (std::size_t p : groups[g]) {
-        FEDCL_CHECK_LT(p, ex.size());
-        scales[p] = scale;
-      }
-    }
-  }
-  for (std::size_t p = 0; p < ex.size(); ++p) {
-    float* d = ex[p].data;
-    const std::int64_t n = ex[p].numel;
-    const float s = scales[p];
-    if (stddev == 0.0) {
-      if (s != 1.0f) {
-        for (std::int64_t i = 0; i < n; ++i) d[i] *= s;
-      }
-      continue;
-    }
-    scale_noise_row(d, n, s, static_cast<float>(stddev), key,
-                    static_cast<std::uint64_t>(p));
-  }
-}
-
-}  // namespace
-
+// The noise loop over elements [lo, hi) of one example's gradient of
+// parameter `stream` (lo a multiple of kChunk): apply_chunk with the
+// element's counter Gaussian. The two variants differ only in the
+// Philox encryption.
 FEDCL_KERNEL_CLONES
-void scale_noise_row_portable(float* d, std::int64_t n, float scale,
-                              float stddev, std::uint64_t key,
-                              std::uint64_t stream) {
-  for (std::int64_t base = 0; base < n; base += px::kChunk) {
-    px::Words w = px::counters(stream, base / px::kChunk);
-    px::encrypt(w, key);
-    px::F32x16 z[4];
-    px::normals(w, z);
-    apply_chunk(d + base, n - base, scale, stddev, z);
+void noise_range_portable(const Source& src, std::int64_t lo,
+                          std::int64_t hi, float scale, float stddev,
+                          std::uint64_t key, std::uint64_t stream,
+                          float* acc, float* out) {
+  float buf[kStep];
+  for (std::int64_t base = lo; base < hi; base += kStep) {
+    Step step = begin_step(src, base, hi, stream, buf);
+    for (int c = 0; c < step.chunks; ++c) px::encrypt(step.w[c], key);
+    finish_step(step, base, scale, stddev, acc, out);
   }
 }
 
 #if FEDCL_HAVE_V4_KERNELS
 FEDCL_KERNEL_V4
+void noise_range_v4(const Source& src, std::int64_t lo, std::int64_t hi,
+                    float scale, float stddev, std::uint64_t key,
+                    std::uint64_t stream, float* acc, float* out) {
+  float buf[kStep];
+  for (std::int64_t base = lo; base < hi; base += kStep) {
+    Step step = begin_step(src, base, hi, stream, buf);
+    if (step.chunks == 2) {
+      encrypt_v4<2>(step.w, key);
+    } else {
+      encrypt_v4<1>(step.w, key);
+    }
+    finish_step(step, base, scale, stddev, acc, out);
+  }
+}
+#endif
+
+void noise_range(const Source& src, std::int64_t lo, std::int64_t hi,
+                 float scale, float stddev, std::uint64_t key,
+                 std::uint64_t stream, float* acc, float* out) {
+#if FEDCL_HAVE_V4_KERNELS
+  if (fedcl_cpu_has_v4()) {
+    noise_range_v4(src, lo, hi, scale, stddev, key, stream, acc, out);
+    return;
+  }
+#endif
+  noise_range_portable(src, lo, hi, scale, stddev, key, stream, acc, out);
+}
+
+// The noise-free loop: y = v * scale, acc += y, out = y.
+FEDCL_KERNEL_CLONES
+void scale_range(const Source& src, std::int64_t lo, std::int64_t hi,
+                 float scale, float* acc, float* out) {
+  float buf[kStep];
+  for (std::int64_t base = lo; base < hi; base += kStep) {
+    const std::int64_t n = std::min(kStep, hi - base);
+    const float* v = values(src, base, n, buf);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float y = v[i] * scale;
+      acc[base + i] += y;
+      if (out != nullptr) out[base + i] = y;
+    }
+  }
+}
+
+// Squared L2 norm of example j's gradient of one parameter, as the
+// clip norm defines it (see the header).
+double squared_norm(const PerExampleParam& param, std::int64_t batch,
+                    std::int64_t j) {
+  auto sum_sq = [](const float* d, std::int64_t n) {
+    double s = 0.0;
+    for (std::int64_t i = 0; i < n; ++i)
+      s += static_cast<double>(d[i]) * static_cast<double>(d[i]);
+    return s;
+  };
+  if (!param.factored()) {
+    const std::int64_t width = param.rows.numel() / batch;
+    const double tensor_norm = static_cast<double>(static_cast<float>(
+        std::sqrt(sum_sq(param.rows.data() + j * width, width))));
+    return tensor_norm * tensor_norm;
+  }
+  const std::int64_t cols = param.delta.numel() / batch;
+  const double delta_sq = sum_sq(param.delta.data() + j * cols, cols);
+  if (!param.a.defined()) return delta_sq;
+  const std::int64_t in = param.a.numel() / batch;
+  return sum_sq(param.a.data() + j * in, in) * delta_sq;
+}
+
+// Draws per work unit below which a call stays on fewer threads: a
+// pool hand-off costs microseconds, as much as ~10k Gaussians.
+constexpr std::int64_t kMinDrawsPerChunk = std::int64_t{1} << 14;
+
+// The one write (see the header): mean[p] = (1/B) sum_j y_jp with
+// y_jp = v * scales[j * P + p] + stddevs[j] * z, examples added in
+// order from 0. Work units are kStep-element spans of one parameter,
+// numbered across parameters; a unit runs every example, so each
+// element's sum keeps its order whatever the split.
+SanitizedBatch one_write(const PerExampleGrads& grads,
+                         const std::vector<float>& scales,
+                         const std::vector<double>& stddevs,
+                         const std::vector<std::uint64_t>& keys,
+                         ThreadPool* pool,
+                         std::optional<std::int64_t> observe) {
+  const std::int64_t batch = grads.batch;
+  const std::size_t params = grads.params.size();
+  FEDCL_CHECK_GT(batch, 0);
+  FEDCL_CHECK_EQ(grads.shapes.size(), params);
+  FEDCL_CHECK(!observe || (*observe >= 0 && *observe < batch))
+      << "observed example " << *observe << " batch " << batch;
+  SanitizedBatch out;
+  std::vector<std::int64_t> first_unit(params + 1, 0);
+  for (std::size_t p = 0; p < params; ++p) {
+    out.mean.emplace_back(grads.shapes[p]);
+    if (observe) out.observed.emplace_back(grads.shapes[p]);
+    const std::int64_t numel = out.mean.back().numel();
+    first_unit[p + 1] = first_unit[p] + (numel + kStep - 1) / kStep;
+  }
+  const float inv = 1.0f / static_cast<float>(batch);
+  const auto grain = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, kMinDrawsPerChunk / (kStep * batch)));
+  ThreadPool& pl = pool != nullptr ? *pool : compute_pool();
+  pl.parallel_for_chunks(
+      static_cast<std::size_t>(first_unit[params]), grain,
+      [&](std::size_t unit_begin, std::size_t unit_end) {
+        const auto ub = static_cast<std::int64_t>(unit_begin);
+        const auto ue = static_cast<std::int64_t>(unit_end);
+        for (std::size_t p = 0; p < params; ++p) {
+          if (first_unit[p + 1] <= ub || first_unit[p] >= ue) continue;
+          float* acc = out.mean[p].data();
+          const std::int64_t first = first_unit[p];
+          const std::int64_t lo = (std::max(ub, first) - first) * kStep;
+          const std::int64_t hi =
+              std::min((std::min(ue, first_unit[p + 1]) - first) * kStep,
+                       out.mean[p].numel());
+          for (std::int64_t j = 0; j < batch; ++j) {
+            const Source src = source_of(grads.params[p], batch, j);
+            float* obs = observe == j ? out.observed[p].data() : nullptr;
+            const auto ju = static_cast<std::size_t>(j);
+            const float scale = scales[ju * params + p];
+            if (stddevs[ju] == 0.0) {
+              scale_range(src, lo, hi, scale, acc, obs);
+            } else {
+              noise_range(src, lo, hi, scale, static_cast<float>(stddevs[ju]),
+                          keys[ju], static_cast<std::uint64_t>(p), acc, obs);
+            }
+          }
+          for (std::int64_t i = lo; i < hi; ++i) acc[i] *= inv;
+        }
+      });
+  return out;
+}
+
+}  // namespace
+
+void scale_noise_row_portable(float* d, std::int64_t n, float scale,
+                              float stddev, std::uint64_t key,
+                              std::uint64_t stream) {
+  noise_range_portable({.row = d}, 0, n, scale, stddev, key, stream,
+                       /*acc=*/nullptr, /*out=*/d);
+}
+
+#if FEDCL_HAVE_V4_KERNELS
 void scale_noise_row_v4(float* d, std::int64_t n, float scale, float stddev,
                         std::uint64_t key, std::uint64_t stream) {
-  for (std::int64_t base = 0; base < n; base += px::kChunk) {
-    px::Words w = px::counters(stream, base / px::kChunk);
-    encrypt_v4(w, key);
-    px::F32x16 z[4];
-    px::normals(w, z);
-    apply_chunk(d + base, n - base, scale, stddev, z);
-  }
+  noise_range_v4({.row = d}, 0, n, scale, stddev, key, stream,
+                 /*acc=*/nullptr, /*out=*/d);
 }
 #endif
 
 void scale_noise_row(float* d, std::int64_t n, float scale, float stddev,
                      std::uint64_t key, std::uint64_t stream) {
-#if FEDCL_HAVE_V4_KERNELS
-  if (fedcl_cpu_has_v4()) {
-    scale_noise_row_v4(d, n, scale, stddev, key, stream);
-    return;
-  }
-#endif
-  scale_noise_row_portable(d, n, scale, stddev, key, stream);
+  noise_range({.row = d}, 0, n, scale, stddev, key, stream, /*acc=*/nullptr,
+              /*out=*/d);
 }
 
-std::vector<double> batch_group_norms(tensor::list::PerExampleGrads& grads,
+std::vector<double> batch_group_norms(const PerExampleGrads& grads,
                                       const ParamGroups& groups,
                                       ThreadPool* pool) {
   const std::int64_t batch = grads.batch;
+  for (const auto& group : groups) {
+    for (std::size_t p : group) FEDCL_CHECK_LT(p, grads.params.size());
+  }
   std::vector<double> norms(static_cast<std::size_t>(batch) * groups.size());
-  ThreadPool& p = pool != nullptr ? *pool : compute_pool();
-  p.parallel_for_chunks(
+  ThreadPool& pl = pool != nullptr ? *pool : compute_pool();
+  pl.parallel_for_chunks(
       static_cast<std::size_t>(batch), 1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {
-          group_norms(view_of_example(grads, static_cast<std::int64_t>(j)),
-                      groups, norms.data() + j * groups.size());
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            double joint = 0.0;
+            for (std::size_t p : groups[g]) {
+              joint += squared_norm(grads.params[p], batch,
+                                    static_cast<std::int64_t>(j));
+            }
+            norms[j * groups.size() + g] = std::sqrt(joint);
+          }
         }
       });
   return norms;
 }
 
-void batch_scale_noise(tensor::list::PerExampleGrads& grads,
-                       const ParamGroups& groups,
-                       const std::vector<double>& norms,
-                       const std::vector<double>& bounds,
-                       const std::vector<double>& stddevs,
-                       const std::vector<std::uint64_t>& keys,
-                       ThreadPool* pool) {
+SanitizedBatch batch_scale_noise(const PerExampleGrads& grads,
+                                 const ParamGroups& groups,
+                                 const std::vector<double>& norms,
+                                 const std::vector<double>& bounds,
+                                 const std::vector<double>& stddevs,
+                                 const std::vector<std::uint64_t>& keys,
+                                 ThreadPool* pool,
+                                 std::optional<std::int64_t> observe) {
   const std::size_t batch = static_cast<std::size_t>(grads.batch);
+  const std::size_t params = grads.params.size();
   FEDCL_CHECK_EQ(norms.size(), batch * groups.size());
   FEDCL_CHECK_EQ(bounds.size(), batch);
   FEDCL_CHECK_EQ(stddevs.size(), batch);
   FEDCL_CHECK_EQ(keys.size(), batch);
-  ThreadPool& p = pool != nullptr ? *pool : compute_pool();
-  p.parallel_for_chunks(batch, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t j = begin; j < end; ++j) {
-      const ExampleView ex =
-          view_of_example(grads, static_cast<std::int64_t>(j));
-      scale_noise_impl(ex, groups, norms.data() + j * groups.size(),
-                       bounds[j], stddevs[j], keys[j]);
+  // scale 1.0f for unclipped params: v * 1.0f is exact.
+  std::vector<float> scales(batch * params, 1.0f);
+  for (std::size_t j = 0; j < batch; ++j) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (std::size_t p : groups[g]) FEDCL_CHECK_LT(p, params);
+      const double norm = norms[j * groups.size() + g];
+      if (norm > bounds[j]) {
+        for (std::size_t p : groups[g])
+          scales[j * params + p] = static_cast<float>(bounds[j] / norm);
+      }
     }
-  });
+  }
+  return one_write(grads, scales, stddevs, keys, pool, observe);
+}
+
+TensorList batch_mean(const PerExampleGrads& grads) {
+  const auto batch = static_cast<std::size_t>(grads.batch);
+  return one_write(grads, std::vector<float>(batch * grads.params.size(), 1.0f),
+                   std::vector<double>(batch, 0.0),
+                   std::vector<std::uint64_t>(batch, 0), /*pool=*/nullptr,
+                   std::nullopt)
+      .mean;
 }
 
 }  // namespace fedcl::dp

@@ -1,19 +1,29 @@
 // Fused per-example clip+noise for the batched Fed-CDP hot path.
 //
-// Two passes over the [B, numel] per-example gradient rows, both
-// parallel over examples:
+// Two passes over the per-example gradients (tensor_list.h), neither of
+// which writes a per-example row:
 //
-//   1. batch_group_norms — read-only norm pass, same per-tensor
-//      float-rounded accumulation as l2_norm_subset, so the clip
-//      decisions match a norm taken on the example's TensorList;
-//   2. batch_scale_noise — ONE read-modify-write traversal that
-//      applies the clip scale AND the counter-based Gaussian noise
-//      (common/philox.h) to each element, 64 elements per generated
-//      chunk, never materializing a noise tensor.
+//   1. batch_group_norms — each example's pre-clip joint L2 norm per
+//      clip group. A factored Linear tensor's norm is the norm of the
+//      exact outer product, taken from its factors in O(in + out):
+//      ||a_j||^2 ||delta_j||^2 for the weight and ||delta_j||^2 for the
+//      bias (Goodfellow, arXiv:1510.01799), in double. A row-form
+//      tensor's norm is its row's sum of squares, rounded through float
+//      as l2_norm_subset rounds it. Per group the tensors' squared
+//      norms add up, and the sqrt comes last.
+//   2. batch_scale_noise — the one write. Per element it forms example
+//      j's value v (float(a_r * delta_c) from factors, or the row's
+//      element), then y = float(float(v * s_j) + float(stddev_j * z))
+//      with z example j's counter Gaussian (common/philox.h), and adds
+//      y into the batch mean, examples in order from 0; the mean is
+//      then multiplied by 1/B. Noise is generated two 64-element
+//      chunks per step and never materialized.
 //
-// Every example runs the same kernel on its own rows with its own key,
-// so B rows written in one call equal B one-row calls with the same
-// keys, bit for bit, whatever the pool size or visit order.
+// Noise element i of parameter p for example j is a pure function of
+// (keys[j], p, i), so results are bitwise independent of pool size and
+// visit order. At equal norms the mean equals scaling and noising each
+// example's rows in place and then averaging them in example order,
+// bit for bit.
 //
 // fused_sanitize.cpp is compiled with -ffp-contract=off (see
 // src/dp/CMakeLists.txt), so every ISA variant of the noise kernel and
@@ -22,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dp/clipping.h"
@@ -34,10 +45,20 @@ class ThreadPool;
 
 namespace fedcl::dp {
 
-// One row of the scale+noise pass: d[i] = d[i] * scale + stddev * z_i
-// for i in [0, n), where z_i is element i of the counter Gaussian of
-// (key, stream). Takes the AVX-512 Philox where the CPU has it; every
-// variant writes the same bits.
+// What the one-write pass hands back.
+struct SanitizedBatch {
+  // (1/B) sum_j y_j in the original parameter shapes: the local step
+  // gradient.
+  tensor::list::TensorList mean;
+  // y_j of the one example asked for (the type-2 probe's view of the
+  // sanitized per-example gradient); empty when none was.
+  tensor::list::TensorList observed;
+};
+
+// One row of the scale+noise pass in place: d[i] = d[i] * scale +
+// stddev * z_i for i in [0, n), where z_i is element i of the counter
+// Gaussian of (key, stream). Takes the AVX-512 Philox where the CPU
+// has it; every variant writes the same bits.
 void scale_noise_row(float* d, std::int64_t n, float scale, float stddev,
                      std::uint64_t key, std::uint64_t stream);
 // The variants behind it, exposed for the kernel checks: the portable
@@ -51,22 +72,28 @@ void scale_noise_row_v4(float* d, std::int64_t n, float scale, float stddev,
                         std::uint64_t key, std::uint64_t stream);
 #endif
 
-// Batched forms over the [B, numel] layout, parallelized over examples
-// on `pool` (nullptr: the process compute pool). Results are bitwise
-// independent of pool size and example visit order. norms / bounds /
-// stddevs / keys are example-major: norms[j * groups.size() + g],
-// bounds[j], stddevs[j], keys[j] (per-example entries support the
-// adaptive policy, whose bound moves between examples).
-std::vector<double> batch_group_norms(tensor::list::PerExampleGrads& grads,
-                                      const ParamGroups& groups,
-                                      ThreadPool* pool = nullptr);
+// Batched forms, parallel on `pool` (nullptr: the process compute
+// pool). norms / bounds / stddevs / keys are example-major:
+// norms[j * groups.size() + g], bounds[j], stddevs[j], keys[j]
+// (per-example entries support the adaptive policy, whose bound moves
+// between examples).
+std::vector<double> batch_group_norms(
+    const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+    ThreadPool* pool = nullptr);
 
-void batch_scale_noise(tensor::list::PerExampleGrads& grads,
-                       const ParamGroups& groups,
-                       const std::vector<double>& norms,
-                       const std::vector<double>& bounds,
-                       const std::vector<double>& stddevs,
-                       const std::vector<std::uint64_t>& keys,
-                       ThreadPool* pool = nullptr);
+// Example j's groups whose norm exceeds bounds[j] are scaled by
+// float(bounds[j] / norm); stddevs[j] == 0 adds no noise. `observe`
+// names the example whose sanitized gradient comes back in `observed`.
+SanitizedBatch batch_scale_noise(
+    const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
+    const std::vector<double>& norms, const std::vector<double>& bounds,
+    const std::vector<double>& stddevs,
+    const std::vector<std::uint64_t>& keys, ThreadPool* pool = nullptr,
+    std::optional<std::int64_t> observe = std::nullopt);
+
+// The raw batch mean (1/B) sum_j g_j: the same pass at scale 1 with no
+// noise, on the process compute pool.
+tensor::list::TensorList batch_mean(
+    const tensor::list::PerExampleGrads& grads);
 
 }  // namespace fedcl::dp

@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "dp/fused_sanitize.h"
 #include "nn/grad_utils.h"
 #include "nn/optimizer.h"
 #include "nn/per_example.h"
@@ -68,29 +70,32 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
     if (policy.needs_per_example_gradients()) {
       // Algorithm 2 lines 6-14: one batched forward/backward yields
       // every example's gradient, then per-layer clip + per-example
-      // noise in place, then the 1/B batch average.
-      tensor::list::PerExampleGrads grads =
+      // noise + the 1/B batch average in one pass.
+      const tensor::list::PerExampleGrads grads =
           nn::compute_per_example_gradients(model, batch.x, batch.labels);
       if (l == 0) {
-        // The pre-policy batch gradient is the mean of the raw
-        // per-example gradients — no second full backward needed for
-        // the probe or the norm metric.
-        TensorList batch_grad = grads.mean();
+        // The pre-policy batch gradient: the same pass at scale 1 with
+        // no noise — no second full backward for the probe or the norm
+        // metric.
+        TensorList batch_grad = dp::batch_mean(grads);
         outcome.first_iteration_grad_norm =
             tensor::list::l2_norm(batch_grad);
         if (probing) probe->first_batch_gradient = std::move(batch_grad);
       }
+      dp::SanitizedBatch sanitized;
       {
         telemetry::SpanTimer sanitize_span(
             telemetry::global_registry(), "dp.sanitize",
             {{"stage", "per_example"}}, round);
-        policy.sanitize_per_example_batch(grads, groups, round, rng);
+        sanitized = policy.sanitize_per_example_batch(
+            grads, groups, round, rng,
+            probing ? std::optional<std::int64_t>(0) : std::nullopt);
       }
       if (probing) {
-        probe->type2_observed = grads.example(0);
+        probe->type2_observed = std::move(sanitized.observed);
         data::copy_example(batch, 0, probe->type2_example);
       }
-      step_grad = grads.mean();
+      step_grad = std::move(sanitized.mean);
     } else {
       step_grad = nn::compute_gradients(model, batch.x, batch.labels);
       if (probing) {

@@ -298,10 +298,11 @@ PerExampleGrads compute_per_example_gradients(
     delta.at(j * classes + labels[static_cast<std::size_t>(j)]) -= 1.0f;
   }
 
-  std::vector<Shape> shapes;
-  shapes.reserve(model.parameter_count());
-  for (const auto& p : model.parameters()) shapes.push_back(p.value().shape());
-  PerExampleGrads grads = t::list::make_per_example(batch, std::move(shapes));
+  PerExampleGrads grads;
+  grads.batch = batch;
+  for (const auto& p : model.parameters())
+    grads.shapes.push_back(p.value().shape());
+  grads.params.resize(grads.shapes.size());
 
   ThreadPool& pool = compute_pool();
   for (std::size_t i = tape.size(); i-- > 0;) {
@@ -309,28 +310,13 @@ PerExampleGrads compute_per_example_gradients(
     const bool need_dx = i > 0;
     switch (node.kind) {
       case NodeKind::kLinear: {
+        // grad_W[j] = a_j^T delta_j and grad_b[j] = delta_j: hand over
+        // the factors; the sanitizer multiplies them out element by
+        // element as it writes the batch mean.
         const auto& lin = static_cast<const Linear&>(*node.layer);
-        const std::int64_t in = lin.in_features(), out = lin.out_features();
-        Tensor& dw = grads.rows[node.weight_index];
-        Tensor& db = grads.rows[node.weight_index + 1];
-        const float* a = node.input.data();
-        const float* d = delta.data();
-        float* dw_p = dw.data();
-        float* db_p = db.data();
-        pool.parallel_for_chunks(
-            static_cast<std::size_t>(batch), 1,
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t j = begin; j < end; ++j) {
-                // grad_W[j] = a_j^T delta_j: a 1-deep matmul_tn is
-                // exactly the outer product, accumulated into the
-                // zero-initialized row.
-                t::matmul_tn_into(a + j * in, d + j * out,
-                                  dw_p + j * static_cast<std::size_t>(in * out),
-                                  /*k=*/1, in, out);
-                std::memcpy(db_p + j * out, d + j * out,
-                            sizeof(float) * static_cast<std::size_t>(out));
-              }
-            });
+        grads.params[node.weight_index].a = node.input;
+        grads.params[node.weight_index].delta = delta;
+        grads.params[node.weight_index + 1].delta = delta;
         if (need_dx) {
           delta = t::matmul_nt(delta, lin.parameters()[0].value());
         }
@@ -341,8 +327,8 @@ PerExampleGrads compute_per_example_gradients(
         const std::int64_t patches = node.spec.out_h() * node.spec.out_w();
         const std::int64_t width = node.spec.patch_size();
         const std::int64_t oc = conv.out_channels();
-        Tensor& dw = grads.rows[node.weight_index];
-        Tensor& db = grads.rows[node.weight_index + 1];
+        Tensor dw({batch, width * oc});
+        Tensor db({batch, oc});
         const float* cols = node.cols.data();
         const float* d = delta.data();
         float* dw_p = dw.data();
@@ -368,6 +354,8 @@ PerExampleGrads compute_per_example_gradients(
                 }
               }
             });
+        grads.params[node.weight_index].rows = dw;
+        grads.params[node.weight_index + 1].rows = db;
         if (need_dx) {
           // Fused: each image's patch-gradient tile is matmul'd into a
           // scratch buffer and scattered straight back with col2im —

@@ -17,9 +17,12 @@
 // are exact, not approximations. Results match the sliced reference
 // to float rounding (~1e-6 relative).
 //
-// Gradients come back in the [B, numel] row layout of PerExampleGrads,
-// which the DP policies clip and noise in place without materializing
-// B TensorLists.
+// Gradients come back in PerExampleGrads. A Linear layer hands over
+// the factors it already holds, activations A [B, in] and deltas
+// Delta [B, out] (its bias shares Delta), and never writes its
+// [B, in * out] rows; a Conv layer writes its [B, numel] rows. The DP
+// policies clip, noise and average either form in one pass
+// (dp/fused_sanitize.h).
 //
 // This engine is the only per-example path of local training. It
 // covers every layer class in nn/layers.h (Linear, Conv2d, AvgPool2d,
@@ -38,8 +41,10 @@ namespace fedcl::nn {
 using tensor::Tensor;
 
 // Batched engine: one forward + one backward over the whole batch.
-// x: [B, ...], labels: size B. Returns one [B, numel(p)] row matrix
-// per model parameter, in Sequential::parameters() order. out_loss,
+// x: [B, ...], labels: size B. Returns every model parameter's
+// per-example gradients, in Sequential::parameters() order: factors
+// for Linear layers, rows for Conv layers. The factors share storage
+// with x and the engine's intermediates. out_loss,
 // when non-null, receives the mean cross-entropy loss. Throws
 // fedcl::Error on a layer outside nn/layers.h.
 tensor::list::PerExampleGrads compute_per_example_gradients(
@@ -47,8 +52,9 @@ tensor::list::PerExampleGrads compute_per_example_gradients(
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 
 // Reference implementation: B single-example autograd graphs — the
-// exact computation the engine replaces. Only the parity tests and
-// bench_perf_hotpath's baseline legs call it.
+// exact computation the engine replaces — in row form for every
+// parameter. Only the parity tests and bench_perf_hotpath's baseline
+// legs call it.
 tensor::list::PerExampleGrads compute_per_example_gradients_sliced(
     Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -25,12 +26,39 @@ namespace {
 constexpr std::int64_t kBlockCacheMinFloats = 1 << 14;  // 64 KiB
 constexpr std::size_t kBlockCacheMaxBytes = std::size_t{64} << 20;
 
+// Every block starts on a 64-byte (cache-line, AVX-512 vector)
+// boundary, so where a buffer lands cannot change how the kernels that
+// stream it run. A block is a plain new[] with room to slide its start
+// to the boundary (new[] already aligns to 16): glibc's aligned
+// operator new bypasses its per-thread cache, which fragmented the heap
+// of runs that make many small tensors.
+constexpr std::size_t kStorageAlign = 64;
+constexpr std::size_t kSlackBytes =
+    kStorageAlign - __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+struct Block {
+  float* base = nullptr;  // what new[] returned; delete[] takes this
+  float* data = nullptr;  // the aligned start
+};
+
+Block new_block(std::int64_t n) {
+  Block b;
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+  b.base = new float[(bytes + kSlackBytes) / sizeof(float)];
+  void* p = b.base;
+  std::size_t space = bytes + kSlackBytes;
+  b.data = static_cast<float*>(std::align(kStorageAlign, bytes, p, space));
+  FEDCL_CHECK(b.data != nullptr);
+  std::memset(b.data, 0, bytes);
+  return b;
+}
+
 struct BlockCache {
-  std::unordered_map<std::int64_t, std::vector<float*>> free_by_size;
+  std::unordered_map<std::int64_t, std::vector<Block>> free_by_size;
   std::size_t bytes = 0;
   ~BlockCache() {
     for (auto& [size, blocks] : free_by_size)
-      for (float* p : blocks) delete[] p;
+      for (const Block& b : blocks) delete[] b.base;
   }
 };
 
@@ -43,32 +71,33 @@ std::shared_ptr<float[]> alloc_storage(std::int64_t n) {
   FEDCL_CHECK_GE(n, 0);
   if (n >= kBlockCacheMinFloats) {
     const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+    BlockCache& cache = block_cache();
+    Block b;
+    auto it = cache.free_by_size.find(n);
+    if (it != cache.free_by_size.end() && !it->second.empty()) {
+      b = it->second.back();
+      it->second.pop_back();
+      cache.bytes -= bytes;
+      std::memset(b.data, 0, bytes);
+    } else {
+      b = new_block(n);
+    }
     // The deleter may run on a different thread than the allocation;
     // each thread returns blocks to its own cache, which keeps both
     // sides lock-free.
-    auto recycle = [n, bytes](float* p) {
+    return std::shared_ptr<float[]>(b.data, [n, bytes, b](float*) {
       BlockCache& cache = block_cache();
       if (cache.bytes + bytes <= kBlockCacheMaxBytes) {
-        cache.free_by_size[n].push_back(p);
+        cache.free_by_size[n].push_back(b);
         cache.bytes += bytes;
       } else {
-        delete[] p;
+        delete[] b.base;
       }
-    };
-    BlockCache& cache = block_cache();
-    auto it = cache.free_by_size.find(n);
-    if (it != cache.free_by_size.end() && !it->second.empty()) {
-      float* p = it->second.back();
-      it->second.pop_back();
-      cache.bytes -= bytes;
-      std::memset(p, 0, bytes);
-      return std::shared_ptr<float[]>(p, recycle);
-    }
-    return std::shared_ptr<float[]>(new float[static_cast<std::size_t>(n)](),
-                                    recycle);
+    });
   }
-  // Value-initialized => zero-filled.
-  return std::shared_ptr<float[]>(new float[static_cast<std::size_t>(n)]());
+  const Block b = new_block(n);
+  return std::shared_ptr<float[]>(b.data,
+                                  [base = b.base](float*) { delete[] base; });
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {

@@ -97,12 +97,28 @@ std::vector<Shape> shapes_of(const TensorList& a) {
 TensorList PerExampleGrads::example(std::int64_t j) const {
   FEDCL_CHECK(j >= 0 && j < batch) << "example " << j << " batch " << batch;
   TensorList out;
-  out.reserve(rows.size());
-  for (std::size_t p = 0; p < rows.size(); ++p) {
+  out.reserve(params.size());
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    const PerExampleParam& param = params[p];
     Tensor t(shapes[p]);
     const std::int64_t width = t.numel();
-    std::memcpy(t.data(), rows[p].data() + j * width,
-                sizeof(float) * static_cast<std::size_t>(width));
+    float* dst = t.data();
+    if (!param.factored()) {
+      std::memcpy(dst, param.rows.data() + j * width,
+                  sizeof(float) * static_cast<std::size_t>(width));
+    } else if (!param.a.defined()) {
+      std::memcpy(dst, param.delta.data() + j * width,
+                  sizeof(float) * static_cast<std::size_t>(width));
+    } else {
+      const std::int64_t in = param.a.numel() / batch;
+      const std::int64_t cols = param.delta.numel() / batch;
+      FEDCL_CHECK_EQ(in * cols, width);
+      const float* a = param.a.data() + j * in;
+      const float* d = param.delta.data() + j * cols;
+      for (std::int64_t r = 0; r < in; ++r) {
+        for (std::int64_t c = 0; c < cols; ++c) dst[r * cols + c] = a[r] * d[c];
+      }
+    }
     out.push_back(std::move(t));
   }
   return out;
@@ -110,33 +126,14 @@ TensorList PerExampleGrads::example(std::int64_t j) const {
 
 void PerExampleGrads::set_example(std::int64_t j, const TensorList& grads) {
   FEDCL_CHECK(j >= 0 && j < batch) << "example " << j << " batch " << batch;
-  FEDCL_CHECK_EQ(grads.size(), rows.size());
-  for (std::size_t p = 0; p < rows.size(); ++p) {
+  FEDCL_CHECK_EQ(grads.size(), params.size());
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    FEDCL_CHECK(!params[p].factored()) << "param " << p << " is factored";
     const std::int64_t width = grads[p].numel();
-    FEDCL_CHECK_EQ(width, rows[p].numel() / batch);
-    std::memcpy(rows[p].data() + j * width, grads[p].data(),
+    FEDCL_CHECK_EQ(width, params[p].rows.numel() / batch);
+    std::memcpy(params[p].rows.data() + j * width, grads[p].data(),
                 sizeof(float) * static_cast<std::size_t>(width));
   }
-}
-
-TensorList PerExampleGrads::mean() const {
-  FEDCL_CHECK_GT(batch, 0);
-  TensorList out;
-  out.reserve(rows.size());
-  const float inv = 1.0f / static_cast<float>(batch);
-  for (std::size_t p = 0; p < rows.size(); ++p) {
-    Tensor t(shapes[p]);
-    const std::int64_t width = t.numel();
-    const float* src = rows[p].data();
-    float* dst = t.data();
-    for (std::int64_t j = 0; j < batch; ++j) {
-      const float* row = src + j * width;
-      for (std::int64_t i = 0; i < width; ++i) dst[i] += row[i];
-    }
-    for (std::int64_t i = 0; i < width; ++i) dst[i] *= inv;
-    out.push_back(std::move(t));
-  }
-  return out;
 }
 
 PerExampleGrads make_per_example(std::int64_t batch,
@@ -145,9 +142,9 @@ PerExampleGrads make_per_example(std::int64_t batch,
   PerExampleGrads out;
   out.batch = batch;
   out.shapes = std::move(shapes);
-  out.rows.reserve(out.shapes.size());
-  for (const Shape& s : out.shapes) {
-    out.rows.emplace_back(Shape{batch, shape_numel(s)});
+  out.params.resize(out.shapes.size());
+  for (std::size_t p = 0; p < out.shapes.size(); ++p) {
+    out.params[p].rows = Tensor({batch, shape_numel(out.shapes[p])});
   }
   return out;
 }

@@ -35,27 +35,44 @@ std::vector<Shape> shapes_of(const TensorList& a);
 bool allclose(const TensorList& a, const TensorList& b, float atol = 1e-5f,
               float rtol = 1e-4f);
 
-// Batched per-example gradients: for each model parameter p, rows[p]
-// is a [B, numel(p)] matrix whose row j is example j's gradient of
-// that parameter, flattened. This is the layout the batched Fed-CDP
-// path works in — per-example clipping and noising operate on rows in
-// place, so no per-example TensorList is ever materialized.
-struct PerExampleGrads {
-  std::int64_t batch = 0;
-  // Original parameter shapes (row r of rows[p] reshapes to shapes[p]).
-  std::vector<Shape> shapes;
-  TensorList rows;
+// One parameter's per-example gradients, in one of two forms.
+//  - Rows: `rows` is a [B, numel] matrix whose row j is example j's
+//    gradient, flattened (Conv layers, and the sliced reference).
+//  - Factors (`rows` undefined): the gradient is never written out.
+//    For a Linear weight [in, out], example j's gradient is the outer
+//    product of row j of `a` [B, in] and row j of `delta` [B, out]:
+//    element r * out + c is a[j, r] * delta[j, c], one float multiply.
+//    For a Linear bias `a` is undefined and example j's gradient is
+//    row j of `delta` itself (the weight's delta, shared).
+struct PerExampleParam {
+  Tensor rows;
+  Tensor a;
+  Tensor delta;
 
-  bool empty() const { return rows.empty(); }
-  // Example j's gradient as a TensorList in the original shapes (copy).
-  TensorList example(std::int64_t j) const;
-  // Overwrites example j's rows from a TensorList in original shapes.
-  void set_example(std::int64_t j, const TensorList& grads);
-  // Mean over examples, in the original parameter shapes.
-  TensorList mean() const;
+  bool factored() const { return !rows.defined(); }
 };
 
-// Zero-initialized batched layout for the given parameter shapes.
+// Batched per-example gradients of one local iteration, one entry per
+// model parameter in Sequential::parameters() order. The DP sanitizer
+// (dp/fused_sanitize.h) reads either form and writes only the batch
+// mean, so a Linear layer's [B, in * out] rows never exist.
+struct PerExampleGrads {
+  std::int64_t batch = 0;
+  // Original parameter shapes (example j's gradient of params[p]
+  // reshapes to shapes[p]).
+  std::vector<Shape> shapes;
+  std::vector<PerExampleParam> params;
+
+  bool empty() const { return params.empty(); }
+  // Example j's gradient as a TensorList in the original shapes (copy;
+  // factors are multiplied out).
+  TensorList example(std::int64_t j) const;
+  // Overwrites example j's rows from a TensorList in original shapes;
+  // every parameter must be in row form.
+  void set_example(std::int64_t j, const TensorList& grads);
+};
+
+// Zero-initialized row-form batch for the given parameter shapes.
 PerExampleGrads make_per_example(std::int64_t batch,
                                  std::vector<Shape> shapes);
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/philox.h"
@@ -18,6 +20,7 @@
 #include "tensor/tensor.h"
 #include "tensor/tensor_list.h"
 #include "testing/kernel_check.h"
+#include "testing/sanitize.h"
 
 namespace fedcl {
 namespace {
@@ -26,14 +29,18 @@ namespace t = fedcl::tensor;
 using t::ConvSpec;
 using t::Tensor;
 using t::list::PerExampleGrads;
+using t::list::TensorList;
 using testing::expect_matmul_close;
 using testing::naive_col2im;
 using testing::naive_im2col;
 using testing::naive_matmul_nn;
 using testing::naive_matmul_nt;
 using testing::naive_matmul_tn;
+using testing::reference_group_norms;
 using testing::reference_normal;
 using testing::reference_radius;
+using testing::reference_row_mean;
+using testing::reference_sanitized_rows;
 using testing::rng_fill;
 
 // Shape sweep covering the kernel regimes: tiny (serial, below the
@@ -155,99 +162,153 @@ TEST(KernelCheck, ConvInputGradMatchesUnfused) {
   }
 }
 
-PerExampleGrads sample_grads(std::int64_t batch, std::uint64_t seed) {
+// A batch in both forms: a factored Linear layer (weight [in, out]
+// from a [B, in] and delta [B, out], the bias sharing delta) and a
+// row-form Conv layer (weight rows of width 25 * oc, bias rows of oc).
+// The default widths straddle the 128-element noise step; `wide`
+// makes every parameter span enough steps to split across threads.
+PerExampleGrads sample_grads(std::int64_t batch, std::uint64_t seed,
+                             bool wide = false) {
+  const std::int64_t in = wide ? 40 : 9, out = wide ? 200 : 70;
+  const std::int64_t oc = wide ? 80 : 6;
+  Rng rng(seed);
   PerExampleGrads grads;
   grads.batch = batch;
-  grads.shapes = {{7, 3}, {3}, {4, 5}, {5}};
-  Rng rng(seed);
-  for (const auto& shape : grads.shapes) {
-    std::int64_t numel = 1;
-    for (std::int64_t d : shape) numel *= d;
-    grads.rows.push_back(Tensor::randn({batch, numel}, rng));
-  }
+  grads.shapes = {{in, out}, {out}, {25, oc}, {oc}};
+  grads.params.resize(4);
+  const Tensor delta = Tensor::randn({batch, out}, rng);
+  grads.params[0].a = Tensor::randn({batch, in}, rng);
+  grads.params[0].delta = delta;
+  grads.params[1].delta = delta;
+  grads.params[2].rows = Tensor::randn({batch, 25 * oc}, rng);
+  grads.params[3].rows = Tensor::randn({batch, oc}, rng);
   return grads;
 }
 
-TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
-  // The fused scale+noise pass against a from-scratch reference:
-  // per-tensor float-rounded norms, clip scale, and per-element counter
-  // noise from the scalar reference, bit for bit.
-  const std::int64_t batch = 4;
-  PerExampleGrads grads = sample_grads(batch, 42);
-  PerExampleGrads original = sample_grads(batch, 42);
-  const dp::ParamGroups groups = {{0, 1}, {2, 3}};
-  const double bound = 1.5, stddev = 0.25;
+const dp::ParamGroups kSampleGroups = {{0, 1}, {2, 3}};
 
-  std::vector<std::uint64_t> keys = {11, 22, 33, 44};
-  const std::vector<double> norms = dp::batch_group_norms(grads, groups);
-  dp::batch_scale_noise(grads, groups, norms,
-                        std::vector<double>(batch, bound),
-                        std::vector<double>(batch, stddev), keys);
-
+// Per-example bounds halfway between the example's two group norms,
+// so one group clips and the other passes through.
+std::vector<double> straddling_bounds(const std::vector<double>& norms,
+                                      std::int64_t batch) {
+  std::vector<double> bounds;
   for (std::int64_t j = 0; j < batch; ++j) {
-    // Reference norms and scales for example j.
-    std::vector<float> scales(grads.rows.size(), 1.0f);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      double joint = 0.0;
-      for (std::size_t p : groups[g]) {
-        const std::int64_t width = original.rows[p].numel() / batch;
-        double s = 0.0;
-        for (std::int64_t i = 0; i < width; ++i) {
-          const double v = original.rows[p].at(j * width + i);
-          s += v * v;
-        }
-        const double tn = static_cast<double>(
-            static_cast<float>(std::sqrt(s)));
-        joint += tn * tn;
-      }
-      const double norm = std::sqrt(joint);
-      EXPECT_DOUBLE_EQ(norm, norms[static_cast<std::size_t>(j) * groups.size() + g]);
-      if (norm > bound) {
-        for (std::size_t p : groups[g])
-          scales[p] = static_cast<float>(bound / norm);
-      }
+    const auto at = static_cast<std::size_t>(j) * 2;
+    bounds.push_back(0.5 * (norms[at] + norms[at + 1]));
+  }
+  return bounds;
+}
+
+std::vector<std::uint64_t> sample_keys(std::int64_t batch) {
+  std::vector<std::uint64_t> keys;
+  for (std::int64_t j = 0; j < batch; ++j)
+    keys.push_back(0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(j + 3));
+  return keys;
+}
+
+TEST(KernelCheck, FactorNormsMatchMaterializedProduct) {
+  // A factored Linear tensor's clip norm is the norm of the exact outer
+  // product: against a double-precision norm of the materialized
+  // product it agrees to 1e-12 relative, and it is bitwise the scalar
+  // factor reference (which also pins the row-form Conv norms).
+  for (std::int64_t batch : {1, 3, 8}) {
+    const PerExampleGrads grads = sample_grads(batch, 40 + batch);
+    const std::vector<double> norms =
+        dp::batch_group_norms(grads, kSampleGroups);
+    const std::vector<double> reference =
+        reference_group_norms(grads, kSampleGroups);
+    ASSERT_EQ(norms.size(), reference.size());
+    for (std::size_t i = 0; i < norms.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&norms[i], &reference[i], sizeof(double)), 0)
+          << "batch " << batch << " norm " << i;
     }
-    const std::uint64_t key = keys[static_cast<std::size_t>(j)];
-    for (std::size_t p = 0; p < grads.rows.size(); ++p) {
-      const std::int64_t width = grads.rows[p].numel() / batch;
-      for (std::int64_t i = 0; i < width; ++i) {
-        const float expected =
-            original.rows[p].at(j * width + i) * scales[p] +
-            static_cast<float>(stddev) *
-                reference_normal(key, p, static_cast<std::uint64_t>(i));
-        ASSERT_EQ(grads.rows[p].at(j * width + i), expected)
-            << "example " << j << " param " << p << " element " << i;
+    const std::int64_t in = grads.shapes[0][0], out = grads.shapes[0][1];
+    for (std::int64_t j = 0; j < batch; ++j) {
+      double sq = 0.0;
+      for (std::int64_t r = 0; r < in; ++r) {
+        for (std::int64_t c = 0; c < out; ++c) {
+          const double v =
+              static_cast<double>(grads.params[0].a.at(j * in + r)) *
+              static_cast<double>(grads.params[0].delta.at(j * out + c));
+          sq += v * v;
+        }
       }
+      for (std::int64_t c = 0; c < out; ++c) {
+        const double v = grads.params[1].delta.at(j * out + c);
+        sq += v * v;
+      }
+      const double materialized = std::sqrt(sq);
+      const double factor = norms[static_cast<std::size_t>(j) * 2];
+      EXPECT_LE(std::abs(factor - materialized), 1e-12 * materialized)
+          << "batch " << batch << " example " << j;
     }
   }
 }
 
-TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
-  // B rows in one call and B calls on one-row batches must run the
-  // identical kernel: bitwise equality, not closeness.
-  const std::int64_t batch = 3;
-  PerExampleGrads batched = sample_grads(batch, 7);
-  const PerExampleGrads source = sample_grads(batch, 7);
-  const dp::ParamGroups groups = {{0, 1}, {2, 3}};
-  const double bound = 1.2, stddev = 0.5;
-  std::vector<std::uint64_t> keys = {5, 6, 7};
-  const std::vector<double> norms = dp::batch_group_norms(batched, groups);
-  dp::batch_scale_noise(batched, groups, norms,
-                        std::vector<double>(batch, bound),
-                        std::vector<double>(batch, stddev), keys);
-  for (std::int64_t j = 0; j < batch; ++j) {
-    PerExampleGrads one = t::list::make_per_example(1, source.shapes);
-    one.set_example(0, source.example(j));
-    const std::vector<double> one_norms = dp::batch_group_norms(one, groups);
-    dp::batch_scale_noise(one, groups, one_norms, {bound}, {stddev},
-                          {keys[static_cast<std::size_t>(j)]});
-    for (std::size_t p = 0; p < one.rows.size(); ++p) {
-      const std::int64_t width = one.rows[p].numel();
-      for (std::int64_t i = 0; i < width; ++i) {
-        ASSERT_EQ(one.rows[p].at(i), batched.rows[p].at(j * width + i))
-            << "example " << j << " param " << p << " element " << i;
+TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
+  // The one-write mean against the row path it replaced, at equal norms
+  // and keys: every example multiplied out into rows, clipped and
+  // noised in place with the scalar reference normal, then averaged in
+  // example order. Bit for bit, over a factored weight, its shared-delta
+  // bias and row-form Conv params, B in {1, 3, 8}, pools of 1, 2 and 8
+  // threads, with and without noise. The last example's sanitized
+  // gradient comes back alongside, bitwise its reference rows.
+  for (std::int64_t batch : {1, 3, 8}) {
+    const PerExampleGrads grads = sample_grads(batch, 42, /*wide=*/true);
+    const std::vector<double> norms =
+        dp::batch_group_norms(grads, kSampleGroups);
+    const std::vector<double> bounds = straddling_bounds(norms, batch);
+    const std::vector<std::uint64_t> keys = sample_keys(batch);
+    for (const double stddev : {0.0, 0.6}) {
+      const std::vector<double> stddevs(static_cast<std::size_t>(batch),
+                                        stddev);
+      const std::vector<TensorList> rows = reference_sanitized_rows(
+          grads, kSampleGroups, norms, bounds, stddevs, keys);
+      const TensorList mean = reference_row_mean(rows);
+      for (std::size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + " stddev " +
+                     std::to_string(stddev) + " threads " +
+                     std::to_string(threads));
+        ThreadPool pool(threads);
+        const dp::SanitizedBatch out =
+            dp::batch_scale_noise(grads, kSampleGroups, norms, bounds,
+                                  stddevs, keys, &pool, batch - 1);
+        testing::expect_bitwise_equal(out.mean, mean, "mean");
+        testing::expect_bitwise_equal(out.observed, rows.back(), "observed");
       }
     }
+  }
+  // Unit scale and no noise is the raw batch mean.
+  const PerExampleGrads grads = sample_grads(3, 43);
+  const std::vector<double> no_clip(3, 1e30), no_noise(3, 0.0);
+  testing::expect_bitwise_equal(
+      dp::batch_mean(grads),
+      reference_row_mean(reference_sanitized_rows(
+          grads, kSampleGroups, dp::batch_group_norms(grads, kSampleGroups),
+          no_clip, no_noise, sample_keys(3))),
+      "raw mean");
+}
+
+TEST(KernelCheck, FusedSingleExampleMatchesBatchRow) {
+  // The probe's view: example j's sanitized gradient out of a B-example
+  // pass is bitwise a one-example sanitize of example j under its key
+  // (the type-2 observer sees exactly what that example contributes).
+  const std::int64_t batch = 3;
+  const PerExampleGrads grads = sample_grads(batch, 7);
+  const std::vector<double> norms = dp::batch_group_norms(grads, kSampleGroups);
+  const std::vector<double> bounds = straddling_bounds(norms, batch);
+  const std::vector<double> stddevs(batch, 0.5);
+  const std::vector<std::uint64_t> keys = sample_keys(batch);
+  for (std::int64_t j = 0; j < batch; ++j) {
+    const auto ju = static_cast<std::size_t>(j);
+    const dp::SanitizedBatch all = dp::batch_scale_noise(
+        grads, kSampleGroups, norms, bounds, stddevs, keys, nullptr, j);
+    const PerExampleGrads one = testing::slice_example(grads, j);
+    const dp::SanitizedBatch alone = dp::batch_scale_noise(
+        one, kSampleGroups, dp::batch_group_norms(one, kSampleGroups),
+        {bounds[ju]}, {stddevs[ju]}, {keys[ju]}, nullptr, 0);
+    testing::expect_bitwise_equal(all.observed, alone.observed, "observed");
+    testing::expect_bitwise_equal(all.observed, alone.mean, "one-example mean");
   }
 }
 
@@ -255,8 +316,9 @@ using NoiseRowFn = void (*)(float*, std::int64_t, float, float, std::uint64_t,
                             std::uint64_t);
 
 // A noise-row kernel against the scalar reference at every row width
-// from 0 to 130, i.e. every tail of the 64-element chunk and a few
-// whole chunks; elements past the row must stay untouched.
+// from 0 to 260, i.e. every tail of the 64-element chunk in one- and
+// two-chunk steps, and a few whole steps; elements past the row must
+// stay untouched.
 void expect_noise_row_matches_reference(NoiseRowFn row_fn, const char* what) {
   const float scale = 0.75f, stddev = 1.25f;
   struct Keying {
@@ -266,7 +328,7 @@ void expect_noise_row_matches_reference(NoiseRowFn row_fn, const char* what) {
                             {7, 0x100000003ull}};
   const std::int64_t kGuard = 8;
   for (const Keying& k : keyings) {
-    for (std::int64_t width = 0; width <= 130; ++width) {
+    for (std::int64_t width = 0; width <= 260; ++width) {
       const Tensor init = rng_fill({width + kGuard}, 3000 + width);
       std::vector<float> row(init.data(), init.data() + width + kGuard);
       row_fn(row.data(), width, scale, stddev, k.key, k.stream);
@@ -316,27 +378,22 @@ TEST(PhiloxNoise, KnownAnswerVectors) {
 
 TEST(PhiloxNoise, BitwiseIdenticalAcrossThreadCounts) {
   const std::int64_t batch = 16;
-  const dp::ParamGroups groups = {{0, 1}, {2, 3}};
-  std::vector<std::uint64_t> keys(static_cast<std::size_t>(batch));
-  for (std::size_t j = 0; j < keys.size(); ++j) keys[j] = 1000 + j;
+  const PerExampleGrads grads = sample_grads(batch, 1234, /*wide=*/true);
+  const std::vector<std::uint64_t> keys = sample_keys(batch);
   auto run = [&](std::size_t n_threads) {
-    PerExampleGrads grads = sample_grads(batch, 1234);
     ThreadPool pool(n_threads);
     const std::vector<double> norms =
-        dp::batch_group_norms(grads, groups, &pool);
-    dp::batch_scale_noise(grads, groups, norms,
-                          std::vector<double>(batch, 1.0),
-                          std::vector<double>(batch, 0.75), keys, &pool);
-    return grads;
+        dp::batch_group_norms(grads, kSampleGroups, &pool);
+    return dp::batch_scale_noise(grads, kSampleGroups, norms,
+                                 std::vector<double>(batch, 1.0),
+                                 std::vector<double>(batch, 0.75), keys,
+                                 &pool, /*observe=*/5);
   };
-  const PerExampleGrads g1 = run(1);
-  const PerExampleGrads g2 = run(2);
-  const PerExampleGrads g8 = run(8);
-  for (std::size_t p = 0; p < g1.rows.size(); ++p) {
-    for (std::int64_t i = 0; i < g1.rows[p].numel(); ++i) {
-      ASSERT_EQ(g1.rows[p].at(i), g2.rows[p].at(i)) << "p " << p << " i " << i;
-      ASSERT_EQ(g1.rows[p].at(i), g8.rows[p].at(i)) << "p " << p << " i " << i;
-    }
+  const dp::SanitizedBatch g1 = run(1);
+  for (std::size_t threads : {2, 8}) {
+    const dp::SanitizedBatch g = run(threads);
+    testing::expect_bitwise_equal(g.mean, g1.mean, "mean");
+    testing::expect_bitwise_equal(g.observed, g1.observed, "observed");
   }
 }
 
@@ -447,28 +504,43 @@ TEST(PhiloxNoise, TailReachAndRadialAccuracy) {
 TEST(PhiloxNoise, EveryExampleRowCarriesItsOwnNoise) {
   // Fed-CDP noises each example's gradient (Algorithm 2 line 14), which
   // is what defeats type-2 leakage: on a zero gradient every example's
-  // row must have variance sigma^2 C^2, and rows must be independent.
-  // Summing B draws into one N(0, B sigma^2 C^2) draw on the batch
-  // would leave the rows unprotected and fails here.
+  // sanitized gradient must have variance sigma^2 C^2, and examples
+  // must be independent. Summing B draws into one N(0, B sigma^2 C^2)
+  // draw on the batch would leave the examples unprotected and fails
+  // here. Each example is read through the hook's per-example output,
+  // one B = 8 call per example from the same stream.
   const double clip = 3.0, sigma = 0.5;
   const double var = sigma * sigma * clip * clip;
   core::FedCdpPolicy policy(clip, sigma);
   const std::int64_t batch = 8;
-  PerExampleGrads grads =
-      t::list::make_per_example(batch, {{64, 32}, {32}});
-  Rng rng(99);
-  policy.sanitize_per_example_batch(grads, {{0, 1}}, /*round=*/0, rng);
-  const std::int64_t width = 64 * 32 + 32;
-  auto row = [&](std::int64_t j, std::int64_t i) {
-    return static_cast<double>(i < 64 * 32
-                                   ? grads.rows[0].at(j * 64 * 32 + i)
-                                   : grads.rows[1].at(j * 32 + i - 64 * 32));
-  };
+  PerExampleGrads grads;
+  grads.batch = batch;
+  grads.shapes = {{64, 32}, {32}};
+  grads.params.resize(2);
+  grads.params[0].a = Tensor({batch, 64});
+  grads.params[0].delta = Tensor({batch, 32});
+  grads.params[1].delta = grads.params[0].delta;
+  std::vector<std::vector<double>> examples;
   for (std::int64_t j = 0; j < batch; ++j) {
+    Rng rng(99);
+    const TensorList y = policy
+                             .sanitize_per_example_batch(
+                                 grads, {{0, 1}}, /*round=*/0, rng, j)
+                             .observed;
+    std::vector<double>& flat = examples.emplace_back();
+    for (const Tensor& t : y) {
+      for (std::int64_t i = 0; i < t.numel(); ++i) flat.push_back(t.at(i));
+    }
+  }
+  const std::size_t width = examples.front().size();
+  ASSERT_EQ(width, 64u * 32u + 32u);
+  for (std::int64_t j = 0; j < batch; ++j) {
+    const auto& row = examples[static_cast<std::size_t>(j)];
+    const auto& next = examples[static_cast<std::size_t>((j + 1) % batch)];
     double sum_sq = 0.0, cross = 0.0;
-    for (std::int64_t i = 0; i < width; ++i) {
-      sum_sq += row(j, i) * row(j, i);
-      cross += row(j, i) * row((j + 1) % batch, i);
+    for (std::size_t i = 0; i < width; ++i) {
+      sum_sq += row[i] * row[i];
+      cross += row[i] * next[i];
     }
     const double n = static_cast<double>(width);
     // Five standard errors: sqrt(2/n) relative for the variance,

@@ -6,6 +6,7 @@
 // mismatch against central differences of the loss itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -26,6 +27,16 @@ using nn::Sequential;
 using tensor::Tensor;
 using tensor::list::TensorList;
 
+// (1/B) sum_j example(j): the batch gradient from per-example
+// gradients in either form, multiplied out example by example.
+TensorList example_mean(const tensor::list::PerExampleGrads& grads) {
+  TensorList mean = tensor::list::zeros_like(grads.example(0));
+  for (std::int64_t j = 0; j < grads.batch; ++j)
+    tensor::list::add_(mean, grads.example(j));
+  tensor::list::scale_(mean, 1.0f / static_cast<float>(grads.batch));
+  return mean;
+}
+
 std::vector<std::int64_t> labels_for(std::int64_t batch,
                                      std::int64_t classes) {
   std::vector<std::int64_t> labels(static_cast<std::size_t>(batch));
@@ -42,11 +53,26 @@ void expect_model_gradcheck(Sequential& model, const Tensor& x,
                             float rtol = 6e-2f, int max_skip_percent = 5) {
   const TensorList analytic = nn::compute_gradients(model, x, labels);
   double engine_loss = 0.0;
-  const TensorList engine_mean =
-      nn::compute_per_example_gradients(model, x, labels, &engine_loss)
-          .mean();
+  const tensor::list::PerExampleGrads engine =
+      nn::compute_per_example_gradients(model, x, labels, &engine_loss);
+  const TensorList engine_mean = example_mean(engine);
   ASSERT_EQ(analytic.size(), engine_mean.size());
   ASSERT_EQ(analytic.size(), model.parameter_count());
+  // Example by example, the engine's factors (Linear) and rows (Conv)
+  // agree with the sliced reference's single-example graphs.
+  const tensor::list::PerExampleGrads sliced =
+      nn::compute_per_example_gradients_sliced(model, x, labels);
+  for (std::int64_t j = 0; j < engine.batch; ++j) {
+    const TensorList e = engine.example(j);
+    const TensorList r = sliced.example(j);
+    for (std::size_t p = 0; p < e.size(); ++p) {
+      for (std::int64_t i = 0; i < e[p].numel(); ++i) {
+        EXPECT_NEAR(e[p].at(i), r[p].at(i),
+                    1e-5 * std::max(1.0f, std::abs(r[p].at(i))))
+            << "example " << j << " param " << p << " element " << i;
+      }
+    }
+  }
 
   const TensorList saved = model.weights();
   auto loss_at = [&](const TensorList& w) {
@@ -178,9 +204,8 @@ TEST(ModelGradCheck, SlicedEngineAgreesToo) {
   const Tensor x = Tensor::randn({batch, 6}, rng);
   const std::vector<std::int64_t> labels = labels_for(batch, 3);
   const TensorList analytic = nn::compute_gradients(*model, x, labels);
-  const TensorList sliced_mean =
-      nn::compute_per_example_gradients_sliced(*model, x, labels, nullptr)
-          .mean();
+  const TensorList sliced_mean = example_mean(
+      nn::compute_per_example_gradients_sliced(*model, x, labels, nullptr));
   ASSERT_EQ(analytic.size(), sliced_mean.size());
   for (std::size_t p = 0; p < analytic.size(); ++p) {
     for (std::int64_t i = 0; i < analytic[p].numel(); ++i) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -25,6 +24,8 @@
 #include "nn/model_zoo.h"
 #include "nn/per_example.h"
 #include "tensor/tensor_list.h"
+#include "testing/kernel_check.h"
+#include "testing/sanitize.h"
 
 namespace fedcl {
 namespace {
@@ -44,16 +45,22 @@ std::vector<std::int64_t> random_labels(Rng& rng, std::int64_t n,
 }
 
 // Largest absolute difference between batched and sliced per-example
-// gradients over all examples and parameters.
+// gradients over all examples and parameters, example by example: the
+// engine's factors are multiplied out, the sliced reference's rows
+// copied.
 double max_abs_diff(const PerExampleGrads& a, const PerExampleGrads& b) {
-  EXPECT_EQ(a.rows.size(), b.rows.size());
+  EXPECT_EQ(a.params.size(), b.params.size());
   EXPECT_EQ(a.batch, b.batch);
   double worst = 0.0;
-  for (std::size_t p = 0; p < a.rows.size(); ++p) {
-    EXPECT_EQ(a.rows[p].numel(), b.rows[p].numel());
-    for (std::int64_t i = 0; i < a.rows[p].numel(); ++i) {
-      worst = std::max(worst, std::abs(static_cast<double>(
-                                  a.rows[p].at(i) - b.rows[p].at(i))));
+  for (std::int64_t j = 0; j < a.batch; ++j) {
+    const TensorList ea = a.example(j);
+    const TensorList eb = b.example(j);
+    for (std::size_t p = 0; p < ea.size(); ++p) {
+      EXPECT_EQ(ea[p].numel(), eb[p].numel());
+      for (std::int64_t i = 0; i < ea[p].numel(); ++i) {
+        worst = std::max(worst, std::abs(static_cast<double>(
+                                    ea[p].at(i) - eb[p].at(i))));
+      }
     }
   }
   return worst;
@@ -71,7 +78,7 @@ void expect_parity(Sequential& model, const Tensor& x,
   EXPECT_NEAR(loss_batched, loss_sliced, 1e-5);
 
   // The mean of the raw per-example gradients is the batch gradient.
-  TensorList mean = batched.mean();
+  TensorList mean = dp::batch_mean(batched);
   TensorList reference = nn::compute_gradients(model, x, labels);
   ASSERT_EQ(mean.size(), reference.size());
   for (std::size_t p = 0; p < mean.size(); ++p) {
@@ -167,7 +174,13 @@ TEST(PerExampleEngine, DropoutTrainingMasksWholeBatchConsistently) {
   PerExampleGrads grads = nn::compute_per_example_gradients(
       model, x, random_labels(rng, 4, 2));
   EXPECT_EQ(grads.batch, 4);
-  EXPECT_EQ(grads.rows.size(), 4u);  // two Linear layers, W+b each
+  ASSERT_EQ(grads.params.size(), 4u);  // two Linear layers, W+b each
+  // Linear layers hand over factors; the bias shares the weight's delta.
+  for (std::size_t p = 0; p < 4; p += 2) {
+    EXPECT_TRUE(grads.params[p].factored());
+    EXPECT_TRUE(grads.params[p].a.defined());
+    EXPECT_EQ(grads.params[p + 1].delta.data(), grads.params[p].delta.data());
+  }
 }
 
 TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
@@ -181,7 +194,7 @@ TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
   EXPECT_FLOAT_EQ(back[0].at(3), 4.0f);
   EXPECT_FLOAT_EQ(back[1].at(1), 6.0f);
   // Examples 0 and 2 stay zero; the mean is one third of example 1.
-  TensorList mean = grads.mean();
+  TensorList mean = dp::batch_mean(grads);
   EXPECT_NEAR(mean[0].at(0), 1.0f / 3.0f, 1e-6);
 }
 
@@ -216,31 +229,13 @@ TEST(PerExampleEngine, UnsupportedLayerThrows) {
       Error);
 }
 
-PerExampleGrads clone_rows(const PerExampleGrads& grads) {
-  PerExampleGrads out;
-  out.batch = grads.batch;
-  out.shapes = grads.shapes;
-  for (const Tensor& r : grads.rows) out.rows.push_back(r.clone());
-  return out;
-}
-
-void expect_bitwise_equal(const PerExampleGrads& a, const PerExampleGrads& b) {
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t p = 0; p < a.rows.size(); ++p) {
-    ASSERT_EQ(a.rows[p].numel(), b.rows[p].numel());
-    EXPECT_EQ(std::memcmp(a.rows[p].data(), b.rows[p].data(),
-                          sizeof(float) *
-                              static_cast<std::size_t>(a.rows[p].numel())),
-              0)
-        << "param " << p;
-  }
-}
-
 TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
-  // One hook call on B = 8 rows must write the same bits as eight calls
-  // on one-row batches from the same stream: every example draws its
-  // one noise key in example order, and the median policy folds example
-  // j's norms into its estimator before it clips example j + 1.
+  // One hook call on B = 8 examples must add up the same bits as eight
+  // calls on one-example slices of the same factors from the same
+  // stream, averaged in example order: every example draws its one
+  // noise key in example order, both sides take clip norms from the
+  // same factors, and the median policy folds example j's norms into
+  // its estimator before it clips example j + 1.
   Rng rng(42);
   auto model = nn::build_model(mlp_spec(), rng);
   Tensor x = Tensor::randn({8, 20}, rng);
@@ -253,8 +248,7 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
   // The fixed bounds (2, and decay 4 -> 2 over 7 rounds, i.e. 3 at
   // round 3) lie inside the spread of the group norms, so each case
   // both clips and passes groups through.
-  PerExampleGrads probe = clone_rows(raw);
-  const std::vector<double> norms = dp::batch_group_norms(probe, groups);
+  const std::vector<double> norms = dp::batch_group_norms(raw, groups);
   const auto [lo, hi] = std::minmax_element(norms.begin(), norms.end());
   for (const double bound : {2.0, 3.0}) {
     ASSERT_LT(*lo, bound);
@@ -279,24 +273,33 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
     const std::unique_ptr<core::PrivacyPolicy> batch_policy = make_policy();
     const std::unique_ptr<core::PrivacyPolicy> loop_policy = make_policy();
 
-    PerExampleGrads batched = clone_rows(raw);
     Rng noise_a(2024);
-    batch_policy->sanitize_per_example_batch(batched, groups, round, noise_a);
+    const dp::SanitizedBatch batched = batch_policy->sanitize_per_example_batch(
+        raw, groups, round, noise_a, /*observe=*/0);
 
     const auto* adaptive =
         dynamic_cast<const core::FedCdpAdaptivePolicy*>(loop_policy.get());
     std::set<double> bounds_used;
-    PerExampleGrads looped = clone_rows(raw);
+    TensorList looped;
+    TensorList first;
     Rng noise_b(2024);
-    for (std::int64_t j = 0; j < looped.batch; ++j) {
+    for (std::int64_t j = 0; j < raw.batch; ++j) {
       if (adaptive != nullptr) bounds_used.insert(adaptive->current_bound());
-      PerExampleGrads one = tensor::list::make_per_example(1, raw.shapes);
-      one.set_example(0, looped.example(j));
-      loop_policy->sanitize_per_example_batch(one, groups, round, noise_b);
-      looped.set_example(j, one.example(0));
+      TensorList y = loop_policy
+                         ->sanitize_per_example_batch(
+                             testing::slice_example(raw, j), groups, round,
+                             noise_b, /*observe=*/0)
+                         .observed;
+      if (j == 0) {
+        first = tensor::list::clone(y);
+        looped = tensor::list::zeros_like(y);
+      }
+      tensor::list::add_(looped, y);
     }
+    tensor::list::scale_(looped, 1.0f / static_cast<float>(raw.batch));
 
-    expect_bitwise_equal(batched, looped);
+    testing::expect_bitwise_equal(batched.mean, looped, "mean");
+    testing::expect_bitwise_equal(batched.observed, first, "example 0");
     EXPECT_EQ(noise_a.next_u64(), noise_b.next_u64());
     if (adaptive != nullptr) {
       EXPECT_GE(bounds_used.size(), 3u);
@@ -305,6 +308,46 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
                 adaptive->current_bound());
     }
   }
+}
+
+TEST(PerExamplePolicy, ProbeObservesOneExampleSanitize) {
+  // The type-2 probe of a Fed-CDP round reads example 0's sanitized
+  // gradient: bitwise a one-example sanitize of that example under its
+  // key, replayed from the round's stream (batch sample, then one key
+  // per example, example 0's first).
+  Rng rng(61);
+  auto model = nn::build_model(mlp_spec(), rng);
+  auto dataset = std::make_shared<const data::Dataset>(
+      Tensor::randn({12, 20}, rng), random_labels(rng, 12, 5), 5);
+  std::vector<std::int64_t> indices(12);
+  for (std::int64_t i = 0; i < 12; ++i)
+    indices[static_cast<std::size_t>(i)] = i;
+  const fl::Client client(0, data::ClientData(dataset, indices),
+                          {.local_iterations = 2, .batch_size = 4});
+  const core::FedCdpPolicy policy(/*clipping_bound=*/2.0, /*noise_scale=*/0.7);
+  const TensorList global = model->weights();
+  const core::ParamGroups groups = fl::to_param_groups(model->layer_groups());
+
+  Rng round_rng(62);
+  Rng replay = round_rng;
+  fl::LeakageProbe probe;
+  client.run_round(*model, global, policy, /*round=*/0, round_rng, &probe);
+  ASSERT_TRUE(probe.captured);
+
+  model->set_weights(global);
+  const data::Batch batch = client.data().sample_batch(replay, 4);
+  const PerExampleGrads grads =
+      nn::compute_per_example_gradients(*model, batch.x, batch.labels);
+  const TensorList alone =
+      policy
+          .sanitize_per_example_batch(testing::slice_example(grads, 0), groups,
+                                      /*round=*/0, replay, /*observe=*/0)
+          .observed;
+  testing::expect_bitwise_equal(probe.type2_observed, alone, "type-2 view");
+  // The raw batch gradient the probe also records is the unsanitized
+  // mean.
+  testing::expect_bitwise_equal(probe.first_batch_gradient,
+                                dp::batch_mean(grads), "raw batch gradient");
 }
 
 fl::FlExperimentConfig small_fl_config(std::uint64_t seed) {

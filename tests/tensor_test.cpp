@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -60,6 +61,31 @@ TEST(Tensor, CloneIsDeep) {
   Tensor c = t.clone();
   c.at(0) = 9.0f;
   EXPECT_EQ(t.at(0), 1.0f);
+}
+
+bool aligned64(const Tensor& t) {
+  return reinterpret_cast<std::uintptr_t>(t.data()) % 64 == 0;
+}
+
+TEST(Tensor, StorageIs64ByteAligned) {
+  // Small blocks come from the allocator, blocks of 16384 floats and up
+  // from the per-thread cache; both start on a 64-byte boundary.
+  for (std::int64_t n = 1; n <= 4096; ++n) {
+    ASSERT_TRUE(aligned64(Tensor({n}))) << "numel " << n;
+  }
+  const std::int64_t big = std::int64_t{1} << 14;
+  const float* first = nullptr;
+  {
+    Tensor t({big});
+    ASSERT_TRUE(aligned64(t));
+    first = t.data();
+    t.fill_(3.0f);
+  }
+  // The released block comes back from the cache, aligned and zeroed.
+  const Tensor again({big});
+  EXPECT_EQ(again.data(), first);
+  EXPECT_TRUE(aligned64(again));
+  for (std::int64_t i = 0; i < big; ++i) ASSERT_EQ(again.at(i), 0.0f);
 }
 
 TEST(Tensor, InPlaceOps) {

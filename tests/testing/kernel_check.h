@@ -19,12 +19,15 @@
 #include "common/rng.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_list.h"
 
 namespace fedcl::testing {
 
 using tensor::ConvSpec;
 using tensor::Shape;
 using tensor::Tensor;
+using tensor::list::PerExampleGrads;
+using tensor::list::TensorList;
 
 // Seeded standard-normal fill; one fresh Rng per op keeps checks
 // independent of evaluation order in a sweep.
@@ -247,6 +250,120 @@ inline float reference_normal(std::uint64_t key, std::uint64_t stream,
   reference_sincos(wt, &c, &s);
   const float r = reference_radius(wr);
   return (i & 1) ? r * s : r * c;
+}
+
+// Scalar reference of the clip norms (dp::batch_group_norms), straight
+// loops in the kernel's order: a factored tensor's squared norm from
+// its factors in double, ||a_j||^2 ||delta_j||^2 for a weight and
+// ||delta_j||^2 for a bias; a row's sum of squares with the tensor norm
+// rounded through float; per group the squared norms summed, sqrt
+// last. Example-major, like the kernel's output.
+inline std::vector<double> reference_group_norms(
+    const PerExampleGrads& grads,
+    const std::vector<std::vector<std::size_t>>& groups) {
+  auto sum_sq = [&](const Tensor& t, std::int64_t j) {
+    const std::int64_t width = t.numel() / grads.batch;
+    double s = 0.0;
+    for (std::int64_t i = 0; i < width; ++i) {
+      const double v = t.at(j * width + i);
+      s += v * v;
+    }
+    return s;
+  };
+  std::vector<double> norms;
+  for (std::int64_t j = 0; j < grads.batch; ++j) {
+    for (const auto& group : groups) {
+      double joint = 0.0;
+      for (std::size_t p : group) {
+        const tensor::list::PerExampleParam& param = grads.params[p];
+        if (!param.factored()) {
+          const double tensor_norm = static_cast<double>(
+              static_cast<float>(std::sqrt(sum_sq(param.rows, j))));
+          joint += tensor_norm * tensor_norm;
+        } else if (!param.a.defined()) {
+          joint += sum_sq(param.delta, j);
+        } else {
+          joint += sum_sq(param.a, j) * sum_sq(param.delta, j);
+        }
+      }
+      norms.push_back(std::sqrt(joint));
+    }
+  }
+  return norms;
+}
+
+// The row path the one-write pass replaced, per example: example j's
+// gradient multiplied out into rows (example(j)), each group whose
+// norm exceeds bounds[j] scaled by float(bounds[j] / norm), then noised
+// in place, d = d * scale + stddev * z with the scalar reference
+// normal; stddev 0 only scales.
+inline std::vector<TensorList> reference_sanitized_rows(
+    const PerExampleGrads& grads,
+    const std::vector<std::vector<std::size_t>>& groups,
+    const std::vector<double>& norms, const std::vector<double>& bounds,
+    const std::vector<double>& stddevs,
+    const std::vector<std::uint64_t>& keys) {
+  std::vector<TensorList> rows;
+  for (std::int64_t j = 0; j < grads.batch; ++j) {
+    const auto ju = static_cast<std::size_t>(j);
+    TensorList ex = grads.example(j);
+    std::vector<float> scales(ex.size(), 1.0f);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const double norm = norms[ju * groups.size() + g];
+      if (norm > bounds[ju]) {
+        for (std::size_t p : groups[g])
+          scales[p] = static_cast<float>(bounds[ju] / norm);
+      }
+    }
+    for (std::size_t p = 0; p < ex.size(); ++p) {
+      for (std::int64_t i = 0; i < ex[p].numel(); ++i) {
+        float& d = ex[p].at(i);
+        if (stddevs[ju] == 0.0) {
+          if (scales[p] != 1.0f) d *= scales[p];
+        } else {
+          d = d * scales[p] +
+              static_cast<float>(stddevs[ju]) *
+                  reference_normal(keys[ju], p, static_cast<std::uint64_t>(i));
+        }
+      }
+    }
+    rows.push_back(std::move(ex));
+  }
+  return rows;
+}
+
+// Their batch mean, formed as the row path formed it: zero, then each
+// example added in order from 0, then multiplied by 1/B.
+inline TensorList reference_row_mean(const std::vector<TensorList>& rows) {
+  TensorList mean;
+  for (const Tensor& t : rows.front()) mean.emplace_back(t.shape());
+  for (const TensorList& ex : rows) {
+    for (std::size_t p = 0; p < mean.size(); ++p) {
+      for (std::int64_t i = 0; i < mean[p].numel(); ++i)
+        mean[p].at(i) += ex[p].at(i);
+    }
+  }
+  const float inv = 1.0f / static_cast<float>(rows.size());
+  for (Tensor& t : mean) {
+    for (std::int64_t i = 0; i < t.numel(); ++i) t.at(i) *= inv;
+  }
+  return mean;
+}
+
+// Bitwise equality of two TensorLists (memcmp per tensor).
+inline void expect_bitwise_equal(const TensorList& got,
+                                 const TensorList& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p].numel(), want[p].numel()) << what << " param " << p;
+    for (std::int64_t i = 0; i < got[p].numel(); ++i) {
+      ASSERT_EQ(std::memcmp(&got[p].data()[i], &want[p].data()[i],
+                            sizeof(float)),
+                0)
+          << what << " param " << p << " element " << i << ": "
+          << got[p].at(i) << " vs " << want[p].at(i);
+    }
+  }
 }
 
 }  // namespace fedcl::testing
