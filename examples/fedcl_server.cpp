@@ -144,7 +144,10 @@ int run_server(const FlagParser& flags) {
 
   Result<std::unique_ptr<net::ServingServer>> server =
       net::ServingServer::create(d, options);
-  FEDCL_CHECK(server.ok()) << server.error();
+  if (!server.ok()) {
+    std::fprintf(stderr, "fedcl_server: %s\n", server.error().c_str());
+    return 1;
+  }
 
   std::printf("fedcl_server: listening on 127.0.0.1:%d (%s, %s, K=%lld "
               "Kt=%lld T=%lld L=%lld, %d workers, %s engine)\n",

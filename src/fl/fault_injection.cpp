@@ -9,24 +9,6 @@
 
 namespace fedcl::fl {
 
-const char* fault_type_name(FaultType type) {
-  switch (type) {
-    case FaultType::kNone:
-      return "none";
-    case FaultType::kCrash:
-      return "crash";
-    case FaultType::kStraggler:
-      return "straggler";
-    case FaultType::kCorruptDelta:
-      return "corrupt-delta";
-    case FaultType::kBitFlip:
-      return "bit-flip";
-    case FaultType::kStaleRound:
-      return "stale-round";
-  }
-  return "unknown";
-}
-
 FaultPlan::FaultPlan(FaultInjectionConfig config, std::uint64_t seed)
     : config_(config), seed_(seed) {
   FEDCL_CHECK(config_.fault_rate >= 0.0 && config_.fault_rate <= 1.0)

@@ -34,8 +34,6 @@ enum class FaultType {
 };
 inline constexpr std::size_t kFaultTypeCount = 6;
 
-const char* fault_type_name(FaultType type);
-
 struct FaultInjectionConfig {
   // Per (round, client) probability that some fault fires.
   double fault_rate = 0.0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -10,6 +12,7 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/compression.h"
+#include "fl/tree_aggregation.h"
 #include "nn/grad_utils.h"
 #include "nn/model_zoo.h"
 
@@ -31,6 +34,17 @@ LocalTrainConfig local_of(const data::BenchmarkConfig& bench,
           .learning_rate = bench.learning_rate,
           .lr_decay_per_round = bench.lr_decay_per_round};
 }
+
+// What one unit of the sync fold produced: a single client (buffered
+// fold) or an edge block of tree_fan_out consecutive cohort members
+// (streamed fold), run start to finish on one scratch model.
+struct FoldUnit {
+  RoundTally tally;
+  std::vector<ClientUpdate> updates;  // buffered: delivered, unscreened
+  std::vector<double> weights;
+  ReduceNode partial;  // streamed: the block's screened, sanitized sum
+  int max_levels = 0;
+};
 
 }  // namespace
 
@@ -114,19 +128,41 @@ void ClientRunner::run(
   });
 }
 
-ClientDelivery deliver_client(const DeliveryContext& ctx, Dispatch d,
-                              nn::Sequential& scratch) {
-  const auto id = static_cast<std::int64_t>(d.ci);
+ClientRoundOutcome train_client(const DeliveryContext& ctx, std::int64_t id,
+                                nn::Sequential& scratch) {
   Rng crng = VirtualClientProvider::training_stream(ctx.round_rng, ctx.round,
                                                     id);
   ClientRoundOutcome outcome = ctx.provider.client(id).run_round(
       scratch, ctx.weights, ctx.policy, ctx.round, crng);
-  ClientDelivery out;
-  out.grad_norm = outcome.first_iteration_grad_norm;
-  out.train_ms = outcome.local_train_ms;
   if (ctx.prune_ratio > 0.0) {
     prune_smallest(outcome.update.delta, ctx.prune_ratio);
   }
+  return outcome;
+}
+
+std::vector<std::uint8_t> seal_update(std::uint64_t seed, std::int64_t id,
+                                      const ClientUpdate& update) {
+  return SecureChannel(client_channel_key(seed, id))
+      .seal(serialize_update(update));
+}
+
+Result<ClientUpdate> open_update(std::uint64_t seed, std::int64_t id,
+                                 std::vector<std::uint8_t> sealed,
+                                 ClientUpdate buffers) {
+  Result<std::vector<std::uint8_t>> opened =
+      SecureChannel(client_channel_key(seed, id)).open(std::move(sealed));
+  if (!opened.ok()) return Result<ClientUpdate>::failure(opened.error());
+  return deserialize_update(ByteSpan(opened.value()), std::move(buffers));
+}
+
+ClientDelivery deliver_client(const DeliveryContext& ctx, Dispatch d,
+                              nn::Sequential& scratch) {
+  const auto id = static_cast<std::int64_t>(d.ci);
+  ClientRoundOutcome outcome = train_client(ctx, id, scratch);
+  ClientDelivery out;
+  out.trained = true;
+  out.grad_norm = outcome.first_iteration_grad_norm;
+  out.train_ms = outcome.local_train_ms;
 
   // The client resends a corrupt payload or damaged wire bytes while the
   // attempt budget lasts, drawing a fresh fault instance per attempt. A
@@ -157,18 +193,13 @@ ClientDelivery deliver_client(const DeliveryContext& ctx, Dispatch d,
   }
   // Transport over the hostile channel; a decode failure drops this
   // client's update only.
-  SecureChannel channel(client_channel_key(ctx.seed, id));
-  std::vector<std::uint8_t> wire =
-      channel.seal(serialize_update(outcome.update));
+  std::vector<std::uint8_t> wire = seal_update(ctx.seed, id, outcome.update);
   if (d.fault == FaultType::kBitFlip) flip_random_bits(wire, frng);
-  Result<std::vector<std::uint8_t>> opened = channel.open(std::move(wire));
+  Result<ClientUpdate> opened =
+      open_update(ctx.seed, id, std::move(wire), std::move(outcome.update));
   if (opened.ok()) {
-    Result<ClientUpdate> decoded = deserialize_update(
-        ByteSpan(opened.value()), std::move(outcome.update));
-    if (decoded.ok()) {
-      out.update = decoded.take();
-      return out;
-    }
+    out.update = opened.take();
+    return out;
   }
   ++out.stats.rejected_decode;
   if (d.fault != FaultType::kNone) ++out.stats.fault_screened;
@@ -177,6 +208,7 @@ ClientDelivery deliver_client(const DeliveryContext& ctx, Dispatch d,
 
 void RoundTally::add(const ClientDelivery& delivery) {
   stats.accumulate(delivery.stats);
+  if (!delivery.trained) return;
   norm_sum += delivery.grad_norm;
   ms_sum += delivery.train_ms;
   ++trained;
@@ -188,25 +220,6 @@ void RoundTally::merge(const RoundTally& other) {
   ms_sum += other.ms_sum;
   trained += other.trained;
   accepted += other.accepted;
-}
-
-AggregateOutcome aggregate_round(Server& server,
-                                 std::vector<ClientUpdate> updates,
-                                 const std::vector<double>* update_weights,
-                                 const core::PrivacyPolicy& policy,
-                                 const dp::ParamGroups& groups,
-                                 const Rng& round_rng, std::int64_t round,
-                                 RoundTally& tally) {
-  if (updates.empty()) return {};
-  telemetry::SpanTimer aggregate_span(telemetry::global_registry(),
-                                      "fl.phase", {{"phase", "aggregate"}},
-                                      round);
-  Rng agg_rng = round_rng.fork("aggregate", static_cast<std::uint64_t>(round));
-  AggregateOutcome outcome = server.aggregate(std::move(updates), policy,
-                                              groups, agg_rng, update_weights);
-  tally.stats.count_screening(outcome.screening);
-  tally.accepted = outcome.screening.accepted;
-  return outcome;
 }
 
 AggregateOutcome close_async_round(AsyncAggregator& agg,
@@ -248,6 +261,7 @@ std::pair<std::int64_t, std::int64_t> RoundLedger::clip_totals() const {
 }
 
 void RoundLedger::open_round() {
+  round_start_ms_ = registry_.now_ms();
   if (options_.clip_policy != nullptr) clip_before_ = clip_totals();
 }
 
@@ -346,6 +360,7 @@ void RoundLedger::close_round(std::int64_t t, const RoundTally& tally,
   }
   accepted_total_ += tally.accepted;
   result_.total_failures.accumulate(record.failures);
+  record.wall_ms = registry_.now_ms() - round_start_ms_;
   result_.history.push_back(std::move(record));
 }
 
@@ -370,6 +385,219 @@ FlRunResult RoundLedger::finish() {
   registry_.flush_sinks();
   result_.telemetry = registry_.snapshot();
   return std::move(result_);
+}
+
+FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
+  const FlExperimentConfig& config = run.config;
+  const bool streamed = config.streaming_aggregation;
+  const Rng& round_rng = run.fed.round_rng;
+  const FaultPlan& plan = run.fed.provider.fault_plan();
+  telemetry::Registry& registry = telemetry::global_registry();
+  const UpdateScreener screener(config.screening);
+  const std::vector<tensor::Shape> expected_shapes =
+      tensor::list::shapes_of(run.server.weights());
+  const std::size_t unit_size =
+      streamed ? static_cast<std::size_t>(config.tree_fan_out) : 1;
+  // A wave is the units alive at once: every buffered client (the fold
+  // holds their updates anyway), or a few streamed blocks per slot.
+  const std::size_t wave_width =
+      !streamed ? static_cast<std::size_t>(config.clients_per_round)
+                : (run.runner.parallel() ? run.runner.slots() * 4 : 1);
+  if (streamed) {
+    registry.gauge("fl.scale.virtual_clients")
+        .set(static_cast<double>(config.total_clients));
+  }
+  FlRunResult& result = run.ledger.result();
+
+  for (std::int64_t t = 0; t < config.effective_rounds(); ++t) {
+    // Same (seed, round) trace id in every process, so in-process and
+    // served runs produce comparable traces and worker spans join in.
+    telemetry::TraceScope trace(telemetry::round_trace_root(config.seed, t));
+    telemetry::SpanTimer round_span(registry, "fl.round", {}, t);
+    run.ledger.open_round();
+    const std::vector<std::size_t> chosen = run.sample(t);
+    Rng drop_rng = round_rng.fork("dropout", static_cast<std::uint64_t>(t));
+    const DeliveryContext ctx = run.delivery(t, run.server.weights());
+    RoundTally tally;
+    std::vector<ClientUpdate> updates;
+    std::vector<double> update_weights;
+    StreamingReducer root;
+    std::int64_t edge_blocks = 0;
+    int max_levels = 0;
+
+    // Plan (serial, cohort order): dropout draws on the round's shared
+    // stream and the crash-redraw chain. A crashed dispatch is re-issued
+    // while the attempt budget lasts (retry_policy.h); every redraw is a
+    // fresh injected instance with its own disposition.
+    auto plan_dispatches = [&](const std::vector<std::size_t>& cis) {
+      std::vector<Dispatch> dispatches(cis.size());
+      for (std::size_t i = 0; i < cis.size(); ++i) {
+        Dispatch& d = dispatches[i];
+        d.ci = cis[i];
+        if (run.drops_out(drop_rng, tally.stats)) continue;
+        const auto id = static_cast<std::int64_t>(d.ci);
+        d.fault = plan.fault_for(t, id);
+        tally.stats.count_injected(d.fault);
+        while (d.fault == FaultType::kCrash &&
+               d.attempt + 1 < config.retry.max_attempts) {
+          ++tally.stats.fault_retried;
+          ++tally.stats.retry_attempts;
+          ++d.attempt;
+          d.fault = plan.fault_for_attempt(t, id, d.attempt);
+          tally.stats.count_injected(d.fault);
+        }
+        // A crash out of budget never reports; a straggler misses the
+        // round deadline.
+        if (d.fault == FaultType::kCrash || d.fault == FaultType::kStraggler) {
+          ++tally.stats.fault_expired;
+        } else {
+          d.run = true;
+        }
+      }
+      return dispatches;
+    };
+
+    // One unit's clients, in cohort order, on one scratch model.
+    auto run_unit = [&](const std::vector<Dispatch>& dispatches,
+                        const ClientExecutor::Deliver& deliver,
+                        std::size_t begin, FoldUnit& unit,
+                        nn::Sequential& scratch) {
+      StreamingReducer reducer;
+      const std::size_t end = std::min(begin + unit_size, dispatches.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!dispatches[i].run) continue;
+        ClientDelivery delivery = deliver(i, scratch);
+        unit.tally.add(delivery);
+        if (!delivery.update.has_value()) continue;
+        ClientUpdate& update = *delivery.update;
+        const bool faulty = delivery.fault != FaultType::kNone;
+        const double weight = run.weight_of(dispatches[i].ci);
+        if (!streamed) {
+          // Batch screening rejects every faulty delivery: corrupt
+          // deltas as non-finite, replays as stale.
+          if (faulty) ++unit.tally.stats.fault_screened;
+          unit.updates.push_back(std::move(update));
+          unit.weights.push_back(weight);
+          continue;
+        }
+        // max_staleness 0: any round mismatch rejects. The median band
+        // needs a population, so only the absolute caps apply here.
+        ScreeningReport report;
+        const ScreenVerdict verdict =
+            screener.screen_one(update, expected_shapes, t, 0, report);
+        unit.tally.stats.count_screening(report);
+        if (!verdict.accepted()) {
+          if (faulty) ++unit.tally.stats.fault_screened;
+          continue;
+        }
+        Rng srng = VirtualClientProvider::sanitize_stream(
+            round_rng, t, static_cast<std::int64_t>(dispatches[i].ci));
+        run.policy.sanitize_at_server(update.delta, run.groups, t, srng);
+        reducer.push(std::move(update.delta), weight);
+        ++unit.tally.accepted;
+      }
+      unit.partial = reducer.finalize();
+      unit.max_levels = reducer.max_occupancy();
+    };
+
+    // Runs the units wave by wave on the pool, then folds each wave's
+    // outcomes serially in unit order, so every counter and every float
+    // addition lands deterministically.
+    auto attempt = [&](const std::vector<std::size_t>& cis) {
+      const std::vector<Dispatch> dispatches = plan_dispatches(cis);
+      const ClientExecutor::Deliver deliver = executor.start(ctx, dispatches);
+      const std::size_t nunits =
+          (dispatches.size() + unit_size - 1) / unit_size;
+      edge_blocks += static_cast<std::int64_t>(nunits);
+      for (std::size_t first = 0; first < nunits; first += wave_width) {
+        std::vector<FoldUnit> units(std::min(wave_width, nunits - first));
+        run.runner.run(units.size(),
+                       [&](std::size_t k, nn::Sequential& scratch) {
+                         run_unit(dispatches, deliver, (first + k) * unit_size,
+                                  units[k], scratch);
+                       });
+        for (FoldUnit& unit : units) {
+          tally.merge(unit.tally);
+          std::move(unit.updates.begin(), unit.updates.end(),
+                    std::back_inserter(updates));
+          update_weights.insert(update_weights.end(), unit.weights.begin(),
+                                unit.weights.end());
+          if (!unit.partial.empty()) root.push_node(std::move(unit.partial));
+          max_levels = std::max(max_levels, unit.max_levels);
+        }
+      }
+    };
+
+    std::optional<telemetry::SpanTimer> local_train_span;
+    local_train_span.emplace(registry, "fl.phase",
+                             telemetry::Labels{{"phase", "local_train"}}, t);
+    attempt(chosen);
+    // One resample-retry pass: when the fold holds fewer than the quorum
+    // and some failures were transient (crash, straggler, dropout), draw
+    // replacement clients from the unsampled pool. They enter as fresh
+    // units after the primary cohort's.
+    const std::int64_t transient_failed =
+        tally.stats.dropouts + tally.stats.fault_expired;
+    const std::int64_t held =
+        streamed ? tally.accepted : static_cast<std::int64_t>(updates.size());
+    if (config.retry_failed_clients && transient_failed > 0 &&
+        held < config.min_reporting) {
+      std::vector<bool> in_round(static_cast<std::size_t>(config.total_clients),
+                                 false);
+      for (std::size_t ci : chosen) in_round[ci] = true;
+      std::vector<std::size_t> spare;
+      for (std::size_t i = 0; i < in_round.size(); ++i) {
+        if (!in_round[i]) spare.push_back(i);
+      }
+      Rng retry_rng = round_rng.fork("retry", static_cast<std::uint64_t>(t));
+      retry_rng.shuffle(spare);
+      spare.resize(std::min(spare.size(),
+                            static_cast<std::size_t>(transient_failed)));
+      tally.stats.retried_clients += static_cast<std::int64_t>(spare.size());
+      attempt(spare);
+    }
+    local_train_span.reset();
+
+    AggregateOutcome outcome;
+    if (!streamed && !updates.empty()) {
+      telemetry::SpanTimer aggregate_span(registry, "fl.phase",
+                                          {{"phase", "aggregate"}}, t);
+      Rng agg_rng = round_rng.fork("aggregate", static_cast<std::uint64_t>(t));
+      outcome = run.server.aggregate(
+          std::move(updates), run.policy, run.groups, agg_rng,
+          config.weight_by_data_size ? &update_weights : nullptr);
+      tally.stats.count_screening(outcome.screening);
+      tally.accepted = outcome.screening.accepted;
+    } else if (streamed) {
+      telemetry::SpanTimer aggregate_span(registry, "fl.phase",
+                                          {{"phase", "aggregate"}}, t);
+      outcome = run.server.quorum(tally.accepted);
+      if (outcome.tier != DegradationTier::kSkipRound) {
+        ReduceNode total = root.finalize();
+        max_levels = std::max(max_levels, root.max_occupancy());
+        run.server.apply_mean(finalize_mean(std::move(total)), tally.accepted);
+        outcome.applied = true;
+        registry.counter("fl.scale.streamed_updates_total")
+            .add(tally.accepted);
+      }
+      result.max_stream_levels = std::max(
+          result.max_stream_levels, static_cast<std::int64_t>(max_levels));
+      registry.record_point("fl.scale.edge_blocks", t,
+                            static_cast<double>(edge_blocks));
+      registry.gauge("fl.scale.reducer_levels")
+          .set(static_cast<double>(result.max_stream_levels));
+    }
+    if (!outcome.applied) run.server.skip_round();
+    run.ledger.close_round(t, tally, outcome);
+  }
+
+  result.final_weights = tensor::list::clone(run.server.weights());
+  // A skipped last round has no accuracy: evaluate the surviving model.
+  result.final_accuracy = result.history.back().accuracy;
+  if (std::isnan(result.final_accuracy)) {
+    result.final_accuracy = run.ledger.evaluate();
+  }
+  return run.ledger.finish();
 }
 
 }  // namespace fedcl::fl

@@ -1,9 +1,10 @@
-// What every round loop shares. The in-process engines (sync and async,
-// fl/trainer.cpp) and the serving engines (net/serving_server.cpp) run
-// the same FedSGD round: they rebuild one seed-derived federation, train
-// clients on private scratch models, push each update through the
-// transport path, and end every round with the same ledger, telemetry,
-// quorum and eval bookkeeping. Those pieces live here, written once.
+// What every round loop shares. The in-process engines (fl/trainer.cpp)
+// and the serving engines (net/serving_server.cpp) run the same FedSGD
+// round: they rebuild one seed-derived federation, train clients on
+// private scratch models, push each update through the transport path,
+// and end every round with the same ledger, telemetry, quorum and eval
+// bookkeeping. Those pieces live here, written once, and so does the
+// one synchronous loop, run_sync, with its executor seam.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +98,7 @@ struct DeliveryContext {
 // drew is already counted in `stats`, and so is its disposition unless
 // the update arrived: then the fold decides (screened or accepted).
 struct ClientDelivery {
+  bool trained = false;  // trained here: grad_norm and train_ms are set
   double grad_norm = 0.0;  // first-iteration batch-grad L2
   double train_ms = 0.0;
   FaultType fault = FaultType::kNone;  // realized by the final attempt
@@ -115,6 +117,18 @@ struct ClientDelivery {
 ClientDelivery deliver_client(const DeliveryContext& ctx, Dispatch d,
                               nn::Sequential& scratch);
 
+// deliver_client's halves, which a worker and the serving server run on
+// either side of a socket: train client `id` from its (round, client)
+// stream and prune; seal the update on the client's channel; open and
+// decode it, reusing `buffers`' tensors where the shapes match.
+ClientRoundOutcome train_client(const DeliveryContext& ctx, std::int64_t id,
+                                nn::Sequential& scratch);
+std::vector<std::uint8_t> seal_update(std::uint64_t seed, std::int64_t id,
+                                      const ClientUpdate& update);
+Result<ClientUpdate> open_update(std::uint64_t seed, std::int64_t id,
+                                 std::vector<std::uint8_t> sealed,
+                                 ClientUpdate buffers = {});
+
 // What a round's clients reported, summed in cohort order.
 struct RoundTally {
   RoundFailureStats stats;
@@ -126,18 +140,6 @@ struct RoundTally {
   void add(const ClientDelivery& delivery);
   void merge(const RoundTally& other);
 };
-
-// The buffered fold's apply: Server::aggregate screens and averages the
-// round's updates as one batch, sanitized from the round's serial
-// "aggregate" stream, and the screening rejections go into `tally`.
-// Without updates the round is a skip.
-AggregateOutcome aggregate_round(Server& server,
-                                 std::vector<ClientUpdate> updates,
-                                 const std::vector<double>* update_weights,
-                                 const core::PrivacyPolicy& policy,
-                                 const dp::ParamGroups& groups,
-                                 const Rng& round_rng, std::int64_t round,
-                                 RoundTally& tally);
 
 // The async round's end: applied when an offer tripped the threshold
 // since `applies_before`; otherwise a non-empty partial buffer is
@@ -170,7 +172,8 @@ class RoundLedger {
  public:
   explicit RoundLedger(RoundLedgerOptions options);
 
-  // Call at the start of every round (snapshots the clip counters).
+  // Call at the start of every round (snapshots the clip counters and
+  // starts the round's wall clock, which close_round stops).
   void open_round();
   // Books round t from its tally and the fold's outcome. The caller has
   // already applied the round, or skipped it on the server.
@@ -197,10 +200,97 @@ class RoundLedger {
   telemetry::Registry& registry_;
   telemetry::Labels policy_labels_;
   std::pair<std::int64_t, std::int64_t> clip_before_{0, 0};
+  double round_start_ms_ = 0.0;
   FlRunResult result_;
   std::int64_t accepted_total_ = 0;
   double total_ms_ = 0.0;
   std::int64_t total_local_iters_ = 0;
 };
+
+// One run's state, shared by the sync and the async loop.
+struct RunState {
+  const FlExperimentConfig& config;
+  const core::PrivacyPolicy& policy;
+  const Federation& fed;
+  const dp::ParamGroups& groups;
+  ClientRunner& runner;
+  Server& server;
+  RoundLedger& ledger;
+
+  std::vector<std::size_t> sample(std::int64_t t) const {
+    Rng sample_rng =
+        fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
+    return server.sample_clients(
+        static_cast<std::size_t>(config.total_clients),
+        static_cast<std::size_t>(config.clients_per_round), sample_rng);
+  }
+  // Natural dropout: the client is offline this round, never dispatched.
+  bool drops_out(Rng& drop_rng, RoundFailureStats& stats) const {
+    if (config.client_dropout <= 0.0 ||
+        !drop_rng.bernoulli(config.client_dropout)) {
+      return false;
+    }
+    ++stats.dropouts;
+    return true;
+  }
+  DeliveryContext delivery(std::int64_t t, const TensorList& weights) const {
+    return {.provider = fed.provider,
+            .round_rng = fed.round_rng,
+            .policy = policy,
+            .weights = weights,
+            .seed = config.seed,
+            .round = t,
+            .prune_ratio = config.prune_ratio,
+            .max_attempts = config.retry.max_attempts};
+  }
+  double weight_of(std::size_t ci) const {
+    return config.weight_by_data_size
+               ? static_cast<double>(
+                     fed.provider.data_size(static_cast<std::int64_t>(ci)))
+               : 1.0;
+  }
+};
+
+// The sync loop's one seam: where an attempt's deliveries come from.
+// start() sets the attempt going and returns deliver, valid while `ctx`
+// and `dispatches` live; the loop calls deliver(i, scratch) for each
+// runnable dispatch, unit by unit in cohort order, on the runner.
+class ClientExecutor {
+ public:
+  using Deliver = std::function<ClientDelivery(std::size_t, nn::Sequential&)>;
+  virtual ~ClientExecutor() = default;
+  virtual Deliver start(const DeliveryContext& ctx,
+                        const std::vector<Dispatch>& dispatches) = 0;
+};
+
+// Trains and delivers each client where the loop asks (deliver_client).
+class InProcessExecutor final : public ClientExecutor {
+ public:
+  Deliver start(const DeliveryContext& ctx,
+                const std::vector<Dispatch>& dispatches) override {
+    return [&ctx, &dispatches](std::size_t i, nn::Sequential& scratch) {
+      return deliver_client(ctx, dispatches[i], scratch);
+    };
+  }
+};
+
+// The synchronous engine. One round: sample a cohort, plan every
+// dispatch serially, fold each client's delivery unit by unit on the
+// runner, run one resample-retry pass when the fold holds fewer than
+// min_reporting, then apply or skip. Its one fork is the fold
+// (streaming_aggregation):
+//  - buffered: the delivered updates are held and Server::aggregate
+//    screens them as one batch (the median-relative norm band needs the
+//    round's population), sanitizes them from the serial "aggregate"
+//    stream, and averages them;
+//  - streamed: each delivered update is screened, sanitized from its
+//    own per-(round, client) stream, and pushed into its edge block's
+//    StreamingReducer on the pool. Blocks run in waves so only O(wave)
+//    partials are alive, and the root folds them in block order, which
+//    keeps the sum bitwise equal to the flat pinned order (DESIGN.md §7).
+// Every draw a client makes comes from a per-(round, client) stream, so
+// both folds are bitwise identical across executors, schedules and
+// thread counts.
+FlRunResult run_sync(const RunState& run, ClientExecutor& executor);
 
 }  // namespace fedcl::fl

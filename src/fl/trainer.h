@@ -9,15 +9,15 @@
 // (fault_injection.h) and natural dropout are survived per client, the
 // server screens updates before aggregation (update_screening.h), and a
 // min_reporting quorum with one resample-retry pass governs when a
-// round is applied versus skipped. One synchronous loop serves both
-// folds (streaming_aggregation) and one asynchronous loop serves
-// async_mode; both share the federation setup, the client runner, the
-// per-client delivery, and the round epilogue in fl/round_engine.h.
+// round is applied versus skipped. The one synchronous loop, run_sync
+// in fl/round_engine.h, serves both folds (streaming_aggregation) and
+// the serving server too; one asynchronous loop here serves async_mode.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/error.h"
 #include "common/telemetry.h"
 #include "core/accounting.h"
 #include "core/policy.h"
@@ -129,6 +129,7 @@ struct RoundRecord {
   double accuracy = 0.0;          // NaN when not evaluated this round
   double mean_grad_norm = 0.0;    // mean first-iteration batch-grad L2
   double mean_client_ms = 0.0;    // mean local-training wall time
+  double wall_ms = 0.0;           // the round's wall time, start to epilogue
   // Injection/rejection/recovery accounting for this round.
   RoundFailureStats failures;
 };
@@ -171,6 +172,9 @@ struct FlRunResult {
   // instead of scraping logs.
   telemetry::TelemetrySnapshot telemetry;
 };
+
+// The one definition of a runnable config (run_experiment, serving).
+Result<FlExperimentConfig> validate_config(FlExperimentConfig config);
 
 FlRunResult run_experiment(const FlExperimentConfig& config,
                            const core::PrivacyPolicy& policy);

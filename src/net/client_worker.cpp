@@ -1,6 +1,5 @@
 #include "net/client_worker.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,11 +10,8 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
-#include "fl/client.h"
-#include "fl/compression.h"
 #include "fl/protocol.h"
 #include "fl/round_engine.h"
-#include "fl/virtual_client.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -129,11 +125,19 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
       return R::failure("bad global weights: " + weights.error());
     }
     const fl::TensorList global_weights = weights.take();
+    const fl::DeliveryContext ctx{.provider = fed.provider,
+                                  .round_rng = fed.round_rng,
+                                  .policy = *policy,
+                                  .weights = global_weights,
+                                  .seed = d.seed,
+                                  .round = req.round,
+                                  .prune_ratio = d.prune_ratio,
+                                  .max_attempts = 1};
 
     // Adopt the server's round trace: our spans parent under the
-    // server-side fl.round span so the merged Chrome trace shows one
-    // tree per round across processes. `remote` marks the parent id as
-    // living in another process's event stream.
+    // server-side span the request was sent from, so the merged Chrome
+    // trace shows one tree per round across processes. `remote` marks
+    // the parent id as living in another process's event stream.
     std::optional<telemetry::TraceScope> adopt;
     if (req.has_trace) {
       adopt.emplace(telemetry::TraceContext{req.trace_hi, req.trace_lo,
@@ -155,32 +159,23 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
         }
         continue;
       }
-      // Materialized on demand, bitwise identical on every request.
-      const fl::Client client = fed.provider.client(ci);
-      // The same per-(round, client) stream the in-process trainer
-      // forks — the label discipline is the parity guarantee.
-      Rng crng =
-          fl::VirtualClientProvider::training_stream(fed.round_rng, req.round,
-                                                     ci);
+      // The same train and seal halves the in-process engines run,
+      // from the same per-(round, client) stream: the label discipline
+      // is the parity guarantee.
       fl::ClientRoundOutcome outcome = [&] {
         telemetry::SpanTimer train_span(reg, "fl.client.phase",
                                         {{"phase", "local_train"}},
                                         req.round);
-        return client.run_round(*fed.model, global_weights, *policy,
-                                req.round, crng);
+        return fl::train_client(ctx, ci, *fed.model);
       }();
-      fl::SecureChannel channel(fl::client_channel_key(d.seed, ci));
       UpdateMsg msg;
+      msg.client_id = ci;
+      msg.data_size = fed.provider.data_size(ci);
       {
         telemetry::SpanTimer serialize_span(reg, "fl.client.phase",
                                             {{"phase", "serialize"}},
                                             req.round);
-        if (d.prune_ratio > 0.0) {
-          fl::prune_smallest(outcome.update.delta, d.prune_ratio);
-        }
-        msg.client_id = ci;
-        msg.data_size = static_cast<std::int64_t>(client.data().size());
-        msg.sealed = channel.seal(fl::serialize_update(outcome.update));
+        msg.sealed = fl::seal_update(d.seed, ci, outcome.update);
       }
       telemetry::SpanTimer upload_span(reg, "fl.client.phase",
                                        {{"phase", "upload"}}, req.round);

@@ -1,18 +1,18 @@
 #include "net/serving_server.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/telemetry.h"
 #include "fl/protocol.h"
 #include "fl/round_engine.h"
@@ -27,6 +27,32 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+// The experiment a served run executes. Faults, dropout and
+// re-dispatch stay off: only real network events fail a client.
+fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
+                                         const ServingOptions& options) {
+  fl::FlExperimentConfig config;
+  config.bench =
+      data::benchmark_config(static_cast<data::BenchmarkId>(d.bench_id),
+                             static_cast<BenchScale>(d.scale));
+  config.total_clients = d.total_clients;
+  config.clients_per_round = d.clients_per_round;
+  config.rounds = d.rounds;
+  config.local_iterations = d.local_iterations;
+  config.prune_ratio = d.prune_ratio;
+  config.eval_every = options.eval_every;
+  config.seed = d.seed;
+  config.noise_scale = d.sigma;
+  config.weight_by_data_size = options.weight_by_data_size;
+  config.server_momentum = options.server_momentum;
+  config.screening = options.screening;
+  config.min_reporting = options.min_reporting;
+  config.reduced_min_reporting = options.reduced_min_reporting;
+  config.async_mode = options.async_mode;
+  config.async = options.async;
+  return config;
 }
 
 // One admitted worker connection plus (async engine) its outstanding
@@ -52,6 +78,191 @@ struct WorkerSlot {
   }
 };
 
+// A deadline miss is an injected straggler that expired; a lost
+// connection an injected crash that expired — the same disposition
+// ledger the in-process engines keep (see fault_injection.h).
+void expire_straggler(fl::RoundFailureStats& stats, std::size_t n) {
+  stats.injected_straggler += static_cast<std::int64_t>(n);
+  stats.fault_expired += static_cast<std::int64_t>(n);
+}
+void expire_crash(fl::RoundFailureStats& stats, std::size_t n) {
+  stats.injected_crash += static_cast<std::int64_t>(n);
+  stats.fault_expired += static_cast<std::int64_t>(n);
+}
+
+// The serving transport, and the sync loop's executor over it: each
+// client of an attempt trains on the worker hosting it (client c lives
+// on worker c % n). It builds no scratch models; each update is opened
+// and decoded as its frame arrives, so decoding overlaps the other
+// workers' training, and network events land on the affected clients'
+// deliveries as docs/PROTOCOL.md §6 lists them. The async engine drives
+// the same roster through the same helpers.
+class SocketExecutor final : public fl::ClientExecutor {
+ public:
+  SocketExecutor(const ServingOptions& options, std::uint64_t seed)
+      : workers(static_cast<std::size_t>(options.num_workers)),
+        options_(options),
+        seed_(seed) {}
+
+  std::vector<WorkerSlot> workers;
+  std::atomic<std::int64_t> frames_rejected{0};
+
+  void reject_frame(const char* reason) {
+    ++frames_rejected;
+    telemetry::global_registry()
+        .counter("fl.net.frames_rejected_total", {{"reason", reason}})
+        .add(1);
+  }
+
+  // Drops a lost worker; its clients are the caller's to expire.
+  void kill(WorkerSlot& w, const char* why) {
+    if (!w.alive) return;
+    w.alive = false;
+    w.conn.close();
+    telemetry::global_registry()
+        .counter(std::strcmp(why, "timeout") == 0 ? "fl.net.timeouts_total"
+                                                  : "fl.net.disconnects_total")
+        .add(1);
+    FEDCL_LOG(Warn) << "fedcl_server: worker lost (" << why << ")";
+  }
+
+  // Sends one round's TrainRequest, with `parent` as its trace context
+  // when the worker advertised the capability. False = send failed.
+  bool send_train_request(WorkerSlot& w, std::int64_t t,
+                          std::vector<std::int64_t> ids,
+                          const std::vector<std::uint8_t>& blob,
+                          const telemetry::TraceContext& parent) {
+    TrainRequestMsg req;
+    req.round = t;
+    req.client_ids = std::move(ids);
+    req.weights_blob = blob;
+    if ((w.flags & kFrameFlagTraceContext) && parent.valid()) {
+      req.has_trace = true;
+      req.trace_hi = parent.trace_hi;
+      req.trace_lo = parent.trace_lo;
+      req.parent_span = parent.span_id;
+    }
+    if (!write_frame(w.conn, MsgType::kTrainRequest,
+                     encode_train_request(req))) {
+      return false;
+    }
+    telemetry::global_registry().counter("fl.net.frames_sent_total").add(1);
+    return true;
+  }
+
+  // Opens and decodes one update (docs/PROTOCOL.md §4). nullopt = a
+  // decode rejection, already tallied.
+  std::optional<fl::ClientUpdate> open_update(UpdateMsg msg, std::size_t worker,
+                                              std::int64_t round,
+                                              fl::RoundFailureStats& stats) {
+    telemetry::SpanTimer screen_span(telemetry::global_registry(),
+                                     "fl.net.screen",
+                                     {{"worker", std::to_string(worker)}},
+                                     round);
+    Result<fl::ClientUpdate> update =
+        fl::open_update(seed_, msg.client_id, std::move(msg.sealed));
+    if (update.ok()) return update.take();
+    ++stats.rejected_decode;
+    return std::nullopt;
+  }
+
+  // Sends every worker its share of the attempt and reads the replies
+  // worker by worker into cohort slots: replies queue in each socket
+  // while the others compute, so serial reads lose no concurrency.
+  Deliver start(const fl::DeliveryContext& ctx,
+                const std::vector<fl::Dispatch>& dispatches) override {
+    telemetry::Registry& reg = telemetry::global_registry();
+    const std::int64_t t = ctx.round;
+    slots_.assign(dispatches.size(), {});
+    // Each worker's clients and their cohort slots, in request order.
+    std::vector<std::vector<std::int64_t>> ids(workers.size());
+    std::vector<std::vector<std::size_t>> share(workers.size());
+    for (std::size_t i = 0; i < dispatches.size(); ++i) {
+      if (!dispatches[i].run) continue;
+      ids[dispatches[i].ci % workers.size()].push_back(
+          static_cast<std::int64_t>(dispatches[i].ci));
+      share[dispatches[i].ci % workers.size()].push_back(i);
+    }
+    // Worker w is lost: its clients from the k-th on never report.
+    auto lose = [&](std::size_t w, std::size_t k, const char* why) {
+      for (; k < share[w].size(); ++k) {
+        (std::strcmp(why, "timeout") == 0 ? expire_straggler : expire_crash)(
+            slots_[share[w][k]].stats, 1);
+      }
+      kill(workers[w], why);
+    };
+
+    {
+      telemetry::SpanTimer dispatch_span(reg, "fl.phase",
+                                         {{"phase", "dispatch"}}, t);
+      // Worker-side spans parent under the span this attempt runs in.
+      const telemetry::TraceContext parent = telemetry::current_trace();
+      const std::vector<std::uint8_t> blob =
+          fl::serialize_tensor_list(ctx.weights);
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        if (ids[w].empty()) continue;
+        if (!workers[w].alive ||
+            !send_train_request(workers[w], t, ids[w], blob, parent)) {
+          lose(w, 0, "send failed");
+        }
+      }
+    }
+
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (share[w].empty() || !workers[w].alive) continue;
+      telemetry::SpanTimer recv_span(reg, "fl.net.recv",
+                                     {{"worker", std::to_string(w)}}, t);
+      // One reply per client, in request order (PROTOCOL.md §1). The
+      // deadline is fail-stop: the round cannot wait longer, and a
+      // desynchronized reply stream is unusable afterwards.
+      for (std::size_t k = 0; k < share[w].size(); ++k) {
+        const std::int64_t ci = ids[w][k];
+        fl::RoundFailureStats& stats = slots_[share[w][k]].stats;
+        Frame frame;
+        const FrameStatus st = read_frame(workers[w].conn, frame,
+                                          options_.max_frame_bytes,
+                                          options_.io_timeout_ms);
+        if (st != FrameStatus::kOk) {
+          if (st != FrameStatus::kTimeout) reject_frame(frame_status_name(st));
+          lose(w, k, st == FrameStatus::kTimeout ? "timeout" : "disconnect");
+          break;
+        }
+        reg.counter("fl.net.frames_received_total").add(1);
+        const char* violation = "unexpected-type";
+        if (frame.type == MsgType::kUpdate) {
+          Result<UpdateMsg> msg = decode_update(frame.payload);
+          if (msg.ok() && msg.value().client_id == ci) {
+            slots_[share[w][k]].update = open_update(msg.take(), w, t, stats);
+            continue;
+          }
+          violation = "bad-payload";
+        } else if (frame.type == MsgType::kTrainError) {
+          Result<TrainErrorMsg> err = decode_train_error(frame.payload);
+          if (err.ok() && err.value().client_id == ci) {
+            FEDCL_LOG(Warn) << "fedcl_server: client " << ci
+                            << " failed: " << err.value().message;
+            expire_crash(stats, 1);
+            continue;
+          }
+          violation = "bad-payload";
+        }
+        reject_frame(violation);
+        lose(w, k, "protocol violation");
+        break;
+      }
+    }
+
+    return [this](std::size_t i, nn::Sequential&) {
+      return std::move(slots_[i]);
+    };
+  }
+
+ private:
+  const ServingOptions& options_;
+  std::uint64_t seed_;
+  std::vector<fl::ClientDelivery> slots_;  // the attempt's, in cohort order
+};
+
 }  // namespace
 
 ServingServer::ServingServer(ExperimentDescriptor descriptor,
@@ -59,8 +270,6 @@ ServingServer::ServingServer(ExperimentDescriptor descriptor,
     : descriptor_(descriptor),
       options_(options),
       listener_(std::move(listener)) {}
-
-ServingServer::~ServingServer() = default;
 
 Result<std::unique_ptr<ServingServer>> ServingServer::create(
     ExperimentDescriptor descriptor, ServingOptions options) {
@@ -70,6 +279,9 @@ Result<std::unique_ptr<ServingServer>> ServingServer::create(
   if (options.num_workers <= 0) {
     return R::failure("num_workers must be positive");
   }
+  Result<fl::FlExperimentConfig> config =
+      fl::validate_config(experiment_config(valid.value(), options));
+  if (!config.ok()) return R::failure(config.error());
   Result<TcpListener> listener = TcpListener::bind(options.port);
   if (!listener.ok()) return R::failure(listener.error());
   return std::unique_ptr<ServingServer>(new ServingServer(
@@ -78,6 +290,7 @@ Result<std::unique_ptr<ServingServer>> ServingServer::create(
 
 ServingReport ServingServer::run() {
   const ExperimentDescriptor& d = descriptor_;
+  const fl::FlExperimentConfig config = experiment_config(d, options_);
   telemetry::Registry& reg = telemetry::global_registry();
   reg.reset();
 
@@ -85,17 +298,13 @@ ServingReport ServingServer::run() {
   report.rounds = d.rounds;
 
   // -------- experiment state, from the descriptor alone (the workers
-  // reconstruct theirs from the identical Welcome bytes). The server
-  // derives data-size aggregation weights from its own virtualized
-  // provider — a pure function of (seed, client_id) over the same
-  // descriptor the workers got — instead of trusting the worker-reported
-  // data_size field, so a compromised worker cannot inflate its own
-  // weight (PROTOCOL.md threat model). The wire field stays for
-  // observability and pre-hardening compatibility. --------
-  const fl::Federation fed(
-      data::benchmark_config(static_cast<data::BenchmarkId>(d.bench_id),
-                             static_cast<BenchScale>(d.scale)),
-      d.total_clients, d.local_iterations, /*faults=*/{}, d.seed);
+  // reconstruct theirs from the identical Welcome bytes). Data-size
+  // weights come from the server's own provider (RunState::weight_of),
+  // never from the worker-reported data_size field, so a compromised
+  // worker cannot inflate its weight (PROTOCOL.md threat model). --------
+  const fl::Federation fed(config.bench, config.total_clients,
+                           config.effective_local_iterations(), config.faults,
+                           config.seed);
   const data::Dataset val = fed.validation_set();
   const dp::ParamGroups groups =
       fl::to_param_groups(fed.model->layer_groups());
@@ -103,23 +312,17 @@ ServingReport ServingServer::run() {
 
   // -------- admission: roster handshake + standing Busy refusals ----
   const std::vector<std::uint8_t> welcome = encode_descriptor(d);
+  SocketExecutor sockets(options_, d.seed);
+  std::vector<WorkerSlot>& workers = sockets.workers;
   std::mutex roster_mutex;
   std::condition_variable roster_cv;
-  std::vector<WorkerSlot> workers(
-      static_cast<std::size_t>(options_.num_workers));
   int registered = 0;
   bool roster_closed = false;
-  std::atomic<bool> stop{false};
   std::atomic<std::int64_t> busy_rejected{0};
-  std::atomic<std::int64_t> frames_rejected{0};
 
-  auto reject_frame = [&](const char* reason) {
-    ++frames_rejected;
-    reg.counter("fl.net.frames_rejected_total", {{"reason", reason}}).add(1);
-  };
-
-  std::thread accept_thread([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+  // Stopped and joined on every exit from run(), a throw included.
+  std::jthread accept_thread([&](const std::stop_token& stop) {
+    while (!stop.stop_requested()) {
       TcpConn conn = listener_.accept(50);
       if (!conn.valid()) continue;
       Frame frame;
@@ -129,11 +332,11 @@ ServingReport ServingServer::run() {
       const FrameStatus st =
           read_frame(conn, frame, options_.max_frame_bytes, 2000);
       if (st != FrameStatus::kOk) {
-        reject_frame(frame_status_name(st));
+        sockets.reject_frame(frame_status_name(st));
         continue;
       }
       if (frame.type != MsgType::kHello) {
-        reject_frame("unexpected-type");
+        sockets.reject_frame("unexpected-type");
         continue;
       }
       Result<HelloMsg> hello = decode_hello(frame.payload);
@@ -170,13 +373,13 @@ ServingReport ServingServer::run() {
   });
 
   auto finish = [&](ServingReport&& r) {
-    stop.store(true, std::memory_order_relaxed);
+    accept_thread.request_stop();
     accept_thread.join();
     for (WorkerSlot& w : workers) {
       if (w.alive) write_frame(w.conn, MsgType::kBye, nullptr, 0);
     }
     r.busy_rejected = busy_rejected.load();
-    r.frames_rejected = frames_rejected.load();
+    r.frames_rejected = sockets.frames_rejected.load();
     reg.flush_sinks();
     return std::move(r);
   };
@@ -199,245 +402,36 @@ ServingReport ServingServer::run() {
                   << options_.num_workers << " workers), starting "
                   << d.rounds << " rounds";
 
-  // -------- shared round-loop plumbing ------------------------------
-  auto kill_worker = [&](WorkerSlot& w, const char* why) {
-    if (!w.alive) return;
-    w.alive = false;
-    w.conn.close();
-    if (std::strcmp(why, "timeout") == 0) {
-      reg.counter("fl.net.timeouts_total").add(1);
-    } else {
-      reg.counter("fl.net.disconnects_total").add(1);
-    }
-    FEDCL_LOG(Warn) << "fedcl_server: worker lost (" << why << ")";
-  };
-
-  // A deadline miss is an injected straggler that expired; a lost
-  // connection an injected crash that expired — the same disposition
-  // ledger the in-process engines keep (see fault_injection.h).
-  auto expire_straggler = [&](fl::RoundFailureStats& stats, std::size_t n) {
-    stats.injected_straggler += static_cast<std::int64_t>(n);
-    stats.fault_expired += static_cast<std::int64_t>(n);
-  };
-  auto expire_crash = [&](fl::RoundFailureStats& stats, std::size_t n) {
-    stats.injected_crash += static_cast<std::int64_t>(n);
-    stats.fault_expired += static_cast<std::int64_t>(n);
-  };
-
-  // Server-derived, never the wire-reported size.
-  auto data_weight = [&](std::int64_t client_id) {
-    return static_cast<double>(fed.provider.data_size(client_id));
-  };
-
-  // Cohort members per worker: client ci is hosted by worker ci % n.
-  auto split_by_worker = [&](const std::vector<std::size_t>& cohort) {
-    std::vector<std::vector<std::int64_t>> ids(workers.size());
-    for (std::size_t ci : cohort) {
-      ids[ci % workers.size()].push_back(static_cast<std::int64_t>(ci));
-    }
-    return ids;
-  };
-
-  // Sends one round's TrainRequest, with the round span's trace context
-  // when the worker advertised the capability. False = send failed.
-  auto send_train_request = [&](WorkerSlot& w, std::int64_t t,
-                                const std::vector<std::int64_t>& ids,
-                                const std::vector<std::uint8_t>& blob,
-                                const telemetry::SpanTimer& round_span) {
-    TrainRequestMsg req;
-    req.round = t;
-    req.client_ids = ids;
-    req.weights_blob = blob;
-    const telemetry::TraceContext rctx = round_span.context();
-    if ((w.flags & kFrameFlagTraceContext) && rctx.valid()) {
-      req.has_trace = true;
-      req.trace_hi = rctx.trace_hi;
-      req.trace_lo = rctx.trace_lo;
-      req.parent_span = rctx.span_id;
-    }
-    if (!write_frame(w.conn, MsgType::kTrainRequest,
-                     encode_train_request(req))) {
-      return false;
-    }
-    reg.counter("fl.net.frames_sent_total").add(1);
-    return true;
-  };
-
-  // Opens and deserializes one UpdateMsg through the per-client channel
-  // (docs/PROTOCOL.md §4). nullopt = decode rejection, already tallied.
-  auto open_update = [&](UpdateMsg msg, std::size_t worker,
-                         std::int64_t round, fl::RoundFailureStats& stats)
-      -> std::optional<fl::ClientUpdate> {
-    telemetry::SpanTimer screen_span(
-        reg, "fl.net.screen", {{"worker", std::to_string(worker)}}, round);
-    fl::SecureChannel channel(
-        fl::client_channel_key(d.seed, msg.client_id));
-    Result<std::vector<std::uint8_t>> opened =
-        channel.open(std::move(msg.sealed));
-    if (!opened.ok()) {
-      ++stats.rejected_decode;
-      return std::nullopt;
-    }
-    Result<fl::ClientUpdate> decoded =
-        fl::deserialize_update(fl::ByteSpan(opened.value()));
-    if (!decoded.ok()) {
-      ++stats.rejected_decode;
-      return std::nullopt;
-    }
-    return decoded.take();
-  };
-
   const Clock::time_point run_start = Clock::now();
-  std::optional<fl::Server> server;
+  fl::Server server(fed.model->weights(),
+                    {.server_momentum = config.server_momentum,
+                     .screening = config.screening,
+                     .min_reporting = config.min_reporting,
+                     .reduced_min_reporting = config.reduced_min_reporting});
   std::optional<fl::AsyncAggregator> agg;
-  auto current_weights = [&]() -> fl::TensorList {
-    return agg.has_value() ? agg->weights_snapshot() : server->weights();
-  };
   fl::RoundLedger ledger({
       .rounds = d.rounds,
       .eval_every = options_.eval_every,
       .local_iterations = d.local_iterations,
       .eval_model = fed.model.get(),
       .val = &val,
-      .weights = current_weights,
+      .weights = [&]() -> fl::TensorList {
+        return agg.has_value() ? agg->weights_snapshot() : server.weights();
+      },
       .log_prefix = options_.async_mode ? "fedcl_server: async"
                                         : "fedcl_server:",
       .log_level = LogLevel::kInfo,
   });
 
+  // Serial, so no scratch models: the workers train.
+  fl::ClientRunner runner(fed, *policy, /*parallel_clients=*/false,
+                          config.clients_per_round);
+  const fl::RunState state{config, *policy, fed, groups,
+                           runner, server, ledger};
+  fl::FlRunResult run;
   if (!options_.async_mode) {
     // ================= synchronous (bitwise-parity) engine ==========
-    server.emplace(fed.model->weights(),
-                   fl::AggregationOptions{
-                       .server_momentum = options_.server_momentum,
-                       .screening = options_.screening,
-                       .min_reporting = options_.min_reporting,
-                       .reduced_min_reporting =
-                           options_.reduced_min_reporting});
-
-    for (std::int64_t t = 0; t < d.rounds; ++t) {
-      const Clock::time_point round_start = Clock::now();
-      // Every process derives the same per-round trace id from (seed,
-      // round), so worker-side spans land in the same trace without a
-      // coordination round-trip; the server's round span is the root.
-      telemetry::TraceScope trace(telemetry::round_trace_root(d.seed, t));
-      telemetry::SpanTimer round_span(reg, "fl.round", {}, t);
-      ledger.open_round();
-      fl::RoundTally tally;
-      fl::RoundFailureStats& stats = tally.stats;
-
-      Rng sample_rng =
-          fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
-      const std::vector<std::size_t> chosen = server->sample_clients(
-          static_cast<std::size_t>(d.total_clients),
-          static_cast<std::size_t>(d.clients_per_round), sample_rng);
-      // Cohort slots, so updates re-assemble in sampling order no
-      // matter which worker answers first — the order the in-process
-      // fold consumes them in.
-      std::unordered_map<std::int64_t, std::size_t> slot_of;
-      for (std::size_t i = 0; i < chosen.size(); ++i) {
-        slot_of[static_cast<std::int64_t>(chosen[i])] = i;
-      }
-      std::vector<std::optional<fl::ClientUpdate>> got(chosen.size());
-
-      const std::vector<std::vector<std::int64_t>> ids_per_worker =
-          split_by_worker(chosen);
-      const std::vector<std::uint8_t> weights_blob =
-          fl::serialize_tensor_list(server->weights());
-
-      {
-        telemetry::SpanTimer dispatch_span(
-            reg, "fl.phase", {{"phase", "dispatch"}}, t);
-        for (std::size_t w = 0; w < workers.size(); ++w) {
-          if (ids_per_worker[w].empty()) continue;
-          if (!workers[w].alive) {
-            expire_crash(stats, ids_per_worker[w].size());
-          } else if (!send_train_request(workers[w], t, ids_per_worker[w],
-                                         weights_blob, round_span)) {
-            kill_worker(workers[w], "send failed");
-            expire_crash(stats, ids_per_worker[w].size());
-          }
-        }
-      }
-
-      // Collect worker by worker: replies queue in each socket while
-      // the others compute, so serial reads lose no concurrency.
-      for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (ids_per_worker[w].empty() || !workers[w].alive) continue;
-        telemetry::SpanTimer recv_span(
-            reg, "fl.net.recv", {{"worker", std::to_string(w)}}, t);
-        std::unordered_set<std::int64_t> pending(
-            ids_per_worker[w].begin(), ids_per_worker[w].end());
-        while (!pending.empty()) {
-          Frame frame;
-          const FrameStatus st =
-              read_frame(workers[w].conn, frame, options_.max_frame_bytes,
-                         options_.io_timeout_ms);
-          if (st == FrameStatus::kTimeout) {
-            // Sync engine is fail-stop on the deadline: the round
-            // cannot wait longer, and a desynchronized reply stream is
-            // unusable afterwards.
-            expire_straggler(stats, pending.size());
-            kill_worker(workers[w], "timeout");
-            break;
-          }
-          if (st != FrameStatus::kOk) {
-            reject_frame(frame_status_name(st));
-            expire_crash(stats, pending.size());
-            kill_worker(workers[w], "disconnect");
-            break;
-          }
-          reg.counter("fl.net.frames_received_total").add(1);
-          if (frame.type == MsgType::kUpdate) {
-            Result<UpdateMsg> decoded = decode_update(frame.payload);
-            if (!decoded.ok() ||
-                pending.count(decoded.value().client_id) == 0) {
-              reject_frame("bad-payload");
-              expire_crash(stats, pending.size());
-              kill_worker(workers[w], "protocol violation");
-              break;
-            }
-            UpdateMsg msg = decoded.take();
-            pending.erase(msg.client_id);
-            const std::size_t slot = slot_of[msg.client_id];
-            got[slot] = open_update(std::move(msg), w, t, stats);
-          } else if (frame.type == MsgType::kTrainError) {
-            Result<TrainErrorMsg> err = decode_train_error(frame.payload);
-            if (!err.ok() || pending.count(err.value().client_id) == 0) {
-              reject_frame("bad-payload");
-              expire_crash(stats, pending.size());
-              kill_worker(workers[w], "protocol violation");
-              break;
-            }
-            FEDCL_LOG(Warn) << "fedcl_server: client "
-                            << err.value().client_id
-                            << " failed: " << err.value().message;
-            pending.erase(err.value().client_id);
-            expire_crash(stats, 1);
-          } else {
-            reject_frame("unexpected-type");
-            expire_crash(stats, pending.size());
-            kill_worker(workers[w], "protocol violation");
-            break;
-          }
-        }
-      }
-
-      std::vector<fl::ClientUpdate> updates;
-      std::vector<double> update_weights;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        if (!got[i].has_value()) continue;
-        updates.push_back(std::move(*got[i]));
-        update_weights.push_back(data_weight(chosen[i]));
-      }
-      const fl::AggregateOutcome outcome = fl::aggregate_round(
-          *server, std::move(updates),
-          options_.weight_by_data_size ? &update_weights : nullptr, *policy,
-          groups, fed.round_rng, t, tally);
-      if (!outcome.applied) server->skip_round();
-      ledger.close_round(t, tally, outcome);
-      report.round_ms.push_back(ms_since(round_start));
-    }
+    run = fl::run_sync(state, sockets);
   } else {
     // ============ asynchronous (overlapping rounds) engine ==========
     agg.emplace(fed.model->weights(),
@@ -446,16 +440,25 @@ ServingReport ServingServer::run() {
                 options_.screening);
     const std::int64_t max_staleness = agg->config().max_staleness;
 
+    // Cohort members per worker: client ci is hosted by worker ci % n.
+    auto split_by_worker = [&](const std::vector<std::size_t>& cohort) {
+      std::vector<std::vector<std::int64_t>> ids(workers.size());
+      for (std::size_t ci : cohort) {
+        ids[ci % workers.size()].push_back(static_cast<std::int64_t>(ci));
+      }
+      return ids;
+    };
+
     // Processes one received frame for worker `w`. Returns false when
     // the worker was killed (caller stops reading it).
     auto process_frame = [&](WorkerSlot& w, Frame frame, std::int64_t now,
                              fl::RoundTally& tally) -> bool {
       fl::RoundFailureStats& stats = tally.stats;
       auto fail = [&](const char* reason, const char* why) {
-        reject_frame(reason);
+        sockets.reject_frame(reason);
         expire_crash(stats, w.outstanding_clients());
         w.outstanding.clear();
-        kill_worker(w, why);
+        sockets.kill(w, why);
         return false;
       };
       reg.counter("fl.net.frames_received_total").add(1);
@@ -489,12 +492,13 @@ ServingReport ServingServer::run() {
         expire_crash(stats, 1);  // TrainError: this client never reports
         return true;
       }
-      std::optional<fl::ClientUpdate> update = open_update(
+      std::optional<fl::ClientUpdate> update = sockets.open_update(
           std::move(*update_msg),
           static_cast<std::size_t>(&w - workers.data()), now, stats);
       if (!update.has_value()) return true;
+      // Server-derived, never the wire-reported size.
       const double weight =
-          options_.weight_by_data_size ? data_weight(client_id) : 1.0;
+          state.weight_of(static_cast<std::size_t>(client_id));
       const fl::AsyncAggregator::OfferResult res =
           agg->offer(std::move(*update), now, weight);
       if (!res.accepted) {
@@ -527,11 +531,11 @@ ServingReport ServingServer::run() {
         const FrameStatus st = read_frame(
             w.conn, frame, options_.max_frame_bytes, options_.io_timeout_ms);
         if (st != FrameStatus::kOk) {
-          reject_frame(frame_status_name(st));
+          sockets.reject_frame(frame_status_name(st));
           expire_crash(tally.stats, w.outstanding_clients());
           w.outstanding.clear();
-          kill_worker(w, st == FrameStatus::kTimeout ? "timeout"
-                                                     : "disconnect");
+          sockets.kill(w, st == FrameStatus::kTimeout ? "timeout"
+                                                        : "disconnect");
           return;
         }
         if (!process_frame(w, std::move(frame), now, tally)) return;
@@ -539,7 +543,6 @@ ServingReport ServingServer::run() {
     };
 
     for (std::int64_t t = 0; t < d.rounds; ++t) {
-      const Clock::time_point round_start = Clock::now();
       telemetry::TraceScope trace(telemetry::round_trace_root(d.seed, t));
       telemetry::SpanTimer round_span(reg, "fl.round", {}, t);
       ledger.open_round();
@@ -567,12 +570,8 @@ ServingReport ServingServer::run() {
       {
         telemetry::SpanTimer dispatch_span(
             reg, "fl.phase", {{"phase", "dispatch"}}, t);
-        Rng sample_rng =
-            fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
         const std::vector<std::vector<std::int64_t>> ids_per_worker =
-            split_by_worker(sample_rng.sample_without_replacement(
-                static_cast<std::size_t>(d.total_clients),
-                static_cast<std::size_t>(d.clients_per_round)));
+            split_by_worker(state.sample(t));
         const std::vector<std::uint8_t> weights_blob =
             fl::serialize_tensor_list(agg->weights_snapshot());
         for (std::size_t w = 0; w < workers.size(); ++w) {
@@ -588,12 +587,13 @@ ServingReport ServingServer::run() {
             expire_straggler(stats, ids_per_worker[w].size());
             continue;
           }
-          if (!send_train_request(workers[w], t, ids_per_worker[w],
-                                  weights_blob, round_span)) {
+          if (!sockets.send_train_request(workers[w], t, ids_per_worker[w],
+                                            weights_blob,
+                                            round_span.context())) {
             expire_crash(stats, ids_per_worker[w].size() +
                                     workers[w].outstanding_clients());
             workers[w].outstanding.clear();
-            kill_worker(workers[w], "send failed");
+            sockets.kill(workers[w], "send failed");
             continue;
           }
           WorkerSlot::Outstanding o;
@@ -635,7 +635,6 @@ ServingReport ServingServer::run() {
       }
 
       ledger.close_round(t, tally, fl::close_async_round(*agg, applies_before));
-      report.round_ms.push_back(ms_since(round_start));
     }
 
     // End of run: one final grace window for stragglers, then expire
@@ -665,18 +664,25 @@ ServingReport ServingServer::run() {
     }
     ledger.close_run(drain);
     agg->flush();
-    report.async_applies = agg->applies();
+    fl::FlRunResult& result = ledger.result();
+    result.async_applies = agg->applies();
+    result.final_weights = agg->weights_snapshot();
+    result.final_accuracy = ledger.evaluate();
+    run = ledger.finish();
   }
 
-  const fl::FlRunResult& run = ledger.result();
   report.failures = run.total_failures;
   report.dropped_rounds = run.dropped_rounds;
-  report.completed_rounds = d.rounds - run.dropped_rounds;
+  report.completed_rounds = run.completed_rounds;
   report.reduced_quorum_rounds = run.reduced_quorum_rounds;
+  report.async_applies = run.async_applies;
   report.updates_accepted = ledger.accepted_total();
   report.updates_rejected = run.total_failures.rejected_total();
-  report.final_weights = tensor::list::clone(current_weights());
-  report.final_accuracy = ledger.evaluate();
+  for (const fl::RoundRecord& record : run.history) {
+    report.round_ms.push_back(record.wall_ms);
+  }
+  report.final_weights = std::move(run.final_weights);
+  report.final_accuracy = run.final_accuracy;
   reg.gauge("fl.net.run_duration_ms").set(ms_since(run_start));
   report.ok = true;
   return finish(std::move(report));

@@ -4,9 +4,9 @@
 // binds a loopback TCP port, admits exactly `num_workers` fedcl_client
 // processes (everyone else gets Busy — that refusal is the admission
 // control the load-gen bench hammers), ships each the resolved
-// ExperimentDescriptor, and then drives the same round engine the
-// in-process trainer runs — with the train phase replaced by
-// TrainRequest/Update frames over real connections.
+// ExperimentDescriptor, and then drives fl::run_sync, the loop the
+// in-process trainer runs, with a socket executor: the train phase
+// becomes TrainRequest/Update frames over real connections.
 //
 // Determinism contract (docs/PROTOCOL.md §5): in the synchronous
 // engine, with no faults, every RNG stream the round consumes
@@ -95,26 +95,25 @@ struct ServingReport {
   // bad handshake) and frames dropped for framing violations.
   std::int64_t busy_rejected = 0;
   std::int64_t frames_rejected = 0;
-  // Per-round wall-clock, for the bench's p99.
+  // Per-round wall-clock (sampling to epilogue), for the bench's p99.
   std::vector<double> round_ms;
 };
 
 class ServingServer {
  public:
-  // Validates the descriptor and binds the listener. Fails (never
-  // throws) on an invalid descriptor or an unbindable port.
+  // Validates the descriptor and the experiment it maps to with the
+  // options (fl::validate_config), then binds. Fails, never throws.
   static Result<std::unique_ptr<ServingServer>> create(
       ExperimentDescriptor descriptor, ServingOptions options);
 
-  ~ServingServer();
   ServingServer(const ServingServer&) = delete;
   ServingServer& operator=(const ServingServer&) = delete;
 
   int port() const { return listener_.port(); }
-  const ExperimentDescriptor& descriptor() const { return descriptor_; }
 
   // Blocks until the run completes (or fails to start). Admission of
-  // surplus connections keeps running for the whole call.
+  // surplus connections keeps running for the whole call; the accept
+  // thread stops on every exit, so an exception reaches the caller.
   ServingReport run();
 
  private:

@@ -25,20 +25,6 @@ void tune_socket(int fd) {
 
 }  // namespace
 
-const char* io_status_name(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kClosed:
-      return "closed";
-    case IoStatus::kTimeout:
-      return "timeout";
-    case IoStatus::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
 TcpConn::~TcpConn() { close(); }
 
 TcpConn::TcpConn(TcpConn&& other) noexcept : fd_(other.fd_) {
@@ -132,26 +118,6 @@ IoStatus TcpConn::recv_exact(void* dst, std::size_t n, int timeout_ms) {
     got += static_cast<std::size_t>(k);
   }
   return IoStatus::kOk;
-}
-
-IoStatus TcpConn::recv_some(void* dst, std::size_t cap, std::size_t* got,
-                            int timeout_ms) {
-  *got = 0;
-  for (;;) {
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready == 0) return IoStatus::kTimeout;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    const ssize_t k = ::recv(fd_, dst, cap, 0);
-    if (k < 0 && errno == EINTR) continue;
-    if (k < 0) return IoStatus::kError;
-    if (k == 0) return IoStatus::kClosed;
-    *got = static_cast<std::size_t>(k);
-    return IoStatus::kOk;
-  }
 }
 
 bool TcpConn::readable(int timeout_ms) const {

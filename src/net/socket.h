@@ -26,8 +26,6 @@ enum class IoStatus {
   kError,    // socket error (errno-level)
 };
 
-const char* io_status_name(IoStatus status);
-
 // One connected TCP stream. Move-only; the destructor closes the fd.
 class TcpConn {
  public:
@@ -45,7 +43,6 @@ class TcpConn {
                                  int timeout_ms);
 
   bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
   void close();
 
   // Writes all n bytes (looping over partial sends). False on any
@@ -56,11 +53,6 @@ class TcpConn {
   // kTimeout leaves previously read bytes in dst (the caller treats a
   // partial message as a protocol error and closes).
   IoStatus recv_exact(void* dst, std::size_t n, int timeout_ms);
-
-  // Reads up to cap bytes once data is available; *got = 0 with kOk
-  // never happens (0 bytes means kClosed).
-  IoStatus recv_some(void* dst, std::size_t cap, std::size_t* got,
-                     int timeout_ms);
 
   // True when at least one byte is readable within timeout_ms.
   bool readable(int timeout_ms) const;
@@ -84,7 +76,6 @@ class TcpListener {
   static Result<TcpListener> bind(int port, int backlog = 16);
 
   bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
   int port() const { return port_; }
   void close();
 

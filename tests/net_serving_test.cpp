@@ -7,16 +7,20 @@
 // adversarial cases run under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
 #include "fl/protocol.h"
+#include "fl/round_engine.h"
 #include "fl/trainer.h"
 #include "net/client_worker.h"
 #include "net/frame.h"
@@ -405,19 +409,34 @@ TEST(NetServing, RosterTimeoutFailsCleanly) {
       << report.error;
 }
 
-TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
-  const ExperimentDescriptor d = sample_descriptor();
-  ServingOptions options;
-  options.num_workers = 2;
-  Result<std::unique_ptr<ServingServer>> server =
-      ServingServer::create(d, options);
-  ASSERT_TRUE(server.ok()) << server.error();
-  ServingReport report = run_with_workers(*server.value(), 2);
-  ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_EQ(report.completed_rounds, d.rounds);
-  EXPECT_EQ(report.updates_accepted, d.rounds * d.clients_per_round);
-  EXPECT_EQ(report.dropped_rounds, 0);
+// The same fault ledger, field by field.
+void expect_same_ledger(const fl::RoundFailureStats& a,
+                        const fl::RoundFailureStats& b) {
+  const auto fields = [](const fl::RoundFailureStats& f) {
+    return std::vector<std::int64_t>{
+        f.injected_crash,      f.injected_straggler,    f.injected_corrupt,
+        f.injected_bit_flip,   f.injected_stale,        f.dropouts,
+        f.rejected_decode,     f.rejected_shape,        f.rejected_non_finite,
+        f.rejected_norm_outlier, f.rejected_stale,      f.retried_clients,
+        f.quorum_missed,       f.fault_expired,         f.fault_screened,
+        f.fault_retried,       f.fault_accepted_stale,  f.retry_attempts,
+        f.reduced_quorum_rounds};
+  };
+  EXPECT_EQ(fields(a), fields(b));
+}
 
+std::int64_t series_sum(const fl::FlRunResult& run, const char* name) {
+  double sum = 0.0;
+  for (const telemetry::SeriesPoint& p : run.telemetry.series_points(name)) {
+    sum += p.value;
+  }
+  return static_cast<std::int64_t>(sum);
+}
+
+// The served run's in-process twin, built by hand from the descriptor
+// and the server-side options: it pins the options -> config mapping.
+fl::FlRunResult run_in_process(const ExperimentDescriptor& d,
+                               const ServingOptions& options) {
   fl::FlExperimentConfig cfg;
   cfg.bench = data::benchmark_config(data::BenchmarkId::kCancer,
                                      BenchScale::kSmoke);
@@ -428,12 +447,211 @@ TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
   cfg.prune_ratio = d.prune_ratio;
   cfg.seed = d.seed;
   cfg.noise_scale = d.sigma;
+  cfg.eval_every = options.eval_every;
+  cfg.weight_by_data_size = options.weight_by_data_size;
+  cfg.server_momentum = options.server_momentum;
+  cfg.screening = options.screening;
+  cfg.min_reporting = options.min_reporting;
+  cfg.reduced_min_reporting = options.reduced_min_reporting;
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
-  fl::FlRunResult in_process = fl::run_experiment(cfg, *policy);
+  return fl::run_experiment(cfg, *policy);
+}
 
-  EXPECT_EQ(fl::serialize_tensor_list(report.final_weights),
-            fl::serialize_tensor_list(in_process.final_weights))
-      << "socket path diverged from the in-process sync engine";
+// PROTOCOL.md §5.2 over a matrix of server options: every served run
+// ends bitwise equal to its in-process twin, with the same ledger.
+TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
+  struct Case {
+    const char* name;
+    ExperimentDescriptor d;
+    ServingOptions options;
+  };
+  ExperimentDescriptor d = sample_descriptor();
+  d.total_clients = 8;
+  d.clients_per_round = 4;
+  std::vector<Case> cases(3, Case{"defaults", d, {}});
+  cases[1].name = "weighted, eval every round";
+  cases[1].options.weight_by_data_size = true;
+  cases[1].options.eval_every = 1;
+  // A norm band at the median rejects the larger half of each round's
+  // updates, so the reduced tier must carry the rounds that survive.
+  cases[2].name = "screened, reduced quorum, momentum, pruned";
+  cases[2].options.screening.norm_outlier_factor = 1.0;
+  cases[2].options.min_reporting = d.clients_per_round;
+  cases[2].options.reduced_min_reporting = 2;
+  cases[2].options.server_momentum = 0.5;
+  cases[2].d.prune_ratio = 0.2;
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.options.num_workers = 2;
+    Result<std::unique_ptr<ServingServer>> server =
+        ServingServer::create(c.d, c.options);
+    ASSERT_TRUE(server.ok()) << server.error();
+    const ServingReport report = run_with_workers(*server.value(), 2);
+    ASSERT_TRUE(report.ok) << report.error;
+    const fl::FlRunResult in_process = run_in_process(c.d, c.options);
+
+    EXPECT_EQ(fl::serialize_tensor_list(report.final_weights),
+              fl::serialize_tensor_list(in_process.final_weights))
+        << "socket path diverged from the in-process sync engine";
+    expect_same_ledger(report.failures, in_process.total_failures);
+    EXPECT_EQ(report.dropped_rounds, in_process.dropped_rounds);
+    EXPECT_EQ(report.reduced_quorum_rounds, in_process.reduced_quorum_rounds);
+    EXPECT_EQ(report.updates_accepted,
+              series_sum(in_process, "fl.round.accepted"));
+    if (&c == &cases.back()) {
+      // Not vacuous: the screened case rejected and degraded.
+      EXPECT_GT(in_process.total_failures.rejected_norm_outlier, 0);
+      EXPECT_GT(in_process.reduced_quorum_rounds, 0);
+    } else {
+      EXPECT_EQ(report.updates_accepted, c.d.rounds * c.d.clients_per_round);
+    }
+  }
+}
+
+// A served option the run would reject fails create(), before a port is
+// bound or a worker admitted, with fl::validate_config's reason.
+TEST(NetServing, InvalidServerOptionsFailAtCreate) {
+  ServingOptions valid;
+  valid.num_workers = 1;
+  ASSERT_TRUE(ServingServer::create(sample_descriptor(), valid).ok());
+
+  std::vector<ServingOptions> invalid(5, valid);
+  invalid[0].min_reporting = 0;
+  invalid[1].reduced_min_reporting = 2;  // above min_reporting = 1
+  invalid[2].server_momentum = 1.0;
+  invalid[3].screening.norm_outlier_factor = -1.0;
+  invalid[4].async_mode = true;
+  invalid[4].async.staleness_alpha = -0.5;
+  for (const ServingOptions& options : invalid) {
+    Result<std::unique_ptr<ServingServer>> server =
+        ServingServer::create(sample_descriptor(), options);
+    ASSERT_FALSE(server.ok());
+    EXPECT_FALSE(server.error().empty());
+  }
+}
+
+// A worker lost mid-run (PROTOCOL.md §6): worker 1 handshakes, takes
+// its first TrainRequest and hangs up. Its clients expire as crashes in
+// every round, the quorum miss runs the resample-retry pass, and the
+// reduced tier applies what worker 0 delivered.
+TEST(NetServing, LostWorkerExpiresItsClientsAndRetries) {
+  ExperimentDescriptor d = sample_descriptor();
+  d.total_clients = 8;
+  d.clients_per_round = 4;
+  ServingOptions options;
+  options.num_workers = 2;
+  options.min_reporting = d.clients_per_round;
+  options.reduced_min_reporting = 1;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(d, options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  const int port = server.value()->port();
+
+  ServingReport report;
+  std::thread server_thread([&] { report = server.value()->run(); });
+  std::thread real_worker([port] {
+    WorkerConfig config;
+    config.port = port;
+    config.worker_index = 0;
+    config.num_workers = 2;
+    run_worker(config);
+  });
+  std::thread lost_worker([port] {
+    Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
+    if (!conn.ok()) return;
+    HelloMsg hello;
+    hello.worker_index = 1;
+    hello.num_workers = 2;
+    if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello))) {
+      return;
+    }
+    // Welcome, then up to the first TrainRequest (or the run's end).
+    Frame frame;
+    while (read_frame(conn.value(), frame, kDefaultMaxPayload, 30000) ==
+               FrameStatus::kOk &&
+           frame.type != MsgType::kTrainRequest &&
+           frame.type != MsgType::kBye) {
+    }
+  });  // the connection closes here
+  server_thread.join();
+  real_worker.join();
+  lost_worker.join();
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(telemetry::global_registry()
+                .counter("fl.net.disconnects_total")
+                .value(),
+            1);
+
+  // Replay each round's cohort and retry spares from the seed: worker 1
+  // hosts the odd client ids.
+  const fl::Federation fed(
+      data::benchmark_config(data::BenchmarkId::kCancer, BenchScale::kSmoke),
+      d.total_clients, d.local_iterations, {}, d.seed);
+  std::int64_t lost = 0, retried = 0;
+  for (std::int64_t t = 0; t < d.rounds; ++t) {
+    Rng sample_rng =
+        fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
+    const std::vector<std::size_t> chosen =
+        sample_rng.sample_without_replacement(
+            static_cast<std::size_t>(d.total_clients),
+            static_cast<std::size_t>(d.clients_per_round));
+    std::vector<std::size_t> spare;
+    for (std::size_t ci = 0; ci < static_cast<std::size_t>(d.total_clients);
+         ++ci) {
+      if (std::find(chosen.begin(), chosen.end(), ci) == chosen.end()) {
+        spare.push_back(ci);
+      }
+    }
+    const auto odd = [](std::size_t ci) { return ci % 2 == 1; };
+    const auto lost_primary = std::count_if(chosen.begin(), chosen.end(), odd);
+    ASSERT_GT(lost_primary, 0) << "worker 1 hosts no client in round " << t;
+    Rng retry_rng = fed.round_rng.fork("retry", static_cast<std::uint64_t>(t));
+    retry_rng.shuffle(spare);
+    spare.resize(static_cast<std::size_t>(lost_primary));
+    lost += lost_primary + std::count_if(spare.begin(), spare.end(), odd);
+    retried += lost_primary;
+  }
+
+  const fl::RoundFailureStats& f = report.failures;
+  EXPECT_EQ(f.injected_crash, lost);
+  EXPECT_EQ(f.fault_expired, lost);
+  EXPECT_EQ(f.injected_total(), f.injected_crash);
+  EXPECT_EQ(f.faults_resolved_total(), f.injected_total());
+  EXPECT_EQ(f.rejected_total(), 0);
+  EXPECT_EQ(f.retried_clients, retried);
+  EXPECT_GT(f.retried_clients, 0);
+  EXPECT_EQ(report.updates_accepted,
+            d.rounds * d.clients_per_round + retried - lost);
+  EXPECT_EQ(report.dropped_rounds, 0);
+  EXPECT_EQ(report.reduced_quorum_rounds, d.rounds);
+}
+
+// The async engine over real sockets (PROTOCOL.md §5.3): every round
+// completes, every update folds in, and the ledger balances.
+TEST(NetServing, AsyncEngineCompletesWithBalancedLedger) {
+  const ExperimentDescriptor d = sample_descriptor();
+  ServingOptions options;
+  options.num_workers = 2;
+  options.async_mode = true;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(d, options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  const ServingReport report = run_with_workers(*server.value(), 2);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.completed_rounds, d.rounds);
+  EXPECT_EQ(report.dropped_rounds, 0);
+  EXPECT_GT(report.async_applies, 0);
+  EXPECT_EQ(report.updates_accepted, d.rounds * d.clients_per_round);
+  EXPECT_EQ(report.failures.faults_resolved_total(),
+            report.failures.injected_total());
+  EXPECT_EQ(report.failures.rejected_total(), 0);
+  EXPECT_EQ(report.round_ms.size(), static_cast<std::size_t>(d.rounds));
+  for (const auto& t : report.final_weights) {
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      ASSERT_TRUE(std::isfinite(t.data()[i]));
+    }
+  }
 }
 
 // Collects every span event the registry emits during a run. write()
