@@ -436,7 +436,8 @@ std::int64_t series_sum(const fl::FlRunResult& run, const char* name) {
 // The served run's in-process twin, built by hand from the descriptor
 // and the server-side options: it pins the options -> config mapping.
 fl::FlRunResult run_in_process(const ExperimentDescriptor& d,
-                               const ServingOptions& options) {
+                               const ServingOptions& options,
+                               bool parallel_clients = true) {
   fl::FlExperimentConfig cfg;
   cfg.bench = data::benchmark_config(data::BenchmarkId::kCancer,
                                      BenchScale::kSmoke);
@@ -453,6 +454,9 @@ fl::FlRunResult run_in_process(const ExperimentDescriptor& d,
   cfg.screening = options.screening;
   cfg.min_reporting = options.min_reporting;
   cfg.reduced_min_reporting = options.reduced_min_reporting;
+  cfg.async_mode = options.async_mode;
+  cfg.async = options.async;
+  cfg.parallel_clients = parallel_clients;
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
   return fl::run_experiment(cfg, *policy);
 }
@@ -651,6 +655,46 @@ TEST(NetServing, AsyncEngineCompletesWithBalancedLedger) {
     for (std::int64_t i = 0; i < t.numel(); ++i) {
       ASSERT_TRUE(std::isfinite(t.data()[i]));
     }
+  }
+}
+
+// PROTOCOL.md §5.3 with one worker and a window no reply misses: the
+// worker answers in cohort order, so async serving offers exactly what
+// in-process async offers, in the same order, and the two runs end
+// bitwise equal under every policy the wire carries.
+TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
+  for (const PolicyId policy :
+       {PolicyId::kFedCdp, PolicyId::kFedSdp, PolicyId::kNonPrivate}) {
+    SCOPED_TRACE(policy_id_name(policy));
+    ExperimentDescriptor d = sample_descriptor();
+    d.policy = policy;
+    d.total_clients = 8;
+    d.clients_per_round = 4;
+    d.rounds = 6;
+    d.seed = 97;
+    ServingOptions options;
+    options.num_workers = 1;
+    options.async_mode = true;
+    options.async_round_wait_ms = 60000;
+    Result<std::unique_ptr<ServingServer>> server =
+        ServingServer::create(d, options);
+    ASSERT_TRUE(server.ok()) << server.error();
+    const ServingReport report = run_with_workers(*server.value(), 1);
+    ASSERT_TRUE(report.ok) << report.error;
+    // The serial schedule folds in cohort order on every build.
+    const fl::FlRunResult in_process =
+        run_in_process(d, options, /*parallel_clients=*/false);
+
+    EXPECT_EQ(fl::serialize_tensor_list(report.final_weights),
+              fl::serialize_tensor_list(in_process.final_weights))
+        << "async serving diverged from the in-process async engine";
+    expect_same_ledger(report.failures, in_process.total_failures);
+    EXPECT_EQ(report.async_applies, in_process.async_applies);
+    EXPECT_EQ(report.dropped_rounds, in_process.dropped_rounds);
+    EXPECT_EQ(report.reduced_quorum_rounds, in_process.reduced_quorum_rounds);
+    EXPECT_EQ(report.updates_accepted, d.rounds * d.clients_per_round);
+    EXPECT_EQ(report.updates_accepted,
+              series_sum(in_process, "fl.round.accepted"));
   }
 }
 
