@@ -46,10 +46,6 @@ int main(int argc, char** argv) {
                                            fed.sweep_rounds * 6, 12)
                                      : 12;
   base.seed = experiment_seed();
-  // The determinism boundary: the gate compares accuracies across
-  // engines, so both run on the serialized executor where each is
-  // bitwise reproducible for the seed.
-  base.parallel_clients = false;
   base.retry.max_attempts = 3;
 
   const std::int64_t rounds = base.effective_rounds();

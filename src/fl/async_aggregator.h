@@ -14,12 +14,11 @@
 // older than `max_staleness` rounds (or tagged with a future round)
 // are screened out.
 //
-// offer() is thread-safe: in the parallel round engine every worker
-// thread delivers straight into the shared accumulator. Note the
-// determinism boundary that buys: for a fixed seed the engine is
-// bitwise reproducible on a serialized executor (updates fold in
-// client order), while across different thread counts the fold order —
-// and therefore float rounding — may differ (see DESIGN.md §5).
+// Offers come from one thread, the async round loop's (run_async in
+// fl/round_engine.h), in an order the loop fixes, so the fold order —
+// and therefore float rounding — does not depend on the schedule. The
+// methods stay thread-safe: the lock costs one uncontended acquire per
+// call.
 #pragma once
 
 #include <cstdint>
@@ -75,17 +74,17 @@ class AsyncAggregator {
   // Screens, weights, and folds `update` into the accumulator;
   // `now_round` is the engine's current round clock (staleness =
   // now_round - update.round) and `base_weight` the caller's
-  // aggregation weight (1, or the client data size). Thread-safe.
+  // aggregation weight (1, or the client data size).
   OfferResult offer(ClientUpdate update, std::int64_t now_round,
                     double base_weight);
 
   // Applies whatever is buffered regardless of the threshold (the
   // end-of-round degradation flush and the end-of-run drain). Returns
-  // true when something was applied. Thread-safe.
+  // true when something was applied.
   bool flush();
 
   // Deep copy of the current global weights (what a newly dispatched
-  // client trains against). Thread-safe.
+  // client trains against).
   TensorList weights_snapshot() const;
 
   // Number of aggregate applications so far (the model version).

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -45,6 +46,24 @@ struct FoldUnit {
   ReduceNode partial;  // streamed: the block's screened, sanitized sum
   int max_levels = 0;
 };
+
+// The async round's end: applied when an offer tripped the threshold
+// since `applies_before`; otherwise a non-empty partial buffer is
+// flushed in under the reduced-quorum tier instead of dropping the work.
+AggregateOutcome close_async_round(AsyncAggregator& agg,
+                                   std::int64_t applies_before) {
+  AggregateOutcome outcome;
+  if (agg.applies() > applies_before) {
+    outcome.tier = DegradationTier::kFullQuorum;
+  } else if (agg.buffered() > 0) {
+    outcome.tier = DegradationTier::kReducedQuorum;
+    outcome.noise_widening = static_cast<double>(agg.min_to_apply()) /
+                             static_cast<double>(agg.buffered());
+    agg.flush();
+  }
+  outcome.applied = outcome.tier != DegradationTier::kSkipRound;
+  return outcome;
+}
 
 }  // namespace
 
@@ -220,21 +239,6 @@ void RoundTally::merge(const RoundTally& other) {
   ms_sum += other.ms_sum;
   trained += other.trained;
   accepted += other.accepted;
-}
-
-AggregateOutcome close_async_round(AsyncAggregator& agg,
-                                   std::int64_t applies_before) {
-  AggregateOutcome outcome;
-  if (agg.applies() > applies_before) {
-    outcome.tier = DegradationTier::kFullQuorum;
-  } else if (agg.buffered() > 0) {
-    outcome.tier = DegradationTier::kReducedQuorum;
-    outcome.noise_widening = static_cast<double>(agg.min_to_apply()) /
-                             static_cast<double>(agg.buffered());
-    agg.flush();
-  }
-  outcome.applied = outcome.tier != DegradationTier::kSkipRound;
-  return outcome;
 }
 
 RoundLedger::RoundLedger(RoundLedgerOptions options)
@@ -597,6 +601,168 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
   if (std::isnan(result.final_accuracy)) {
     result.final_accuracy = run.ledger.evaluate();
   }
+  return run.ledger.finish();
+}
+
+std::vector<Arrival> InProcessExecutor::due(std::int64_t t) {
+  std::stable_sort(pending_.begin(), pending_.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return std::tie(a.due_round, a.dispatch_round,
+                                     a.arrival.ci) <
+                            std::tie(b.due_round, b.dispatch_round,
+                                     b.arrival.ci);
+                   });
+  std::vector<Arrival> arrivals;
+  auto it = pending_.begin();
+  for (; it != pending_.end() && it->due_round <= t; ++it) {
+    arrivals.push_back(std::move(it->arrival));
+  }
+  pending_.erase(pending_.begin(), it);
+  return arrivals;
+}
+
+std::vector<Arrival> InProcessExecutor::dispatch(
+    const DeliveryContext& ctx, const std::vector<Dispatch>& runnable) {
+  std::vector<Arrival> arrivals(runnable.size());
+  runner_.run(runnable.size(), [&](std::size_t k, nn::Sequential& scratch) {
+    arrivals[k] = {runnable[k].ci, deliver_client(ctx, runnable[k], scratch)};
+  });
+  // A late update leaves the round's arrival (its stats and training
+  // time stay with the dispatch round) and waits for its due round.
+  for (std::size_t k = 0; k < runnable.size(); ++k) {
+    ClientDelivery& delivery = arrivals[k].delivery;
+    if (runnable[k].rounds_late == 0 || !delivery.update.has_value()) continue;
+    Pending& late = pending_.emplace_back();
+    late.due_round = ctx.round + runnable[k].rounds_late;
+    late.dispatch_round = ctx.round;
+    late.arrival.ci = runnable[k].ci;
+    late.arrival.delivery.fault = delivery.fault;
+    late.arrival.delivery.update = std::move(delivery.update);
+    delivery.update.reset();
+  }
+  return arrivals;
+}
+
+std::vector<Arrival> InProcessExecutor::drain(std::int64_t) {
+  std::vector<Arrival> expired;
+  for (const Pending& p : pending_) {
+    if (p.arrival.delivery.fault == FaultType::kNone) continue;
+    expired.emplace_back();
+    expired.back().delivery.stats.fault_expired = 1;
+  }
+  pending_.clear();
+  return expired;
+}
+
+std::unique_ptr<AsyncAggregator> make_async_aggregator(const RunState& run) {
+  return std::make_unique<AsyncAggregator>(
+      run.fed.model->weights(),
+      resolve_async_config(run.config.async, run.config.clients_per_round),
+      run.policy, run.groups, run.fed.root.fork("async-aggregate"),
+      run.config.screening);
+}
+
+FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
+                      ClientExecutor& executor) {
+  const FlExperimentConfig& config = run.config;
+  const Rng& round_rng = run.fed.round_rng;
+  const FaultPlan& plan = run.fed.provider.fault_plan();
+  const RetryPolicy rpolicy(config.retry);
+  telemetry::Registry& registry = telemetry::global_registry();
+
+  // Books each arrival into `tally` and offers its update, if any, at
+  // round `now`. The injected instance (if any) behind an accepted
+  // update was absorbed stale; behind a rejected one it was screened
+  // out.
+  auto land = [&](std::vector<Arrival> arrivals, std::int64_t now,
+                  RoundTally& tally) {
+    for (Arrival& a : arrivals) {
+      tally.add(a.delivery);
+      if (!a.delivery.update.has_value()) continue;
+      const AsyncAggregator::OfferResult res =
+          agg.offer(std::move(*a.delivery.update), now, run.weight_of(a.ci));
+      const bool faulty = a.delivery.fault != FaultType::kNone;
+      if (res.accepted) {
+        ++tally.accepted;
+        if (faulty) ++tally.stats.fault_accepted_stale;
+        continue;
+      }
+      tally.stats.count_rejected(*res.reject);
+      if (faulty) ++tally.stats.fault_screened;
+    }
+  };
+
+  for (std::int64_t t = 0; t < config.effective_rounds(); ++t) {
+    telemetry::TraceScope trace(telemetry::round_trace_root(config.seed, t));
+    telemetry::SpanTimer round_span(registry, "fl.round", {}, t);
+    run.ledger.open_round();
+    RoundTally tally;
+    const std::int64_t applies_before = agg.applies();
+    land(executor.due(t), t, tally);
+
+    // Plan (serial): each client's dispatch-attempt chain on the virtual
+    // clock. Every fault, latency, and backoff draw happens here, in
+    // cohort order, so the post-train re-dispatch has nothing left to do.
+    const std::vector<std::size_t> chosen = run.sample(t);
+    Rng drop_rng = round_rng.fork("dropout", static_cast<std::uint64_t>(t));
+    std::vector<Dispatch> runnable;
+    for (std::size_t ci : chosen) {
+      if (run.drops_out(drop_rng, tally.stats)) continue;
+      const auto id = static_cast<std::int64_t>(ci);
+      Rng lat_rng = round_rng.fork(
+          "latency", static_cast<std::uint64_t>(t * 1000003 + id));
+      double elapsed_ms = 0.0;
+      for (int attempt = 0;; ++attempt) {
+        const FaultType f = plan.fault_for_attempt(t, id, attempt);
+        tally.stats.count_injected(f);
+        const double lat = rpolicy.latency_ms(f, lat_rng);
+        if (rpolicy.transient(f) && attempt + 1 < config.retry.max_attempts) {
+          // Re-dispatch: a crash is detected at the soft deadline, a
+          // corrupt/damaged payload when the server rejects it.
+          ++tally.stats.fault_retried;
+          ++tally.stats.retry_attempts;
+          elapsed_ms +=
+              f == FaultType::kCrash ? config.retry.soft_deadline_ms : lat;
+          elapsed_ms += rpolicy.backoff_ms(attempt + 2, lat_rng);
+          continue;
+        }
+        if (f == FaultType::kCrash) {
+          ++tally.stats.fault_expired;  // out of budget, never reports
+        } else {
+          runnable.push_back({.ci = ci,
+                              .fault = f,
+                              .attempt = attempt,
+                              .run = true,
+                              .rounds_late =
+                                  rpolicy.rounds_late(elapsed_ms + lat)});
+        }
+        break;
+      }
+    }
+
+    const TensorList weights = agg.weights_snapshot();
+    std::vector<Arrival> arrivals;
+    {
+      telemetry::SpanTimer train_span(
+          registry, "fl.phase", telemetry::Labels{{"phase", "local_train"}},
+          t);
+      arrivals = executor.dispatch(run.delivery(t, weights), runnable);
+    }
+    land(std::move(arrivals), t, tally);
+    run.ledger.close_round(t, tally, close_async_round(agg, applies_before));
+  }
+
+  // End of run: what still lands is offered at the last round, the rest
+  // expires, and the last partial buffer is drained into the model.
+  const std::int64_t last = config.effective_rounds() - 1;
+  RoundTally drain;
+  land(executor.drain(last), last, drain);
+  run.ledger.close_run(drain);
+  agg.flush();
+  FlRunResult& result = run.ledger.result();
+  result.async_applies = agg.applies();
+  result.final_weights = agg.weights_snapshot();
+  result.final_accuracy = run.ledger.evaluate();
   return run.ledger.finish();
 }
 

@@ -1,10 +1,12 @@
-// What every round loop shares. The in-process engines (fl/trainer.cpp)
-// and the serving engines (net/serving_server.cpp) run the same FedSGD
-// round: they rebuild one seed-derived federation, train clients on
-// private scratch models, push each update through the transport path,
-// and end every round with the same ledger, telemetry, quorum and eval
-// bookkeeping. Those pieces live here, written once, and so does the
-// one synchronous loop, run_sync, with its executor seam.
+// What every round loop shares, and the two loops. run_experiment
+// (fl/trainer.cpp) and the serving server (net/serving_server.cpp) run
+// the same FedSGD round: they rebuild one seed-derived federation, train
+// clients on private scratch models or remote workers, push each update
+// through the transport path, and end every round with the same ledger,
+// telemetry, quorum and eval bookkeeping. Those pieces live here, written
+// once, and so do the synchronous loop, run_sync, and the asynchronous
+// one, run_async. Both reach clients through one seam, a ClientExecutor:
+// in-process (deliver_client on the pool) or over sockets.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +82,9 @@ struct Dispatch {
   FaultType fault = FaultType::kNone;  // fault of the current attempt
   int attempt = 0;                     // attempts consumed (0-based)
   bool run = false;                    // the client trains this round
+  // Async: rounds past its dispatch round the update lands, on the
+  // virtual clock (RetryPolicy::rounds_late).
+  std::int64_t rounds_late = 0;
 };
 
 // Everything deliver_client reads; fixed for one round.
@@ -140,12 +145,6 @@ struct RoundTally {
   void add(const ClientDelivery& delivery);
   void merge(const RoundTally& other);
 };
-
-// The async round's end: applied when an offer tripped the threshold
-// since `applies_before`; otherwise a non-empty partial buffer is
-// flushed in under the reduced-quorum tier instead of dropping the work.
-AggregateOutcome close_async_round(AsyncAggregator& agg,
-                                   std::int64_t applies_before);
 
 struct RoundLedgerOptions {
   std::int64_t rounds = 0;
@@ -251,27 +250,69 @@ struct RunState {
   }
 };
 
-// The sync loop's one seam: where an attempt's deliveries come from.
-// start() sets the attempt going and returns deliver, valid while `ctx`
-// and `dispatches` live; the loop calls deliver(i, scratch) for each
-// runnable dispatch, unit by unit in cohort order, on the runner.
+// One client's delivery as it reaches the async loop: its update, if
+// any, tagged with the fault that shaped it, and whatever it already
+// cost the ledger (`delivery.stats`). An arrival without an update only
+// books its stats.
+struct Arrival {
+  std::size_t ci = 0;
+  ClientDelivery delivery;
+};
+
+// The loops' one seam: where deliveries come from. The loops never
+// branch on which executor runs.
+//  - run_sync: start() sets an attempt going and returns deliver, valid
+//    while `ctx` and `dispatches` live; the loop calls deliver(i,
+//    scratch) for each runnable dispatch, unit by unit in cohort order,
+//    on the runner.
+//  - run_async: due(t) hands over the arrivals from earlier rounds that
+//    land at round t; dispatch() sets the round's runnable clients going
+//    and hands over what lands during the round; drain(t) ends the run
+//    at its last round t with what still lands and the expiry of the
+//    rest. The loop offers every update on its own thread, in the order
+//    handed over.
 class ClientExecutor {
  public:
   using Deliver = std::function<ClientDelivery(std::size_t, nn::Sequential&)>;
   virtual ~ClientExecutor() = default;
   virtual Deliver start(const DeliveryContext& ctx,
                         const std::vector<Dispatch>& dispatches) = 0;
+  virtual std::vector<Arrival> due(std::int64_t t) = 0;
+  virtual std::vector<Arrival> dispatch(
+      const DeliveryContext& ctx, const std::vector<Dispatch>& runnable) = 0;
+  virtual std::vector<Arrival> drain(std::int64_t t) = 0;
 };
 
-// Trains and delivers each client where the loop asks (deliver_client).
+// Trains and delivers each client in this process (deliver_client). The
+// async side trains a round's clients on `runner` and keeps a queue on
+// the virtual clock: a late update lands at its due round, after the
+// earlier rounds' in (due round, dispatch round, client) order, and an
+// on-time one in cohort order at the end of its own round. Updates due
+// past the last round never land; a faulty one expires.
 class InProcessExecutor final : public ClientExecutor {
  public:
+  explicit InProcessExecutor(ClientRunner& runner) : runner_(runner) {}
+
   Deliver start(const DeliveryContext& ctx,
                 const std::vector<Dispatch>& dispatches) override {
     return [&ctx, &dispatches](std::size_t i, nn::Sequential& scratch) {
       return deliver_client(ctx, dispatches[i], scratch);
     };
   }
+  std::vector<Arrival> due(std::int64_t t) override;
+  std::vector<Arrival> dispatch(
+      const DeliveryContext& ctx,
+      const std::vector<Dispatch>& runnable) override;
+  std::vector<Arrival> drain(std::int64_t t) override;
+
+ private:
+  struct Pending {
+    std::int64_t due_round = 0;
+    std::int64_t dispatch_round = 0;
+    Arrival arrival;
+  };
+  ClientRunner& runner_;
+  std::vector<Pending> pending_;
 };
 
 // The synchronous engine. One round: sample a cohort, plan every
@@ -292,5 +333,24 @@ class InProcessExecutor final : public ClientExecutor {
 // both folds are bitwise identical across executors, schedules and
 // thread counts.
 FlRunResult run_sync(const RunState& run, ClientExecutor& executor);
+
+// The async engine's aggregator, built one way for every caller: the
+// federation's initial model, the resolved apply threshold, screening
+// under config.screening, and server-side noise from the seed's
+// "async-aggregate" fork.
+std::unique_ptr<AsyncAggregator> make_async_aggregator(const RunState& run);
+
+// The asynchronous (FedBuff) engine. One round: offer the arrivals due
+// now, sample a cohort, plan every client's dispatch-attempt chain
+// (dropout, faults, latency and backoff) serially on the virtual clock,
+// dispatch the runnable clients, offer what lands during the round, and
+// close it: applied if an offer tripped min_to_apply, else a non-empty
+// partial buffer flushes under the reduced-quorum tier. At the end the
+// executor drains, and the last partial buffer is applied. The loop
+// alone offers, on its own thread in the executor's order, and books
+// each offer's disposition: an accepted faulty arrival was absorbed
+// stale, a rejected one counts its reason and, if faulty, was screened.
+FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
+                      ClientExecutor& executor);
 
 }  // namespace fedcl::fl

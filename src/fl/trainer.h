@@ -9,9 +9,9 @@
 // (fault_injection.h) and natural dropout are survived per client, the
 // server screens updates before aggregation (update_screening.h), and a
 // min_reporting quorum with one resample-retry pass governs when a
-// round is applied versus skipped. The one synchronous loop, run_sync
-// in fl/round_engine.h, serves both folds (streaming_aggregation) and
-// the serving server too; one asynchronous loop here serves async_mode.
+// round is applied versus skipped. The loops live in fl/round_engine.h
+// and serve the serving server too: run_sync, for both folds
+// (streaming_aggregation), and run_async, for async_mode.
 #pragma once
 
 #include <cstdint>
@@ -81,11 +81,11 @@ struct FlExperimentConfig {
   // bounded-memory accumulator (fl/async_aggregator.h) and the model
   // advances as soon as `async.min_to_apply` updates are buffered;
   // stragglers arrive `rounds_late` rounds later and are folded in with
-  // a 1/(1+staleness)^alpha weight instead of being rejected.
-  // Determinism boundary: with parallel_clients=false the async engine
-  // is bitwise reproducible for a fixed seed; across thread counts the
-  // fold order (and therefore float rounding) may differ — see
-  // DESIGN.md.
+  // a 1/(1+staleness)^alpha weight instead of being rejected. Clients
+  // train on the pool, but the loop offers their updates in a fixed
+  // order (late arrivals, then the round's own in cohort order), so the
+  // engine is bitwise identical across schedules and thread counts
+  // (DESIGN.md §5).
   bool async_mode = false;
   // Async engine knobs. min_to_apply <= 0 defaults to
   // max(1, clients_per_round / 2) (resolve_async_config); offers are

@@ -5,11 +5,11 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stop_token>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -55,8 +55,7 @@ fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
   return config;
 }
 
-// One admitted worker connection plus (async engine) its outstanding
-// dispatches: the backpressure window is the deque length.
+// One admitted worker connection and the replies it owes.
 struct WorkerSlot {
   TcpConn conn;
   bool alive = false;
@@ -65,38 +64,36 @@ struct WorkerSlot {
   // kFrameFlagTraceContext is set here — an old worker's decoder
   // rejects trailing bytes, so the server must not volunteer them.
   std::uint8_t flags = 0;
-  struct Outstanding {
-    std::int64_t round = 0;
-    std::unordered_set<std::int64_t> remaining;
+  // One entry per client sent and not yet answered, in request order:
+  // a worker answers in that order (PROTOCOL.md §1), so every reply
+  // answers the head.
+  struct Expected {
+    std::int64_t client = 0;
+    std::int64_t round = 0;  // the dispatch round
+    std::size_t slot = 0;    // sync: the client's cohort slot
+    // Async: booked as an expired straggler at the staleness horizon;
+    // the reply, when it comes, is read and dropped.
+    bool expired = false;
   };
-  std::deque<Outstanding> outstanding;
-
-  std::size_t outstanding_clients() const {
-    std::size_t n = 0;
-    for (const auto& o : outstanding) n += o.remaining.size();
-    return n;
-  }
+  std::deque<Expected> fifo;
 };
 
 // A deadline miss is an injected straggler that expired; a lost
 // connection an injected crash that expired — the same disposition
 // ledger the in-process engines keep (see fault_injection.h).
-void expire_straggler(fl::RoundFailureStats& stats, std::size_t n) {
-  stats.injected_straggler += static_cast<std::int64_t>(n);
-  stats.fault_expired += static_cast<std::int64_t>(n);
-}
-void expire_crash(fl::RoundFailureStats& stats, std::size_t n) {
-  stats.injected_crash += static_cast<std::int64_t>(n);
-  stats.fault_expired += static_cast<std::int64_t>(n);
+void expire(fl::RoundFailureStats& stats, fl::FaultType fault) {
+  stats.count_injected(fault);
+  ++stats.fault_expired;
 }
 
-// The serving transport, and the sync loop's executor over it: each
-// client of an attempt trains on the worker hosting it (client c lives
-// on worker c % n). It builds no scratch models; each update is opened
-// and decoded as its frame arrives, so decoding overlaps the other
-// workers' training, and network events land on the affected clients'
-// deliveries as docs/PROTOCOL.md §6 lists them. The async engine drives
-// the same roster through the same helpers.
+// The serving transport, and the round loops' executor over it: each
+// dispatched client trains on the worker hosting it (client c lives on
+// worker c % n). It builds no scratch models; each update is opened
+// and decoded as its reply is read, and network events land on the
+// affected clients' deliveries as docs/PROTOCOL.md §6 lists them. Both
+// loops read replies through one reader: run_sync waits for every reply
+// of an attempt, run_async collects what lands within a real-time
+// window and leaves the rest owed to later rounds.
 class SocketExecutor final : public fl::ClientExecutor {
  public:
   SocketExecutor(const ServingOptions& options, std::uint64_t seed)
@@ -114,16 +111,160 @@ class SocketExecutor final : public fl::ClientExecutor {
         .add(1);
   }
 
-  // Drops a lost worker; its clients are the caller's to expire.
-  void kill(WorkerSlot& w, const char* why) {
-    if (!w.alive) return;
-    w.alive = false;
-    w.conn.close();
-    telemetry::global_registry()
-        .counter(std::strcmp(why, "timeout") == 0 ? "fl.net.timeouts_total"
-                                                  : "fl.net.disconnects_total")
-        .add(1);
-    FEDCL_LOG(Warn) << "fedcl_server: worker lost (" << why << ")";
+  // Sends every worker its share of the attempt, then reads the replies
+  // worker by worker into cohort slots: replies queue in each socket
+  // while the others compute, so serial reads lose no concurrency.
+  Deliver start(const fl::DeliveryContext& ctx,
+                const std::vector<fl::Dispatch>& dispatches) override {
+    send(ctx, dispatches);
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (workers[w].fifo.empty()) continue;
+      telemetry::SpanTimer recv_span(telemetry::global_registry(),
+                                     "fl.net.recv",
+                                     {{"worker", std::to_string(w)}},
+                                     ctx.round);
+      while (!workers[w].fifo.empty()) read_reply(w, ctx.round);
+    }
+    slots_.assign(dispatches.size(), {});
+    for (Reply& r : replies_) slots_[r.slot] = std::move(r.arrival.delivery);
+    replies_.clear();
+    return [this](std::size_t i, nn::Sequential&) {
+      return std::move(slots_[i]);
+    };
+  }
+
+  // What landed since the last round, read without waiting. A client
+  // past the staleness horizon expires now: even if its update arrived,
+  // screening would reject it.
+  std::vector<fl::Arrival> due(std::int64_t t) override {
+    for (std::size_t w = 0; w < workers.size(); ++w) read_landed(w, t);
+    for (WorkerSlot& worker : workers) {
+      expire_owed(worker, fl::FaultType::kStraggler,
+                  t - options_.async.max_staleness);
+    }
+    return take_arrivals();
+  }
+
+  // The collection window: waits (bounded) for the round's own replies;
+  // whatever misses it stays owed and lands in a later round.
+  std::vector<fl::Arrival> dispatch(
+      const fl::DeliveryContext& ctx,
+      const std::vector<fl::Dispatch>& runnable) override {
+    send(ctx, runnable);
+    collect(ctx.round, ctx.round);
+    return take_arrivals();
+  }
+
+  // One final grace window for replies still owed, then the rest
+  // expires as stragglers.
+  std::vector<fl::Arrival> drain(std::int64_t t) override {
+    collect(t, kAnyRound);
+    for (WorkerSlot& worker : workers) {
+      expire_owed(worker, fl::FaultType::kStraggler, kAnyRound);
+    }
+    return take_arrivals();
+  }
+
+ private:
+  // A FIFO entry the executor has resolved, and its cohort slot.
+  struct Reply {
+    std::size_t slot = 0;
+    fl::Arrival arrival;
+  };
+
+  fl::ClientDelivery& resolve(const WorkerSlot::Expected& e) {
+    Reply& reply = replies_.emplace_back();
+    reply.slot = e.slot;
+    reply.arrival.ci = static_cast<std::size_t>(e.client);
+    return reply.arrival.delivery;
+  }
+
+  std::vector<fl::Arrival> take_arrivals() {
+    std::vector<fl::Arrival> arrivals;
+    arrivals.reserve(replies_.size());
+    for (Reply& r : replies_) arrivals.push_back(std::move(r.arrival));
+    replies_.clear();
+    return arrivals;
+  }
+
+  static constexpr std::int64_t kAnyRound =
+      std::numeric_limits<std::int64_t>::max();
+
+  // Whether a worker owes an unexpired reply dispatched at round t.
+  bool owes(std::int64_t t) const {
+    for (const WorkerSlot& worker : workers) {
+      for (const WorkerSlot::Expected& e : worker.fifo) {
+        if (!e.expired && (t == kAnyRound || e.round == t)) return true;
+      }
+    }
+    return false;
+  }
+
+  // Books every entry `worker` owes from before round `before` as an
+  // expired fault; the entries stay queued, so the replies that still
+  // come are read and dropped.
+  void expire_owed(WorkerSlot& worker, fl::FaultType fault,
+                   std::int64_t before) {
+    for (WorkerSlot::Expected& e : worker.fifo) {
+      if (e.expired || e.round >= before) continue;
+      e.expired = true;
+      expire(resolve(e).stats, fault);
+    }
+  }
+
+  // Rounds a worker still owes replies for: the backpressure window.
+  int rounds_owed(const WorkerSlot& worker) const {
+    int rounds = 0;
+    std::int64_t last = -1;
+    for (const WorkerSlot::Expected& e : worker.fifo) {
+      if (e.expired || e.round == last) continue;
+      ++rounds;
+      last = e.round;
+    }
+    return rounds;
+  }
+
+  // Sends each worker its share of the runnable dispatches, carrying the
+  // context of the span the loop dispatches from. A worker already
+  // max_inflight_rounds behind gets nothing new: its share expires as
+  // stragglers rather than queueing without bound.
+  void send(const fl::DeliveryContext& ctx,
+            const std::vector<fl::Dispatch>& dispatches) {
+    telemetry::Registry& reg = telemetry::global_registry();
+    const std::int64_t t = ctx.round;
+    const telemetry::TraceContext parent = telemetry::current_trace();
+    telemetry::SpanTimer dispatch_span(reg, "fl.phase",
+                                       {{"phase", "dispatch"}}, t);
+    std::vector<std::vector<WorkerSlot::Expected>> share(workers.size());
+    for (std::size_t i = 0; i < dispatches.size(); ++i) {
+      if (!dispatches[i].run) continue;
+      const auto id = static_cast<std::int64_t>(dispatches[i].ci);
+      share[dispatches[i].ci % workers.size()].push_back(
+          {.client = id, .round = t, .slot = i});
+    }
+    const std::vector<std::uint8_t> blob =
+        fl::serialize_tensor_list(ctx.weights);
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (share[w].empty()) continue;
+      WorkerSlot& worker = workers[w];
+      if (rounds_owed(worker) >= options_.max_inflight_rounds) {
+        reg.counter("fl.net.backpressure_withheld_total")
+            .add(static_cast<std::int64_t>(share[w].size()));
+        for (const WorkerSlot::Expected& e : share[w]) {
+          expire(resolve(e).stats, fl::FaultType::kStraggler);
+        }
+        continue;
+      }
+      std::vector<std::int64_t> ids;
+      for (const WorkerSlot::Expected& e : share[w]) {
+        worker.fifo.push_back(e);
+        ids.push_back(e.client);
+      }
+      if (!worker.alive ||
+          !send_train_request(worker, t, std::move(ids), blob, parent)) {
+        lose(w, "send failed");
+      }
+    }
   }
 
   // Sends one round's TrainRequest, with `parent` as its trace context
@@ -150,117 +291,121 @@ class SocketExecutor final : public fl::ClientExecutor {
     return true;
   }
 
-  // Opens and decodes one update (docs/PROTOCOL.md §4). nullopt = a
-  // decode rejection, already tallied.
-  std::optional<fl::ClientUpdate> open_update(UpdateMsg msg, std::size_t worker,
-                                              std::int64_t round,
-                                              fl::RoundFailureStats& stats) {
-    telemetry::SpanTimer screen_span(telemetry::global_registry(),
-                                     "fl.net.screen",
-                                     {{"worker", std::to_string(worker)}},
-                                     round);
-    Result<fl::ClientUpdate> update =
-        fl::open_update(seed_, msg.client_id, std::move(msg.sealed));
-    if (update.ok()) return update.take();
-    ++stats.rejected_decode;
-    return std::nullopt;
+  // Worker w is lost: every client its FIFO still owes expires (as a
+  // straggler when the deadline passed, else as a crash) and the
+  // connection closes.
+  void lose(std::size_t w, const char* why) {
+    WorkerSlot& worker = workers[w];
+    const bool timeout = std::strcmp(why, "timeout") == 0;
+    expire_owed(worker,
+                timeout ? fl::FaultType::kStraggler : fl::FaultType::kCrash,
+                kAnyRound);
+    worker.fifo.clear();
+    if (!worker.alive) return;
+    worker.alive = false;
+    worker.conn.close();
+    telemetry::global_registry()
+        .counter(timeout ? "fl.net.timeouts_total" : "fl.net.disconnects_total")
+        .add(1);
+    FEDCL_LOG(Warn) << "fedcl_server: worker lost (" << why << ")";
   }
 
-  // Sends every worker its share of the attempt and reads the replies
-  // worker by worker into cohort slots: replies queue in each socket
-  // while the others compute, so serial reads lose no concurrency.
-  Deliver start(const fl::DeliveryContext& ctx,
-                const std::vector<fl::Dispatch>& dispatches) override {
+  // Reads worker w's next reply and resolves the head of its FIFO: an
+  // Update is opened and decoded (docs/PROTOCOL.md §4), a TrainError
+  // expires the client, and a reply that answers anything else, or no
+  // reply within the deadline, loses the worker. A reply to an expired
+  // entry is dropped. An update dispatched before round `now` hands over
+  // as an injected straggler, to be absorbed stale or screened.
+  void read_reply(std::size_t w, std::int64_t now) {
+    WorkerSlot& worker = workers[w];
+    Frame frame;
+    const FrameStatus st = read_frame(worker.conn, frame,
+                                      options_.max_frame_bytes,
+                                      options_.io_timeout_ms);
+    if (st != FrameStatus::kOk) {
+      if (st != FrameStatus::kTimeout) reject_frame(frame_status_name(st));
+      lose(w, st == FrameStatus::kTimeout ? "timeout" : "disconnect");
+      return;
+    }
     telemetry::Registry& reg = telemetry::global_registry();
-    const std::int64_t t = ctx.round;
-    slots_.assign(dispatches.size(), {});
-    // Each worker's clients and their cohort slots, in request order.
-    std::vector<std::vector<std::int64_t>> ids(workers.size());
-    std::vector<std::vector<std::size_t>> share(workers.size());
-    for (std::size_t i = 0; i < dispatches.size(); ++i) {
-      if (!dispatches[i].run) continue;
-      ids[dispatches[i].ci % workers.size()].push_back(
-          static_cast<std::int64_t>(dispatches[i].ci));
-      share[dispatches[i].ci % workers.size()].push_back(i);
-    }
-    // Worker w is lost: its clients from the k-th on never report.
-    auto lose = [&](std::size_t w, std::size_t k, const char* why) {
-      for (; k < share[w].size(); ++k) {
-        (std::strcmp(why, "timeout") == 0 ? expire_straggler : expire_crash)(
-            slots_[share[w][k]].stats, 1);
-      }
-      kill(workers[w], why);
-    };
-
-    {
-      telemetry::SpanTimer dispatch_span(reg, "fl.phase",
-                                         {{"phase", "dispatch"}}, t);
-      // Worker-side spans parent under the span this attempt runs in.
-      const telemetry::TraceContext parent = telemetry::current_trace();
-      const std::vector<std::uint8_t> blob =
-          fl::serialize_tensor_list(ctx.weights);
-      for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (ids[w].empty()) continue;
-        if (!workers[w].alive ||
-            !send_train_request(workers[w], t, ids[w], blob, parent)) {
-          lose(w, 0, "send failed");
-        }
+    reg.counter("fl.net.frames_received_total").add(1);
+    const WorkerSlot::Expected head = worker.fifo.front();
+    std::optional<UpdateMsg> update;
+    bool answered = false;  // the frame answers the head
+    if (frame.type == MsgType::kUpdate) {
+      Result<UpdateMsg> msg = decode_update(frame.payload);
+      answered = msg.ok() && msg.value().client_id == head.client;
+      if (answered) update = msg.take();
+    } else if (frame.type == MsgType::kTrainError) {
+      Result<TrainErrorMsg> err = decode_train_error(frame.payload);
+      answered = err.ok() && err.value().client_id == head.client;
+      if (answered) {
+        FEDCL_LOG(Warn) << "fedcl_server: client " << head.client
+                        << " failed: " << err.value().message;
       }
     }
-
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (share[w].empty() || !workers[w].alive) continue;
-      telemetry::SpanTimer recv_span(reg, "fl.net.recv",
-                                     {{"worker", std::to_string(w)}}, t);
-      // One reply per client, in request order (PROTOCOL.md §1). The
-      // deadline is fail-stop: the round cannot wait longer, and a
-      // desynchronized reply stream is unusable afterwards.
-      for (std::size_t k = 0; k < share[w].size(); ++k) {
-        const std::int64_t ci = ids[w][k];
-        fl::RoundFailureStats& stats = slots_[share[w][k]].stats;
-        Frame frame;
-        const FrameStatus st = read_frame(workers[w].conn, frame,
-                                          options_.max_frame_bytes,
-                                          options_.io_timeout_ms);
-        if (st != FrameStatus::kOk) {
-          if (st != FrameStatus::kTimeout) reject_frame(frame_status_name(st));
-          lose(w, k, st == FrameStatus::kTimeout ? "timeout" : "disconnect");
-          break;
-        }
-        reg.counter("fl.net.frames_received_total").add(1);
-        const char* violation = "unexpected-type";
-        if (frame.type == MsgType::kUpdate) {
-          Result<UpdateMsg> msg = decode_update(frame.payload);
-          if (msg.ok() && msg.value().client_id == ci) {
-            slots_[share[w][k]].update = open_update(msg.take(), w, t, stats);
-            continue;
-          }
-          violation = "bad-payload";
-        } else if (frame.type == MsgType::kTrainError) {
-          Result<TrainErrorMsg> err = decode_train_error(frame.payload);
-          if (err.ok() && err.value().client_id == ci) {
-            FEDCL_LOG(Warn) << "fedcl_server: client " << ci
-                            << " failed: " << err.value().message;
-            expire_crash(stats, 1);
-            continue;
-          }
-          violation = "bad-payload";
-        }
-        reject_frame(violation);
-        lose(w, k, "protocol violation");
-        break;
-      }
+    if (!answered) {
+      reject_frame(frame.type == MsgType::kUpdate ||
+                           frame.type == MsgType::kTrainError
+                       ? "bad-payload"
+                       : "unexpected-type");
+      lose(w, "protocol violation");
+      return;
     }
-
-    return [this](std::size_t i, nn::Sequential&) {
-      return std::move(slots_[i]);
-    };
+    worker.fifo.pop_front();
+    if (head.expired) return;
+    fl::ClientDelivery& delivery = resolve(head);
+    if (!update.has_value()) {
+      expire(delivery.stats, fl::FaultType::kCrash);  // TrainError
+      return;
+    }
+    telemetry::SpanTimer screen_span(reg, "fl.net.screen",
+                                     {{"worker", std::to_string(w)}}, now);
+    Result<fl::ClientUpdate> opened =
+        fl::open_update(seed_, head.client, std::move(update->sealed));
+    if (!opened.ok()) {
+      ++delivery.stats.rejected_decode;
+      return;
+    }
+    delivery.update = opened.take();
+    if (head.round < now) {
+      delivery.fault = fl::FaultType::kStraggler;
+      delivery.stats.count_injected(delivery.fault);
+    }
   }
 
- private:
+  // Reads every reply worker w has already sent, without waiting.
+  void read_landed(std::size_t w, std::int64_t now) {
+    WorkerSlot& worker = workers[w];
+    if (!(worker.alive && !worker.fifo.empty() && worker.conn.readable(0))) {
+      return;  // nothing queued: no empty fl.net.recv span
+    }
+    telemetry::SpanTimer recv_span(telemetry::global_registry(),
+                                   "fl.net.recv",
+                                   {{"worker", std::to_string(w)}}, now);
+    while (worker.alive && !worker.fifo.empty() && worker.conn.readable(0)) {
+      read_reply(w, now);
+    }
+  }
+
+  // Reads replies as they land, for up to async_round_wait_ms, while a
+  // worker owes one dispatched at `round`.
+  void collect(std::int64_t now, std::int64_t round) {
+    const Clock::time_point start = Clock::now();
+    while (owes(round) && ms_since(start) < options_.async_round_wait_ms) {
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        if (workers[w].alive && !workers[w].fifo.empty() &&
+            workers[w].conn.readable(10)) {
+          read_landed(w, now);
+        }
+      }
+    }
+  }
+
   const ServingOptions& options_;
   std::uint64_t seed_;
-  std::vector<fl::ClientDelivery> slots_;  // the attempt's, in cohort order
+  std::vector<Reply> replies_;             // resolved, in resolution order
+  std::vector<fl::ClientDelivery> slots_;  // sync: the attempt's, by slot
 };
 
 }  // namespace
@@ -276,8 +421,13 @@ Result<std::unique_ptr<ServingServer>> ServingServer::create(
   using R = Result<std::unique_ptr<ServingServer>>;
   Result<ExperimentDescriptor> valid = validate_descriptor(descriptor);
   if (!valid.ok()) return R::failure(valid.error());
-  if (options.num_workers <= 0) {
-    return R::failure("num_workers must be positive");
+  const std::pair<bool, const char*> transport_rules[] = {
+      {options.num_workers > 0, "num_workers must be positive"},
+      {options.io_timeout_ms > 0, "io_timeout_ms must be positive"},
+      {options.max_inflight_rounds >= 1, "max_inflight_rounds must be >= 1"},
+  };
+  for (const auto& [ok, message] : transport_rules) {
+    if (!ok) return R::failure(message);
   }
   Result<fl::FlExperimentConfig> config =
       fl::validate_config(experiment_config(valid.value(), options));
@@ -408,7 +558,7 @@ ServingReport ServingServer::run() {
                      .screening = config.screening,
                      .min_reporting = config.min_reporting,
                      .reduced_min_reporting = config.reduced_min_reporting});
-  std::optional<fl::AsyncAggregator> agg;
+  std::unique_ptr<fl::AsyncAggregator> agg;  // the async engine's model
   fl::RoundLedger ledger({
       .rounds = d.rounds,
       .eval_every = options_.eval_every,
@@ -416,7 +566,7 @@ ServingReport ServingServer::run() {
       .eval_model = fed.model.get(),
       .val = &val,
       .weights = [&]() -> fl::TensorList {
-        return agg.has_value() ? agg->weights_snapshot() : server.weights();
+        return agg ? agg->weights_snapshot() : server.weights();
       },
       .log_prefix = options_.async_mode ? "fedcl_server: async"
                                         : "fedcl_server:",
@@ -429,246 +579,11 @@ ServingReport ServingServer::run() {
   const fl::RunState state{config, *policy, fed, groups,
                            runner, server, ledger};
   fl::FlRunResult run;
-  if (!options_.async_mode) {
-    // ================= synchronous (bitwise-parity) engine ==========
-    run = fl::run_sync(state, sockets);
+  if (config.async_mode) {
+    agg = fl::make_async_aggregator(state);
+    run = fl::run_async(state, *agg, sockets);
   } else {
-    // ============ asynchronous (overlapping rounds) engine ==========
-    agg.emplace(fed.model->weights(),
-                fl::resolve_async_config(options_.async, d.clients_per_round),
-                *policy, groups, fed.root.fork("async-aggregate"),
-                options_.screening);
-    const std::int64_t max_staleness = agg->config().max_staleness;
-
-    // Cohort members per worker: client ci is hosted by worker ci % n.
-    auto split_by_worker = [&](const std::vector<std::size_t>& cohort) {
-      std::vector<std::vector<std::int64_t>> ids(workers.size());
-      for (std::size_t ci : cohort) {
-        ids[ci % workers.size()].push_back(static_cast<std::int64_t>(ci));
-      }
-      return ids;
-    };
-
-    // Processes one received frame for worker `w`. Returns false when
-    // the worker was killed (caller stops reading it).
-    auto process_frame = [&](WorkerSlot& w, Frame frame, std::int64_t now,
-                             fl::RoundTally& tally) -> bool {
-      fl::RoundFailureStats& stats = tally.stats;
-      auto fail = [&](const char* reason, const char* why) {
-        sockets.reject_frame(reason);
-        expire_crash(stats, w.outstanding_clients());
-        w.outstanding.clear();
-        sockets.kill(w, why);
-        return false;
-      };
-      reg.counter("fl.net.frames_received_total").add(1);
-      std::int64_t client_id = -1;
-      std::optional<UpdateMsg> update_msg;
-      if (frame.type == MsgType::kUpdate) {
-        Result<UpdateMsg> decoded = decode_update(frame.payload);
-        if (!decoded.ok()) return fail("bad-payload", "protocol violation");
-        update_msg = decoded.take();
-        client_id = update_msg->client_id;
-      } else if (frame.type == MsgType::kTrainError) {
-        Result<TrainErrorMsg> err = decode_train_error(frame.payload);
-        if (!err.ok()) return fail("bad-payload", "protocol violation");
-        client_id = err.value().client_id;
-      } else {
-        return fail("unexpected-type", "protocol violation");
-      }
-      // Workers answer their requests in order, so the client is in
-      // the oldest outstanding entries first.
-      bool matched = false;
-      for (auto it = w.outstanding.begin(); it != w.outstanding.end();
-           ++it) {
-        if (it->remaining.erase(client_id) > 0) {
-          matched = true;
-          if (it->remaining.empty()) w.outstanding.erase(it);
-          break;
-        }
-      }
-      if (!matched) return fail("bad-payload", "protocol violation");
-      if (!update_msg.has_value()) {
-        expire_crash(stats, 1);  // TrainError: this client never reports
-        return true;
-      }
-      std::optional<fl::ClientUpdate> update = sockets.open_update(
-          std::move(*update_msg),
-          static_cast<std::size_t>(&w - workers.data()), now, stats);
-      if (!update.has_value()) return true;
-      // Server-derived, never the wire-reported size.
-      const double weight =
-          state.weight_of(static_cast<std::size_t>(client_id));
-      const fl::AsyncAggregator::OfferResult res =
-          agg->offer(std::move(*update), now, weight);
-      if (!res.accepted) {
-        stats.count_rejected(*res.reject);
-        return true;
-      }
-      ++tally.accepted;
-      if (res.staleness > 0) {
-        // A late arrival is a straggler fault absorbed via the
-        // staleness decay — injected and resolved in one step, so the
-        // disposition bijection still balances.
-        ++stats.injected_straggler;
-        ++stats.fault_accepted_stale;
-      }
-      return true;
-    };
-
-    auto drain_worker = [&](WorkerSlot& w, std::int64_t now,
-                            fl::RoundTally& tally) {
-      if (!(w.alive && !w.outstanding.empty() && w.conn.readable(0))) {
-        return;  // nothing queued: no empty fl.net.recv span
-      }
-      telemetry::SpanTimer recv_span(
-          reg, "fl.net.recv",
-          {{"worker",
-            std::to_string(static_cast<std::size_t>(&w - workers.data()))}},
-          now);
-      while (w.alive && !w.outstanding.empty() && w.conn.readable(0)) {
-        Frame frame;
-        const FrameStatus st = read_frame(
-            w.conn, frame, options_.max_frame_bytes, options_.io_timeout_ms);
-        if (st != FrameStatus::kOk) {
-          sockets.reject_frame(frame_status_name(st));
-          expire_crash(tally.stats, w.outstanding_clients());
-          w.outstanding.clear();
-          sockets.kill(w, st == FrameStatus::kTimeout ? "timeout"
-                                                        : "disconnect");
-          return;
-        }
-        if (!process_frame(w, std::move(frame), now, tally)) return;
-      }
-    };
-
-    for (std::int64_t t = 0; t < d.rounds; ++t) {
-      telemetry::TraceScope trace(telemetry::round_trace_root(d.seed, t));
-      telemetry::SpanTimer round_span(reg, "fl.round", {}, t);
-      ledger.open_round();
-      fl::RoundTally tally;
-      fl::RoundFailureStats& stats = tally.stats;
-      const std::int64_t applies_before = agg->applies();
-
-      // Phase 0: fold in whatever already arrived (late updates from
-      // earlier rounds enter staleness-weighted).
-      for (WorkerSlot& w : workers) drain_worker(w, t, tally);
-      // Expire dispatches past the staleness horizon: even if the
-      // update arrived now, screening would reject it.
-      for (WorkerSlot& w : workers) {
-        while (!w.outstanding.empty() &&
-               w.outstanding.front().round + max_staleness < t) {
-          expire_straggler(stats, w.outstanding.front().remaining.size());
-          w.outstanding.pop_front();
-        }
-      }
-
-      // Phase 1: sample and dispatch, with backpressure — a worker
-      // already `max_inflight_rounds` behind gets nothing new; its
-      // cohort slots expire as stragglers rather than queueing without
-      // bound.
-      {
-        telemetry::SpanTimer dispatch_span(
-            reg, "fl.phase", {{"phase", "dispatch"}}, t);
-        const std::vector<std::vector<std::int64_t>> ids_per_worker =
-            split_by_worker(state.sample(t));
-        const std::vector<std::uint8_t> weights_blob =
-            fl::serialize_tensor_list(agg->weights_snapshot());
-        for (std::size_t w = 0; w < workers.size(); ++w) {
-          if (ids_per_worker[w].empty()) continue;
-          if (!workers[w].alive) {
-            expire_crash(stats, ids_per_worker[w].size());
-            continue;
-          }
-          if (static_cast<int>(workers[w].outstanding.size()) >=
-              options_.max_inflight_rounds) {
-            reg.counter("fl.net.backpressure_withheld_total")
-                .add(static_cast<std::int64_t>(ids_per_worker[w].size()));
-            expire_straggler(stats, ids_per_worker[w].size());
-            continue;
-          }
-          if (!sockets.send_train_request(workers[w], t, ids_per_worker[w],
-                                            weights_blob,
-                                            round_span.context())) {
-            expire_crash(stats, ids_per_worker[w].size() +
-                                    workers[w].outstanding_clients());
-            workers[w].outstanding.clear();
-            sockets.kill(workers[w], "send failed");
-            continue;
-          }
-          WorkerSlot::Outstanding o;
-          o.round = t;
-          o.remaining.insert(ids_per_worker[w].begin(),
-                             ids_per_worker[w].end());
-          workers[w].outstanding.push_back(std::move(o));
-        }
-      }
-
-      // Phase 2: collection window. Wait (bounded) for this round's
-      // own updates; whatever misses the window stays outstanding and
-      // arrives stale in a later round.
-      const Clock::time_point window_start = Clock::now();
-      for (;;) {
-        bool this_round_pending = false;
-        for (const WorkerSlot& w : workers) {
-          for (const auto& o : w.outstanding) {
-            if (o.round == t && !o.remaining.empty()) {
-              this_round_pending = true;
-              break;
-            }
-          }
-          if (this_round_pending) break;
-        }
-        if (!this_round_pending) break;
-        if (ms_since(window_start) >= options_.async_round_wait_ms) break;
-        bool any_read = false;
-        for (WorkerSlot& w : workers) {
-          if (!w.alive || w.outstanding.empty()) continue;
-          if (w.conn.readable(10)) {
-            any_read = true;
-            drain_worker(w, t, tally);
-          }
-        }
-        if (!any_read) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-
-      ledger.close_round(t, tally, fl::close_async_round(*agg, applies_before));
-    }
-
-    // End of run: one final grace window for stragglers, then expire
-    // the rest and drain the buffer.
-    fl::RoundTally drain;
-    const Clock::time_point drain_start = Clock::now();
-    for (;;) {
-      bool any_outstanding = false;
-      for (WorkerSlot& w : workers) {
-        if (w.alive && !w.outstanding.empty()) any_outstanding = true;
-      }
-      if (!any_outstanding ||
-          ms_since(drain_start) >= options_.async_round_wait_ms) {
-        break;
-      }
-      for (WorkerSlot& w : workers) {
-        if (w.alive && !w.outstanding.empty() && w.conn.readable(10)) {
-          drain_worker(w, d.rounds - 1, drain);
-        }
-      }
-    }
-    for (WorkerSlot& w : workers) {
-      for (const auto& o : w.outstanding) {
-        expire_straggler(drain.stats, o.remaining.size());
-      }
-      w.outstanding.clear();
-    }
-    ledger.close_run(drain);
-    agg->flush();
-    fl::FlRunResult& result = ledger.result();
-    result.async_applies = agg->applies();
-    result.final_weights = agg->weights_snapshot();
-    result.final_accuracy = ledger.evaluate();
-    run = ledger.finish();
+    run = fl::run_sync(state, sockets);
   }
 
   report.failures = run.total_failures;

@@ -4,9 +4,12 @@
 // binds a loopback TCP port, admits exactly `num_workers` fedcl_client
 // processes (everyone else gets Busy — that refusal is the admission
 // control the load-gen bench hammers), ships each the resolved
-// ExperimentDescriptor, and then drives fl::run_sync, the loop the
-// in-process trainer runs, with a socket executor: the train phase
-// becomes TrainRequest/Update frames over real connections.
+// ExperimentDescriptor, and then drives the loop the in-process trainer
+// runs, fl::run_sync or fl::run_async, with a socket executor: the train
+// phase becomes TrainRequest/Update frames over real connections, and
+// each worker's replies are matched, in request order, against one FIFO
+// of the replies it owes. This file keeps admission, roster and
+// transport; the rounds are the engine's.
 //
 // Determinism contract (docs/PROTOCOL.md §5): in the synchronous
 // engine, with no faults, every RNG stream the round consumes
@@ -14,14 +17,14 @@
 // from the shared seed, updates are re-assembled in cohort order
 // before aggregation, and weights travel as exact f32 bytes — so the
 // final model state is BITWISE identical to fl::run_experiment at the
-// same seed and configuration. The asynchronous engine instead offers
-// arriving updates straight into the streaming AsyncAggregator,
-// tolerates workers running rounds behind (staleness decay), and
-// withholds dispatches from workers more than `max_inflight_rounds`
-// behind — backpressure for overlapping rounds; its fold order follows
-// real arrival order, so it trades the bitwise guarantee for overlap,
-// exactly the determinism boundary DESIGN.md §5 states for the
-// in-process async engine across thread counts.
+// same seed and configuration. The asynchronous engine offers the
+// updates that land within a real-time window in the order they are
+// read, tolerates workers running rounds behind (staleness decay;
+// expiry past the horizon keeps the worker), and withholds dispatches
+// from workers `max_inflight_rounds` behind. With one worker, read
+// order is cohort order and the run matches in-process async bit for
+// bit; with several it follows real arrival order, the determinism
+// boundary DESIGN.md §5 states.
 //
 // Real network events reuse the fault-disposition ledger: a recv
 // deadline miss is an injected straggler that expired, a disconnect an
@@ -50,8 +53,8 @@ struct ServingOptions {
   int num_workers = 2;  // admitted connections; the rest get Busy
   // Deadline for the full worker roster to connect and handshake.
   int accept_timeout_ms = 30000;
-  // Per-frame receive deadline within a round; a worker that misses it
-  // is a straggler (sync: fail-stop; async: staleness budget applies).
+  // Per-frame receive deadline (> 0); a worker that misses it is lost
+  // and its clients expire as stragglers.
   int io_timeout_ms = 20000;
   std::size_t max_frame_bytes = kDefaultMaxPayload;
 
@@ -67,8 +70,8 @@ struct ServingOptions {
   // Asynchronous engine (overlapping rounds).
   bool async_mode = false;
   fl::AsyncAggregatorConfig async;
-  // Backpressure window: a worker with this many rounds outstanding is
-  // not dispatched to; its cohort slots expire as stragglers.
+  // Backpressure window (>= 1): a worker owing replies for this many
+  // rounds is not dispatched to; its cohort slots expire as stragglers.
   int max_inflight_rounds = 2;
   // How long one async round waits for its own updates before moving
   // on and letting them arrive stale.
@@ -101,8 +104,8 @@ struct ServingReport {
 
 class ServingServer {
  public:
-  // Validates the descriptor and the experiment it maps to with the
-  // options (fl::validate_config), then binds. Fails, never throws.
+  // Validates the descriptor, the transport options, and the experiment
+  // they map to (fl::validate_config), then binds. Fails, never throws.
   static Result<std::unique_ptr<ServingServer>> create(
       ExperimentDescriptor descriptor, ServingOptions options);
 

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -514,19 +516,25 @@ TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
 }
 
 // A served option the run would reject fails create(), before a port is
-// bound or a worker admitted, with fl::validate_config's reason.
+// bound or a worker admitted, with fl::validate_config's reason or the
+// transport's.
 TEST(NetServing, InvalidServerOptionsFailAtCreate) {
   ServingOptions valid;
   valid.num_workers = 1;
   ASSERT_TRUE(ServingServer::create(sample_descriptor(), valid).ok());
 
-  std::vector<ServingOptions> invalid(5, valid);
+  std::vector<ServingOptions> invalid(7, valid);
   invalid[0].min_reporting = 0;
   invalid[1].reduced_min_reporting = 2;  // above min_reporting = 1
   invalid[2].server_momentum = 1.0;
   invalid[3].screening.norm_outlier_factor = -1.0;
   invalid[4].async_mode = true;
   invalid[4].async.staleness_alpha = -0.5;
+  // Transport options: no time to receive a frame in, and no room for
+  // a single round in flight.
+  invalid[5].io_timeout_ms = 0;
+  invalid[6].async_mode = true;
+  invalid[6].max_inflight_rounds = 0;
   for (const ServingOptions& options : invalid) {
     Result<std::unique_ptr<ServingServer>> server =
         ServingServer::create(sample_descriptor(), options);
@@ -698,6 +706,100 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
   }
 }
 
+// A healthy worker slower than the staleness horizon (PROTOCOL.md §5.3).
+// The stub answers each TrainRequest with TrainError frames 120 ms after
+// it arrives, while a round waits 50 ms and max_staleness is 0: every
+// client expires as a straggler when its round passes the horizon, and
+// the reply that comes later is read and dropped, never taken for a
+// protocol violation. The worker stays connected until Bye.
+TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
+  using Clock = std::chrono::steady_clock;
+  ExperimentDescriptor d = sample_descriptor();
+  d.total_clients = 16;
+  d.clients_per_round = 2;
+  d.rounds = 10;
+  ServingOptions options;
+  options.num_workers = 1;
+  options.async_mode = true;
+  options.async.max_staleness = 0;
+  options.async_round_wait_ms = 50;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(d, options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  const int port = server.value()->port();
+
+  std::atomic<bool> ended_on_bye{false};
+  std::atomic<int> answered{0};
+  std::thread slow_worker([&] {
+    Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
+    if (!conn.ok()) return;
+    HelloMsg hello;
+    hello.worker_index = 0;
+    hello.num_workers = 1;
+    Frame frame;
+    if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello)) ||
+        read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
+            FrameStatus::kOk ||
+        frame.type != MsgType::kWelcome) {
+      return;
+    }
+    // Replies owed, oldest first, each with the time it is due.
+    std::deque<std::pair<Clock::time_point, std::vector<std::int64_t>>> owed;
+    for (;;) {
+      const auto until_due =
+          owed.empty() ? std::chrono::milliseconds(30000)
+                       : std::chrono::duration_cast<std::chrono::milliseconds>(
+                             owed.front().first - Clock::now());
+      if (conn.value().readable(
+              static_cast<int>(std::max<std::int64_t>(0, until_due.count())))) {
+        if (read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
+            FrameStatus::kOk) {
+          return;
+        }
+        if (frame.type == MsgType::kBye) {
+          ended_on_bye = true;
+          return;
+        }
+        Result<TrainRequestMsg> req = decode_train_request(frame.payload);
+        if (frame.type != MsgType::kTrainRequest || !req.ok()) return;
+        owed.emplace_back(Clock::now() + std::chrono::milliseconds(120),
+                          req.value().client_ids);
+        continue;
+      }
+      if (owed.empty()) return;
+      for (std::int64_t ci : owed.front().second) {
+        TrainErrorMsg err;
+        err.client_id = ci;
+        err.message = "slow stub";
+        if (!write_frame(conn.value(), MsgType::kTrainError,
+                         encode_train_error(err))) {
+          return;
+        }
+      }
+      owed.pop_front();
+      ++answered;
+    }
+  });
+  const ServingReport report = server.value()->run();
+  slow_worker.join();
+  ASSERT_TRUE(report.ok) << report.error;
+
+  telemetry::Registry& reg = telemetry::global_registry();
+  EXPECT_EQ(reg.counter("fl.net.disconnects_total").value(), 0);
+  EXPECT_EQ(report.frames_rejected, 0);
+  EXPECT_TRUE(ended_on_bye.load()) << "the slow worker lost its connection";
+  // Not vacuous: replies came after their clients expired, and were read.
+  EXPECT_GT(answered.load(), 0);
+  EXPECT_GT(reg.counter("fl.net.frames_received_total").value(), 0);
+  const fl::RoundFailureStats& f = report.failures;
+  EXPECT_GT(f.injected_straggler, 0);
+  EXPECT_EQ(f.injected_straggler + f.injected_crash,
+            d.rounds * d.clients_per_round);
+  EXPECT_EQ(f.faults_resolved_total(), f.injected_total());
+  EXPECT_EQ(f.fault_expired, f.injected_total());
+  EXPECT_EQ(report.updates_accepted, 0);
+}
+
 // Collects every span event the registry emits during a run. write()
 // is called under the registry's sink lock, so no extra locking.
 class SpanCollector final : public telemetry::Sink {
@@ -712,52 +814,63 @@ class SpanCollector final : public telemetry::Sink {
 };
 
 TEST(NetServing, TraceContextPropagatesEndToEndWithZeroOrphans) {
-  const ExperimentDescriptor d = sample_descriptor();
-  ServingOptions options;
-  options.num_workers = 2;
-  Result<std::unique_ptr<ServingServer>> server =
-      ServingServer::create(d, options);
-  ASSERT_TRUE(server.ok()) << server.error();
+  for (const bool async_mode : {false, true}) {
+    SCOPED_TRACE(async_mode ? "async" : "sync");
+    const ExperimentDescriptor d = sample_descriptor();
+    ServingOptions options;
+    options.num_workers = 2;
+    options.async_mode = async_mode;
+    Result<std::unique_ptr<ServingServer>> server =
+        ServingServer::create(d, options);
+    ASSERT_TRUE(server.ok()) << server.error();
 
-  telemetry::Registry& reg = telemetry::global_registry();
-  reg.clear_sinks();
-  std::vector<telemetry::Event> spans;
-  reg.add_sink(std::make_unique<SpanCollector>(&spans));
-  ServingReport report = run_with_workers(*server.value(), 2);
-  reg.clear_sinks();
-  ASSERT_TRUE(report.ok) << report.error;
+    telemetry::Registry& reg = telemetry::global_registry();
+    reg.clear_sinks();
+    std::vector<telemetry::Event> spans;
+    reg.add_sink(std::make_unique<SpanCollector>(&spans));
+    ServingReport report = run_with_workers(*server.value(), 2);
+    reg.clear_sinks();
+    ASSERT_TRUE(report.ok) << report.error;
 
-  // Index the traced spans: every round's spans (server- and
-  // worker-side alike) must carry the deterministic (seed, round)
-  // trace id, and every parent id must resolve — zero orphans.
-  std::unordered_set<std::uint64_t> span_ids;
-  std::int64_t traced = 0, client_round_spans = 0;
-  for (const telemetry::Event& e : spans) {
-    if (e.span_id != 0) span_ids.insert(e.span_id);
-  }
-  for (const telemetry::Event& e : spans) {
-    if (e.span_id == 0) continue;
-    ++traced;
-    ASSERT_GE(e.step, 0) << e.name;
-    const telemetry::TraceContext root =
-        telemetry::round_trace_root(d.seed, e.step);
-    EXPECT_EQ(e.trace_hi, root.trace_hi) << e.name << " @" << e.step;
-    EXPECT_EQ(e.trace_lo, root.trace_lo) << e.name << " @" << e.step;
-    if (e.parent_span != 0) {
-      EXPECT_TRUE(span_ids.count(e.parent_span))
-          << "orphan span " << e.name << " @" << e.step;
+    // Index the traced spans: every round's spans (server- and
+    // worker-side alike) must carry the deterministic (seed, round)
+    // trace id, and every parent id must resolve — zero orphans.
+    std::unordered_map<std::uint64_t, const telemetry::Event*> by_id;
+    std::int64_t traced = 0, client_round_spans = 0;
+    for (const telemetry::Event& e : spans) {
+      if (e.span_id != 0) by_id[e.span_id] = &e;
     }
-    if (e.name == "fl.client.round") {
-      ++client_round_spans;
-      // The worker adopted the context off the wire: its parent is the
-      // server's round span, flagged remote.
-      EXPECT_TRUE(e.parent_remote);
-      EXPECT_NE(e.parent_span, 0u);
+    for (const telemetry::Event& e : spans) {
+      if (e.span_id == 0) continue;
+      ++traced;
+      ASSERT_GE(e.step, 0) << e.name;
+      const telemetry::TraceContext root =
+          telemetry::round_trace_root(d.seed, e.step);
+      EXPECT_EQ(e.trace_hi, root.trace_hi) << e.name << " @" << e.step;
+      EXPECT_EQ(e.trace_lo, root.trace_lo) << e.name << " @" << e.step;
+      if (e.parent_span != 0) {
+        EXPECT_TRUE(by_id.count(e.parent_span))
+            << "orphan span " << e.name << " @" << e.step;
+      }
+      if (e.name == "fl.client.round") {
+        ++client_round_spans;
+        // The worker adopted the context off the wire: its parent is
+        // the server's local_train phase of the same round, flagged
+        // remote.
+        EXPECT_TRUE(e.parent_remote);
+        const auto parent = by_id.find(e.parent_span);
+        ASSERT_NE(parent, by_id.end()) << "@" << e.step;
+        EXPECT_EQ(parent->second->name, "fl.phase") << "@" << e.step;
+        EXPECT_EQ(parent->second->labels,
+                  (telemetry::Labels{{"phase", "local_train"}}))
+            << "@" << e.step;
+        EXPECT_EQ(parent->second->step, e.step);
+      }
     }
+    EXPECT_GT(traced, 0);
+    EXPECT_GT(client_round_spans, 0)
+        << "no worker-side spans joined the server's traces";
   }
-  EXPECT_GT(traced, 0);
-  EXPECT_GT(client_round_spans, 0)
-      << "no worker-side spans joined the server's traces";
 }
 
 // A worker that never advertises the trace capability (Hello flags 0 —

@@ -12,20 +12,23 @@ sync engine at the same seed.
 All three serving processes also run with --trace-out; the per-process
 Chrome trace files are merged with tools/fedcl_trace.py and validated
 STRICTLY: every worker-side span must parent under its round's
-server-side span, with zero orphan spans in the merged trace — the
-cross-process trace-propagation contract of docs/PROTOCOL.md §3.4.
+server-side span, with zero orphan spans in the merged trace, and every
+worker's fl.client.round must parent under the server's
+fl.phase{local_train} of the same round — the cross-process
+trace-propagation contract of docs/PROTOCOL.md §3.4.
 
 With --async the server runs its asynchronous engine instead. The demo
-still requires every round to complete and the merged trace to hold
-zero orphans, but skips the checkpoint comparison: the async engine
-folds updates in arrival order and gives up bitwise parity by design
-(docs/PROTOCOL.md §5.2).
+still requires every round to complete and the merged trace to pass the
+same checks, but skips the checkpoint comparison: with two workers the
+async engine folds updates in arrival order and gives up bitwise parity
+by design (docs/PROTOCOL.md §5.2).
 
 Usage:
   run_serving_demo.py --server=PATH --client=PATH --simulator=PATH
                       [--rounds=5] [--port=0] [--async] [--keep-dir]
 """
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -54,6 +57,35 @@ def fail(msg):
 def experiment_flags(rounds):
     flags = ["--%s=%s" % (k, v) for k, v in sorted(EXPERIMENT.items())]
     return flags + ["--rounds=%d" % rounds]
+
+
+def check_worker_round_parents(merged_trace):
+    """Every worker's fl.client.round parents under the server's
+    fl.phase{local_train} span of the same round."""
+    with open(merged_trace, encoding="utf-8") as f:
+        spans = [e for e in json.load(f)["traceEvents"]
+                 if e.get("ph") == "X"]
+    by_id = {e["args"]["span"]: e for e in spans
+             if "span" in e.get("args", {})}
+    checked = 0
+    for e in spans:
+        if e.get("name") != "fl.client.round":
+            continue
+        args = e.get("args", {})
+        parent = by_id.get(args.get("parent"), {})
+        parent_args = parent.get("args", {})
+        if (parent.get("name") != "fl.phase"
+                or parent_args.get("phase") != "local_train"
+                or parent_args.get("step") != args.get("step")):
+            fail("fl.client.round of round %s parents under %s{%s} of "
+                 "round %s, not fl.phase{local_train}"
+                 % (args.get("step"), parent.get("name"),
+                    parent_args.get("phase"), parent_args.get("step")))
+        checked += 1
+    if checked == 0:
+        fail("no fl.client.round spans in the merged trace")
+    print("run_serving_demo: %d worker round spans parent under "
+          "fl.phase{local_train}" % checked)
 
 
 def main():
@@ -153,6 +185,7 @@ def main():
             if trace_check.returncode != 0:
                 fail("merged trace failed validation — cross-process span "
                      "propagation is broken")
+        check_worker_round_parents(merged_trace)
 
         if args.async_engine:
             print("run_serving_demo: PASS — %d async rounds over TCP, merged "
