@@ -12,7 +12,11 @@
 // their legs run Client::run_round and their rows are context; the
 // headline numbers are the Fed-CDP round speedup (batched vs sliced)
 // and the engine-only per-example-gradient speedup measured below the
-// round table.
+// round table. The engine-only table also times the batch gradient
+// non-private and Fed-SDP train on: one autograd graph
+// (compute_gradients_reference) vs the tape's batch reduction
+// (compute_gradients), bitwise equal, one thread each in the same run
+// (batch_grad_speedup.<model>).
 //
 // Reading the numbers: the engine's win is avoided work per example —
 // graph construction, node/Var allocation, and per-example tensor
@@ -56,6 +60,7 @@
 #include "dp/fused_sanitize.h"
 #include "fl/client.h"
 #include "fl/trainer.h"
+#include "nn/grad_utils.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
 #include "nn/per_example.h"
@@ -207,6 +212,53 @@ EngineRow time_engine(const std::string& name, nn::Sequential& model,
   return row;
 }
 
+// Engine-only batch gradient: the autograd reference vs the tape's
+// batch reduction on one batch. Both legs run on one compute-pool
+// worker, where nested pool loops run inline, so the ratio is a
+// one-thread number at any pool size; reps alternate the legs and each
+// leg reports its median.
+struct BatchGradRow {
+  std::string model;
+  double reference_ms = 0.0;
+  double tape_ms = 0.0;
+  double speedup() const {
+    return tape_ms > 0.0 ? reference_ms / tape_ms : 0.0;
+  }
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+BatchGradRow time_batch_grad(const std::string& name, nn::Sequential& model,
+                             const tensor::Tensor& x,
+                             const std::vector<std::int64_t>& labels) {
+  using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::duration<double, std::milli>;
+  constexpr int kReps = 21;
+  BatchGradRow row;
+  row.model = name;
+  compute_pool()
+      .submit([&] {
+        std::vector<double> reference_ms, tape_ms;
+        for (int r = -1; r < kReps; ++r) {  // r = -1 warms up
+          const auto start = Clock::now();
+          (void)nn::compute_gradients_reference(model, x, labels);
+          const auto mid = Clock::now();
+          (void)nn::compute_gradients(model, x, labels);
+          const auto end = Clock::now();
+          if (r < 0) continue;
+          reference_ms.push_back(Ms(mid - start).count());
+          tape_ms.push_back(Ms(end - mid).count());
+        }
+        row.reference_ms = median_of(std::move(reference_ms));
+        row.tape_ms = median_of(std::move(tape_ms));
+      })
+      .get();
+  return row;
+}
+
 // Fed-CDP's noise floor for one client's local round. Per-example
 // noise is irreducible: a Fed-CDP round draws L * B * |params|
 // Gaussians, so it cannot beat the non-private round plus that many
@@ -224,11 +276,6 @@ struct NoiseFloor {
   }
   double ratio() const { return fedcdp_ms / floor_ms(); }
 };
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 NoiseFloor measure_noise_floor(const fl::Client& client,
                                nn::Sequential& model,
@@ -336,6 +383,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::vector<EngineRow> engine_rows;
+  std::vector<BatchGradRow> batch_grad_rows;
   NoiseFloor mlp_floor;
   AsciiTable table("ms per local round: sliced vs batched per-example engine");
   table.set_header({"model", "policy", "per-example", "sliced ms",
@@ -392,17 +440,26 @@ int main(int argc, char** argv) {
     engine_rows.push_back(
         time_engine(mc.name, *model, batch.x, batch.labels,
                     std::max(2, 2 * dims.timed_rounds)));
+    batch_grad_rows.push_back(
+        time_batch_grad(mc.name, *model, batch.x, batch.labels));
   }
   table.print();
 
   AsciiTable engine_table(
-      "ms per batch of per-example gradients (engine only, no DP/SGD)");
+      "ms per batch of gradients (engine only, no DP/SGD): per-example "
+      "sliced vs batched; batch autograd vs tape, 1 thread");
   engine_table.set_header(
-      {"model", "sliced ms", "batched ms", "speedup"});
-  for (const EngineRow& r : engine_rows) {
-    engine_table.add_row({r.model, AsciiTable::fmt(r.sliced_ms, 3),
+      {"model", "gradient", "reference ms", "engine ms", "speedup"});
+  for (std::size_t m = 0; m < engine_rows.size(); ++m) {
+    const EngineRow& r = engine_rows[m];
+    engine_table.add_row({r.model, "per-example",
+                          AsciiTable::fmt(r.sliced_ms, 3),
                           AsciiTable::fmt(r.batched_ms, 3),
                           AsciiTable::fmt(r.speedup(), 2) + "x"});
+    const BatchGradRow& g = batch_grad_rows[m];
+    engine_table.add_row({g.model, "batch", AsciiTable::fmt(g.reference_ms, 3),
+                          AsciiTable::fmt(g.tape_ms, 3),
+                          AsciiTable::fmt(g.speedup(), 2) + "x"});
   }
   std::printf("\n");
   engine_table.print();
@@ -410,8 +467,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading the numbers: the round rows time the full local round "
       "(data gather, forward/backward, DP clip+noise, SGD step); the "
-      "engine rows isolate the per-example gradient computation the "
-      "batched engine replaces. Non-private and Fed-SDP never take the "
+      "engine rows isolate the gradient computation: per-example rows "
+      "what the batched engine replaces, batch rows the autograd graph "
+      "the tape replaces for non-private and Fed-SDP. Non-private and Fed-SDP never take the "
       "per-example path, so their round rows hover around 1x. Fed-CDP "
       "round time also pays for B x params Gaussian draws per iteration "
       "(identical in both legs by design — the noise stream is "
@@ -602,6 +660,16 @@ int main(int argc, char** argv) {
     engine_only.push_back(std::move(row));
   }
   doc["engine_only"] = std::move(engine_only);
+  json::Value batch_grad = json::Value::array();
+  for (const BatchGradRow& r : batch_grad_rows) {
+    json::Value row = json::Value::object();
+    row["model"] = r.model;
+    row["reference_ms"] = r.reference_ms;
+    row["tape_ms"] = r.tape_ms;
+    row["speedup"] = r.speedup();
+    batch_grad.push_back(std::move(row));
+  }
+  doc["batch_grad"] = std::move(batch_grad);
   json::Value sanitize = json::Value::object();
   sanitize["mfloats_per_s_1t"] = sanitize_mfloats_1t;
   sanitize["mfloats_per_s_4t"] = sanitize_mfloats_4t;
@@ -638,6 +706,13 @@ int main(int argc, char** argv) {
     bench::add_metric(doc, "engine_ms." + r.model, r.batched_ms, "lower",
                       "time");
     bench::add_metric(doc, "engine_speedup." + r.model, r.speedup(),
+                      "higher", "ratio");
+  }
+  // The tape over autograd for the batch gradient, one thread, same
+  // run. The CNN reads near 1 (both sides spend their time in the same
+  // conv kernels), so its entry guards against a regression.
+  for (const BatchGradRow& r : batch_grad_rows) {
+    bench::add_metric(doc, "batch_grad_speedup." + r.model, r.speedup(),
                       "higher", "ratio");
   }
   // Absolute throughput is host-specific (class "time"); the 1->4

@@ -8,9 +8,10 @@
 
 namespace fedcl::nn {
 
-TensorList compute_gradients(const Sequential& model, const Tensor& x,
-                             const std::vector<std::int64_t>& labels,
-                             double* out_loss) {
+TensorList compute_gradients_reference(const Sequential& model,
+                                       const Tensor& x,
+                                       const std::vector<std::int64_t>& labels,
+                                       double* out_loss) {
   Var input(x, /*requires_grad=*/false);
   Var logits = model.forward(input);
   Var loss = softmax_cross_entropy(logits, labels);

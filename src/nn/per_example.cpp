@@ -1,5 +1,6 @@
 #include "nn/per_example.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -7,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "nn/grad_utils.h"
 #include "nn/layers.h"
-#include "nn/loss.h"
 #include "tensor/im2col.h"
 
 namespace fedcl::nn {
@@ -54,6 +54,7 @@ struct TapeNode {
   NodeKind kind = NodeKind::kUnsupported;
   Layer* layer = nullptr;            // borrowed from the model
   std::size_t weight_index = 0;      // param index of W (Linear/Conv)
+  Tensor weight;                     // W (Linear/Conv dX)
   Shape in_shape;                    // input shape (pool/flatten dX)
   Tensor input;                      // Linear: input activations
   Tensor output;                     // Activation: f(x) for f'
@@ -74,13 +75,14 @@ void add_bias_rows_(Tensor& y, const Tensor& bias) {
 }
 
 // Raw-tensor forward over the model, recording the tape. Mirrors each
-// layer's autograd forward (same op order) so values agree to float
-// rounding.
+// layer's autograd forward (same kernels, same op order), so the
+// logits are bitwise the graph's.
 Tensor forward_with_tape(Sequential& model, const Tensor& x,
                          std::vector<TapeNode>& tape) {
   tape.clear();
   tape.reserve(model.layer_count());
   Tensor h = x;
+  const std::vector<Var>& params = model.parameters();
   std::size_t param_index = 0;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     Layer& layer = model.layer(i);
@@ -94,10 +96,11 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
         FEDCL_CHECK_EQ(h.ndim(), 2u);
         FEDCL_CHECK_EQ(h.dim(1), lin.in_features());
         node.weight_index = param_index;
-        param_index += 2;
+        node.weight = params[param_index].value();
         node.input = h;
-        Tensor y = t::matmul(h, lin.parameters()[0].value());
-        add_bias_rows_(y, lin.parameters()[1].value());
+        Tensor y = t::matmul(h, node.weight);
+        add_bias_rows_(y, params[param_index + 1].value());
+        param_index += 2;
         h = y;
         break;
       }
@@ -115,10 +118,11 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
                              .pad = conv.pad()};
         node.spec.validate();
         node.weight_index = param_index;
-        param_index += 2;
+        node.weight = params[param_index].value();
         node.cols = t::im2col(h, node.spec);
-        Tensor y = t::matmul(node.cols, conv.parameters()[0].value());
-        add_bias_rows_(y, conv.parameters()[1].value());
+        Tensor y = t::matmul(node.cols, node.weight);
+        add_bias_rows_(y, params[param_index + 1].value());
+        param_index += 2;
         h = y.reshape({n, node.spec.out_h(), node.spec.out_w(),
                        conv.out_channels()});
         break;
@@ -270,105 +274,149 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
   return h;
 }
 
-}  // namespace
-
-PerExampleGrads compute_per_example_gradients(
-    Sequential& model, const Tensor& x,
-    const std::vector<std::int64_t>& labels, double* out_loss) {
-  const std::int64_t batch = x.dim(0);
-  FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), batch);
-
-  std::vector<TapeNode> tape;
-  const Tensor logits = forward_with_tape(model, x, tape);
+// The loss gradient w.r.t. the logits [B, C], row by row. Both seeds
+// start from the shifted exponentials softmax() and
+// softmax_cross_entropy() compute: row max m, e = exp(z - m), and S,
+// their sum accumulated in double and rounded to float.
+//  - per_example: e / S - onehot, each example's own loss gradient (no
+//    1/B).
+//  - batch: autograd's VJP of the mean loss, step for step. The mean
+//    hands each example's picked log-probability s = -1/B; the
+//    log-sum-exp turns the -s it receives into q = (1/B) / S and then
+//    q * e; the two meet at the logits as q * e, plus s at the label.
+// out_loss, when non-null, receives the mean loss as
+// softmax_cross_entropy's forward computes it: the picked z - m - log S
+// summed in double, rounded to float and multiplied by s.
+Tensor seed_logits(const Tensor& logits,
+                   const std::vector<std::int64_t>& labels,
+                   bool per_example, double* out_loss) {
   FEDCL_CHECK_EQ(logits.ndim(), 2u);
-  const std::int64_t classes = logits.dim(1);
-
-  // Seed: each example's OWN loss gradient, softmax(z_j) - onehot(y_j).
-  // No 1/B — row j of every downstream delta is then d(loss_j)/d(.).
-  Tensor delta = softmax(logits);
-  if (out_loss != nullptr) {
-    double total = 0.0;
-    for (std::int64_t j = 0; j < batch; ++j) {
-      const float p = delta.at(j * classes + labels[static_cast<std::size_t>(j)]);
-      total += -std::log(static_cast<double>(p) + 1e-30);
-    }
-    *out_loss = total / static_cast<double>(batch);
+  const std::int64_t batch = logits.dim(0), classes = logits.dim(1);
+  FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), batch);
+  for (const std::int64_t label : labels) {
+    FEDCL_CHECK(label >= 0 && label < classes)
+        << "label " << label << " outside [0, " << classes << ")";
   }
+  const float s = -1.0f / static_cast<float>(batch);
+  Tensor delta({batch, classes});
+  double picked = 0.0;
   for (std::int64_t j = 0; j < batch; ++j) {
-    delta.at(j * classes + labels[static_cast<std::size_t>(j)]) -= 1.0f;
+    const float* z = logits.data() + j * classes;
+    float* d = delta.data() + j * classes;
+    float m = z[0];
+    for (std::int64_t c = 1; c < classes; ++c) m = std::max(m, z[c]);
+    double sum = 0.0;
+    for (std::int64_t c = 0; c < classes; ++c) {
+      d[c] = std::exp(z[c] - m);
+      sum += d[c];
+    }
+    const float total = static_cast<float>(sum);
+    const std::int64_t y = labels[static_cast<std::size_t>(j)];
+    if (out_loss != nullptr) picked += (z[y] - m) - std::log(total);
+    if (per_example) {
+      for (std::int64_t c = 0; c < classes; ++c) d[c] = d[c] / total;
+      d[y] -= 1.0f;
+    } else {
+      const float q = -s / total;
+      for (std::int64_t c = 0; c < classes; ++c) d[c] = q * d[c];
+      d[y] += s;
+    }
   }
+  if (out_loss != nullptr) *out_loss = static_cast<float>(picked) * s;
+  return delta;
+}
 
-  PerExampleGrads grads;
-  grads.batch = batch;
-  for (const auto& p : model.parameters())
-    grads.shapes.push_back(p.value().shape());
-  grads.params.resize(grads.shapes.size());
+// Where the backward walk leaves the parameter gradients. Exactly one
+// target is set, and it picks the reduction.
+struct GradTarget {
+  PerExampleGrads* per_example = nullptr;  // factors (Linear), rows (Conv)
+  TensorList* batch = nullptr;             // dW and db over the batch
+};
 
+// The backward walk, written once for both reductions. dX stops at the
+// first parameterized layer: no parameter sits below it.
+void backward_walk(std::vector<TapeNode>& tape, Tensor delta,
+                   const GradTarget& target) {
+  std::size_t first = 0;
+  while (first < tape.size() && tape[first].kind != NodeKind::kLinear &&
+         tape[first].kind != NodeKind::kConv) {
+    ++first;
+  }
+  const std::int64_t batch = delta.dim(0);
   ThreadPool& pool = compute_pool();
-  for (std::size_t i = tape.size(); i-- > 0;) {
+  for (std::size_t i = tape.size(); i-- > first;) {
     TapeNode& node = tape[i];
-    const bool need_dx = i > 0;
+    const bool need_dx = i > first;
     switch (node.kind) {
       case NodeKind::kLinear: {
-        // grad_W[j] = a_j^T delta_j and grad_b[j] = delta_j: hand over
-        // the factors; the sanitizer multiplies them out element by
-        // element as it writes the batch mean.
-        const auto& lin = static_cast<const Linear&>(*node.layer);
-        grads.params[node.weight_index].a = node.input;
-        grads.params[node.weight_index].delta = delta;
-        grads.params[node.weight_index + 1].delta = delta;
+        const std::size_t w = node.weight_index;
+        if (target.per_example != nullptr) {
+          // grad_W[j] = a_j^T delta_j and grad_b[j] = delta_j: hand
+          // over the factors; the sanitizer multiplies them out element
+          // by element as it writes the batch mean.
+          PerExampleGrads& grads = *target.per_example;
+          grads.params[w].a = node.input;
+          grads.params[w].delta = delta;
+          grads.params[w + 1].delta = delta;
+        } else {
+          (*target.batch)[w] = t::matmul_tn(node.input, delta);
+          (*target.batch)[w + 1] = t::col_sum(delta);
+        }
         if (need_dx) {
-          delta = t::matmul_nt(delta, lin.parameters()[0].value());
+          delta = t::matmul_nt(delta, node.weight);
         }
         break;
       }
       case NodeKind::kConv: {
-        const auto& conv = static_cast<const Conv2d&>(*node.layer);
         const std::int64_t patches = node.spec.out_h() * node.spec.out_w();
         const std::int64_t width = node.spec.patch_size();
-        const std::int64_t oc = conv.out_channels();
-        Tensor dw({batch, width * oc});
-        Tensor db({batch, oc});
-        const float* cols = node.cols.data();
-        const float* d = delta.data();
-        float* dw_p = dw.data();
-        float* db_p = db.data();
-        pool.parallel_for_chunks(
-            static_cast<std::size_t>(batch), 1,
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t j = begin; j < end; ++j) {
-                // grad_W[j] = cols_j^T delta_j over this example's
-                // patches-deep im2col slice.
-                t::matmul_tn_into(
-                    cols + j * static_cast<std::size_t>(patches * width),
-                    d + j * static_cast<std::size_t>(patches * oc),
-                    dw_p + j * static_cast<std::size_t>(width * oc),
-                    patches, width, oc);
-                float* db_row = db_p + j * oc;
-                const float* d_row =
-                    d + j * static_cast<std::size_t>(patches * oc);
-                for (std::int64_t p = 0; p < patches; ++p) {
-                  for (std::int64_t o = 0; o < oc; ++o) {
-                    db_row[o] += d_row[p * oc + o];
+        const std::int64_t oc = node.weight.dim(1);
+        const std::size_t w = node.weight_index;
+        const Tensor d2 = delta.reshape({batch * patches, oc});
+        if (target.per_example != nullptr) {
+          Tensor dw({batch, width * oc});
+          Tensor db({batch, oc});
+          const float* cols = node.cols.data();
+          const float* d = d2.data();
+          float* dw_p = dw.data();
+          float* db_p = db.data();
+          pool.parallel_for_chunks(
+              static_cast<std::size_t>(batch), 1,
+              [&](std::size_t begin, std::size_t end) {
+                for (std::size_t j = begin; j < end; ++j) {
+                  // grad_W[j] = cols_j^T delta_j over this example's
+                  // patches-deep im2col slice.
+                  t::matmul_tn_into(
+                      cols + j * static_cast<std::size_t>(patches * width),
+                      d + j * static_cast<std::size_t>(patches * oc),
+                      dw_p + j * static_cast<std::size_t>(width * oc),
+                      patches, width, oc);
+                  float* db_row = db_p + j * oc;
+                  const float* d_row =
+                      d + j * static_cast<std::size_t>(patches * oc);
+                  for (std::int64_t p = 0; p < patches; ++p) {
+                    for (std::int64_t o = 0; o < oc; ++o) {
+                      db_row[o] += d_row[p * oc + o];
+                    }
                   }
                 }
-              }
-            });
-        grads.params[node.weight_index].rows = dw;
-        grads.params[node.weight_index + 1].rows = db;
+              });
+          target.per_example->params[w].rows = dw;
+          target.per_example->params[w + 1].rows = db;
+        } else {
+          (*target.batch)[w] = t::matmul_tn(node.cols, d2);
+          (*target.batch)[w + 1] = t::col_sum(d2);
+        }
         if (need_dx) {
           // Fused: each image's patch-gradient tile is matmul'd into a
           // scratch buffer and scattered straight back with col2im —
           // the full [batch*patches, width] unfolded gradient never
           // materializes (tensor/im2col.h).
-          Tensor d2 = delta.reshape({batch * patches, oc});
-          delta = t::conv_input_grad(d2, conv.parameters()[0].value(),
-                                     node.spec, batch);
+          delta = t::conv_input_grad(d2, node.weight, node.spec, batch);
         }
         break;
       }
       case NodeKind::kAvgPool: {
-        if (!need_dx) break;
         const std::int64_t n = node.in_shape[0], ih = node.in_shape[1],
                            iw = node.in_shape[2], c = node.in_shape[3];
         const auto& layer_pool = static_cast<const AvgPool2d&>(*node.layer);
@@ -411,7 +459,6 @@ PerExampleGrads compute_per_example_gradients(
         break;
       }
       case NodeKind::kMaxPool: {
-        if (!need_dx) break;
         Tensor dx(node.in_shape);
         float* dst = dx.data();
         const float* src = delta.data();
@@ -431,24 +478,22 @@ PerExampleGrads compute_per_example_gradients(
         break;
       }
       case NodeKind::kDropout: {
-        if (need_dx && node.mask.defined()) {
-          delta = t::mul(delta, node.mask);
-        }
+        if (node.mask.defined()) delta = t::mul(delta, node.mask);
         break;
       }
       case NodeKind::kFlatten: {
-        if (need_dx) delta = delta.reshape(node.in_shape);
+        delta = delta.reshape(node.in_shape);
         break;
       }
       case NodeKind::kInputScale: {
-        if (need_dx) {
-          const auto& scale = static_cast<const InputScale&>(*node.layer);
-          delta = t::mul_scalar(delta, scale.scale());
-        }
+        const auto& scale = static_cast<const InputScale&>(*node.layer);
+        delta = t::mul_scalar(delta, scale.scale());
         break;
       }
       case NodeKind::kActivation: {
-        if (!need_dx) break;
+        // autograd's arithmetic from the layer's output y: relu
+        // d * mask (y > 0 exactly where the input is), sigmoid
+        // d * (y * (1 - y)), tanh d * (1 - y * y).
         const auto& act = static_cast<const ActivationLayer&>(*node.layer);
         Tensor dx(delta.shape());
         const float* d = delta.data();
@@ -457,11 +502,11 @@ PerExampleGrads compute_per_example_gradients(
         switch (act.kind()) {
           case Activation::kRelu:
             for (std::int64_t e = 0; e < dx.numel(); ++e)
-              o[e] = y[e] > 0.0f ? d[e] : 0.0f;
+              o[e] = d[e] * (y[e] > 0.0f ? 1.0f : 0.0f);
             break;
           case Activation::kSigmoid:
             for (std::int64_t e = 0; e < dx.numel(); ++e)
-              o[e] = d[e] * y[e] * (1.0f - y[e]);
+              o[e] = d[e] * (y[e] * (1.0f - y[e]));
             break;
           case Activation::kTanh:
             for (std::int64_t e = 0; e < dx.numel(); ++e)
@@ -475,6 +520,39 @@ PerExampleGrads compute_per_example_gradients(
         FEDCL_CHECK(false) << "unreachable";
     }
   }
+}
+
+// One tape forward, the target's seed, one backward walk.
+void run_tape(Sequential& model, const Tensor& x,
+              const std::vector<std::int64_t>& labels, double* out_loss,
+              const GradTarget& target) {
+  std::vector<TapeNode> tape;
+  const Tensor logits = forward_with_tape(model, x, tape);
+  backward_walk(tape,
+                seed_logits(logits, labels, target.per_example != nullptr,
+                            out_loss),
+                target);
+}
+
+}  // namespace
+
+PerExampleGrads compute_per_example_gradients(
+    Sequential& model, const Tensor& x,
+    const std::vector<std::int64_t>& labels, double* out_loss) {
+  PerExampleGrads grads;
+  grads.batch = x.dim(0);
+  for (const auto& p : model.parameters())
+    grads.shapes.push_back(p.value().shape());
+  grads.params.resize(grads.shapes.size());
+  run_tape(model, x, labels, out_loss, {.per_example = &grads});
+  return grads;
+}
+
+TensorList compute_gradients(Sequential& model, const Tensor& x,
+                             const std::vector<std::int64_t>& labels,
+                             double* out_loss) {
+  TensorList grads(model.parameter_count());
+  run_tape(model, x, labels, out_loss, {.batch = &grads});
   return grads;
 }
 
@@ -499,7 +577,7 @@ PerExampleGrads compute_per_example_gradients_sliced(
     std::memcpy(ex.data(), x.data() + j * row,
                 sizeof(float) * static_cast<std::size_t>(row));
     double loss = 0.0;
-    TensorList grad = compute_gradients(
+    TensorList grad = compute_gradients_reference(
         model, ex, {labels[static_cast<std::size_t>(j)]}, &loss);
     total_loss += loss;
     grads.set_example(j, grad);

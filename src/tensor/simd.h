@@ -17,7 +17,8 @@
 // emits an ifunc resolver per cloned function; TSan instruments it,
 // and the loader runs it before the TSan runtime is initialized, so a
 // binary holding any clone segfaults at load (g++ 12). The v4 kernels
-// below need no resolver, so they keep running under TSan.
+// below need no resolver, so they keep running under TSan, except the
+// matmul ones (tensor/tensor.cpp: FEDCL_MATMUL_V4).
 #define FEDCL_KERNEL_CLONES
 #else
 #define FEDCL_KERNEL_CLONES \

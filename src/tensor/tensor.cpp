@@ -388,6 +388,18 @@ constexpr std::int64_t kNtPackRows = 16;
 typedef float vf8
     __attribute__((vector_size(32), aligned(4), may_alias));
 
+// The v4 workers below contract to FMA and hand their row tails to the
+// portable workers. Under ThreadSanitizer the portable workers compile
+// to their baseline body, which does not contract (tensor/simd.h), so a
+// v4 call would round its tail rows differently from its blocked rows
+// and results would depend on the row partition. TSan builds therefore
+// run every row on the portable workers.
+#if FEDCL_HAVE_V4_KERNELS && !defined(__SANITIZE_THREAD__)
+#define FEDCL_MATMUL_V4 1
+#else
+#define FEDCL_MATMUL_V4 0
+#endif
+
 // One output row of C = A B over columns [0, n): vf8 tiles then a
 // scalar tail, ascending k. Also the row-remainder kernel, so every
 // row runs identical arithmetic whether or not it sits in a 4-row
@@ -519,7 +531,7 @@ void matmul_tn_rows(const float* __restrict a, const float* __restrict b,
   for (; i < i1; ++i) tn_one_row(a, b, out + i * n, i, k, m, n);
 }
 
-#if FEDCL_HAVE_V4_KERNELS
+#if FEDCL_MATMUL_V4
 typedef float vf16
     __attribute__((vector_size(64), aligned(4), may_alias));
 
@@ -664,13 +676,13 @@ void matmul_tn_rows_v4(const float* __restrict a, const float* __restrict b,
   }
   if (i < i1) matmul_tn_rows(a, b, out, i, i1, k, m, n);
 }
-#endif  // FEDCL_HAVE_V4_KERNELS
+#endif  // FEDCL_MATMUL_V4
 
 // ISA-dispatched row workers: same values on every path, wider tiles
 // where the CPU has the registers for them.
 void nn_rows(const float* a, const float* b, float* out, std::int64_t i0,
              std::int64_t i1, std::int64_t k, std::int64_t n) {
-#if FEDCL_HAVE_V4_KERNELS
+#if FEDCL_MATMUL_V4
   if (fedcl_cpu_has_v4()) {
     matmul_nn_rows_v4(a, b, out, i0, i1, k, n);
     return;
@@ -682,7 +694,7 @@ void nn_rows(const float* a, const float* b, float* out, std::int64_t i0,
 void tn_rows(const float* a, const float* b, float* out, std::int64_t i0,
              std::int64_t i1, std::int64_t k, std::int64_t m,
              std::int64_t n) {
-#if FEDCL_HAVE_V4_KERNELS
+#if FEDCL_MATMUL_V4
   if (fedcl_cpu_has_v4()) {
     matmul_tn_rows_v4(a, b, out, i0, i1, k, m, n);
     return;

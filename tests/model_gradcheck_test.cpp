@@ -1,7 +1,8 @@
 // Finite-difference gradient checks over every model_zoo architecture
 // and layer type, run against BOTH gradient paths: the autograd batch
-// gradient (compute_gradients) and the batched per-example engine's
-// mean gradient. This is the safety harness that gates kernel
+// gradient (compute_gradients_reference, which the tape's batch
+// reduction matches bit for bit) and the per-example reduction's mean
+// gradient. This is the safety harness that gates kernel
 // optimizations — a wrong matmul/im2col/pool kernel shows up here as a
 // mismatch against central differences of the loss itself.
 #include <gtest/gtest.h>
@@ -51,7 +52,8 @@ void expect_model_gradcheck(Sequential& model, const Tensor& x,
                             const std::vector<std::int64_t>& labels,
                             float eps = 1e-2f, float atol = 6e-3f,
                             float rtol = 6e-2f, int max_skip_percent = 5) {
-  const TensorList analytic = nn::compute_gradients(model, x, labels);
+  const TensorList analytic =
+      nn::compute_gradients_reference(model, x, labels);
   double engine_loss = 0.0;
   const tensor::list::PerExampleGrads engine =
       nn::compute_per_example_gradients(model, x, labels, &engine_loss);
@@ -78,7 +80,7 @@ void expect_model_gradcheck(Sequential& model, const Tensor& x,
   auto loss_at = [&](const TensorList& w) {
     model.set_weights(w);
     double loss = 0.0;
-    nn::compute_gradients(model, x, labels, &loss);
+    nn::compute_gradients_reference(model, x, labels, &loss);
     return loss;
   };
   std::int64_t total = 0, skipped = 0;
@@ -203,7 +205,8 @@ TEST(ModelGradCheck, SlicedEngineAgreesToo) {
   const std::int64_t batch = 2;
   const Tensor x = Tensor::randn({batch, 6}, rng);
   const std::vector<std::int64_t> labels = labels_for(batch, 3);
-  const TensorList analytic = nn::compute_gradients(*model, x, labels);
+  const TensorList analytic =
+      nn::compute_gradients_reference(*model, x, labels);
   const TensorList sliced_mean = example_mean(
       nn::compute_per_example_gradients_sliced(*model, x, labels, nullptr));
   ASSERT_EQ(analytic.size(), sliced_mean.size());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/policy.h"
@@ -79,7 +80,7 @@ void expect_parity(Sequential& model, const Tensor& x,
 
   // The mean of the raw per-example gradients is the batch gradient.
   TensorList mean = dp::batch_mean(batched);
-  TensorList reference = nn::compute_gradients(model, x, labels);
+  TensorList reference = nn::compute_gradients_reference(model, x, labels);
   ASSERT_EQ(mean.size(), reference.size());
   for (std::size_t p = 0; p < mean.size(); ++p) {
     for (std::int64_t i = 0; i < mean[p].numel(); ++i) {
@@ -207,8 +208,9 @@ class UnknownLayer final : public nn::Layer {
 };
 
 TEST(PerExampleEngine, UnsupportedLayerThrows) {
-  // There is no fallback engine: a model the batched engine cannot
-  // differentiate is an error, called directly or from a Fed-CDP round.
+  // There is no fallback engine: a model the tape cannot differentiate
+  // is an error for both reductions, called directly or from a round of
+  // a per-example (Fed-CDP) or a batch (non-private) policy.
   Rng rng(13);
   Sequential model;
   model.emplace<nn::Linear>(4, 3, rng);
@@ -217,16 +219,162 @@ TEST(PerExampleEngine, UnsupportedLayerThrows) {
   EXPECT_THROW(
       nn::compute_per_example_gradients(model, x, random_labels(rng, 2, 3)),
       Error);
+  EXPECT_THROW(nn::compute_gradients(model, x, random_labels(rng, 2, 3)),
+               Error);
 
   auto dataset = std::make_shared<const data::Dataset>(
       Tensor::randn({6, 4}, rng), random_labels(rng, 6, 3), 3);
   const fl::Client client(0, data::ClientData(dataset, {0, 1, 2, 3, 4, 5}),
                           {.local_iterations = 1, .batch_size = 2});
-  const core::FedCdpPolicy policy(/*clipping_bound=*/1.0, /*noise_scale=*/0.5);
-  Rng round_rng(14);
-  EXPECT_THROW(
-      client.run_round(model, model.weights(), policy, /*round=*/0, round_rng),
-      Error);
+  const std::unique_ptr<core::PrivacyPolicy> policies[] = {
+      core::make_fed_cdp(/*C=*/1.0, /*sigma=*/0.5), core::make_non_private()};
+  for (const auto& policy : policies) {
+    Rng round_rng(14);
+    EXPECT_THROW(client.run_round(model, model.weights(), *policy,
+                                  /*round=*/0, round_rng),
+                 Error);
+  }
+}
+
+TEST(PerExampleEngine, RejectsOutOfRangeLabels) {
+  // A label picks the seed's column in its logits row. Out of range it
+  // would land in the neighbouring row, so both reductions check every
+  // label before they seed. The bad label sits in a non-final row,
+  // where the tensor's own bound check cannot catch it.
+  Rng rng(19);
+  nn::ModelSpec spec =
+      data::benchmark_config(data::BenchmarkId::kCancer, BenchScale::kSmall)
+          .model;
+  ASSERT_EQ(spec.classes, 2);
+  auto model = nn::build_model(spec, rng);
+  const Tensor x = Tensor::randn({3, spec.in_features}, rng);
+  const std::vector<std::vector<std::int64_t>> bad = {{2, 0, 1}, {0, -1, 1}};
+  for (const std::vector<std::int64_t>& labels : bad) {
+    EXPECT_THROW(nn::compute_per_example_gradients(*model, x, labels), Error);
+    EXPECT_THROW(nn::compute_gradients(*model, x, labels), Error);
+  }
+}
+
+// The tape's batch reduction against one autograd graph over the same
+// weights: every tensor memcmp'd, the loss compared exactly. Two models
+// are passed so a training-mode Dropout stack can run on twins that
+// draw the same mask stream.
+void expect_batch_matches_autograd(Sequential& tape_model,
+                                   const Sequential& graph_model,
+                                   const Tensor& x,
+                                   const std::vector<std::int64_t>& labels) {
+  double tape_loss = 0.0, graph_loss = 0.0;
+  const TensorList tape =
+      nn::compute_gradients(tape_model, x, labels, &tape_loss);
+  const TensorList graph =
+      nn::compute_gradients_reference(graph_model, x, labels, &graph_loss);
+  ASSERT_EQ(tape.size(), graph.size());
+  for (std::size_t p = 0; p < tape.size(); ++p)
+    ASSERT_EQ(tape[p].shape(), graph[p].shape()) << "param " << p;
+  testing::expect_bitwise_equal(tape, graph, "batch gradient");
+  EXPECT_EQ(tape_loss, graph_loss);
+}
+
+Tensor random_input(const nn::ModelSpec& spec, std::int64_t batch, Rng& rng) {
+  if (spec.kind == nn::ModelSpec::Kind::kImageCnn)
+    return Tensor::uniform({batch, spec.height, spec.width, spec.channels},
+                           rng);
+  return Tensor::randn({batch, spec.in_features}, rng);
+}
+
+TEST(PerExampleEngine, BatchGradientMatchesAutogradBitwise) {
+  // Non-private and Fed-SDP train on the batch reduction, so it must
+  // reproduce the autograd graph it replaced bit for bit: every model
+  // zoo architecture at small and paper dims, every activation, and
+  // batch sizes on both sides of matmul_nt's 16-row pack threshold.
+  const std::vector<std::int64_t> batches = {1, 2, 3, 5, 7, 16, 33};
+  std::uint64_t seed = 1000;
+  for (const data::BenchmarkId id : data::all_benchmarks()) {
+    for (const BenchScale scale : {BenchScale::kSmall, BenchScale::kPaper}) {
+      for (const nn::Activation act :
+           {nn::Activation::kRelu, nn::Activation::kSigmoid,
+            nn::Activation::kTanh}) {
+        nn::ModelSpec spec = data::benchmark_config(id, scale).model;
+        spec.activation = act;
+        Rng rng(++seed);
+        auto model = nn::build_model(spec, rng);
+        for (const std::int64_t batch : batches) {
+          SCOPED_TRACE(std::string(data::benchmark_name(id)) + " " +
+                       bench_scale_name(scale) + " " +
+                       nn::activation_name(act) +
+                       " B=" + std::to_string(batch));
+          const Tensor x = random_input(spec, batch, rng);
+          expect_batch_matches_autograd(
+              *model, *model, x, random_labels(rng, batch, spec.classes));
+        }
+      }
+    }
+  }
+
+  // Layers the zoo does not use. MaxPool routes both pools' gradients
+  // into a second conv; the Dropout stack trains, its twins drawing the
+  // same masks call after call; the last stack starts at a Conv with no
+  // InputScale in front.
+  const std::vector<std::int64_t> stack_batches = {1, 3, 16};
+  {
+    Rng rng(2001);
+    Sequential model;
+    model.emplace<nn::InputScale>(-0.5f, 2.0f);
+    model.emplace<nn::Conv2d>(2, 3, 3, 1, 1, rng);
+    model.emplace<nn::ActivationLayer>(nn::Activation::kTanh);
+    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng);
+    model.emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(4 * 2 * 2, 5, rng);
+    model.emplace<nn::ActivationLayer>(nn::Activation::kSigmoid);
+    model.emplace<nn::Linear>(5, 3, rng);
+    for (const std::int64_t batch : stack_batches) {
+      SCOPED_TRACE("MaxPool stack B=" + std::to_string(batch));
+      const Tensor x = Tensor::randn({batch, 8, 8, 2}, rng);
+      expect_batch_matches_autograd(model, model, x,
+                                    random_labels(rng, batch, 3));
+    }
+  }
+  {
+    auto dropout_stack = [] {
+      Rng rng(2002);
+      auto model = std::make_shared<Sequential>();
+      model->emplace<nn::Linear>(10, 8, rng);
+      model->emplace<nn::ActivationLayer>(nn::Activation::kTanh);
+      model->emplace<nn::Dropout>(0.4, 17);
+      model->emplace<nn::Linear>(8, 6, rng);
+      model->emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+      model->emplace<nn::Dropout>(0.25, 18);
+      model->emplace<nn::Linear>(6, 3, rng);
+      return model;
+    };
+    const auto tape_model = dropout_stack();
+    const auto graph_model = dropout_stack();
+    Rng rng(2003);
+    for (const std::int64_t batch : stack_batches) {
+      SCOPED_TRACE("Dropout stack B=" + std::to_string(batch));
+      const Tensor x = Tensor::randn({batch, 10}, rng);
+      expect_batch_matches_autograd(*tape_model, *graph_model, x,
+                                    random_labels(rng, batch, 3));
+    }
+  }
+  {
+    Rng rng(2004);
+    Sequential model;
+    model.emplace<nn::Conv2d>(1, 4, 5, 1, 2, rng);
+    model.emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+    model.emplace<nn::AvgPool2d>(2);
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(4 * 4 * 4, 3, rng);
+    for (const std::int64_t batch : stack_batches) {
+      SCOPED_TRACE("Conv-first stack B=" + std::to_string(batch));
+      const Tensor x = Tensor::uniform({batch, 8, 8, 1}, rng);
+      expect_batch_matches_autograd(model, model, x,
+                                    random_labels(rng, batch, 3));
+    }
+  }
 }
 
 TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
