@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
     config.clients_per_round = fed.default_per_round;
     config.rounds = rounds;
     config.seed = experiment_seed();
+    config.noise_scale = sigma;
     fl::FlRunResult result = fl::run_experiment(config, *variant.policy);
 
     attack::LeakageExperimentConfig lcfg;

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   base.clients_per_round = fed.default_per_round;
   if (fed.sweep_rounds > 0) base.rounds = fed.sweep_rounds;
   base.seed = experiment_seed();
+  base.noise_scale = data::default_noise_scale();  // make_policy_set's sigma
 
   const std::int64_t rounds = base.effective_rounds();
   bench::PolicySet policies = bench::make_policy_set(rounds);

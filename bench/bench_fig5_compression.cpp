@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
       config.rounds = rounds;
       config.prune_ratio = ratio;
       config.seed = experiment_seed();
+      config.noise_scale = data::default_noise_scale();
       fl::FlRunResult result = fl::run_experiment(config, *policy);
       row.push_back(AsciiTable::fmt(result.final_accuracy, 3));
       std::printf("%s ratio=%.0f%% acc=%.3f\n", policy->name().c_str(),

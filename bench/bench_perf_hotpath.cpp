@@ -561,6 +561,7 @@ int main(int argc, char** argv) {
   ocfg.rounds = bench_scale() == BenchScale::kSmoke ? 3 : 10;
   ocfg.eval_every = 1;
   ocfg.seed = experiment_seed();
+  ocfg.noise_scale = data::default_noise_scale();  // make_policy_set's sigma
   const core::PrivacyPolicy& opolicy = *policies.fed_cdp;
   const int overhead_reps = std::max(4, dims.timed_rounds);
   const std::string telemetry_path = flags.get(

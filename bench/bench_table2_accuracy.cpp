@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
             std::max<std::int64_t>(1, total_clients * percent / 100);
         config.rounds = rounds;
         config.seed = experiment_seed();
+        config.noise_scale = data::default_noise_scale();
         fl::FlRunResult result = fl::run_experiment(config, *policy);
         row.push_back(AsciiTable::fmt(result.final_accuracy, 3));
         std::printf("K=%lld %s Kt/K=%d%% -> %.3f\n",

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
 
   const double c = data::kDefaultClippingBound;
   const double sigma = data::default_noise_scale();
+  config.noise_scale = sigma;  // the sigma the budgets are accounted at
   std::vector<std::unique_ptr<core::PrivacyPolicy>> policies;
   policies.push_back(core::make_non_private());
   policies.push_back(core::make_fed_sdp(c, sigma));

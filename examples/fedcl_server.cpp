@@ -21,8 +21,8 @@
 #include "common/run_info.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
+#include "fl/protocol.h"
 #include "net/serving_server.h"
-#include "nn/checkpoint.h"
 
 namespace {
 
@@ -194,7 +194,7 @@ int run_server(const FlagParser& flags) {
 
   const std::string save_path = flags.get("save", "");
   if (!save_path.empty()) {
-    nn::save_weights(save_path, report.final_weights);
+    fl::save_weights(save_path, report.final_weights);
     std::printf("saved global model to %s\n", save_path.c_str());
   }
   telemetry::global_registry().flush_sinks();

@@ -27,8 +27,8 @@
 #include "core/policy.h"
 #include "data/benchmarks.h"
 #include "fl/dssgd.h"
+#include "fl/protocol.h"
 #include "fl/trainer.h"
-#include "nn/checkpoint.h"
 
 namespace {
 
@@ -281,16 +281,22 @@ int run_simulator(const FlagParser& flags) {
 
   const std::string save_path = flags.get("save", "");
   if (!save_path.empty()) {
-    nn::save_weights(save_path, result.final_weights);
+    fl::save_weights(save_path, result.final_weights);
     std::printf("saved global model to %s\n", save_path.c_str());
   }
 
-  core::PrivacyReport report = core::account_privacy(result.privacy_setup);
-  std::printf("privacy: instance eps=%.4f, client eps (Fed-CDP joint "
-              "DP)=%.4f, client eps (Fed-SDP accounting)=%.4f @ "
-              "delta=1e-5\n",
-              report.fed_cdp_instance_epsilon,
-              report.fed_cdp_client_epsilon, report.fed_sdp_client_epsilon);
+  if (policy->noise_scale() > 0.0) {
+    core::PrivacyReport report = core::account_privacy(result.privacy_setup);
+    std::printf("privacy: instance eps=%.4f, client eps (Fed-CDP joint "
+                "DP)=%.4f, client eps (Fed-SDP accounting)=%.4f @ "
+                "delta=1e-5\n",
+                report.fed_cdp_instance_epsilon,
+                report.fed_cdp_client_epsilon,
+                report.fed_sdp_client_epsilon);
+  } else {
+    std::printf("privacy: %s adds no noise, so no budget is accounted\n",
+                policy->name().c_str());
+  }
 
   if (flags.get_bool("attack", false)) {
     std::printf("\nmounting the gradient-leakage attack...\n");

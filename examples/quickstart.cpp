@@ -38,6 +38,7 @@ int main() {
   //    scale; see EXPERIMENTS.md on noise-scale calibration).
   const double sigma = data::default_noise_scale();
   auto policy = core::make_fed_cdp(data::kDefaultClippingBound, sigma);
+  config.noise_scale = sigma;  // the sigma the budget is accounted at
   std::printf("policy: %s (C=%.1f, sigma=%.2f)\n", policy->name().c_str(),
               data::kDefaultClippingBound, sigma);
 

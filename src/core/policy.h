@@ -51,6 +51,11 @@ class PrivacyPolicy {
   // policies to keep runs bit-reproducible.
   virtual bool order_dependent() const { return false; }
 
+  // The Gaussian noise scale sigma the policy adds, and the one its
+  // privacy budget is accounted at; 0 for a policy that adds no noise
+  // (it records no budget).
+  virtual double noise_scale() const { return 0.0; }
+
   // Hook 1: sanitize every example's gradient of one local iteration,
   // as the batched gradient engine hands it over, and return the mean
   // of the sanitized gradients (the step gradient) plus, when
@@ -95,7 +100,7 @@ class FedSdpPolicy final : public PrivacyPolicy {
   void sanitize_at_server(TensorList& update, const ParamGroups& groups,
                           std::int64_t round, Rng& rng) const override;
   double clipping_bound() const { return clip_; }
-  double noise_scale() const { return mechanism_.noise_scale(); }
+  double noise_scale() const override { return mechanism_.noise_scale(); }
   bool noise_at_server() const { return noise_at_server_; }
 
  private:
@@ -127,7 +132,7 @@ class FedCdpPolicy final : public PrivacyPolicy {
       std::optional<std::int64_t> observe) const override;
 
   double clipping_bound_at(std::int64_t round) const;
-  double noise_scale() const { return sigma_; }
+  double noise_scale() const override { return sigma_; }
   const dp::ClippingSchedule& schedule() const { return schedule_; }
 
  private:
@@ -157,7 +162,7 @@ class FedCdpAdaptivePolicy final : public PrivacyPolicy {
 
   // Bound the next sanitization will use.
   double current_bound() const;
-  double noise_scale() const { return sigma_; }
+  double noise_scale() const override { return sigma_; }
 
  private:
   double initial_bound_;

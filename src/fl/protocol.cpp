@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
-#include <limits>
+#include <memory>
 
 #include "common/error.h"
 #include "tensor/simd.h"
@@ -18,45 +19,8 @@ constexpr std::uint32_t kMaxTensors = 4096;
 constexpr std::uint32_t kMaxRank = 8;
 constexpr std::int64_t kMaxElements = std::int64_t{1} << 28;  // 1 GiB of f32
 
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-// Bounds-checked read cursor over an untrusted buffer. Operating on a
-// ByteSpan keeps the cursor zero-copy: the network layer points it at
-// a frame inside its receive buffer and the only copy of the payload
-// is the memcpy into the destination tensor.
-class ByteReader {
- public:
-  explicit ByteReader(ByteSpan bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool read(T& out) {
-    if (sizeof(T) > remaining()) return false;
-    std::memcpy(&out, bytes_.data + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool read_floats(float* dst, std::size_t count) {
-    const std::size_t nbytes = sizeof(float) * count;
-    if (count > std::numeric_limits<std::size_t>::max() / sizeof(float) ||
-        nbytes > remaining()) {
-      return false;
-    }
-    std::memcpy(dst, bytes_.data + offset_, nbytes);
-    offset_ += nbytes;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size - offset_; }
-
- private:
-  ByteSpan bytes_;
-  std::size_t offset_ = 0;
-};
+constexpr std::uint32_t kCheckpointMagic = 0xFEDC1CA1;
+constexpr std::uint32_t kCheckpointVersion = 1;
 
 // Reads one tensor-list blob into `out`, decoding tensor i over the
 // storage of the incoming out[i] when the shapes match; on failure
@@ -243,6 +207,48 @@ Result<TensorList> deserialize_tensor_list(ByteSpan bytes) {
   TensorList list;
   if (const char* err = read_tensor_list(reader, list)) return R::failure(err);
   if (reader.remaining() != 0) return R::failure("trailing bytes in message");
+  return list;
+}
+
+void save_weights(const std::string& path, const TensorList& weights) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(2 * sizeof(std::uint32_t) + tensor_list_bytes(weights));
+  append_pod(bytes, kCheckpointMagic);
+  append_pod(bytes, kCheckpointVersion);
+  append_tensor_list(bytes, weights);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  FEDCL_CHECK(f != nullptr) << "cannot open " << path << " for writing";
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool closed = std::fclose(f) == 0;
+  FEDCL_CHECK(written == bytes.size() && closed)
+      << "short or failed write to " << path;
+}
+
+Result<TensorList> load_weights(const std::string& path) {
+  using R = Result<TensorList>;
+  std::vector<std::uint8_t> bytes;
+  {
+    const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+        std::fopen(path.c_str(), "rb"), &std::fclose);
+    if (f == nullptr) return R::failure("cannot open " + path);
+    std::uint8_t chunk[1 << 16];
+    while (const std::size_t n = std::fread(chunk, 1, sizeof(chunk), f.get())) {
+      bytes.insert(bytes.end(), chunk, chunk + n);
+    }
+    if (std::ferror(f.get())) return R::failure("cannot read " + path);
+  }
+  ByteReader reader(bytes);
+  std::uint32_t magic = 0, version = 0;
+  if (!reader.read(magic) || magic != kCheckpointMagic) {
+    return R::failure("not a fedcl checkpoint: " + path);
+  }
+  if (!reader.read(version) || version != kCheckpointVersion) {
+    return R::failure("unsupported checkpoint version: " + path);
+  }
+  R list = deserialize_tensor_list(
+      ByteSpan(bytes.data() + sizeof(magic) + sizeof(version),
+               reader.remaining()));
+  if (!list.ok()) return R::failure(path + ": " + list.error());
   return list;
 }
 

@@ -1,5 +1,7 @@
-// Client/server messaging: the round update record, a compact binary
-// serialization, and a toy secure channel.
+// Client/server messaging: the round update record, the one binary
+// codec every byte format shares (update payloads, tensor-list blobs,
+// model checkpoints, and the serving wire messages of net/wire.h), and
+// a toy secure channel.
 //
 // The paper's threat model assumes client-server communication is
 // encrypted yet gradients still leak at the endpoints. SecureChannel
@@ -15,12 +17,15 @@
 // not what the paper (or this reproduction) evaluates.
 //
 // Bytes arriving at the server cross a trust boundary: open() and
-// deserialize_update() return a Result instead of throwing, so a
-// tampered, truncated, or malformed message is a per-client recoverable
-// event (the update is screened out) rather than a process-wide abort.
+// every decoder return a Result instead of throwing, so a tampered,
+// truncated, or malformed message is a per-client recoverable event
+// (the update is screened out) rather than a process-wide abort.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -52,6 +57,63 @@ struct ByteSpan {
       : data(v.data()), size(v.size()) {}
 };
 
+// Appends v's bytes: little-endian on every supported host.
+template <typename T>
+void append_pod(std::vector<std::uint8_t>& out, const T& v) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
+// Bounds-checked read cursor over an untrusted buffer, the reader of
+// every decoder in the repo. Operating on a ByteSpan keeps the cursor
+// zero-copy: the network layer points it at a frame inside its receive
+// buffer and the only copy of the payload is the one into the
+// destination. Every read fails, consuming nothing, when fewer bytes
+// remain than it asks for.
+class ByteReader {
+ public:
+  explicit ByteReader(ByteSpan bytes) : bytes_(bytes) {}
+
+  template <typename T>
+  bool read(T& out) {
+    if (sizeof(T) > remaining()) return false;
+    std::memcpy(&out, bytes_.data + offset_, sizeof(T));
+    offset_ += sizeof(T);
+    return true;
+  }
+
+  bool read_floats(float* dst, std::size_t count) {
+    const std::size_t nbytes = sizeof(float) * count;
+    if (count > std::numeric_limits<std::size_t>::max() / sizeof(float) ||
+        nbytes > remaining()) {
+      return false;
+    }
+    std::memcpy(dst, bytes_.data + offset_, nbytes);
+    offset_ += nbytes;
+    return true;
+  }
+
+  bool read_bytes(std::vector<std::uint8_t>& out, std::size_t n) {
+    if (n > remaining()) return false;
+    out.assign(bytes_.data + offset_, bytes_.data + offset_ + n);
+    offset_ += n;
+    return true;
+  }
+
+  bool read_string(std::string& out, std::size_t n) {
+    if (n > remaining()) return false;
+    out.assign(reinterpret_cast<const char*>(bytes_.data + offset_), n);
+    offset_ += n;
+    return true;
+  }
+
+  std::size_t remaining() const { return bytes_.size - offset_; }
+
+ private:
+  ByteSpan bytes_;
+  std::size_t offset_ = 0;
+};
+
 std::vector<std::uint8_t> serialize_update(const ClientUpdate& update);
 // Every read is bounds-checked; fails (never crashes or over-reads) on
 // truncated, oversized, or otherwise malformed buffers. Tensors of
@@ -73,6 +135,14 @@ std::vector<std::uint8_t> serialize_tensor_list(const TensorList& list);
 // truncated, oversized, or implausible field. Requires the whole span
 // to be consumed (no trailing bytes).
 Result<TensorList> deserialize_tensor_list(ByteSpan bytes);
+
+// Model checkpoints: a u32 magic 0xFEDC1CA1 and a u32 version 1, then
+// exactly the tensor-list blob above. save_weights overwrites `path`
+// and throws fedcl::Error when the file cannot be opened or fully
+// written. load_weights fails on a missing or unreadable file, a bad
+// header, or any blob deserialize_tensor_list rejects.
+void save_weights(const std::string& path, const TensorList& weights);
+Result<TensorList> load_weights(const std::string& path);
 
 // Per-client channel key derivation, shared by the in-process trainer
 // and the socket serving path (docs/PROTOCOL.md §4): both sides of a

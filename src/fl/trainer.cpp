@@ -37,6 +37,20 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
       {!c.async_mode ||
            (c.async.staleness_alpha >= 0.0 && c.async.max_staleness >= 0),
        "async staleness alpha and horizon must be non-negative"},
+      // Knobs the chosen engine never reads: refused, not ignored.
+      {!c.async_mode || c.server_momentum == 0.0,
+       "async_mode ignores server_momentum; it weights updates by "
+       "staleness (--staleness-alpha)"},
+      {!c.async_mode || c.min_reporting == 1,
+       "async_mode ignores min_reporting; set --async-min-apply"},
+      {!c.async_mode || c.reduced_min_reporting == 0,
+       "async_mode ignores reduced_min_reporting; set --async-min-apply"},
+      {!c.async_mode || c.screening.norm_outlier_factor == 0.0,
+       "async_mode ignores the norm outlier band, which needs the "
+       "buffered sync round; use --screen-max-norm"},
+      {!c.streaming_aggregation || c.screening.norm_outlier_factor == 0.0,
+       "streaming_aggregation ignores the norm outlier band, which needs "
+       "the buffered sync round; use --screen-max-norm"},
   };
   for (const auto& [ok, message] : rules) {
     if (!ok) return Result<FlExperimentConfig>::failure(message);
@@ -48,6 +62,13 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
                            const core::PrivacyPolicy& policy) {
   const Result<FlExperimentConfig> valid = validate_config(config);
   FEDCL_CHECK(valid.ok()) << valid.error();
+  // The budget is accounted at config.noise_scale: a noising policy
+  // must add exactly that sigma.
+  const bool noising = policy.noise_scale() > 0.0;
+  FEDCL_CHECK(!noising || policy.noise_scale() == config.noise_scale)
+      << policy.name() << " adds noise at sigma=" << policy.noise_scale()
+      << " but config.noise_scale=" << config.noise_scale
+      << " would account its budget at another sigma";
   const std::int64_t rounds = config.effective_rounds();
   const std::int64_t local_iterations = config.effective_local_iterations();
 
@@ -82,13 +103,13 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
   };
   // Cumulative per-round privacy budget, precomputed in one accountant
   // pass (bitwise identical to calling epsilon() after every round).
-  // Skipped when the setup falls outside the accountant's domain
-  // (sigma <= 0, or B*Kt exceeding the dataset).
+  // Skipped for a policy that adds no noise, and when the setup falls
+  // outside the accountant's domain (B*Kt exceeding the dataset).
   core::PrivacyRoundSeries eps_series;
   const double instance_q =
       static_cast<double>(config.bench.batch_size * config.clients_per_round) /
       static_cast<double>(fed.train->size());
-  if (config.noise_scale > 0.0 && instance_q <= 1.0) {
+  if (noising && instance_q <= 1.0) {
     eps_series = core::epsilon_round_series(privacy_setup);
     registry.gauge("dp.delta").set(config.delta);
   }

@@ -43,8 +43,9 @@ struct FlExperimentConfig {
   // Evaluate every n rounds (n <= 0: final round only).
   std::int64_t eval_every = 0;
   std::uint64_t seed = 42;
-  // Recorded into privacy_setup for accounting (should match the
-  // policy's noise scale).
+  // The sigma privacy_setup and the dp.epsilon series are accounted
+  // at. run_experiment refuses a noising policy whose noise_scale()
+  // differs; a policy that adds no noise records no budget.
   double noise_scale = 6.0;
   double delta = 1e-5;
   // Probability that a selected client fails to report its update
@@ -54,15 +55,19 @@ struct FlExperimentConfig {
   // uniform 1/Kt mean.
   bool weight_by_data_size = false;
   // Server-side momentum on the aggregated delta (0 = plain FedSGD).
+  // Sync engine only: validate_config refuses it with async_mode, as it
+  // does every sync-only knob below.
   double server_momentum = 0.0;
   // Injected faults (crash/straggler/corrupt/bit-flip/stale); the plan
   // is seeded from `seed` so runs stay reproducible.
   FaultInjectionConfig faults;
-  // Server-side screening of received updates before aggregation.
+  // Server-side screening of received updates before aggregation. The
+  // median-relative norm band (norm_outlier_factor) is buffered-fold
+  // only: refused with async_mode or streaming_aggregation.
   ScreeningConfig screening;
   // Minimum accepted updates for a round to be applied; below it the
   // round is skipped (weights untouched, counted in dropped_rounds and
-  // quorum_missed).
+  // quorum_missed). Sync engine only.
   std::int64_t min_reporting = 1;
   // When delivered updates fall below min_reporting, sample replacement
   // clients (one retry pass) for the transiently failed ones before

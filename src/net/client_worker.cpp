@@ -1,7 +1,6 @@
 #include "net/client_worker.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,12 +34,7 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
   HelloMsg hello;
   hello.worker_index = static_cast<std::uint32_t>(config.worker_index);
   hello.num_workers = static_cast<std::uint32_t>(config.num_workers);
-  // Advertise the trace-context capability on the Hello frame: a
-  // pre-tracing server reads the flags byte as reserved and ignores
-  // it, a tracing server starts appending the optional trace field to
-  // our TrainRequests (PROTOCOL.md §2, §3.4).
-  if (!write_frame(conn, MsgType::kHello, encode_hello(hello),
-                   kFrameFlagTraceContext)) {
+  if (!write_frame(conn, MsgType::kHello, encode_hello(hello))) {
     return R::failure("failed to send hello");
   }
 
@@ -137,13 +131,10 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
     // Adopt the server's round trace: our spans parent under the
     // server-side span the request was sent from, so the merged Chrome
     // trace shows one tree per round across processes. `remote` marks
-    // the parent id as living in another process's event stream.
-    std::optional<telemetry::TraceScope> adopt;
-    if (req.has_trace) {
-      adopt.emplace(telemetry::TraceContext{req.trace_hi, req.trace_lo,
-                                            req.parent_span,
-                                            /*remote=*/true});
-    }
+    // the parent id as living in another process's event stream. An
+    // all-zero context adopts nothing.
+    const telemetry::TraceScope adopt(telemetry::TraceContext{
+        req.trace_hi, req.trace_lo, req.parent_span, /*remote=*/true});
     telemetry::SpanTimer request_span(
         reg, "fl.client.round", {{"worker", worker_label}}, req.round);
 

@@ -65,13 +65,13 @@ const char* frame_status_name(FrameStatus status) {
 }
 
 bool write_frame(TcpConn& conn, MsgType type, const std::uint8_t* payload,
-                 std::size_t payload_len, std::uint8_t flags) {
+                 std::size_t payload_len) {
   std::uint8_t header[kFrameHeaderBytes];
   put_u32(header, kFrameMagic);
   header[4] = kProtocolVersion;
   header[5] = static_cast<std::uint8_t>(type);
-  header[6] = flags;  // capability flags (0 = none, the v1 byte value)
-  header[7] = 0;      // reserved
+  header[6] = 0;  // reserved
+  header[7] = 0;  // reserved
   put_u32(header + 8, static_cast<std::uint32_t>(payload_len));
   if (!conn.send_all(header, sizeof(header))) return false;
   if (payload_len == 0) return true;
@@ -79,9 +79,8 @@ bool write_frame(TcpConn& conn, MsgType type, const std::uint8_t* payload,
 }
 
 bool write_frame(TcpConn& conn, MsgType type,
-                 const std::vector<std::uint8_t>& payload,
-                 std::uint8_t flags) {
-  return write_frame(conn, type, payload.data(), payload.size(), flags);
+                 const std::vector<std::uint8_t>& payload) {
+  return write_frame(conn, type, payload.data(), payload.size());
 }
 
 FrameStatus read_frame(TcpConn& conn, Frame& out, std::size_t max_payload,
@@ -109,9 +108,6 @@ FrameStatus read_frame(TcpConn& conn, Frame& out, std::size_t max_payload,
   // in the allocator.
   if (payload_len > max_payload) return FrameStatus::kOversized;
   out.type = static_cast<MsgType>(type);
-  // Capability flags: surfaced, never validated — unknown bits from a
-  // newer peer are simply capabilities this build doesn't use.
-  out.flags = header[6];
   out.payload.resize(payload_len);
   if (payload_len > 0) {
     switch (conn.recv_exact(out.payload.data(), payload_len, timeout_ms)) {

@@ -20,7 +20,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x314C4346;
 // Bumped on any incompatible wire change, the sealed Update envelope
 // (PROTOCOL.md §4) included, so a mismatched peer fails at its first
 // frame instead of at every update.
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 // Default admission cap on one frame's payload. A model broadcast for
 // the paper-scale benchmarks stays well under this; anything larger is
@@ -56,26 +56,16 @@ enum class FrameStatus {
 
 const char* frame_status_name(FrameStatus status);
 
-// Header byte 6 is a capability-flags byte (byte 7 stays reserved
-// zero). Flags ride on Hello (client advertises) and Welcome (server
-// echoes what it will use); receivers MUST ignore unknown bits, which
-// is what makes the tracing extension version-compatible — a pre-flags
-// peer wrote 0 here and ignored whatever it read (PROTOCOL.md §2).
-inline constexpr std::uint8_t kFrameFlagTraceContext = 0x01;
-
 struct Frame {
   MsgType type = MsgType::kBye;
-  std::uint8_t flags = 0;  // header byte 6; 0 from pre-flags peers
   std::vector<std::uint8_t> payload;
 };
 
 // Sends one frame (header + payload). False on any socket error.
 bool write_frame(TcpConn& conn, MsgType type,
-                 const std::uint8_t* payload, std::size_t payload_len,
-                 std::uint8_t flags = 0);
+                 const std::uint8_t* payload, std::size_t payload_len);
 bool write_frame(TcpConn& conn, MsgType type,
-                 const std::vector<std::uint8_t>& payload,
-                 std::uint8_t flags = 0);
+                 const std::vector<std::uint8_t>& payload);
 
 // Reads one frame within timeout_ms, enforcing `max_payload` before
 // allocating anything. On kOk, `out` holds the message; on any other

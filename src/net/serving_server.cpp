@@ -59,11 +59,6 @@ fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
 struct WorkerSlot {
   TcpConn conn;
   bool alive = false;
-  // Capability flags the worker advertised on its Hello frame. The
-  // trace-context field is appended to TrainRequests only when
-  // kFrameFlagTraceContext is set here — an old worker's decoder
-  // rejects trailing bytes, so the server must not volunteer them.
-  std::uint8_t flags = 0;
   // One entry per client sent and not yet answered, in request order:
   // a worker answers in that order (PROTOCOL.md §1), so every reply
   // answers the head.
@@ -267,8 +262,8 @@ class SocketExecutor final : public fl::ClientExecutor {
     }
   }
 
-  // Sends one round's TrainRequest, with `parent` as its trace context
-  // when the worker advertised the capability. False = send failed.
+  // Sends one round's TrainRequest with `parent` as its trace context.
+  // False = send failed.
   bool send_train_request(WorkerSlot& w, std::int64_t t,
                           std::vector<std::int64_t> ids,
                           const std::vector<std::uint8_t>& blob,
@@ -277,12 +272,9 @@ class SocketExecutor final : public fl::ClientExecutor {
     req.round = t;
     req.client_ids = std::move(ids);
     req.weights_blob = blob;
-    if ((w.flags & kFrameFlagTraceContext) && parent.valid()) {
-      req.has_trace = true;
-      req.trace_hi = parent.trace_hi;
-      req.trace_lo = parent.trace_lo;
-      req.parent_span = parent.span_id;
-    }
+    req.trace_hi = parent.trace_hi;
+    req.trace_lo = parent.trace_lo;
+    req.parent_span = parent.span_id;
     if (!write_frame(w.conn, MsgType::kTrainRequest,
                      encode_train_request(req))) {
       return false;
@@ -496,15 +488,10 @@ ServingReport ServingServer::run() {
               static_cast<std::uint32_t>(options_.num_workers)) {
         std::lock_guard<std::mutex> lock(roster_mutex);
         WorkerSlot& slot = workers[hello.value().worker_index];
-        // Echo back the capability bits this server understands and
-        // will use — currently just the trace-context flag.
-        const std::uint8_t caps =
-            frame.flags & kFrameFlagTraceContext;
         if (!roster_closed && !slot.alive &&
-            write_frame(conn, MsgType::kWelcome, welcome, caps)) {
+            write_frame(conn, MsgType::kWelcome, welcome)) {
           slot.conn = std::move(conn);
           slot.alive = true;
-          slot.flags = caps;
           ++registered;
           admitted = true;
           reg.counter("fl.net.connections_accepted_total").add(1);

@@ -1,55 +1,20 @@
 #include "net/wire.h"
 
-#include <cstring>
+#include <cmath>
+
+#include "fl/protocol.h"
 
 namespace fedcl::net {
 
 namespace {
 
+using fl::append_pod;
+using fl::ByteReader;
+
 // Caps on untrusted count fields, far above any real workload.
 constexpr std::uint32_t kMaxClientsPerRequest = 1u << 20;
 constexpr std::uint32_t kMaxStringBytes = 4096;
 constexpr std::uint32_t kMaxBlobBytes = 256u << 20;
-
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool read(T& out) {
-    if (sizeof(T) > remaining()) return false;
-    std::memcpy(&out, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool read_bytes(std::vector<std::uint8_t>& out, std::size_t n) {
-    if (n > remaining()) return false;
-    out.assign(bytes_.begin() + static_cast<std::ptrdiff_t>(offset_),
-               bytes_.begin() + static_cast<std::ptrdiff_t>(offset_ + n));
-    offset_ += n;
-    return true;
-  }
-
-  bool read_string(std::string& out, std::size_t n) {
-    if (n > remaining()) return false;
-    out.assign(reinterpret_cast<const char*>(bytes_.data() + offset_), n);
-    offset_ += n;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t offset_ = 0;
-};
 
 }  // namespace
 
@@ -91,7 +56,7 @@ std::vector<std::uint8_t> encode_hello(const HelloMsg& msg) {
 
 Result<HelloMsg> decode_hello(const std::vector<std::uint8_t>& payload) {
   using R = Result<HelloMsg>;
-  Reader r(payload);
+  ByteReader r(payload);
   HelloMsg msg;
   if (!r.read(msg.worker_index) || !r.read(msg.num_workers)) {
     return R::failure("truncated hello");
@@ -141,13 +106,19 @@ Result<ExperimentDescriptor> validate_descriptor(ExperimentDescriptor d) {
   if (!(d.prune_ratio >= 0.0 && d.prune_ratio < 1.0)) {
     return R::failure("descriptor: implausible prune ratio");
   }
+  if (!(std::isfinite(d.clip) && d.clip > 0.0)) {
+    return R::failure("descriptor: clip must be finite and > 0");
+  }
+  if (!(std::isfinite(d.sigma) && d.sigma >= 0.0)) {
+    return R::failure("descriptor: sigma must be finite and >= 0");
+  }
   return d;
 }
 
 Result<ExperimentDescriptor> decode_descriptor(
     const std::vector<std::uint8_t>& payload) {
   using R = Result<ExperimentDescriptor>;
-  Reader r(payload);
+  ByteReader r(payload);
   ExperimentDescriptor d;
   std::uint8_t policy = 0;
   if (!r.read(d.bench_id) || !r.read(d.scale) || !r.read(policy) ||
@@ -169,21 +140,16 @@ std::vector<std::uint8_t> encode_train_request(const TrainRequestMsg& msg) {
   for (std::int64_t id : msg.client_ids) append_pod(out, id);
   append_pod(out, static_cast<std::uint32_t>(msg.weights_blob.size()));
   out.insert(out.end(), msg.weights_blob.begin(), msg.weights_blob.end());
-  // Optional trailing trace context. Without it the encoding is
-  // byte-identical to the pre-tracing format — the compatibility
-  // contract NetWire.TrainRequestEncodingWithoutTraceIsPrePr9 pins.
-  if (msg.has_trace) {
-    append_pod(out, msg.trace_hi);
-    append_pod(out, msg.trace_lo);
-    append_pod(out, msg.parent_span);
-  }
+  append_pod(out, msg.trace_hi);
+  append_pod(out, msg.trace_lo);
+  append_pod(out, msg.parent_span);
   return out;
 }
 
 Result<TrainRequestMsg> decode_train_request(
     const std::vector<std::uint8_t>& payload) {
   using R = Result<TrainRequestMsg>;
-  Reader r(payload);
+  ByteReader r(payload);
   TrainRequestMsg msg;
   std::uint32_t count = 0;
   if (!r.read(msg.round) || !r.read(count)) {
@@ -204,17 +170,9 @@ Result<TrainRequestMsg> decode_train_request(
   if (blob_len > kMaxBlobBytes) {
     return R::failure("implausible weights blob in train request");
   }
-  if (!r.read_bytes(msg.weights_blob, blob_len)) {
+  if (!r.read_bytes(msg.weights_blob, blob_len) || !r.read(msg.trace_hi) ||
+      !r.read(msg.trace_lo) || !r.read(msg.parent_span)) {
     return R::failure("truncated train request");
-  }
-  // Optional trailing trace context: absent (old sender) or exactly
-  // 24 bytes. Anything else is still a framing violation.
-  if (r.remaining() != 0) {
-    if (r.remaining() != 24 || !r.read(msg.trace_hi) ||
-        !r.read(msg.trace_lo) || !r.read(msg.parent_span)) {
-      return R::failure("trailing bytes in train request");
-    }
-    msg.has_trace = true;
   }
   if (r.remaining() != 0) {
     return R::failure("trailing bytes in train request");
@@ -233,7 +191,7 @@ std::vector<std::uint8_t> encode_update(const UpdateMsg& msg) {
 
 Result<UpdateMsg> decode_update(const std::vector<std::uint8_t>& payload) {
   using R = Result<UpdateMsg>;
-  Reader r(payload);
+  ByteReader r(payload);
   UpdateMsg msg;
   std::uint32_t sealed_len = 0;
   if (!r.read(msg.client_id) || !r.read(msg.data_size) ||
@@ -265,7 +223,7 @@ std::vector<std::uint8_t> encode_train_error(const TrainErrorMsg& msg) {
 Result<TrainErrorMsg> decode_train_error(
     const std::vector<std::uint8_t>& payload) {
   using R = Result<TrainErrorMsg>;
-  Reader r(payload);
+  ByteReader r(payload);
   TrainErrorMsg msg;
   std::uint32_t len = 0;
   if (!r.read(msg.client_id) || !r.read(len)) {

@@ -59,20 +59,13 @@ struct ExperimentDescriptor {
 };
 
 // server -> client: train these clients at this round, starting from
-// these global weights (the tensor-list blob of fl/protocol.h).
-//
-// The trace context is an *optional trailing field* (PROTOCOL.md
-// §3.4): 24 bytes appended only when `has_trace` — which the server
-// sets only for workers that advertised kFrameFlagTraceContext in
-// their Hello, because a pre-tracing decoder rejects any trailing
-// bytes. The decoder accepts both lengths, so a new worker
-// interoperates with an old server (absent field) and an old worker
-// with a new server (field withheld).
+// these global weights (the tensor-list blob of fl/protocol.h). Every
+// request ends with the 24-byte trace context (PROTOCOL.md §3.4): the
+// server's round span, or all zero from a sender outside any trace.
 struct TrainRequestMsg {
   std::int64_t round = 0;
   std::vector<std::int64_t> client_ids;
   std::vector<std::uint8_t> weights_blob;
-  bool has_trace = false;
   std::uint64_t trace_hi = 0;     // 128-bit trace id of the round
   std::uint64_t trace_lo = 0;
   std::uint64_t parent_span = 0;  // the server's round span id
@@ -83,7 +76,9 @@ struct TrainRequestMsg {
 // sealed bytes carry the authoritative (id, round, delta) inside.
 struct UpdateMsg {
   std::int64_t client_id = -1;
-  std::int64_t data_size = 0;  // local shard size, for weight-by-size
+  // The client's local shard size. The server never reads it: it
+  // weights by the shard sizes it derives itself (PROTOCOL.md §3.5).
+  std::int64_t data_size = 0;
   std::vector<std::uint8_t> sealed;
 };
 
@@ -116,8 +111,9 @@ std::unique_ptr<core::PrivacyPolicy> make_policy(
     const ExperimentDescriptor& d);
 
 // Validates the descriptor's enum fields (bench id, scale, policy) and
-// basic invariants; the decoder calls this, and servers call it on the
-// config they are about to announce.
+// basic invariants, a finite clip > 0 and a finite sigma >= 0 among
+// them; the decoder calls this, and servers call it on the config they
+// are about to announce.
 Result<ExperimentDescriptor> validate_descriptor(ExperimentDescriptor d);
 
 }  // namespace fedcl::net

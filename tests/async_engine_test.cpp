@@ -400,6 +400,7 @@ TEST(AsyncTrainer, SerializedExecutorIsBitwiseReproducible) {
   config.seed = 5;
   config.retry.max_attempts = 3;
   config.faults.fault_rate = 0.4;
+  config.noise_scale = 0.25;
   const std::unique_ptr<core::PrivacyPolicy> policies[] = {
       core::make_non_private(), core::make_fed_sdp(4.0, 0.25)};
   for (const auto& policy : policies) {

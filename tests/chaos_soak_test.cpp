@@ -186,6 +186,7 @@ TEST(ChaosSoak, StreamingEngineUnderDpPolicySurvives) {
   config.clients_per_round = 40;
   config.streaming_aggregation = true;
   config.tree_fan_out = 8;
+  config.noise_scale = 0.5;
   core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5,
                             /*noise_at_server=*/true);
   FlRunResult result = run_experiment(config, policy);
@@ -199,6 +200,7 @@ TEST(ChaosSoak, AsyncUnderDpPolicySurvives) {
   FlExperimentConfig config = soak_config(/*async=*/true,
                                           /*max_attempts=*/2, 1305);
   config.rounds = 50;
+  config.noise_scale = 0.5;
   core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5,
                             /*noise_at_server=*/true);
   FlRunResult result = run_experiment(config, policy);

@@ -465,6 +465,7 @@ TEST(Trainer, DeterministicForSeed) {
   config.clients_per_round = 2;
   config.rounds = 2;
   config.seed = 7;
+  config.noise_scale = 0.5;
   core::FedCdpPolicy policy(4.0, 0.5);
   FlRunResult a = run_experiment(config, policy);
   FlRunResult b = run_experiment(config, policy);

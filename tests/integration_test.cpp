@@ -17,7 +17,6 @@
 #include "fl/secure_aggregation.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
-#include "nn/checkpoint.h"
 #include "nn/loss.h"
 #include "nn/grad_utils.h"
 #include "nn/metrics.h"
@@ -48,9 +47,9 @@ TEST(Integration, TrainCheckpointReloadEvaluate) {
   auto model = nn::build_model(config.bench.model, mrng);
   const std::string path =
       std::string(::testing::TempDir()) + "/integration.ckpt";
-  nn::save_weights(path, model->weights());
+  fl::save_weights(path, model->weights());
   auto reloaded = nn::build_model(config.bench.model, mrng);
-  reloaded->set_weights(nn::load_weights(path));
+  reloaded->set_weights(fl::load_weights(path).take());
   EXPECT_TRUE(tensor::list::allclose(reloaded->weights(), model->weights(),
                                      0.0f, 0.0f));
   std::remove(path.c_str());
@@ -153,6 +152,7 @@ TEST(Integration, AdaptivePolicyEndToEnd) {
   config.clients_per_round = 2;
   config.rounds = 3;
   config.seed = 13;
+  config.noise_scale = 0.1;
   core::FedCdpAdaptivePolicy policy(/*initial_bound=*/4.0,
                                     /*noise_scale=*/0.1);
   fl::FlRunResult result = fl::run_experiment(config, policy);

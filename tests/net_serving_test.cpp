@@ -107,14 +107,19 @@ TEST(NetFrame, RejectsBadVersion) {
 }
 
 TEST(NetFrame, RejectsPreviousVersion) {
-  // Version 1 sealed updates with the FNV-1a tag; a peer still speaking
-  // it must be refused at the header, not ledgered as decode failures.
-  SocketPair pair = make_pair();
-  const auto h = raw_header(kFrameMagic, 1,
-                            static_cast<std::uint8_t>(MsgType::kHello), 0);
-  ASSERT_TRUE(pair.client.send_all(h.data(), h.size()));
-  Frame frame;
-  EXPECT_EQ(read_frame(pair.server, frame), FrameStatus::kBadVersion);
+  // Version 1 sealed updates with the FNV-1a tag, and version 2 sent
+  // TrainRequests with or without the trace field; a peer still
+  // speaking either must be refused at the header, not ledgered as
+  // decode failures.
+  for (const std::uint8_t version : {1, 2}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    SocketPair pair = make_pair();
+    const auto h = raw_header(kFrameMagic, version,
+                              static_cast<std::uint8_t>(MsgType::kHello), 0);
+    ASSERT_TRUE(pair.client.send_all(h.data(), h.size()));
+    Frame frame;
+    EXPECT_EQ(read_frame(pair.server, frame), FrameStatus::kBadVersion);
+  }
 }
 
 TEST(NetFrame, RejectsBadType) {
@@ -199,6 +204,36 @@ TEST(NetWire, DescriptorRoundTrip) {
   EXPECT_EQ(back.value().seed, d.seed);
 }
 
+// A descriptor the run would throw on fails to decode, with a reason:
+// the worker refuses such a Welcome before it builds anything.
+TEST(NetWire, DescriptorRejectsBadClipAndSigma) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  const struct {
+    double clip;
+    double sigma;
+    const char* reason;
+  } cases[] = {
+      {-1.0, 0.25, "clip"}, {0.0, 0.25, "clip"},   {nan, 0.25, "clip"},
+      {inf, 0.25, "clip"},  {4.0, -0.5, "sigma"}, {4.0, nan, "sigma"},
+      {4.0, inf, "sigma"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::to_string(c.clip) + " " + std::to_string(c.sigma));
+    ExperimentDescriptor d = sample_descriptor();
+    d.clip = c.clip;
+    d.sigma = c.sigma;
+    Result<ExperimentDescriptor> back =
+        decode_descriptor(encode_descriptor(d));
+    ASSERT_FALSE(back.ok());
+    EXPECT_NE(back.error().find(c.reason), std::string::npos)
+        << back.error();
+  }
+  ExperimentDescriptor noiseless = sample_descriptor();
+  noiseless.sigma = 0.0;
+  EXPECT_TRUE(decode_descriptor(encode_descriptor(noiseless)).ok());
+}
+
 TEST(NetWire, DescriptorTruncationFuzz) {
   const auto bytes = encode_descriptor(sample_descriptor());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -228,114 +263,69 @@ TEST(NetWire, TrainRequestRoundTripAndFuzz) {
   }
 }
 
-// The optional-trailing-field contract (PROTOCOL.md §3.4): a request
-// without the trace context must be byte-identical to what a pre-trace
-// build produced — hand-built here against the frozen layout — and the
-// decoder must accept that encoding with has_trace == false.
-TEST(NetWire, TrainRequestEncodingWithoutTraceIsPrePr9) {
-  TrainRequestMsg msg;
-  msg.round = 7;
-  msg.client_ids = {0, 3, 9};
-  msg.weights_blob = {10, 20, 30, 40};
-
-  // The pre-trace layout: round i64, count u32, ids i64..., blob u32+.
-  std::vector<std::uint8_t> expected;
-  auto append = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    expected.insert(expected.end(), b, b + n);
-  };
-  const std::int64_t round = 7;
-  append(&round, sizeof(round));
-  const std::uint32_t count = 3;
-  append(&count, sizeof(count));
-  for (std::int64_t id : msg.client_ids) append(&id, sizeof(id));
-  const std::uint32_t blob_len = 4;
-  append(&blob_len, sizeof(blob_len));
-  append(msg.weights_blob.data(), msg.weights_blob.size());
-
-  EXPECT_EQ(encode_train_request(msg), expected)
-      << "untraced encoding changed: old decoders would reject it";
-
-  // Old bytes into the new decoder: accepted, and no trace invented.
-  Result<TrainRequestMsg> back = decode_train_request(expected);
-  ASSERT_TRUE(back.ok()) << back.error();
-  EXPECT_FALSE(back.value().has_trace);
-  EXPECT_EQ(back.value().trace_hi, 0u);
-  EXPECT_EQ(back.value().parent_span, 0u);
-}
-
+// Every TrainRequest ends with the 24-byte trace field (PROTOCOL.md
+// §3.4), so every strict prefix fails to decode, the length of a
+// request without the field included.
 TEST(NetWire, TrainRequestTraceFieldRoundTripAndFuzz) {
   TrainRequestMsg msg;
   msg.round = 5;
   msg.client_ids = {1, 2};
   msg.weights_blob = {42, 43};
-  msg.has_trace = true;
   msg.trace_hi = 0x0123456789abcdefULL;
   msg.trace_lo = 0xfedcba9876543210ULL;
   msg.parent_span = 0xdeadbeefcafef00dULL;
 
   const auto bytes = encode_train_request(msg);
-  TrainRequestMsg untraced = msg;
-  untraced.has_trace = false;
-  const auto base = encode_train_request(untraced);
-  ASSERT_EQ(bytes.size(), base.size() + 24)
-      << "trace field must be exactly 24 trailing bytes";
+  // round, count, 2 ids, blob length, 2 blob bytes, trace field.
+  ASSERT_EQ(bytes.size(), 8u + 4 + 2 * 8 + 4 + 2 + 24);
+  const std::uint64_t tail[3] = {msg.trace_hi, msg.trace_lo,
+                                 msg.parent_span};
+  EXPECT_EQ(std::memcmp(bytes.data() + bytes.size() - 24, tail, 24), 0)
+      << "the trace field must be the last 24 bytes";
 
   Result<TrainRequestMsg> back = decode_train_request(bytes);
   ASSERT_TRUE(back.ok()) << back.error();
-  EXPECT_TRUE(back.value().has_trace);
   EXPECT_EQ(back.value().trace_hi, msg.trace_hi);
   EXPECT_EQ(back.value().trace_lo, msg.trace_lo);
   EXPECT_EQ(back.value().parent_span, msg.parent_span);
   EXPECT_EQ(back.value().client_ids, msg.client_ids);
   EXPECT_EQ(back.value().weights_blob, msg.weights_blob);
 
-  // Every truncation of the traced encoding fails — except the one
-  // prefix that IS the complete untraced message, which must decode as
-  // exactly that (the compatibility pivot, not a parse accident).
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     std::vector<std::uint8_t> prefix(bytes.begin(),
                                      bytes.begin() + static_cast<long>(len));
-    Result<TrainRequestMsg> r = decode_train_request(prefix);
-    if (len == base.size()) {
-      ASSERT_TRUE(r.ok());
-      EXPECT_FALSE(r.value().has_trace);
-    } else {
-      EXPECT_FALSE(r.ok()) << "prefix of length " << len << " accepted";
-    }
+    EXPECT_FALSE(decode_train_request(prefix).ok())
+        << "prefix of length " << len << " accepted";
   }
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  EXPECT_FALSE(decode_train_request(longer).ok());
 }
 
-TEST(NetFrame, FlagsByteRoundTripsAndUnknownBitsAreIgnored) {
+// Header bytes 6 and 7 are reserved (PROTOCOL.md §2): write_frame
+// writes them 0, and read_frame ignores whatever arrives there.
+TEST(NetFrame, ReservedHeaderBytesAreIgnored) {
   {
-    SocketPair pair = make_pair();
-    const std::vector<std::uint8_t> payload = {1, 2};
-    ASSERT_TRUE(write_frame(pair.client, MsgType::kHello, payload,
-                            kFrameFlagTraceContext));
-    Frame frame;
-    ASSERT_EQ(read_frame(pair.server, frame), FrameStatus::kOk);
-    EXPECT_EQ(frame.flags, kFrameFlagTraceContext);
-    EXPECT_EQ(frame.payload, payload);
-  }
-  {
-    // Default write leaves the byte 0 — the pre-flags wire value.
     SocketPair pair = make_pair();
     ASSERT_TRUE(write_frame(pair.client, MsgType::kHello, nullptr, 0));
-    Frame frame;
-    ASSERT_EQ(read_frame(pair.server, frame), FrameStatus::kOk);
-    EXPECT_EQ(frame.flags, 0);
+    std::uint8_t h[kFrameHeaderBytes];
+    ASSERT_EQ(pair.server.recv_exact(h, sizeof(h), 2000), IoStatus::kOk);
+    EXPECT_EQ(h[6], 0);
+    EXPECT_EQ(h[7], 0);
   }
   {
-    // Unknown capability bits from a future peer are surfaced, never a
-    // framing error.
     SocketPair pair = make_pair();
     auto h = raw_header(kFrameMagic, kProtocolVersion,
-                        static_cast<std::uint8_t>(MsgType::kHello), 0);
+                        static_cast<std::uint8_t>(MsgType::kHello), 2);
     h[6] = 0xaa;
+    h[7] = 0x55;
+    h.push_back(1);
+    h.push_back(2);
     ASSERT_TRUE(pair.client.send_all(h.data(), h.size()));
     Frame frame;
     ASSERT_EQ(read_frame(pair.server, frame), FrameStatus::kOk);
-    EXPECT_EQ(frame.flags, 0xaa);
+    EXPECT_EQ(frame.type, MsgType::kHello);
+    EXPECT_EQ(frame.payload, (std::vector<std::uint8_t>{1, 2}));
   }
 }
 
@@ -523,7 +513,7 @@ TEST(NetServing, InvalidServerOptionsFailAtCreate) {
   valid.num_workers = 1;
   ASSERT_TRUE(ServingServer::create(sample_descriptor(), valid).ok());
 
-  std::vector<ServingOptions> invalid(7, valid);
+  std::vector<ServingOptions> invalid(11, valid);
   invalid[0].min_reporting = 0;
   invalid[1].reduced_min_reporting = 2;  // above min_reporting = 1
   invalid[2].server_momentum = 1.0;
@@ -535,11 +525,29 @@ TEST(NetServing, InvalidServerOptionsFailAtCreate) {
   invalid[5].io_timeout_ms = 0;
   invalid[6].async_mode = true;
   invalid[6].max_inflight_rounds = 0;
+  // Sync-engine knobs the async engine would silently ignore.
+  for (std::size_t i = 7; i < 11; ++i) invalid[i].async_mode = true;
+  invalid[7].server_momentum = 0.5;
+  invalid[8].min_reporting = 2;
+  invalid[9].reduced_min_reporting = 1;
+  invalid[10].screening.norm_outlier_factor = 2.0;
   for (const ServingOptions& options : invalid) {
     Result<std::unique_ptr<ServingServer>> server =
         ServingServer::create(sample_descriptor(), options);
     ASSERT_FALSE(server.ok());
     EXPECT_FALSE(server.error().empty());
+  }
+
+  // A clip or sigma the sanitizer would abort on fails here too.
+  std::vector<ExperimentDescriptor> bad(2, sample_descriptor());
+  bad[0].clip = -1.0;
+  bad[1].sigma = std::nan("");
+  for (const ExperimentDescriptor& d : bad) {
+    Result<std::unique_ptr<ServingServer>> server =
+        ServingServer::create(d, valid);
+    ASSERT_FALSE(server.ok());
+    EXPECT_NE(server.error().find("descriptor"), std::string::npos)
+        << server.error();
   }
 }
 
@@ -706,6 +714,106 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
   }
 }
 
+// A stub worker that trains nothing: it answers every client of each
+// TrainRequest with a TrainError frame, `delay` after the request
+// arrived, in request order. It returns when the server says Bye
+// (recorded in `ended_on_bye`) or the connection fails; `answered`
+// counts the requests it answered.
+void run_train_error_worker(int port, std::chrono::milliseconds delay,
+                            std::atomic<int>& answered,
+                            std::atomic<bool>& ended_on_bye) {
+  using Clock = std::chrono::steady_clock;
+  Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
+  if (!conn.ok()) return;
+  HelloMsg hello;
+  hello.worker_index = 0;
+  hello.num_workers = 1;
+  Frame frame;
+  if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello)) ||
+      read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
+          FrameStatus::kOk ||
+      frame.type != MsgType::kWelcome) {
+    return;
+  }
+  // Replies owed, oldest first, each with the time it is due.
+  std::deque<std::pair<Clock::time_point, std::vector<std::int64_t>>> owed;
+  for (;;) {
+    const auto until_due =
+        owed.empty() ? std::chrono::milliseconds(30000)
+                     : std::chrono::duration_cast<std::chrono::milliseconds>(
+                           owed.front().first - Clock::now());
+    if (conn.value().readable(
+            static_cast<int>(std::max<std::int64_t>(0, until_due.count())))) {
+      if (read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
+          FrameStatus::kOk) {
+        return;
+      }
+      if (frame.type == MsgType::kBye) {
+        ended_on_bye = true;
+        return;
+      }
+      Result<TrainRequestMsg> req = decode_train_request(frame.payload);
+      if (frame.type != MsgType::kTrainRequest || !req.ok()) return;
+      owed.emplace_back(Clock::now() + delay, req.value().client_ids);
+      continue;
+    }
+    if (owed.empty()) return;
+    for (std::int64_t ci : owed.front().second) {
+      TrainErrorMsg err;
+      err.client_id = ci;
+      err.message = "stub worker";
+      if (!write_frame(conn.value(), MsgType::kTrainError,
+                       encode_train_error(err))) {
+        return;
+      }
+    }
+    owed.pop_front();
+    ++answered;
+  }
+}
+
+// A worker that answers every client with TrainError, on the sync
+// engine (PROTOCOL.md §6): every client, the retry pass's spares
+// included, is booked as an injected crash that expired, every round
+// misses quorum, and the worker keeps its connection until Bye.
+TEST(NetServing, TrainErrorRepliesExpireAsCrashesAndKeepTheWorker) {
+  const ExperimentDescriptor d = sample_descriptor();
+  ServingOptions options;
+  options.num_workers = 1;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(d, options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  std::atomic<int> answered{0};
+  std::atomic<bool> ended_on_bye{false};
+  std::thread stub([&, port = server.value()->port()] {
+    run_train_error_worker(port, std::chrono::milliseconds(0), answered,
+                           ended_on_bye);
+  });
+  const ServingReport report = server.value()->run();
+  stub.join();
+  ASSERT_TRUE(report.ok) << report.error;
+
+  EXPECT_EQ(telemetry::global_registry()
+                .counter("fl.net.disconnects_total")
+                .value(),
+            0);
+  EXPECT_EQ(report.frames_rejected, 0);
+  EXPECT_TRUE(ended_on_bye.load()) << "the worker lost its connection";
+  const fl::RoundFailureStats& f = report.failures;
+  EXPECT_GT(f.retried_clients, 0);
+  EXPECT_EQ(f.injected_crash,
+            d.rounds * d.clients_per_round + f.retried_clients);
+  EXPECT_EQ(f.injected_total(), f.injected_crash);
+  EXPECT_EQ(f.fault_expired, f.injected_total());
+  EXPECT_EQ(f.faults_resolved_total(), f.injected_total());
+  EXPECT_EQ(f.rejected_total(), 0);
+  EXPECT_EQ(f.quorum_missed, d.rounds);
+  EXPECT_EQ(report.updates_accepted, 0);
+  EXPECT_EQ(report.dropped_rounds, d.rounds);
+  // One request per round, and one more per retry pass.
+  EXPECT_EQ(answered.load(), 2 * d.rounds);
+}
+
 // A healthy worker slower than the staleness horizon (PROTOCOL.md §5.3).
 // The stub answers each TrainRequest with TrainError frames 120 ms after
 // it arrives, while a round waits 50 ms and max_staleness is 0: every
@@ -713,7 +821,6 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
 // the reply that comes later is read and dropped, never taken for a
 // protocol violation. The worker stays connected until Bye.
 TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
-  using Clock = std::chrono::steady_clock;
   ExperimentDescriptor d = sample_descriptor();
   d.total_clients = 16;
   d.clients_per_round = 2;
@@ -726,59 +833,12 @@ TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
   Result<std::unique_ptr<ServingServer>> server =
       ServingServer::create(d, options);
   ASSERT_TRUE(server.ok()) << server.error();
-  const int port = server.value()->port();
 
   std::atomic<bool> ended_on_bye{false};
   std::atomic<int> answered{0};
-  std::thread slow_worker([&] {
-    Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
-    if (!conn.ok()) return;
-    HelloMsg hello;
-    hello.worker_index = 0;
-    hello.num_workers = 1;
-    Frame frame;
-    if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello)) ||
-        read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
-            FrameStatus::kOk ||
-        frame.type != MsgType::kWelcome) {
-      return;
-    }
-    // Replies owed, oldest first, each with the time it is due.
-    std::deque<std::pair<Clock::time_point, std::vector<std::int64_t>>> owed;
-    for (;;) {
-      const auto until_due =
-          owed.empty() ? std::chrono::milliseconds(30000)
-                       : std::chrono::duration_cast<std::chrono::milliseconds>(
-                             owed.front().first - Clock::now());
-      if (conn.value().readable(
-              static_cast<int>(std::max<std::int64_t>(0, until_due.count())))) {
-        if (read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
-            FrameStatus::kOk) {
-          return;
-        }
-        if (frame.type == MsgType::kBye) {
-          ended_on_bye = true;
-          return;
-        }
-        Result<TrainRequestMsg> req = decode_train_request(frame.payload);
-        if (frame.type != MsgType::kTrainRequest || !req.ok()) return;
-        owed.emplace_back(Clock::now() + std::chrono::milliseconds(120),
-                          req.value().client_ids);
-        continue;
-      }
-      if (owed.empty()) return;
-      for (std::int64_t ci : owed.front().second) {
-        TrainErrorMsg err;
-        err.client_id = ci;
-        err.message = "slow stub";
-        if (!write_frame(conn.value(), MsgType::kTrainError,
-                         encode_train_error(err))) {
-          return;
-        }
-      }
-      owed.pop_front();
-      ++answered;
-    }
+  std::thread slow_worker([&, port = server.value()->port()] {
+    run_train_error_worker(port, std::chrono::milliseconds(120), answered,
+                           ended_on_bye);
   });
   const ServingReport report = server.value()->run();
   slow_worker.join();
@@ -871,73 +931,6 @@ TEST(NetServing, TraceContextPropagatesEndToEndWithZeroOrphans) {
     EXPECT_GT(client_round_spans, 0)
         << "no worker-side spans joined the server's traces";
   }
-}
-
-// A worker that never advertises the trace capability (Hello flags 0 —
-// what a pre-tracing build sends) must interoperate: the server
-// withholds the trailing trace field its old decoder would reject.
-TEST(NetServing, OldWorkerWithoutTraceCapabilityInteroperates) {
-  const ExperimentDescriptor d = sample_descriptor();
-  ServingOptions options;
-  options.num_workers = 1;
-  Result<std::unique_ptr<ServingServer>> server =
-      ServingServer::create(d, options);
-  ASSERT_TRUE(server.ok()) << server.error();
-  const int port = server.value()->port();
-
-  std::atomic<int> requests{0};
-  std::atomic<int> traced_requests{0};
-  std::atomic<int> welcome_flags{-1};
-  std::thread old_worker([&] {
-    Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
-    if (!conn.ok()) return;
-    HelloMsg hello;
-    hello.worker_index = 0;
-    hello.num_workers = 1;
-    if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello))) {
-      return;  // default flags = 0: no capabilities advertised
-    }
-    Frame frame;
-    if (read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
-            FrameStatus::kOk ||
-        frame.type != MsgType::kWelcome) {
-      return;
-    }
-    welcome_flags.store(frame.flags);
-    for (;;) {
-      if (read_frame(conn.value(), frame, kDefaultMaxPayload, 30000) !=
-          FrameStatus::kOk) {
-        return;
-      }
-      if (frame.type == MsgType::kBye) return;
-      if (frame.type != MsgType::kTrainRequest) return;
-      Result<TrainRequestMsg> req = decode_train_request(frame.payload);
-      if (!req.ok()) return;
-      ++requests;
-      if (req.value().has_trace) ++traced_requests;
-      // An old worker can't train here (no shared registry state in
-      // this stub); reporting per-client errors still exercises the
-      // full round loop.
-      for (std::int64_t ci : req.value().client_ids) {
-        TrainErrorMsg err;
-        err.client_id = ci;
-        err.message = "stub worker";
-        if (!write_frame(conn.value(), MsgType::kTrainError,
-                         encode_train_error(err))) {
-          return;
-        }
-      }
-    }
-  });
-
-  ServingReport report = server.value()->run();
-  old_worker.join();
-  ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_EQ(welcome_flags.load(), 0)
-      << "server echoed a capability the worker never advertised";
-  EXPECT_GT(requests.load(), 0);
-  EXPECT_EQ(traced_requests.load(), 0)
-      << "server sent the trace field to a non-advertising worker";
 }
 
 TEST(NetServing, SurvivesMalformedAndSurplusConnections) {

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "nn/checkpoint.h"
 #include "nn/metrics.h"
 #include "nn/model_zoo.h"
 
@@ -16,65 +12,6 @@ namespace {
 
 using tensor::Tensor;
 using tensor::list::TensorList;
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-TEST(Checkpoint, RoundTrip) {
-  Rng rng(1);
-  TensorList weights = {Tensor::randn({3, 4}, rng), Tensor::randn({7}, rng),
-                        Tensor::randn({2, 2, 2, 2}, rng)};
-  const std::string path = temp_path("roundtrip.ckpt");
-  save_weights(path, weights);
-  TensorList loaded = load_weights(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_TRUE(tensor::list::allclose(loaded, weights, 0.0f, 0.0f));
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, ModelSaveRestore) {
-  Rng rng(2);
-  ModelSpec spec{.kind = ModelSpec::Kind::kMlp, .in_features = 6,
-                 .classes = 3};
-  auto model = build_mlp(spec, rng);
-  const std::string path = temp_path("model.ckpt");
-  save_weights(path, model->weights());
-
-  Rng rng2(3);
-  auto other = build_mlp(spec, rng2);  // different init
-  other->set_weights(load_weights(path));
-  EXPECT_TRUE(tensor::list::allclose(other->weights(), model->weights(),
-                                     0.0f, 0.0f));
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsGarbageAndMissing) {
-  EXPECT_THROW(load_weights(temp_path("missing.ckpt")), Error);
-  const std::string path = temp_path("garbage.ckpt");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[] = "not a checkpoint";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  EXPECT_THROW(load_weights(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsTruncation) {
-  Rng rng(4);
-  TensorList weights = {Tensor::randn({16}, rng)};
-  const std::string path = temp_path("trunc.ckpt");
-  save_weights(path, weights);
-  // Truncate the file by a few bytes.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(::truncate(path.c_str(), size - 8), 0);
-  EXPECT_THROW(load_weights(path), Error);
-  std::remove(path.c_str());
-}
 
 TEST(ConfusionMatrix, CountsAndAccuracy) {
   ConfusionMatrix cm(3);

@@ -551,6 +551,7 @@ TEST(ParallelTrainer, SerialAndParallelSchedulesBitwiseIdentical) {
       config.streaming_aggregation = streaming;
       config.tree_fan_out = 2;
       config.retry.max_attempts = 3;
+      config.noise_scale = 0.5;
       std::unique_ptr<core::PrivacyPolicy> policy;
       if (per_example) {
         policy = core::make_fed_cdp(2.0, 0.5);
@@ -574,6 +575,7 @@ TEST(ParallelTrainer, OrderDependentPolicyStaysDeterministic) {
   // serialize it even when parallel_clients is requested, keeping
   // repeated runs identical.
   fl::FlExperimentConfig config = small_fl_config(500);
+  config.noise_scale = 0.5;
   core::FedCdpAdaptivePolicy policy(4.0, 0.5);
   config.parallel_clients = true;
   fl::FlRunResult a = fl::run_experiment(config, policy);

@@ -1,15 +1,20 @@
-// Adversarial-input tests for the wire protocol: deserialize_update and
-// SecureChannel::open must return an error — never crash, throw, or
-// over-read — for any truncated, bit-flipped, or malicious buffer.
-// These run under ASan/UBSan in CI to catch over-reads the happy path
-// never exercises.
+// Adversarial-input tests for the byte codec: deserialize_update,
+// SecureChannel::open and the checkpoint loader must return an error —
+// never crash, throw, or over-read — for any truncated, bit-flipped, or
+// malicious buffer or file. These run under ASan/UBSan in CI to catch
+// over-reads the happy path never exercises.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "fl/protocol.h"
+#include "nn/model_zoo.h"
 
 namespace fedcl::fl {
 namespace {
@@ -156,6 +161,178 @@ TEST(ProtocolRobustness, FailedResultThrowsOnAccess) {
   Result<ClientUpdate> r = deserialize_update({1, 2, 3});
   ASSERT_FALSE(r.ok());
   EXPECT_THROW(r.value(), Error);
+}
+
+// ---- checkpoints: the 8-byte header plus the tensor-list blob ----
+
+std::string temp_path(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return bytes;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    bytes.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// A checkpoint header, then a tensor list of `count` tensors whose
+// first one has the given dims and no data.
+std::vector<std::uint8_t> checkpoint_prefix(std::uint32_t count,
+                                            std::vector<std::int64_t> dims,
+                                            std::uint32_t magic = 0xFEDC1CA1,
+                                            std::uint32_t version = 1) {
+  std::vector<std::uint8_t> bytes;
+  append_pod(bytes, magic);
+  append_pod(bytes, version);
+  append_pod(bytes, count);
+  append_pod(bytes, static_cast<std::uint32_t>(dims.size()));
+  for (std::int64_t d : dims) append_pod(bytes, d);
+  return bytes;
+}
+
+TEST(Checkpoint, RoundTrip) {
+  Rng rng(1);
+  TensorList weights = {Tensor::randn({3, 4}, rng), Tensor::randn({7}, rng),
+                        Tensor::randn({2, 2, 2, 2}, rng)};
+  const std::string path = temp_path("roundtrip.ckpt");
+  save_weights(path, weights);
+  Result<TensorList> loaded = load_weights(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  ASSERT_EQ(loaded.value().size(), 3u);
+  EXPECT_TRUE(tensor::list::allclose(loaded.value(), weights, 0.0f, 0.0f));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ModelSaveRestore) {
+  Rng rng(2);
+  nn::ModelSpec spec{.kind = nn::ModelSpec::Kind::kMlp, .in_features = 6,
+                     .classes = 3};
+  auto model = nn::build_mlp(spec, rng);
+  const std::string path = temp_path("model.ckpt");
+  save_weights(path, model->weights());
+
+  Rng rng2(3);
+  auto other = nn::build_mlp(spec, rng2);  // different init
+  other->set_weights(load_weights(path).take());
+  EXPECT_TRUE(tensor::list::allclose(other->weights(), model->weights(),
+                                     0.0f, 0.0f));
+  std::remove(path.c_str());
+}
+
+// The file layout, byte for byte: u32 magic, u32 version, u32 count,
+// then per tensor u32 rank, i64 dims and the raw f32 data.
+TEST(Checkpoint, LayoutIsHeaderPlusTensorListBlob) {
+  Tensor a({2, 3});
+  Tensor b({1});
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    a.data()[i] = 0.5f * static_cast<float>(i) - 1.0f;
+  }
+  b.data()[0] = 3.25f;
+  std::vector<std::uint8_t> expected = {
+      0xA1, 0x1C, 0xDC, 0xFE,  // magic 0xFEDC1CA1
+      1, 0, 0, 0,              // version 1
+      2, 0, 0, 0,              // two tensors
+      2, 0, 0, 0,              // a: rank 2
+      2, 0, 0, 0, 0, 0, 0, 0,  // a: dim 2
+      3, 0, 0, 0, 0, 0, 0, 0,  // a: dim 3
+  };
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    append_pod(expected, a.data()[i]);
+  }
+  const std::vector<std::uint8_t> b_bytes = {
+      1, 0, 0, 0,              // b: rank 1
+      1, 0, 0, 0, 0, 0, 0, 0,  // b: dim 1
+      0, 0, 0x50, 0x40,        // 3.25f
+  };
+  expected.insert(expected.end(), b_bytes.begin(), b_bytes.end());
+
+  const std::string path = temp_path("layout.ckpt");
+  save_weights(path, {a, b});
+  EXPECT_EQ(read_file(path), expected);
+  std::vector<std::uint8_t> blob(expected.begin() + 8, expected.end());
+  EXPECT_EQ(serialize_tensor_list({a, b}), blob);
+
+  write_file(path, expected);
+  Result<TensorList> loaded = load_weights(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_TRUE(tensor::list::allclose(loaded.value(), {a, b}, 0.0f, 0.0f));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsGarbageAndMissing) {
+  EXPECT_FALSE(load_weights(temp_path("missing.ckpt")).ok());
+  const std::string path = temp_path("garbage.ckpt");
+  const char junk[] = "not a checkpoint";
+  write_file(path, std::vector<std::uint8_t>(junk, junk + sizeof(junk)));
+  EXPECT_FALSE(load_weights(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsTruncation) {
+  Rng rng(4);
+  TensorList weights = {Tensor::randn({16}, rng)};
+  const std::string path = temp_path("trunc.ckpt");
+  save_weights(path, weights);
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_file(path, {bytes.begin(), bytes.begin() + static_cast<long>(len)});
+    EXPECT_FALSE(load_weights(path).ok()) << "length " << len;
+  }
+  ASSERT_EQ(::truncate(path.c_str(), 0), 0);
+  EXPECT_FALSE(load_weights(path).ok());
+  std::remove(path.c_str());
+}
+
+// Malformed files fail with the blob decoder's reasons, before any
+// allocation the fields claim: no bad_alloc, no signed overflow.
+TEST(Checkpoint, MalformedFilesFailCleanly) {
+  const std::int64_t big = std::int64_t{1} << 32;
+  std::vector<std::uint8_t> trailing = checkpoint_prefix(1, {1});
+  append_pod(trailing, 1.0f);
+  trailing.push_back(0);
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+    const char* reason;
+  } cases[] = {
+      {"count 0xFFFFFFFF", checkpoint_prefix(0xFFFFFFFFu, {}),
+       "implausible tensor count"},
+      {"dims [2^32, 2^32]", checkpoint_prefix(1, {big, big}),
+       "implausible tensor dimension"},
+      {"negative dim", checkpoint_prefix(1, {4, -1}),
+       "implausible tensor dimension"},
+      {"rank 9", checkpoint_prefix(1, {1, 1, 1, 1, 1, 1, 1, 1, 1}),
+       "implausible tensor rank"},
+      {"trailing byte", trailing, "trailing bytes in message"},
+      {"bad magic", checkpoint_prefix(0, {}, 0xFEDC1CA2), "not a fedcl"},
+      {"bad version", checkpoint_prefix(0, {}, 0xFEDC1CA1, 2),
+       "unsupported checkpoint version"},
+  };
+  const std::string path = temp_path("malformed.ckpt");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    write_file(path, c.bytes);
+    Result<TensorList> r = load_weights(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find(c.reason), std::string::npos) << r.error();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

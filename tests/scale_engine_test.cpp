@@ -165,6 +165,7 @@ TEST(ScaleEngine, FanOutIsAnExecutionDetailOnFaultFreeRounds) {
   // streams are exercised, not just the reduction order.
   std::unique_ptr<core::PrivacyPolicy> policy = core::make_fed_sdp(4.0, 0.25);
   FlExperimentConfig config = scale_config();
+  config.noise_scale = 0.25;
   config.tree_fan_out = 2;
   FlRunResult first;
   const std::vector<std::uint8_t> reference =
@@ -181,6 +182,7 @@ TEST(ScaleEngine, FanOutIsAnExecutionDetailOnFaultFreeRounds) {
 TEST(ScaleEngine, ParallelScheduleMatchesSerialBitwise) {
   std::unique_ptr<core::PrivacyPolicy> policy = core::make_fed_sdp(4.0, 0.25);
   FlExperimentConfig config = scale_config();
+  config.noise_scale = 0.25;
   config.parallel_clients = false;
   const std::vector<std::uint8_t> serial = run_scale(config, *policy);
   config.parallel_clients = true;

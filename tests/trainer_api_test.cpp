@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/accounting.h"
 #include "core/policy.h"
@@ -136,6 +141,70 @@ TEST(TrainerTelemetry, EpsilonSeriesMatchesAccountantExactly) {
   core::PrivacyReport report = core::account_privacy(setup);
   EXPECT_EQ(instance_eps.back().value, report.fed_cdp_instance_epsilon);
   EXPECT_EQ(client_eps.back().value, report.fed_sdp_client_epsilon);
+}
+
+// The budget is accounted at config.noise_scale, so a noising policy at
+// another sigma is refused, and the error names both values.
+TEST(TrainerTelemetry, RejectsPolicySigmaThatDiffersFromConfig) {
+  fl::FlExperimentConfig config = smoke_config();  // noise_scale 6
+  auto policy = core::make_fed_cdp(data::kDefaultClippingBound, 0.25);
+  try {
+    (void)fl::run_experiment(config, *policy);
+    FAIL() << "a Fed-CDP run at sigma=0.25 was accounted at sigma=6";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sigma=0.25"), std::string::npos) << what;
+    EXPECT_NE(what.find("noise_scale=6"), std::string::npos) << what;
+  }
+  config.noise_scale = 0.25;
+  EXPECT_NO_THROW((void)fl::run_experiment(config, *policy));
+}
+
+// A policy that adds no noise spends no budget: its run records neither
+// dp.epsilon nor dp.delta, whatever config.noise_scale says.
+TEST(TrainerTelemetry, NonPrivateRunRecordsNoPrivacyBudget) {
+  const fl::FlExperimentConfig config = smoke_config();
+  core::NonPrivatePolicy policy;
+  const fl::FlRunResult result = fl::run_experiment(config, policy);
+  EXPECT_TRUE(result.telemetry.series_points("dp.epsilon").empty());
+  for (const auto& g : result.telemetry.gauges) {
+    EXPECT_NE(g.name, "dp.epsilon");
+    EXPECT_NE(g.name, "dp.delta");
+  }
+}
+
+// Sync-engine knobs that the async engine or the streamed fold would
+// silently ignore fail validation, and each message names the knob
+// that does apply.
+TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
+  const fl::FlExperimentConfig base = smoke_config();
+  ASSERT_TRUE(fl::validate_config(base).ok());
+  fl::FlExperimentConfig async = base;
+  async.async_mode = true;
+  ASSERT_TRUE(fl::validate_config(async).ok());
+  fl::FlExperimentConfig streamed = base;
+  streamed.streaming_aggregation = true;
+  ASSERT_TRUE(fl::validate_config(streamed).ok());
+
+  std::vector<std::pair<fl::FlExperimentConfig, const char*>> cases(
+      5, {async, ""});
+  cases[0].first.server_momentum = 0.9;
+  cases[0].second = "--staleness-alpha";
+  cases[1].first.min_reporting = 2;
+  cases[1].second = "--async-min-apply";
+  cases[2].first.reduced_min_reporting = 1;
+  cases[2].second = "--async-min-apply";
+  cases[3].first.screening.norm_outlier_factor = 3.0;
+  cases[3].second = "--screen-max-norm";
+  cases[4].first = streamed;
+  cases[4].first.screening.norm_outlier_factor = 3.0;
+  cases[4].second = "--screen-max-norm";
+  for (const auto& [config, knob] : cases) {
+    SCOPED_TRACE(knob);
+    const Result<fl::FlExperimentConfig> r = fl::validate_config(config);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find(knob), std::string::npos) << r.error();
+  }
 }
 
 // Under the decaying clipping schedule the bound shrinks toward ~0, so

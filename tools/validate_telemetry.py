@@ -7,10 +7,13 @@ contract the schema documents — per-event required fields, field types,
 and the meta header on line 1. CI runs it on the fl_simulator artifact.
 
 Usage: tools/validate_telemetry.py run.jsonl [--require name ...]
+                                            [--forbid name ...]
 
 --require NAME fails the run unless at least one span or point event
 with that metric name is present (used by CI to pin down the round
 spans, the epsilon series, and the screening counters' point mirror).
+--forbid NAME fails the run if any span or point event has that name
+(used by CI to pin that a non-private run reports no epsilon).
 Exit status 0 on success, 1 with a line-numbered report otherwise.
 """
 
@@ -159,6 +162,13 @@ def main():
         metavar="NAME",
         help="fail unless a span/point with this metric name is present",
     )
+    parser.add_argument(
+        "--forbid",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="fail if a span/point with this metric name is present",
+    )
     args = parser.parse_args()
 
     failures = []
@@ -215,6 +225,9 @@ def main():
     for name in args.require:
         if name not in seen_names:
             failures.append((0, ["required metric %r never emitted" % name]))
+    for name in args.forbid:
+        if name in seen_names:
+            failures.append((0, ["forbidden metric %r was emitted" % name]))
 
     if failures:
         for lineno, errors in failures:
