@@ -3,9 +3,8 @@
 // type-0/1 round update, under non-private FL and under Fed-CDP, and
 // prints ASCII renderings of the private image vs. the reconstruction.
 //
-// Usage: attack_demo [mnist|cifar10|lfw]
+// Usage: attack_demo [mnist|cifar10|lfw|adult|cancer]   (default mnist)
 #include <cstdio>
-#include <cstring>
 
 #include "attack/leakage_eval.h"
 #include "common/env.h"
@@ -13,14 +12,6 @@
 #include "data/benchmarks.h"
 
 namespace {
-
-fedcl::data::BenchmarkId parse_benchmark(int argc, char** argv) {
-  using fedcl::data::BenchmarkId;
-  if (argc < 2) return BenchmarkId::kMnist;
-  if (std::strcmp(argv[1], "cifar10") == 0) return BenchmarkId::kCifar10;
-  if (std::strcmp(argv[1], "lfw") == 0) return BenchmarkId::kLfw;
-  return BenchmarkId::kMnist;
-}
 
 void report_outcome(const char* label,
                     const fedcl::attack::LeakageOutcome& outcome,
@@ -42,8 +33,14 @@ void report_outcome(const char* label,
 int main(int argc, char** argv) {
   using namespace fedcl;
 
+  const Result<data::BenchmarkId> bench_id =
+      data::parse_benchmark_id(argc < 2 ? "mnist" : argv[1]);
+  if (!bench_id.ok()) {
+    std::fprintf(stderr, "attack_demo: %s\n", bench_id.error().c_str());
+    return 1;
+  }
   attack::LeakageExperimentConfig config;
-  config.bench = data::benchmark_config(parse_benchmark(argc, argv));
+  config.bench = data::benchmark_config(bench_id.value());
   config.clients = 1;
   config.seed = experiment_seed();
   config.attack.max_iterations = 300;

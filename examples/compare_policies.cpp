@@ -2,9 +2,8 @@
 // compares (non-private, Fed-SDP, Fed-CDP, Fed-CDP(decay)) and prints
 // accuracy, cost and privacy side by side.
 //
-// Usage: compare_policies [benchmark]   (mnist|cifar10|lfw|adult|cancer)
+// Usage: compare_policies [mnist|cifar10|lfw|adult|cancer]   (default mnist)
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -15,26 +14,17 @@
 #include "data/benchmarks.h"
 #include "fl/trainer.h"
 
-namespace {
-
-fedcl::data::BenchmarkId parse_benchmark(int argc, char** argv) {
-  using fedcl::data::BenchmarkId;
-  if (argc < 2) return BenchmarkId::kMnist;
-  const char* name = argv[1];
-  if (std::strcmp(name, "cifar10") == 0) return BenchmarkId::kCifar10;
-  if (std::strcmp(name, "lfw") == 0) return BenchmarkId::kLfw;
-  if (std::strcmp(name, "adult") == 0) return BenchmarkId::kAdult;
-  if (std::strcmp(name, "cancer") == 0) return BenchmarkId::kCancer;
-  return BenchmarkId::kMnist;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace fedcl;
 
+  const Result<data::BenchmarkId> bench_id =
+      data::parse_benchmark_id(argc < 2 ? "mnist" : argv[1]);
+  if (!bench_id.ok()) {
+    std::fprintf(stderr, "compare_policies: %s\n", bench_id.error().c_str());
+    return 1;
+  }
   fl::FlExperimentConfig config;
-  config.bench = data::benchmark_config(parse_benchmark(argc, argv));
+  config.bench = data::benchmark_config(bench_id.value());
   config.total_clients = 20;
   config.clients_per_round = 10;
   config.seed = experiment_seed();

@@ -23,21 +23,11 @@
 #include "data/benchmarks.h"
 #include "fl/protocol.h"
 #include "net/serving_server.h"
+#include "privacy_line.h"
 
 namespace {
 
 using namespace fedcl;
-
-data::BenchmarkId parse_dataset(const std::string& name) {
-  if (name == "mnist") return data::BenchmarkId::kMnist;
-  if (name == "cifar10") return data::BenchmarkId::kCifar10;
-  if (name == "lfw") return data::BenchmarkId::kLfw;
-  if (name == "adult") return data::BenchmarkId::kAdult;
-  if (name == "cancer") return data::BenchmarkId::kCancer;
-  FEDCL_CHECK(false) << "unknown dataset '" << name
-                     << "' (mnist|cifar10|lfw|adult|cancer)";
-  return data::BenchmarkId::kMnist;
-}
 
 void print_usage(const char* program) {
   std::printf(
@@ -93,15 +83,19 @@ int run_server(const FlagParser& flags) {
                 metrics_server->port());
   }
 
-  const data::BenchmarkId bench_id =
-      parse_dataset(flags.get("dataset", "mnist"));
-  const data::BenchmarkConfig bench = data::benchmark_config(bench_id);
+  const Result<data::BenchmarkId> bench_id =
+      data::parse_benchmark_id(flags.get("dataset", "mnist"));
+  if (!bench_id.ok()) {
+    std::fprintf(stderr, "fedcl_server: %s\n", bench_id.error().c_str());
+    return 1;
+  }
+  const data::BenchmarkConfig bench = data::benchmark_config(bench_id.value());
   Result<net::PolicyId> policy_id =
       net::parse_policy_id(flags.get("policy", "fed-cdp"));
   FEDCL_CHECK(policy_id.ok()) << policy_id.error();
 
   net::ExperimentDescriptor d;
-  d.bench_id = static_cast<std::uint8_t>(bench_id);
+  d.bench_id = static_cast<std::uint8_t>(bench_id.value());
   d.scale = static_cast<std::uint8_t>(bench_scale());
   d.policy = policy_id.value();
   d.total_clients = flags.get_int("clients", 20);
@@ -197,6 +191,7 @@ int run_server(const FlagParser& flags) {
     fl::save_weights(save_path, report.final_weights);
     std::printf("saved global model to %s\n", save_path.c_str());
   }
+  print_privacy_line(*net::make_policy(d), report.privacy_setup);
   telemetry::global_registry().flush_sinks();
   return 0;
 }

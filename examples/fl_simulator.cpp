@@ -23,27 +23,16 @@
 #include "common/metrics_http.h"
 #include "common/run_info.h"
 #include "common/telemetry.h"
-#include "core/accounting.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
 #include "fl/dssgd.h"
 #include "fl/protocol.h"
 #include "fl/trainer.h"
+#include "privacy_line.h"
 
 namespace {
 
 using namespace fedcl;
-
-data::BenchmarkId parse_dataset(const std::string& name) {
-  if (name == "mnist") return data::BenchmarkId::kMnist;
-  if (name == "cifar10") return data::BenchmarkId::kCifar10;
-  if (name == "lfw") return data::BenchmarkId::kLfw;
-  if (name == "adult") return data::BenchmarkId::kAdult;
-  if (name == "cancer") return data::BenchmarkId::kCancer;
-  FEDCL_CHECK(false) << "unknown dataset '" << name
-                     << "' (mnist|cifar10|lfw|adult|cancer)";
-  return data::BenchmarkId::kMnist;
-}
 
 std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
                                                   double c, double sigma,
@@ -155,9 +144,14 @@ int run_simulator(const FlagParser& flags) {
     std::fflush(stdout);
   }
 
+  const Result<data::BenchmarkId> bench_id =
+      data::parse_benchmark_id(flags.get("dataset", "mnist"));
+  if (!bench_id.ok()) {
+    std::fprintf(stderr, "fl_simulator: %s\n", bench_id.error().c_str());
+    return 1;
+  }
   fl::FlExperimentConfig config;
-  config.bench = data::benchmark_config(
-      parse_dataset(flags.get("dataset", "mnist")));
+  config.bench = data::benchmark_config(bench_id.value());
   config.total_clients = flags.get_int("clients", 20);
   config.clients_per_round = flags.get_int("per-round", 10);
   config.rounds = flags.get_int("rounds", 0);
@@ -285,18 +279,7 @@ int run_simulator(const FlagParser& flags) {
     std::printf("saved global model to %s\n", save_path.c_str());
   }
 
-  if (policy->noise_scale() > 0.0) {
-    core::PrivacyReport report = core::account_privacy(result.privacy_setup);
-    std::printf("privacy: instance eps=%.4f, client eps (Fed-CDP joint "
-                "DP)=%.4f, client eps (Fed-SDP accounting)=%.4f @ "
-                "delta=1e-5\n",
-                report.fed_cdp_instance_epsilon,
-                report.fed_cdp_client_epsilon,
-                report.fed_sdp_client_epsilon);
-  } else {
-    std::printf("privacy: %s adds no noise, so no budget is accounted\n",
-                policy->name().c_str());
-  }
+  print_privacy_line(*policy, result.privacy_setup);
 
   if (flags.get_bool("attack", false)) {
     std::printf("\nmounting the gradient-leakage attack...\n");

@@ -23,6 +23,16 @@ const char* benchmark_name(BenchmarkId id) {
   return "?";
 }
 
+Result<BenchmarkId> parse_benchmark_id(const std::string& name) {
+  if (name == "mnist") return BenchmarkId::kMnist;
+  if (name == "cifar10") return BenchmarkId::kCifar10;
+  if (name == "lfw") return BenchmarkId::kLfw;
+  if (name == "adult") return BenchmarkId::kAdult;
+  if (name == "cancer") return BenchmarkId::kCancer;
+  return Result<BenchmarkId>::failure("unknown dataset '" + name +
+                                      "' (mnist|cifar10|lfw|adult|cancer)");
+}
+
 std::vector<BenchmarkId> all_benchmarks() {
   return {BenchmarkId::kMnist, BenchmarkId::kCifar10, BenchmarkId::kLfw,
           BenchmarkId::kAdult, BenchmarkId::kCancer};

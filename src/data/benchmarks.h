@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/error.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/model_zoo.h"
@@ -21,6 +22,9 @@ namespace fedcl::data {
 enum class BenchmarkId { kMnist, kCifar10, kLfw, kAdult, kCancer };
 
 const char* benchmark_name(BenchmarkId id);
+// The command-line name of a benchmark: mnist, cifar10, lfw, adult or
+// cancer. Any other name fails with a message listing those five.
+Result<BenchmarkId> parse_benchmark_id(const std::string& name);
 std::vector<BenchmarkId> all_benchmarks();
 
 struct BenchmarkConfig {

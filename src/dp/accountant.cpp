@@ -17,12 +17,31 @@ double log_binom(int n, int k) {
          std::lgamma(n - k + 1.0);
 }
 
-double logsumexp(const std::vector<double>& xs) {
+// Term k of the order-alpha moment of the sampled Gaussian, in log
+// space: log C(alpha,k) + (alpha-k) log(1-q) + k log q + k(k-1)/(2 sigma^2).
+double moment_term(double log_binom_ak, int alpha, int k, double log_1mq,
+                   double log_q, double sigma) {
+  return log_binom_ak + (alpha - k) * log_1mq + k * log_q +
+         k * (k - 1) / (2.0 * sigma * sigma);
+}
+
+// exp(x) is exactly 0.0 for every double x below this: the smallest
+// subnormal is e^-744.4, and e^-746 rounds to zero.
+constexpr double kExpUnderflow = -746.0;
+
+// log(sum of exp(xs[0..n))), leaving out every term more than
+// `skip_below` under the largest. At or below kExpUnderflow that leaves
+// out only terms whose exp() adds 0.0, so it changes no bit.
+double logsumexp(const std::vector<double>& xs, std::size_t n,
+                 double skip_below) {
   double m = -std::numeric_limits<double>::infinity();
-  for (double x : xs) m = std::max(m, x);
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, xs[i]);
   if (!std::isfinite(m)) return m;
   double s = 0.0;
-  for (double x : xs) s += std::exp(x - m);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (xs[i] - m < skip_below) continue;
+    s += std::exp(xs[i] - m);
+  }
   return m + std::log(s);
 }
 
@@ -34,6 +53,30 @@ MomentsAccountant::MomentsAccountant(double sampling_rate, double noise_scale,
   FEDCL_CHECK(q_ >= 0.0 && q_ <= 1.0) << "q " << q_;
   FEDCL_CHECK_GT(sigma_, 0.0);
   FEDCL_CHECK_GE(max_order_, 2);
+  rdp_.assign(static_cast<std::size_t>(max_order_) + 1, 0.0);
+  // rdp_one_step for every order in one pass, with the same arithmetic
+  // in the same order: lgamma(n + 1) is tabulated instead of called
+  // three times per term, and terms exp() flushes to 0.0 are skipped.
+  std::vector<double> log_factorial(rdp_.size());
+  for (std::size_t n = 0; n < log_factorial.size(); ++n) {
+    log_factorial[n] = std::lgamma(static_cast<int>(n) + 1.0);
+  }
+  const double log_q = std::log(q_);
+  const double log_1mq = std::log1p(-q_);
+  std::vector<double> terms(rdp_.size());
+  for (int alpha = 2; alpha <= max_order_; ++alpha) {
+    if (q_ == 0.0 || q_ == 1.0) {
+      rdp_[alpha] = rdp_one_step(alpha);  // the closed-form cases
+      continue;
+    }
+    for (int k = 0; k <= alpha; ++k) {
+      terms[k] = moment_term(log_factorial[alpha] - log_factorial[k] -
+                                 log_factorial[alpha - k],
+                             alpha, k, log_1mq, log_q, sigma_);
+    }
+    rdp_[alpha] = std::max(
+        0.0, logsumexp(terms, alpha + 1, kExpUnderflow) / (alpha - 1));
+  }
 }
 
 bool MomentsAccountant::sampling_condition_ok() const {
@@ -55,16 +98,16 @@ double MomentsAccountant::rdp_one_step(int alpha) const {
   const double log_q = std::log(q_);
   const double log_1mq = std::log1p(-q_);
   for (int k = 0; k <= alpha; ++k) {
-    const double t = log_binom(alpha, k) + (alpha - k) * log_1mq +
-                     k * log_q + k * (k - 1) / (2.0 * sigma_ * sigma_);
-    terms.push_back(t);
+    terms.push_back(
+        moment_term(log_binom(alpha, k), alpha, k, log_1mq, log_q, sigma_));
   }
-  const double log_moment = logsumexp(terms);
+  const double log_moment = logsumexp(
+      terms, terms.size(), -std::numeric_limits<double>::infinity());
   return std::max(0.0, log_moment / (alpha - 1));
 }
 
 std::pair<double, int> MomentsAccountant::epsilon_with_order(
-    std::int64_t steps, double delta, RdpConversion conversion) const {
+    std::int64_t steps, double delta) const {
   FEDCL_CHECK_GE(steps, 0);
   FEDCL_CHECK(delta > 0.0 && delta < 1.0) << "delta " << delta;
   if (steps == 0 || q_ == 0.0) return {0.0, 2};
@@ -72,18 +115,9 @@ std::pair<double, int> MomentsAccountant::epsilon_with_order(
   int best_order = 2;
   const double log_inv_delta = std::log(1.0 / delta);
   for (int alpha = 2; alpha <= max_order_; ++alpha) {
-    const double rdp = rdp_one_step(alpha) * static_cast<double>(steps);
-    double eps = 0.0;
-    switch (conversion) {
-      case RdpConversion::kClassic:
-        eps = rdp + log_inv_delta / (alpha - 1);
-        break;
-      case RdpConversion::kImproved:
-        eps = rdp + std::log((alpha - 1.0) / alpha) +
-              (log_inv_delta - std::log(static_cast<double>(alpha))) /
-                  (alpha - 1);
-        break;
-    }
+    const double rdp =
+        rdp_[static_cast<std::size_t>(alpha)] * static_cast<double>(steps);
+    const double eps = rdp + log_inv_delta / (alpha - 1);
     if (eps < best_eps) {
       best_eps = eps;
       best_order = alpha;
@@ -92,47 +126,19 @@ std::pair<double, int> MomentsAccountant::epsilon_with_order(
   return {std::max(0.0, best_eps), best_order};
 }
 
-double MomentsAccountant::epsilon(std::int64_t steps, double delta,
-                                  RdpConversion conversion) const {
-  return epsilon_with_order(steps, delta, conversion).first;
+double MomentsAccountant::epsilon(std::int64_t steps, double delta) const {
+  return epsilon_with_order(steps, delta).first;
 }
 
 std::vector<double> MomentsAccountant::epsilon_series(
-    std::int64_t steps_per_unit, std::int64_t units, double delta,
-    RdpConversion conversion) const {
+    std::int64_t steps_per_unit, std::int64_t units, double delta) const {
   FEDCL_CHECK_GE(steps_per_unit, 0);
   FEDCL_CHECK_GE(units, 0);
   FEDCL_CHECK(delta > 0.0 && delta < 1.0) << "delta " << delta;
-  std::vector<double> series(static_cast<std::size_t>(units), 0.0);
-  if (units == 0 || steps_per_unit == 0 || q_ == 0.0) return series;
-  // One-step RDP per order, computed once; composition is linear in
-  // steps, so each unit's epsilon below reproduces epsilon_with_order
-  // term for term (same expressions, same rounding).
-  std::vector<double> rdp_one(static_cast<std::size_t>(max_order_ + 1), 0.0);
-  for (int alpha = 2; alpha <= max_order_; ++alpha) {
-    rdp_one[static_cast<std::size_t>(alpha)] = rdp_one_step(alpha);
-  }
-  const double log_inv_delta = std::log(1.0 / delta);
+  std::vector<double> series;
+  series.reserve(static_cast<std::size_t>(units));
   for (std::int64_t t = 0; t < units; ++t) {
-    const std::int64_t steps = (t + 1) * steps_per_unit;
-    double best_eps = std::numeric_limits<double>::infinity();
-    for (int alpha = 2; alpha <= max_order_; ++alpha) {
-      const double rdp = rdp_one[static_cast<std::size_t>(alpha)] *
-                         static_cast<double>(steps);
-      double eps = 0.0;
-      switch (conversion) {
-        case RdpConversion::kClassic:
-          eps = rdp + log_inv_delta / (alpha - 1);
-          break;
-        case RdpConversion::kImproved:
-          eps = rdp + std::log((alpha - 1.0) / alpha) +
-                (log_inv_delta - std::log(static_cast<double>(alpha))) /
-                    (alpha - 1);
-          break;
-      }
-      best_eps = std::min(best_eps, eps);
-    }
-    series[static_cast<std::size_t>(t)] = std::max(0.0, best_eps);
+    series.push_back(epsilon((t + 1) * steps_per_unit, delta));
   }
   return series;
 }

@@ -20,21 +20,12 @@
 
 namespace fedcl::dp {
 
-// RDP -> (epsilon, delta) conversion rule.
-enum class RdpConversion {
-  // eps = rdp(alpha) + log(1/delta)/(alpha-1) — the classic bound the
-  // moments accountant literature (and the paper) uses.
-  kClassic,
-  // Canonne-Kamath-Steinke refinement:
-  // eps = rdp(alpha) + log((alpha-1)/alpha) - (log delta + log alpha)/(alpha-1).
-  kImproved,
-};
-
 class MomentsAccountant {
  public:
   // q: sampling rate (Definition 5: B*Kt/N at instance level, Kt/K at
   // client level). sigma: noise scale. max_order: largest Renyi order
-  // examined for the epsilon conversion.
+  // examined for the epsilon conversion. Tabulates the one-step RDP
+  // of every order once; every epsilon below reads the table.
   MomentsAccountant(double sampling_rate, double noise_scale,
                     int max_order = 256);
 
@@ -45,30 +36,33 @@ class MomentsAccountant {
   bool sampling_condition_ok() const;
 
   // Renyi-DP of one subsampled Gaussian step at integer order alpha
-  // (alpha >= 2).
+  // (alpha >= 2), computed from scratch: the reference the table is
+  // pinned to.
   double rdp_one_step(int alpha) const;
+  // The table: entry alpha is bitwise rdp_one_step(alpha) for alpha in
+  // [2, max_order]; entries 0 and 1 are unused.
+  const std::vector<double>& rdp_by_order() const { return rdp_; }
 
-  // (epsilon, best order) after `steps` compositions at this delta.
-  std::pair<double, int> epsilon_with_order(
-      std::int64_t steps, double delta,
-      RdpConversion conversion = RdpConversion::kClassic) const;
-  double epsilon(std::int64_t steps, double delta,
-                 RdpConversion conversion = RdpConversion::kClassic) const;
+  // (epsilon, best order) after `steps` compositions at this delta,
+  // by the classic conversion eps = rdp(alpha) + log(1/delta)/(alpha-1)
+  // minimized over orders.
+  std::pair<double, int> epsilon_with_order(std::int64_t steps,
+                                            double delta) const;
+  double epsilon(std::int64_t steps, double delta) const;
 
   // Cumulative epsilon after 1..units composition units of
-  // `steps_per_unit` steps each — element t equals
-  // epsilon((t+1) * steps_per_unit, delta) exactly, but the per-order
-  // RDP is computed once instead of per unit. This is the per-round
-  // privacy-budget series the trainer's telemetry records (RDP is
-  // linear in steps, so precomputing one step per order is lossless).
-  std::vector<double> epsilon_series(
-      std::int64_t steps_per_unit, std::int64_t units, double delta,
-      RdpConversion conversion = RdpConversion::kClassic) const;
+  // `steps_per_unit` steps each: element t is
+  // epsilon((t+1) * steps_per_unit, delta). This is the per-round
+  // privacy-budget series the round engine's telemetry records (RDP is
+  // linear in steps, so one table serves every unit).
+  std::vector<double> epsilon_series(std::int64_t steps_per_unit,
+                                     std::int64_t units, double delta) const;
 
  private:
   double q_;
   double sigma_;
   int max_order_;
+  std::vector<double> rdp_;  // one-step RDP by order
 };
 
 // Paper Equation 2 closed form. c2 defaults to 1.5, the constant that

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -243,11 +244,8 @@ void RoundTally::merge(const RoundTally& other) {
 
 RoundLedger::RoundLedger(RoundLedgerOptions options)
     : options_(std::move(options)),
-      registry_(telemetry::global_registry()) {
-  if (options_.clip_policy != nullptr) {
-    policy_labels_ = {{"policy", options_.clip_policy->name()}};
-  }
-}
+      registry_(telemetry::global_registry()),
+      policy_labels_({{"policy", options_.policy.name()}}) {}
 
 std::pair<std::int64_t, std::int64_t> RoundLedger::clip_totals() const {
   // Clip-decision totals are counted inside the policies; the delta
@@ -266,7 +264,7 @@ std::pair<std::int64_t, std::int64_t> RoundLedger::clip_totals() const {
 
 void RoundLedger::open_round() {
   round_start_ms_ = registry_.now_ms();
-  if (options_.clip_policy != nullptr) clip_before_ = clip_totals();
+  clip_before_ = clip_totals();
 }
 
 void RoundLedger::count_ledger(const RoundFailureStats& stats) {
@@ -314,16 +312,14 @@ void RoundLedger::close_round(std::int64_t t, const RoundTally& tally,
   }
 
   // Per-round telemetry, recorded whether or not the round applied.
-  if (options_.clip_policy != nullptr) {
-    const std::pair<std::int64_t, std::int64_t> clip_after = clip_totals();
-    const std::int64_t clip_delta = clip_after.first - clip_before_.first;
-    if (clip_delta > 0) {
-      registry_.record_point(
-          "fl.round.clip_fraction", t,
-          static_cast<double>(clip_after.second - clip_before_.second) /
-              static_cast<double>(clip_delta),
-          policy_labels_);
-    }
+  const std::pair<std::int64_t, std::int64_t> clip_after = clip_totals();
+  const std::int64_t clip_delta = clip_after.first - clip_before_.first;
+  if (clip_delta > 0) {
+    registry_.record_point(
+        "fl.round.clip_fraction", t,
+        static_cast<double>(clip_after.second - clip_before_.second) /
+            static_cast<double>(clip_delta),
+        policy_labels_);
   }
   if (tally.trained > 0) {
     registry_.record_point("fl.round.grad_norm_mean", t,
@@ -358,11 +354,10 @@ void RoundLedger::close_round(std::int64_t t, const RoundTally& tally,
                                    t);
     record.accuracy = evaluate();
     registry_.record_point("fl.round.accuracy", t, record.accuracy);
-    detail::LogMessage(options_.log_level)
-        << options_.log_prefix << " round " << (t + 1) << "/"
-        << options_.rounds << " acc=" << record.accuracy;
+    FEDCL_LOG(Debug) << options_.log_prefix << " round " << (t + 1) << "/"
+                     << options_.rounds << " acc=" << record.accuracy;
   }
-  accepted_total_ += tally.accepted;
+  result_.updates_accepted += tally.accepted;
   result_.total_failures.accumulate(record.failures);
   record.wall_ms = registry_.now_ms() - round_start_ms_;
   result_.history.push_back(std::move(record));
@@ -370,7 +365,7 @@ void RoundLedger::close_round(std::int64_t t, const RoundTally& tally,
 
 void RoundLedger::close_run(const RoundTally& tally) {
   count_ledger(tally.stats);
-  accepted_total_ += tally.accepted;
+  result_.updates_accepted += tally.accepted;
   result_.total_failures.accumulate(tally.stats);
 }
 
@@ -604,6 +599,42 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
   return run.ledger.finish();
 }
 
+namespace {
+
+// Trains and delivers each client in this process (deliver_client). The
+// async side trains a round's clients on `runner` and keeps a queue on
+// the virtual clock: a late update lands at its due round, after the
+// earlier rounds' in (due round, dispatch round, client) order, and an
+// on-time one in cohort order at the end of its own round. Updates due
+// past the last round never land; a faulty one expires.
+class InProcessExecutor final : public ClientExecutor {
+ public:
+  explicit InProcessExecutor(ClientRunner& runner) : runner_(runner) {}
+
+  Deliver start(const DeliveryContext& ctx,
+                const std::vector<Dispatch>& dispatches) override {
+    return [&ctx, &dispatches](std::size_t i, nn::Sequential& scratch) {
+      return deliver_client(ctx, dispatches[i], scratch);
+    };
+  }
+  std::vector<Arrival> due(std::int64_t t) override;
+  std::vector<Arrival> dispatch(
+      const DeliveryContext& ctx,
+      const std::vector<Dispatch>& runnable) override;
+  std::vector<Arrival> drain(std::int64_t t) override;
+
+ private:
+  struct Pending {
+    std::int64_t due_round = 0;
+    std::int64_t dispatch_round = 0;
+    Arrival arrival;
+  };
+  ClientRunner& runner_;
+  std::vector<Pending> pending_;
+};
+
+}  // namespace
+
 std::vector<Arrival> InProcessExecutor::due(std::int64_t t) {
   std::stable_sort(pending_.begin(), pending_.end(),
                    [](const Pending& a, const Pending& b) {
@@ -652,14 +683,6 @@ std::vector<Arrival> InProcessExecutor::drain(std::int64_t) {
   }
   pending_.clear();
   return expired;
-}
-
-std::unique_ptr<AsyncAggregator> make_async_aggregator(const RunState& run) {
-  return std::make_unique<AsyncAggregator>(
-      run.fed.model->weights(),
-      resolve_async_config(run.config.async, run.config.clients_per_round),
-      run.policy, run.groups, run.fed.root.fork("async-aggregate"),
-      run.config.screening);
 }
 
 FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
@@ -764,6 +787,85 @@ FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
   result.final_weights = agg.weights_snapshot();
   result.final_accuracy = run.ledger.evaluate();
   return run.ledger.finish();
+}
+
+FlRunResult run_federation(const FlExperimentConfig& config,
+                           const core::PrivacyPolicy& policy,
+                           const Federation& fed, ClientExecutor* remote) {
+  const Result<FlExperimentConfig> valid = validate_config(config);
+  FEDCL_CHECK(valid.ok()) << valid.error();
+  // The budget is accounted at config.noise_scale: a noising policy
+  // must add exactly that sigma.
+  const bool noising = policy.noise_scale() > 0.0;
+  FEDCL_CHECK(!noising || policy.noise_scale() == config.noise_scale)
+      << policy.name() << " adds noise at sigma=" << policy.noise_scale()
+      << " but config.noise_scale=" << config.noise_scale
+      << " would account its budget at another sigma";
+  const std::int64_t rounds = config.effective_rounds();
+  const std::int64_t local_iterations = config.effective_local_iterations();
+
+  const data::Dataset val = fed.validation_set();
+  const dp::ParamGroups groups = to_param_groups(fed.model->layer_groups());
+  ClientRunner runner(fed, policy, config.parallel_clients,
+                      config.clients_per_round);
+  Server server(fed.model->weights(),
+                {.server_momentum = config.server_momentum,
+                 .screening = config.screening,
+                 .min_reporting = config.min_reporting,
+                 .reduced_min_reporting = config.reduced_min_reporting});
+  std::unique_ptr<AsyncAggregator> agg;  // the async engine's global model
+
+  const core::FlPrivacySetup privacy_setup = {
+      .total_examples = fed.train->size(),
+      .batch_size = config.bench.batch_size,
+      .clients_per_round = config.clients_per_round,
+      .total_clients = config.total_clients,
+      .local_iterations = local_iterations,
+      .rounds = rounds,
+      .noise_scale = config.noise_scale,
+      .delta = config.delta,
+  };
+  // Cumulative per-round privacy budget, precomputed in one accountant
+  // pass (bitwise identical to calling epsilon() after every round).
+  // Skipped for a policy that adds no noise, and when the setup falls
+  // outside the accountant's domain (B*Kt exceeding the dataset).
+  core::PrivacyRoundSeries eps_series;
+  if (noising && config.bench.batch_size * config.clients_per_round <=
+                     fed.train->size()) {
+    eps_series = core::epsilon_round_series(privacy_setup);
+    telemetry::global_registry().gauge("dp.delta").set(config.delta);
+  }
+
+  std::string engine_label;
+  if (config.async_mode) engine_label = " async";
+  if (config.streaming_aggregation) engine_label = " streaming";
+  RoundLedger ledger({
+      .rounds = rounds,
+      .eval_every = config.eval_every,
+      .local_iterations = local_iterations,
+      .epsilon = std::move(eps_series),
+      .policy = policy,
+      .eval_model = fed.model.get(),
+      .val = &val,
+      .weights = [&]() -> TensorList {
+        return agg ? agg->weights_snapshot() : server.weights();
+      },
+      .log_prefix = config.bench.name + " " + policy.name() + engine_label,
+  });
+  ledger.result().privacy_setup = privacy_setup;
+
+  const RunState run{config, policy, fed, groups, runner, server, ledger};
+  InProcessExecutor in_process(runner);
+  ClientExecutor& executor = remote != nullptr ? *remote : in_process;
+  if (!config.async_mode) return run_sync(run, executor);
+  // The async engine's global model: the federation's initial weights,
+  // the resolved apply threshold, screening under config.screening, and
+  // server-side noise from the seed's "async-aggregate" fork.
+  agg = std::make_unique<AsyncAggregator>(
+      fed.model->weights(),
+      resolve_async_config(config.async, config.clients_per_round), policy,
+      groups, fed.root.fork("async-aggregate"), config.screening);
+  return run_async(run, *agg, executor);
 }
 
 }  // namespace fedcl::fl

@@ -1,12 +1,13 @@
-// What every round loop shares, and the two loops. run_experiment
-// (fl/trainer.cpp) and the serving server (net/serving_server.cpp) run
-// the same FedSGD round: they rebuild one seed-derived federation, train
-// clients on private scratch models or remote workers, push each update
-// through the transport path, and end every round with the same ledger,
-// telemetry, quorum and eval bookkeeping. Those pieces live here, written
-// once, and so do the synchronous loop, run_sync, and the asynchronous
-// one, run_async. Both reach clients through one seam, a ClientExecutor:
-// in-process (deliver_client on the pool) or over sockets.
+// One run of the federated round engine, and what its loops share.
+// run_experiment (fl/trainer.cpp) and the serving server
+// (net/serving_server.cpp) both hand a seed-derived federation to
+// run_federation, which builds the run once: the validation set, the
+// client runner, the server, the privacy budget and the round ledger.
+// It then drives one of two loops, the synchronous run_sync or the
+// asynchronous run_async. Both loops reach clients through one seam, a
+// ClientExecutor: in this process (deliver_client on the pool) or over
+// sockets. Every round ends with the same ledger, telemetry, quorum and
+// eval bookkeeping, written once here.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/accounting.h"
@@ -152,15 +152,16 @@ struct RoundLedgerOptions {
   std::int64_t local_iterations = 0;
   // Cumulative per-round privacy budget; empty = not recorded.
   core::PrivacyRoundSeries epsilon{};
-  // Policy whose dp.clip counters give the per-round clip fraction;
-  // null where clipping happens in other processes.
-  const core::PrivacyPolicy* clip_policy = nullptr;
+  // The run's policy. The deltas of its dp.clip counters give the
+  // per-round clip fraction; they move only where the clients train in
+  // this process.
+  const core::PrivacyPolicy& policy;
   nn::Sequential* eval_model = nullptr;
   const data::Dataset* val = nullptr;
   // The current global weights (evaluated after applied rounds).
   std::function<TensorList()> weights{};
-  std::string log_prefix{};  // eval log line: "<prefix> round t/T acc=..."
-  LogLevel log_level = LogLevel::kDebug;
+  // The eval line, logged at Debug: "<prefix> round t/T acc=...".
+  std::string log_prefix{};
 };
 
 // The per-round epilogue and the run totals it keeps: the fault ledger
@@ -189,7 +190,6 @@ class RoundLedger {
   FlRunResult finish();
 
   FlRunResult& result() { return result_; }
-  std::int64_t accepted_total() const { return accepted_total_; }
 
  private:
   std::pair<std::int64_t, std::int64_t> clip_totals() const;
@@ -201,7 +201,6 @@ class RoundLedger {
   std::pair<std::int64_t, std::int64_t> clip_before_{0, 0};
   double round_start_ms_ = 0.0;
   FlRunResult result_;
-  std::int64_t accepted_total_ = 0;
   double total_ms_ = 0.0;
   std::int64_t total_local_iters_ = 0;
 };
@@ -283,38 +282,6 @@ class ClientExecutor {
   virtual std::vector<Arrival> drain(std::int64_t t) = 0;
 };
 
-// Trains and delivers each client in this process (deliver_client). The
-// async side trains a round's clients on `runner` and keeps a queue on
-// the virtual clock: a late update lands at its due round, after the
-// earlier rounds' in (due round, dispatch round, client) order, and an
-// on-time one in cohort order at the end of its own round. Updates due
-// past the last round never land; a faulty one expires.
-class InProcessExecutor final : public ClientExecutor {
- public:
-  explicit InProcessExecutor(ClientRunner& runner) : runner_(runner) {}
-
-  Deliver start(const DeliveryContext& ctx,
-                const std::vector<Dispatch>& dispatches) override {
-    return [&ctx, &dispatches](std::size_t i, nn::Sequential& scratch) {
-      return deliver_client(ctx, dispatches[i], scratch);
-    };
-  }
-  std::vector<Arrival> due(std::int64_t t) override;
-  std::vector<Arrival> dispatch(
-      const DeliveryContext& ctx,
-      const std::vector<Dispatch>& runnable) override;
-  std::vector<Arrival> drain(std::int64_t t) override;
-
- private:
-  struct Pending {
-    std::int64_t due_round = 0;
-    std::int64_t dispatch_round = 0;
-    Arrival arrival;
-  };
-  ClientRunner& runner_;
-  std::vector<Pending> pending_;
-};
-
 // The synchronous engine. One round: sample a cohort, plan every
 // dispatch serially, fold each client's delivery unit by unit on the
 // runner, run one resample-retry pass when the fold holds fewer than
@@ -334,12 +301,6 @@ class InProcessExecutor final : public ClientExecutor {
 // thread counts.
 FlRunResult run_sync(const RunState& run, ClientExecutor& executor);
 
-// The async engine's aggregator, built one way for every caller: the
-// federation's initial model, the resolved apply threshold, screening
-// under config.screening, and server-side noise from the seed's
-// "async-aggregate" fork.
-std::unique_ptr<AsyncAggregator> make_async_aggregator(const RunState& run);
-
 // The asynchronous (FedBuff) engine. One round: offer the arrivals due
 // now, sample a cohort, plan every client's dispatch-attempt chain
 // (dropout, faults, latency and backoff) serially on the virtual clock,
@@ -352,5 +313,17 @@ std::unique_ptr<AsyncAggregator> make_async_aggregator(const RunState& run);
 // stale, a rejected one counts its reason and, if faulty, was screened.
 FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
                       ClientExecutor& executor);
+
+// Runs `config` under `policy` on `fed`, the federation built from the
+// same config. Validates the config and that a noising policy adds
+// config.noise_scale, builds the run once (validation set, param
+// groups, ClientRunner, Server, privacy setup with its dp.epsilon
+// series and dp.delta, RoundLedger), and drives run_sync or run_async.
+// With `remote` null the clients train in this process. The caller
+// resets the telemetry registry, if at all, before the call.
+FlRunResult run_federation(const FlExperimentConfig& config,
+                           const core::PrivacyPolicy& policy,
+                           const Federation& fed,
+                           ClientExecutor* remote = nullptr);
 
 }  // namespace fedcl::fl

@@ -9,9 +9,9 @@
 // (fault_injection.h) and natural dropout are survived per client, the
 // server screens updates before aggregation (update_screening.h), and a
 // min_reporting quorum with one resample-retry pass governs when a
-// round is applied versus skipped. The loops live in fl/round_engine.h
-// and serve the serving server too: run_sync, for both folds
-// (streaming_aggregation), and run_async, for async_mode.
+// round is applied versus skipped. The run itself is fl/round_engine.h's
+// run_federation, which the serving server calls too: run_sync, for
+// both folds (streaming_aggregation), or run_async, for async_mode.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ struct FlExperimentConfig {
   std::int64_t eval_every = 0;
   std::uint64_t seed = 42;
   // The sigma privacy_setup and the dp.epsilon series are accounted
-  // at. run_experiment refuses a noising policy whose noise_scale()
+  // at. run_federation refuses a noising policy whose noise_scale()
   // differs; a policy that adds no noise records no budget.
   double noise_scale = 6.0;
   double delta = 1e-5;
@@ -152,6 +152,9 @@ struct FlRunResult {
   std::int64_t dropped_rounds = 0;
   // Rounds where an aggregate was applied (= rounds - dropped_rounds).
   std::int64_t completed_rounds = 0;
+  // Updates the folds took in, over every round and the async engine's
+  // end-of-run drain.
+  std::int64_t updates_accepted = 0;
   // Async engine: total aggregate applications (the final model
   // version); a round can apply more than once.
   std::int64_t async_applies = 0;
@@ -178,9 +181,11 @@ struct FlRunResult {
   telemetry::TelemetrySnapshot telemetry;
 };
 
-// The one definition of a runnable config (run_experiment, serving).
+// The one definition of a runnable config (run_federation, serving).
 Result<FlExperimentConfig> validate_config(FlExperimentConfig config);
 
+// Resets the telemetry registry, builds the federation `config` defines
+// and runs it in this process (fl/round_engine.h's run_federation).
 FlRunResult run_experiment(const FlExperimentConfig& config,
                            const core::PrivacyPolicy& policy);
 

@@ -16,7 +16,6 @@
 #include "common/telemetry.h"
 #include "fl/protocol.h"
 #include "fl/round_engine.h"
-#include "fl/server.h"
 
 namespace fedcl::net {
 
@@ -30,7 +29,8 @@ double ms_since(Clock::time_point start) {
 }
 
 // The experiment a served run executes. Faults, dropout and
-// re-dispatch stay off: only real network events fail a client.
+// re-dispatch stay off: only real network events fail a client. The
+// workers train, so the server builds no scratch models.
 fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
                                          const ServingOptions& options) {
   fl::FlExperimentConfig config;
@@ -52,6 +52,7 @@ fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
   config.reduced_min_reporting = options.reduced_min_reporting;
   config.async_mode = options.async_mode;
   config.async = options.async;
+  config.parallel_clients = false;
   return config;
 }
 
@@ -447,9 +448,6 @@ ServingReport ServingServer::run() {
   const fl::Federation fed(config.bench, config.total_clients,
                            config.effective_local_iterations(), config.faults,
                            config.seed);
-  const data::Dataset val = fed.validation_set();
-  const dp::ParamGroups groups =
-      fl::to_param_groups(fed.model->layer_groups());
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
 
   // -------- admission: roster handshake + standing Busy refusals ----
@@ -540,46 +538,16 @@ ServingReport ServingServer::run() {
                   << d.rounds << " rounds";
 
   const Clock::time_point run_start = Clock::now();
-  fl::Server server(fed.model->weights(),
-                    {.server_momentum = config.server_momentum,
-                     .screening = config.screening,
-                     .min_reporting = config.min_reporting,
-                     .reduced_min_reporting = config.reduced_min_reporting});
-  std::unique_ptr<fl::AsyncAggregator> agg;  // the async engine's model
-  fl::RoundLedger ledger({
-      .rounds = d.rounds,
-      .eval_every = options_.eval_every,
-      .local_iterations = d.local_iterations,
-      .eval_model = fed.model.get(),
-      .val = &val,
-      .weights = [&]() -> fl::TensorList {
-        return agg ? agg->weights_snapshot() : server.weights();
-      },
-      .log_prefix = options_.async_mode ? "fedcl_server: async"
-                                        : "fedcl_server:",
-      .log_level = LogLevel::kInfo,
-  });
-
-  // Serial, so no scratch models: the workers train.
-  fl::ClientRunner runner(fed, *policy, /*parallel_clients=*/false,
-                          config.clients_per_round);
-  const fl::RunState state{config, *policy, fed, groups,
-                           runner, server, ledger};
-  fl::FlRunResult run;
-  if (config.async_mode) {
-    agg = fl::make_async_aggregator(state);
-    run = fl::run_async(state, *agg, sockets);
-  } else {
-    run = fl::run_sync(state, sockets);
-  }
+  fl::FlRunResult run = fl::run_federation(config, *policy, fed, &sockets);
 
   report.failures = run.total_failures;
   report.dropped_rounds = run.dropped_rounds;
   report.completed_rounds = run.completed_rounds;
   report.reduced_quorum_rounds = run.reduced_quorum_rounds;
   report.async_applies = run.async_applies;
-  report.updates_accepted = ledger.accepted_total();
+  report.updates_accepted = run.updates_accepted;
   report.updates_rejected = run.total_failures.rejected_total();
+  report.privacy_setup = run.privacy_setup;
   for (const fl::RoundRecord& record : run.history) {
     report.round_ms.push_back(record.wall_ms);
   }

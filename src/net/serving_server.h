@@ -4,12 +4,13 @@
 // binds a loopback TCP port, admits exactly `num_workers` fedcl_client
 // processes (everyone else gets Busy — that refusal is the admission
 // control the load-gen bench hammers), ships each the resolved
-// ExperimentDescriptor, and then drives the loop the in-process trainer
-// runs, fl::run_sync or fl::run_async, with a socket executor: the train
-// phase becomes TrainRequest/Update frames over real connections, and
-// each worker's replies are matched, in request order, against one FIFO
-// of the replies it owes. This file keeps admission, roster and
-// transport; the rounds are the engine's.
+// ExperimentDescriptor, and then hands the run to the call the
+// in-process trainer makes, fl::run_federation, with a socket executor:
+// the train phase becomes TrainRequest/Update frames over real
+// connections, and each worker's replies are matched, in request order,
+// against one FIFO of the replies it owes. This file keeps admission,
+// roster and transport; the run setup, its privacy budget included, and
+// the rounds are the engine's.
 //
 // Determinism contract (docs/PROTOCOL.md §5): in the synchronous
 // engine, with no faults, every RNG stream the round consumes
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/accounting.h"
 #include "fl/async_aggregator.h"
 #include "fl/fault_injection.h"
 #include "fl/update_screening.h"
@@ -100,6 +102,8 @@ struct ServingReport {
   std::int64_t frames_rejected = 0;
   // Per-round wall-clock (sampling to epilogue), for the bench's p99.
   std::vector<double> round_ms;
+  // The run's inputs to core::account_privacy (fl::FlRunResult's).
+  core::FlPrivacySetup privacy_setup;
 };
 
 class ServingServer {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -273,6 +275,30 @@ TEST(BenchmarkConfig, NoiseScaleDefaults) {
   EXPECT_DOUBLE_EQ(default_noise_scale(BenchScale::kPaper), 6.0);
   EXPECT_GT(default_noise_scale(BenchScale::kSmall), 0.0);
   EXPECT_LT(default_noise_scale(BenchScale::kSmall), 6.0);
+}
+
+// The examples' one dataset parser: the five command-line names, and a
+// failure that lists them for anything else (a misspelling included).
+TEST(BenchmarkConfig, ParsesTheFiveDatasetNames) {
+  const std::pair<const char*, BenchmarkId> names[] = {
+      {"mnist", BenchmarkId::kMnist},
+      {"cifar10", BenchmarkId::kCifar10},
+      {"lfw", BenchmarkId::kLfw},
+      {"adult", BenchmarkId::kAdult},
+      {"cancer", BenchmarkId::kCancer},
+  };
+  for (const auto& [name, id] : names) {
+    Result<BenchmarkId> parsed = parse_benchmark_id(name);
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error();
+    EXPECT_EQ(parsed.value(), id) << name;
+  }
+  for (const char* bad : {"mnsit", ""}) {
+    Result<BenchmarkId> parsed = parse_benchmark_id(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "' parsed";
+    EXPECT_NE(parsed.error().find("mnist|cifar10|lfw|adult|cancer"),
+              std::string::npos)
+        << parsed.error();
+  }
 }
 
 }  // namespace

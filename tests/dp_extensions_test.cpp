@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "dp/accountant.h"
 #include "dp/adaptive_clipping.h"
 
 namespace fedcl::dp {
@@ -26,31 +25,6 @@ TEST(MedianNormEstimator, WindowEvictsOldest) {
   EXPECT_DOUBLE_EQ(est.median(), 2.0);
   EXPECT_THROW(MedianNormEstimator(0), Error);
   EXPECT_THROW(est.observe(-1.0), Error);
-}
-
-TEST(RdpConversion, ImprovedNeverWorseThanClassic) {
-  for (double q : {0.005, 0.01, 0.02}) {
-    MomentsAccountant acc(q, 6.0);
-    for (std::int64_t steps : {100, 1000, 10000}) {
-      const double classic =
-          acc.epsilon(steps, 1e-5, RdpConversion::kClassic);
-      const double improved =
-          acc.epsilon(steps, 1e-5, RdpConversion::kImproved);
-      EXPECT_LE(improved, classic + 1e-12)
-          << "q=" << q << " steps=" << steps;
-      EXPECT_GE(improved, 0.0);
-    }
-  }
-}
-
-TEST(RdpConversion, ImprovedStillMonotoneInSteps) {
-  MomentsAccountant acc(0.01, 6.0);
-  double prev = 0.0;
-  for (std::int64_t steps : {10, 100, 1000}) {
-    const double eps = acc.epsilon(steps, 1e-5, RdpConversion::kImproved);
-    EXPECT_GE(eps, prev);
-    prev = eps;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -235,6 +237,34 @@ TEST(Accountant, InputValidation) {
   EXPECT_THROW(acc.epsilon(10, 0.0), Error);
   EXPECT_THROW(acc.rdp_one_step(1), Error);
   EXPECT_THROW(abadi_bound_epsilon(2.0, 6.0, 10, 1e-5), Error);
+}
+
+// The one-pass table the epsilons read is rdp_one_step, bit for bit,
+// at every order: the tabulated lgamma and the skipped underflowing
+// terms change no rounding. Both special cases (q = 0, q = 1) and the
+// two workloads' instance rates (B*Kt/N) are on the grid.
+TEST(Accountant, OnePassRdpMatchesReferenceBitwise) {
+  for (double q : {0.0, 1e-9, 30.0 / 1098.0, 50.0 / 1500.0, 0.1, 0.5, 1.0}) {
+    for (double sigma : {0.25, 0.5, 1.1, 6.0}) {
+      SCOPED_TRACE("q=" + std::to_string(q) +
+                   " sigma=" + std::to_string(sigma));
+      const MomentsAccountant acc(q, sigma);
+      const std::vector<double>& table = acc.rdp_by_order();
+      ASSERT_EQ(table.size(), 257u);
+      for (int alpha = 2; alpha <= 256; ++alpha) {
+        ASSERT_EQ(table[static_cast<std::size_t>(alpha)],
+                  acc.rdp_one_step(alpha))
+            << "alpha " << alpha;
+      }
+      const std::vector<double> series = acc.epsilon_series(7, 40, 1e-5);
+      ASSERT_EQ(series.size(), 40u);
+      for (std::int64_t t = 0; t < 40; ++t) {
+        ASSERT_EQ(series[static_cast<std::size_t>(t)],
+                  acc.epsilon((t + 1) * 7, 1e-5))
+            << "unit " << t;
+      }
+    }
+  }
 }
 
 class AccountantOrderSweep : public ::testing::TestWithParam<double> {};

@@ -425,6 +425,24 @@ std::int64_t series_sum(const fl::FlRunResult& run, const char* name) {
   return static_cast<std::int64_t>(sum);
 }
 
+// The privacy budget a run recorded, in one comparable list: the
+// dp.epsilon points of both levels as (step, value) pairs, then the
+// dp.delta gauge if the run set it (reset() zeroes a gauge an earlier
+// run registered).
+std::vector<double> recorded_budget(const telemetry::TelemetrySnapshot& snap) {
+  std::vector<double> budget;
+  for (const char* level : {"instance", "client"}) {
+    for (const telemetry::SeriesPoint& p :
+         snap.series_points("dp.epsilon", {{"level", level}})) {
+      budget.push_back(static_cast<double>(p.step));
+      budget.push_back(p.value);
+    }
+  }
+  const double delta = snap.gauge_value("dp.delta");
+  if (!std::isnan(delta) && delta != 0.0) budget.push_back(delta);
+  return budget;
+}
+
 // The served run's in-process twin, built by hand from the descriptor
 // and the server-side options: it pins the options -> config mapping.
 fl::FlRunResult run_in_process(const ExperimentDescriptor& d,
@@ -485,14 +503,22 @@ TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
     ASSERT_TRUE(server.ok()) << server.error();
     const ServingReport report = run_with_workers(*server.value(), 2);
     ASSERT_TRUE(report.ok) << report.error;
+    // The twin resets the registry: read the served run's budget first.
+    const std::vector<double> served_budget =
+        recorded_budget(telemetry::global_registry().snapshot());
     const fl::FlRunResult in_process = run_in_process(c.d, c.options);
 
     EXPECT_EQ(fl::serialize_tensor_list(report.final_weights),
               fl::serialize_tensor_list(in_process.final_weights))
         << "socket path diverged from the in-process sync engine";
+    // Both levels of the epsilon series, bit for bit, and delta.
+    EXPECT_EQ(served_budget.size(),
+              static_cast<std::size_t>(4 * c.d.rounds + 1));
+    EXPECT_EQ(served_budget, recorded_budget(in_process.telemetry));
     expect_same_ledger(report.failures, in_process.total_failures);
     EXPECT_EQ(report.dropped_rounds, in_process.dropped_rounds);
     EXPECT_EQ(report.reduced_quorum_rounds, in_process.reduced_quorum_rounds);
+    EXPECT_EQ(report.updates_accepted, in_process.updates_accepted);
     EXPECT_EQ(report.updates_accepted,
               series_sum(in_process, "fl.round.accepted"));
     if (&c == &cases.back()) {
@@ -697,6 +723,8 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
     ASSERT_TRUE(server.ok()) << server.error();
     const ServingReport report = run_with_workers(*server.value(), 1);
     ASSERT_TRUE(report.ok) << report.error;
+    const std::vector<double> served_budget =
+        recorded_budget(telemetry::global_registry().snapshot());
     // The serial schedule folds in cohort order on every build.
     const fl::FlRunResult in_process =
         run_in_process(d, options, /*parallel_clients=*/false);
@@ -704,11 +732,19 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
     EXPECT_EQ(fl::serialize_tensor_list(report.final_weights),
               fl::serialize_tensor_list(in_process.final_weights))
         << "async serving diverged from the in-process async engine";
+    // The budget depends on the config, not the engine: the same series
+    // and delta, or none at all for the policy that adds no noise.
+    EXPECT_EQ(served_budget.size(), policy == PolicyId::kNonPrivate
+                                        ? 0u
+                                        : static_cast<std::size_t>(
+                                              4 * d.rounds + 1));
+    EXPECT_EQ(served_budget, recorded_budget(in_process.telemetry));
     expect_same_ledger(report.failures, in_process.total_failures);
     EXPECT_EQ(report.async_applies, in_process.async_applies);
     EXPECT_EQ(report.dropped_rounds, in_process.dropped_rounds);
     EXPECT_EQ(report.reduced_quorum_rounds, in_process.reduced_quorum_rounds);
     EXPECT_EQ(report.updates_accepted, d.rounds * d.clients_per_round);
+    EXPECT_EQ(report.updates_accepted, in_process.updates_accepted);
     EXPECT_EQ(report.updates_accepted,
               series_sum(in_process, "fl.round.accepted"));
   }

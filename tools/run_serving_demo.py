@@ -17,11 +17,20 @@ worker's fl.client.round must parent under the server's
 fl.phase{local_train} of the same round — the cross-process
 trace-propagation contract of docs/PROTOCOL.md §3.4.
 
+The server also accounts the run's privacy budget the way the
+simulator does. Its --telemetry-out stream must validate with the round
+spans and the dp.epsilon series present (tools/validate_telemetry.py),
+and it must print a "privacy:" line equal to fl_simulator's for the same
+flags.
+
 With --async the server runs its asynchronous engine instead. The demo
-still requires every round to complete and the merged trace to pass the
-same checks, but skips the checkpoint comparison: with two workers the
-async engine folds updates in arrival order and gives up bitwise parity
-by design (docs/PROTOCOL.md §5.2).
+still requires every round to complete, the merged trace to pass the
+same checks, and the telemetry stream to carry dp.epsilon. It skips the
+checkpoint comparison: with two workers the async engine folds updates
+in arrival order and gives up bitwise parity by design
+(docs/PROTOCOL.md §5.2). It only requires the "privacy:" line to be
+present, without running the simulator: the budget depends on the
+config, not the engine.
 
 Usage:
   run_serving_demo.py --server=PATH --client=PATH --simulator=PATH
@@ -37,6 +46,7 @@ import tempfile
 
 TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 FEDCL_TRACE = os.path.join(TOOLS_DIR, "fedcl_trace.py")
+VALIDATE_TELEMETRY = os.path.join(TOOLS_DIR, "validate_telemetry.py")
 
 ROUND_TIMEOUT_S = 180
 
@@ -57,6 +67,23 @@ def fail(msg):
 def experiment_flags(rounds):
     flags = ["--%s=%s" % (k, v) for k, v in sorted(EXPERIMENT.items())]
     return flags + ["--rounds=%d" % rounds]
+
+
+def privacy_line(output, who):
+    """The one "privacy:" line a run printed."""
+    lines = [l for l in output.splitlines() if l.startswith("privacy:")]
+    if len(lines) != 1:
+        fail("%s printed %d privacy: lines, expected 1" % (who, len(lines)))
+    return lines[0]
+
+
+def run_checked(step, what):
+    print("+ %s" % " ".join(step))
+    check = subprocess.run(step, stdout=subprocess.PIPE,
+                           stderr=subprocess.STDOUT, text=True, timeout=60)
+    sys.stdout.write(check.stdout)
+    if check.returncode != 0:
+        fail(what)
 
 
 def check_worker_round_parents(merged_trace):
@@ -109,11 +136,13 @@ def main():
     procs = []
     try:
         server_trace = os.path.join(work, "server_trace.json")
+        server_telemetry = os.path.join(work, "server_telemetry.jsonl")
         client_traces = [os.path.join(work, "client%d_trace.json" % w)
                          for w in range(2)]
         server_cmd = [args.server, "--port=%d" % args.port, "--workers=2",
                       "--save=%s" % net_ckpt,
-                      "--trace-out=%s" % server_trace] + \
+                      "--trace-out=%s" % server_trace,
+                      "--telemetry-out=%s" % server_telemetry] + \
             experiment_flags(args.rounds)
         if args.async_engine:
             server_cmd.append("--async")
@@ -165,6 +194,11 @@ def main():
             fail("server did not complete all %d rounds" % args.rounds)
         if not os.path.exists(net_ckpt):
             fail("server did not write %s" % net_ckpt)
+        server_privacy = privacy_line(out, "the server")
+        run_checked([sys.executable, VALIDATE_TELEMETRY, server_telemetry,
+                     "--require", "fl.round", "--require", "dp.epsilon"],
+                    "the server's telemetry failed validation or records "
+                    "no privacy budget")
 
         # One merged Chrome trace from the three serving processes —
         # then the strict zero-orphan check: every client span's parent
@@ -177,20 +211,15 @@ def main():
              "--require-span=fl.round", "--require-span=fl.client.round",
              "--require-span=fl.phase", "--require-span=fl.net.recv"],
         ):
-            print("+ %s" % " ".join(step))
-            trace_check = subprocess.run(step, stdout=subprocess.PIPE,
-                                         stderr=subprocess.STDOUT, text=True,
-                                         timeout=60)
-            sys.stdout.write(trace_check.stdout)
-            if trace_check.returncode != 0:
-                fail("merged trace failed validation — cross-process span "
-                     "propagation is broken")
+            run_checked(step, "merged trace failed validation — "
+                        "cross-process span propagation is broken")
         check_worker_round_parents(merged_trace)
 
         if args.async_engine:
             print("run_serving_demo: PASS — %d async rounds over TCP, merged "
-                  "3-process trace has zero orphan spans (no checkpoint "
-                  "comparison: async forgoes bitwise parity)" % args.rounds)
+                  "3-process trace has zero orphan spans, the server "
+                  "accounts its budget (no checkpoint comparison: async "
+                  "forgoes bitwise parity)" % args.rounds)
             return
 
         sim_trace = os.path.join(work, "sim_trace.json")
@@ -213,21 +242,21 @@ def main():
             fail("checkpoints differ (%d vs %d bytes) — the socket path "
                  "diverged from the in-process engine"
                  % (len(net_bytes), len(sim_bytes)))
+        sim_privacy = privacy_line(sim.stdout, "fl_simulator")
+        if server_privacy != sim_privacy:
+            fail("the server accounted another budget than fl_simulator:\n"
+                 "  server:    %s\n  simulator: %s"
+                 % (server_privacy, sim_privacy))
 
         # The simulator's single-process trace must also stand alone.
-        sim_check = subprocess.run(
-            [sys.executable, FEDCL_TRACE, "validate", sim_trace,
-             "--require-span=fl.round"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            timeout=60)
-        sys.stdout.write(sim_check.stdout)
-        if sim_check.returncode != 0:
-            fail("fl_simulator trace failed validation")
+        run_checked([sys.executable, FEDCL_TRACE, "validate", sim_trace,
+                     "--require-span=fl.round"],
+                    "fl_simulator trace failed validation")
 
         print("run_serving_demo: PASS — %d rounds over TCP, checkpoint is "
               "bitwise identical to the in-process engine (%d bytes), "
-              "merged 3-process trace has zero orphan spans"
-              % (args.rounds, len(net_bytes)))
+              "privacy line matches, merged 3-process trace has zero "
+              "orphan spans" % (args.rounds, len(net_bytes)))
     finally:
         for p in procs:
             if p.poll() is None:
