@@ -72,24 +72,42 @@ namespace detail {
   throw Error(os.str());
 }
 
-// Accumulates a streamed message for FEDCL_CHECK(cond) << "detail".
+// "a vs b", the operands a failed FEDCL_CHECK_EQ and friends report.
+// Taken by value and kept out of line, so a passing check leaves its
+// operands in registers and its caller without the formatting frame.
+template <typename A, typename B>
+[[gnu::noinline, gnu::cold]] std::string operands(A a, B b) {
+  std::ostringstream os;
+  os << a << " vs " << b;
+  return os.str();
+}
+
+// Accumulates a streamed message for FEDCL_CHECK(cond) << "detail". A
+// comparison check also carries its operands, which the message follows
+// after ": " when there is one.
 class CheckMessage {
  public:
-  CheckMessage(const char* expr, const char* file, int line)
-      : expr_(expr), file_(file), line_(line) {}
+  CheckMessage(const char* expr, const char* file, int line,
+               std::string operands = {})
+      : expr_(expr), file_(file), line_(line), operands_(std::move(operands)) {}
   template <typename T>
   CheckMessage& operator<<(const T& v) {
     os_ << v;
     return *this;
   }
   [[noreturn]] ~CheckMessage() noexcept(false) {
-    check_failed(expr_, file_, line_, os_.str());
+    std::string msg = os_.str();
+    if (!operands_.empty()) {
+      msg = msg.empty() ? operands_ : operands_ + ": " + msg;
+    }
+    check_failed(expr_, file_, line_, msg);
   }
 
  private:
   const char* expr_;
   const char* file_;
   int line_;
+  std::string operands_;
   std::ostringstream os_;
 };
 
@@ -102,10 +120,18 @@ class CheckMessage {
   } else                                                              \
     ::fedcl::detail::CheckMessage(#cond, __FILE__, __LINE__)
 
-// Convenience comparisons with value reporting.
-#define FEDCL_CHECK_EQ(a, b) FEDCL_CHECK((a) == (b)) << (a) << " vs " << (b)
-#define FEDCL_CHECK_NE(a, b) FEDCL_CHECK((a) != (b)) << (a) << " vs " << (b)
-#define FEDCL_CHECK_LT(a, b) FEDCL_CHECK((a) < (b)) << (a) << " vs " << (b)
-#define FEDCL_CHECK_LE(a, b) FEDCL_CHECK((a) <= (b)) << (a) << " vs " << (b)
-#define FEDCL_CHECK_GT(a, b) FEDCL_CHECK((a) > (b)) << (a) << " vs " << (b)
-#define FEDCL_CHECK_GE(a, b) FEDCL_CHECK((a) >= (b)) << (a) << " vs " << (b)
+// Convenience comparisons with value reporting. A failure's message
+// reads "1.25 vs 1: <streamed detail>", or "1.25 vs 1" when nothing is
+// streamed.
+#define FEDCL_CHECK_OP_(a, op, b)                                       \
+  if ((a) op (b)) {                                                     \
+  } else                                                                \
+    ::fedcl::detail::CheckMessage("(" #a ") " #op " (" #b ")", __FILE__, \
+                                  __LINE__,                             \
+                                  ::fedcl::detail::operands((a), (b)))
+#define FEDCL_CHECK_EQ(a, b) FEDCL_CHECK_OP_(a, ==, b)
+#define FEDCL_CHECK_NE(a, b) FEDCL_CHECK_OP_(a, !=, b)
+#define FEDCL_CHECK_LT(a, b) FEDCL_CHECK_OP_(a, <, b)
+#define FEDCL_CHECK_LE(a, b) FEDCL_CHECK_OP_(a, <=, b)
+#define FEDCL_CHECK_GT(a, b) FEDCL_CHECK_OP_(a, >, b)
+#define FEDCL_CHECK_GE(a, b) FEDCL_CHECK_OP_(a, >=, b)

@@ -1,6 +1,9 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -94,15 +97,48 @@ bool Rng::bernoulli(double p) {
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   FEDCL_CHECK_LE(k, n);
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  // Partial Fisher-Yates: first k entries are the sample.
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + static_cast<std::size_t>(uniform_int(n - i));
-    std::swap(idx[i], idx[j]);
+  // Partial Fisher-Yates: step i swaps idx[i] with idx[j], j uniform in
+  // [i, n), and idx[i] is the i-th pick. A cohort of an eighth of the
+  // population or more walks the identity array itself: the array is
+  // then no bigger than a table of displaced positions (two 16-byte
+  // slots per pick), and a full cohort of 10^6 would need a 32 MiB
+  // table against an 8 MiB array.
+  if (k >= n / 8) {
+    std::vector<std::size_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+    for (std::size_t i = 0; i < k; ++i) {
+      std::size_t j = i + static_cast<std::size_t>(uniform_int(n - i));
+      std::swap(idx[i], idx[j]);
+    }
+    idx.resize(k);
+    return idx;
   }
-  idx.resize(k);
-  return idx;
+  // The same draws over a virtual identity array, idx[p] = p unless p
+  // was displaced. Only displaced positions are stored, in an
+  // open-addressed table of at least 2k slots (one insert per step, so
+  // it stays at most half full). Position i is never read after step i,
+  // so a step stores only idx[j]. O(k) time and memory for any n.
+  constexpr std::size_t kEmpty = ~std::size_t{0};  // positions are < n
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * k, 2));
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<std::pair<std::size_t, std::size_t>> moved(slots, {kEmpty, 0});
+  auto slot_of = [&](std::size_t pos) -> std::pair<std::size_t, std::size_t>& {
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(pos) * 0x9E3779B97F4A7C15ULL) >> shift);
+    while (moved[h].first != pos && moved[h].first != kEmpty)
+      h = (h + 1) & (slots - 1);
+    return moved[h];
+  };
+  std::vector<std::size_t> out(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(uniform_int(n - i));
+    const auto& at_i = slot_of(i);
+    const std::size_t value_i = at_i.first == i ? at_i.second : i;
+    auto& at_j = slot_of(j);
+    out[i] = at_j.first == j ? at_j.second : j;
+    at_j = {j, value_i};
+  }
+  return out;
 }
 
 std::vector<std::size_t> Rng::sample_with_replacement(std::size_t n,

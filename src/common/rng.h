@@ -45,7 +45,9 @@ class Rng {
     }
   }
 
-  // k draws from [0, n) without replacement (k <= n).
+  // k draws from [0, n) without replacement (k <= n): a partial
+  // Fisher-Yates shuffle of 0..n-1, whose first k entries come back in
+  // draw order. O(k) time and memory when k < n / 8, O(n) otherwise.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
   // k draws from [0, n) with replacement.

@@ -34,6 +34,10 @@ Accountants accountants_of(const FlPrivacySetup& setup) {
 
 }  // namespace
 
+bool instance_rate_accountable(const FlPrivacySetup& setup) {
+  return setup.batch_size * setup.clients_per_round <= setup.total_examples;
+}
+
 PrivacyReport account_privacy(const FlPrivacySetup& setup) {
   const Accountants acc = accountants_of(setup);
   PrivacyReport report;

@@ -48,6 +48,11 @@ struct PrivacyReport {
   static constexpr bool fed_sdp_supports_instance_level = false;
 };
 
+// True when B*Kt <= N, so the instance-level sampling rate q = B*Kt/N
+// lies in the accountant's domain. A run with B*Kt > N accounts no
+// budget: account_privacy and epsilon_round_series refuse it.
+bool instance_rate_accountable(const FlPrivacySetup& setup);
+
 PrivacyReport account_privacy(const FlPrivacySetup& setup);
 
 // Cumulative privacy budget round by round: element t is the budget

@@ -276,7 +276,8 @@ double squared_norm(const PerExampleParam& param, std::int64_t batch,
   if (!param.factored()) {
     const std::int64_t width = param.rows.numel() / batch;
     const double tensor_norm = static_cast<double>(static_cast<float>(
-        std::sqrt(sum_sq(param.rows.data() + j * width, width))));
+        std::sqrt(tensor::sum_squares(param.rows.data() + j * width,
+                                      width))));
     return tensor_norm * tensor_norm;
   }
   const std::int64_t cols = param.delta.numel() / batch;

@@ -8,8 +8,9 @@
 //      exact outer product, taken from its factors in O(in + out):
 //      ||a_j||^2 ||delta_j||^2 for the weight and ||delta_j||^2 for the
 //      bias (Goodfellow, arXiv:1510.01799), in double. A row-form
-//      tensor's norm is its row's sum of squares, rounded through float
-//      as l2_norm_subset rounds it. Per group the tensors' squared
+//      tensor's norm is its row's sum of squares (tensor::sum_squares,
+//      the kernel behind Tensor::l2_norm), rounded through float as
+//      l2_norm_subset rounds it. Per group the tensors' squared
 //      norms add up, and the sqrt comes last.
 //   2. batch_scale_noise — the one write. Per element it forms example
 //      j's value v (float(a_r * delta_c) from factors, or the row's

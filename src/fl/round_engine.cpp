@@ -830,8 +830,7 @@ FlRunResult run_federation(const FlExperimentConfig& config,
   // Skipped for a policy that adds no noise, and when the setup falls
   // outside the accountant's domain (B*Kt exceeding the dataset).
   core::PrivacyRoundSeries eps_series;
-  if (noising && config.bench.batch_size * config.clients_per_round <=
-                     fed.train->size()) {
+  if (noising && core::instance_rate_accountable(privacy_setup)) {
     eps_series = core::epsilon_round_series(privacy_setup);
     telemetry::global_registry().gauge("dp.delta").set(config.delta);
   }

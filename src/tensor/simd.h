@@ -11,6 +11,8 @@
 // out of the comparison).
 #pragma once
 
+#include <cstdint>
+
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #if defined(__SANITIZE_THREAD__)
 // Under ThreadSanitizer the clones compile to the baseline only. GCC
@@ -42,3 +44,45 @@ inline bool fedcl_cpu_has_v4() {
 #define FEDCL_KERNEL_V4
 #define FEDCL_HAVE_V4_KERNELS 0
 #endif
+
+namespace fedcl::tensor {
+
+// Body of tensor::sum_squares (tensor.h), which clones it per ISA; kept
+// here so the kernel test can compile it for each ISA too. Element i
+// adds its square into double lane i mod 8, then the lanes combine as
+// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)). A float's square
+// is exact in double, so a contracted multiply-add rounds like the
+// separate add and every ISA gives the same bits.
+[[gnu::always_inline]] inline double sum_squares_lanes(const float* p,
+                                                       std::int64_t n) {
+  // Four two-lane accumulators rather than one eight-lane vector: GCC
+  // keeps a loop-carried vector wider than the ISA's registers in
+  // memory, and two lanes fit every ISA's.
+  typedef float f4 __attribute__((vector_size(16), aligned(4), may_alias));
+  typedef double d4 __attribute__((vector_size(32)));
+  typedef double d2 __attribute__((vector_size(16)));
+  d2 l01 = {}, l23 = {}, l45 = {}, l67 = {};
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const d4 lo = __builtin_convertvector(*(const f4*)(p + i), d4);
+    const d4 hi = __builtin_convertvector(*(const f4*)(p + i + 4), d4);
+    const d2 x01 = __builtin_shufflevector(lo, lo, 0, 1);
+    const d2 x23 = __builtin_shufflevector(lo, lo, 2, 3);
+    const d2 x45 = __builtin_shufflevector(hi, hi, 0, 1);
+    const d2 x67 = __builtin_shufflevector(hi, hi, 2, 3);
+    l01 += x01 * x01;
+    l23 += x23 * x23;
+    l45 += x45 * x45;
+    l67 += x67 * x67;
+  }
+  double lane[8] = {l01[0], l01[1], l23[0], l23[1],
+                    l45[0], l45[1], l67[0], l67[1]};
+  for (std::int64_t r = 0; i + r < n; ++r) {
+    const double x = p[i + r];
+    lane[r] += x * x;
+  }
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+}  // namespace fedcl::tensor

@@ -264,12 +264,13 @@ float Tensor::sum() const {
   return static_cast<float>(s);
 }
 
+FEDCL_KERNEL_CLONES
+double sum_squares(const float* p, std::int64_t n) {
+  return sum_squares_lanes(p, n);
+}
+
 float Tensor::l2_norm() const {
-  const float* p = data();
-  double s = 0.0;
-  for (std::int64_t i = 0; i < numel_; ++i)
-    s += static_cast<double>(p[i]) * static_cast<double>(p[i]);
-  return static_cast<float>(std::sqrt(s));
+  return static_cast<float>(std::sqrt(sum_squares(data(), numel_)));
 }
 
 float Tensor::max_abs() const {
@@ -368,7 +369,8 @@ namespace {
 constexpr std::int64_t kParallelFlops = 1 << 18;
 // Output-row count at or above which matmul_nt packs B^T into a
 // scratch buffer and reuses the NN kernel; below it the transpose
-// cost is not amortized and the dot-product form wins.
+// cost is not amortized, and matmul_nt_rows packs A's rows instead
+// and computes the dot products four rows to a vector.
 constexpr std::int64_t kNtPackRows = 16;
 
 // The NN/TN workers are register-tiled: 4 output rows x 8 columns of
@@ -703,21 +705,54 @@ void tn_rows(const float* a, const float* b, float* out, std::int64_t i0,
   matmul_tn_rows(a, b, out, i0, i1, k, m, n);
 }
 
-// Row-range worker for C[i0:i1) of C = A B^T with B: [n,k]; both
-// operands are traversed contiguously (dot products of rows). Serves
-// small-m calls directly and is the fallback when packing B^T is not
-// worth it.
+typedef float vf4 __attribute__((vector_size(16), aligned(4), may_alias));
+
+// Row-range worker for C[i0:i1) of C = A B^T with B: [n,k], the
+// small-m form (m < kNtPackRows). Rows go four at a time: their A rows
+// are packed k-major, so one vector holds the four rows' k-th entries
+// and the four output rows of a column accumulate in its lanes, four
+// columns at once as independent chains. Missing rows of the last
+// group are zero lanes that are never stored. Every lane multiplies,
+// then adds, in ascending k, which is the arithmetic of one dot product
+// per output (s += a_ik * b_jk), so results are bitwise the dot form.
+// Not cloned, on purpose: the baseline body has no FMA to contract into
+// (the boundary in DESIGN.md §7).
 void matmul_nt_rows(const float* a, const float* b, float* out,
                     std::int64_t i0, std::int64_t i1, std::int64_t k,
                     std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
+  std::vector<float> packed(static_cast<std::size_t>(4 * k));
+  const vf4* ap = reinterpret_cast<const vf4*>(packed.data());
+  for (std::int64_t i = i0; i < i1; i += 4) {
+    const std::int64_t rows = std::min<std::int64_t>(4, i1 - i);
+    for (std::int64_t kk = 0; kk < k; ++kk)
+      for (std::int64_t r = 0; r < 4; ++r)
+        packed[kk * 4 + r] = r < rows ? a[(i + r) * k + kk] : 0.0f;
     float* orow = out + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float s = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-      orow[j] += s;
+    std::int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const float* b0 = b + j * k;
+      const float* b1 = b0 + k;
+      const float* b2 = b1 + k;
+      const float* b3 = b2 + k;
+      vf4 c0 = {}, c1 = {}, c2 = {}, c3 = {};
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        c0 += ap[kk] * b0[kk];
+        c1 += ap[kk] * b1[kk];
+        c2 += ap[kk] * b2[kk];
+        c3 += ap[kk] * b3[kk];
+      }
+      for (std::int64_t r = 0; r < rows; ++r) {
+        orow[r * n + j] += c0[r];
+        orow[r * n + j + 1] += c1[r];
+        orow[r * n + j + 2] += c2[r];
+        orow[r * n + j + 3] += c3[r];
+      }
+    }
+    for (; j < n; ++j) {
+      const float* bj = b + j * k;
+      vf4 c = {};
+      for (std::int64_t kk = 0; kk < k; ++kk) c += ap[kk] * bj[kk];
+      for (std::int64_t r = 0; r < rows; ++r) orow[r * n + j] += c[r];
     }
   }
 }

@@ -134,6 +134,11 @@ void matmul_tn_into(const float* a, const float* b, float* out,
 void matmul_nt_into(const float* a, const float* b, float* out,
                     std::int64_t m, std::int64_t k, std::int64_t n);
 
+// Sum of the squares of p[0, n) in double, summed in eight lanes
+// (tensor/simd.h gives the order); the same bits on every ISA. Behind
+// Tensor::l2_norm and the clip norm of a per-example row.
+double sum_squares(const float* p, std::int64_t n);
+
 // a: [M,N] -> [N,M]
 Tensor transpose2d(const Tensor& a);
 float dot(const Tensor& a, const Tensor& b);

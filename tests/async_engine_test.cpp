@@ -166,6 +166,47 @@ TEST(ScreenOne, StructuralAndFiniteChecksStillApply) {
             RejectReason::kNormOutlier);
 }
 
+TEST(KernelCheck, FiniteTestRejectsEveryNonFiniteAnywhere) {
+  // Quiet, signalling and negative NaN and both infinities, at the
+  // first, middle and last element and at the first element of the
+  // tail past the last 4-wide step, in the second of two tensors; the
+  // extremes of the finite floats pass.
+  const float kNonFinite[] = {
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::signaling_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity()};
+  const float kFinite[] = {0.0f, -0.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           std::numeric_limits<float>::max(),
+                           std::numeric_limits<float>::lowest()};
+  UpdateScreener screener;
+  ScreeningReport report;
+  for (const std::int64_t n : {1, 6, 8, 13, 37}) {
+    const std::vector<tensor::Shape> shapes = {tensor::Shape({3}),
+                                               tensor::Shape({n})};
+    for (const std::int64_t at : {std::int64_t{0}, n / 2, n - 1, n - n % 4}) {
+      if (at >= n) continue;
+      for (const float v : kNonFinite) {
+        ClientUpdate u{0, 5, {Tensor::ones({3}), Tensor::ones({n})}};
+        u.delta[1].at(at) = v;
+        const ScreenVerdict verdict =
+            screener.screen_one(u, shapes, 5, 0, report);
+        ASSERT_FALSE(verdict.accepted()) << "n=" << n << " at " << at;
+        EXPECT_EQ(*verdict.reject, RejectReason::kNonFinite)
+            << "n=" << n << " at " << at << " value " << v;
+      }
+      for (const float v : kFinite) {
+        ClientUpdate u{0, 5, {Tensor::ones({3}), Tensor::ones({n})}};
+        u.delta[1].at(at) = v;
+        EXPECT_TRUE(screener.screen_one(u, shapes, 5, 0, report).accepted())
+            << "n=" << n << " at " << at << " value " << v;
+      }
+    }
+  }
+}
+
 // ---- async aggregator ----
 
 AsyncAggregatorConfig agg_config(std::int64_t min_to_apply, double alpha = 1.0,

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "testing/sampling.h"
 
 namespace fedcl {
 namespace {
@@ -22,11 +26,35 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+// The message a failed check throws.
+template <typename Check>
+std::string check_message(Check check) {
+  try {
+    check();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected throw";
+  return "";
+}
+
 TEST(Check, ComparisonMacros) {
   EXPECT_THROW(FEDCL_CHECK_EQ(1, 2), Error);
   EXPECT_THROW(FEDCL_CHECK_LT(2, 1), Error);
   EXPECT_NO_THROW(FEDCL_CHECK_LE(1, 1));
   EXPECT_NO_THROW(FEDCL_CHECK_GE(2, 1));
+  // The operands stand apart from the caller's message...
+  const std::string with = check_message(
+      [] { FEDCL_CHECK_LE(1.25, 1.0) << "B*Kt exceeds the dataset"; });
+  EXPECT_NE(with.find("((1.25) <= (1.0))"), std::string::npos) << with;
+  EXPECT_NE(with.find(" — 1.25 vs 1: B*Kt exceeds the dataset"),
+            std::string::npos)
+      << with;
+  // ...and without one the text ends at the operands.
+  const std::string bare = check_message([] { FEDCL_CHECK_EQ(3, 4); });
+  const std::string tail = " — 3 vs 4";
+  ASSERT_GE(bare.size(), tail.size()) << bare;
+  EXPECT_EQ(bare.substr(bare.size() - tail.size()), tail) << bare;
 }
 
 TEST(Rng, Deterministic) {
@@ -120,6 +148,36 @@ TEST(Rng, SampleWithoutReplacement) {
   std::set<std::size_t> uniq2(s2.begin(), s2.end());
   EXPECT_EQ(uniq2.size(), 5u);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), Error);
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesDenseFisherYates) {
+  // The cohort, in draw order, and the next draw after it equal the
+  // dense shuffle's, on both sides of the sampler's dense/table split.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{10}, std::size_t{1000},
+                              std::size_t{1000000}}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 16,
+                                n / 2, n}) {
+      for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+        Rng fast(seed), dense(seed);
+        EXPECT_EQ(fast.sample_without_replacement(n, k),
+                  testing::reference_sample_without_replacement(dense, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        EXPECT_EQ(fast.next_u64(), dense.next_u64())
+            << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Rng, SampleWithoutReplacementIsLinearInTheCohort) {
+  // 16 picks from 2^40 ids: an identity array would need 8 TiB.
+  Rng rng(11);
+  const std::size_t n = std::size_t{1} << 40;
+  const std::vector<std::size_t> s = rng.sample_without_replacement(n, 16);
+  ASSERT_EQ(s.size(), 16u);
+  for (const std::size_t id : s) EXPECT_LT(id, n);
+  EXPECT_EQ(std::set<std::size_t>(s.begin(), s.end()).size(), 16u);
 }
 
 TEST(Rng, SampleWithReplacement) {

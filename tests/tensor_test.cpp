@@ -2,11 +2,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "tensor/im2col.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
+#include "testing/kernel_check.h"
 
 namespace fedcl::tensor {
 namespace {
@@ -281,6 +286,132 @@ TEST(Im2col, Col2imAdjoint) {
 TEST(Im2col, SpecValidation) {
   ConvSpec bad{.in_h = 2, .in_w = 2, .in_c = 1, .kernel_h = 5, .kernel_w = 5};
   EXPECT_THROW(bad.validate(), Error);
+}
+
+// The kernel checks below live here, not in kernel_check_test: this file
+// compiles with the library's own floating-point contraction, so the
+// per-ISA copies of the norm kernel contract as its clones do, and the
+// dot-form reference rounds as a default build of the library does.
+
+// Lengths 0..40 cover every lane tail of one and several 8-wide steps;
+// 4130 is the cancer MLP's parameter count.
+std::vector<std::int64_t> norm_lengths() {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(4130);
+  return lengths;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(KernelCheck, SumSquaresFollowsItsLaneOrder) {
+  EXPECT_EQ(sum_squares(nullptr, 0), 0.0);
+  EXPECT_EQ(Tensor({0}).l2_norm(), 0.0f);
+  for (const std::int64_t n : norm_lengths()) {
+    Rng rng(900 + static_cast<std::uint64_t>(n));
+    const Tensor x = Tensor::randn({n}, rng);
+    const double got = sum_squares(x.data(), n);
+    EXPECT_TRUE(same_bits(got, testing::reference_sum_squares(x.data(), n)))
+        << "n=" << n;
+    EXPECT_EQ(x.l2_norm(), static_cast<float>(std::sqrt(got))) << "n=" << n;
+    // Against a long-double sum: at most one rounding per add, so a
+    // lane of ceil(n/8) terms and the three-level combine stay within
+    // (n/8 + 3) units of 2^-53 of the exact sum.
+    long double exact = 0.0L;
+    for (std::int64_t i = 0; i < n; ++i)
+      exact += static_cast<long double>(x.at(i)) * x.at(i);
+    EXPECT_LE(std::abs(static_cast<long double>(got) - exact),
+              static_cast<long double>(n / 8 + 3) * 0x1p-53L * exact)
+        << "n=" << n;
+  }
+}
+
+// The clone body built for the ISAs of FEDCL_KERNEL_CLONES. GCC inlines
+// an always_inline body across ISA extensions but not across an arch=
+// change, so these name the extensions the clones compile with.
+double sum_squares_baseline(const float* p, std::int64_t n) {
+  return sum_squares_lanes(p, n);
+}
+#if FEDCL_HAVE_V4_KERNELS
+__attribute__((target("avx2,fma"))) double sum_squares_avx2(const float* p,
+                                                           std::int64_t n) {
+  return sum_squares_lanes(p, n);
+}
+__attribute__((target("avx512f,avx512vl,avx512dq,avx512bw,avx2,fma")))
+double sum_squares_avx512(const float* p, std::int64_t n) {
+  return sum_squares_lanes(p, n);
+}
+#endif
+
+TEST(KernelCheck, SumSquaresIsTheSameOnEveryIsa) {
+  // The baseline, AVX2+FMA and AVX-512 builds of the clone body give the
+  // bits of the dispatched kernel: squares are exact in double, so FMA
+  // contraction changes nothing.
+  for (const std::int64_t n : norm_lengths()) {
+    Rng rng(1900 + static_cast<std::uint64_t>(n));
+    const Tensor x = Tensor::randn({n}, rng, 0.0f, 3.0f);
+    const double want = sum_squares(x.data(), n);
+    EXPECT_TRUE(same_bits(sum_squares_baseline(x.data(), n), want))
+        << "n=" << n;
+#if FEDCL_HAVE_V4_KERNELS
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      EXPECT_TRUE(same_bits(sum_squares_avx2(x.data(), n), want))
+          << "n=" << n;
+    }
+    if (fedcl_cpu_has_v4()) {
+      EXPECT_TRUE(same_bits(sum_squares_avx512(x.data(), n), want))
+          << "n=" << n;
+    }
+#endif
+  }
+}
+
+TEST(KernelCheck, SumSquaresPropagatesNaNAndInf) {
+  for (const std::int64_t n : {1, 7, 8, 9, 33, 4130}) {
+    for (const std::int64_t at : {std::int64_t{0}, n / 2, n - 1}) {
+      Tensor x = Tensor::ones({n});
+      x.at(at) = std::numeric_limits<float>::quiet_NaN();
+      EXPECT_TRUE(std::isnan(x.l2_norm())) << "n=" << n << " at " << at;
+      x.at(at) = -std::numeric_limits<float>::infinity();
+      EXPECT_EQ(x.l2_norm(), std::numeric_limits<float>::infinity())
+          << "n=" << n << " at " << at;
+    }
+  }
+}
+
+TEST(KernelCheck, SmallMatmulNtIsBitwiseTheDotForm) {
+  // Every m below the pack threshold, with column counts around the
+  // four-column step; k = 300 puts the larger shapes past the threading
+  // threshold, where row ranges split across the pool.
+  std::uint64_t seed = 40;
+  for (std::int64_t m = 1; m < 16; ++m) {
+    for (const std::int64_t n : {1, 2, 3, 5, 33, 64}) {
+      for (const std::int64_t k : {1, 2, 7, 32, 105, 300}) {
+        Rng rng(++seed);
+        const Tensor a = Tensor::randn({m, k}, rng);
+        const Tensor b = Tensor::randn({n, k}, rng);
+        const std::vector<float> want =
+            testing::dot_form_matmul_nt(a.data(), b.data(), m, k, n);
+        const Tensor c = matmul_nt(a, b);
+        ASSERT_EQ(
+            std::memcmp(c.data(), want.data(), want.size() * sizeof(float)),
+            0)
+            << "m=" << m << " n=" << n << " k=" << k;
+        // The raw kernel accumulates into its output.
+        const Tensor init = Tensor::randn({m, n}, rng);
+        Tensor acc = init.clone();
+        matmul_nt_into(a.data(), b.data(), acc.data(), m, k, n);
+        for (std::int64_t i = 0; i < m * n; ++i) {
+          const float expected =
+              init.at(i) + want[static_cast<std::size_t>(i)];
+          ASSERT_EQ(std::memcmp(&acc.data()[i], &expected, sizeof(float)), 0)
+              << "m=" << m << " n=" << n << " k=" << k << " element " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -75,6 +75,35 @@ inline std::vector<double> naive_matmul_nt(const float* a, const float* b,
   return c;
 }
 
+// C = A B^T in float, one dot product per output, ascending k: the
+// arithmetic every small-m matmul_nt output must reproduce bit for bit.
+inline std::vector<float> dot_form_matmul_nt(const float* a, const float* b,
+                                             std::int64_t m, std::int64_t k,
+                                             std::int64_t n) {
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float s = 0.0f;
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        s += a[i * k + kk] * b[j * k + kk];
+      c[i * n + j] = s;
+    }
+  return c;
+}
+
+// tensor::sum_squares in straight scalar code: element i's square into
+// double lane i mod 8, lanes combined as
+// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).
+inline double reference_sum_squares(const float* p, std::int64_t n) {
+  double lane[8] = {};
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double x = p[i];
+    lane[i % 8] += x * x;
+  }
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
 // Float kernels accumulate k terms in single precision; bound the
 // comparison by a k-scaled tolerance around the double reference.
 inline void expect_matmul_close(const Tensor& got,
@@ -254,10 +283,11 @@ inline float reference_normal(std::uint64_t key, std::uint64_t stream,
 
 // Scalar reference of the clip norms (dp::batch_group_norms), straight
 // loops in the kernel's order: a factored tensor's squared norm from
-// its factors in double, ||a_j||^2 ||delta_j||^2 for a weight and
-// ||delta_j||^2 for a bias; a row's sum of squares with the tensor norm
-// rounded through float; per group the squared norms summed, sqrt
-// last. Example-major, like the kernel's output.
+// its factors in double, serial sums, ||a_j||^2 ||delta_j||^2 for a
+// weight and ||delta_j||^2 for a bias; a row's sum of squares in the
+// eight lanes of reference_sum_squares with the tensor norm rounded
+// through float; per group the squared norms summed, sqrt last.
+// Example-major, like the kernel's output.
 inline std::vector<double> reference_group_norms(
     const PerExampleGrads& grads,
     const std::vector<std::vector<std::size_t>>& groups) {
@@ -277,8 +307,11 @@ inline std::vector<double> reference_group_norms(
       for (std::size_t p : group) {
         const tensor::list::PerExampleParam& param = grads.params[p];
         if (!param.factored()) {
-          const double tensor_norm = static_cast<double>(
-              static_cast<float>(std::sqrt(sum_sq(param.rows, j))));
+          const std::int64_t width = param.rows.numel() / grads.batch;
+          const double tensor_norm =
+              static_cast<double>(static_cast<float>(std::sqrt(
+                  reference_sum_squares(param.rows.data() + j * width,
+                                        width))));
           joint += tensor_norm * tensor_norm;
         } else if (!param.a.defined()) {
           joint += sum_sq(param.delta, j);
