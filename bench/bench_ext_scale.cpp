@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   pin.seed = experiment_seed();
   pin.eval_every = 0;
   pin.noise_scale = 0.25;
-  pin.weight_by_data_size = true;
   pin.streaming_aggregation = true;
   std::unique_ptr<core::PrivacyPolicy> sdp =
       core::make_fed_sdp(data::kDefaultClippingBound, pin.noise_scale);

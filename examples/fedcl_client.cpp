@@ -11,6 +11,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/flags.h"
@@ -22,17 +23,16 @@ namespace {
 
 using namespace fedcl;
 
-void print_usage(const char* program) {
-  std::printf(
-      "usage: %s --port=N [--host=ADDR] [--worker-index=I] [--workers=N]\n"
-      "          [--connect-timeout-ms=T] [--io-timeout-ms=T]\n"
-      "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
-      "  Hosts every client c with c %% workers == worker-index.\n"
-      "  --trace-out writes a Chrome trace-event JSON (Perfetto); the\n"
-      "  spans adopt the server's per-round trace ids when the server\n"
-      "  propagates them (docs/PROTOCOL.md §3.4).\n",
-      program);
-}
+// What --help prints (a printf format, the program name its one
+// argument), and the flags the binary accepts.
+constexpr char kUsage[] =
+    "usage: %s --port=N [--host=ADDR] [--worker-index=I] [--workers=N]\n"
+    "          [--connect-timeout-ms=T] [--io-timeout-ms=T]\n"
+    "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
+    "  Hosts every client c with c %% workers == worker-index.\n"
+    "  --trace-out writes a Chrome trace-event JSON (Perfetto); the\n"
+    "  spans adopt the server's per-round trace ids when the server\n"
+    "  propagates them (docs/PROTOCOL.md §3.4).\n";
 
 }  // namespace
 
@@ -40,12 +40,18 @@ int main(int argc, char** argv) {
   runinfo::set_command_line(argc, argv);
   FlagParser flags(argc, argv);
   if (flags.has("help")) {
-    print_usage(flags.program().c_str());
+    std::printf(kUsage, flags.program().c_str());
     return 0;
   }
+  const std::vector<std::string> unknown = flags.unknown(kUsage);
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "fedcl_client: unknown flag %s (see --help)\n",
+                 flag.c_str());
+  }
+  if (!unknown.empty()) return 1;
   if (!flags.has("port")) {
     std::fprintf(stderr, "fedcl_client: --port is required\n");
-    print_usage(flags.program().c_str());
+    std::printf(kUsage, flags.program().c_str());
     return 1;
   }
   const std::string telemetry_out = flags.get("telemetry-out", "");

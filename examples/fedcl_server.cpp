@@ -13,6 +13,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -29,27 +30,26 @@ namespace {
 
 using namespace fedcl;
 
-void print_usage(const char* program) {
-  std::printf(
-      "usage: %s [--port=N] [--workers=N]\n"
-      "          [--dataset=mnist|cifar10|lfw|adult|cancer]\n"
-      "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay]\n"
-      "          [--clients=K] [--per-round=Kt] [--rounds=T] "
-      "[--local-iters=L]\n"
-      "          [--sigma=S] [--clip=C] [--prune=R] [--seed=N]\n"
-      "          [--eval-every=N] [--min-reporting=N] [--reduced-quorum=N]\n"
-      "          [--server-momentum=M] [--weight-by-size]\n"
-      "          [--screen-outlier=F] [--screen-max-norm=C]\n"
-      "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
-      "          [--max-staleness=S] [--max-inflight=N] "
-      "[--round-wait-ms=W]\n"
-      "          [--accept-timeout-ms=T] [--io-timeout-ms=T]\n"
-      "          [--save=FILE.ckpt] [--metrics-port=N]\n"
-      "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
-      "  --port=0 picks an ephemeral port (printed on stdout).\n"
-      "  --trace-out writes a Chrome trace-event JSON (Perfetto).\n",
-      program);
-}
+// What --help prints (a printf format, the program name its one
+// argument), and the flags the binary accepts.
+constexpr char kUsage[] =
+    "usage: %s [--port=N] [--workers=N]\n"
+    "          [--dataset=mnist|cifar10|lfw|adult|cancer]\n"
+    "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay]\n"
+    "          [--clients=K] [--per-round=Kt] [--rounds=T] "
+    "[--local-iters=L]\n"
+    "          [--sigma=S] [--clip=C] [--prune=R] [--seed=N]\n"
+    "          [--eval-every=N] [--min-reporting=N] [--reduced-quorum=N]\n"
+    "          [--server-momentum=M]\n"
+    "          [--screen-outlier=F] [--screen-max-norm=C]\n"
+    "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
+    "          [--max-staleness=S] [--max-inflight=N] "
+    "[--round-wait-ms=W]\n"
+    "          [--accept-timeout-ms=T] [--io-timeout-ms=T]\n"
+    "          [--save=FILE.ckpt] [--metrics-port=N]\n"
+    "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
+    "  --port=0 picks an ephemeral port (printed on stdout).\n"
+    "  --trace-out writes a Chrome trace-event JSON (Perfetto).\n";
 
 int run_server(const FlagParser& flags) {
   const std::string telemetry_out = flags.get("telemetry-out", "");
@@ -122,7 +122,6 @@ int run_server(const FlagParser& flags) {
   options.min_reporting = flags.get_int("min-reporting", 1);
   options.reduced_min_reporting = flags.get_int("reduced-quorum", 0);
   options.server_momentum = flags.get_double("server-momentum", 0.0);
-  options.weight_by_data_size = flags.get_bool("weight-by-size", false);
   options.screening.norm_outlier_factor =
       flags.get_double("screen-outlier", 0.0);
   options.screening.max_update_norm =
@@ -202,9 +201,15 @@ int main(int argc, char** argv) {
   runinfo::set_command_line(argc, argv);
   FlagParser flags(argc, argv);
   if (flags.has("help")) {
-    print_usage(flags.program().c_str());
+    std::printf(kUsage, flags.program().c_str());
     return 0;
   }
+  const std::vector<std::string> unknown = flags.unknown(kUsage);
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "fedcl_server: unknown flag %s (see --help)\n",
+                 flag.c_str());
+  }
+  if (!unknown.empty()) return 1;
   try {
     return run_server(flags);
   } catch (const std::exception& e) {

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attack/leakage_eval.h"
 #include "common/env.h"
@@ -54,34 +55,33 @@ std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
   return nullptr;
 }
 
-void print_usage(const char* program) {
-  std::printf(
-      "usage: %s [--dataset=mnist|cifar10|lfw|adult|cancer]\n"
-      "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay|"
-      "fed-cdp-median|dssgd]\n"
-      "          [--clients=K] [--per-round=Kt] [--rounds=T] "
-      "[--local-iters=L]\n"
-      "          [--sigma=S] [--clip=C] [--prune=R] [--dropout=P]\n"
-      "          [--server-momentum=M] [--weight-by-size] [--attack]\n"
-      "          [--seed=N] [--eval-every=N]\n"
-      "          [--fault-rate=P] [--min-reporting=N] [--no-retry]\n"
-      "          [--screen-outlier=F] [--screen-max-norm=C]\n"
-      "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
-      "          [--max-staleness=S] [--retry-attempts=N]\n"
-      "          [--retry-backoff-ms=B] [--soft-deadline-ms=D]\n"
-      "          [--reduced-quorum=N]\n"
-      "          [--streaming]  (bounded-memory streaming/tree aggregation "
-      "for virtualized scale)\n"
-      "          [--tree-fan-out=F]  (edge-aggregator fan-out, power of "
-      "two; default 64)\n"
-      "          [--telemetry-out=FILE.jsonl] [--telemetry-prom=FILE.prom]\n"
-      "          [--trace-out=FILE.json]  (Chrome trace-event JSON; open "
-      "in Perfetto)\n"
-      "          [--metrics-port=N]  (serve /metrics over HTTP; 0 = "
-      "ephemeral port)\n"
-      "          [--save=FILE.ckpt]  (write the final global model)\n",
-      program);
-}
+// What --help prints (a printf format, the program name its one
+// argument), and the flags the binary accepts.
+constexpr char kUsage[] =
+    "usage: %s [--dataset=mnist|cifar10|lfw|adult|cancer]\n"
+    "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay|"
+    "fed-cdp-median|dssgd]\n"
+    "          [--clients=K] [--per-round=Kt] [--rounds=T] "
+    "[--local-iters=L]\n"
+    "          [--sigma=S] [--clip=C] [--prune=R] [--dropout=P]\n"
+    "          [--server-momentum=M] [--attack]\n"
+    "          [--seed=N] [--eval-every=N]\n"
+    "          [--fault-rate=P] [--min-reporting=N] [--no-retry]\n"
+    "          [--screen-outlier=F] [--screen-max-norm=C]\n"
+    "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
+    "          [--max-staleness=S] [--retry-attempts=N]\n"
+    "          [--retry-backoff-ms=B] [--soft-deadline-ms=D]\n"
+    "          [--reduced-quorum=N]\n"
+    "          [--streaming]  (bounded-memory streaming/tree aggregation "
+    "for virtualized scale)\n"
+    "          [--tree-fan-out=F]  (edge-aggregator fan-out, power of "
+    "two; default 64)\n"
+    "          [--telemetry-out=FILE.jsonl] [--telemetry-prom=FILE.prom]\n"
+    "          [--trace-out=FILE.json]  (Chrome trace-event JSON; open "
+    "in Perfetto)\n"
+    "          [--metrics-port=N]  (serve /metrics over HTTP; 0 = "
+    "ephemeral port)\n"
+    "          [--save=FILE.ckpt]  (write the final global model)\n";
 
 // Flushes the registry's sinks — and writes the --telemetry-prom dump
 // if requested — on EVERY exit path, including FEDCL_CHECK failures
@@ -159,7 +159,6 @@ int run_simulator(const FlagParser& flags) {
   config.prune_ratio = flags.get_double("prune", 0.0);
   config.client_dropout = flags.get_double("dropout", 0.0);
   config.server_momentum = flags.get_double("server-momentum", 0.0);
-  config.weight_by_data_size = flags.get_bool("weight-by-size", false);
   config.eval_every = flags.get_int("eval-every", 5);
   config.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", static_cast<std::int64_t>(experiment_seed())));
@@ -308,9 +307,15 @@ int main(int argc, char** argv) {
   runinfo::set_command_line(argc, argv);
   FlagParser flags(argc, argv);
   if (flags.has("help")) {
-    print_usage(flags.program().c_str());
+    std::printf(kUsage, flags.program().c_str());
     return 0;
   }
+  const std::vector<std::string> unknown = flags.unknown(kUsage);
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "fl_simulator: unknown flag %s (see --help)\n",
+                 flag.c_str());
+  }
+  if (!unknown.empty()) return 1;
   try {
     return run_simulator(flags);
   } catch (const std::exception& e) {

@@ -34,49 +34,12 @@ namespace fedcl::attack {
 using tensor::Tensor;
 using tensor::list::TensorList;
 
-// Gradient-matching loss variant.
-enum class AttackObjective {
-  // sum_layers ||grad(x) - g*||^2 — the paper's L2 loss (DLG/CPL).
-  kL2,
-  // 1 - cos(grad(x), g*) over the concatenated gradient, optionally
-  // with a total-variation prior on the image — the "Inverting
-  // Gradients" formulation of Geiping et al. (the paper's ref [7]).
-  kCosine,
-};
-
-const char* attack_objective_name(AttackObjective objective);
-
 struct AttackConfig {
   // The paper's termination condition T.
   int max_iterations = 300;
-  // Success threshold on the reconstruction distance (root mean square
-  // deviation between x_rec and x). Calibrated so the paper's
-  // qualitative outcomes reproduce: non-private attacks land well
-  // below it, DP-protected attacks well above.
-  double success_distance = 0.25;
   SeedInit seed_init = SeedInit::kPatternedRandom;
   std::uint64_t seed = 20210701;
-  // The adversary knows the valid input range and projects the
-  // reconstruction into it before scoring (pixels live in [0,1]).
-  // Disable for unbounded attribute data.
-  bool clamp_reconstruction = true;
-  float clamp_lo = 0.0f;
-  float clamp_hi = 1.0f;
-  // Treat exactly-zero coordinates of the observed gradient as
-  // *unobserved* and exclude them from the matching loss. This is how
-  // the CPL attack handles selective sharing (DSSGD) and compressed
-  // updates: pruned coordinates carry no constraint. Harmless for
-  // dense observations (noise makes exact zeros vanishing rare).
-  bool mask_unobserved_coordinates = true;
-  // Matching-loss formulation.
-  AttackObjective objective = AttackObjective::kL2;
-  // Total-variation prior weight on 4-D (image) inputs; 0 disables.
-  // Only meaningful with kCosine (Geiping et al. use it to regularize
-  // the flat cosine landscape).
-  double tv_weight = 0.0;
   LbfgsOptions lbfgs;
-  // Check the success condition every `check_every` attack iterations.
-  int check_every = 5;
 };
 
 struct AttackResult {
@@ -104,24 +67,12 @@ class GradientReconstructionAttack {
 
   // Reconstructs the private input(s) behind `observed_gradient`.
   //  - input_shape includes the batch dim ({B,H,W,C} or {B,D});
-  //  - labels are the (known or inferred) labels of the examples;
+  //  - labels are the labels of the examples (the probe captures them);
   //  - ground_truth is the private input, used only for scoring.
   AttackResult run(const TensorList& observed_gradient,
                    const tensor::Shape& input_shape,
                    const std::vector<std::int64_t>& labels,
                    const Tensor& ground_truth) const;
-
-  // iDLG-style label inference for a single-example leak: the true
-  // class is the most negative entry of the last-layer bias gradient.
-  static std::int64_t infer_label(const TensorList& observed_gradient);
-
-  // Batched extension: the labels present in a B-example leak are the
-  // classes with the most negative last-layer bias-gradient entries
-  // (softmax-CE makes present classes' entries negative on average).
-  // Returns B labels sorted ascending; multiplicities are approximated
-  // by magnitude when fewer than B entries are negative.
-  static std::vector<std::int64_t> infer_batch_labels(
-      const TensorList& observed_gradient, std::int64_t batch_size);
 
  private:
   std::shared_ptr<nn::Sequential> model_;

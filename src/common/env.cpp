@@ -39,13 +39,4 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
-double env_double(const std::string& name, double fallback) {
-  const char* v = std::getenv(name.c_str());
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v) return fallback;
-  return parsed;
-}
-
 }  // namespace fedcl

@@ -22,8 +22,7 @@ const char* bench_scale_name(BenchScale s);
 // Experiment seed (FEDCL_SEED, default 42).
 std::uint64_t experiment_seed();
 
-// Reads an integer/double env override, returning fallback when unset.
+// Reads an integer env override, returning fallback when unset.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
-double env_double(const std::string& name, double fallback);
 
 }  // namespace fedcl

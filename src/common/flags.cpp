@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <cstdlib>
+#include <set>
 
 #include "common/error.h"
 
@@ -11,10 +12,7 @@ FlagParser::FlagParser(int argc, char** argv) {
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0) continue;
     std::string body = arg.substr(2);
     FEDCL_CHECK(!body.empty()) << "bare -- argument";
     const std::size_t eq = body.find('=');
@@ -26,6 +24,32 @@ FlagParser::FlagParser(int argc, char** argv) {
       values_[body] = "true";  // bare boolean flag
     }
   }
+}
+
+std::vector<std::string> FlagParser::unknown(std::string_view usage) const {
+  // Every --name token in `usage`: "--", a letter, then letters, digits
+  // and dashes.
+  const auto name_char = [](char c, bool first) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (!first && ((c >= '0' && c <= '9') || c == '-'));
+  };
+  std::set<std::string_view> listed;
+  std::size_t i = 0;
+  while ((i = usage.find("--", i)) != std::string_view::npos) {
+    std::size_t end = i + 2;
+    while (end < usage.size() && name_char(usage[end], end == i + 2)) ++end;
+    if (end == i + 2) {
+      ++i;
+      continue;
+    }
+    listed.insert(usage.substr(i + 2, end - i - 2));
+    i = end;
+  }
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (name != "help" && listed.count(name) == 0) out.push_back("--" + name);
+  }
+  return out;
 }
 
 bool FlagParser::has(const std::string& name) const {

@@ -1,10 +1,12 @@
 // Minimal command-line flag parsing for the example binaries:
-// --name=value and --name value forms, plus positional arguments.
+// --name=value and --name value forms. Arguments that do not start
+// with "--" are skipped.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fedcl {
@@ -21,13 +23,17 @@ class FlagParser {
   // "true"/"1"/"yes" (case sensitive) => true; bare "--flag" => true.
   bool get_bool(const std::string& name, bool fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
+  // The given flags `usage` does not list, as "--name", in name order.
+  // `usage` lists --name when it holds that token, read the way
+  // tools/check_docs.py reads a binary's --help output. --help itself
+  // is always known.
+  std::vector<std::string> unknown(std::string_view usage) const;
+
   const std::string& program() const { return program_; }
 
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace fedcl

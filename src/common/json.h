@@ -46,12 +46,6 @@ class Value {
   }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   bool as_bool() const { return bool_; }
   double as_double() const { return number_; }
@@ -65,9 +59,6 @@ class Value {
   // is insertion order, so emitted documents are stable.
   Value& operator[](const std::string& key);
   const Value* find(const std::string& key) const;
-  const std::vector<std::pair<std::string, Value>>& members() const {
-    return members_;
-  }
 
   // Array access.
   void push_back(Value v) { elements_.push_back(std::move(v)); }

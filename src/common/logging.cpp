@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,17 +21,14 @@ LogLevel level_from_env() {
   return LogLevel::kInfo;
 }
 
-std::atomic<LogLevel>& level_ref() {
-  static std::atomic<LogLevel> level{level_from_env()};
-  return level;
-}
-
 std::mutex g_mutex;
 
 }  // namespace
 
-void set_log_level(LogLevel level) { level_ref().store(level); }
-LogLevel log_level() { return level_ref().load(); }
+LogLevel log_level() {
+  static const LogLevel level = level_from_env();
+  return level;
+}
 
 const char* log_level_name(LogLevel level) {
   switch (level) {

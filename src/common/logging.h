@@ -5,8 +5,7 @@
 // emission order.
 //
 // The minimum level defaults to Info and can be set at startup with
-// the FEDCL_LOG environment variable (debug|info|warn|error) or at
-// runtime with set_log_level().
+// the FEDCL_LOG environment variable (debug|info|warn|error).
 #pragma once
 
 #include <sstream>
@@ -17,7 +16,6 @@ namespace fedcl {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 // Global minimum level; messages below it are discarded.
-void set_log_level(LogLevel level);
 LogLevel log_level();
 
 const char* log_level_name(LogLevel level);

@@ -141,14 +141,4 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   return out;
 }
 
-std::vector<std::size_t> Rng::sample_with_replacement(std::size_t n,
-                                                      std::size_t k) {
-  FEDCL_CHECK_GT(n, 0u);
-  std::vector<std::size_t> out(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = static_cast<std::size_t>(uniform_int(n));
-  }
-  return out;
-}
-
 }  // namespace fedcl

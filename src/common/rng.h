@@ -50,9 +50,6 @@ class Rng {
   // draw order. O(k) time and memory when k < n / 8, O(n) otherwise.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-  // k draws from [0, n) with replacement.
-  std::vector<std::size_t> sample_with_replacement(std::size_t n,
-                                                   std::size_t k);
 
  private:
   std::uint64_t state_;

@@ -1,45 +1,10 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
 
 namespace fedcl {
-
-double mean(const std::vector<double>& v) {
-  FEDCL_CHECK(!v.empty());
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-double variance(const std::vector<double>& v) {
-  double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(const std::vector<double>& v) { return std::sqrt(variance(v)); }
-
-double median(std::vector<double> v) {
-  FEDCL_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  std::size_t n = v.size();
-  if (n % 2 == 1) return v[n / 2];
-  return 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-double min_of(const std::vector<double>& v) {
-  FEDCL_CHECK(!v.empty());
-  return *std::min_element(v.begin(), v.end());
-}
-
-double max_of(const std::vector<double>& v) {
-  FEDCL_CHECK(!v.empty());
-  return *std::max_element(v.begin(), v.end());
-}
 
 double rmse(const std::vector<float>& a, const std::vector<float>& b) {
   FEDCL_CHECK_EQ(a.size(), b.size());
@@ -50,20 +15,6 @@ double rmse(const std::vector<float>& a, const std::vector<float>& b) {
     s += d * d;
   }
   return std::sqrt(s / static_cast<double>(a.size()));
-}
-
-double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  FEDCL_CHECK_EQ(a.size(), b.size());
-  FEDCL_CHECK(!a.empty());
-  double ma = mean(a), mb = mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  if (da == 0.0 || db == 0.0) return 0.0;
-  return num / std::sqrt(da * db);
 }
 
 }  // namespace fedcl

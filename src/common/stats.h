@@ -1,24 +1,13 @@
-// Small statistics helpers used by benches and tests.
+// The attack's reconstruction-distance metric.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace fedcl {
-
-double mean(const std::vector<double>& v);
-double variance(const std::vector<double>& v);  // population variance
-double stddev(const std::vector<double>& v);
-double median(std::vector<double> v);  // by value: sorts a copy
-double min_of(const std::vector<double>& v);
-double max_of(const std::vector<double>& v);
 
 // Root mean squared deviation between two equally sized vectors —
 // the paper's attack "reconstruction distance" metric
 // (1/A) * sum_i (x_i - y_i)^2 under a square root.
 double rmse(const std::vector<float>& a, const std::vector<float>& b);
-
-// Pearson correlation; returns 0 when either side has zero variance.
-double pearson(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace fedcl

@@ -133,7 +133,6 @@ class FedCdpPolicy final : public PrivacyPolicy {
 
   double clipping_bound_at(std::int64_t round) const;
   double noise_scale() const override { return sigma_; }
-  const dp::ClippingSchedule& schedule() const { return schedule_; }
 
  private:
   dp::ClippingSchedule schedule_;

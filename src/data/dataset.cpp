@@ -37,12 +37,6 @@ void copy_example(const Batch& batch, std::int64_t j, Batch& out) {
   out.labels.assign(1, batch.labels[static_cast<std::size_t>(j)]);
 }
 
-Shape Dataset::example_shape() const {
-  Shape s = features_.shape();
-  s.erase(s.begin());
-  return s;
-}
-
 std::int64_t Dataset::example_numel() const {
   return features_.numel() / std::max<std::int64_t>(1, size());
 }

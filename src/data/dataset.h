@@ -39,8 +39,7 @@ class Dataset {
   std::int64_t num_classes() const { return num_classes_; }
   const Tensor& features() const { return features_; }
   const std::vector<std::int64_t>& labels() const { return labels_; }
-  // Shape of one example (without the leading N).
-  Shape example_shape() const;
+  // Elements of one example (the row width without the leading N).
   std::int64_t example_numel() const;
 
   // Gathers the given rows into a batch.
@@ -63,7 +62,6 @@ class ClientData {
              std::vector<std::int64_t> indices);
 
   std::int64_t size() const { return static_cast<std::int64_t>(indices_.size()); }
-  const Dataset& base() const { return *base_; }
   const std::vector<std::int64_t>& indices() const { return indices_; }
 
   // Random batch of `batch_size` examples sampled with replacement —

@@ -39,7 +39,6 @@ class ShardPlan {
   std::int64_t num_clients() const { return spec_.num_clients; }
   // Every shard has the same size by construction.
   std::int64_t shard_size() const;
-  const std::shared_ptr<const Dataset>& base() const { return base_; }
 
   // Thread-safe: each call forks a private stream from the stored
   // partition stream.

@@ -1,7 +1,6 @@
 #include "dp/clipping.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -91,25 +90,6 @@ double ClippingSchedule::bound_at(std::int64_t round) const {
       return c0_ * std::pow(rate_, static_cast<double>(round / span_));
   }
   return c0_;
-}
-
-std::string ClippingSchedule::describe() const {
-  std::ostringstream os;
-  switch (kind_) {
-    case Kind::kConstant:
-      os << "constant(C=" << c0_ << ")";
-      break;
-    case Kind::kLinear:
-      os << "linear(" << c0_ << "->" << c1_ << " over " << span_ << ")";
-      break;
-    case Kind::kExponential:
-      os << "exponential(C0=" << c0_ << ", rate=" << rate_ << ")";
-      break;
-    case Kind::kStep:
-      os << "step(C0=" << c0_ << ", x" << rate_ << " every " << span_ << ")";
-      break;
-  }
-  return os.str();
 }
 
 }  // namespace fedcl::dp

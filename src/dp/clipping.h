@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor_list.h"
@@ -43,7 +42,6 @@ class ClippingSchedule {
   static ClippingSchedule step(double c0, double factor, std::int64_t every);
 
   double bound_at(std::int64_t round) const;
-  std::string describe() const;
 
  private:
   enum class Kind { kConstant, kLinear, kExponential, kStep };

@@ -20,7 +20,6 @@ class GaussianMechanism {
   GaussianMechanism(double noise_scale, double sensitivity);
 
   double noise_scale() const { return noise_scale_; }
-  double sensitivity() const { return sensitivity_; }
   double noise_stddev() const { return noise_scale_ * sensitivity_; }
 
   // Adds N(0, (sigma*S)^2) i.i.d. to every coordinate from the
@@ -29,10 +28,6 @@ class GaussianMechanism {
   // fused sanitizer (dp/fused_sanitize.h) instead.
   void sanitize(TensorList& update, Rng& rng) const;
   void sanitize(Tensor& update, Rng& rng) const;
-
-  // The minimal sigma that makes one application (epsilon, delta)-DP
-  // per Definition 2 / Lemma 1 (valid for 0 < epsilon < 1).
-  static double sigma_for(double epsilon, double delta);
 
  private:
   double noise_scale_;

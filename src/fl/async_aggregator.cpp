@@ -48,9 +48,7 @@ AsyncAggregator::AsyncAggregator(TensorList initial_weights,
 }
 
 AsyncAggregator::OfferResult AsyncAggregator::offer(ClientUpdate update,
-                                                    std::int64_t now_round,
-                                                    double base_weight) {
-  FEDCL_CHECK_GE(base_weight, 0.0) << "negative aggregation weight";
+                                                    std::int64_t now_round) {
   std::lock_guard<std::mutex> lock(mutex_);
   telemetry::Registry& registry = telemetry::global_registry();
 
@@ -68,10 +66,8 @@ AsyncAggregator::OfferResult AsyncAggregator::offer(ClientUpdate update,
   // Streaming fold: sanitize (the per-update server-side hook, exactly
   // as the synchronous Server applies it), staleness-decay, accumulate.
   policy_.sanitize_at_server(update.delta, groups_, now_round, rng_);
-  const double decay =
-      std::pow(1.0 + static_cast<double>(verdict.staleness),
-               -config_.staleness_alpha);
-  const double w = base_weight * decay;
+  const double w = std::pow(1.0 + static_cast<double>(verdict.staleness),
+                           -config_.staleness_alpha);
   tensor::list::add_(accumulator_, update.delta, static_cast<float>(w));
   weight_sum_ += w;
   ++buffered_;

@@ -9,7 +9,7 @@
 // `min_to_apply` updates have been folded in, without waiting for the
 // rest of the sampled cohort. Late updates from earlier rounds are not
 // rejected: an update `s` rounds behind enters the mean with weight
-// base_weight / (1 + s)^alpha, the standard staleness-decay of the
+// 1 / (1 + s)^alpha, the standard staleness-decay of the
 // asynchronous federated-optimization literature, and only updates
 // older than `max_staleness` rounds (or tagged with a future round)
 // are screened out.
@@ -73,10 +73,9 @@ class AsyncAggregator {
 
   // Screens, weights, and folds `update` into the accumulator;
   // `now_round` is the engine's current round clock (staleness =
-  // now_round - update.round) and `base_weight` the caller's
-  // aggregation weight (1, or the client data size).
-  OfferResult offer(ClientUpdate update, std::int64_t now_round,
-                    double base_weight);
+  // now_round - update.round), and the update's weight is its
+  // staleness decay alone.
+  OfferResult offer(ClientUpdate update, std::int64_t now_round);
 
   // Applies whatever is buffered regardless of the threshold (the
   // end-of-round degradation flush and the end-of-run drain). Returns

@@ -56,7 +56,6 @@ class Client {
  public:
   Client(std::int64_t id, data::ClientData data, LocalTrainConfig config);
 
-  std::int64_t id() const { return id_; }
   const data::ClientData& data() const { return data_; }
   const LocalTrainConfig& config() const { return config_; }
 

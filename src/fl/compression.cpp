@@ -55,30 +55,6 @@ std::int64_t prune_smallest(TensorList& update, double prune_ratio) {
   return total - prune_count;
 }
 
-double quantize_uniform(TensorList& update, int bits) {
-  FEDCL_CHECK(bits >= 1 && bits <= 16) << "bits " << bits;
-  const double levels = static_cast<double>((1 << bits) - 1);
-  double sq_error = 0.0;
-  std::int64_t total = 0;
-  for (auto& t : update) {
-    const float max_abs = t.max_abs();
-    total += t.numel();
-    if (max_abs == 0.0f) continue;
-    // step spans [-max_abs, max_abs] with `levels` intervals.
-    const double step = 2.0 * max_abs / levels;
-    float* p = t.data();
-    for (std::int64_t i = 0; i < t.numel(); ++i) {
-      const double snapped =
-          std::round((p[i] + max_abs) / step) * step - max_abs;
-      const double err = snapped - p[i];
-      sq_error += err * err;
-      p[i] = static_cast<float>(snapped);
-    }
-  }
-  FEDCL_CHECK_GT(total, 0);
-  return std::sqrt(sq_error / static_cast<double>(total));
-}
-
 double sparsity(const TensorList& update) {
   const std::int64_t total = tensor::list::total_numel(update);
   if (total == 0) return 0.0;

@@ -20,11 +20,4 @@ std::int64_t prune_smallest(TensorList& update, double prune_ratio);
 // Fraction of exactly-zero coordinates.
 double sparsity(const TensorList& update);
 
-// Uniform symmetric quantization: each tensor's coordinates are
-// snapped to 2^bits - 1 evenly spaced levels within [-max_abs,
-// +max_abs] (per tensor). A second axis of communication-efficient FL
-// next to magnitude pruning. Returns the root mean squared
-// quantization error. bits in [1, 16].
-double quantize_uniform(TensorList& update, int bits);
-
 }  // namespace fedcl::fl

@@ -17,7 +17,6 @@ class DssgdPolicy final : public core::PrivacyPolicy {
   explicit DssgdPolicy(double share_fraction = 0.1);
 
   std::string name() const override { return "DSSGD"; }
-  double share_fraction() const { return share_fraction_; }
 
   void sanitize_client_update(core::TensorList& update,
                               const core::ParamGroups& groups,

@@ -70,8 +70,6 @@ struct RetryPolicyConfig {
   // Extra virtual delay a straggler adds (same +/-50% spread) — the
   // quantity that drives it past the soft deadline.
   double straggler_delay_ms = 400.0;
-
-  bool retries_enabled() const { return max_attempts > 1; }
 };
 
 class RetryPolicy {

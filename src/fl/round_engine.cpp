@@ -43,7 +43,6 @@ LocalTrainConfig local_of(const data::BenchmarkConfig& bench,
 struct FoldUnit {
   RoundTally tally;
   std::vector<ClientUpdate> updates;  // buffered: delivered, unscreened
-  std::vector<double> weights;
   ReduceNode partial;  // streamed: the block's screened, sanitized sum
   int max_levels = 0;
 };
@@ -419,7 +418,6 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     const DeliveryContext ctx = run.delivery(t, run.server.weights());
     RoundTally tally;
     std::vector<ClientUpdate> updates;
-    std::vector<double> update_weights;
     StreamingReducer root;
     std::int64_t edge_blocks = 0;
     int max_levels = 0;
@@ -470,13 +468,11 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
         if (!delivery.update.has_value()) continue;
         ClientUpdate& update = *delivery.update;
         const bool faulty = delivery.fault != FaultType::kNone;
-        const double weight = run.weight_of(dispatches[i].ci);
         if (!streamed) {
           // Batch screening rejects every faulty delivery: corrupt
           // deltas as non-finite, replays as stale.
           if (faulty) ++unit.tally.stats.fault_screened;
           unit.updates.push_back(std::move(update));
-          unit.weights.push_back(weight);
           continue;
         }
         // max_staleness 0: any round mismatch rejects. The median band
@@ -492,7 +488,7 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
         Rng srng = VirtualClientProvider::sanitize_stream(
             round_rng, t, static_cast<std::int64_t>(dispatches[i].ci));
         run.policy.sanitize_at_server(update.delta, run.groups, t, srng);
-        reducer.push(std::move(update.delta), weight);
+        reducer.push(std::move(update.delta), 1.0);
         ++unit.tally.accepted;
       }
       unit.partial = reducer.finalize();
@@ -519,8 +515,6 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
           tally.merge(unit.tally);
           std::move(unit.updates.begin(), unit.updates.end(),
                     std::back_inserter(updates));
-          update_weights.insert(update_weights.end(), unit.weights.begin(),
-                                unit.weights.end());
           if (!unit.partial.empty()) root.push_node(std::move(unit.partial));
           max_levels = std::max(max_levels, unit.max_levels);
         }
@@ -562,9 +556,8 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
       telemetry::SpanTimer aggregate_span(registry, "fl.phase",
                                           {{"phase", "aggregate"}}, t);
       Rng agg_rng = round_rng.fork("aggregate", static_cast<std::uint64_t>(t));
-      outcome = run.server.aggregate(
-          std::move(updates), run.policy, run.groups, agg_rng,
-          config.weight_by_data_size ? &update_weights : nullptr);
+      outcome = run.server.aggregate(std::move(updates), run.policy,
+                                     run.groups, agg_rng);
       tally.stats.count_screening(outcome.screening);
       tally.accepted = outcome.screening.accepted;
     } else if (streamed) {
@@ -703,7 +696,7 @@ FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
       tally.add(a.delivery);
       if (!a.delivery.update.has_value()) continue;
       const AsyncAggregator::OfferResult res =
-          agg.offer(std::move(*a.delivery.update), now, run.weight_of(a.ci));
+          agg.offer(std::move(*a.delivery.update), now);
       const bool faulty = a.delivery.fault != FaultType::kNone;
       if (res.accepted) {
         ++tally.accepted;

@@ -241,12 +241,6 @@ struct RunState {
             .prune_ratio = config.prune_ratio,
             .max_attempts = config.retry.max_attempts};
   }
-  double weight_of(std::size_t ci) const {
-    return config.weight_by_data_size
-               ? static_cast<double>(
-                     fed.provider.data_size(static_cast<std::int64_t>(ci)))
-               : 1.0;
-  }
 };
 
 // One client's delivery as it reaches the async loop: its update, if

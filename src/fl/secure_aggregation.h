@@ -31,8 +31,6 @@ class SecureAggregator {
                    std::uint64_t session_seed,
                    std::vector<tensor::Shape> shapes);
 
-  std::size_t participant_count() const { return participants_.size(); }
-
   // Masks `update` in place for the given participant. The sum of all
   // participants' masked updates equals the sum of the originals.
   void mask(std::int64_t client_id, tensor::list::TensorList& update) const;

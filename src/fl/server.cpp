@@ -31,45 +31,23 @@ std::vector<std::size_t> Server::sample_clients(std::size_t total_clients,
 
 AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates,
                                    const core::PrivacyPolicy& policy,
-                                   const dp::ParamGroups& groups, Rng& rng,
-                                   const std::vector<double>* update_weights) {
-  if (update_weights != nullptr) {
-    FEDCL_CHECK_EQ(update_weights->size(), updates.size());
-  }
-
-  // Screen every received update; survivors carry their aggregation
-  // weight along.
-  std::vector<double> weights_buffer;
-  std::vector<double>* kept_weights = nullptr;
-  if (update_weights != nullptr) {
-    weights_buffer = *update_weights;
-    kept_weights = &weights_buffer;
-  }
+                                   const dp::ParamGroups& groups, Rng& rng) {
   ScreeningReport report;
   std::vector<ClientUpdate> accepted =
       screener_.screen(std::move(updates), tensor::list::shapes_of(weights_),
-                       round_, report, kept_weights);
+                       round_, report);
   AggregateOutcome outcome = quorum(report.accepted);
   outcome.screening = report;
   // Quorum missed: leave the model and round untouched; the caller
   // records the skip.
   if (outcome.tier == DegradationTier::kSkipRound) return outcome;
 
-  double total_weight = 0.0;
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    const double w = kept_weights != nullptr ? (*kept_weights)[i] : 1.0;
-    FEDCL_CHECK_GE(w, 0.0) << "negative aggregation weight";
-    total_weight += w;
-  }
-  FEDCL_CHECK_GT(total_weight, 0.0) << "all aggregation weights zero";
-
+  const auto scale =
+      static_cast<float>(1.0 / static_cast<double>(accepted.size()));
   TensorList mean_delta = tensor::list::zeros_like(weights_);
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    ClientUpdate& u = accepted[i];
+  for (ClientUpdate& u : accepted) {
     policy.sanitize_at_server(u.delta, groups, round_, rng);
-    const double w = kept_weights != nullptr ? (*kept_weights)[i] : 1.0;
-    tensor::list::add_(mean_delta, u.delta,
-                       static_cast<float>(w / total_weight));
+    tensor::list::add_(mean_delta, u.delta, scale);
   }
   apply_mean(mean_delta, report.accepted);
   outcome.applied = true;

@@ -54,7 +54,6 @@ class Server {
 
   const TensorList& weights() const { return weights_; }
   std::int64_t round() const { return round_; }
-  const AggregationOptions& options() const { return options_; }
 
   // Selects Kt distinct clients out of K for this round (the paper's
   // random per-round subset; q = Kt/K drives client-level accounting).
@@ -70,16 +69,13 @@ class Server {
   // aborting the round. When fewer than min_reporting updates survive,
   // nothing is applied, the round does not advance, and the report
   // shows the quorum miss — the caller decides (normally skip_round()).
-  // When `weights` is non-null it holds one non-negative weight per
-  // update (e.g. client data sizes) and the mean becomes weighted —
-  // with equal weights this reduces to FedSGD, and since every delta
-  // is relative to the same W(t) it is also exactly FedAveraging
-  // (Section IV notes the two are mathematically equivalent).
+  // Every client holds the same number of examples, and every delta is
+  // relative to the same W(t), so this uniform mean is also exactly
+  // FedAveraging (Section IV notes the two are mathematically
+  // equivalent).
   AggregateOutcome aggregate(std::vector<ClientUpdate> updates,
                              const core::PrivacyPolicy& policy,
-                             const dp::ParamGroups& groups, Rng& rng,
-                             const std::vector<double>* update_weights =
-                                 nullptr);
+                             const dp::ParamGroups& groups, Rng& rng);
 
   // The degradation tier (and noise widening) `accepted` screened
   // updates earn under this server's quorum options — the decision

@@ -41,6 +41,9 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
        "async_mode ignores min_reporting; set --async-min-apply"},
       {!c.async_mode || c.reduced_min_reporting == 0,
        "async_mode ignores reduced_min_reporting; set --async-min-apply"},
+      {!c.async_mode || c.retry_failed_clients,
+       "async_mode ignores the resample-retry pass (--no-retry); its "
+       "re-dispatch budget is --retry-attempts"},
       {!c.async_mode || c.screening.norm_outlier_factor == 0.0,
        "async_mode ignores the norm outlier band, which needs the "
        "buffered sync round; use --screen-max-norm"},

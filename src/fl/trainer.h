@@ -51,9 +51,6 @@ struct FlExperimentConfig {
   // Probability that a selected client fails to report its update
   // this round (the unstable-availability setting of McMahan et al.).
   double client_dropout = 0.0;
-  // Weight each client's update by its local data size instead of the
-  // uniform 1/Kt mean.
-  bool weight_by_data_size = false;
   // Server-side momentum on the aggregated delta (0 = plain FedSGD).
   // Sync engine only: validate_config refuses it with async_mode, as it
   // does every sync-only knob below.
@@ -71,7 +68,7 @@ struct FlExperimentConfig {
   std::int64_t min_reporting = 1;
   // When delivered updates fall below min_reporting, sample replacement
   // clients (one retry pass) for the transiently failed ones before
-  // giving up on the round.
+  // giving up on the round. Sync engine only.
   bool retry_failed_clients = true;
   // Run the selected clients' local training concurrently on the shared
   // compute pool. The round is phase-split so every shared RNG stream

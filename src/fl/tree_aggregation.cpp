@@ -43,7 +43,6 @@ void StreamingReducer::push_node(ReduceNode node) {
 }
 
 void StreamingReducer::carry(ReduceNode node) {
-  ++units_;
   for (std::size_t l = 0;; ++l) {
     if (l == levels_.size()) {
       levels_.push_back(std::move(node));
@@ -85,7 +84,6 @@ ReduceNode StreamingReducer::finalize() {
     level = ReduceNode{};
   }
   levels_.clear();
-  units_ = 0;
   return acc;
 }
 

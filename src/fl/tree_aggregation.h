@@ -57,7 +57,6 @@ class StreamingReducer {
   // resets the counter. Returns an empty node if nothing was pushed.
   ReduceNode finalize();
 
-  std::int64_t units() const { return units_; }
   int occupancy() const;
   // High-water occupancy across the reducer's lifetime (not reset by
   // finalize) — the bounded-memory witness asserted by the soak test.
@@ -67,7 +66,6 @@ class StreamingReducer {
   void carry(ReduceNode node);
 
   std::vector<ReduceNode> levels_;
-  std::int64_t units_ = 0;
   int max_occupancy_ = 0;
 };
 

@@ -139,11 +139,7 @@ ScreenVerdict UpdateScreener::screen_one(
 std::vector<ClientUpdate> UpdateScreener::screen(
     std::vector<ClientUpdate> updates,
     const std::vector<tensor::Shape>& expected, std::int64_t current_round,
-    ScreeningReport& report, std::vector<double>* weights) const {
-  if (weights != nullptr) {
-    FEDCL_CHECK_EQ(weights->size(), updates.size());
-  }
-
+    ScreeningReport& report) const {
   // Pass 1: per-update checks, cheapest first. An update that fails any
   // of them is counted against its first failing reason only.
   std::vector<std::optional<RejectReason>> verdict(updates.size());
@@ -184,17 +180,13 @@ std::vector<ClientUpdate> UpdateScreener::screen(
 
   std::vector<ClientUpdate> accepted;
   accepted.reserve(updates.size());
-  std::size_t kept_weights = 0;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     if (verdict[i].has_value()) {
       report.count(*verdict[i]);
       continue;
     }
     accepted.push_back(std::move(updates[i]));
-    if (weights != nullptr) (*weights)[kept_weights] = (*weights)[i];
-    ++kept_weights;
   }
-  if (weights != nullptr) weights->resize(kept_weights);
   report.accepted += static_cast<std::int64_t>(accepted.size());
   return accepted;
 }

@@ -74,14 +74,10 @@ class UpdateScreener {
 
   // Validates `updates` against the expected parameter shapes and the
   // current round, returning the accepted subset (order preserved).
-  // When `weights` is non-null it holds one aggregation weight per
-  // update and is filtered in lockstep.
   std::vector<ClientUpdate> screen(std::vector<ClientUpdate> updates,
                                    const std::vector<tensor::Shape>& expected,
                                    std::int64_t current_round,
-                                   ScreeningReport& report,
-                                   std::vector<double>* weights = nullptr)
-      const;
+                                   ScreeningReport& report) const;
 
   // Streaming form: screens one update as it arrives and returns the
   // verdict *with* the computed staleness, so the caller can weight a

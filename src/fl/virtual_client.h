@@ -24,16 +24,15 @@ class VirtualClientProvider {
                         std::uint64_t seed);
 
   std::int64_t total_clients() const { return plan_.num_clients(); }
-  // O(1): every shard has the same size by construction, so the
-  // aggregation weight of a client never requires materializing it.
+  // O(1): every shard has the same size by construction. A worker
+  // reports it in each update (informational: the server weights every
+  // update equally).
   std::int64_t data_size(std::int64_t id) const;
   // Materializes the client. Const and thread-safe: repeated calls
   // (from any thread) yield identical shards.
   Client client(std::int64_t id) const;
 
-  const data::ShardPlan& shard_plan() const { return plan_; }
   const FaultPlan& fault_plan() const { return fault_plan_; }
-  const LocalTrainConfig& local_config() const { return local_; }
 
   // The per-(round, client) streams shared by every engine (in-process
   // sync and async loops, net worker). Centralizing the fork labels

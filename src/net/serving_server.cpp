@@ -45,7 +45,6 @@ fl::FlExperimentConfig experiment_config(const ExperimentDescriptor& d,
   config.eval_every = options.eval_every;
   config.seed = d.seed;
   config.noise_scale = d.sigma;
-  config.weight_by_data_size = options.weight_by_data_size;
   config.server_momentum = options.server_momentum;
   config.screening = options.screening;
   config.min_reporting = options.min_reporting;
@@ -441,10 +440,9 @@ ServingReport ServingServer::run() {
   report.rounds = d.rounds;
 
   // -------- experiment state, from the descriptor alone (the workers
-  // reconstruct theirs from the identical Welcome bytes). Data-size
-  // weights come from the server's own provider (RunState::weight_of),
-  // never from the worker-reported data_size field, so a compromised
-  // worker cannot inflate its weight (PROTOCOL.md threat model). --------
+  // reconstruct theirs from the identical Welcome bytes). The fold
+  // weights every update equally and never reads the worker-reported
+  // data_size field (PROTOCOL.md threat model). --------
   const fl::Federation fed(config.bench, config.total_clients,
                            config.effective_local_iterations(), config.faults,
                            config.seed);

@@ -66,7 +66,6 @@ struct ServingOptions {
   std::int64_t min_reporting = 1;
   std::int64_t reduced_min_reporting = 0;
   double server_momentum = 0.0;
-  bool weight_by_data_size = false;
   fl::ScreeningConfig screening;
 
   // Asynchronous engine (overlapping rounds).

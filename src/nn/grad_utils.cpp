@@ -41,16 +41,6 @@ std::vector<Var> compute_gradient_vars(
   return out;
 }
 
-std::vector<double> per_layer_l2_norms(const TensorList& grads,
-                                       const std::vector<LayerGroup>& groups) {
-  std::vector<double> out;
-  out.reserve(groups.size());
-  for (const LayerGroup& g : groups) {
-    out.push_back(tensor::list::l2_norm_subset(grads, g.param_indices));
-  }
-  return out;
-}
-
 double evaluate_accuracy(const Sequential& model, const Tensor& x,
                          const std::vector<std::int64_t>& labels,
                          std::int64_t batch) {

@@ -43,11 +43,6 @@ TensorList compute_gradients_reference(const Sequential& model,
 std::vector<Var> compute_gradient_vars(const Sequential& model, const Var& x,
                                        const std::vector<std::int64_t>& labels);
 
-// L2 norm of the gradient slice belonging to each layer group
-// (Algorithm 2 line 9: one norm per layer m).
-std::vector<double> per_layer_l2_norms(const TensorList& grads,
-                                       const std::vector<LayerGroup>& groups);
-
 // Evaluates classification accuracy of the model over a dataset given
 // as (x, labels), batched to bound peak memory. No graph is recorded.
 double evaluate_accuracy(const Sequential& model, const Tensor& x,

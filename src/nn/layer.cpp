@@ -38,12 +38,6 @@ Layer& Sequential::layer(std::size_t i) {
   return *layers_[i];
 }
 
-std::int64_t Sequential::parameter_numel() const {
-  std::int64_t n = 0;
-  for (const Var& p : params_) n += p.numel();
-  return n;
-}
-
 TensorList Sequential::weights() const {
   TensorList out;
   out.reserve(params_.size());

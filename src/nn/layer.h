@@ -59,7 +59,6 @@ class Sequential {
   // One group per *parameterized* layer (M groups for an M-layer model).
   const std::vector<LayerGroup>& layer_groups() const { return groups_; }
   std::size_t parameter_count() const { return params_.size(); }
-  std::int64_t parameter_numel() const;
 
   // Deep copies of the parameter values (a model snapshot).
   TensorList weights() const;

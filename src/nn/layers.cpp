@@ -27,7 +27,6 @@ Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
     : in_features_(in_features),
-      out_features_(out_features),
       weight_(xavier_uniform({in_features, out_features}, in_features,
                              out_features, rng),
               /*requires_grad=*/true),

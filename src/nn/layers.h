@@ -20,11 +20,9 @@ class Linear : public Layer {
   std::vector<Var> parameters() const override { return {weight_, bias_}; }
   std::string name() const override { return name_; }
   std::int64_t in_features() const { return in_features_; }
-  std::int64_t out_features() const { return out_features_; }
 
  private:
   std::int64_t in_features_;
-  std::int64_t out_features_;
   Var weight_;
   Var bias_;
   std::string name_;

@@ -26,12 +26,6 @@ Var softmax_cross_entropy(const Var& logits,
   return o::mul_scalar(o::sum_all(picked), -1.0f / static_cast<float>(n));
 }
 
-Var mse(const Var& a, const Var& b) {
-  FEDCL_CHECK(a.value().shape() == b.value().shape());
-  Var d = o::sub(a, b);
-  return o::mean_all(o::square(d));
-}
-
 Tensor softmax(const Tensor& logits) {
   FEDCL_CHECK_EQ(logits.ndim(), 2u);
   const std::int64_t c = logits.dim(1);

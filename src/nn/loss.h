@@ -15,9 +15,6 @@ using tensor::Var;
 // from differentiable primitives, so it supports double backward.
 Var softmax_cross_entropy(const Var& logits, const std::vector<std::int64_t>& labels);
 
-// Mean squared error between two same-shape Vars.
-Var mse(const Var& a, const Var& b);
-
 // Row-wise softmax probabilities (raw tensor, no graph).
 Tensor softmax(const Tensor& logits);
 

@@ -1,78 +1,20 @@
 #include "nn/optimizer.h"
 
-
-#include <cmath>
-
 #include "common/error.h"
 
 namespace fedcl::nn {
 
-SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
-    : lr_(learning_rate), momentum_(momentum) {
+SgdOptimizer::SgdOptimizer(double learning_rate) : lr_(learning_rate) {
   FEDCL_CHECK_GT(learning_rate, 0.0);
-  FEDCL_CHECK(momentum >= 0.0 && momentum < 1.0) << "momentum " << momentum;
-}
-
-void SgdOptimizer::set_learning_rate(double lr) {
-  FEDCL_CHECK_GT(lr, 0.0);
-  lr_ = lr;
 }
 
 void SgdOptimizer::step(std::vector<Var>& params, const TensorList& grads) {
   FEDCL_CHECK_EQ(params.size(), grads.size());
-  if (momentum_ > 0.0 && velocity_.empty()) {
-    velocity_ = tensor::list::zeros_like(grads);
-  }
   for (std::size_t i = 0; i < params.size(); ++i) {
     FEDCL_CHECK(params[i].value().shape() == grads[i].shape())
         << "grad shape mismatch at param " << i;
     tensor::Tensor updated = params[i].value().clone();
-    if (momentum_ > 0.0) {
-      velocity_[i].scale_(static_cast<float>(momentum_));
-      velocity_[i].add_(grads[i], 1.0f);
-      updated.add_(velocity_[i], static_cast<float>(-lr_));
-    } else {
-      updated.add_(grads[i], static_cast<float>(-lr_));
-    }
-    params[i].set_value(std::move(updated));
-  }
-}
-
-AdamOptimizer::AdamOptimizer(double learning_rate, double beta1,
-                             double beta2, double epsilon)
-    : lr_(learning_rate), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {
-  FEDCL_CHECK_GT(learning_rate, 0.0);
-  FEDCL_CHECK(beta1 >= 0.0 && beta1 < 1.0) << "beta1 " << beta1;
-  FEDCL_CHECK(beta2 >= 0.0 && beta2 < 1.0) << "beta2 " << beta2;
-  FEDCL_CHECK_GT(epsilon, 0.0);
-}
-
-void AdamOptimizer::step(std::vector<Var>& params, const TensorList& grads) {
-  FEDCL_CHECK_EQ(params.size(), grads.size());
-  if (m_.empty()) {
-    m_ = tensor::list::zeros_like(grads);
-    v_ = tensor::list::zeros_like(grads);
-  }
-  ++steps_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(steps_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(steps_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    FEDCL_CHECK(params[i].value().shape() == grads[i].shape())
-        << "grad shape mismatch at param " << i;
-    tensor::Tensor updated = params[i].value().clone();
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    const float* g = grads[i].data();
-    float* w = updated.data();
-    for (std::int64_t j = 0; j < grads[i].numel(); ++j) {
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * g[j]);
-      v[j] = static_cast<float>(beta2_ * v[j] +
-                                (1.0 - beta2_) * g[j] * g[j]);
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      w[j] -= static_cast<float>(lr_ * m_hat /
-                                 (std::sqrt(v_hat) + epsilon_));
-    }
+    updated.add_(grads[i], static_cast<float>(-lr_));
     params[i].set_value(std::move(updated));
   }
 }

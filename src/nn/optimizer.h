@@ -13,43 +13,16 @@
 
 namespace fedcl::nn {
 
+// Plain SGD, the paper's setting.
 class SgdOptimizer {
  public:
-  // momentum == 0 gives plain SGD (the paper's setting).
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
+  explicit SgdOptimizer(double learning_rate);
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr);
-
-  // params[i] -= lr * grads[i] (with optional momentum buffers).
+  // params[i] -= lr * grads[i].
   void step(std::vector<Var>& params, const TensorList& grads);
 
  private:
   double lr_;
-  double momentum_;
-  TensorList velocity_;  // lazily sized on first step
-};
-
-// Adam (Kingma & Ba). Provided for completeness of the training
-// substrate; the paper's experiments use plain SGD.
-class AdamOptimizer {
- public:
-  explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8);
-
-  double learning_rate() const { return lr_; }
-  std::int64_t step_count() const { return steps_; }
-
-  void step(std::vector<Var>& params, const TensorList& grads);
-
- private:
-  double lr_;
-  double beta1_;
-  double beta2_;
-  double epsilon_;
-  std::int64_t steps_ = 0;
-  TensorList m_;  // first-moment estimates
-  TensorList v_;  // second-moment estimates
 };
 
 }  // namespace fedcl::nn

@@ -100,11 +100,6 @@ bool Var::is_leaf() const {
   return node_->parents.empty() && !node_->vjp;
 }
 
-Var Var::detach() const {
-  FEDCL_CHECK(defined());
-  return Var(node_->value, /*requires_grad=*/false);
-}
-
 void Var::set_value(Tensor value) {
   FEDCL_CHECK(defined());
   FEDCL_CHECK(is_leaf()) << "set_value on interior node " << node_->op;

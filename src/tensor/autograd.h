@@ -82,9 +82,6 @@ class Var {
   const char* op_name() const;
   bool is_leaf() const;
 
-  // A leaf Var sharing this value but detached from the graph.
-  Var detach() const;
-
   // In-place update of a *leaf* value (optimizer step). Rejected for
   // interior nodes because it would silently corrupt recorded graphs.
   void set_value(Tensor value);

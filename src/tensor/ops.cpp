@@ -17,8 +17,6 @@ namespace t = fedcl::tensor;
 
 Var constant(Tensor value) { return Var(std::move(value), false); }
 
-Var constant_scalar(float value) { return constant(Tensor::scalar(value)); }
-
 Var add(const Var& a, const Var& b) {
   return Var::make_op(
       t::add(a.value(), b.value()), {a, b},
@@ -64,16 +62,6 @@ Var mul_scalar(const Var& a, float s) {
       "mul_scalar");
 }
 
-Var pow_scalar(const Var& a, float p) {
-  return Var::make_op(
-      t::pow_scalar(a.value(), p), {a},
-      [a, p](const Var& g) -> std::vector<Var> {
-        // d/da a^p = p * a^(p-1)
-        return {mul(g, mul_scalar(pow_scalar(a, p - 1.0f), p))};
-      },
-      "pow_scalar");
-}
-
 Var neg(const Var& a) {
   return Var::make_op(
       t::neg(a.value()), {a},
@@ -91,16 +79,6 @@ Var log(const Var& a) {
   return Var::make_op(
       t::log(a.value()), {a},
       [a](const Var& g) -> std::vector<Var> { return {div(g, a)}; }, "log");
-}
-
-Var sqrt(const Var& a) {
-  return Var::make_op(
-      t::sqrt(a.value()), {a},
-      [a](const Var& g) -> std::vector<Var> {
-        // d/da sqrt(a) = 1 / (2 sqrt(a)), recomputed from the parent.
-        return {div(g, mul_scalar(sqrt(a), 2.0f))};
-      },
-      "sqrt");
 }
 
 Var relu(const Var& a) {
@@ -137,42 +115,6 @@ Var tanh(const Var& a) {
       "tanh");
 }
 
-Var softplus(const Var& a) {
-  return Var::make_op(
-      t::softplus(a.value()), {a},
-      [a](const Var& g) -> std::vector<Var> {
-        // d/dx log(1+e^x) = sigmoid(x).
-        return {mul(g, sigmoid(a))};
-      },
-      "softplus");
-}
-
-Var leaky_relu(const Var& a, float slope) {
-  return Var::make_op(
-      t::leaky_relu(a.value(), slope), {a},
-      [a, slope](const Var& g) -> std::vector<Var> {
-        // Piecewise-constant derivative mask: 1 above 0, slope below.
-        Tensor mask = t::step_mask(a.value());
-        float* p = mask.data();
-        for (std::int64_t i = 0; i < mask.numel(); ++i) {
-          if (p[i] == 0.0f) p[i] = slope;
-        }
-        return {mul(g, constant(std::move(mask)))};
-      },
-      "leaky_relu");
-}
-
-Var abs(const Var& a) {
-  return Var::make_op(
-      t::abs(a.value()), {a},
-      [a](const Var& g) -> std::vector<Var> {
-        // sign(x) is the a.e. derivative (constant under double
-        // backward, like the relu mask).
-        return {mul(g, constant(t::sign(a.value())))};
-      },
-      "abs");
-}
-
 Var square(const Var& a) { return mul(a, a); }
 
 Var matmul(const Var& a, const Var& b) {
@@ -206,13 +148,6 @@ Var matmul_nt(const Var& a, const Var& b) {
         return {ga, gb};
       },
       "matmul_nt");
-}
-
-Var transpose(const Var& a) {
-  return Var::make_op(
-      t::transpose2d(a.value()), {a},
-      [](const Var& g) -> std::vector<Var> { return {transpose(g)}; },
-      "transpose");
 }
 
 Var reshape(const Var& a, Shape shape) {
@@ -368,10 +303,5 @@ Var col2im(const Var& cols, const ConvSpec& spec, std::int64_t n) {
 }
 
 Var l2_norm_squared(const Var& a) { return sum_all(square(a)); }
-
-Var mean_all(const Var& a) {
-  const float inv = 1.0f / static_cast<float>(a.numel());
-  return mul_scalar(sum_all(a), inv);
-}
 
 }  // namespace fedcl::tensor::ops

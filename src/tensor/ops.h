@@ -16,7 +16,6 @@ namespace fedcl::tensor::ops {
 
 // Constant leaf (requires_grad = false).
 Var constant(Tensor value);
-Var constant_scalar(float value);
 
 // ---- elementwise binary (same shape) ----
 Var add(const Var& a, const Var& b);
@@ -27,22 +26,14 @@ Var div(const Var& a, const Var& b);
 // ---- scalar variants ----
 Var add_scalar(const Var& a, float s);
 Var mul_scalar(const Var& a, float s);
-// Elementwise power with a constant exponent. Inputs must be positive
-// for non-integer p (follows std::pow semantics).
-Var pow_scalar(const Var& a, float p);
 
 // ---- unary ----
 Var neg(const Var& a);
 Var exp(const Var& a);
 Var log(const Var& a);
-// Elementwise square root (inputs must be positive).
-Var sqrt(const Var& a);
 Var relu(const Var& a);
 Var sigmoid(const Var& a);
 Var tanh(const Var& a);
-Var softplus(const Var& a);
-Var leaky_relu(const Var& a, float slope);
-Var abs(const Var& a);
 Var square(const Var& a);
 
 // ---- linear algebra ----
@@ -53,7 +44,6 @@ Var matmul(const Var& a, const Var& b);
 Var matmul_tn(const Var& a, const Var& b);
 // a: [M,K], b: [N,K] -> a b^T.
 Var matmul_nt(const Var& a, const Var& b);
-Var transpose(const Var& a);
 
 // ---- shape ----
 Var reshape(const Var& a, Shape shape);
@@ -89,7 +79,5 @@ Var col2im(const Var& cols, const ConvSpec& spec, std::int64_t n);
 // ---- composites ----
 // Sum of squares of all elements: sum_all(square(a)).
 Var l2_norm_squared(const Var& a);
-// Mean over all elements.
-Var mean_all(const Var& a);
 
 }  // namespace fedcl::tensor::ops

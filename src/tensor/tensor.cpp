@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -250,13 +249,6 @@ Tensor& Tensor::add_gaussian_noise_(Rng& rng, float stddev) {
   return *this;
 }
 
-Tensor& Tensor::clamp_(float lo, float hi) {
-  FEDCL_CHECK_LE(lo, hi);
-  float* p = data();
-  for (std::int64_t i = 0; i < numel_; ++i) p[i] = std::clamp(p[i], lo, hi);
-  return *this;
-}
-
 float Tensor::sum() const {
   const float* p = data();
   double s = 0.0;
@@ -271,28 +263,6 @@ double sum_squares(const float* p, std::int64_t n) {
 
 float Tensor::l2_norm() const {
   return static_cast<float>(std::sqrt(sum_squares(data(), numel_)));
-}
-
-float Tensor::max_abs() const {
-  const float* p = data();
-  float m = 0.0f;
-  for (std::int64_t i = 0; i < numel_; ++i) m = std::max(m, std::abs(p[i]));
-  return m;
-}
-
-std::string Tensor::debug_string(std::int64_t max_entries) const {
-  std::ostringstream os;
-  os << "Tensor" << shape_str(shape_) << " {";
-  if (defined()) {
-    std::int64_t n = std::min(numel_, max_entries);
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (i) os << ", ";
-      os << data()[i];
-    }
-    if (numel_ > n) os << ", ...";
-  }
-  os << "}";
-  return os.str();
 }
 
 // ---- free functions ----
@@ -316,9 +286,6 @@ Tensor add_scalar(const Tensor& a, float s) {
 Tensor mul_scalar(const Tensor& a, float s) {
   return unary_op(a, [s](float x) { return x * s; });
 }
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary_op(a, [p](float x) { return std::pow(x, p); });
-}
 
 Tensor neg(const Tensor& a) {
   return unary_op(a, [](float x) { return -x; });
@@ -328,9 +295,6 @@ Tensor exp(const Tensor& a) {
 }
 Tensor log(const Tensor& a) {
   return unary_op(a, [](float x) { return std::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sqrt(x); });
 }
 Tensor relu(const Tensor& a) {
   return unary_op(a, [](float x) { return x > 0.0f ? x : 0.0f; });
@@ -343,23 +307,6 @@ Tensor sigmoid(const Tensor& a) {
 }
 Tensor tanh(const Tensor& a) {
   return unary_op(a, [](float x) { return std::tanh(x); });
-}
-Tensor softplus(const Tensor& a) {
-  return unary_op(a, [](float x) {
-    // log(1+e^x) = max(x,0) + log1p(e^{-|x|}) avoids overflow.
-    return std::max(x, 0.0f) + std::log1p(std::exp(-std::abs(x)));
-  });
-}
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return unary_op(a, [slope](float x) { return x > 0.0f ? x : slope * x; });
-}
-Tensor abs(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::abs(x); });
-}
-Tensor sign(const Tensor& a) {
-  return unary_op(a, [](float x) {
-    return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-  });
 }
 
 namespace {
@@ -857,17 +804,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   dispatch_rows(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
     matmul_nt_rows(pa, pb, po, i0, i1, k, n);
   });
-  return out;
-}
-
-Tensor transpose2d(const Tensor& a) {
-  FEDCL_CHECK_EQ(a.ndim(), 2u);
-  const std::int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) po[j * m + i] = pa[i * n + j];
   return out;
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -58,7 +57,6 @@ class Tensor {
   Tensor reshape(Shape shape) const;
   // Deep copy.
   Tensor clone() const;
-  bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
   // ---- in-place mutation (storage must not be aliased into a live
   // autograd graph; callers operate on detached buffers) ----
@@ -66,14 +64,10 @@ class Tensor {
   Tensor& add_(const Tensor& other, float alpha = 1.0f);  // this += alpha*other
   Tensor& scale_(float s);
   Tensor& add_gaussian_noise_(Rng& rng, float stddev);
-  Tensor& clamp_(float lo, float hi);
 
   // ---- reductions over all elements ----
   float sum() const;
   float l2_norm() const;
-  float max_abs() const;
-
-  std::string debug_string(std::int64_t max_entries = 8) const;
 
  private:
   Shape shape_;
@@ -90,25 +84,16 @@ Tensor div(const Tensor& a, const Tensor& b);
 // ---- elementwise with scalar ----
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
-Tensor pow_scalar(const Tensor& a, float p);
 
 // ---- elementwise unary ----
 Tensor neg(const Tensor& a);
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
 Tensor relu(const Tensor& a);
 // 1 where a > 0 else 0 (the ReLU mask).
 Tensor step_mask(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor tanh(const Tensor& a);
-// log(1 + e^a), numerically stable.
-Tensor softplus(const Tensor& a);
-// a where a > 0 else slope * a.
-Tensor leaky_relu(const Tensor& a, float slope);
-Tensor abs(const Tensor& a);
-// -1 / 0 / +1 per element.
-Tensor sign(const Tensor& a);
 
 // ---- linear algebra ----
 // Matrix products use a cache-blocked kernel and, for large shapes,
@@ -139,8 +124,6 @@ void matmul_nt_into(const float* a, const float* b, float* out,
 // Tensor::l2_norm and the clip norm of a per-example row.
 double sum_squares(const float* p, std::int64_t n);
 
-// a: [M,N] -> [N,M]
-Tensor transpose2d(const Tensor& a);
 float dot(const Tensor& a, const Tensor& b);
 
 // ---- structured reductions / broadcasts used by autograd vjps ----

@@ -61,32 +61,6 @@ std::int64_t total_numel(const TensorList& a) {
   return n;
 }
 
-Tensor flatten(const TensorList& a) {
-  Tensor out({total_numel(a)});
-  float* p = out.data();
-  for (const Tensor& t : a) {
-    std::memcpy(p, t.data(), sizeof(float) * static_cast<std::size_t>(t.numel()));
-    p += t.numel();
-  }
-  return out;
-}
-
-TensorList unflatten(const Tensor& flat, const std::vector<Shape>& shapes) {
-  TensorList out;
-  out.reserve(shapes.size());
-  const float* p = flat.data();
-  std::int64_t consumed = 0;
-  for (const Shape& s : shapes) {
-    Tensor t(s);
-    std::memcpy(t.data(), p + consumed,
-                sizeof(float) * static_cast<std::size_t>(t.numel()));
-    consumed += t.numel();
-    out.push_back(std::move(t));
-  }
-  FEDCL_CHECK_EQ(consumed, flat.numel());
-  return out;
-}
-
 std::vector<Shape> shapes_of(const TensorList& a) {
   std::vector<Shape> out;
   out.reserve(a.size());

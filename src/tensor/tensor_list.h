@@ -26,10 +26,6 @@ double l2_norm(const TensorList& a);
 double l2_norm_subset(const TensorList& a, const std::vector<std::size_t>& idx);
 std::int64_t total_numel(const TensorList& a);
 
-// Concatenate all entries into one flat [total] tensor.
-Tensor flatten(const TensorList& a);
-// Inverse of flatten given the original shapes.
-TensorList unflatten(const Tensor& flat, const std::vector<Shape>& shapes);
 std::vector<Shape> shapes_of(const TensorList& a);
 
 bool allclose(const TensorList& a, const TensorList& b, float atol = 1e-5f,

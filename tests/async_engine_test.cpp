@@ -227,12 +227,12 @@ TEST(AsyncAggregator, AppliesExactlyAtTheMthOffer) {
   dp::ParamGroups groups = {{0}};
   AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2), policy, groups,
                       Rng(1));
-  auto r1 = agg.offer(delta_update(0, 2.0f, 4.0f), 0, 1.0);
+  auto r1 = agg.offer(delta_update(0, 2.0f, 4.0f), 0);
   EXPECT_TRUE(r1.accepted);
   EXPECT_FALSE(r1.applied);
   EXPECT_EQ(agg.buffered(), 1);
   EXPECT_EQ(agg.applies(), 0);
-  auto r2 = agg.offer(delta_update(0, 4.0f, 0.0f), 0, 1.0);
+  auto r2 = agg.offer(delta_update(0, 4.0f, 0.0f), 0);
   EXPECT_TRUE(r2.applied);
   EXPECT_EQ(agg.applies(), 1);
   EXPECT_EQ(agg.buffered(), 0);  // accumulator reset
@@ -248,9 +248,9 @@ TEST(AsyncAggregator, StaleUpdateEntersWithDecayWeight) {
   // alpha = 1: staleness 1 -> weight 1/2.
   AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0), policy,
                       groups, Rng(1));
-  auto fresh = agg.offer(delta_update(3, 6.0f, 0.0f), 3, 1.0);
+  auto fresh = agg.offer(delta_update(3, 6.0f, 0.0f), 3);
   EXPECT_EQ(fresh.staleness, 0);
-  auto stale = agg.offer(delta_update(2, 12.0f, 3.0f), 3, 1.0);
+  auto stale = agg.offer(delta_update(2, 12.0f, 3.0f), 3);
   EXPECT_TRUE(stale.accepted);
   EXPECT_EQ(stale.staleness, 1);
   ASSERT_TRUE(stale.applied);
@@ -265,7 +265,7 @@ TEST(AsyncAggregator, TooStaleIsScreenedOut) {
   dp::ParamGroups groups = {{0}};
   AsyncAggregator agg({Tensor::zeros({2})}, agg_config(1, 0.5, 2), policy,
                       groups, Rng(1));
-  auto r = agg.offer(delta_update(0, 1.0f, 1.0f), /*now_round=*/5, 1.0);
+  auto r = agg.offer(delta_update(0, 1.0f, 1.0f), /*now_round=*/5);
   EXPECT_FALSE(r.accepted);
   EXPECT_EQ(*r.reject, RejectReason::kStaleRound);
   EXPECT_EQ(agg.buffered(), 0);
@@ -277,7 +277,7 @@ TEST(AsyncAggregator, FlushAppliesAPartialBuffer) {
   AsyncAggregator agg({Tensor::zeros({2})}, agg_config(4), policy, groups,
                       Rng(1));
   EXPECT_FALSE(agg.flush());  // nothing buffered
-  agg.offer(delta_update(0, 2.0f, 2.0f), 0, 1.0);
+  agg.offer(delta_update(0, 2.0f, 2.0f), 0);
   EXPECT_TRUE(agg.flush());
   EXPECT_EQ(agg.applies(), 1);
   EXPECT_FLOAT_EQ(agg.weights_snapshot()[0].at(0), 2.0f);
@@ -290,10 +290,10 @@ TEST(AsyncAggregator, EmitsStalenessAndOccupancyTelemetry) {
   dp::ParamGroups groups = {{0}};
   AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0), policy,
                       groups, Rng(1));
-  agg.offer(delta_update(1, 1.0f, 0.0f), 2, 1.0);  // staleness 1
+  agg.offer(delta_update(1, 1.0f, 0.0f), 2);  // staleness 1
   telemetry::TelemetrySnapshot mid = registry.snapshot();
   EXPECT_EQ(mid.gauge_value("fl.async.buffer_occupancy"), 1.0);
-  agg.offer(delta_update(2, 1.0f, 0.0f), 2, 1.0);  // triggers apply
+  agg.offer(delta_update(2, 1.0f, 0.0f), 2);  // triggers apply
   telemetry::TelemetrySnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("fl.async.stale_accepted_total"), 1);
   EXPECT_EQ(snap.counter_value("fl.async.applied_total",

@@ -205,12 +205,6 @@ TEST(Reconstruction, FailsUnderFedCdpNoise) {
   EXPECT_EQ(result.iterations, 60);  // failed attacks charged full budget
 }
 
-TEST(Reconstruction, LabelInference) {
-  AttackFixture fx;
-  EXPECT_EQ(GradientReconstructionAttack::infer_label(fx.true_gradient),
-            fx.example.labels[0]);
-}
-
 TEST(Reconstruction, ValidatesInputs) {
   AttackFixture fx;
   GradientReconstructionAttack attack(fx.model, AttackConfig{});

@@ -19,9 +19,6 @@ TEST(Var, LeafBasics) {
   EXPECT_TRUE(v.defined());
   EXPECT_TRUE(v.requires_grad());
   EXPECT_TRUE(v.is_leaf());
-  Var d = v.detach();
-  EXPECT_FALSE(d.requires_grad());
-  EXPECT_EQ(d.value().sum(), 4.0f);
   Var undef;
   EXPECT_FALSE(undef.defined());
 }
@@ -127,11 +124,6 @@ TEST(Gradcheck, UnaryOps) {
       [](const std::vector<Var>& v) { return o::sum_all(o::tanh(v[0])); },
       {a});
   expect_gradcheck(
-      [](const std::vector<Var>& v) {
-        return o::sum_all(o::pow_scalar(v[0], 3.0f));
-      },
-      {a});
-  expect_gradcheck(
       [](const std::vector<Var>& v) { return o::sum_all(o::neg(v[0])); }, {a});
 }
 
@@ -155,7 +147,7 @@ TEST(Gradcheck, MatmulTranspose) {
       {a, b});
   expect_gradcheck(
       [](const std::vector<Var>& v) {
-        return o::sum_all(o::matmul(o::transpose(v[0]), v[0]));
+        return o::sum_all(o::matmul_tn(v[0], v[0]));
       },
       {a});
 }
@@ -262,7 +254,7 @@ TEST(Gradcheck, SoftmaxCrossEntropyComposite) {
 TEST(HigherOrder, CubePolynomial) {
   // f = sum(x^3); df/dx = 3x^2; d2f/dx2 (via sum of grads) = 6x.
   Var x(Tensor::from_vector({3}, {1, 2, -3}), true);
-  Var f = o::sum_all(o::pow_scalar(x, 3.0f));
+  Var f = o::sum_all(o::mul(o::mul(x, x), x));
   Gradients g1 = backward(f, /*create_graph=*/true);
   Var gx = g1.of(x);
   EXPECT_FLOAT_EQ(gx.value().at(1), 12.0f);

@@ -180,13 +180,6 @@ TEST(Rng, SampleWithoutReplacementIsLinearInTheCohort) {
   EXPECT_EQ(std::set<std::size_t>(s.begin(), s.end()).size(), 16u);
 }
 
-TEST(Rng, SampleWithReplacement) {
-  Rng rng(7);
-  auto s = rng.sample_with_replacement(5, 1000);
-  EXPECT_EQ(s.size(), 1000u);
-  for (auto v : s) EXPECT_LT(v, 5u);
-}
-
 TEST(Rng, Shuffle) {
   Rng rng(8);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
@@ -196,32 +189,11 @@ TEST(Rng, Shuffle) {
   EXPECT_EQ(a, b);  // permutation
 }
 
-TEST(Stats, MeanVarMedian) {
-  std::vector<double> v{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_DOUBLE_EQ(variance(v), 1.25);
-  EXPECT_DOUBLE_EQ(median(v), 2.5);
-  EXPECT_DOUBLE_EQ(median({5.0, 1.0, 3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(min_of(v), 1.0);
-  EXPECT_DOUBLE_EQ(max_of(v), 4.0);
-  EXPECT_THROW(mean({}), Error);
-}
-
 TEST(Stats, Rmse) {
   std::vector<float> a{0.f, 0.f, 0.f};
   std::vector<float> b{3.f, 4.f, 0.f};
   EXPECT_NEAR(rmse(a, b), std::sqrt(25.0 / 3.0), 1e-6);
   EXPECT_DOUBLE_EQ(rmse(a, a), 0.0);
-}
-
-TEST(Stats, Pearson) {
-  std::vector<double> a{1, 2, 3, 4};
-  std::vector<double> b{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  std::vector<double> c{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-  std::vector<double> flat{5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(a, flat), 0.0);
 }
 
 TEST(Table, RendersAligned) {

@@ -28,7 +28,6 @@ TEST(Dataset, BasicAccessors) {
   Dataset ds = tiny_dataset();
   EXPECT_EQ(ds.size(), 6);
   EXPECT_EQ(ds.num_classes(), 3);
-  EXPECT_EQ(ds.example_shape(), (Shape{2}));
   EXPECT_EQ(ds.example_numel(), 2);
 }
 

@@ -68,13 +68,6 @@ TEST(AutogradEdge, WideFanOutAccumulates) {
   EXPECT_FLOAT_EQ(g.of(x).value().item(), 63.0f * 64.0f / 2.0f);
 }
 
-TEST(AutogradEdge, DetachBlocksGradientFlow) {
-  Var x(Tensor::scalar(3.0f), true);
-  Var y = o::mul(x.detach(), x);  // only one path carries gradient
-  tensor::Gradients g = tensor::backward(y);
-  EXPECT_FLOAT_EQ(g.of(x).value().item(), 3.0f);  // not 6
-}
-
 // ---- loss properties ----
 
 TEST(LossEdge, CrossEntropyShiftInvariant) {

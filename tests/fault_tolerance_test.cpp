@@ -191,22 +191,6 @@ TEST(UpdateScreening, AbsoluteNormCap) {
   EXPECT_EQ(report.rejected_norm_outlier, 1);
 }
 
-TEST(UpdateScreening, WeightsFilteredInLockstep) {
-  UpdateScreener screener;
-  std::vector<ClientUpdate> updates;
-  updates.push_back(good_update(0, 0));
-  updates.push_back(good_update(1, 9));  // stale
-  updates.push_back(good_update(2, 0));
-  std::vector<double> weights = {10.0, 20.0, 30.0};
-  ScreeningReport report;
-  auto accepted = screener.screen(std::move(updates), expected_shapes(), 0,
-                                  report, &weights);
-  ASSERT_EQ(accepted.size(), 2u);
-  ASSERT_EQ(weights.size(), 2u);
-  EXPECT_DOUBLE_EQ(weights[0], 10.0);
-  EXPECT_DOUBLE_EQ(weights[1], 30.0);
-}
-
 // ---- server graceful degradation ----
 
 TEST(Server, AggregateScreensMixedBatch) {

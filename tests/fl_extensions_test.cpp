@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
-#include "fl/compression.h"
 #include "fl/secure_aggregation.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
@@ -69,71 +67,7 @@ TEST(SecureAggregation, DeterministicPerSession) {
   EXPECT_FALSE(tensor::list::allclose(a.mask_for(2), c.mask_for(2)));
 }
 
-// ---- quantization ----
-
-TEST(Quantize, OneBitSnapsToExtremes) {
-  TensorList u = {Tensor::from_vector({4}, {0.9f, -0.2f, 0.1f, -1.0f})};
-  quantize_uniform(u, 1);
-  // 1 bit: levels {-1, +1} scaled by max_abs=1.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(std::abs(u[0].at(i)), 1.0f, 1e-6);
-  }
-}
-
-TEST(Quantize, HighBitsNearLossless) {
-  Rng rng(6);
-  TensorList u = {Tensor::randn({256}, rng)};
-  TensorList orig = tensor::list::clone(u);
-  const double err = quantize_uniform(u, 16);
-  EXPECT_LT(err, 1e-3);
-  EXPECT_TRUE(tensor::list::allclose(u, orig, 1e-3f, 1e-2f));
-}
-
-TEST(Quantize, ErrorDecreasesWithBits) {
-  double prev = 1e18;
-  for (int bits : {2, 4, 8, 12}) {
-    Rng rng(7);
-    TensorList u = {Tensor::randn({512}, rng)};
-    const double err = quantize_uniform(u, bits);
-    EXPECT_LT(err, prev);
-    prev = err;
-  }
-}
-
-TEST(Quantize, ZeroTensorUntouchedAndValidation) {
-  TensorList u = {Tensor::zeros({8})};
-  EXPECT_DOUBLE_EQ(quantize_uniform(u, 8), 0.0);
-  EXPECT_FLOAT_EQ(u[0].l2_norm(), 0.0f);
-  EXPECT_THROW(quantize_uniform(u, 0), Error);
-  EXPECT_THROW(quantize_uniform(u, 17), Error);
-}
-
 // ---- server extensions ----
-
-TEST(Server, WeightedAggregation) {
-  Server server({Tensor::zeros({1})});
-  core::NonPrivatePolicy policy;
-  Rng rng(8);
-  std::vector<ClientUpdate> updates(2);
-  updates[0] = {0, 0, {Tensor::from_vector({1}, {1.0f})}};
-  updates[1] = {1, 0, {Tensor::from_vector({1}, {4.0f})}};
-  std::vector<double> weights = {3.0, 1.0};
-  server.aggregate(std::move(updates), policy, {{0}}, rng, &weights);
-  // (3*1 + 1*4) / 4 = 1.75
-  EXPECT_FLOAT_EQ(server.weights()[0].at(0), 1.75f);
-}
-
-TEST(Server, WeightedAggregationValidation) {
-  Server server({Tensor::zeros({1})});
-  core::NonPrivatePolicy policy;
-  Rng rng(9);
-  std::vector<ClientUpdate> updates(1);
-  updates[0] = {0, 0, {Tensor::ones({1})}};
-  std::vector<double> zero = {0.0};
-  EXPECT_THROW(
-      server.aggregate(std::move(updates), policy, {{0}}, rng, &zero),
-      Error);
-}
 
 TEST(Server, MomentumAcceleratesRepeatedDirection) {
   Server plain({Tensor::zeros({1})});
@@ -190,14 +124,6 @@ TEST(Trainer, FullDropoutIsRejectedAtOne) {
   config.client_dropout = 1.0;
   core::NonPrivatePolicy policy;
   EXPECT_THROW(run_experiment(config, policy), Error);
-}
-
-TEST(Trainer, WeightedAggregationRuns) {
-  fl::FlExperimentConfig config = tiny_config();
-  config.weight_by_data_size = true;
-  core::NonPrivatePolicy policy;
-  FlRunResult result = run_experiment(config, policy);
-  EXPECT_GE(result.final_accuracy, 0.0);
 }
 
 TEST(Trainer, ServerMomentumRuns) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -46,11 +47,18 @@ TEST(Flags, BooleanValues) {
   EXPECT_THROW(bad.get_bool("e", false), Error);
 }
 
-TEST(Flags, Positional) {
-  FlagParser f = parse({"first", "--x=1", "second"});
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "first");
-  EXPECT_EQ(f.positional()[1], "second");
+TEST(Flags, UnknownAreTheFlagsUsageDoesNotList) {
+  const char* usage =
+      "usage: %s [--sigma=S] [--no-retry]\n"
+      "  --port=0 picks an ephemeral port.\n";
+  EXPECT_TRUE(parse({"--sigma=0.5", "--no-retry", "--port", "0", "--help"})
+                  .unknown(usage)
+                  .empty());
+  // A misspelling, a prefix of a listed flag, and a flag the usage
+  // does not list at all are unknown, in name order.
+  EXPECT_EQ(parse({"--sigm=0.5", "--weight-by-size", "--no", "--sigma=1"})
+                .unknown(usage),
+            (std::vector<std::string>{"--no", "--sigm", "--weight-by-size"}));
 }
 
 TEST(Flags, Fallbacks) {

@@ -12,14 +12,12 @@
 #include "core/policy.h"
 #include "data/benchmarks.h"
 #include "fl/client.h"
-#include "fl/compression.h"
 #include "fl/protocol.h"
 #include "fl/secure_aggregation.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
 #include "nn/loss.h"
 #include "nn/grad_utils.h"
-#include "nn/metrics.h"
 #include "nn/model_zoo.h"
 
 namespace fedcl {
@@ -160,64 +158,6 @@ TEST(Integration, AdaptivePolicyEndToEnd) {
   // The bound must have adapted away from the initial value once
   // gradients were observed.
   EXPECT_NE(policy.current_bound(), 4.0);
-}
-
-TEST(Integration, QuantizedUpdatesStillTrain) {
-  // Quantize every client update to 8 bits before aggregation via the
-  // policy-free path: compress inside the trainer is prune-based, so
-  // exercise quantization through a manual round.
-  data::BenchmarkConfig bench = smoke_bench(data::BenchmarkId::kCancer);
-  Rng root(17);
-  Rng drng = root.fork("data");
-  auto train = std::make_shared<data::Dataset>(
-      data::generate_synthetic(bench.train_spec, drng));
-  data::PartitionSpec part = bench.partition;
-  part.num_clients = 2;
-  Rng prng = root.fork("part");
-  auto shards = data::partition(train, part, prng);
-  Rng mrng = root.fork("model");
-  auto model = nn::build_model(bench.model, mrng);
-  fl::Server server(model->weights());
-  const dp::ParamGroups groups =
-      fl::to_param_groups(model->layer_groups());
-  fl::LocalTrainConfig local{.local_iterations = 2,
-                             .batch_size = 2,
-                             .learning_rate = 0.1};
-  core::NonPrivatePolicy policy;
-  for (std::int64_t t = 0; t < 2; ++t) {
-    std::vector<fl::ClientUpdate> updates;
-    for (std::int64_t ci = 0; ci < 2; ++ci) {
-      fl::Client client(ci, shards[static_cast<std::size_t>(ci)], local);
-      Rng crng = root.fork("r", static_cast<std::uint64_t>(t * 10 + ci));
-      fl::ClientRoundOutcome outcome =
-          client.run_round(*model, server.weights(), policy, t, crng);
-      const double err = fl::quantize_uniform(outcome.update.delta, 8);
-      EXPECT_GE(err, 0.0);
-      updates.push_back(std::move(outcome.update));
-    }
-    Rng arng = root.fork("agg", static_cast<std::uint64_t>(t));
-    server.aggregate(std::move(updates), policy, groups, arng);
-  }
-  EXPECT_EQ(server.round(), 2);
-}
-
-TEST(Integration, ConfusionMatrixOnTrainedModel) {
-  data::BenchmarkConfig bench = smoke_bench(data::BenchmarkId::kCancer);
-  Rng root(19);
-  Rng drng = root.fork("data");
-  data::Dataset ds = data::generate_synthetic(bench.train_spec, drng);
-  Rng mrng = root.fork("model");
-  auto model = nn::build_model(bench.model, mrng);
-  std::vector<std::int64_t> idx;
-  for (std::int64_t i = 0; i < ds.size(); ++i) idx.push_back(i);
-  data::Batch all = ds.gather(idx);
-  tensor::GradModeGuard no_grad(false);
-  tensor::Var logits = model->forward(tensor::Var(all.x, false));
-  nn::ConfusionMatrix cm(bench.train_spec.classes);
-  cm.add_batch(logits.value(), all.labels);
-  EXPECT_EQ(cm.total(), ds.size());
-  EXPECT_NEAR(cm.accuracy(),
-              nn::accuracy(logits.value(), all.labels), 1e-12);
 }
 
 TEST(Integration, PrivacyAccountingConsistentWithRun) {

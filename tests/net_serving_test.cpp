@@ -459,7 +459,6 @@ fl::FlRunResult run_in_process(const ExperimentDescriptor& d,
   cfg.seed = d.seed;
   cfg.noise_scale = d.sigma;
   cfg.eval_every = options.eval_every;
-  cfg.weight_by_data_size = options.weight_by_data_size;
   cfg.server_momentum = options.server_momentum;
   cfg.screening = options.screening;
   cfg.min_reporting = options.min_reporting;
@@ -483,8 +482,7 @@ TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
   d.total_clients = 8;
   d.clients_per_round = 4;
   std::vector<Case> cases(3, Case{"defaults", d, {}});
-  cases[1].name = "weighted, eval every round";
-  cases[1].options.weight_by_data_size = true;
+  cases[1].name = "eval every round";
   cases[1].options.eval_every = 1;
   // A norm band at the median rejects the larger half of each round's
   // updates, so the reduced tier must carry the rounds that survive.

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 #include "testing/gradcheck.h"
 
@@ -15,51 +13,6 @@ namespace {
 namespace o = ops;
 using fedcl::testing::expect_gradcheck;
 using nn::Var;
-
-TEST(NewOps, SoftplusValues) {
-  Tensor a = Tensor::from_vector({3}, {-50.0f, 0.0f, 50.0f});
-  Tensor s = softplus(a);
-  EXPECT_NEAR(s.at(0), 0.0f, 1e-6);
-  EXPECT_NEAR(s.at(1), std::log(2.0f), 1e-6);
-  EXPECT_NEAR(s.at(2), 50.0f, 1e-4);  // no overflow
-}
-
-TEST(NewOps, LeakyReluAbsSign) {
-  Tensor a = Tensor::from_vector({3}, {-2.0f, 0.0f, 3.0f});
-  Tensor l = leaky_relu(a, 0.1f);
-  EXPECT_FLOAT_EQ(l.at(0), -0.2f);
-  EXPECT_FLOAT_EQ(l.at(2), 3.0f);
-  EXPECT_FLOAT_EQ(abs(a).at(0), 2.0f);
-  EXPECT_FLOAT_EQ(sign(a).at(0), -1.0f);
-  EXPECT_FLOAT_EQ(sign(a).at(1), 0.0f);
-  EXPECT_FLOAT_EQ(sign(a).at(2), 1.0f);
-}
-
-TEST(NewOps, Gradchecks) {
-  Rng rng(1);
-  Tensor a = Tensor::uniform({6}, rng, 0.2f, 2.0f);  // away from kinks
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return o::sum_all(o::softplus(v[0])); },
-      {a});
-  expect_gradcheck(
-      [](const std::vector<Var>& v) {
-        return o::sum_all(o::square(o::leaky_relu(v[0], 0.2f)));
-      },
-      {a});
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return o::sum_all(o::abs(v[0])); },
-      {a});
-}
-
-TEST(NewOps, SoftplusDoubleBackward) {
-  // f = sum(softplus(x)); f'' = sigmoid'(x) = s(1-s).
-  Var x(Tensor::from_vector({2}, {0.0f, 1.0f}), true);
-  Gradients g1 = backward(o::sum_all(o::softplus(x)), true);
-  Gradients g2 = backward(o::sum_all(g1.of(x)));
-  const float s0 = 0.5f, s1 = 1.0f / (1.0f + std::exp(-1.0f));
-  EXPECT_NEAR(g2.of(x).value().at(0), s0 * (1 - s0), 1e-5);
-  EXPECT_NEAR(g2.of(x).value().at(1), s1 * (1 - s1), 1e-5);
-}
 
 TEST(GatherScatter, ForwardAndAdjoint) {
   Var x(Tensor::from_vector({4}, {10, 20, 30, 40}), true);
@@ -169,46 +122,6 @@ TEST(Dropout, SequentialPropagatesMode) {
   model.set_training(false);
   EXPECT_FALSE(drop->training());
   EXPECT_FALSE(model.training());
-}
-
-TEST(Adam, ConvergesOnQuadratic) {
-  // Minimize (w - 3)^2 by gradient descent with Adam.
-  Sequential model;
-  Rng rng(4);
-  model.emplace<Linear>(1, 1, rng);
-  auto params = model.parameters();
-  params[0].set_value(Tensor::zeros({1, 1}));
-  params[1].set_value(Tensor::zeros({1}));
-  AdamOptimizer opt(0.1);
-  for (int i = 0; i < 200; ++i) {
-    const float w = params[0].value().at(0);
-    TensorList grads = {Tensor::from_vector({1, 1}, {2.0f * (w - 3.0f)}),
-                        Tensor::zeros({1})};
-    opt.step(params, grads);
-  }
-  EXPECT_NEAR(params[0].value().at(0), 3.0f, 1e-2);
-  EXPECT_EQ(opt.step_count(), 200);
-  EXPECT_THROW(AdamOptimizer(0.1, 1.0), fedcl::Error);
-}
-
-TEST(Adam, AdaptsPerCoordinateScale) {
-  // Two coordinates with gradients of very different magnitude move at
-  // comparable speed under Adam (unlike plain SGD).
-  Sequential model;
-  Rng rng(5);
-  model.emplace<Linear>(2, 1, rng);
-  auto params = model.parameters();
-  params[0].set_value(Tensor::zeros({2, 1}));
-  params[1].set_value(Tensor::zeros({1}));
-  AdamOptimizer opt(0.05);
-  for (int i = 0; i < 50; ++i) {
-    TensorList grads = {Tensor::from_vector({2, 1}, {100.0f, 0.01f}),
-                        Tensor::zeros({1})};
-    opt.step(params, grads);
-  }
-  const float w0 = params[0].value().at(0);
-  const float w1 = params[0].value().at(1);
-  EXPECT_LT(std::abs(w0 / w1), 3.0);  // within 3x despite 10^4 grad gap
 }
 
 }  // namespace

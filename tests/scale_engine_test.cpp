@@ -109,10 +109,8 @@ TEST(TreeReduction, OccupancyIsLogarithmicAndFinalizeResets) {
     for (std::int64_t v = i + 1; v > 1; v >>= 1) ++bound;
     EXPECT_LE(reducer.occupancy(), bound);
   }
-  EXPECT_EQ(reducer.units(), n);
   const ReduceNode out = reducer.finalize();
   EXPECT_EQ(out.leaves, n);
-  EXPECT_EQ(reducer.units(), 0);
   EXPECT_EQ(reducer.occupancy(), 0);
   EXPECT_GT(reducer.max_occupancy(), 0);  // high-water survives finalize
   EXPECT_LE(reducer.max_occupancy(), 10);  // floor(log2 1000)+1
@@ -147,7 +145,6 @@ FlExperimentConfig scale_config() {
   config.rounds = 3;
   config.seed = 29;
   config.eval_every = 0;
-  config.weight_by_data_size = true;
   config.streaming_aggregation = true;
   return config;
 }

@@ -101,8 +101,6 @@ TEST(Tensor, InPlaceOps) {
   EXPECT_EQ(t.at(2), 2.5f);
   t.fill_(-1.0f);
   EXPECT_EQ(t.sum(), -3.0f);
-  t.clamp_(-0.5f, 0.5f);
-  EXPECT_EQ(t.at(0), -0.5f);
 }
 
 TEST(Tensor, GaussianNoiseInPlace) {
@@ -142,8 +140,6 @@ TEST(Tensor, ElementwiseUnary) {
   EXPECT_NEAR(sigmoid(a).at(1), 0.5f, 1e-6);
   EXPECT_NEAR(tanh(a).at(2), std::tanh(2.0f), 1e-6);
   EXPECT_NEAR(log(exp(a)).at(0), -1.0f, 1e-5);
-  EXPECT_NEAR(sqrt(Tensor::full({1}, 9.0f)).item(), 3.0f, 1e-6);
-  EXPECT_NEAR(pow_scalar(a, 2.0f).at(2), 4.0f, 1e-6);
 }
 
 TEST(Tensor, ScalarOps) {
@@ -164,20 +160,10 @@ TEST(Tensor, Matmul) {
   EXPECT_THROW(matmul(a, a), Error);
 }
 
-TEST(Tensor, Transpose) {
-  Tensor a = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor t = transpose2d(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_EQ(t.at(0), 1.0f);
-  EXPECT_EQ(t.at(1), 4.0f);
-  EXPECT_EQ(t.at(4), 3.0f);
-}
-
 TEST(Tensor, DotAndNorms) {
   Tensor a = Tensor::from_vector({3}, {1, 2, 2});
   EXPECT_EQ(dot(a, a), 9.0f);
   EXPECT_EQ(a.l2_norm(), 3.0f);
-  EXPECT_EQ(a.max_abs(), 2.0f);
 }
 
 TEST(Tensor, RowColReductions) {

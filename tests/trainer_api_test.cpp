@@ -13,37 +13,9 @@
 #include "fl/trainer.h"
 #include "nn/grad_utils.h"
 #include "nn/model_zoo.h"
-#include "tensor/ops.h"
-#include "testing/gradcheck.h"
 
 namespace fedcl {
 namespace {
-
-namespace o = tensor::ops;
-using tensor::Tensor;
-using tensor::Var;
-using fedcl::testing::expect_gradcheck;
-
-TEST(SqrtOp, ValueAndGradcheck) {
-  Var x(Tensor::from_vector({3}, {1.0f, 4.0f, 9.0f}), true);
-  Var s = o::sqrt(x);
-  EXPECT_FLOAT_EQ(s.value().at(1), 2.0f);
-  EXPECT_FLOAT_EQ(s.value().at(2), 3.0f);
-  Rng rng(1);
-  Tensor a = Tensor::uniform({5}, rng, 0.5f, 4.0f);
-  expect_gradcheck(
-      [](const std::vector<Var>& v) { return o::sum_all(o::sqrt(v[0])); },
-      {a});
-}
-
-TEST(SqrtOp, DoubleBackward) {
-  // f = sum(sqrt(x)); f' = 1/(2 sqrt x); f'' = -1/(4 x^{3/2}).
-  Var x(Tensor::from_vector({1}, {4.0f}), true);
-  tensor::Gradients g1 = tensor::backward(o::sum_all(o::sqrt(x)), true);
-  EXPECT_NEAR(g1.of(x).value().item(), 0.25f, 1e-6);
-  tensor::Gradients g2 = tensor::backward(o::sum_all(g1.of(x)));
-  EXPECT_NEAR(g2.of(x).value().item(), -1.0f / 32.0f, 1e-6);
-}
 
 TEST(TrainerApi, FinalWeightsLoadableAndMatchFinalAccuracy) {
   fl::FlExperimentConfig config;
@@ -187,7 +159,7 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   ASSERT_TRUE(fl::validate_config(streamed).ok());
 
   std::vector<std::pair<fl::FlExperimentConfig, const char*>> cases(
-      5, {async, ""});
+      6, {async, ""});
   cases[0].first.server_momentum = 0.9;
   cases[0].second = "--staleness-alpha";
   cases[1].first.min_reporting = 2;
@@ -199,6 +171,8 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   cases[4].first = streamed;
   cases[4].first.screening.norm_outlier_factor = 3.0;
   cases[4].second = "--screen-max-norm";
+  cases[5].first.retry_failed_clients = false;
+  cases[5].second = "--retry-attempts";
   for (const auto& [config, knob] : cases) {
     SCOPED_TRACE(knob);
     const Result<fl::FlExperimentConfig> r = fl::validate_config(config);

@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Checkpoint matrix: one fl_simulator run per config, one digest each.
+
+Runs `fl_simulator --rounds=3 --seed=97 --save=...` over three datasets,
+the four paper policies and three engines (36 runs) and prints one line
+per run, "<config> <sha256 of the saved checkpoint>", in a fixed order.
+Two listings are equal exactly when every run saved the same bytes, so
+diffing them checks bit identity:
+
+  - across builds (a parent and a change, same flags and host);
+  - across thread counts: run it at FEDCL_THREADS=1 and at 4 and compare
+    (the checkpoint_matrix_threads ctest does this).
+
+The engines are the sync fold, the streamed fold with faults, retries
+and fan-out 2, and the async engine with faults and retries.
+
+Usage:
+  checkpoint_matrix.py --bin PATH [--scale smoke|small]
+
+FEDCL_THREADS passes through to every run. Exits 1 if a run fails.
+"""
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+DATASETS = ["cancer", "adult", "mnist"]
+POLICIES = ["non-private", "fed-sdp", "fed-cdp", "fed-cdp-decay"]
+ENGINES = [
+    ("sync", []),
+    ("streaming", ["--streaming", "--fault-rate=0.05", "--retry-attempts=2",
+                   "--tree-fan-out=2"]),
+    ("async", ["--async", "--fault-rate=0.05", "--retry-attempts=2"]),
+]
+RUN_TIMEOUT_S = 300
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--bin", required=True, help="fl_simulator binary")
+    parser.add_argument("--scale", choices=["smoke", "small"],
+                        default="smoke")
+    args = parser.parse_args()
+
+    env = dict(os.environ, FEDCL_SCALE=args.scale)
+    with tempfile.TemporaryDirectory(prefix="checkpoint_matrix_") as tmp:
+        ckpt = os.path.join(tmp, "global.ckpt")
+        for dataset in DATASETS:
+            for policy in POLICIES:
+                for engine, flags in ENGINES:
+                    config = "%s/%s/%s" % (dataset, policy, engine)
+                    cmd = [args.bin, "--dataset=" + dataset,
+                           "--policy=" + policy, "--rounds=3", "--seed=97",
+                           "--save=" + ckpt] + flags
+                    run = subprocess.run(cmd, env=env, stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE, text=True,
+                                         timeout=RUN_TIMEOUT_S)
+                    if run.returncode != 0:
+                        print("checkpoint_matrix: %s exited with %d:\n%s"
+                              % (config, run.returncode, run.stderr),
+                              file=sys.stderr)
+                        return 1
+                    with open(ckpt, "rb") as f:
+                        digest = hashlib.sha256(f.read()).hexdigest()
+                    os.remove(ckpt)
+                    print("%s %s" % (config, digest), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
