@@ -553,7 +553,8 @@ int main(int argc, char** argv) {
   // per-round points, clip-counter reads), so the honest overhead
   // number times a small end-to-end run_experiment with no sink vs
   // with the JSONL sink attached. Instruments are always on in both
-  // legs; the delta is event serialization + file I/O.
+  // legs; the delta is event serialization + file I/O. Every round
+  // span is traced, so the JSONL leg is also the tracing leg.
   fl::FlExperimentConfig ocfg;
   ocfg.bench = data::benchmark_config(data::BenchmarkId::kCancer);
   ocfg.total_clients = 4;
@@ -567,32 +568,25 @@ int main(int argc, char** argv) {
   const std::string telemetry_path = flags.get(
       "telemetry-out",
       bench::bench_out_dir() + "/BENCH_perf_hotpath_telemetry.jsonl");
-  const std::string trace_path = flags.get(
-      "trace-out", bench::bench_out_dir() + "/BENCH_perf_hotpath_trace.json");
-  // Three legs — no sink, JSONL sink, Chrome trace sink — measured
-  // INTERLEAVED (off/jsonl/trace per rep) and reduced min-of-reps.
-  // Sequential legs read background-load drift as "overhead" and a
-  // mean lets one scheduler hiccup swamp a percent-level delta; the
-  // interleaved minimum compares the legs' undisturbed runs. Sink
+  // Two legs — no sink, JSONL sink — measured INTERLEAVED (off/jsonl
+  // per rep) and reduced min-of-reps. Sequential legs read
+  // background-load drift as "overhead" and a mean lets one scheduler
+  // hiccup swamp a percent-level delta; the interleaved minimum
+  // compares the legs' undisturbed runs. Sink
   // setup/teardown stays outside the timed window, but the end-of-run
   // flush inside run_experiment is timed — production pays it too.
   telemetry::Registry& registry = telemetry::global_registry();
-  double leg_ms[3] = {std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<double>::infinity(),
+  double leg_ms[2] = {std::numeric_limits<double>::infinity(),
                       std::numeric_limits<double>::infinity()};
   double off_max_ms = 0.0;  // off-leg spread = timer trustworthiness
   registry.clear_sinks();
   (void)fl::run_experiment(ocfg, opolicy);  // warmup
   for (int r = 0; r < overhead_reps; ++r) {
-    for (int leg = 0; leg < 3; ++leg) {
+    for (int leg = 0; leg < 2; ++leg) {
       registry.clear_sinks();
       if (leg == 1) {
         registry.add_sink(
             std::make_unique<telemetry::JsonlSink>(telemetry_path));
-      } else if (leg == 2) {
-        registry.add_sink(std::make_unique<telemetry::ChromeTraceSink>(
-            trace_path, "bench_perf_hotpath",
-            telemetry::global_registry().wall_epoch_unix_ms()));
       }
       using Clock = std::chrono::steady_clock;
       const auto start = Clock::now();
@@ -607,30 +601,21 @@ int main(int argc, char** argv) {
   registry.clear_sinks();
   const double telemetry_off_ms = leg_ms[0];
   const double telemetry_on_ms = leg_ms[1];
-  const double tracing_on_ms = leg_ms[2];
   const double overhead_pct =
       telemetry_off_ms > 0.0
           ? (telemetry_on_ms - telemetry_off_ms) / telemetry_off_ms * 100.0
-          : 0.0;
-  const double tracing_overhead_pct =
-      telemetry_off_ms > 0.0
-          ? (tracing_on_ms - telemetry_off_ms) / telemetry_off_ms * 100.0
           : 0.0;
   const double kTracingBudgetPct = 3.0;
   std::printf(
       "\ntelemetry overhead (run_experiment, cancer K=%lld Kt=%lld "
       "T=%lld, Fed-CDP, min of %d interleaved reps):\n  off %.2f ms | "
-      "on (JSONL sink) %.2f ms | overhead %+.2f%%  (JSONL: %s)\n",
+      "on (JSONL sink) %.2f ms | overhead %+.2f%% (budget %.0f%%)  "
+      "(JSONL: %s)\n",
       static_cast<long long>(ocfg.total_clients),
       static_cast<long long>(ocfg.clients_per_round),
       static_cast<long long>(ocfg.rounds), overhead_reps, telemetry_off_ms,
-      telemetry_on_ms, overhead_pct, telemetry_path.c_str());
-  std::printf(
-      "tracing overhead (same config, Chrome trace sink):\n"
-      "  off %.2f ms | on (trace sink) %.2f ms | overhead %+.2f%% "
-      "(budget %.0f%%)  (trace: %s)\n",
-      telemetry_off_ms, tracing_on_ms, tracing_overhead_pct,
-      kTracingBudgetPct, trace_path.c_str());
+      telemetry_on_ms, overhead_pct, kTracingBudgetPct,
+      telemetry_path.c_str());
 
   // Machine-readable record, printed and saved for CI artifacts.
   json::Value doc = json::Value::object();
@@ -690,8 +675,6 @@ int main(int argc, char** argv) {
   overhead["telemetry_off_ms"] = telemetry_off_ms;
   overhead["telemetry_on_ms"] = telemetry_on_ms;
   overhead["overhead_pct"] = overhead_pct;
-  overhead["tracing_on_ms"] = tracing_on_ms;
-  overhead["tracing_overhead_pct"] = tracing_overhead_pct;
   doc["telemetry_overhead"] = std::move(overhead);
   // Gating metrics for fedcl_report.py diff: the Fed-CDP hot-path
   // round time and engine speedups (the paper-Table-III quantities this
@@ -735,8 +718,6 @@ int main(int argc, char** argv) {
   // with --ignore-class time like the other absolute timings.
   bench::add_metric(doc, "telemetry_overhead_pct", overhead_pct, "lower",
                     "time");
-  bench::add_metric(doc, "tracing_overhead_pct", tracing_overhead_pct,
-                    "lower", "time");
   if (!bench::emit_bench_json("perf_hotpath", doc)) return 1;
   // Hard in-bench gate: cross-host CI ignores class "time", so the
   // tracing budget is enforced here where the legs ran interleaved on
@@ -749,12 +730,12 @@ int main(int argc, char** argv) {
           ? (off_max_ms - telemetry_off_ms) / telemetry_off_ms * 100.0
           : 0.0;
   if (bench_scale() != BenchScale::kSmoke &&
-      tracing_overhead_pct > kTracingBudgetPct) {
+      overhead_pct > kTracingBudgetPct) {
     if (off_spread_pct <= kTracingBudgetPct) {
       std::fprintf(stderr,
                    "GATE FAILED: tracing overhead %.2f%% exceeds the %.0f%% "
                    "budget (off-leg spread %.2f%%)\n",
-                   tracing_overhead_pct, kTracingBudgetPct, off_spread_pct);
+                   overhead_pct, kTracingBudgetPct, off_spread_pct);
       return 1;
     }
     std::printf(

@@ -87,30 +87,18 @@ inline std::string yes_no(bool v) { return v ? "Y" : "N"; }
 
 // Attaches a JSONL telemetry sink to the global registry when the
 // bench was invoked with --telemetry-out=FILE (every bench accepts the
-// flag; fl_simulator shares the same spelling).
+// flag; fl_simulator shares the same spelling). The registry flushes
+// it at exit.
 inline void init_telemetry_from_flags(const FlagParser& flags) {
   const std::string path = flags.get("telemetry-out", "");
-  if (!path.empty()) {
-    auto sink = std::make_unique<telemetry::JsonlSink>(path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "cannot open --telemetry-out file '%s'\n",
-                   path.c_str());
-    } else {
-      telemetry::global_registry().add_sink(std::move(sink));
-    }
+  if (path.empty()) return;
+  auto sink = std::make_unique<telemetry::JsonlSink>(path);
+  if (!sink->ok()) {
+    std::fprintf(stderr, "cannot open --telemetry-out file '%s'\n",
+                 path.c_str());
+    return;
   }
-  const std::string trace_path = flags.get("trace-out", "");
-  if (!trace_path.empty()) {
-    auto sink = std::make_unique<telemetry::ChromeTraceSink>(
-        trace_path, flags.program(),
-        telemetry::global_registry().wall_epoch_unix_ms());
-    if (!sink->ok()) {
-      std::fprintf(stderr, "cannot open --trace-out file '%s'\n",
-                   trace_path.c_str());
-    } else {
-      telemetry::global_registry().add_sink(std::move(sink));
-    }
-  }
+  telemetry::global_registry().add_sink(std::move(sink));
 }
 
 // Where BENCH_<name>.json documents land: --bench-out=DIR beats the

@@ -28,11 +28,10 @@ using namespace fedcl;
 constexpr char kUsage[] =
     "usage: %s --port=N [--host=ADDR] [--worker-index=I] [--workers=N]\n"
     "          [--connect-timeout-ms=T] [--io-timeout-ms=T]\n"
-    "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
+    "          [--telemetry-out=FILE.jsonl]\n"
     "  Hosts every client c with c %% workers == worker-index.\n"
-    "  --trace-out writes a Chrome trace-event JSON (Perfetto); the\n"
-    "  spans adopt the server's per-round trace ids when the server\n"
-    "  propagates them (docs/PROTOCOL.md §3.4).\n";
+    "  The spans in --telemetry-out adopt the server's per-round trace\n"
+    "  ids (docs/PROTOCOL.md §3.4).\n";
 
 }  // namespace
 
@@ -43,12 +42,7 @@ int main(int argc, char** argv) {
     std::printf(kUsage, flags.program().c_str());
     return 0;
   }
-  const std::vector<std::string> unknown = flags.unknown(kUsage);
-  for (const std::string& flag : unknown) {
-    std::fprintf(stderr, "fedcl_client: unknown flag %s (see --help)\n",
-                 flag.c_str());
-  }
-  if (!unknown.empty()) return 1;
+  if (flags.refuse_unlisted(kUsage, "fedcl_client")) return 1;
   if (!flags.has("port")) {
     std::fprintf(stderr, "fedcl_client: --port is required\n");
     std::printf(kUsage, flags.program().c_str());
@@ -59,17 +53,6 @@ int main(int argc, char** argv) {
     auto sink = std::make_unique<telemetry::JsonlSink>(telemetry_out);
     FEDCL_CHECK(sink->ok()) << "cannot open --telemetry-out file '"
                             << telemetry_out << "'";
-    telemetry::global_registry().add_sink(std::move(sink));
-  }
-  const std::string trace_out = flags.get("trace-out", "");
-  if (!trace_out.empty()) {
-    const std::string process_name =
-        "fedcl_client[" + flags.get("worker-index", "0") + "]";
-    auto sink = std::make_unique<telemetry::ChromeTraceSink>(
-        trace_out, process_name,
-        telemetry::global_registry().wall_epoch_unix_ms());
-    FEDCL_CHECK(sink->ok()) << "cannot open --trace-out file '" << trace_out
-                            << "'";
     telemetry::global_registry().add_sink(std::move(sink));
   }
   telemetry::install_crash_flush_handler();
@@ -86,14 +69,12 @@ int main(int argc, char** argv) {
     Result<net::WorkerReport> report = net::run_worker(config);
     if (!report.ok()) {
       std::fprintf(stderr, "fedcl_client: %s\n", report.error().c_str());
-      telemetry::global_registry().flush_sinks();
       return 1;
     }
     std::printf("fedcl_client: done — served %lld rounds, trained %lld "
                 "client updates\n",
                 static_cast<long long>(report.value().rounds_served),
                 static_cast<long long>(report.value().clients_trained));
-    telemetry::global_registry().flush_sinks();
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fedcl_client: %s\n", e.what());

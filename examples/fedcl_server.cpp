@@ -47,9 +47,8 @@ constexpr char kUsage[] =
     "[--round-wait-ms=W]\n"
     "          [--accept-timeout-ms=T] [--io-timeout-ms=T]\n"
     "          [--save=FILE.ckpt] [--metrics-port=N]\n"
-    "          [--telemetry-out=FILE.jsonl] [--trace-out=FILE.json]\n"
-    "  --port=0 picks an ephemeral port (printed on stdout).\n"
-    "  --trace-out writes a Chrome trace-event JSON (Perfetto).\n";
+    "          [--telemetry-out=FILE.jsonl]\n"
+    "  --port=0 picks an ephemeral port (printed on stdout).\n";
 
 int run_server(const FlagParser& flags) {
   const std::string telemetry_out = flags.get("telemetry-out", "");
@@ -59,17 +58,8 @@ int run_server(const FlagParser& flags) {
                             << telemetry_out << "'";
     telemetry::global_registry().add_sink(std::move(sink));
   }
-  const std::string trace_out = flags.get("trace-out", "");
-  if (!trace_out.empty()) {
-    auto sink = std::make_unique<telemetry::ChromeTraceSink>(
-        trace_out, "fedcl_server",
-        telemetry::global_registry().wall_epoch_unix_ms());
-    FEDCL_CHECK(sink->ok()) << "cannot open --trace-out file '" << trace_out
-                            << "'";
-    telemetry::global_registry().add_sink(std::move(sink));
-  }
-  // Ctrl-C on a long run must still leave complete telemetry/trace
-  // files behind (DEPLOYMENT.md §5).
+  // Ctrl-C on a long run must still leave a complete telemetry file
+  // behind (DEPLOYMENT.md §5).
   telemetry::install_crash_flush_handler();
   std::unique_ptr<telemetry::MetricsHttpServer> metrics_server;
   if (flags.has("metrics-port")) {
@@ -191,7 +181,6 @@ int run_server(const FlagParser& flags) {
     std::printf("saved global model to %s\n", save_path.c_str());
   }
   print_privacy_line(*net::make_policy(d), report.privacy_setup);
-  telemetry::global_registry().flush_sinks();
   return 0;
 }
 
@@ -204,12 +193,7 @@ int main(int argc, char** argv) {
     std::printf(kUsage, flags.program().c_str());
     return 0;
   }
-  const std::vector<std::string> unknown = flags.unknown(kUsage);
-  for (const std::string& flag : unknown) {
-    std::fprintf(stderr, "fedcl_server: unknown flag %s (see --help)\n",
-                 flag.c_str());
-  }
-  if (!unknown.empty()) return 1;
+  if (flags.refuse_unlisted(kUsage, "fedcl_server")) return 1;
   try {
     return run_server(flags);
   } catch (const std::exception& e) {

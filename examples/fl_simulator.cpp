@@ -77,21 +77,19 @@ constexpr char kUsage[] =
     "          [--tree-fan-out=F]  (edge-aggregator fan-out, power of "
     "two; default 64)\n"
     "          [--telemetry-out=FILE.jsonl] [--telemetry-prom=FILE.prom]\n"
-    "          [--trace-out=FILE.json]  (Chrome trace-event JSON; open "
-    "in Perfetto)\n"
     "          [--metrics-port=N]  (serve /metrics over HTTP; 0 = "
     "ephemeral port)\n"
     "          [--save=FILE.ckpt]  (write the final global model)\n";
 
-// Flushes the registry's sinks — and writes the --telemetry-prom dump
-// if requested — on EVERY exit path, including FEDCL_CHECK failures
-// and other exceptions, so a crashed run keeps its partial telemetry.
-class TelemetryFlushGuard {
+// Writes the --telemetry-prom dump if requested on EVERY exit path,
+// including FEDCL_CHECK failures and other exceptions, so a crashed
+// run keeps its partial counters. (The JSONL sink needs no guard: the
+// global registry flushes its sinks at exit.)
+class PromDumpGuard {
  public:
-  explicit TelemetryFlushGuard(std::string prom_path)
+  explicit PromDumpGuard(std::string prom_path)
       : prom_path_(std::move(prom_path)) {}
-  ~TelemetryFlushGuard() {
-    telemetry::global_registry().flush_sinks();
+  ~PromDumpGuard() {
     if (prom_path_.empty()) return;
     std::ofstream prom(prom_path_);
     if (!prom.good()) {
@@ -109,7 +107,7 @@ class TelemetryFlushGuard {
 
 int run_simulator(const FlagParser& flags) {
   // Telemetry plumbing comes first so every later failure still
-  // flushes through the guard.
+  // leaves the --telemetry-prom dump behind.
   const std::string telemetry_out = flags.get("telemetry-out", "");
   if (!telemetry_out.empty()) {
     auto sink = std::make_unique<telemetry::JsonlSink>(telemetry_out);
@@ -117,17 +115,8 @@ int run_simulator(const FlagParser& flags) {
                             << telemetry_out << "'";
     telemetry::global_registry().add_sink(std::move(sink));
   }
-  const std::string trace_out = flags.get("trace-out", "");
-  if (!trace_out.empty()) {
-    auto sink = std::make_unique<telemetry::ChromeTraceSink>(
-        trace_out, "fl_simulator",
-        telemetry::global_registry().wall_epoch_unix_ms());
-    FEDCL_CHECK(sink->ok()) << "cannot open --trace-out file '" << trace_out
-                            << "'";
-    telemetry::global_registry().add_sink(std::move(sink));
-  }
   telemetry::install_crash_flush_handler();
-  TelemetryFlushGuard flush_guard(flags.get("telemetry-prom", ""));
+  PromDumpGuard prom_guard(flags.get("telemetry-prom", ""));
 
   std::unique_ptr<telemetry::MetricsHttpServer> metrics_server;
   if (flags.has("metrics-port")) {
@@ -297,7 +286,6 @@ int run_simulator(const FlagParser& flags) {
                 leak.type2.mean_distance, leak.type2.mean_iterations);
   }
 
-  // The flush guard writes the sinks and the --telemetry-prom dump.
   return 0;
 }
 
@@ -310,12 +298,7 @@ int main(int argc, char** argv) {
     std::printf(kUsage, flags.program().c_str());
     return 0;
   }
-  const std::vector<std::string> unknown = flags.unknown(kUsage);
-  for (const std::string& flag : unknown) {
-    std::fprintf(stderr, "fl_simulator: unknown flag %s (see --help)\n",
-                 flag.c_str());
-  }
-  if (!unknown.empty()) return 1;
+  if (flags.refuse_unlisted(kUsage, "fl_simulator")) return 1;
   try {
     return run_simulator(flags);
   } catch (const std::exception& e) {

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 
@@ -12,9 +13,11 @@ FlagParser::FlagParser(int argc, char** argv) {
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0 || arg.size() == 2) {  // a bare "--" too
+      stray_.push_back(std::move(arg));
+      continue;
+    }
     std::string body = arg.substr(2);
-    FEDCL_CHECK(!body.empty()) << "bare -- argument";
     const std::size_t eq = body.find('=');
     if (eq != std::string::npos) {
       values_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -50,6 +53,20 @@ std::vector<std::string> FlagParser::unknown(std::string_view usage) const {
     if (name != "help" && listed.count(name) == 0) out.push_back("--" + name);
   }
   return out;
+}
+
+bool FlagParser::refuse_unlisted(std::string_view usage,
+                                 const char* tool) const {
+  const std::vector<std::string> flags = unknown(usage);
+  for (const std::string& flag : flags) {
+    std::fprintf(stderr, "%s: unknown flag %s (see --help)\n", tool,
+                 flag.c_str());
+  }
+  for (const std::string& arg : stray_) {
+    std::fprintf(stderr, "%s: stray argument %s (see --help)\n", tool,
+                 arg.c_str());
+  }
+  return !flags.empty() || !stray_.empty();
 }
 
 bool FlagParser::has(const std::string& name) const {

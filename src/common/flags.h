@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for the example binaries:
-// --name=value and --name value forms. Arguments that do not start
-// with "--" are skipped.
+// --name=value and --name value forms. An argument that is neither a
+// flag nor a flag's value is kept as stray (the 5 in `--rounds 2 5`).
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,21 @@ class FlagParser {
   // is always known.
   std::vector<std::string> unknown(std::string_view usage) const;
 
+  // The stray arguments, in command-line order.
+  const std::vector<std::string>& stray() const { return stray_; }
+
+  // Writes "<tool>: unknown flag --name (see --help)" to stderr for
+  // every unknown(usage) flag and "<tool>: stray argument ARG (see
+  // --help)" for every stray argument. True when it wrote any: the
+  // CLIs then exit 1 before any work.
+  bool refuse_unlisted(std::string_view usage, const char* tool) const;
+
   const std::string& program() const { return program_; }
 
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
+  std::vector<std::string> stray_;
 };
 
 }  // namespace fedcl

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 #include "common/json.h"
@@ -17,13 +18,17 @@ namespace fedcl::telemetry {
 
 namespace {
 
-// First line of every JSONL stream: schema id + the run manifest, so
-// any stream identifies the code, config, and host that produced it.
-void write_meta_line(std::ostream& out) {
+// First line of every JSONL stream: schema id, the process id and
+// the wall-clock anchor of the stream's `t_ms`/`start_ms` offsets, and
+// the run manifest, so any stream identifies the code, config, and
+// host that produced it and merges onto a cross-process timeline.
+void write_meta_line(std::ostream& out, const Registry& registry) {
   json::Value meta = json::Value::object();
   meta["type"] = "meta";
   meta["version"] = 1;
   meta["schema"] = "fedcl-telemetry-v1";
+  meta["pid"] = static_cast<std::int64_t>(::getpid());
+  meta["wall_epoch_unix_ms"] = registry.wall_epoch_unix_ms();
   meta["run"] = runinfo::to_json();
   out << meta.dump() << '\n';
 }
@@ -55,7 +60,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 // Fixed-width lowercase hex, the textual form of trace/span ids in
-// JSONL and Chrome-trace output (JSON numbers cannot carry u64).
+// JSONL (JSON numbers cannot carry u64).
 std::string hex_id(std::uint64_t v, int digits) {
   static const char* kHex = "0123456789abcdef";
   std::string out(static_cast<std::size_t>(digits), '0');
@@ -213,14 +218,28 @@ const std::vector<double>& norm_buckets() {
 // ---------------------------------------------------------------------------
 // JsonlSink
 
-JsonlSink::JsonlSink(const std::string& path) : file_(path) {
-  if (!file_) return;
-  out_ = &file_;
-  write_meta_line(*out_);
+namespace {
+
+// Small dense per-thread ids for the span "tid" field (hashed
+// std::thread::id values render as noise in Perfetto's track names).
+int current_tid() {
+  static std::atomic<int> next{1};
+  thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
 }
 
-JsonlSink::JsonlSink(std::ostream* out) : out_(out) {
-  write_meta_line(*out_);
+}  // namespace
+
+JsonlSink::JsonlSink(const std::string& path, const Registry& registry)
+    : file_(path) {
+  if (!file_) return;
+  out_ = &file_;
+  write_meta_line(*out_, registry);
+}
+
+JsonlSink::JsonlSink(std::ostream* out, const Registry& registry)
+    : out_(out) {
+  write_meta_line(*out_, registry);
 }
 
 JsonlSink::~JsonlSink() { flush(); }
@@ -244,6 +263,10 @@ void JsonlSink::write(const Event& event) {
   v["t_ms"] = event.t_ms;
   if (event.kind == Event::Kind::kSpan) {
     v["dur_ms"] = event.value;
+    v["start_ms"] = event.start_ms;
+    // Sinks write on the emitting thread, which for a span is the
+    // thread it ran on.
+    v["tid"] = current_tid();
   } else if (event.kind == Event::Kind::kPoint) {
     v["value"] = event.value;
   } else {
@@ -252,14 +275,12 @@ void JsonlSink::write(const Event& event) {
   }
   if (event.step >= 0) v["step"] = event.step;
   if (event.kind == Event::Kind::kSpan && event.span_id != 0) {
-    // Trace identity (absent on untraced spans, whose byte format is
-    // unchanged from before tracing existed). Ids are lowercase hex
+    // Trace identity (absent on untraced spans). Ids are lowercase hex
     // strings: JSON numbers are doubles and cannot carry u64.
     v["trace"] = trace_hex(event.trace_hi, event.trace_lo);
     v["span"] = hex_id(event.span_id, 16);
     if (event.parent_span != 0) v["parent"] = hex_id(event.parent_span, 16);
     if (event.parent_remote) v["parent_remote"] = true;
-    v["start_ms"] = event.start_ms;
   }
   if (!event.labels.empty()) {
     json::Value labels = json::Value::object();
@@ -271,117 +292,6 @@ void JsonlSink::write(const Event& event) {
 
 void JsonlSink::flush() {
   if (out_ != nullptr) out_->flush();
-}
-
-// ---------------------------------------------------------------------------
-// ChromeTraceSink
-
-namespace {
-
-// Small dense per-thread ids for the Chrome "tid" field (hashed
-// std::thread::id values render as noise in Perfetto's track names).
-int current_tid() {
-  static std::atomic<int> next{1};
-  thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
-}  // namespace
-
-namespace {
-
-// The document's constant closing bytes. Every flush leaves
-// `{"traceEvents":[...events...]` followed by exactly this suffix, so
-// the file on disk is a complete, loadable trace after each flush.
-constexpr char kTraceSuffix[] = "],\"displayTimeUnit\":\"ms\"}\n";
-
-}  // namespace
-
-ChromeTraceSink::ChromeTraceSink(std::string path, std::string process_name,
-                                 double wall_epoch_unix_ms)
-    : path_(std::move(path)),
-      process_name_(std::move(process_name)),
-      epoch_ms_(wall_epoch_unix_ms),
-      pid_(static_cast<std::int64_t>(::getpid())) {
-  // Write the document skeleton up front: a bad --trace-out path fails
-  // at startup, and even a span-free run leaves a loadable empty trace.
-  // The only event so far is the process-name metadata ("M") Perfetto
-  // uses to label the track group.
-  json::Value m = json::Value::object();
-  m["name"] = "process_name";
-  m["ph"] = "M";
-  m["pid"] = pid_;
-  json::Value margs = json::Value::object();
-  margs["name"] = process_name_;
-  m["args"] = std::move(margs);
-  const std::string head = "{\"traceEvents\":[" + m.dump();
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
-    ok_ = false;
-    return;
-  }
-  ok_ = std::fwrite(head.data(), 1, head.size(), f) == head.size() &&
-        std::fwrite(kTraceSuffix, 1, sizeof(kTraceSuffix) - 1, f) ==
-            sizeof(kTraceSuffix) - 1;
-  std::fclose(f);
-  tail_pos_ = static_cast<long>(head.size());
-}
-
-ChromeTraceSink::~ChromeTraceSink() { flush(); }
-
-void ChromeTraceSink::write(const Event& event) {
-  if (!ok_ || event.kind != Event::Kind::kSpan) return;
-  spans_.push_back(event);
-  tids_.push_back(current_tid());
-  dirty_ = true;
-}
-
-void ChromeTraceSink::flush() {
-  if (!ok_ || !dirty_) return;
-  // Serialize only the spans buffered since the last flush and splice
-  // them in ahead of the constant suffix: the file only ever grows, so
-  // no truncation is needed, and a flush stays O(new events) no matter
-  // how long the run has been going.
-  std::string chunk;
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Event& e = spans_[i];
-    json::Value v = json::Value::object();
-    v["name"] = e.name;
-    v["cat"] = "fedcl";
-    v["ph"] = "X";
-    // Complete events: ts/dur in microseconds, anchored to the wall
-    // clock so multi-process traces merge onto one timeline.
-    v["ts"] = (epoch_ms_ + e.start_ms) * 1000.0;
-    v["dur"] = e.value * 1000.0;
-    v["pid"] = pid_;
-    v["tid"] = tids_[i];
-    json::Value args = json::Value::object();
-    if (e.span_id != 0) {
-      args["trace"] = trace_hex(e.trace_hi, e.trace_lo);
-      args["span"] = hex_id(e.span_id, 16);
-      if (e.parent_span != 0) args["parent"] = hex_id(e.parent_span, 16);
-      if (e.parent_remote) args["parent_remote"] = true;
-    }
-    if (e.step >= 0) args["step"] = e.step;
-    for (const auto& [k, val] : e.labels) args[k] = val;
-    v["args"] = std::move(args);
-    chunk += ',';
-    chunk += v.dump();
-  }
-  spans_.clear();
-  tids_.clear();
-  std::FILE* f = std::fopen(path_.c_str(), "r+b");
-  if (f == nullptr || std::fseek(f, tail_pos_, SEEK_SET) != 0) {
-    if (f != nullptr) std::fclose(f);
-    ok_ = false;
-    return;
-  }
-  ok_ = std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size() &&
-        std::fwrite(kTraceSuffix, 1, sizeof(kTraceSuffix) - 1, f) ==
-            sizeof(kTraceSuffix) - 1;
-  std::fclose(f);
-  tail_pos_ += static_cast<long>(chunk.size());
-  dirty_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -583,19 +493,6 @@ void Registry::record_point(const std::string& name, std::int64_t step,
   }
 }
 
-void Registry::emit_span(const std::string& name, double dur_ms,
-                         std::int64_t step, const Labels& labels) {
-  if (!has_sinks()) return;
-  Event e;
-  e.kind = Event::Kind::kSpan;
-  e.name = name;
-  e.labels = canonical(labels);
-  e.t_ms = now_ms();
-  e.step = step;
-  e.value = dur_ms;
-  impl_->write_sinks(e);
-}
-
 void Registry::emit(Event event) {
   if (!has_sinks()) return;
   event.labels = canonical(std::move(event.labels));
@@ -753,11 +650,23 @@ std::string Registry::prometheus_text() const {
   return out;
 }
 
+namespace {
+
+void flush_global_sinks() { global_registry().flush_sinks(); }
+
+}  // namespace
+
 Registry& global_registry() {
   // Leaked on purpose: policies and static objects may hold instrument
   // references or log through the sinks during shutdown, so the global
-  // registry must outlive every other static.
-  static Registry* registry = new Registry();
+  // registry must outlive every other static. Its sinks are therefore
+  // never destroyed, and the atexit hook is what writes out their
+  // buffered tail on a normal exit.
+  static Registry* registry = [] {
+    auto* r = new Registry();
+    std::atexit(flush_global_sinks);
+    return r;
+  }();
   return *registry;
 }
 
@@ -790,22 +699,21 @@ SpanTimer::~SpanTimer() {
   const double dur_ms = registry_.now_ms() - start_ms_;
   registry_.histogram(name_ + ".duration_ms", duration_ms_buckets(), labels_)
       .observe(dur_ms);
-  if (!ctx_.valid()) {
-    registry_.emit_span(name_, dur_ms, step_, labels_);
-    return;
-  }
+  if (!registry_.has_sinks()) return;
   Event e;
   e.kind = Event::Kind::kSpan;
-  e.name = name_;
-  e.labels = labels_;
+  e.name = std::move(name_);
+  e.labels = std::move(labels_);
   e.step = step_;
   e.value = dur_ms;
-  e.trace_hi = ctx_.trace_hi;
-  e.trace_lo = ctx_.trace_lo;
-  e.span_id = ctx_.span_id;
-  e.parent_span = parent_span_;
-  e.parent_remote = parent_remote_ && parent_span_ != 0;
   e.start_ms = start_ms_;
+  if (ctx_.valid()) {
+    e.trace_hi = ctx_.trace_hi;
+    e.trace_lo = ctx_.trace_lo;
+    e.span_id = ctx_.span_id;
+    e.parent_span = parent_span_;
+    e.parent_remote = parent_remote_ && parent_span_ != 0;
+  }
   registry_.emit(std::move(e));
 }
 
@@ -815,11 +723,11 @@ SpanTimer::~SpanTimer() {
 namespace {
 
 extern "C" void crash_flush_signal_handler(int signo) {
-  // Best-effort: flush_sinks takes the sink mutex and ChromeTraceSink
-  // rewrites its file — not async-signal-safe, but the runbook's
-  // Ctrl-C lands while the process waits on sockets or rounds, where
-  // the locks are free. Restoring the default disposition first means
-  // a second Ctrl-C kills a wedged flush the normal way.
+  // Best-effort: flush_sinks takes the sink mutex and writes files —
+  // not async-signal-safe, but the runbook's Ctrl-C lands while the
+  // process waits on sockets or rounds, where the locks are free.
+  // Restoring the default disposition first means a second Ctrl-C
+  // kills a wedged flush the normal way.
   std::signal(signo, SIG_DFL);
   global_registry().flush_sinks();
   std::_Exit(128 + signo);

@@ -13,8 +13,9 @@
 //  2. An event stream — spans (RAII-timed phases), points (a value at
 //     a step, e.g. cumulative epsilon per round), and log lines —
 //     delivered in call order to attached Sinks. The JSONL sink writes
-//     one JSON object per event; with no sink attached the stream
-//     costs one relaxed atomic load per potential event.
+//     one JSON object per event, the only span output: every trace
+//     tool reads it (tools/fedcl_trace.py). With no sink attached the
+//     stream costs one relaxed atomic load per potential event.
 //
 // Everything in the repo records into the global registry: the trainer
 // emits round/phase spans and per-round points, the DP policies count
@@ -111,8 +112,7 @@ const std::vector<double>& norm_buckets();
 // the same round traced by different processes lands in the same
 // trace) plus the span id children should parent under. A context with
 // trace_hi == trace_lo == 0 is "not tracing" — spans emitted outside
-// any context carry no ids at all, which keeps the pre-trace JSONL
-// byte format for untraced streams.
+// any context carry no ids at all.
 struct TraceContext {
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
@@ -169,13 +169,13 @@ struct Event {
   std::string level;    // log only: DEBUG/INFO/WARN/ERROR
   std::string message;  // log only
   // Trace identity (kSpan only; span_id == 0 = untraced span, which
-  // serializes exactly as before tracing existed).
+  // serializes without ids).
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_span = 0;  // 0 = trace root
   bool parent_remote = false;     // parent id lives in another process
-  double start_ms = 0.0;          // span start (t_ms is the end/emit time)
+  double start_ms = 0.0;  // span start, every span (t_ms is the emit time)
 };
 
 class Sink {
@@ -187,67 +187,12 @@ class Sink {
   virtual void flush() {}
 };
 
-// One JSON object per line (see docs/telemetry.schema.json):
-//   {"type":"meta","version":1,...}          — first line
-//   {"type":"span","name":...,"dur_ms":...}
-//   {"type":"point","name":...,"value":...}
-//   {"type":"log","level":...,"message":...}
-class JsonlSink final : public Sink {
- public:
-  // Opens (truncates) `path` and writes the meta line.
-  explicit JsonlSink(const std::string& path);
-  // Test form: writes to a caller-owned stream.
-  explicit JsonlSink(std::ostream* out);
-  ~JsonlSink() override;
-
-  bool ok() const { return out_ != nullptr; }
-  void write(const Event& event) override;
-  void flush() override;
-
- private:
-  std::ofstream file_;
-  std::ostream* out_ = nullptr;
-};
-
-// Chrome trace-event JSON (one "X" complete event per span), viewable
-// in Perfetto / chrome://tracing and consumed by tools/fedcl_trace.py.
-// Timestamps are anchored to the wall clock (`wall_epoch_unix_ms`, see
-// Registry::wall_epoch_unix_ms) so traces captured by separate
-// processes merge onto one timeline. Events are buffered and the file
-// is rewritten as a complete JSON document on every flush(), so a
-// crash-path flush (install_crash_flush_handler) still leaves a
-// loadable trace behind.
-class ChromeTraceSink final : public Sink {
- public:
-  ChromeTraceSink(std::string path, std::string process_name,
-                  double wall_epoch_unix_ms);
-  ~ChromeTraceSink() override;
-
-  bool ok() const { return ok_; }
-  void write(const Event& event) override;  // spans only; others ignored
-  void flush() override;
-
- private:
-  std::string path_;
-  std::string process_name_;
-  double epoch_ms_;
-  std::int64_t pid_;
-  std::vector<Event> spans_;  // pending (not yet flushed) spans only
-  std::vector<int> tids_;  // per-span small thread ids, parallel to spans_
-  // Byte offset of the document's constant closing suffix. Flush
-  // appends only the pending events there and rewrites the suffix, so
-  // a flush costs O(new events), not O(events so far) — a repeatedly
-  // flushed long run (crash handler, per-run flushes) stays linear.
-  long tail_pos_ = 0;
-  bool ok_ = true;
-  bool dirty_ = false;
-};
-
 // Installs SIGINT/SIGTERM handlers that flush the global registry's
-// sinks (JSONL and Chrome-trace files land complete) and exit with the
-// conventional 128+signo status. Best-effort: the flush takes locks
-// that are not async-signal-safe, acceptable for the Ctrl-C runbook
-// path it guards (DEPLOYMENT.md §5).
+// sinks (JSONL files land complete up to the interruption) and exit
+// with the conventional 128+signo status. A normal exit needs no
+// handler: global_registry() flushes its sinks at exit. Best-effort:
+// the flush takes locks that are not async-signal-safe, acceptable
+// for the Ctrl-C runbook path it guards (DEPLOYMENT.md §5).
 void install_crash_flush_handler();
 
 // ---------------------------------------------------------------------------
@@ -329,14 +274,9 @@ class Registry {
   void record_point(const std::string& name, std::int64_t step, double value,
                     const Labels& labels = {});
 
-  // Emits a kSpan event (SpanTimer calls this; the duration histogram
-  // `<name>.duration_ms` is updated by SpanTimer itself).
-  void emit_span(const std::string& name, double dur_ms, std::int64_t step,
-                 const Labels& labels);
-
   // Emits a fully-formed event (labels canonicalized, t_ms stamped at
-  // call time). SpanTimer uses this to attach trace identities; prefer
-  // record_point / log_line / emit_span elsewhere.
+  // call time). SpanTimer emits its spans through this; prefer
+  // record_point / log_line elsewhere.
   void emit(Event event);
 
   // Emits a kLog event. The logging module routes every line that
@@ -357,7 +297,7 @@ class Registry {
   // Wall-clock (unix epoch) milliseconds at registry creation: the
   // anchor that places the steady-clock `t_ms`/`start_ms` offsets of
   // this process's events onto the shared cross-process timeline
-  // (epoch_ms + offset). ChromeTraceSink consumes it.
+  // (epoch_ms + offset). The JSONL meta line carries it.
   double wall_epoch_unix_ms() const;
 
   // Caps distinct label sets per metric name; beyond it, updates are
@@ -381,15 +321,46 @@ class Registry {
   std::atomic<bool> has_sinks_{false};
 };
 
-// Process-wide registry every module records into.
+// Process-wide registry every module records into. Its sinks are
+// flushed at every normal process exit (an atexit hook registered
+// with the registry), so no binary has to flush them itself.
 Registry& global_registry();
+
+// One JSON object per line (see docs/telemetry.schema.json):
+//   {"type":"meta","version":1,"pid":...,"wall_epoch_unix_ms":...,...}
+//                                            — first line
+//   {"type":"span","name":...,"dur_ms":...,"start_ms":...,"tid":...}
+//   {"type":"point","name":...,"value":...}
+//   {"type":"log","level":...,"message":...}
+// `registry` is the one the sink is attached to: its wall-clock epoch
+// goes on the meta line, so a reader places every span at
+// wall_epoch_unix_ms + start_ms (tools/fedcl_trace.py merge).
+class JsonlSink final : public Sink {
+ public:
+  // Opens (truncates) `path` and writes the meta line.
+  explicit JsonlSink(const std::string& path,
+                     const Registry& registry = global_registry());
+  // Test form: writes to a caller-owned stream.
+  explicit JsonlSink(std::ostream* out,
+                     const Registry& registry = global_registry());
+  ~JsonlSink() override;
+
+  bool ok() const { return out_ != nullptr; }
+  void write(const Event& event) override;
+  void flush() override;
+
+ private:
+  std::ofstream file_;
+  std::ostream* out_ = nullptr;
+};
 
 // ---------------------------------------------------------------------------
 // Spans
 
 // RAII phase timer: on destruction observes the elapsed ms into the
 // histogram `<name>.duration_ms` (with the same labels) and, when a
-// sink is attached, emits a kSpan event.
+// sink is attached, emits one kSpan event carrying its start and
+// duration (and its trace ids when traced).
 //
 // Tracing: when the calling thread has an active trace context
 // (TraceScope, or an enclosing SpanTimer), the timer allocates its

@@ -10,6 +10,12 @@ namespace fedcl::fl {
 
 Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
   const FlExperimentConfig& c = config;
+  // A knob only the unselected engine reads must keep its default.
+  const FlExperimentConfig d{};
+  const bool async_knobs_default =
+      c.async.min_to_apply == d.async.min_to_apply &&
+      c.async.staleness_alpha == d.async.staleness_alpha &&
+      c.async.max_staleness == d.async.max_staleness;
   const std::pair<bool, const char*> rules[] = {
       {c.clients_per_round > 0 && c.clients_per_round <= c.total_clients,
        "clients_per_round must be in [1, total_clients]"},
@@ -25,15 +31,28 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
       {c.screening.norm_outlier_factor >= 0.0 &&
            c.screening.max_update_norm >= 0.0,
        "screening bounds must be non-negative"},
-      {!c.streaming_aggregation ||
-           (!c.async_mode && is_power_of_two(c.tree_fan_out) &&
-            c.tree_fan_out >= 2),
-       "streaming_aggregation needs the sync engine and a power-of-two "
-       "tree_fan_out >= 2"},
-      {!c.async_mode ||
-           (c.async.staleness_alpha >= 0.0 && c.async.max_staleness >= 0),
-       "async staleness alpha and horizon must be non-negative"},
+      // Ranges hold whatever the engine.
+      {c.retry.max_attempts >= 1, "--retry-attempts must be >= 1"},
+      {c.retry.base_backoff_ms >= 0.0, "--retry-backoff-ms must be >= 0"},
+      {c.retry.soft_deadline_ms > 0.0, "--soft-deadline-ms must be > 0"},
+      {c.async.staleness_alpha >= 0.0 && c.async.max_staleness >= 0,
+       "async staleness alpha and horizon must be non-negative "
+       "(--staleness-alpha, --max-staleness)"},
+      {c.async.min_to_apply >= 0, "--async-min-apply must be >= 0"},
+      {is_power_of_two(c.tree_fan_out) && c.tree_fan_out >= 2,
+       "--tree-fan-out must be a power of two >= 2"},
+      {!c.streaming_aggregation || !c.async_mode,
+       "streaming_aggregation needs the sync engine"},
       // Knobs the chosen engine never reads: refused, not ignored.
+      {c.streaming_aggregation || c.tree_fan_out == d.tree_fan_out,
+       "only the streamed fold reads --tree-fan-out; set --streaming"},
+      {c.async_mode || async_knobs_default,
+       "only the async engine reads --async-min-apply, --staleness-alpha "
+       "and --max-staleness; set --async"},
+      {c.async_mode || (c.retry.base_backoff_ms == d.retry.base_backoff_ms &&
+                        c.retry.soft_deadline_ms == d.retry.soft_deadline_ms),
+       "only the async engine reads --retry-backoff-ms and "
+       "--soft-deadline-ms; set --async"},
       {!c.async_mode || c.server_momentum == 0.0,
        "async_mode ignores server_momentum; it weights updates by "
        "staleness (--staleness-alpha)"},

@@ -76,8 +76,8 @@ struct TrainRequestMsg {
 // sealed bytes carry the authoritative (id, round, delta) inside.
 struct UpdateMsg {
   std::int64_t client_id = -1;
-  // The client's local shard size. The server never reads it: it
-  // weights by the shard sizes it derives itself (PROTOCOL.md §3.5).
+  // The client's local shard size. The server never reads it: every
+  // update has equal weight (PROTOCOL.md §3.5).
   std::int64_t data_size = 0;
   std::vector<std::uint8_t> sealed;
 };

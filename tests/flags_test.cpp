@@ -61,6 +61,19 @@ TEST(Flags, UnknownAreTheFlagsUsageDoesNotList) {
             (std::vector<std::string>{"--no", "--sigm", "--weight-by-size"}));
 }
 
+TEST(Flags, StrayArgumentsAreKeptInOrder) {
+  // "2" is --rounds' value; "5", "x" and a bare "--" are neither a
+  // flag nor a flag's value.
+  FlagParser f = parse({"--rounds", "2", "5", "--sigma=1", "x", "--"});
+  EXPECT_EQ(f.get_int("rounds", 0), 2);
+  EXPECT_EQ(f.stray(), (std::vector<std::string>{"5", "x", "--"}));
+  EXPECT_TRUE(f.refuse_unlisted("usage: %s [--rounds=T] [--sigma=S]", "prog"));
+  FlagParser clean = parse({"--rounds", "2", "--sigma=1"});
+  EXPECT_TRUE(clean.stray().empty());
+  EXPECT_FALSE(
+      clean.refuse_unlisted("usage: %s [--rounds=T] [--sigma=S]", "prog"));
+}
+
 TEST(Flags, Fallbacks) {
   FlagParser f = parse({});
   EXPECT_EQ(f.get("missing", "dflt"), "dflt");

@@ -549,7 +549,7 @@ TEST(ParallelTrainer, SerialAndParallelSchedulesBitwiseIdentical) {
                    (per_example ? " Fed-CDP" : " non-private"));
       fl::FlExperimentConfig config = small_fl_config(911);
       config.streaming_aggregation = streaming;
-      config.tree_fan_out = 2;
+      if (streaming) config.tree_fan_out = 2;
       config.retry.max_attempts = 3;
       config.noise_scale = 0.5;
       std::unique_ptr<core::PrivacyPolicy> policy;

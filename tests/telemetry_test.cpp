@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,7 +123,7 @@ TEST(TelemetryJsonl, RoundTripsThroughTheJsonParser) {
   // destruction.
   std::ostringstream out;
   Registry registry;
-  registry.add_sink(std::make_unique<JsonlSink>(&out));
+  registry.add_sink(std::make_unique<JsonlSink>(&out, registry));
   registry.record_point("test.point", 3, 0.25, {{"k", "v"}});
   {
     SpanTimer span(registry, "test.span", {{"phase", "x"}}, 3);
@@ -146,6 +144,10 @@ TEST(TelemetryJsonl, RoundTripsThroughTheJsonParser) {
 
   EXPECT_EQ(docs[0].find("type")->as_string(), "meta");
   EXPECT_EQ(docs[0].find("schema")->as_string(), "fedcl-telemetry-v1");
+  // The anchor that places start_ms on the wall clock, and the process.
+  EXPECT_DOUBLE_EQ(docs[0].find("wall_epoch_unix_ms")->as_double(),
+                   registry.wall_epoch_unix_ms());
+  EXPECT_GT(docs[0].find("pid")->as_int(), 0);
 
   EXPECT_EQ(docs[1].find("type")->as_string(), "point");
   EXPECT_EQ(docs[1].find("name")->as_string(), "test.point");
@@ -156,6 +158,7 @@ TEST(TelemetryJsonl, RoundTripsThroughTheJsonParser) {
   EXPECT_EQ(docs[2].find("type")->as_string(), "span");
   EXPECT_EQ(docs[2].find("name")->as_string(), "test.span");
   EXPECT_GE(docs[2].find("dur_ms")->as_double(), 0.0);
+  EXPECT_GT(docs[2].find("tid")->as_int(), 0);
   EXPECT_EQ(docs[2].find("labels")->find("phase")->as_string(), "x");
 
   EXPECT_EQ(docs[3].find("type")->as_string(), "log");
@@ -164,8 +167,8 @@ TEST(TelemetryJsonl, RoundTripsThroughTheJsonParser) {
 }
 
 // Trace identity: nested SpanTimers under a TraceScope share a trace
-// id and form a parent chain, with the start/end anchors the Chrome
-// exporter needs.
+// id and form a parent chain, with the start/end anchors a timeline
+// needs.
 TEST(TelemetryTrace, NestedSpansCarryTraceAndParentIds) {
   std::ostringstream out;
   Registry registry;
@@ -207,13 +210,16 @@ TEST(TelemetryTrace, NestedSpansCarryTraceAndParentIds) {
   }
 }
 
-// Outside any TraceScope the span event must serialize exactly as it
-// did before tracing existed: no trace/span/parent/start_ms fields.
+// Outside any TraceScope a span carries no trace/span/parent ids, but
+// it still carries its start, within its own lifetime, so a timeline
+// draws it where it ran.
 TEST(TelemetryTrace, UntracedSpansCarryNoTraceFields) {
   std::ostringstream out;
   Registry registry;
   registry.add_sink(std::make_unique<JsonlSink>(&out));
+  const double before_ms = registry.now_ms();
   { SpanTimer span(registry, "test.span", {}, 0); }
+  const double after_ms = registry.now_ms();
   registry.flush_sinks();
 
   std::istringstream in(out.str());
@@ -226,7 +232,10 @@ TEST(TelemetryTrace, UntracedSpansCarryNoTraceFields) {
   EXPECT_EQ(v.find("trace"), nullptr);
   EXPECT_EQ(v.find("span"), nullptr);
   EXPECT_EQ(v.find("parent"), nullptr);
-  EXPECT_EQ(v.find("start_ms"), nullptr);
+  const double start_ms = v.find("start_ms")->as_double();
+  EXPECT_GE(start_ms, before_ms);
+  EXPECT_LE(start_ms + v.find("dur_ms")->as_double(), after_ms + 1e-9);
+  EXPECT_GT(v.find("tid")->as_int(), 0);
 }
 
 TEST(TelemetryTrace, RoundTraceRootIsDeterministicPerSeedAndRound) {
@@ -318,94 +327,6 @@ TEST(TelemetryTrace, ConcurrentSpanEmissionFromPoolWorkers) {
   EXPECT_EQ(workers, 32u);
   ASSERT_FALSE(round_span.empty());
   for (const std::string& p : worker_parents) EXPECT_EQ(p, round_span);
-}
-
-// The Chrome exporter writes a complete, parseable trace-event JSON
-// document whose timestamps are wall-clock anchored.
-TEST(TelemetryChromeTrace, WritesCompleteTraceEventJson) {
-  const std::string path =
-      ::testing::TempDir() + "/fedcl_chrome_trace_test.json";
-  Registry registry;
-  auto sink = std::make_unique<ChromeTraceSink>(path, "unit-test",
-                                                registry.wall_epoch_unix_ms());
-  ASSERT_TRUE(sink->ok());
-  registry.add_sink(std::move(sink));
-  {
-    TraceScope scope(round_trace_root(1, 0));
-    SpanTimer round(registry, "test.round", {{"k", "v"}}, 0);
-    { SpanTimer phase(registry, "test.phase", {}, 0); }
-  }
-  registry.flush_sinks();
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  json::Value doc;
-  std::string error;
-  ASSERT_TRUE(json::parse(buf.str(), doc, &error)) << error;
-  const json::Value* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // process_name metadata + 2 spans.
-  ASSERT_EQ(events->size(), 3u);
-  EXPECT_EQ(events->at(0).find("ph")->as_string(), "M");
-  EXPECT_EQ(events->at(0).find("args")->find("name")->as_string(),
-            "unit-test");
-  std::string trace_id;
-  for (std::size_t i = 1; i < events->size(); ++i) {
-    const json::Value& e = events->at(i);
-    EXPECT_EQ(e.find("ph")->as_string(), "X");
-    EXPECT_GE(e.find("dur")->as_double(), 0.0);
-    // Anchored to the unix epoch: far beyond any registry-relative ms.
-    EXPECT_GT(e.find("ts")->as_double(),
-              registry.wall_epoch_unix_ms() * 1000.0 - 1.0);
-    const json::Value* args = e.find("args");
-    ASSERT_NE(args, nullptr);
-    if (trace_id.empty()) {
-      trace_id = args->find("trace")->as_string();
-    } else {
-      EXPECT_EQ(args->find("trace")->as_string(), trace_id);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-// Repeated flushes append in place: after every flush the file is a
-// complete, parseable document, earlier events are never lost or
-// duplicated, and a clean (non-dirty) flush leaves the file untouched.
-TEST(TelemetryChromeTrace, RepeatedFlushesAppendWithoutDuplication) {
-  const std::string path =
-      ::testing::TempDir() + "/fedcl_chrome_trace_incremental.json";
-  Registry registry;
-  auto sink = std::make_unique<ChromeTraceSink>(path, "unit-test",
-                                                registry.wall_epoch_unix_ms());
-  ASSERT_TRUE(sink->ok());
-  registry.add_sink(std::move(sink));
-  auto parse_file = [&](json::Value& doc) {
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    ASSERT_TRUE(json::parse(buf.str(), doc, &error)) << error;
-  };
-  for (int round = 0; round < 3; ++round) {
-    {
-      TraceScope scope(round_trace_root(7, round));
-      SpanTimer span(registry, "test.round", {}, round);
-    }
-    registry.flush_sinks();
-    json::Value doc;
-    parse_file(doc);
-    // process_name metadata + one span per flushed round.
-    ASSERT_EQ(doc.find("traceEvents")->size(),
-              static_cast<std::size_t>(2 + round));
-  }
-  registry.flush_sinks();  // nothing pending: must not disturb the file
-  json::Value doc;
-  parse_file(doc);
-  EXPECT_EQ(doc.find("traceEvents")->size(), 4u);
-  std::remove(path.c_str());
 }
 
 TEST(TelemetrySpan, ObservesDurationHistogram) {

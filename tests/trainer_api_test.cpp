@@ -145,9 +145,8 @@ TEST(TrainerTelemetry, NonPrivateRunRecordsNoPrivacyBudget) {
   }
 }
 
-// Sync-engine knobs that the async engine or the streamed fold would
-// silently ignore fail validation, and each message names the knob
-// that does apply.
+// Knobs the selected engine never reads, and knobs out of range under
+// any engine, fail validation; each message names the knob.
 TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   const fl::FlExperimentConfig base = smoke_config();
   ASSERT_TRUE(fl::validate_config(base).ok());
@@ -157,6 +156,17 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   fl::FlExperimentConfig streamed = base;
   streamed.streaming_aggregation = true;
   ASSERT_TRUE(fl::validate_config(streamed).ok());
+  // Each engine takes its own knobs in range.
+  fl::FlExperimentConfig tuned_async = async;
+  tuned_async.async.min_to_apply = 3;
+  tuned_async.async.staleness_alpha = 1.0;
+  tuned_async.async.max_staleness = 2;
+  tuned_async.retry.base_backoff_ms = 1.0;
+  tuned_async.retry.soft_deadline_ms = 50.0;
+  ASSERT_TRUE(fl::validate_config(tuned_async).ok());
+  fl::FlExperimentConfig tuned_streamed = streamed;
+  tuned_streamed.tree_fan_out = 8;
+  ASSERT_TRUE(fl::validate_config(tuned_streamed).ok());
 
   std::vector<std::pair<fl::FlExperimentConfig, const char*>> cases(
       6, {async, ""});
@@ -173,6 +183,52 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   cases[4].second = "--screen-max-norm";
   cases[5].first.retry_failed_clients = false;
   cases[5].second = "--retry-attempts";
+  // Knobs only the unselected engine reads keep their defaults.
+  const auto add = [&](fl::FlExperimentConfig config, const char* knob) {
+    cases.emplace_back(std::move(config), knob);
+  };
+  fl::FlExperimentConfig c = base;
+  c.tree_fan_out = 8;
+  add(c, "set --streaming");
+  c = base;
+  c.async.min_to_apply = 3;
+  add(c, "set --async");
+  c = base;
+  c.async.staleness_alpha = 1.0;
+  add(c, "set --async");
+  c = base;
+  c.async.max_staleness = 2;
+  add(c, "set --async");
+  c = base;
+  c.retry.base_backoff_ms = 1.0;
+  add(c, "set --async");
+  c = base;
+  c.retry.soft_deadline_ms = 50.0;
+  add(c, "set --async");
+  // Ranges hold whatever the engine.
+  for (const fl::FlExperimentConfig& engine : {base, async, streamed}) {
+    c = engine;
+    c.retry.max_attempts = 0;
+    add(c, "--retry-attempts must be >= 1");
+    c = engine;
+    c.retry.base_backoff_ms = -1.0;
+    add(c, "--retry-backoff-ms must be >= 0");
+    c = engine;
+    c.retry.soft_deadline_ms = -5.0;
+    add(c, "--soft-deadline-ms must be > 0");
+    c = engine;
+    c.async.staleness_alpha = -1.0;
+    add(c, "--staleness-alpha");
+    c = engine;
+    c.async.max_staleness = -2;
+    add(c, "--max-staleness");
+    c = engine;
+    c.async.min_to_apply = -4;
+    add(c, "--async-min-apply must be >= 0");
+    c = engine;
+    c.tree_fan_out = 3;
+    add(c, "--tree-fan-out must be a power of two >= 2");
+  }
   for (const auto& [config, knob] : cases) {
     SCOPED_TRACE(knob);
     const Result<fl::FlExperimentConfig> r = fl::validate_config(config);

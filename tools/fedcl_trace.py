@@ -1,38 +1,55 @@
 #!/usr/bin/env python3
-"""Work with --trace-out Chrome trace-event JSON files (stdlib only).
+"""Work with the --telemetry-out JSONL streams' spans (stdlib only).
 
-The C++ stack's ChromeTraceSink (src/common/telemetry.h) writes one
-"X" complete event per span, wall-clock anchored so files captured by
-separate processes (fedcl_server + fedcl_client workers) merge onto a
-single timeline. Span identity travels in args: "trace" (32-hex
-128-bit trace id, one per federated round), "span" (16-hex span id),
-"parent" (16-hex parent span id, absent for trace roots), and
-"parent_remote": true when the parent span was emitted by another
-process (propagated over the wire, docs/PROTOCOL.md §3.4).
+Every process (fl_simulator, fedcl_server, fedcl_client, the benches)
+writes one JSONL stream (docs/telemetry.schema.json). Its meta line
+carries the process id ("pid") and the wall-clock anchor
+("wall_epoch_unix_ms") of the stream's millisecond offsets; every span
+carries "start_ms" and "dur_ms" on those offsets and "tid", the dense
+id of the thread it ran on. Traced spans also carry their identity:
+"trace" (32-hex 128-bit trace id, one per federated round), "span"
+(16-hex span id), "parent" (16-hex parent span id, absent for trace
+roots), and "parent_remote": true when the parent span was emitted by
+another process (propagated over the wire, docs/PROTOCOL.md §3.4).
 
 Subcommands:
-  validate FILE...      structural checks + orphan detection across all
-                        given files together. An orphan is a span whose
-                        parent id is nowhere in the input; spans flagged
-                        parent_remote only count as orphans when their
-                        producer's file is part of the input (pass
-                        --allow-remote-orphans when validating a single
-                        process's file in isolation).
-  merge OUT IN...       merge trace files into one Perfetto-loadable doc.
-  report FILE           per-round critical paths: dominant phase, p50/p99
-                        per phase, straggler worker attribution, and
-                        (with --telemetry run.jsonl) retry/degradation
-                        overlays from the round ledger.
-  diff A B              compare per-phase p50 between two trace files.
+  validate FILE...    every line checked as tools/validate_telemetry.py
+                      checks it, unique span ids, and orphan detection
+                      across all given files together. An orphan is a
+                      traced span whose parent id is nowhere in the
+                      input; spans flagged parent_remote only count as
+                      orphans when their producer's file is part of the
+                      input (pass --allow-remote-orphans when
+                      validating a single process's stream in
+                      isolation).
+  merge OUT FILE...   render the streams as one Chrome trace-event
+                      document for Perfetto: one "X" event per span on
+                      a shared wall-clock timeline, one named track
+                      group per process.
+  report FILE...      per-round critical paths: dominant phase, p50/p99
+                      per phase, straggler worker attribution, and the
+                      round ledger's accept/reject/degradation points.
+  diff A B            compare per-phase p50 between two streams.
 
-Exit status 0 on success; validate exits 1 on any structural error or
-orphan span. CI runs `validate` on the bench-smoke and serving-demo
-artifacts (docs/DEPLOYMENT.md shows the capture workflow).
+Exit status 0 on success; validate exits 1 on any invalid line,
+duplicate span id or orphan span. CI runs `validate` on the telemetry
+smoke streams and the serving demo's (docs/DEPLOYMENT.md shows the
+capture workflow).
 """
 
 import argparse
 import json
+import os
 import sys
+
+from validate_telemetry import read_stream
+
+# The round ledger's per-round points report overlays.
+OVERLAY_POINTS = (
+    "fl.round.accepted",
+    "fl.round.rejected",
+    "fl.round.noise_widening",
+)
 
 
 def fail(msg):
@@ -40,106 +57,69 @@ def fail(msg):
     sys.exit(1)
 
 
-def load_doc(path):
+def read_or_fail(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail("%s: cannot load: %s" % (path, e))
-    if not isinstance(doc, dict) or not isinstance(
-        doc.get("traceEvents"), list
-    ):
-        fail("%s: not a Chrome trace document (no traceEvents array)" % path)
-    return doc
+        return read_stream(path)
+    except (OSError, UnicodeDecodeError) as e:
+        fail("%s: cannot read: %s" % (path, e))
 
 
-def is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def is_hex_id(v, digits):
-    return (
-        isinstance(v, str)
-        and len(v) == digits
-        and all(c in "0123456789abcdef" for c in v)
-        and v != "0" * digits
-    )
-
-
-def span_events(doc):
-    return [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+def load_stream(path):
+    """(meta, spans, points) of a stream that must be valid throughout."""
+    events, failures = read_or_fail(path)
+    if failures:
+        lineno, errors = failures[0]
+        fail("%s: line %d: %s" % (path, lineno, errors[0]))
+    if not events:
+        fail("%s: no events, not even the meta line" % path)
+    meta = events[0][1]
+    spans = [e for _, e in events if e["type"] == "span"]
+    points = [e for _, e in events if e["type"] == "point"]
+    return meta, spans, points
 
 
 # ---------------------------------------------------------------------------
 # validate
 
 
-def check_event(path, i, e, errors):
-    where = "%s: traceEvents[%d]" % (path, i)
-    if not isinstance(e.get("name"), str) or not e["name"]:
-        errors.append("%s: missing span name" % where)
-    if not is_num(e.get("ts")):
-        errors.append("%s: 'ts' must be a number" % where)
-    if not is_num(e.get("dur")) or e.get("dur", -1) < 0:
-        # end < start on the wire becomes a negative dur here.
-        errors.append("%s: 'dur' must be a non-negative number" % where)
-    args = e.get("args")
-    if not isinstance(args, dict):
-        return
-    if "span" in args and not is_hex_id(args["span"], 16):
-        errors.append("%s: args.span must be 16 lowercase hex digits" % where)
-    if "parent" in args and not is_hex_id(args["parent"], 16):
-        errors.append("%s: args.parent must be 16 lowercase hex" % where)
-    if "trace" in args and not is_hex_id(args["trace"], 32):
-        errors.append("%s: args.trace must be 32 lowercase hex" % where)
-    if "parent" in args and "span" not in args:
-        errors.append("%s: args.parent without args.span" % where)
-    if "span" in args and "trace" not in args:
-        errors.append("%s: args.span without args.trace" % where)
-
-
 def cmd_validate(args):
     errors = []
-    all_spans = []  # (path, event) for traced X events
+    traced = []  # (path, span event) for traced spans
     span_ids = set()
-    total_events = 0
+    total_spans = 0
     for path in args.files:
-        doc = load_doc(path)
-        for i, e in enumerate(doc["traceEvents"]):
-            if not isinstance(e, dict):
-                errors.append("%s: traceEvents[%d] is not an object"
-                              % (path, i))
+        events, failures = read_or_fail(path)
+        for lineno, line_errors in failures:
+            errors.extend("%s: line %d: %s" % (path, lineno, error)
+                          for error in line_errors)
+        if not events and not failures:
+            errors.append("%s: no events, not even the meta line" % path)
+        for _, e in events:
+            if e["type"] != "span":
                 continue
-            if e.get("ph") != "X":
+            total_spans += 1
+            if "span" not in e:
                 continue
-            total_events += 1
-            check_event(path, i, e, errors)
-            a = e.get("args")
-            if isinstance(a, dict) and is_hex_id(a.get("span", ""), 16):
-                if a["span"] in span_ids:
-                    errors.append("%s: duplicate span id %s"
-                                  % (path, a["span"]))
-                span_ids.add(a["span"])
-                all_spans.append((path, e))
+            if e["span"] in span_ids:
+                errors.append("%s: duplicate span id %s" % (path, e["span"]))
+            span_ids.add(e["span"])
+            traced.append((path, e))
 
-    orphans = 0
     remote_skipped = 0
-    for path, e in all_spans:
-        a = e["args"]
-        parent = a.get("parent")
+    for path, e in traced:
+        parent = e.get("parent")
         if parent is None or parent in span_ids:
             continue
-        if a.get("parent_remote") and args.allow_remote_orphans:
+        if e.get("parent_remote") and args.allow_remote_orphans:
             remote_skipped += 1
             continue
-        orphans += 1
         errors.append(
             "%s: orphan span %s (%s): parent %s never emitted"
-            % (path, a["span"], e.get("name"), parent)
+            % (path, e["span"], e["name"], parent)
         )
 
     for name in args.require_span:
-        if not any(e.get("name") == name for _, e in all_spans):
+        if not any(e["name"] == name for _, e in traced):
             errors.append("required traced span %r never emitted" % name)
 
     if errors:
@@ -152,8 +132,8 @@ def cmd_validate(args):
         else ""
     )
     print(
-        "fedcl_trace: OK — %d span events, %d traced, 0 orphans%s"
-        % (total_events, len(all_spans), note)
+        "fedcl_trace: OK — %d spans, %d traced, 0 orphans%s"
+        % (total_spans, len(traced), note)
     )
     return 0
 
@@ -162,17 +142,59 @@ def cmd_validate(args):
 # merge
 
 
+def process_name(meta, path):
+    """The process's track name: its program, plus the worker index of
+    a serving worker; the file name when the stream has no argv."""
+    argv = meta["run"]["argv"]
+    if not argv:
+        return os.path.basename(path)
+    name = os.path.basename(argv[0])
+    for i, arg in enumerate(argv):
+        if arg.startswith("--worker-index="):
+            return "%s[%s]" % (name, arg.split("=", 1)[1])
+        if arg == "--worker-index" and i + 1 < len(argv):
+            return "%s[%s]" % (name, argv[i + 1])
+    return name
+
+
+def chrome_events(path):
+    meta, spans, _ = load_stream(path)
+    if "pid" not in meta or "wall_epoch_unix_ms" not in meta:
+        fail("%s: the meta line carries no pid / wall_epoch_unix_ms"
+             % path)
+    pid = meta["pid"]
+    epoch_ms = meta["wall_epoch_unix_ms"]
+    events = [{"name": "process_name", "ph": "M", "pid": pid,
+               "args": {"name": process_name(meta, path)}}]
+    for s in spans:
+        args = {k: s[k] for k in ("trace", "span", "parent",
+                                  "parent_remote", "step") if k in s}
+        args.update(s.get("labels", {}))
+        # Complete events: ts/dur in microseconds on the wall clock, so
+        # streams of separate processes share one timeline.
+        events.append({
+            "name": s["name"],
+            "cat": "fedcl",
+            "ph": "X",
+            "ts": (epoch_ms + s["start_ms"]) * 1000.0,
+            "dur": s["dur_ms"] * 1000.0,
+            "pid": pid,
+            "tid": s["tid"],
+            "args": args,
+        })
+    return events
+
+
 def cmd_merge(args):
     merged = {"traceEvents": [], "displayTimeUnit": "ms"}
-    for path in args.inputs:
-        doc = load_doc(path)
-        merged["traceEvents"].extend(doc["traceEvents"])
+    for path in args.files:
+        merged["traceEvents"].extend(chrome_events(path))
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(merged, f)
         f.write("\n")
     print(
-        "fedcl_trace: merged %d files -> %s (%d events)"
-        % (len(args.inputs), args.out, len(merged["traceEvents"]))
+        "fedcl_trace: merged %d streams -> %s (%d events)"
+        % (len(args.files), args.out, len(merged["traceEvents"]))
     )
     return 0
 
@@ -181,14 +203,14 @@ def cmd_merge(args):
 # report
 
 
-def phase_key(e):
+def phase_key(span):
     """A stable per-phase bucket: span name plus the discriminating label."""
-    a = e.get("args", {})
-    name = e.get("name", "?")
+    labels = span.get("labels", {})
+    name = span["name"]
     if name in ("fl.phase", "fl.client.phase"):
-        return "%s{%s}" % (name, a.get("phase", "?"))
+        return "%s{%s}" % (name, labels.get("phase", "?"))
     if name == "dp.sanitize":
-        return "dp.sanitize{%s}" % a.get("stage", "?")
+        return "dp.sanitize{%s}" % labels.get("stage", "?")
     return name
 
 
@@ -199,58 +221,29 @@ def percentile(sorted_vals, q):
     return sorted_vals[idx]
 
 
-def collect_rounds(doc):
-    """Group traced spans by round: {step: [events]}."""
-    rounds = {}
-    for e in span_events(doc):
-        a = e.get("args", {})
-        if "trace" not in a or "step" not in a:
-            continue
-        rounds.setdefault(a["step"], []).append(e)
-    return rounds
-
-
-def load_overlays(path):
-    """Round -> ledger overlay from a --telemetry-out JSONL file."""
-    overlay = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ev = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if ev.get("type") != "point" or "step" not in ev:
-                continue
-            name = ev.get("name", "")
-            if name in (
-                "fl.round.accepted",
-                "fl.round.rejected",
-                "fl.round.noise_widening",
-            ):
-                overlay.setdefault(ev["step"], {})[name] = ev.get("value")
-    return overlay
-
-
 def cmd_report(args):
-    doc = load_doc(args.file)
-    rounds = collect_rounds(doc)
+    rounds = {}  # step -> traced spans of that round
+    overlay = {}  # step -> {ledger point name: value}
+    for path in args.files:
+        _, spans, points = load_stream(path)
+        for s in spans:
+            if "trace" in s and "step" in s:
+                rounds.setdefault(s["step"], []).append(s)
+        for p in points:
+            if "step" in p and p["name"] in OVERLAY_POINTS:
+                overlay.setdefault(p["step"], {})[p["name"]] = p["value"]
     if not rounds:
-        fail("%s holds no traced, stepped spans — was the run traced?"
-             % args.file)
-    overlay = load_overlays(args.telemetry) if args.telemetry else {}
+        fail("%s hold no traced, stepped spans" % " ".join(args.files))
 
     phase_durs = {}
     print("per-round critical path:")
     for step in sorted(rounds):
-        events = rounds[step]
+        spans = rounds[step]
         by_phase = {}
-        for e in events:
-            key = phase_key(e)
-            by_phase[key] = by_phase.get(key, 0.0) + e.get("dur", 0.0) / 1000.0
-            phase_durs.setdefault(key, []).append(e.get("dur", 0.0) / 1000.0)
+        for s in spans:
+            key = phase_key(s)
+            by_phase[key] = by_phase.get(key, 0.0) + s["dur_ms"]
+            phase_durs.setdefault(key, []).append(s["dur_ms"])
         round_total = by_phase.pop("fl.round", 0.0)
         dominant = max(by_phase.items(), key=lambda kv: kv[1], default=("-", 0))
 
@@ -258,12 +251,10 @@ def cmd_report(args):
         # ran longest this round held the round open.
         straggler = ""
         worker_ms = {}
-        for e in events:
-            if e.get("name") == "fl.client.round":
-                w = e.get("args", {}).get("worker", "?")
-                worker_ms[w] = max(
-                    worker_ms.get(w, 0.0), e.get("dur", 0.0) / 1000.0
-                )
+        for s in spans:
+            if s["name"] == "fl.client.round":
+                w = s.get("labels", {}).get("worker", "?")
+                worker_ms[w] = max(worker_ms.get(w, 0.0), s["dur_ms"])
         if worker_ms:
             slowest = max(worker_ms.items(), key=lambda kv: kv[1])
             straggler = " | slowest worker %s (%.2f ms)" % slowest
@@ -272,8 +263,10 @@ def cmd_report(args):
         ov = overlay.get(step)
         if ov:
             note = " | accepted=%s rejected=%s" % (
-                ov.get("fl.round.accepted", "?"),
-                ov.get("fl.round.rejected", "?"),
+                "%g" % ov["fl.round.accepted"]
+                if "fl.round.accepted" in ov else "?",
+                "%g" % ov["fl.round.rejected"]
+                if "fl.round.rejected" in ov else "?",
             )
             if "fl.round.noise_widening" in ov:
                 note += " DEGRADED(widening=%.2f)" % ov[
@@ -304,16 +297,17 @@ def cmd_report(args):
 # diff
 
 
-def phase_p50(doc):
+def phase_p50(path):
+    _, spans, _ = load_stream(path)
     durs = {}
-    for e in span_events(doc):
-        durs.setdefault(phase_key(e), []).append(e.get("dur", 0.0) / 1000.0)
+    for s in spans:
+        durs.setdefault(phase_key(s), []).append(s["dur_ms"])
     return {k: percentile(sorted(v), 0.5) for k, v in durs.items()}
 
 
 def cmd_diff(args):
-    a = phase_p50(load_doc(args.a))
-    b = phase_p50(load_doc(args.b))
+    a = phase_p50(args.a)
+    b = phase_p50(args.b)
     print("%-28s %12s %12s %10s" % ("phase (p50 ms)", args.a[-12:],
                                     args.b[-12:], "delta"))
     for key in sorted(set(a) | set(b)):
@@ -338,7 +332,7 @@ def main():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check structure and orphan spans")
+    p = sub.add_parser("validate", help="check streams and orphan spans")
     p.add_argument("files", nargs="+")
     p.add_argument(
         "--allow-remote-orphans",
@@ -354,21 +348,16 @@ def main():
     )
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("merge", help="merge trace files into one document")
+    p = sub.add_parser("merge", help="render streams as one Chrome trace")
     p.add_argument("out")
-    p.add_argument("inputs", nargs="+")
+    p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("report", help="per-round critical-path profile")
-    p.add_argument("file")
-    p.add_argument(
-        "--telemetry",
-        help="JSONL from --telemetry-out: adds accept/reject/degradation "
-        "overlays per round",
-    )
+    p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("diff", help="compare per-phase p50 of two traces")
+    p = sub.add_parser("diff", help="compare per-phase p50 of two streams")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_diff)

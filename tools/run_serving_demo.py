@@ -9,13 +9,14 @@ docs/PROTOCOL.md section 5 holds end to end: the multi-process socket
 path produces a BITWISE identical global model to the single-process
 sync engine at the same seed.
 
-All three serving processes also run with --trace-out; the per-process
-Chrome trace files are merged with tools/fedcl_trace.py and validated
-STRICTLY: every worker-side span must parent under its round's
-server-side span, with zero orphan spans in the merged trace, and every
-worker's fl.client.round must parent under the server's
-fl.phase{local_train} of the same round — the cross-process
-trace-propagation contract of docs/PROTOCOL.md §3.4.
+All three serving processes also run with --telemetry-out; their JSONL
+streams are validated together with tools/fedcl_trace.py, STRICTLY:
+every worker-side span must parent under its round's server-side span,
+with zero orphan spans across the three streams. The streams are then
+merged into one Chrome trace, in which every worker's fl.client.round
+must parent under the server's fl.phase{local_train} of the same round
+— the cross-process trace-propagation contract of docs/PROTOCOL.md
+§3.4.
 
 The server also accounts the run's privacy budget the way the
 simulator does. Its --telemetry-out stream must validate with the round
@@ -24,8 +25,9 @@ and it must print a "privacy:" line equal to fl_simulator's for the same
 flags.
 
 With --async the server runs its asynchronous engine instead. The demo
-still requires every round to complete, the merged trace to pass the
-same checks, and the telemetry stream to carry dp.epsilon. It skips the
+still requires every round to complete, the streams and the merged
+trace to pass the same checks, and the server's stream to carry
+dp.epsilon. It skips the
 checkpoint comparison: with two workers the async engine folds updates
 in arrival order and gives up bitwise parity by design
 (docs/PROTOCOL.md §5.2). It only requires the "privacy:" line to be
@@ -135,13 +137,12 @@ def main():
     sim_ckpt = os.path.join(work, "sim.ckpt")
     procs = []
     try:
-        server_trace = os.path.join(work, "server_trace.json")
         server_telemetry = os.path.join(work, "server_telemetry.jsonl")
-        client_traces = [os.path.join(work, "client%d_trace.json" % w)
-                         for w in range(2)]
+        client_telemetry = [
+            os.path.join(work, "client%d_telemetry.jsonl" % w)
+            for w in range(2)]
         server_cmd = [args.server, "--port=%d" % args.port, "--workers=2",
                       "--save=%s" % net_ckpt,
-                      "--trace-out=%s" % server_trace,
                       "--telemetry-out=%s" % server_telemetry] + \
             experiment_flags(args.rounds)
         if args.async_engine:
@@ -170,7 +171,8 @@ def main():
         clients = []
         for w in range(2):
             cmd = [args.client, "--port=%d" % port, "--worker-index=%d" % w,
-                   "--workers=2", "--trace-out=%s" % client_traces[w]]
+                   "--workers=2",
+                   "--telemetry-out=%s" % client_telemetry[w]]
             print("+ %s" % " ".join(cmd))
             clients.append(subprocess.Popen(cmd, stdout=subprocess.PIPE,
                                             stderr=subprocess.STDOUT,
@@ -200,31 +202,31 @@ def main():
                     "the server's telemetry failed validation or records "
                     "no privacy budget")
 
-        # One merged Chrome trace from the three serving processes —
-        # then the strict zero-orphan check: every client span's parent
-        # chain must resolve to the server's per-round span tree.
+        # The strict zero-orphan check over the three processes'
+        # streams: every client span's parent chain must resolve to the
+        # server's per-round span tree. Then one merged Chrome trace.
+        streams = [server_telemetry] + client_telemetry
         merged_trace = os.path.join(work, "merged_trace.json")
         for step in (
-            [sys.executable, FEDCL_TRACE, "merge", merged_trace,
-             server_trace] + client_traces,
-            [sys.executable, FEDCL_TRACE, "validate", merged_trace,
-             "--require-span=fl.round", "--require-span=fl.client.round",
+            [sys.executable, FEDCL_TRACE, "validate"] + streams +
+            ["--require-span=fl.round", "--require-span=fl.client.round",
              "--require-span=fl.phase", "--require-span=fl.net.recv"],
+            [sys.executable, FEDCL_TRACE, "merge", merged_trace] + streams,
         ):
-            run_checked(step, "merged trace failed validation — "
+            run_checked(step, "the streams failed validation or merge — "
                         "cross-process span propagation is broken")
         check_worker_round_parents(merged_trace)
 
         if args.async_engine:
-            print("run_serving_demo: PASS — %d async rounds over TCP, merged "
-                  "3-process trace has zero orphan spans, the server "
+            print("run_serving_demo: PASS — %d async rounds over TCP, the "
+                  "3 processes' spans have zero orphans, the server "
                   "accounts its budget (no checkpoint comparison: async "
                   "forgoes bitwise parity)" % args.rounds)
             return
 
-        sim_trace = os.path.join(work, "sim_trace.json")
+        sim_telemetry = os.path.join(work, "sim_telemetry.jsonl")
         sim_cmd = [args.simulator, "--save=%s" % sim_ckpt,
-                   "--trace-out=%s" % sim_trace] + \
+                   "--telemetry-out=%s" % sim_telemetry] + \
             experiment_flags(args.rounds)
         print("+ %s" % " ".join(sim_cmd))
         sim = subprocess.run(sim_cmd, stdout=subprocess.PIPE,
@@ -248,15 +250,15 @@ def main():
                  "  server:    %s\n  simulator: %s"
                  % (server_privacy, sim_privacy))
 
-        # The simulator's single-process trace must also stand alone.
-        run_checked([sys.executable, FEDCL_TRACE, "validate", sim_trace,
+        # The simulator's single-process stream must also stand alone.
+        run_checked([sys.executable, FEDCL_TRACE, "validate", sim_telemetry,
                      "--require-span=fl.round"],
-                    "fl_simulator trace failed validation")
+                    "fl_simulator's stream failed validation")
 
         print("run_serving_demo: PASS — %d rounds over TCP, checkpoint is "
               "bitwise identical to the in-process engine (%d bytes), "
-              "privacy line matches, merged 3-process trace has zero "
-              "orphan spans" % (args.rounds, len(net_bytes)))
+              "privacy line matches, the 3 processes' spans have zero "
+              "orphans" % (args.rounds, len(net_bytes)))
     finally:
         for p in procs:
             if p.poll() is None:

@@ -4,7 +4,8 @@
 Stdlib only (no jsonschema dependency): the schema's constraints are
 simple enough to check by hand, and this script enforces exactly the
 contract the schema documents — per-event required fields, field types,
-and the meta header on line 1. CI runs it on the fl_simulator artifact.
+and the meta header on line 1. CI runs it on the fl_simulator artifact,
+and tools/fedcl_trace.py reads every stream through read_stream below.
 
 Usage: tools/validate_telemetry.py run.jsonl [--require name ...]
                                             [--forbid name ...]
@@ -28,6 +29,10 @@ def is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_hex_id(v, digits):
     """Fixed-width lowercase-hex id (u64s travel as strings: JSON
     numbers are doubles and cannot carry 64-bit ids losslessly)."""
@@ -39,11 +44,23 @@ def is_hex_id(v, digits):
     )
 
 
+def check_span_timing(event, errors):
+    """Every span carries its start and the dense id of the thread it
+    ran on; t_ms is its end (emit time)."""
+    if not is_num(event.get("start_ms")) or event.get("start_ms", -1) < 0:
+        errors.append("span needs a non-negative 'start_ms'")
+    elif is_num(event.get("t_ms")) and event["start_ms"] > event["t_ms"]:
+        # t_ms is the span END (emit time): end < start is corrupt.
+        errors.append("span ends before it starts (start_ms > t_ms)")
+    if not is_int(event.get("tid")) or event["tid"] < 1:
+        errors.append("span needs a positive integer 'tid'")
+
+
 def check_span_trace(event, errors):
     """Optional distributed-tracing fields on span events: either all
-    absent (untraced span, the pre-trace byte format) or 'trace' +
-    'span' + 'start_ms' present with 'parent' optional."""
-    keys = ("trace", "span", "parent", "parent_remote", "start_ms")
+    absent (untraced span) or 'trace' + 'span' present with 'parent'
+    optional."""
+    keys = ("trace", "span", "parent", "parent_remote")
     present = [k for k in keys if k in event]
     if not present:
         return
@@ -58,11 +75,6 @@ def check_span_trace(event, errors):
             errors.append("'parent_remote' must be true when present")
         if "parent" not in event:
             errors.append("'parent_remote' without 'parent'")
-    if not is_num(event.get("start_ms")) or event.get("start_ms", -1) < 0:
-        errors.append("traced span needs a non-negative 'start_ms'")
-    elif is_num(event.get("t_ms")) and event["start_ms"] > event["t_ms"]:
-        # t_ms is the span END (emit time): end < start is corrupt.
-        errors.append("span ends before it starts (start_ms > t_ms)")
 
 
 def check_labels(event, errors):
@@ -130,11 +142,22 @@ def validate_event(event):
             errors.append("meta 'schema' must be 'fedcl-telemetry-v1'")
         if not isinstance(event.get("version"), int) or event["version"] < 1:
             errors.append("meta 'version' must be a positive integer")
+        # The process and the wall-clock anchor of its start_ms offsets
+        # (what tools/fedcl_trace.py merge places spans with).
+        if "pid" in event and (not is_int(event["pid"]) or event["pid"] < 1):
+            errors.append("meta 'pid' must be a positive integer")
+        if "wall_epoch_unix_ms" in event and (
+            not is_num(event["wall_epoch_unix_ms"])
+            or event["wall_epoch_unix_ms"] < 0
+        ):
+            errors.append("meta 'wall_epoch_unix_ms' must be a "
+                          "non-negative number")
         check_run_manifest(event.get("run"), errors)
     elif kind == "span":
         check_common(event, errors)
         if not is_num(event.get("dur_ms")) or event["dur_ms"] < 0:
             errors.append("'dur_ms' must be a non-negative number")
+        check_span_timing(event, errors)
         check_span_trace(event, errors)
     elif kind == "point":
         check_common(event, errors)
@@ -150,6 +173,40 @@ def validate_event(event):
     else:
         errors.append("unknown event type %r" % (kind,))
     return errors
+
+
+def read_stream(path):
+    """Reads a JSONL stream and checks every line with validate_event.
+
+    Returns (events, failures): [(lineno, event)] for the lines that
+    pass, in order, and [(lineno, [error, ...])] for the lines that do
+    not. Line 1 must be the meta event. Raises OSError when the file
+    cannot be read.
+    """
+    events = []
+    failures = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                failures.append((lineno, ["blank line"]))
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as e:
+                failures.append((lineno, ["not valid JSON: %s" % e]))
+                continue
+            if not isinstance(event, dict):
+                failures.append((lineno, ["line is not a JSON object"]))
+                continue
+            errors = validate_event(event)
+            if lineno == 1 and event.get("type") != "meta":
+                errors.append("first line must be the meta event")
+            if errors:
+                failures.append((lineno, errors))
+                continue
+            events.append((lineno, event))
+    return events, failures
 
 
 def main():
@@ -171,46 +228,27 @@ def main():
     )
     args = parser.parse_args()
 
-    failures = []
+    events, failures = read_stream(args.path)
     seen_names = set()
     span_ids = set()
     # (lineno, name, parent): resolved only at EOF — a parent span's
     # event is emitted when it CLOSES, i.e. after all its children.
     parent_refs = []
     counts = {"meta": 0, "span": 0, "point": 0, "log": 0}
-    with open(args.path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                failures.append((lineno, ["blank line"]))
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as e:
-                failures.append((lineno, ["not valid JSON: %s" % e]))
-                continue
-            if not isinstance(event, dict):
-                failures.append((lineno, ["line is not a JSON object"]))
-                continue
-            errors = validate_event(event)
-            if lineno == 1 and event.get("type") != "meta":
-                errors.append("first line must be the meta event")
-            if errors:
-                failures.append((lineno, errors))
-                continue
-            kind = event["type"]
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind in ("span", "point"):
-                seen_names.add(event["name"])
-            if kind == "span" and "span" in event:
-                span_ids.add(event["span"])
-                # A parent adopted from another process (parent_remote)
-                # is legitimately absent from this single file; the
-                # merged-trace check is fedcl_trace.py's job.
-                if "parent" in event and not event.get("parent_remote"):
-                    parent_refs.append(
-                        (lineno, event.get("name", "?"), event["parent"])
-                    )
+    for lineno, event in events:
+        kind = event["type"]
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind in ("span", "point"):
+            seen_names.add(event["name"])
+        if kind == "span" and "span" in event:
+            span_ids.add(event["span"])
+            # A parent adopted from another process (parent_remote)
+            # is legitimately absent from this single file; the
+            # cross-file check is fedcl_trace.py's job.
+            if "parent" in event and not event.get("parent_remote"):
+                parent_refs.append(
+                    (lineno, event.get("name", "?"), event["parent"])
+                )
 
     for lineno, name, parent in parent_refs:
         if parent not in span_ids:
