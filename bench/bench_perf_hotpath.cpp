@@ -34,9 +34,11 @@
 // round over the floor per-example noise allows (the non-private round
 // plus L * B * |params| draws at the noise-row kernel's throughput),
 // and (c) the telemetry-on vs telemetry-off overhead of the
-// instrumented trainer round path (the number DESIGN.md §8 quotes):
-// --telemetry-out=FILE names the JSONL the telemetry-on leg writes
-// (default BENCH_perf_hotpath_telemetry.jsonl under bench_out_dir()).
+// instrumented trainer round path (the number DESIGN.md §8 quotes).
+// The telemetry-on leg writes its own JSONL,
+// BENCH_perf_hotpath_telemetry.jsonl under bench_out_dir(), and the
+// block detaches every sink first, so --telemetry-out=FILE holds this
+// bench's own stream up to that block, as in every other bench.
 //
 // Emits a machine-readable JSON document after the table and writes
 // the same document to BENCH_perf_hotpath.json for CI artifacts.
@@ -146,29 +148,6 @@ void sliced_round(const fl::Client& client, nn::Sequential& model,
                                    /*observe=*/std::nullopt)
                                .mean);
   }
-}
-
-// Mean wall-clock ms of one local round. Both legs replay the same
-// RNG streams (fresh forks per repeat), so they sample the same
-// batches and draw the same noise — identical arithmetic, different
-// engine.
-double time_rounds(const std::function<void(Rng&)>& round,
-                   const BenchDims& dims, const Rng& stream_root) {
-  using Clock = std::chrono::steady_clock;
-  for (int r = 0; r < dims.warmup_rounds; ++r) {
-    Rng rng = stream_root.fork("warmup", static_cast<std::uint64_t>(r));
-    round(rng);
-  }
-  double total_ms = 0.0;
-  for (int r = 0; r < dims.timed_rounds; ++r) {
-    Rng rng = stream_root.fork("timed", static_cast<std::uint64_t>(r));
-    const auto start = Clock::now();
-    round(rng);
-    total_ms +=
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-  }
-  return total_ms / dims.timed_rounds;
 }
 
 struct Row {
@@ -337,7 +316,7 @@ NoiseFloor measure_noise_floor(const fl::Client& client,
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagParser flags = bench::init_bench(argc, argv);
+  bench::init_bench(argc, argv);
   bench::print_preamble(
       "bench_perf_hotpath",
       "perf: batched per-example gradient engine vs sliced baseline");
@@ -415,8 +394,13 @@ int main(int argc, char** argv) {
           sliced_round(client, *model, global_weights, *policy, rng);
         };
       }
-      row.sliced_ms = time_rounds(sliced_leg, dims, stream_root);
-      row.batched_ms = time_rounds(batched_round, dims, stream_root);
+      // Both legs replay the same RNG streams, so they sample the same
+      // batches and draw the same noise: identical arithmetic,
+      // different engine.
+      row.sliced_ms = bench::time_rounds(sliced_leg, dims.warmup_rounds,
+                                         dims.timed_rounds, stream_root);
+      row.batched_ms = bench::time_rounds(batched_round, dims.warmup_rounds,
+                                          dims.timed_rounds, stream_root);
       table.add_row({row.model, row.policy, bench::yes_no(row.per_example),
                      AsciiTable::fmt(row.sliced_ms, 2),
                      AsciiTable::fmt(row.batched_ms, 2),
@@ -565,9 +549,8 @@ int main(int argc, char** argv) {
   ocfg.noise_scale = data::default_noise_scale();  // make_policy_set's sigma
   const core::PrivacyPolicy& opolicy = *policies.fed_cdp;
   const int overhead_reps = std::max(4, dims.timed_rounds);
-  const std::string telemetry_path = flags.get(
-      "telemetry-out",
-      bench::bench_out_dir() + "/BENCH_perf_hotpath_telemetry.jsonl");
+  const std::string telemetry_path =
+      bench::bench_out_dir() + "/BENCH_perf_hotpath_telemetry.jsonl";
   // Two legs — no sink, JSONL sink — measured INTERLEAVED (off/jsonl
   // per rep) and reduced min-of-reps. Sequential legs read
   // background-load drift as "overhead" and a mean lets one scheduler

@@ -1,10 +1,13 @@
 // Table III: wall-clock cost of one local training iteration per
-// client (ms), for each dataset and policy. Uses google-benchmark for
-// the timing harness; the summary table is printed at the end.
-#include <benchmark/benchmark.h>
-
-#include <map>
+// client (ms), for each dataset and policy. Each cell times one
+// client's Client::run_round over the benchmark's own L local
+// iterations (warmup + fixed reps, bench::time_rounds) and divides by
+// L, so Fed-SDP's once-per-round clip + noise is spread over the L
+// iterations it covers, as in the paper's setting. The summary table
+// is printed at the end.
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -17,47 +20,18 @@ namespace {
 
 using namespace fedcl;
 
-struct Workbench {
-  std::shared_ptr<nn::Sequential> model;
-  core::TensorList weights;
-  std::unique_ptr<fl::Client> client;
-  std::unique_ptr<core::PrivacyPolicy> policy;
+// Timed run_round calls per cell, after one warmup call.
+int timed_reps() { return bench_scale() == BenchScale::kPaper ? 3 : 20; }
+
+struct Cell {
+  std::string dataset;
+  std::string policy;
+  double ms_per_iter = 0.0;
 };
 
-std::unique_ptr<core::PrivacyPolicy> make_policy(int which,
-                                                 std::int64_t rounds) {
-  switch (which) {
-    case 0:
-      return core::make_non_private();
-    case 1:
-      return core::make_fed_sdp(data::kDefaultClippingBound,
-                                data::default_noise_scale());
-    case 2:
-      return core::make_fed_cdp(data::kDefaultClippingBound,
-                                data::default_noise_scale());
-    default:
-      return core::make_fed_cdp_decay(rounds, data::kDecayClipStart,
-                                      data::kDecayClipEnd,
-                                      data::default_noise_scale());
-  }
-}
-
-const char* policy_label(int which) {
-  switch (which) {
-    case 0:
-      return "non-private";
-    case 1:
-      return "Fed-SDP";
-    case 2:
-      return "Fed-CDP";
-    default:
-      return "Fed-CDP(decay)";
-  }
-}
-
-Workbench make_workbench(data::BenchmarkId id, int policy_which) {
-  Workbench wb;
-  data::BenchmarkConfig cfg = data::benchmark_config(id);
+// ms per local iteration of every policy on one dataset.
+std::vector<Cell> time_dataset(data::BenchmarkId id) {
+  const data::BenchmarkConfig cfg = data::benchmark_config(id);
   Rng root(experiment_seed());
   Rng drng = root.fork("data");
   auto train = std::make_shared<data::Dataset>(
@@ -67,76 +41,49 @@ Workbench make_workbench(data::BenchmarkId id, int policy_which) {
   Rng prng = root.fork("part");
   auto shards = data::partition(train, part, prng);
   Rng mrng = root.fork("model");
-  wb.model = nn::build_model(cfg.model, mrng);
-  wb.weights = wb.model->weights();
-  // One local iteration per run_round call isolates the per-iteration
-  // cost the paper's Table III reports.
-  fl::LocalTrainConfig local{.local_iterations = 1,
-                             .batch_size = cfg.batch_size,
-                             .learning_rate = cfg.learning_rate};
-  wb.client = std::make_unique<fl::Client>(0, shards[0], local);
-  wb.policy = make_policy(policy_which, cfg.rounds);
-  return wb;
-}
-
-// Collected means for the final paper-shaped table.
-std::map<std::pair<int, int>, double> g_ms;
-
-void BM_LocalIteration(benchmark::State& state) {
-  const auto id = static_cast<data::BenchmarkId>(state.range(0));
-  const int policy_which = static_cast<int>(state.range(1));
-  Workbench wb = make_workbench(id, policy_which);
-  Rng rng(experiment_seed() ^ 0xBE);
-  double total_ms = 0.0;
-  std::int64_t count = 0;
-  for (auto _ : state) {
-    fl::ClientRoundOutcome outcome =
-        wb.client->run_round(*wb.model, wb.weights, *wb.policy, 0, rng);
-    benchmark::DoNotOptimize(outcome.update.delta);
-    total_ms += outcome.local_train_ms;
-    ++count;
+  std::shared_ptr<nn::Sequential> model = nn::build_model(cfg.model, mrng);
+  const core::TensorList weights = model->weights();
+  const fl::Client client(0, shards[0],
+                          {.local_iterations = cfg.local_iterations,
+                           .batch_size = cfg.batch_size,
+                           .learning_rate = cfg.learning_rate});
+  const bench::PolicySet policies = bench::make_policy_set(cfg.rounds);
+  std::vector<Cell> cells;
+  for (const core::PrivacyPolicy* policy : policies.all()) {
+    const double round_ms = bench::time_rounds(
+        [&](Rng& rng) {
+          (void)client.run_round(*model, weights, *policy, /*round=*/0, rng);
+        },
+        /*warmup=*/1, timed_reps(), root.fork("round"));
+    cells.push_back({cfg.name, policy->name(),
+                     round_ms / static_cast<double>(cfg.local_iterations)});
   }
-  const double mean = count > 0 ? total_ms / static_cast<double>(count) : 0.0;
-  state.counters["ms_per_iter"] = mean;
-  g_ms[{static_cast<int>(id), policy_which}] = mean;
+  return cells;
 }
 
-void register_benches() {
-  for (data::BenchmarkId id : data::all_benchmarks()) {
-    for (int policy = 0; policy < 4; ++policy) {
-      std::string name = std::string("LocalIteration/") +
-                         data::benchmark_name(id) + "/" +
-                         policy_label(policy);
-      benchmark::RegisterBenchmark(name.c_str(), BM_LocalIteration)
-          ->Args({static_cast<long>(id), policy})
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
-json::Value print_summary() {
+// `grid` holds one row of cells per dataset, policies in one order.
+json::Value print_summary(const std::vector<std::vector<Cell>>& grid) {
   AsciiTable table("Table III — time cost per local iteration per client (ms)");
-  table.set_header(
-      {"policy", "MNIST", "CIFAR-10", "LFW", "adult", "cancer"});
+  std::vector<std::string> header = {"policy"};
+  for (const std::vector<Cell>& dataset : grid)
+    header.push_back(dataset.front().dataset);
+  table.set_header(header);
   json::Value doc = json::Value::object();
   doc["bench"] = "bench_table3_timecost";
   json::Value results = json::Value::array();
-  for (int policy = 0; policy < 4; ++policy) {
-    std::vector<std::string> row = {policy_label(policy)};
-    for (data::BenchmarkId id : data::all_benchmarks()) {
-      auto it = g_ms.find({static_cast<int>(id), policy});
-      row.push_back(it == g_ms.end() ? "-" : AsciiTable::fmt(it->second, 2));
-      if (it == g_ms.end()) continue;
+  for (std::size_t p = 0; p < grid.front().size(); ++p) {
+    std::vector<std::string> row = {grid.front()[p].policy};
+    for (const std::vector<Cell>& dataset : grid) {
+      const Cell& cell = dataset[p];
+      row.push_back(AsciiTable::fmt(cell.ms_per_iter, 2));
       json::Value r = json::Value::object();
-      r["dataset"] = data::benchmark_name(id);
-      r["policy"] = policy_label(policy);
-      r["ms_per_iter"] = it->second;
+      r["dataset"] = cell.dataset;
+      r["policy"] = cell.policy;
+      r["ms_per_iter"] = cell.ms_per_iter;
       results.push_back(std::move(r));
       bench::add_metric(doc,
-                        std::string("ms_per_iter.") +
-                            data::benchmark_name(id) + "." +
-                            policy_label(policy),
-                        it->second, "lower", "time");
+                        "ms_per_iter." + cell.dataset + "." + cell.policy,
+                        cell.ms_per_iter, "lower", "time");
     }
     table.add_row(row);
   }
@@ -157,10 +104,12 @@ int main(int argc, char** argv) {
   bench::init_bench(argc, argv);
   bench::print_preamble("bench_table3_timecost",
                         "Table III: time cost per local iteration (ms)");
-  register_benches();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  json::Value doc = print_summary();
+  std::printf("one client per cell: ms per round of the benchmark's L local "
+              "iterations / L, 1 warmup + %d timed rounds\n\n",
+              timed_reps());
+  std::vector<std::vector<Cell>> grid;
+  for (data::BenchmarkId id : data::all_benchmarks())
+    grid.push_back(time_dataset(id));
+  const json::Value doc = print_summary(grid);
   return bench::emit_bench_json("table3_timecost", doc) ? 0 : 1;
 }

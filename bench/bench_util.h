@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/env.h"
 #include "common/flags.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/run_info.h"
 #include "common/table.h"
 #include "common/telemetry.h"
@@ -84,6 +87,29 @@ inline void print_preamble(const char* bench_name, const char* paper_ref) {
 }
 
 inline std::string yes_no(bool v) { return v ? "Y" : "N"; }
+
+// Mean wall-clock ms of one call of `round`: `warmup` untimed calls,
+// then the mean of `reps` timed ones. Every call gets a fresh fork of
+// `stream_root`, so two legs timed from the same root replay the same
+// RNG streams (same batches, same noise).
+inline double time_rounds(const std::function<void(Rng&)>& round, int warmup,
+                          int reps, const Rng& stream_root) {
+  using Clock = std::chrono::steady_clock;
+  for (int r = 0; r < warmup; ++r) {
+    Rng rng = stream_root.fork("warmup", static_cast<std::uint64_t>(r));
+    round(rng);
+  }
+  double total_ms = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    Rng rng = stream_root.fork("timed", static_cast<std::uint64_t>(r));
+    const auto start = Clock::now();
+    round(rng);
+    total_ms +=
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+  }
+  return total_ms / reps;
+}
 
 // Attaches a JSONL telemetry sink to the global registry when the
 // bench was invoked with --telemetry-out=FILE (every bench accepts the

@@ -80,9 +80,12 @@ int run_server(const FlagParser& flags) {
     return 1;
   }
   const data::BenchmarkConfig bench = data::benchmark_config(bench_id.value());
-  Result<net::PolicyId> policy_id =
+  const Result<net::PolicyId> policy_id =
       net::parse_policy_id(flags.get("policy", "fed-cdp"));
-  FEDCL_CHECK(policy_id.ok()) << policy_id.error();
+  if (!policy_id.ok()) {
+    std::fprintf(stderr, "fedcl_server: %s\n", policy_id.error().c_str());
+    return 1;
+  }
 
   net::ExperimentDescriptor d;
   d.bench_id = static_cast<std::uint8_t>(bench_id.value());

@@ -35,6 +35,7 @@ namespace {
 
 using namespace fedcl;
 
+// nullptr for a name the usage text does not list.
 std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
                                                   double c, double sigma,
                                                   std::int64_t rounds) {
@@ -49,9 +50,6 @@ std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
     return std::make_unique<core::FedCdpAdaptivePolicy>(c, sigma);
   }
   if (name == "dssgd") return std::make_unique<fl::DssgdPolicy>(0.1);
-  FEDCL_CHECK(false) << "unknown policy '" << name
-                     << "' (non-private|fed-sdp|fed-cdp|fed-cdp-decay|"
-                        "fed-cdp-median|dssgd)";
   return nullptr;
 }
 
@@ -176,8 +174,16 @@ int run_simulator(const FlagParser& flags) {
   const double clip =
       flags.get_double("clip", data::kDefaultClippingBound);
   config.noise_scale = sigma;
-  auto policy = parse_policy(flags.get("policy", "fed-cdp"), clip, sigma,
-                             config.effective_rounds());
+  const std::string policy_name = flags.get("policy", "fed-cdp");
+  auto policy =
+      parse_policy(policy_name, clip, sigma, config.effective_rounds());
+  if (policy == nullptr) {
+    std::fprintf(stderr,
+                 "fl_simulator: unknown policy '%s' (non-private|fed-sdp|"
+                 "fed-cdp|fed-cdp-decay|fed-cdp-median|dssgd)\n",
+                 policy_name.c_str());
+    return 1;
+  }
 
   std::printf("fl_simulator: %s on %s — K=%lld Kt=%lld T=%lld L=%lld "
               "B=%lld sigma=%.3f C=%.2f prune=%.0f%% dropout=%.0f%%\n",

@@ -541,6 +541,7 @@ TelemetrySnapshot Registry::snapshot() const {
         {entry.name, entry.labels, entry.instrument->value()});
   }
   for (const auto& [key, entry] : impl_->gauges) {
+    if (!entry.instrument->is_set()) continue;
     snap.gauges.push_back(
         {entry.name, entry.labels, entry.instrument->value()});
   }

@@ -59,14 +59,24 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
+// A gauge reports only what a run set: until the first set() after it
+// was created or reset, snapshots and the Prometheus text leave it out.
 class Gauge {
  public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void set(double v) {
+    value_.store(v, std::memory_order_relaxed);
+    is_set_.store(true, std::memory_order_relaxed);
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
+  bool is_set() const { return is_set_.load(std::memory_order_relaxed); }
+  void reset() {
+    value_.store(0.0, std::memory_order_relaxed);
+    is_set_.store(false, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<double> value_{0.0};
+  std::atomic<bool> is_set_{false};
 };
 
 class Histogram {
@@ -311,8 +321,9 @@ class Registry {
   // dashes in names become underscores, prefixed "fedcl_".
   std::string prometheus_text() const;
 
-  // Zeroes all instruments and clears point series. Sinks, instrument
-  // identities, and outstanding references are untouched.
+  // Zeroes all instruments, unsets gauges and clears point series.
+  // Sinks, instrument identities, and outstanding references are
+  // untouched.
   void reset();
 
  private:

@@ -4,7 +4,7 @@
 // using the median norm of the original updates as the clipping bound
 // instead of a preset constant. This estimator tracks a sliding window
 // of observed norms and reports their median; the adaptive Fed-CDP
-// policy (core/adaptive_policy.h) queries it each sanitization.
+// policy (core/policy.h) queries it each sanitization.
 #pragma once
 
 #include <cstddef>

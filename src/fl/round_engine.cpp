@@ -102,8 +102,7 @@ ClientRunner::ClientRunner(const Federation& federation,
                            std::int64_t clients_per_round)
     : serial_model_(*federation.model) {
   const std::size_t pool_size = compute_pool().size();
-  if (!parallel_clients || pool_size <= 1 || policy.order_dependent() ||
-      nn::has_stochastic_layer(serial_model_)) {
+  if (!parallel_clients || pool_size <= 1 || policy.order_dependent()) {
     return;
   }
   const std::size_t slots =

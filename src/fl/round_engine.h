@@ -54,8 +54,8 @@ struct Federation {
 // Runs independent client tasks, serially on the federation's model or
 // concurrently on the compute pool with one private scratch model per
 // slot. Concurrency is correct only when clients are independent given
-// their forked streams, which order-dependent policies and in-model RNG
-// state (Dropout) break, so those always run serially.
+// their forked streams, which an order-dependent policy breaks, so such
+// a policy always runs serially.
 class ClientRunner {
  public:
   ClientRunner(const Federation& federation, const core::PrivacyPolicy& policy,

@@ -76,8 +76,7 @@ struct FlExperimentConfig {
   // its own (round, client)-forked stream on a private scratch model —
   // results are bitwise identical to the serial schedule for any
   // FEDCL_THREADS. Policies with order-dependent state (the median-norm
-  // estimator) and models with stochastic layers are serialized
-  // automatically.
+  // estimator) are serialized automatically.
   bool parallel_clients = true;
   // Asynchronous (FedBuff-style) round engine: updates stream into a
   // bounded-memory accumulator (fl/async_aggregator.h) and the model

@@ -32,8 +32,9 @@ enum class PolicyId : std::uint8_t {
 };
 
 const char* policy_id_name(PolicyId id);
-// Parses the fl_simulator policy-name vocabulary; fails on unknown or
-// order-dependent names.
+// Parses the fl_simulator policy-name vocabulary; fails on unknown
+// names, on the order-dependent fed-cdp-median, and on dssgd, which has
+// no id here.
 Result<PolicyId> parse_policy_id(const std::string& name);
 
 // client -> server, first frame on every connection.

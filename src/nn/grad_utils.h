@@ -22,11 +22,10 @@ using tensor::Tensor;
 // reduction (defined in per_example.cpp), bitwise equal to
 // compute_gradients_reference without building an autograd graph.
 // Returns one tensor per model parameter (Sequential::parameters()
-// order). out_loss, when non-null, receives the batch loss value. The
-// model is mutable because a training-mode Dropout draws its mask, as
-// autograd's forward does. Throws fedcl::Error on a layer outside
-// nn/layers.h or a label outside [0, classes).
-TensorList compute_gradients(Sequential& model, const Tensor& x,
+// order). out_loss, when non-null, receives the batch loss value.
+// Throws fedcl::Error on a layer outside nn/layers.h or a label outside
+// [0, classes).
+TensorList compute_gradients(const Sequential& model, const Tensor& x,
                              const std::vector<std::int64_t>& labels,
                              double* out_loss = nullptr);
 

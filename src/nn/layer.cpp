@@ -33,21 +33,11 @@ const Layer& Sequential::layer(std::size_t i) const {
   return *layers_[i];
 }
 
-Layer& Sequential::layer(std::size_t i) {
-  FEDCL_CHECK_LT(i, layers_.size());
-  return *layers_[i];
-}
-
 TensorList Sequential::weights() const {
   TensorList out;
   out.reserve(params_.size());
   for (const Var& p : params_) out.push_back(p.value().clone());
   return out;
-}
-
-void Sequential::set_training(bool training) {
-  training_ = training;
-  for (auto& layer : layers_) layer->set_training(training);
 }
 
 void Sequential::set_weights(const TensorList& w) {

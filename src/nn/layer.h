@@ -20,12 +20,11 @@ using tensor::list::TensorList;
 class Layer {
  public:
   virtual ~Layer() = default;
-  virtual Var forward(const Var& x) = 0;
+  // A pure function of the input and the layer's weights.
+  virtual Var forward(const Var& x) const = 0;
   // Trainable parameters in a stable order; empty for stateless layers.
   virtual std::vector<Var> parameters() const { return {}; }
   virtual std::string name() const = 0;
-  // Train/eval mode switch; only stochastic layers (Dropout) care.
-  virtual void set_training(bool /*training*/) {}
 };
 
 // Parameter indices belonging to one clip group (one model layer m).
@@ -50,9 +49,6 @@ class Sequential {
 
   std::size_t layer_count() const { return layers_.size(); }
   const Layer& layer(std::size_t i) const;
-  // Mutable access for components that drive layers directly (the
-  // batched per-example engine consumes Dropout's mask stream).
-  Layer& layer(std::size_t i);
 
   // All trainable parameters, ordered by layer.
   const std::vector<Var>& parameters() const { return params_; }
@@ -66,15 +62,10 @@ class Sequential {
   // model into clients each round.
   void set_weights(const TensorList& w);
 
-  // Propagates train/eval mode to all layers (Dropout etc.).
-  void set_training(bool training);
-  bool training() const { return training_; }
-
  private:
   std::vector<std::shared_ptr<Layer>> layers_;
   std::vector<Var> params_;
   std::vector<LayerGroup> groups_;
-  bool training_ = true;
 };
 
 }  // namespace fedcl::nn

@@ -37,7 +37,7 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   FEDCL_CHECK_GT(out_features, 0);
 }
 
-Var Linear::forward(const Var& x) {
+Var Linear::forward(const Var& x) const {
   FEDCL_CHECK_EQ(x.value().ndim(), 2u);
   FEDCL_CHECK_EQ(x.value().dim(1), in_features_)
       << "Linear input width mismatch for " << name_;
@@ -66,7 +66,7 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   bias_ = Var(Tensor::zeros({out_channels}), /*requires_grad=*/true);
 }
 
-Var Conv2d::forward(const Var& x) {
+Var Conv2d::forward(const Var& x) const {
   FEDCL_CHECK_EQ(x.value().ndim(), 4u) << "Conv2d expects NHWC";
   FEDCL_CHECK_EQ(x.value().dim(3), in_channels_)
       << "Conv2d channel mismatch for " << name_;
@@ -88,7 +88,7 @@ AvgPool2d::AvgPool2d(std::int64_t kernel) : kernel_(kernel) {
   FEDCL_CHECK_GT(kernel, 0);
 }
 
-Var AvgPool2d::forward(const Var& x) {
+Var AvgPool2d::forward(const Var& x) const {
   FEDCL_CHECK_EQ(x.value().ndim(), 4u) << "AvgPool2d expects NHWC";
   const std::int64_t n = x.value().dim(0);
   const std::int64_t c = x.value().dim(3);
@@ -100,93 +100,20 @@ Var AvgPool2d::forward(const Var& x) {
                 .stride = kernel_,
                 .pad = 0};
   spec.validate();
-  auto it = pool_matrices_.find(c);
-  if (it == pool_matrices_.end()) {
-    // P[(kh*KW + kw)*C + ch, ch] = 1/(k*k): channel-wise mean.
-    Tensor p({spec.patch_size(), c});
-    const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-    for (std::int64_t k = 0; k < kernel_ * kernel_; ++k) {
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        p.at((k * c + ch) * c + ch) = inv;
-      }
+  // P[(kh*KW + kw)*C + ch, ch] = 1/(k*k): channel-wise mean.
+  Tensor p({spec.patch_size(), c});
+  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
+  for (std::int64_t k = 0; k < kernel_ * kernel_; ++k) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      p.at((k * c + ch) * c + ch) = inv;
     }
-    it = pool_matrices_.emplace(c, o::constant(std::move(p))).first;
   }
   Var cols = o::im2col(x, spec);
-  Var y = o::matmul(cols, it->second);
+  Var y = o::matmul(cols, o::constant(std::move(p)));
   return o::reshape(y, {n, spec.out_h(), spec.out_w(), c});
 }
 
-MaxPool2d::MaxPool2d(std::int64_t kernel) : kernel_(kernel) {
-  FEDCL_CHECK_GT(kernel, 0);
-}
-
-Var MaxPool2d::forward(const Var& x) {
-  FEDCL_CHECK_EQ(x.value().ndim(), 4u) << "MaxPool2d expects NHWC";
-  const std::int64_t n = x.value().dim(0), h = x.value().dim(1),
-                     w = x.value().dim(2), c = x.value().dim(3);
-  FEDCL_CHECK_EQ(h % kernel_, 0);
-  FEDCL_CHECK_EQ(w % kernel_, 0);
-  const std::int64_t oh = h / kernel_, ow = w / kernel_;
-  // Argmax flat index per output cell; the routing is fixed for this
-  // forward, making the op a gather.
-  std::vector<std::int64_t> argmax;
-  argmax.reserve(static_cast<std::size_t>(n * oh * ow * c));
-  const float* p = x.value().data();
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t xo = 0; xo < ow; ++xo) {
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-          std::int64_t best = -1;
-          float best_value = 0.0f;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t flat =
-                  ((b * h + y * kernel_ + ky) * w + xo * kernel_ + kx) * c +
-                  ch;
-              if (best < 0 || p[flat] > best_value) {
-                best = flat;
-                best_value = p[flat];
-              }
-            }
-          }
-          argmax.push_back(best);
-        }
-      }
-    }
-  }
-  Var flat = o::gather_flat(o::reshape(x, {x.value().numel()}),
-                            std::move(argmax));
-  return o::reshape(flat, {n, oh, ow, c});
-}
-
-Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
-  FEDCL_CHECK(p >= 0.0 && p < 1.0) << "dropout p " << p;
-}
-
-Tensor Dropout::sample_mask(const tensor::Shape& shape) {
-  Tensor mask(shape);
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  float* m = mask.data();
-  for (std::int64_t i = 0; i < mask.numel(); ++i) {
-    m[i] = rng_.bernoulli(p_) ? 0.0f : keep_scale;
-  }
-  return mask;
-}
-
-Var Dropout::forward(const Var& x) {
-  if (!training_ || p_ == 0.0) return x;
-  return o::mul(x, o::constant(sample_mask(x.value().shape())));
-}
-
-bool has_stochastic_layer(const Sequential& model) {
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (dynamic_cast<const Dropout*>(&model.layer(i)) != nullptr) return true;
-  }
-  return false;
-}
-
-Var Flatten::forward(const Var& x) {
+Var Flatten::forward(const Var& x) const {
   const auto& s = x.value().shape();
   FEDCL_CHECK_GE(s.size(), 2u);
   std::int64_t rest = 1;
@@ -194,7 +121,7 @@ Var Flatten::forward(const Var& x) {
   return o::reshape(x, {s[0], rest});
 }
 
-Var InputScale::forward(const Var& x) {
+Var InputScale::forward(const Var& x) const {
   return o::mul_scalar(o::add_scalar(x, shift_), scale_);
 }
 
@@ -210,7 +137,7 @@ const char* activation_name(Activation a) {
   return "?";
 }
 
-Var ActivationLayer::forward(const Var& x) {
+Var ActivationLayer::forward(const Var& x) const {
   switch (kind_) {
     case Activation::kRelu:
       return o::relu(x);

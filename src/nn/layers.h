@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "nn/layer.h"
@@ -16,7 +15,7 @@ namespace fedcl::nn {
 class Linear : public Layer {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::vector<Var> parameters() const override { return {weight_, bias_}; }
   std::string name() const override { return name_; }
   std::int64_t in_features() const { return in_features_; }
@@ -36,7 +35,7 @@ class Conv2d : public Layer {
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
          Rng& rng);
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::vector<Var> parameters() const override { return {weight_, bias_}; }
   std::string name() const override { return name_; }
   std::int64_t in_channels() const { return in_channels_; }
@@ -62,63 +61,18 @@ class Conv2d : public Layer {
 class AvgPool2d : public Layer {
  public:
   explicit AvgPool2d(std::int64_t kernel);
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::string name() const override { return "avgpool"; }
   std::int64_t kernel() const { return kernel_; }
 
  private:
   std::int64_t kernel_;
-  // Pool matrices cached per channel count.
-  std::unordered_map<std::int64_t, Var> pool_matrices_;
 };
-
-// Max pooling with kernel == stride on NHWC input. The argmax routing
-// is recorded per forward, so the backward is a fixed gather/scatter
-// pair — linear, hence double-backward safe (like the relu mask).
-class MaxPool2d : public Layer {
- public:
-  explicit MaxPool2d(std::int64_t kernel);
-  Var forward(const Var& x) override;
-  std::string name() const override { return "maxpool"; }
-  std::int64_t kernel() const { return kernel_; }
-
- private:
-  std::int64_t kernel_;
-};
-
-// Inverted dropout: during training each activation is zeroed with
-// probability p and survivors are scaled by 1/(1-p); identity in eval
-// mode. The mask randomness comes from an internal seeded stream, so
-// runs stay reproducible.
-class Dropout : public Layer {
- public:
-  Dropout(double p, std::uint64_t seed);
-  Var forward(const Var& x) override;
-  std::string name() const override { return "dropout"; }
-  void set_training(bool training) override { training_ = training; }
-  bool training() const { return training_; }
-  double p() const { return p_; }
-  // Draws the next inverted-dropout mask (0 or 1/(1-p) per element)
-  // from the layer's seeded stream. forward() and the batched
-  // per-example engine both consume masks through here, so either path
-  // advances the same stream.
-  tensor::Tensor sample_mask(const tensor::Shape& shape);
-
- private:
-  double p_;
-  bool training_ = true;
-  Rng rng_;
-};
-
-// True if the model holds a Dropout layer. Its mask stream lives in the
-// model, so engines that would share scratch models across clients run
-// such models serially instead.
-bool has_stochastic_layer(const Sequential& model);
 
 // [N,H,W,C] -> [N, H*W*C].
 class Flatten : public Layer {
  public:
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::string name() const override { return "flatten"; }
 };
 
@@ -128,7 +82,7 @@ class Flatten : public Layer {
 class InputScale : public Layer {
  public:
   InputScale(float shift, float scale) : shift_(shift), scale_(scale) {}
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::string name() const override { return "input_scale"; }
   float shift() const { return shift_; }
   float scale() const { return scale_; }
@@ -145,7 +99,7 @@ const char* activation_name(Activation a);
 class ActivationLayer : public Layer {
  public:
   explicit ActivationLayer(Activation kind) : kind_(kind) {}
-  Var forward(const Var& x) override;
+  Var forward(const Var& x) const override;
   std::string name() const override { return activation_name(kind_); }
   Activation kind() const { return kind_; }
 

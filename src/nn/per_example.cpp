@@ -23,8 +23,6 @@ enum class NodeKind {
   kLinear,
   kConv,
   kAvgPool,
-  kMaxPool,
-  kDropout,
   kFlatten,
   kInputScale,
   kActivation,
@@ -36,10 +34,6 @@ NodeKind classify(const Layer& layer) {
   if (dynamic_cast<const Conv2d*>(&layer) != nullptr) return NodeKind::kConv;
   if (dynamic_cast<const AvgPool2d*>(&layer) != nullptr)
     return NodeKind::kAvgPool;
-  if (dynamic_cast<const MaxPool2d*>(&layer) != nullptr)
-    return NodeKind::kMaxPool;
-  if (dynamic_cast<const Dropout*>(&layer) != nullptr)
-    return NodeKind::kDropout;
   if (dynamic_cast<const Flatten*>(&layer) != nullptr)
     return NodeKind::kFlatten;
   if (dynamic_cast<const InputScale*>(&layer) != nullptr)
@@ -52,16 +46,14 @@ NodeKind classify(const Layer& layer) {
 // One forward step's cached state — exactly what its backward needs.
 struct TapeNode {
   NodeKind kind = NodeKind::kUnsupported;
-  Layer* layer = nullptr;            // borrowed from the model
-  std::size_t weight_index = 0;      // param index of W (Linear/Conv)
-  Tensor weight;                     // W (Linear/Conv dX)
-  Shape in_shape;                    // input shape (pool/flatten dX)
-  Tensor input;                      // Linear: input activations
-  Tensor output;                     // Activation: f(x) for f'
-  Tensor cols;                       // Conv: im2col of the input
-  Tensor mask;                       // Dropout mask (undefined in eval)
-  std::vector<std::int64_t> argmax;  // MaxPool routing
-  ConvSpec spec;                     // Conv geometry
+  const Layer* layer = nullptr;  // borrowed from the model
+  std::size_t weight_index = 0;  // param index of W (Linear/Conv)
+  Tensor weight;                 // W (Linear/Conv dX)
+  Shape in_shape;                // input shape (pool/flatten dX)
+  Tensor input;                  // Linear: input activations
+  Tensor output;                 // Activation: f(x) for f'
+  Tensor cols;                   // Conv: im2col of the input
+  ConvSpec spec;                 // Conv geometry
 };
 
 void add_bias_rows_(Tensor& y, const Tensor& bias) {
@@ -77,7 +69,7 @@ void add_bias_rows_(Tensor& y, const Tensor& bias) {
 // Raw-tensor forward over the model, recording the tape. Mirrors each
 // layer's autograd forward (same kernels, same op order), so the
 // logits are bitwise the graph's.
-Tensor forward_with_tape(Sequential& model, const Tensor& x,
+Tensor forward_with_tape(const Sequential& model, const Tensor& x,
                          std::vector<TapeNode>& tape) {
   tape.clear();
   tape.reserve(model.layer_count());
@@ -85,14 +77,14 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
   const std::vector<Var>& params = model.parameters();
   std::size_t param_index = 0;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    Layer& layer = model.layer(i);
+    const Layer& layer = model.layer(i);
     TapeNode node;
     node.kind = classify(layer);
     node.layer = &layer;
     node.in_shape = h.shape();
     switch (node.kind) {
       case NodeKind::kLinear: {
-        auto& lin = static_cast<Linear&>(layer);
+        const auto& lin = static_cast<const Linear&>(layer);
         FEDCL_CHECK_EQ(h.ndim(), 2u);
         FEDCL_CHECK_EQ(h.dim(1), lin.in_features());
         node.weight_index = param_index;
@@ -105,7 +97,7 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
         break;
       }
       case NodeKind::kConv: {
-        auto& conv = static_cast<Conv2d&>(layer);
+        const auto& conv = static_cast<const Conv2d&>(layer);
         FEDCL_CHECK_EQ(h.ndim(), 4u);
         FEDCL_CHECK_EQ(h.dim(3), conv.in_channels());
         const std::int64_t n = h.dim(0);
@@ -168,72 +160,6 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
               }
             });
         h = y;
-        break;
-      }
-      case NodeKind::kMaxPool: {
-        const auto& pool = static_cast<const MaxPool2d&>(layer);
-        FEDCL_CHECK_EQ(h.ndim(), 4u);
-        const std::int64_t n = h.dim(0), ih = h.dim(1), iw = h.dim(2),
-                           c = h.dim(3), k = pool.kernel();
-        FEDCL_CHECK_EQ(ih % k, 0);
-        FEDCL_CHECK_EQ(iw % k, 0);
-        const std::int64_t oh = ih / k, ow = iw / k;
-        Tensor y({n, oh, ow, c});
-        node.argmax.resize(static_cast<std::size_t>(n * oh * ow * c));
-        const float* src = h.data();
-        float* dst = y.data();
-        std::int64_t* am = node.argmax.data();
-        // Running channel-contiguous max: window position (0, 0) seeds
-        // the per-channel best, later (ky, kx) replace only on strict
-        // improvement — the same first-wins tie behaviour as the
-        // scalar argmax scan, in the same visit order.
-        compute_pool().parallel_for_chunks(
-            static_cast<std::size_t>(n), 1,
-            [&](std::size_t nb, std::size_t ne) {
-              for (std::size_t b = nb; b < ne; ++b) {
-                for (std::int64_t oy = 0; oy < oh; ++oy) {
-                  for (std::int64_t ox = 0; ox < ow; ++ox) {
-                    const std::int64_t out_base =
-                        ((static_cast<std::int64_t>(b) * oh + oy) * ow + ox) *
-                        c;
-                    float* out_row = dst + out_base;
-                    std::int64_t* am_row = am + out_base;
-                    for (std::int64_t ky = 0; ky < k; ++ky) {
-                      const std::int64_t in_base =
-                          ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
-                               iw +
-                           ox * k) *
-                          c;
-                      for (std::int64_t kx = 0; kx < k; ++kx) {
-                        const float* in_row = src + in_base + kx * c;
-                        if (ky == 0 && kx == 0) {
-                          for (std::int64_t ch = 0; ch < c; ++ch) {
-                            out_row[ch] = in_row[ch];
-                            am_row[ch] = in_base + ch;
-                          }
-                          continue;
-                        }
-                        for (std::int64_t ch = 0; ch < c; ++ch) {
-                          if (in_row[ch] > out_row[ch]) {
-                            out_row[ch] = in_row[ch];
-                            am_row[ch] = in_base + kx * c + ch;
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            });
-        h = y;
-        break;
-      }
-      case NodeKind::kDropout: {
-        auto& drop = static_cast<Dropout&>(layer);
-        if (drop.training() && drop.p() > 0.0) {
-          node.mask = drop.sample_mask(h.shape());
-          h = t::mul(h, node.mask);
-        }
         break;
       }
       case NodeKind::kFlatten: {
@@ -335,7 +261,7 @@ struct GradTarget {
 
 // The backward walk, written once for both reductions. dX stops at the
 // first parameterized layer: no parameter sits below it.
-void backward_walk(std::vector<TapeNode>& tape, Tensor delta,
+void backward_walk(const std::vector<TapeNode>& tape, Tensor delta,
                    const GradTarget& target) {
   std::size_t first = 0;
   while (first < tape.size() && tape[first].kind != NodeKind::kLinear &&
@@ -345,7 +271,7 @@ void backward_walk(std::vector<TapeNode>& tape, Tensor delta,
   const std::int64_t batch = delta.dim(0);
   ThreadPool& pool = compute_pool();
   for (std::size_t i = tape.size(); i-- > first;) {
-    TapeNode& node = tape[i];
+    const TapeNode& node = tape[i];
     const bool need_dx = i > first;
     switch (node.kind) {
       case NodeKind::kLinear: {
@@ -458,29 +384,6 @@ void backward_walk(std::vector<TapeNode>& tape, Tensor delta,
         delta = dx;
         break;
       }
-      case NodeKind::kMaxPool: {
-        Tensor dx(node.in_shape);
-        float* dst = dx.data();
-        const float* src = delta.data();
-        // argmax targets of image b stay inside image b, so the
-        // scatter parallelizes over the batch.
-        const std::int64_t per_image =
-            static_cast<std::int64_t>(node.argmax.size()) / node.in_shape[0];
-        pool.parallel_for_chunks(
-            static_cast<std::size_t>(node.in_shape[0]), 1,
-            [&](std::size_t nb, std::size_t ne) {
-              for (std::size_t idx = nb * per_image; idx < ne * per_image;
-                   ++idx) {
-                dst[node.argmax[idx]] += src[idx];
-              }
-            });
-        delta = dx;
-        break;
-      }
-      case NodeKind::kDropout: {
-        if (node.mask.defined()) delta = t::mul(delta, node.mask);
-        break;
-      }
       case NodeKind::kFlatten: {
         delta = delta.reshape(node.in_shape);
         break;
@@ -523,7 +426,7 @@ void backward_walk(std::vector<TapeNode>& tape, Tensor delta,
 }
 
 // One tape forward, the target's seed, one backward walk.
-void run_tape(Sequential& model, const Tensor& x,
+void run_tape(const Sequential& model, const Tensor& x,
               const std::vector<std::int64_t>& labels, double* out_loss,
               const GradTarget& target) {
   std::vector<TapeNode> tape;
@@ -537,7 +440,7 @@ void run_tape(Sequential& model, const Tensor& x,
 }  // namespace
 
 PerExampleGrads compute_per_example_gradients(
-    Sequential& model, const Tensor& x,
+    const Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss) {
   PerExampleGrads grads;
   grads.batch = x.dim(0);
@@ -548,7 +451,7 @@ PerExampleGrads compute_per_example_gradients(
   return grads;
 }
 
-TensorList compute_gradients(Sequential& model, const Tensor& x,
+TensorList compute_gradients(const Sequential& model, const Tensor& x,
                              const std::vector<std::int64_t>& labels,
                              double* out_loss) {
   TensorList grads(model.parameter_count());
@@ -557,7 +460,7 @@ TensorList compute_gradients(Sequential& model, const Tensor& x,
 }
 
 PerExampleGrads compute_per_example_gradients_sliced(
-    Sequential& model, const Tensor& x,
+    const Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss) {
   const std::int64_t batch = x.dim(0);
   FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), batch);

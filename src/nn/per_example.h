@@ -43,9 +43,8 @@
 // must not either.
 //
 // The engine covers every layer class in nn/layers.h (Linear, Conv2d,
-// AvgPool2d, MaxPool2d, Dropout, Flatten, InputScale, activations); a
-// model with any other Layer throws fedcl::Error, as does a label
-// outside [0, classes).
+// AvgPool2d, Flatten, InputScale, activations); a model with any other
+// Layer throws fedcl::Error, as does a label outside [0, classes).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +63,7 @@ using tensor::Tensor;
 // share storage with x and the engine's intermediates. out_loss, when
 // non-null, receives the mean cross-entropy loss.
 tensor::list::PerExampleGrads compute_per_example_gradients(
-    Sequential& model, const Tensor& x,
+    const Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 
 // Reference implementation: B single-example autograd graphs — the
@@ -72,7 +71,7 @@ tensor::list::PerExampleGrads compute_per_example_gradients(
 // parameter. Only the parity tests and bench_perf_hotpath's baseline
 // legs call it.
 tensor::list::PerExampleGrads compute_per_example_gradients_sliced(
-    Sequential& model, const Tensor& x,
+    const Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 
 }  // namespace fedcl::nn

@@ -245,46 +245,6 @@ Var scatter(const Var& s, std::vector<std::int64_t> idx, std::int64_t c) {
       "scatter");
 }
 
-Var gather_flat(const Var& x, std::vector<std::int64_t> idx) {
-  Tensor out({static_cast<std::int64_t>(idx.size())});
-  const float* src = x.value().data();
-  const std::int64_t n = x.value().numel();
-  float* dst = out.data();
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    FEDCL_CHECK(idx[i] >= 0 && idx[i] < n) << "gather index " << idx[i];
-    dst[i] = src[idx[i]];
-  }
-  Shape xshape = x.value().shape();
-  auto idx_copy = idx;
-  return Var::make_op(
-      std::move(out), {x},
-      [idx_copy, xshape](const Var& g) -> std::vector<Var> {
-        return {scatter_flat(g, idx_copy, xshape)};
-      },
-      "gather_flat");
-}
-
-Var scatter_flat(const Var& s, std::vector<std::int64_t> idx, Shape shape) {
-  FEDCL_CHECK_EQ(s.value().numel(),
-                 static_cast<std::int64_t>(idx.size()));
-  Tensor out(shape);
-  const float* src = s.value().data();
-  float* dst = out.data();
-  const std::int64_t n = out.numel();
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    FEDCL_CHECK(idx[i] >= 0 && idx[i] < n) << "scatter index " << idx[i];
-    dst[idx[i]] += src[i];
-  }
-  auto idx_copy = idx;
-  Shape s_shape = s.value().shape();
-  return Var::make_op(
-      std::move(out), {s},
-      [idx_copy, s_shape](const Var& g) -> std::vector<Var> {
-        return {reshape(gather_flat(g, idx_copy), s_shape)};
-      },
-      "scatter_flat");
-}
-
 Var im2col(const Var& x, const ConvSpec& spec) {
   const std::int64_t n = x.value().dim(0);
   return Var::make_op(

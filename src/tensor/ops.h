@@ -65,12 +65,6 @@ Var row_max_detached(const Var& a);
 Var pick(const Var& x, std::vector<std::int64_t> idx);  // [N,C] -> [N,1]
 Var scatter(const Var& s, std::vector<std::int64_t> idx,
             std::int64_t c);  // [N,1] -> [N,C]
-// Flat gather: out[i] = x.flat[idx[i]] -> [idx.size()]. Adjoint of
-// scatter_flat; indices may repeat (max-pooling ties).
-Var gather_flat(const Var& x, std::vector<std::int64_t> idx);
-// Flat scatter-add into a zero tensor of `shape`:
-// out.flat[idx[i]] += s.flat[i].
-Var scatter_flat(const Var& s, std::vector<std::int64_t> idx, Shape shape);
 
 // ---- convolution support ----
 Var im2col(const Var& x, const ConvSpec& spec);

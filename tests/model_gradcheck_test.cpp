@@ -99,9 +99,9 @@ void expect_model_gradcheck(Sequential& model, const Tensor& x,
       };
       // Two step sizes: for a smooth loss the estimates agree (central
       // differences converge at O(h^2)); where they disagree the
-      // element sits on a kink (relu boundary, maxpool argmax flip)
-      // and finite differences say nothing — skip it, but bound how
-      // many elements may take that exit.
+      // element sits on a kink (a relu boundary) and finite
+      // differences say nothing — skip it, but bound how many
+      // elements may take that exit.
       const float coarse = central_diff(eps);
       const float numeric = central_diff(eps / 4.0f);
       const float tol = atol + rtol * std::abs(numeric);
@@ -174,27 +174,6 @@ TEST(ModelGradCheck, ImageCnnReluAndTanh) {
     expect_model_gradcheck(*model, x, labels_for(batch, 3), 1e-2f, 6e-3f,
                            6e-2f, max_skip_percent);
   }
-}
-
-TEST(ModelGradCheck, MaxPoolDropoutInputScaleStack) {
-  // The layer types the zoo models do not cover: InputScale, MaxPool2d
-  // and (eval-mode) Dropout, stacked with a conv and a linear head.
-  Rng rng(31);
-  Sequential model;
-  model.emplace<nn::InputScale>(/*shift=*/-0.5f, /*scale=*/2.0f);
-  model.emplace<nn::Conv2d>(/*in_channels=*/2, /*out_channels=*/3,
-                            /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
-  model.emplace<nn::ActivationLayer>(nn::Activation::kTanh);
-  model.emplace<nn::MaxPool2d>(/*kernel=*/2);
-  model.emplace<nn::Flatten>();
-  model.emplace<nn::Dropout>(/*p=*/0.3, /*seed=*/5);
-  model.emplace<nn::Linear>(3 * 2 * 2, 3, rng);
-  // Eval mode: dropout is the identity, so the loss is deterministic
-  // and finite differences are meaningful.
-  model.set_training(false);
-  const std::int64_t batch = 2;
-  const Tensor x = Tensor::randn({batch, 4, 4, 2}, rng);
-  expect_model_gradcheck(model, x, labels_for(batch, 3));
 }
 
 TEST(ModelGradCheck, SlicedEngineAgreesToo) {

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
+#include "fl/dssgd.h"
 #include "fl/protocol.h"
 #include "fl/round_engine.h"
 #include "fl/trainer.h"
@@ -354,10 +355,22 @@ TEST(NetWire, PolicyVocabularyRefusesOrderDependent) {
   EXPECT_TRUE(parse_policy_id("fed-sdp").ok());
   EXPECT_TRUE(parse_policy_id("fed-cdp").ok());
   EXPECT_TRUE(parse_policy_id("fed-cdp-decay").ok());
-  // Order-dependent policies cannot be replicated across workers.
+  // The order-dependent median policy cannot be replicated across
+  // workers, and dssgd has no wire id.
   EXPECT_FALSE(parse_policy_id("fed-cdp-median").ok());
   EXPECT_FALSE(parse_policy_id("dssgd").ok());
   EXPECT_FALSE(parse_policy_id("no-such-policy").ok());
+}
+
+TEST(NetWire, DssgdIsRefusedForItsMissingWireId) {
+  // DSSGD is a stateless top-k prune, so order is not what stops it:
+  // the refusal names the missing id and the policies that have one.
+  EXPECT_FALSE(fl::DssgdPolicy().order_dependent());
+  const Result<PolicyId> dssgd = parse_policy_id("dssgd");
+  ASSERT_FALSE(dssgd.ok());
+  EXPECT_EQ(dssgd.error(),
+            "policy 'dssgd' has no policy id on the wire, so it cannot be "
+            "served (servable: non-private|fed-sdp|fed-cdp|fed-cdp-decay)");
 }
 
 TEST(NetWire, ChannelKeyIsPerClientAndDeterministic) {

@@ -67,7 +67,7 @@ double max_abs_diff(const PerExampleGrads& a, const PerExampleGrads& b) {
   return worst;
 }
 
-void expect_parity(Sequential& model, const Tensor& x,
+void expect_parity(const Sequential& model, const Tensor& x,
                    const std::vector<std::int64_t>& labels,
                    double tol = 1e-5) {
   double loss_batched = 0.0, loss_sliced = 0.0;
@@ -117,7 +117,18 @@ TEST(PerExampleEngine, MlpParityAcrossBatchSizes) {
     Rng rng(77 + static_cast<std::uint64_t>(batch));
     auto model = nn::build_model(mlp_spec(), rng);
     Tensor x = Tensor::randn({batch, 20}, rng);
-    expect_parity(*model, x, random_labels(rng, batch, 5));
+    const std::vector<std::int64_t> labels = random_labels(rng, batch, 5);
+    expect_parity(*model, x, labels);
+    // Linear layers hand over factors, never rows, and each bias shares
+    // its weight's deltas.
+    const PerExampleGrads grads =
+        nn::compute_per_example_gradients(*model, x, labels);
+    for (std::size_t p = 0; p < grads.params.size(); p += 2) {
+      EXPECT_TRUE(grads.params[p].factored());
+      EXPECT_TRUE(grads.params[p].a.defined());
+      EXPECT_EQ(grads.params[p + 1].delta.data(),
+                grads.params[p].delta.data());
+    }
   }
 }
 
@@ -130,15 +141,16 @@ TEST(PerExampleEngine, CnnParityAcrossBatchSizes) {
   }
 }
 
-TEST(PerExampleEngine, MaxPoolTanhSigmoidParity) {
-  // Exercise the tape paths the zoo models don't: MaxPool routing plus
-  // sigmoid/tanh derivatives-from-output.
+TEST(PerExampleEngine, TanhSigmoidCnnParity) {
+  // Exercise per-example paths the zoo tests here don't: tanh and
+  // sigmoid derivatives-from-output in a CNN, with a hidden Linear
+  // layer after the pool.
   Rng rng(123);
   Sequential model;
   model.emplace<nn::InputScale>(-0.5f, 2.0f);
   model.emplace<nn::Conv2d>(2, 3, 3, 1, 1, rng);
   model.emplace<nn::ActivationLayer>(nn::Activation::kTanh);
-  model.emplace<nn::MaxPool2d>(2);
+  model.emplace<nn::AvgPool2d>(2);
   model.emplace<nn::Flatten>();
   model.emplace<nn::Linear>(3 * 3 * 3, 8, rng);
   model.emplace<nn::ActivationLayer>(nn::Activation::kSigmoid);
@@ -146,42 +158,6 @@ TEST(PerExampleEngine, MaxPoolTanhSigmoidParity) {
   const std::int64_t batch = 6;
   Tensor x = Tensor::randn({batch, 6, 6, 2}, rng);
   expect_parity(model, x, random_labels(rng, batch, 3));
-}
-
-TEST(PerExampleEngine, DropoutEvalModeParity) {
-  // In eval mode Dropout is the identity, so both paths agree; in
-  // training mode the two paths consume the layer's mask stream
-  // differently, which is why parity is only checked in eval.
-  Rng rng(321);
-  Sequential model;
-  model.emplace<nn::Linear>(10, 8, rng);
-  model.emplace<nn::ActivationLayer>(nn::Activation::kRelu);
-  model.emplace<nn::Dropout>(0.4, 17);
-  model.emplace<nn::Linear>(8, 3, rng);
-  model.set_training(false);
-  Tensor x = Tensor::randn({5, 10}, rng);
-  expect_parity(model, x, random_labels(rng, 5, 3));
-}
-
-TEST(PerExampleEngine, DropoutTrainingMasksWholeBatchConsistently) {
-  // A batched forward applies ONE mask tensor to the whole batch; the
-  // per-example gradients must reflect exactly that mask.
-  Rng rng(55);
-  Sequential model;
-  model.emplace<nn::Linear>(6, 4, rng);
-  model.emplace<nn::Dropout>(0.5, 3);
-  model.emplace<nn::Linear>(4, 2, rng);
-  Tensor x = Tensor::randn({4, 6}, rng);
-  PerExampleGrads grads = nn::compute_per_example_gradients(
-      model, x, random_labels(rng, 4, 2));
-  EXPECT_EQ(grads.batch, 4);
-  ASSERT_EQ(grads.params.size(), 4u);  // two Linear layers, W+b each
-  // Linear layers hand over factors; the bias shares the weight's delta.
-  for (std::size_t p = 0; p < 4; p += 2) {
-    EXPECT_TRUE(grads.params[p].factored());
-    EXPECT_TRUE(grads.params[p].a.defined());
-    EXPECT_EQ(grads.params[p + 1].delta.data(), grads.params[p].delta.data());
-  }
 }
 
 TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
@@ -203,7 +179,7 @@ TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
 // backward rule for.
 class UnknownLayer final : public nn::Layer {
  public:
-  tensor::Var forward(const tensor::Var& x) override { return x; }
+  tensor::Var forward(const tensor::Var& x) const override { return x; }
   std::string name() const override { return "UnknownLayer"; }
 };
 
@@ -256,18 +232,13 @@ TEST(PerExampleEngine, RejectsOutOfRangeLabels) {
 }
 
 // The tape's batch reduction against one autograd graph over the same
-// weights: every tensor memcmp'd, the loss compared exactly. Two models
-// are passed so a training-mode Dropout stack can run on twins that
-// draw the same mask stream.
-void expect_batch_matches_autograd(Sequential& tape_model,
-                                   const Sequential& graph_model,
-                                   const Tensor& x,
+// weights: every tensor memcmp'd, the loss compared exactly.
+void expect_batch_matches_autograd(const Sequential& model, const Tensor& x,
                                    const std::vector<std::int64_t>& labels) {
   double tape_loss = 0.0, graph_loss = 0.0;
-  const TensorList tape =
-      nn::compute_gradients(tape_model, x, labels, &tape_loss);
+  const TensorList tape = nn::compute_gradients(model, x, labels, &tape_loss);
   const TensorList graph =
-      nn::compute_gradients_reference(graph_model, x, labels, &graph_loss);
+      nn::compute_gradients_reference(model, x, labels, &graph_loss);
   ASSERT_EQ(tape.size(), graph.size());
   for (std::size_t p = 0; p < tape.size(); ++p)
     ASSERT_EQ(tape[p].shape(), graph[p].shape()) << "param " << p;
@@ -305,15 +276,15 @@ TEST(PerExampleEngine, BatchGradientMatchesAutogradBitwise) {
                        " B=" + std::to_string(batch));
           const Tensor x = random_input(spec, batch, rng);
           expect_batch_matches_autograd(
-              *model, *model, x, random_labels(rng, batch, spec.classes));
+              *model, x, random_labels(rng, batch, spec.classes));
         }
       }
     }
   }
 
-  // Layers the zoo does not use. MaxPool routes both pools' gradients
-  // into a second conv; the Dropout stack trains, its twins drawing the
-  // same masks call after call; the last stack starts at a Conv with no
+  // Stacks the zoo does not build. The first mixes three activations
+  // and routes both pools' gradients into a second conv whose batch has
+  // 16 output positions at B = 1; the second starts at a Conv with no
   // InputScale in front.
   const std::vector<std::int64_t> stack_batches = {1, 3, 16};
   {
@@ -322,42 +293,18 @@ TEST(PerExampleEngine, BatchGradientMatchesAutogradBitwise) {
     model.emplace<nn::InputScale>(-0.5f, 2.0f);
     model.emplace<nn::Conv2d>(2, 3, 3, 1, 1, rng);
     model.emplace<nn::ActivationLayer>(nn::Activation::kTanh);
-    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<nn::AvgPool2d>(2);
     model.emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng);
     model.emplace<nn::ActivationLayer>(nn::Activation::kRelu);
-    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<nn::AvgPool2d>(2);
     model.emplace<nn::Flatten>();
     model.emplace<nn::Linear>(4 * 2 * 2, 5, rng);
     model.emplace<nn::ActivationLayer>(nn::Activation::kSigmoid);
     model.emplace<nn::Linear>(5, 3, rng);
     for (const std::int64_t batch : stack_batches) {
-      SCOPED_TRACE("MaxPool stack B=" + std::to_string(batch));
+      SCOPED_TRACE("Two-pool stack B=" + std::to_string(batch));
       const Tensor x = Tensor::randn({batch, 8, 8, 2}, rng);
-      expect_batch_matches_autograd(model, model, x,
-                                    random_labels(rng, batch, 3));
-    }
-  }
-  {
-    auto dropout_stack = [] {
-      Rng rng(2002);
-      auto model = std::make_shared<Sequential>();
-      model->emplace<nn::Linear>(10, 8, rng);
-      model->emplace<nn::ActivationLayer>(nn::Activation::kTanh);
-      model->emplace<nn::Dropout>(0.4, 17);
-      model->emplace<nn::Linear>(8, 6, rng);
-      model->emplace<nn::ActivationLayer>(nn::Activation::kRelu);
-      model->emplace<nn::Dropout>(0.25, 18);
-      model->emplace<nn::Linear>(6, 3, rng);
-      return model;
-    };
-    const auto tape_model = dropout_stack();
-    const auto graph_model = dropout_stack();
-    Rng rng(2003);
-    for (const std::int64_t batch : stack_batches) {
-      SCOPED_TRACE("Dropout stack B=" + std::to_string(batch));
-      const Tensor x = Tensor::randn({batch, 10}, rng);
-      expect_batch_matches_autograd(*tape_model, *graph_model, x,
-                                    random_labels(rng, batch, 3));
+      expect_batch_matches_autograd(model, x, random_labels(rng, batch, 3));
     }
   }
   {
@@ -371,8 +318,7 @@ TEST(PerExampleEngine, BatchGradientMatchesAutogradBitwise) {
     for (const std::int64_t batch : stack_batches) {
       SCOPED_TRACE("Conv-first stack B=" + std::to_string(batch));
       const Tensor x = Tensor::uniform({batch, 8, 8, 1}, rng);
-      expect_batch_matches_autograd(model, model, x,
-                                    random_labels(rng, batch, 3));
+      expect_batch_matches_autograd(model, x, random_labels(rng, batch, 3));
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,12 +95,37 @@ TEST(TelemetryRegistry, ResetZeroesButKeepsReferencesValid) {
   registry.record_point("test.series", 0, 1.0);
   registry.reset();
   EXPECT_EQ(c.value(), 0);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
+  // A gauge this run has not set is absent, not 0.
+  EXPECT_TRUE(std::isnan(registry.snapshot().gauge_value("test.g")));
   EXPECT_EQ(h.count(), 0);
   EXPECT_TRUE(registry.snapshot().series_points("test.series").empty());
   // The same references keep working after reset.
   c.add(1);
+  g.set(1.5);
   EXPECT_EQ(registry.snapshot().counter_value("test.c"), 1);
+  EXPECT_DOUBLE_EQ(registry.snapshot().gauge_value("test.g"), 1.5);
+}
+
+TEST(TelemetryRegistry, GaugeUnsetSinceResetIsAbsent) {
+  // A later run that sets no gauge must not report an earlier run's
+  // gauges at 0 (a privacy budget of 0 for a run that accounts none).
+  Registry registry;
+  Gauge& g = registry.gauge("test.g", {{"level", "instance"}});
+  EXPECT_TRUE(registry.snapshot().gauges.empty());
+  g.set(2.5);
+  registry.reset();
+  const TelemetrySnapshot unset = registry.snapshot();
+  EXPECT_TRUE(unset.gauges.empty());
+  EXPECT_TRUE(std::isnan(unset.gauge_value("test.g", {{"level", "instance"}})));
+  EXPECT_EQ(registry.prometheus_text().find("fedcl_test_g"),
+            std::string::npos);
+  g.set(0.0);
+  const TelemetrySnapshot set = registry.snapshot();
+  ASSERT_EQ(set.gauges.size(), 1u);
+  EXPECT_EQ(set.gauge_value("test.g", {{"level", "instance"}}), 0.0);
+  EXPECT_NE(registry.prometheus_text().find(
+                "fedcl_test_g{level=\"instance\"} 0"),
+            std::string::npos);
 }
 
 TEST(TelemetryRegistry, RecordPointBuildsOrderedSeries) {
