@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
   cfg.min_reporting = 1;
   cfg.streaming_aggregation = true;
   cfg.tree_fan_out = fan_out;
-  // non_private for the headline: fed_sdp's server-side noise draws
-  // scale with model size × rounds, not clients, but sanitization is
-  // already covered (with noise) by the Part 1 pin.
+  // non_private for the headline: fed_sdp's per-client noise draws
+  // scale with model size × clients, and sanitization is already
+  // covered (with noise) by the Part 1 pin.
   std::unique_ptr<core::PrivacyPolicy> non_private = core::make_non_private();
 
   std::printf("\nscale round: K=Kt=%lld, T=%lld, fan-out %lld, "

@@ -27,14 +27,17 @@ namespace {
 using fedcl::json::Value;
 
 // The standard suite: one accuracy table, one sweep table, the pure
-// accounting table, the Fig. 3 series, the fault-tolerance and async
+// accounting table, Table VII's leakage pattern (which the bench gates
+// itself), the Fig. 3 series, the fault-tolerance and async
 // extensions, and the hot-path perf bench. Chosen to cover every
 // gating metric class (accuracy / epsilon / ratio / fraction / count /
-// time) while staying tractable at FEDCL_SCALE=smoke on one core.
+// distance / time) while staying tractable at FEDCL_SCALE=smoke on one
+// core.
 const std::vector<std::string> kSuite = {
     "table1_datasets", "table2_accuracy", "table6_privacy",
-    "fig3_gradnorm",   "ext_faults",      "ext_async",
-    "ext_serving",     "ext_scale",       "perf_hotpath",
+    "table7_attack",   "fig3_gradnorm",   "ext_faults",
+    "ext_async",       "ext_serving",     "ext_scale",
+    "perf_hotpath",
 };
 
 bool read_file(const std::string& path, std::string* out) {

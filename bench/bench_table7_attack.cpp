@@ -3,11 +3,30 @@
 // leakage against non-private, Fed-SDP, Fed-CDP and Fed-CDP(decay),
 // on MNIST and LFW, averaged over attacked clients. Attack budget is
 // the paper's T=300 iterations.
+//
+// Gates the paper's pattern on each dataset, and exits nonzero when it
+// breaks, so bench_suite flags it: type-0/1 succeeds only against
+// non-private; type-2 succeeds against non-private and Fed-SDP and
+// fails against Fed-CDP and Fed-CDP(decay); and Fed-SDP's type-2
+// distance equals non-private's exactly, since Fed-SDP leaves the
+// per-example gradient untouched.
+#include <cstddef>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "attack/leakage_eval.h"
 #include "bench/bench_util.h"
+
+namespace {
+
+// Which attacks succeed under each policy, in PolicySet::all() order
+// (non-private, Fed-SDP, Fed-CDP, Fed-CDP(decay)): Fed-SDP noises only
+// the shared update, so the type-2 view of its local training leaks.
+constexpr bool kType01Leaks[] = {true, false, false, false};
+constexpr bool kType2Leaks[] = {true, true, false, false};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fedcl;
@@ -18,6 +37,7 @@ int main(int argc, char** argv) {
   json::Value doc = json::Value::object();
   doc["bench"] = "bench_table7_attack";
   json::Value results = json::Value::array();
+  std::vector<std::string> gate_failures;
 
   std::int64_t clients = 5;
   if (bench_scale() == BenchScale::kSmoke) clients = 1;
@@ -42,9 +62,13 @@ int main(int argc, char** argv) {
     table.set_header({"policy", "type-0&1 succeed", "recon distance",
                       "attack iters", "type-2 succeed", "recon distance",
                       "attack iters"});
-    for (const core::PrivacyPolicy* policy : policies.all()) {
+    const std::vector<const core::PrivacyPolicy*> all = policies.all();
+    std::vector<double> type2_distances;
+    for (std::size_t p = 0; p < all.size(); ++p) {
+      const core::PrivacyPolicy* policy = all[p];
       attack::LeakageReport report =
           attack::evaluate_leakage(config, *policy);
+      type2_distances.push_back(report.type2.mean_distance);
       table.add_row({policy->name(),
                      bench::yes_no(report.type01.any_success),
                      AsciiTable::fmt(report.type01.mean_distance),
@@ -68,20 +92,37 @@ int main(int argc, char** argv) {
       r["type2_distance"] = report.type2.mean_distance;
       r["type2_iterations"] = report.type2.mean_iterations;
       results.push_back(std::move(r));
-      // Non-private should stay attackable (distance low); DP policies
-      // should stay resilient (distance high) — gate both directions.
-      const bool is_private = policy->name() != "non-private";
+      // A cell that leaks by design should stay attackable (distance
+      // low); a resilient one should stay resilient (distance high).
       const std::string key =
           config.bench.name + "." + policy->name();
       bench::add_metric(doc, "recon_distance." + key + ".type01",
                         report.type01.mean_distance,
-                        is_private ? "higher" : "lower", "distance");
+                        kType01Leaks[p] ? "lower" : "higher", "distance");
       bench::add_metric(doc, "recon_distance." + key + ".type2",
                         report.type2.mean_distance,
-                        is_private ? "higher" : "lower", "distance");
+                        kType2Leaks[p] ? "lower" : "higher", "distance");
+      const auto check = [&](const char* type,
+                             const attack::LeakageOutcome& outcome,
+                             bool leaks) {
+        if (outcome.any_success == leaks) return;
+        gate_failures.push_back(
+            config.bench.name + " " + policy->name() + ": " + type +
+            " attack " + (leaks ? "failed" : "succeeded") + " (d=" +
+            AsciiTable::fmt(outcome.mean_distance) + "), expected it to " +
+            (leaks ? "succeed" : "fail"));
+      };
+      check("type-0&1", report.type01, kType01Leaks[p]);
+      check("type-2", report.type2, kType2Leaks[p]);
     }
     table.print();
     std::printf("\n");
+    if (type2_distances[1] != type2_distances[0]) {
+      gate_failures.push_back(
+          config.bench.name + ": Fed-SDP type-2 distance " +
+          AsciiTable::fmt(type2_distances[1], 17) + " != non-private's " +
+          AsciiTable::fmt(type2_distances[0], 17));
+    }
   }
   std::printf(
       "paper (MNIST): type-0&1 — non-private Y d=0.155 it=6; all DP "
@@ -91,5 +132,12 @@ int main(int argc, char** argv) {
       "type-0&1 but NOT type-2; Fed-CDP and Fed-CDP(decay) stop all "
       "three, decay with the largest reconstruction distance.\n");
   doc["results"] = std::move(results);
-  return bench::emit_bench_json("table7_attack", doc) ? 0 : 1;
+  if (!bench::emit_bench_json("table7_attack", doc)) return 1;
+
+  for (const std::string& failure : gate_failures) {
+    std::fprintf(stderr, "GATE FAILED: %s\n", failure.c_str());
+  }
+  if (!gate_failures.empty()) return 1;
+  std::printf("\nall gates passed\n");
+  return 0;
 }

@@ -46,9 +46,6 @@ std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
     return core::make_fed_cdp_decay(rounds, data::kDecayClipStart,
                                     data::kDecayClipEnd, sigma);
   }
-  if (name == "fed-cdp-median") {
-    return std::make_unique<core::FedCdpAdaptivePolicy>(c, sigma);
-  }
   if (name == "dssgd") return std::make_unique<fl::DssgdPolicy>(0.1);
   return nullptr;
 }
@@ -57,8 +54,7 @@ std::unique_ptr<core::PrivacyPolicy> parse_policy(const std::string& name,
 // argument), and the flags the binary accepts.
 constexpr char kUsage[] =
     "usage: %s [--dataset=mnist|cifar10|lfw|adult|cancer]\n"
-    "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay|"
-    "fed-cdp-median|dssgd]\n"
+    "          [--policy=non-private|fed-sdp|fed-cdp|fed-cdp-decay|dssgd]\n"
     "          [--clients=K] [--per-round=Kt] [--rounds=T] "
     "[--local-iters=L]\n"
     "          [--sigma=S] [--clip=C] [--prune=R] [--dropout=P]\n"
@@ -180,7 +176,7 @@ int run_simulator(const FlagParser& flags) {
   if (policy == nullptr) {
     std::fprintf(stderr,
                  "fl_simulator: unknown policy '%s' (non-private|fed-sdp|"
-                 "fed-cdp|fed-cdp-decay|fed-cdp-median|dssgd)\n",
+                 "fed-cdp|fed-cdp-decay|dssgd)\n",
                  policy_name.c_str());
     return 1;
   }

@@ -1,26 +1,23 @@
 // Privacy policies for federated learning — the paper's core subject.
 //
-// A PrivacyPolicy hooks into the three places a defense can act:
+// A PrivacyPolicy hooks into the two places on the client where a
+// defense acts:
 //  - per-example gradients during local training (Algorithm 2,
 //    lines 9-14: Fed-CDP clips per layer and adds Gaussian noise to
 //    every example's gradient before batch averaging), one call per
 //    local iteration on the batched engine's output, returning the
 //    sanitized batch mean,
 //  - the per-client round update before it is shared (Algorithm 1:
-//    Fed-SDP clips the update; the noise can be added here when the
-//    client runs the DP module),
-//  - the received updates at the server (Algorithm 1 server-side
-//    variant: noise added at the server, which protects type-0 but
-//    not type-1 leakage).
+//    Fed-SDP clips and noises the update before it leaves the device).
+// Policies hold no state that sanitizing changes, so clients may run in
+// any order and on any thread.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
-#include "dp/adaptive_clipping.h"
 #include "dp/clipping.h"
 #include "dp/fused_sanitize.h"
 #include "dp/gaussian.h"
@@ -45,12 +42,6 @@ class PrivacyPolicy {
   // (non-private, Fed-SDP).
   virtual bool needs_per_example_gradients() const { return false; }
 
-  // True when the policy carries mutable cross-client state whose
-  // result depends on observation order (e.g. the median-norm
-  // estimator). The trainer serializes client execution for such
-  // policies to keep runs bit-reproducible.
-  virtual bool order_dependent() const { return false; }
-
   // The Gaussian noise scale sigma the policy adds, and the one its
   // privacy budget is accounted at; 0 for a policy that adds no noise
   // (it records no budget).
@@ -72,12 +63,6 @@ class PrivacyPolicy {
   virtual void sanitize_client_update(TensorList& update,
                                       const ParamGroups& groups,
                                       std::int64_t round, Rng& rng) const;
-
-  // Hook 3: sanitize one received update at the server, before
-  // aggregation.
-  virtual void sanitize_at_server(TensorList& update,
-                                  const ParamGroups& groups,
-                                  std::int64_t round, Rng& rng) const;
 };
 
 // Baseline: no defense anywhere.
@@ -87,26 +72,21 @@ class NonPrivatePolicy final : public PrivacyPolicy {
 };
 
 // Fed-SDP (Algorithm 1): per-client clipping + Gaussian noise on the
-// shared round update. noise_at_server selects the server-side
-// variant, which the paper notes is vulnerable to type-1 leakage.
+// shared round update, both at the client, before the update leaves
+// the device.
 class FedSdpPolicy final : public PrivacyPolicy {
  public:
-  FedSdpPolicy(double clipping_bound, double noise_scale,
-               bool noise_at_server = false);
+  FedSdpPolicy(double clipping_bound, double noise_scale);
   std::string name() const override { return "Fed-SDP"; }
 
   void sanitize_client_update(TensorList& update, const ParamGroups& groups,
                               std::int64_t round, Rng& rng) const override;
-  void sanitize_at_server(TensorList& update, const ParamGroups& groups,
-                          std::int64_t round, Rng& rng) const override;
   double clipping_bound() const { return clip_; }
   double noise_scale() const override { return mechanism_.noise_scale(); }
-  bool noise_at_server() const { return noise_at_server_; }
 
  private:
   double clip_;
   dp::GaussianMechanism mechanism_;
-  bool noise_at_server_;
 };
 
 // Fed-CDP (Algorithm 2): per-example, per-layer clipping + Gaussian
@@ -138,38 +118,6 @@ class FedCdpPolicy final : public PrivacyPolicy {
   dp::ClippingSchedule schedule_;
   double sigma_;
   bool decay_label_;
-};
-
-// Fed-CDP with the paper's median-norm adaptive clipping strategy
-// (Section IV, "Choosing Clipping Strategy C"): the bound tracks the
-// median of recently observed per-layer gradient norms instead of a
-// preset constant.
-class FedCdpAdaptivePolicy final : public PrivacyPolicy {
- public:
-  // initial_bound is used until enough norms have been observed.
-  FedCdpAdaptivePolicy(double initial_bound, double noise_scale,
-                       std::size_t window = 256);
-
-  std::string name() const override { return "Fed-CDP(median)"; }
-  bool needs_per_example_gradients() const override { return true; }
-  bool order_dependent() const override { return true; }
-
-  dp::SanitizedBatch sanitize_per_example_batch(
-      const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
-      std::int64_t round, Rng& rng,
-      std::optional<std::int64_t> observe) const override;
-
-  // Bound the next sanitization will use.
-  double current_bound() const;
-  double noise_scale() const override { return sigma_; }
-
- private:
-  double initial_bound_;
-  double sigma_;
-  // Mutable: observing norms is bookkeeping, not part of the policy's
-  // logical state. Guarded for concurrent clients.
-  mutable std::mutex mutex_;
-  mutable dp::MedianNormEstimator estimator_;
 };
 
 // Convenience factories with the paper's defaults (C=4, sigma=6;

@@ -30,14 +30,9 @@ AsyncAggregatorConfig resolve_async_config(AsyncAggregatorConfig config,
 
 AsyncAggregator::AsyncAggregator(TensorList initial_weights,
                                  AsyncAggregatorConfig config,
-                                 const core::PrivacyPolicy& policy,
-                                 const dp::ParamGroups& groups, Rng rng,
                                  ScreeningConfig screening)
     : config_(config),
-      policy_(policy),
-      groups_(groups),
       screener_(screening),
-      rng_(rng),
       weights_(std::move(initial_weights)) {
   FEDCL_CHECK(!weights_.empty()) << "async aggregator needs a model";
   FEDCL_CHECK_GE(config_.min_to_apply, 1);
@@ -63,9 +58,6 @@ AsyncAggregator::OfferResult AsyncAggregator::offer(ClientUpdate update,
   }
   result.accepted = true;
 
-  // Streaming fold: sanitize (the per-update server-side hook, exactly
-  // as the synchronous Server applies it), staleness-decay, accumulate.
-  policy_.sanitize_at_server(update.delta, groups_, now_round, rng_);
   const double w = std::pow(1.0 + static_cast<double>(verdict.staleness),
                            -config_.staleness_alpha);
   tensor::list::add_(accumulator_, update.delta, static_cast<float>(w));

@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <vector>
 
-#include "common/rng.h"
-#include "core/policy.h"
 #include "fl/protocol.h"
 #include "fl/update_screening.h"
 #include "tensor/shape.h"
@@ -59,16 +59,10 @@ class AsyncAggregator {
     std::optional<RejectReason> reject;   // set when !accepted
   };
 
-  // `policy` and `groups` must outlive the aggregator; the policy's
-  // server-side sanitization hook runs on every accepted update before
-  // it is folded in (the same per-update placement as the synchronous
-  // Server). `rng` drives that hook, consumed in fold order. Every
-  // offer is screened under `screening` (structural / finite /
+  // Every offer is screened under `screening` (structural / finite /
   // absolute-norm; the median-relative band needs a population and
   // does not apply to a streamed update).
   AsyncAggregator(TensorList initial_weights, AsyncAggregatorConfig config,
-                  const core::PrivacyPolicy& policy,
-                  const dp::ParamGroups& groups, Rng rng,
                   ScreeningConfig screening = {});
 
   // Screens, weights, and folds `update` into the accumulator;
@@ -90,21 +84,15 @@ class AsyncAggregator {
   std::int64_t applies() const;
   // Updates folded in since the last application.
   std::int64_t buffered() const;
-  // Whether the *last* application tripped the threshold (full) or was
-  // a below-threshold flush (reduced).
+  // The resolved apply threshold M: offers that trigger an apply.
   std::int64_t min_to_apply() const { return config_.min_to_apply; }
-
-  const AsyncAggregatorConfig& config() const { return config_; }
 
  private:
   // Applies accumulator_ / weight_sum_ to weights_. Caller holds mutex_.
   void apply_locked(const char* trigger);
 
   AsyncAggregatorConfig config_;
-  const core::PrivacyPolicy& policy_;
-  const dp::ParamGroups& groups_;
   UpdateScreener screener_;
-  Rng rng_;
 
   mutable std::mutex mutex_;
   TensorList weights_;

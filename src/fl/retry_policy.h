@@ -20,8 +20,8 @@
 //   reduced quorum — accepted in [reduced_min_reporting, min_reporting),
 //                    the aggregate is applied anyway and the shortfall
 //                    is surfaced as a noise-widening factor
-//                    (min_reporting / accepted >= 1): server-side noise
-//                    calibrated for the planned quorum is averaged over
+//                    (min_reporting / accepted >= 1): noise calibrated
+//                    for the planned quorum is averaged over
 //                    fewer updates, so the effective noise in the
 //                    applied mean is wider by exactly that factor — the
 //                    DP guarantee is untouched, the utility accounting

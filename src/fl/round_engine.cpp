@@ -43,7 +43,7 @@ LocalTrainConfig local_of(const data::BenchmarkConfig& bench,
 struct FoldUnit {
   RoundTally tally;
   std::vector<ClientUpdate> updates;  // buffered: delivered, unscreened
-  ReduceNode partial;  // streamed: the block's screened, sanitized sum
+  ReduceNode partial;  // streamed: the block's screened sum
   int max_levels = 0;
 };
 
@@ -97,14 +97,11 @@ data::Dataset Federation::validation_set() const {
 }
 
 ClientRunner::ClientRunner(const Federation& federation,
-                           const core::PrivacyPolicy& policy,
                            bool parallel_clients,
                            std::int64_t clients_per_round)
     : serial_model_(*federation.model) {
   const std::size_t pool_size = compute_pool().size();
-  if (!parallel_clients || pool_size <= 1 || policy.order_dependent()) {
-    return;
-  }
+  if (!parallel_clients || pool_size <= 1) return;
   const std::size_t slots =
       std::min(pool_size, static_cast<std::size_t>(clients_per_round));
   slot_models_.reserve(slots);
@@ -484,9 +481,6 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
           if (faulty) ++unit.tally.stats.fault_screened;
           continue;
         }
-        Rng srng = VirtualClientProvider::sanitize_stream(
-            round_rng, t, static_cast<std::int64_t>(dispatches[i].ci));
-        run.policy.sanitize_at_server(update.delta, run.groups, t, srng);
         reducer.push(std::move(update.delta), 1.0);
         ++unit.tally.accepted;
       }
@@ -554,9 +548,7 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     if (!streamed && !updates.empty()) {
       telemetry::SpanTimer aggregate_span(registry, "fl.phase",
                                           {{"phase", "aggregate"}}, t);
-      Rng agg_rng = round_rng.fork("aggregate", static_cast<std::uint64_t>(t));
-      outcome = run.server.aggregate(std::move(updates), run.policy,
-                                     run.groups, agg_rng);
+      outcome = run.server.aggregate(std::move(updates));
       tally.stats.count_screening(outcome.screening);
       tally.accepted = outcome.screening.accepted;
     } else if (streamed) {
@@ -797,9 +789,7 @@ FlRunResult run_federation(const FlExperimentConfig& config,
   const std::int64_t local_iterations = config.effective_local_iterations();
 
   const data::Dataset val = fed.validation_set();
-  const dp::ParamGroups groups = to_param_groups(fed.model->layer_groups());
-  ClientRunner runner(fed, policy, config.parallel_clients,
-                      config.clients_per_round);
+  ClientRunner runner(fed, config.parallel_clients, config.clients_per_round);
   Server server(fed.model->weights(),
                 {.server_momentum = config.server_momentum,
                  .screening = config.screening,
@@ -845,17 +835,16 @@ FlRunResult run_federation(const FlExperimentConfig& config,
   });
   ledger.result().privacy_setup = privacy_setup;
 
-  const RunState run{config, policy, fed, groups, runner, server, ledger};
+  const RunState run{config, policy, fed, runner, server, ledger};
   InProcessExecutor in_process(runner);
   ClientExecutor& executor = remote != nullptr ? *remote : in_process;
   if (!config.async_mode) return run_sync(run, executor);
   // The async engine's global model: the federation's initial weights,
-  // the resolved apply threshold, screening under config.screening, and
-  // server-side noise from the seed's "async-aggregate" fork.
+  // the resolved apply threshold, and screening under config.screening.
   agg = std::make_unique<AsyncAggregator>(
       fed.model->weights(),
-      resolve_async_config(config.async, config.clients_per_round), policy,
-      groups, fed.root.fork("async-aggregate"), config.screening);
+      resolve_async_config(config.async, config.clients_per_round),
+      config.screening);
   return run_async(run, *agg, executor);
 }
 

@@ -53,13 +53,12 @@ struct Federation {
 
 // Runs independent client tasks, serially on the federation's model or
 // concurrently on the compute pool with one private scratch model per
-// slot. Concurrency is correct only when clients are independent given
-// their forked streams, which an order-dependent policy breaks, so such
-// a policy always runs serially.
+// slot. Clients are independent given their forked streams, and every
+// policy is stateless, so both schedules compute the same bits.
 class ClientRunner {
  public:
-  ClientRunner(const Federation& federation, const core::PrivacyPolicy& policy,
-               bool parallel_clients, std::int64_t clients_per_round);
+  ClientRunner(const Federation& federation, bool parallel_clients,
+               std::int64_t clients_per_round);
 
   bool parallel() const { return !slot_models_.empty(); }
   std::size_t slots() const { return slot_models_.size(); }
@@ -210,7 +209,6 @@ struct RunState {
   const FlExperimentConfig& config;
   const core::PrivacyPolicy& policy;
   const Federation& fed;
-  const dp::ParamGroups& groups;
   ClientRunner& runner;
   Server& server;
   RoundLedger& ledger;
@@ -283,13 +281,12 @@ class ClientExecutor {
 // (streaming_aggregation):
 //  - buffered: the delivered updates are held and Server::aggregate
 //    screens them as one batch (the median-relative norm band needs the
-//    round's population), sanitizes them from the serial "aggregate"
-//    stream, and averages them;
-//  - streamed: each delivered update is screened, sanitized from its
-//    own per-(round, client) stream, and pushed into its edge block's
-//    StreamingReducer on the pool. Blocks run in waves so only O(wave)
-//    partials are alive, and the root folds them in block order, which
-//    keeps the sum bitwise equal to the flat pinned order (DESIGN.md §7).
+//    round's population) and averages them;
+//  - streamed: each delivered update is screened and pushed into its
+//    edge block's StreamingReducer on the pool. Blocks run in waves so
+//    only O(wave) partials are alive, and the root folds them in block
+//    order, which keeps the sum bitwise equal to the flat pinned order
+//    (DESIGN.md §7).
 // Every draw a client makes comes from a per-(round, client) stream, so
 // both folds are bitwise identical across executors, schedules and
 // thread counts.
@@ -310,9 +307,9 @@ FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
 
 // Runs `config` under `policy` on `fed`, the federation built from the
 // same config. Validates the config and that a noising policy adds
-// config.noise_scale, builds the run once (validation set, param
-// groups, ClientRunner, Server, privacy setup with its dp.epsilon
-// series and dp.delta, RoundLedger), and drives run_sync or run_async.
+// config.noise_scale, builds the run once (validation set,
+// ClientRunner, Server, privacy setup with its dp.epsilon series and
+// dp.delta, RoundLedger), and drives run_sync or run_async.
 // With `remote` null the clients train in this process. The caller
 // resets the telemetry registry, if at all, before the call.
 FlRunResult run_federation(const FlExperimentConfig& config,

@@ -29,9 +29,7 @@ std::vector<std::size_t> Server::sample_clients(std::size_t total_clients,
   return rng.sample_without_replacement(total_clients, clients_per_round);
 }
 
-AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates,
-                                   const core::PrivacyPolicy& policy,
-                                   const dp::ParamGroups& groups, Rng& rng) {
+AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates) {
   ScreeningReport report;
   std::vector<ClientUpdate> accepted =
       screener_.screen(std::move(updates), tensor::list::shapes_of(weights_),
@@ -45,8 +43,7 @@ AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates,
   const auto scale =
       static_cast<float>(1.0 / static_cast<double>(accepted.size()));
   TensorList mean_delta = tensor::list::zeros_like(weights_);
-  for (ClientUpdate& u : accepted) {
-    policy.sanitize_at_server(u.delta, groups, round_, rng);
+  for (const ClientUpdate& u : accepted) {
     tensor::list::add_(mean_delta, u.delta, scale);
   }
   apply_mean(mean_delta, report.accepted);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/policy.h"
@@ -61,21 +62,24 @@ class Server {
                                           std::size_t clients_per_round,
                                           Rng& rng) const;
 
-  // FedSGD: W(t+1) = W(t) + (1/Kt) * sum_k delta_k, applying the
-  // policy's server-side hook to each update first (the Fed-SDP
-  // noise-at-server variant). Every update is screened first (shape /
-  // finite / norm / round checks — see update_screening.h); a rejected
-  // update is dropped and counted in the returned report rather than
-  // aborting the round. When fewer than min_reporting updates survive,
-  // nothing is applied, the round does not advance, and the report
-  // shows the quorum miss — the caller decides (normally skip_round()).
-  // Every client holds the same number of examples, and every delta is
-  // relative to the same W(t), so this uniform mean is also exactly
-  // FedAveraging (Section IV notes the two are mathematically
-  // equivalent).
+  // FedSGD: W(t+1) = W(t) + (1/Kt) * sum_k delta_k. Every update is
+  // screened first (shape / finite / norm / round checks — see
+  // update_screening.h); a rejected update is dropped and counted in
+  // the returned report rather than aborting the round. When fewer than
+  // min_reporting updates survive, nothing is applied, the round does
+  // not advance, and the report shows the quorum miss — the caller
+  // decides (normally skip_round()). Every client holds the same number
+  // of examples, and every delta is relative to the same W(t), so this
+  // uniform mean is also exactly FedAveraging (Section IV notes the two
+  // are mathematically equivalent).
+  AggregateOutcome aggregate(std::vector<ClientUpdate> updates);
+  // The same; the policy, groups and stream go unused. perfbench still
+  // calls this form.
   AggregateOutcome aggregate(std::vector<ClientUpdate> updates,
-                             const core::PrivacyPolicy& policy,
-                             const dp::ParamGroups& groups, Rng& rng);
+                             const core::PrivacyPolicy&,
+                             const dp::ParamGroups&, Rng&) {
+    return aggregate(std::move(updates));
+  }
 
   // The degradation tier (and noise widening) `accepted` screened
   // updates earn under this server's quorum options — the decision
@@ -84,11 +88,11 @@ class Server {
   AggregateOutcome quorum(std::int64_t accepted) const;
 
   // Applies an externally reduced mean delta (the streamed fold of the
-  // sync engine, fl/trainer.cpp, screens, sanitizes, and reduces
-  // updates as they arrive and hands the server only the finished
-  // mean). Same momentum tail and round advance as aggregate(), which
-  // ends in it; the caller decides the quorum first (quorum()) and
-  // keeps the screening accounting. Adds `accepted` to
+  // sync engine, fl/round_engine.cpp, screens and reduces updates as
+  // they arrive and hands the server only the finished mean). Same
+  // momentum tail and round advance as aggregate(), which ends in it;
+  // the caller decides the quorum first (quorum()) and keeps the
+  // screening accounting. Adds `accepted` to
   // fl.server.updates_accepted_total.
   void apply_mean(const TensorList& mean_delta, std::int64_t accepted);
 

@@ -75,8 +75,7 @@ struct FlExperimentConfig {
   // is consumed serially in client order, and each client trains from
   // its own (round, client)-forked stream on a private scratch model —
   // results are bitwise identical to the serial schedule for any
-  // FEDCL_THREADS. Policies with order-dependent state (the median-norm
-  // estimator) are serialized automatically.
+  // FEDCL_THREADS.
   bool parallel_clients = true;
   // Asynchronous (FedBuff-style) round engine: updates stream into a
   // bounded-memory accumulator (fl/async_aggregator.h) and the model

@@ -42,10 +42,4 @@ Rng VirtualClientProvider::delivery_fault_stream(const Rng& round_rng,
   return round_rng.fork("fault-delivery", stream_index(round, id));
 }
 
-Rng VirtualClientProvider::sanitize_stream(const Rng& round_rng,
-                                           std::int64_t round,
-                                           std::int64_t id) {
-  return round_rng.fork("sanitize", stream_index(round, id));
-}
-
 }  // namespace fedcl::fl

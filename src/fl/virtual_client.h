@@ -43,11 +43,6 @@ class VirtualClientProvider {
   // client so delivery runs on the pool and stays schedule-independent.
   static Rng delivery_fault_stream(const Rng& round_rng, std::int64_t round,
                                    std::int64_t id);
-  // Server-side sanitization stream for the sync engine's streamed
-  // fold, where updates are folded as they arrive instead of in a
-  // serial pass.
-  static Rng sanitize_stream(const Rng& round_rng, std::int64_t round,
-                             std::int64_t id);
 
  private:
   data::ShardPlan plan_;

@@ -38,11 +38,6 @@ Result<PolicyId> parse_policy_id(const std::string& name) {
   if (name == "fed-sdp") return PolicyId::kFedSdp;
   if (name == "fed-cdp") return PolicyId::kFedCdp;
   if (name == "fed-cdp-decay") return PolicyId::kFedCdpDecay;
-  if (name == "fed-cdp-median") {
-    return R::failure("policy '" + name +
-                      "' has order-dependent state and cannot be served "
-                      "across worker processes");
-  }
   if (name == "dssgd") {
     return R::failure("policy 'dssgd' has no policy id on the wire, so it "
                       "cannot be served (servable: non-private|fed-sdp|"

@@ -20,10 +20,7 @@
 
 namespace fedcl::net {
 
-// Policy identifiers on the wire. Only order-independent policies are
-// servable: a policy whose per-client state depends on visitation
-// order (the median-norm estimator) cannot be replicated across worker
-// processes, so the server refuses it up front (docs/PROTOCOL.md §5).
+// Policy identifiers on the wire (docs/PROTOCOL.md §3.3).
 enum class PolicyId : std::uint8_t {
   kNonPrivate = 0,
   kFedSdp = 1,
@@ -33,8 +30,7 @@ enum class PolicyId : std::uint8_t {
 
 const char* policy_id_name(PolicyId id);
 // Parses the fl_simulator policy-name vocabulary; fails on unknown
-// names, on the order-dependent fed-cdp-median, and on dssgd, which has
-// no id here.
+// names and on dssgd, which has no id here.
 Result<PolicyId> parse_policy_id(const std::string& name);
 
 // client -> server, first frame on every connection.

@@ -223,10 +223,7 @@ ClientUpdate delta_update(std::int64_t round, float v0, float v1) {
 }
 
 TEST(AsyncAggregator, AppliesExactlyAtTheMthOffer) {
-  core::NonPrivatePolicy policy;
-  dp::ParamGroups groups = {{0}};
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2), policy, groups,
-                      Rng(1));
+  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2));
   auto r1 = agg.offer(delta_update(0, 2.0f, 4.0f), 0);
   EXPECT_TRUE(r1.accepted);
   EXPECT_FALSE(r1.applied);
@@ -243,11 +240,8 @@ TEST(AsyncAggregator, AppliesExactlyAtTheMthOffer) {
 }
 
 TEST(AsyncAggregator, StaleUpdateEntersWithDecayWeight) {
-  core::NonPrivatePolicy policy;
-  dp::ParamGroups groups = {{0}};
   // alpha = 1: staleness 1 -> weight 1/2.
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0), policy,
-                      groups, Rng(1));
+  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0));
   auto fresh = agg.offer(delta_update(3, 6.0f, 0.0f), 3);
   EXPECT_EQ(fresh.staleness, 0);
   auto stale = agg.offer(delta_update(2, 12.0f, 3.0f), 3);
@@ -261,10 +255,7 @@ TEST(AsyncAggregator, StaleUpdateEntersWithDecayWeight) {
 }
 
 TEST(AsyncAggregator, TooStaleIsScreenedOut) {
-  core::NonPrivatePolicy policy;
-  dp::ParamGroups groups = {{0}};
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(1, 0.5, 2), policy,
-                      groups, Rng(1));
+  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(1, 0.5, 2));
   auto r = agg.offer(delta_update(0, 1.0f, 1.0f), /*now_round=*/5);
   EXPECT_FALSE(r.accepted);
   EXPECT_EQ(*r.reject, RejectReason::kStaleRound);
@@ -272,10 +263,7 @@ TEST(AsyncAggregator, TooStaleIsScreenedOut) {
 }
 
 TEST(AsyncAggregator, FlushAppliesAPartialBuffer) {
-  core::NonPrivatePolicy policy;
-  dp::ParamGroups groups = {{0}};
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(4), policy, groups,
-                      Rng(1));
+  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(4));
   EXPECT_FALSE(agg.flush());  // nothing buffered
   agg.offer(delta_update(0, 2.0f, 2.0f), 0);
   EXPECT_TRUE(agg.flush());
@@ -286,10 +274,7 @@ TEST(AsyncAggregator, FlushAppliesAPartialBuffer) {
 TEST(AsyncAggregator, EmitsStalenessAndOccupancyTelemetry) {
   telemetry::Registry& registry = telemetry::global_registry();
   registry.reset();
-  core::NonPrivatePolicy policy;
-  dp::ParamGroups groups = {{0}};
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0), policy,
-                      groups, Rng(1));
+  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0));
   agg.offer(delta_update(1, 1.0f, 0.0f), 2);  // staleness 1
   telemetry::TelemetrySnapshot mid = registry.snapshot();
   EXPECT_EQ(mid.gauge_value("fl.async.buffer_occupancy"), 1.0);
@@ -308,12 +293,10 @@ TEST(AsyncAggregator, EmitsStalenessAndOccupancyTelemetry) {
 TEST(Server, ReducedQuorumAppliesWithNoiseWideningSurfaced) {
   Server server({Tensor::zeros({2})},
                 {.min_reporting = 3, .reduced_min_reporting = 1});
-  core::NonPrivatePolicy policy;
-  Rng rng(4);
   std::vector<ClientUpdate> updates(1);
   updates[0] = {0, 0, {Tensor::from_vector({2}, {3.0f, 9.0f})}};
   AggregateOutcome outcome =
-      server.aggregate(std::move(updates), policy, {{0}}, rng);
+      server.aggregate(std::move(updates));
   EXPECT_TRUE(outcome.applied);
   EXPECT_EQ(outcome.tier, DegradationTier::kReducedQuorum);
   EXPECT_DOUBLE_EQ(outcome.noise_widening, 3.0);
@@ -324,12 +307,10 @@ TEST(Server, ReducedQuorumAppliesWithNoiseWideningSurfaced) {
 TEST(Server, BelowReducedQuorumStillSkips) {
   Server server({Tensor::ones({1})},
                 {.min_reporting = 3, .reduced_min_reporting = 2});
-  core::NonPrivatePolicy policy;
-  Rng rng(5);
   std::vector<ClientUpdate> updates(1);
   updates[0] = {0, 0, {Tensor::ones({1})}};
   AggregateOutcome outcome =
-      server.aggregate(std::move(updates), policy, {{0}}, rng);
+      server.aggregate(std::move(updates));
   EXPECT_FALSE(outcome.applied);
   EXPECT_EQ(outcome.tier, DegradationTier::kSkipRound);
   EXPECT_FLOAT_EQ(server.weights()[0].at(0), 1.0f);
@@ -431,8 +412,8 @@ std::vector<std::int64_t> ledger_fields(const RoundFailureStats& f) {
 // on the pool but offers their updates on the loop thread, in cohort
 // order, so the serial and the parallel schedule fold the same updates
 // in the same order and end bitwise equal — under faults, retries and
-// late arrivals, and with Fed-SDP's server-side noise drawn in fold
-// order.
+// late arrivals, and with Fed-SDP noising each update at the client
+// from its own (round, client) stream.
 TEST(AsyncTrainer, SerializedExecutorIsBitwiseReproducible) {
   FlExperimentConfig config = async_config();
   config.total_clients = 64;

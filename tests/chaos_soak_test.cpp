@@ -177,9 +177,10 @@ TEST(ChaosSoak, StreamingEngineVirtualizedFederation) {
 }
 
 TEST(ChaosSoak, StreamingEngineUnderDpPolicySurvives) {
-  // Server-side sanitization runs per update inside the streaming
-  // fold (its own per-(round, client) noise stream) — soak it with
-  // real noise to catch ordering or double-sanitization bugs.
+  // Fed-SDP clips and noises every update at the client, so the
+  // streaming fold screens and reduces noised deltas under faults and
+  // retries — soak it with real noise, which the no-op policy cannot
+  // give.
   FlExperimentConfig config = soak_config(/*async=*/false,
                                           /*max_attempts=*/2, 1307);
   config.total_clients = 10000;
@@ -187,22 +188,20 @@ TEST(ChaosSoak, StreamingEngineUnderDpPolicySurvives) {
   config.streaming_aggregation = true;
   config.tree_fan_out = 8;
   config.noise_scale = 0.5;
-  core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5,
-                            /*noise_at_server=*/true);
+  core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5);
   FlRunResult result = run_experiment(config, policy);
   assert_survived(result, config);
 }
 
 TEST(ChaosSoak, AsyncUnderDpPolicySurvives) {
-  // The streaming fold runs the policy's server-side hook per update;
-  // soak it with actual server-side noise to catch ordering or
-  // double-sanitization bugs the no-op policy cannot see.
+  // The async aggregator folds noised Fed-SDP updates, late ones with
+  // their staleness weight, under faults and retries — soak it with
+  // real noise, which the no-op policy cannot give.
   FlExperimentConfig config = soak_config(/*async=*/true,
                                           /*max_attempts=*/2, 1305);
   config.rounds = 50;
   config.noise_scale = 0.5;
-  core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5,
-                            /*noise_at_server=*/true);
+  core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5);
   FlRunResult result = run_experiment(config, policy);
   assert_survived(result, config);
 }

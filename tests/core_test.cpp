@@ -27,7 +27,6 @@ TEST(NonPrivatePolicy, AllHooksAreNoops) {
   TensorList before = tensor::list::clone(u);
   testing::sanitize_one_example(policy, u, sample_groups(), 0, rng);
   policy.sanitize_client_update(u, sample_groups(), 0, rng);
-  policy.sanitize_at_server(u, sample_groups(), 0, rng);
   EXPECT_TRUE(tensor::list::allclose(u, before));
   EXPECT_FALSE(policy.needs_per_example_gradients());
   EXPECT_EQ(policy.name(), "non-private");
@@ -48,29 +47,13 @@ TEST(FedSdpPolicy, ClipsAndNoisesClientUpdate) {
   EXPECT_TRUE(varies);
   EXPECT_FALSE(policy.needs_per_example_gradients());
   EXPECT_EQ(policy.name(), "Fed-SDP");
-}
-
-TEST(FedSdpPolicy, ClientNoiseVariantLeavesServerAlone) {
-  FedSdpPolicy policy(2.0, 1.0, /*noise_at_server=*/false);
-  Rng rng(3);
-  TensorList u = sample_update();
-  TensorList before = tensor::list::clone(u);
-  policy.sanitize_at_server(u, sample_groups(), 0, rng);
-  EXPECT_TRUE(tensor::list::allclose(u, before));
-}
-
-TEST(FedSdpPolicy, ServerNoiseVariant) {
-  FedSdpPolicy policy(2.0, 1.0, /*noise_at_server=*/true);
-  Rng rng(4);
-  TensorList u = sample_update();
-  // Client side only clips (no noise): norms bounded by C per group.
-  policy.sanitize_client_update(u, sample_groups(), 0, rng);
-  EXPECT_LE(u[0].l2_norm(), 2.0f + 1e-4f);
-  EXPECT_NEAR(u[1].l2_norm(), 1.0f, 1e-5);  // below bound: untouched
-  // Deterministic (no randomness consumed yet): same rng still fresh.
-  TensorList clipped = tensor::list::clone(u);
-  policy.sanitize_at_server(u, sample_groups(), 0, rng);
-  EXPECT_FALSE(tensor::list::allclose(u, clipped));  // server adds noise
+  // sigma = 0 leaves only the clip: a group above C is clipped to C,
+  // and a group under C is untouched.
+  FedSdpPolicy noiseless(/*clipping_bound=*/2.0, /*noise_scale=*/0.0);
+  TensorList clipped = sample_update();
+  noiseless.sanitize_client_update(clipped, sample_groups(), 0, rng);
+  EXPECT_LE(clipped[0].l2_norm(), 2.0f + 1e-4f);
+  EXPECT_NEAR(clipped[1].l2_norm(), 1.0f, 1e-5);
 }
 
 TEST(FedCdpPolicy, ClipsAndNoisesPerExample) {

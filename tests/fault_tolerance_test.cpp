@@ -195,14 +195,12 @@ TEST(UpdateScreening, AbsoluteNormCap) {
 
 TEST(Server, AggregateScreensMixedBatch) {
   Server server({Tensor::zeros({2})});
-  core::NonPrivatePolicy policy;
-  Rng rng(21);
   std::vector<ClientUpdate> updates(3);
   updates[0] = {0, 0, {Tensor::from_vector({2}, {2, 4})}};
   updates[1] = {1, 7, {Tensor::from_vector({2}, {100, 100})}};  // stale
   updates[2] = {2, 0, {Tensor::from_vector({2}, {4, 0})}};
   ScreeningReport report =
-      server.aggregate(std::move(updates), policy, {{0}}, rng).screening;
+      server.aggregate(std::move(updates)).screening;
   EXPECT_EQ(report.accepted, 2);
   EXPECT_EQ(report.rejected_stale, 1);
   // Mean of the two valid updates only.
@@ -213,15 +211,13 @@ TEST(Server, AggregateScreensMixedBatch) {
 
 TEST(Server, QuorumMissLeavesModelUntouched) {
   Server server({Tensor::ones({2})}, {.min_reporting = 2});
-  core::NonPrivatePolicy policy;
-  Rng rng(22);
   std::vector<ClientUpdate> updates(2);
   updates[0] = {0, 0, {Tensor::full({2}, 5.0f)}};
   ClientUpdate bad = {1, 0, {Tensor::full({2}, 9.0f)}};
   bad.delta[0].data()[0] = std::numeric_limits<float>::infinity();
   updates[1] = std::move(bad);
   ScreeningReport report =
-      server.aggregate(std::move(updates), policy, {{0}}, rng).screening;
+      server.aggregate(std::move(updates)).screening;
   EXPECT_EQ(report.accepted, 1);
   EXPECT_EQ(report.rejected_non_finite, 1);
   EXPECT_FLOAT_EQ(server.weights()[0].at(0), 1.0f);  // untouched
@@ -230,10 +226,8 @@ TEST(Server, QuorumMissLeavesModelUntouched) {
 
 TEST(Server, EmptyBatchIsAQuorumMissNotAnAbort) {
   Server server({Tensor::ones({1})});
-  core::NonPrivatePolicy policy;
-  Rng rng(23);
   ScreeningReport report =
-      server.aggregate({}, policy, {{0}}, rng).screening;
+      server.aggregate({}).screening;
   EXPECT_EQ(report.accepted, 0);
   EXPECT_EQ(server.round(), 0);
 }

@@ -72,14 +72,12 @@ TEST(SecureAggregation, DeterministicPerSession) {
 TEST(Server, MomentumAcceleratesRepeatedDirection) {
   Server plain({Tensor::zeros({1})});
   Server momentum({Tensor::zeros({1})}, {.server_momentum = 0.9});
-  core::NonPrivatePolicy policy;
-  Rng rng(10);
   for (int t = 0; t < 3; ++t) {
     std::vector<ClientUpdate> u1(1), u2(1);
     u1[0] = {0, t, {Tensor::ones({1})}};
     u2[0] = {0, t, {Tensor::ones({1})}};
-    plain.aggregate(std::move(u1), policy, {{0}}, rng);
-    momentum.aggregate(std::move(u2), policy, {{0}}, rng);
+    plain.aggregate(std::move(u1));
+    momentum.aggregate(std::move(u2));
   }
   // Momentum: 1 + 1.9 + 2.71 = 5.61 > plain 3.
   EXPECT_FLOAT_EQ(plain.weights()[0].at(0), 3.0f);

@@ -378,12 +378,10 @@ TEST(Server, SampleClientsDistinctAndInRange) {
 
 TEST(Server, FedSgdAggregation) {
   Server server({Tensor::zeros({2})});
-  core::NonPrivatePolicy policy;
-  Rng rng(10);
   std::vector<ClientUpdate> updates(2);
   updates[0] = {0, 0, {Tensor::from_vector({2}, {2, 4})}};
   updates[1] = {1, 0, {Tensor::from_vector({2}, {4, 0})}};
-  server.aggregate(std::move(updates), policy, {{0}}, rng);
+  server.aggregate(std::move(updates));
   // W += (1/2)(u0 + u1)
   EXPECT_FLOAT_EQ(server.weights()[0].at(0), 3.0f);
   EXPECT_FLOAT_EQ(server.weights()[0].at(1), 2.0f);
@@ -394,27 +392,14 @@ TEST(Server, ScreensOutStaleUpdates) {
   // A wrong-round update is screened out per client, not a round abort:
   // the model stays untouched and the miss is reported.
   Server server({Tensor::zeros({1})});
-  core::NonPrivatePolicy policy;
-  Rng rng(11);
   std::vector<ClientUpdate> updates(1);
   updates[0] = {0, /*round=*/5, {Tensor::ones({1})}};
   ScreeningReport report =
-      server.aggregate(std::move(updates), policy, {{0}}, rng).screening;
+      server.aggregate(std::move(updates)).screening;
   EXPECT_EQ(report.accepted, 0);
   EXPECT_EQ(report.rejected_stale, 1);
   EXPECT_FLOAT_EQ(server.weights()[0].at(0), 0.0f);
   EXPECT_EQ(server.round(), 0);  // quorum missed: round not advanced
-}
-
-TEST(Server, ServerSideNoiseHookRuns) {
-  Server server({Tensor::zeros({64})});
-  core::FedSdpPolicy policy(1.0, 1.0, /*noise_at_server=*/true);
-  Rng rng(12);
-  std::vector<ClientUpdate> updates(1);
-  updates[0] = {0, 0, {Tensor::zeros({64})}};
-  server.aggregate(std::move(updates), policy, {{0}}, rng);
-  // Zero update + server noise -> weights moved.
-  EXPECT_GT(server.weights()[0].l2_norm(), 0.0f);
 }
 
 // ---- DSSGD ----

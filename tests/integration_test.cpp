@@ -69,8 +69,6 @@ TEST(Integration, UpdateTravelsThroughSecureChannelToServer) {
   Rng mrng = root.fork("model");
   auto model = nn::build_model(bench.model, mrng);
   fl::Server server(model->weights());
-  const dp::ParamGroups groups =
-      fl::to_param_groups(model->layer_groups());
 
   fl::LocalTrainConfig local{.local_iterations = 1,
                              .batch_size = 2,
@@ -92,8 +90,7 @@ TEST(Integration, UpdateTravelsThroughSecureChannelToServer) {
   }
   tensor::list::TensorList before =
       tensor::list::clone(server.weights());
-  Rng arng = root.fork("agg");
-  server.aggregate(std::move(received), policy, groups, arng);
+  server.aggregate(std::move(received));
   EXPECT_FALSE(tensor::list::allclose(server.weights(), before));
   EXPECT_EQ(server.round(), 1);
 }
@@ -132,32 +129,11 @@ TEST(Integration, SecureAggregationInsideARound) {
     plain.push_back(std::move(a.update));
     masked.push_back(std::move(b.update));
   }
-  const dp::ParamGroups groups =
-      fl::to_param_groups(model->layer_groups());
   fl::Server s1(initial), s2(initial);
-  Rng a1 = root.fork("agg1");
-  Rng a2 = root.fork("agg1");
-  s1.aggregate(std::move(plain), policy, groups, a1);
-  s2.aggregate(std::move(masked), policy, groups, a2);
+  s1.aggregate(std::move(plain));
+  s2.aggregate(std::move(masked));
   EXPECT_TRUE(
       tensor::list::allclose(s1.weights(), s2.weights(), 1e-4f, 1e-3f));
-}
-
-TEST(Integration, AdaptivePolicyEndToEnd) {
-  fl::FlExperimentConfig config;
-  config.bench = smoke_bench(data::BenchmarkId::kCancer);
-  config.total_clients = 4;
-  config.clients_per_round = 2;
-  config.rounds = 3;
-  config.seed = 13;
-  config.noise_scale = 0.1;
-  core::FedCdpAdaptivePolicy policy(/*initial_bound=*/4.0,
-                                    /*noise_scale=*/0.1);
-  fl::FlRunResult result = fl::run_experiment(config, policy);
-  EXPECT_GE(result.final_accuracy, 0.0);
-  // The bound must have adapted away from the initial value once
-  // gradients were observed.
-  EXPECT_NE(policy.current_bound(), 4.0);
 }
 
 TEST(Integration, PrivacyAccountingConsistentWithRun) {

@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/benchmarks.h"
-#include "fl/dssgd.h"
 #include "fl/protocol.h"
 #include "fl/round_engine.h"
 #include "fl/trainer.h"
@@ -350,22 +349,18 @@ TEST(NetWire, UpdateAndTrainErrorRoundTrip) {
   EXPECT_EQ(e2.value().message, e.message);
 }
 
-TEST(NetWire, PolicyVocabularyRefusesOrderDependent) {
+TEST(NetWire, PolicyVocabularyServesTheFourWireIds) {
   EXPECT_TRUE(parse_policy_id("non-private").ok());
   EXPECT_TRUE(parse_policy_id("fed-sdp").ok());
   EXPECT_TRUE(parse_policy_id("fed-cdp").ok());
   EXPECT_TRUE(parse_policy_id("fed-cdp-decay").ok());
-  // The order-dependent median policy cannot be replicated across
-  // workers, and dssgd has no wire id.
-  EXPECT_FALSE(parse_policy_id("fed-cdp-median").ok());
+  // dssgd has no wire id.
   EXPECT_FALSE(parse_policy_id("dssgd").ok());
   EXPECT_FALSE(parse_policy_id("no-such-policy").ok());
 }
 
 TEST(NetWire, DssgdIsRefusedForItsMissingWireId) {
-  // DSSGD is a stateless top-k prune, so order is not what stops it:
-  // the refusal names the missing id and the policies that have one.
-  EXPECT_FALSE(fl::DssgdPolicy().order_dependent());
+  // The refusal names the missing id and the policies that have one.
   const Result<PolicyId> dssgd = parse_policy_id("dssgd");
   ASSERT_FALSE(dssgd.ok());
   EXPECT_EQ(dssgd.error(),

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -327,9 +325,8 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
   // One hook call on B = 8 examples must add up the same bits as eight
   // calls on one-example slices of the same factors from the same
   // stream, averaged in example order: every example draws its one
-  // noise key in example order, both sides take clip norms from the
-  // same factors, and the median policy folds example j's norms into
-  // its estimator before it clips example j + 1.
+  // noise key in example order, and both sides take clip norms from
+  // the same factors.
   Rng rng(42);
   auto model = nn::build_model(mlp_spec(), rng);
   Tensor x = Tensor::randn({8, 20}, rng);
@@ -349,37 +346,20 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
     ASSERT_GT(*hi, bound);
   }
 
-  using MakePolicy = std::function<std::unique_ptr<core::PrivacyPolicy>()>;
-  const std::vector<std::pair<std::string, MakePolicy>> cases = {
-      {"Fed-CDP", [] { return core::make_fed_cdp(2.0, 1.3); }},
-      {"Fed-CDP(decay)",
-       [] { return core::make_fed_cdp_decay(7, 4.0, 2.0, 1.3); }},
-      // A 4-norm window over 3 groups per example: the median moves
-      // with every example of the batch.
-      {"Fed-CDP(median)",
-       [] {
-         return std::make_unique<core::FedCdpAdaptivePolicy>(2.0, 1.3,
-                                                             /*window=*/4);
-       }},
-  };
-  for (const auto& [label, make_policy] : cases) {
-    SCOPED_TRACE(label);
-    const std::unique_ptr<core::PrivacyPolicy> batch_policy = make_policy();
-    const std::unique_ptr<core::PrivacyPolicy> loop_policy = make_policy();
-
+  const std::unique_ptr<core::FedCdpPolicy> policies[] = {
+      core::make_fed_cdp(2.0, 1.3),
+      core::make_fed_cdp_decay(7, 4.0, 2.0, 1.3)};
+  for (const auto& policy : policies) {
+    SCOPED_TRACE(policy->name());
     Rng noise_a(2024);
-    const dp::SanitizedBatch batched = batch_policy->sanitize_per_example_batch(
+    const dp::SanitizedBatch batched = policy->sanitize_per_example_batch(
         raw, groups, round, noise_a, /*observe=*/0);
 
-    const auto* adaptive =
-        dynamic_cast<const core::FedCdpAdaptivePolicy*>(loop_policy.get());
-    std::set<double> bounds_used;
     TensorList looped;
     TensorList first;
     Rng noise_b(2024);
     for (std::int64_t j = 0; j < raw.batch; ++j) {
-      if (adaptive != nullptr) bounds_used.insert(adaptive->current_bound());
-      TensorList y = loop_policy
+      TensorList y = policy
                          ->sanitize_per_example_batch(
                              testing::slice_example(raw, j), groups, round,
                              noise_b, /*observe=*/0)
@@ -395,12 +375,6 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
     testing::expect_bitwise_equal(batched.mean, looped, "mean");
     testing::expect_bitwise_equal(batched.observed, first, "example 0");
     EXPECT_EQ(noise_a.next_u64(), noise_b.next_u64());
-    if (adaptive != nullptr) {
-      EXPECT_GE(bounds_used.size(), 3u);
-      EXPECT_EQ(dynamic_cast<const core::FedCdpAdaptivePolicy&>(*batch_policy)
-                    .current_bound(),
-                adaptive->current_bound());
-    }
   }
 }
 
@@ -514,20 +488,6 @@ TEST(ParallelTrainer, SerialAndParallelSchedulesBitwiseIdentical) {
       EXPECT_GT(serial.total_failures.retry_attempts, 0);
     }
   }
-}
-
-TEST(ParallelTrainer, OrderDependentPolicyStaysDeterministic) {
-  // The median-norm policy is order-dependent; the trainer must
-  // serialize it even when parallel_clients is requested, keeping
-  // repeated runs identical.
-  fl::FlExperimentConfig config = small_fl_config(500);
-  config.noise_scale = 0.5;
-  core::FedCdpAdaptivePolicy policy(4.0, 0.5);
-  config.parallel_clients = true;
-  fl::FlRunResult a = fl::run_experiment(config, policy);
-  core::FedCdpAdaptivePolicy policy_b(4.0, 0.5);
-  fl::FlRunResult b = fl::run_experiment(config, policy_b);
-  expect_same_run(a, b);
 }
 
 }  // namespace

@@ -300,13 +300,9 @@ TEST(VirtualProvider, TheThreeStreamsAreDistinct) {
   Rng round_rng(99);
   Rng train = VirtualClientProvider::training_stream(round_rng, 2, 5);
   Rng fault = VirtualClientProvider::delivery_fault_stream(round_rng, 2, 5);
-  Rng sanitize = VirtualClientProvider::sanitize_stream(round_rng, 2, 5);
   const double a = train.uniform();
   const double b = fault.uniform();
-  const double c = sanitize.uniform();
   EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_NE(b, c);
   // And distinct (round, id) pairs get distinct streams.
   Rng other = VirtualClientProvider::training_stream(round_rng, 2, 6);
   EXPECT_NE(other.uniform(), a);
