@@ -66,11 +66,11 @@ TrainedModel train_under_policy(const core::PrivacyPolicy& policy,
       // Each pick is sanitized as a one-example batch, so its noise key
       // comes right after its pick in the stream.
       const core::TensorList raw = nn::compute_gradients(*out.model, x, label);
-      tensor::list::PerExampleGrads one =
-          tensor::list::make_per_example(1, tensor::list::shapes_of(raw));
-      one.set_example(0, raw);
       core::TensorList g =
-          policy.sanitize_per_example_batch(one, groups, 0, rng, 0).observed;
+          policy
+              .sanitize_per_example_batch(tensor::list::as_one_example(raw),
+                                          groups, 0, rng, 0)
+              .observed;
       if (grad.empty()) {
         grad = std::move(g);
       } else {

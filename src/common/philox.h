@@ -18,8 +18,9 @@
 //             forked per (experiment seed, round, client), so the draw
 //             encodes seed/client/round; consecutive sanitize calls and
 //             consecutive examples get fresh keys in a fixed serial
-//             order (one next_u64 per example) while the expensive part
-//             — the Gaussian fill itself — is order-free.
+//             order (one next_u64 per example; Fed-SDP's round update
+//             is one example) while the expensive part — the Gaussian
+//             fill itself — is order-free.
 //   stream  = parameter-tensor index within the model.
 //   counter = element block within the tensor. Each Philox block
 //             yields four normals, so element i comes from block i >> 2:

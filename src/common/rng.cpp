@@ -72,8 +72,7 @@ double Rng::normal() {
   double sin_theta, cos_theta;
 #if defined(__GLIBC__)
   // glibc computes both in one call with results identical to separate
-  // sin/cos, shaving a table lookup off every other draw — noise
-  // generation is the floor of every Fed-CDP iteration.
+  // sin/cos, shaving a table lookup off every other draw.
   ::sincos(theta, &sin_theta, &cos_theta);
 #else
   sin_theta = std::sin(theta);

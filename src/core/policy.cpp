@@ -40,16 +40,21 @@ void PrivacyPolicy::sanitize_client_update(TensorList&, const ParamGroups&,
                                            std::int64_t, Rng&) const {}
 
 FedSdpPolicy::FedSdpPolicy(double clipping_bound, double noise_scale)
-    : clip_(clipping_bound), mechanism_(noise_scale, clipping_bound) {
+    : clip_(clipping_bound), sigma_(noise_scale) {
   FEDCL_CHECK_GT(clipping_bound, 0.0);
+  FEDCL_CHECK_GE(noise_scale, 0.0);
 }
 
 void FedSdpPolicy::sanitize_client_update(TensorList& update,
                                           const ParamGroups& groups,
                                           std::int64_t /*round*/,
                                           Rng& rng) const {
-  // Algorithm 1 lines 6-11: clip the per-client update layer by layer.
-  const std::vector<double> norms = dp::clip_per_layer(update, groups, clip_);
+  // Algorithm 1 lines 6-13 at the client: clip the update layer by
+  // layer to C and noise it with stddev sigma * C before it leaves the
+  // device, protecting both type-0 and type-1 observation points. One
+  // Philox key from the client's round stream, as for one example.
+  const tensor::list::PerExampleGrads one = tensor::list::as_one_example(update);
+  const std::vector<double> norms = dp::batch_group_norms(one, groups);
   bool any_clipped = false;
   for (double norm : norms) any_clipped = any_clipped || norm > clip_;
   auto& registry = telemetry::global_registry();
@@ -57,9 +62,9 @@ void FedSdpPolicy::sanitize_client_update(TensorList& update,
   registry.counter("dp.clip.updates_total", labels).add(1);
   registry.counter("dp.clip.updates_clipped_total", labels)
       .add(any_clipped ? 1 : 0);
-  // Line 13 at the client: noise before the update leaves the device,
-  // protecting both type-0 and type-1 observation points.
-  mechanism_.sanitize(update, rng);
+  update = dp::batch_scale_noise(one, groups, norms, {clip_}, {sigma_ * clip_},
+                                 {rng.next_u64()})
+               .mean;
 }
 
 FedCdpPolicy::FedCdpPolicy(double clipping_bound, double noise_scale)

@@ -20,7 +20,6 @@
 
 #include "dp/clipping.h"
 #include "dp/fused_sanitize.h"
-#include "dp/gaussian.h"
 #include "tensor/tensor_list.h"
 
 namespace fedcl {
@@ -73,7 +72,9 @@ class NonPrivatePolicy final : public PrivacyPolicy {
 
 // Fed-SDP (Algorithm 1): per-client clipping + Gaussian noise on the
 // shared round update, both at the client, before the update leaves
-// the device.
+// the device. The update is sanitized as a one-example batch of
+// Fed-CDP's fused pass, so it gets the values Fed-CDP would give one
+// example with the same gradient, bound, sigma and stream.
 class FedSdpPolicy final : public PrivacyPolicy {
  public:
   FedSdpPolicy(double clipping_bound, double noise_scale);
@@ -82,11 +83,11 @@ class FedSdpPolicy final : public PrivacyPolicy {
   void sanitize_client_update(TensorList& update, const ParamGroups& groups,
                               std::int64_t round, Rng& rng) const override;
   double clipping_bound() const { return clip_; }
-  double noise_scale() const override { return mechanism_.noise_scale(); }
+  double noise_scale() const override { return sigma_; }
 
  private:
   double clip_;
-  dp::GaussianMechanism mechanism_;
+  double sigma_;
 };
 
 // Fed-CDP (Algorithm 2): per-example, per-layer clipping + Gaussian

@@ -12,23 +12,6 @@ ParamGroups single_group(std::size_t param_count) {
   return groups;
 }
 
-std::vector<double> clip_per_layer(TensorList& grads,
-                                   const ParamGroups& groups, double bound) {
-  FEDCL_CHECK_GT(bound, 0.0);
-  std::vector<double> norms;
-  norms.reserve(groups.size());
-  for (const auto& group : groups) {
-    const double norm = tensor::list::l2_norm_subset(grads, group);
-    norms.push_back(norm);
-    // scale = 1 / max(1, norm / C): preserves updates within the bound.
-    if (norm > bound) {
-      const float scale = static_cast<float>(bound / norm);
-      for (std::size_t i : group) grads[i].scale_(scale);
-    }
-  }
-  return norms;
-}
-
 ClippingSchedule ClippingSchedule::constant(double c) {
   FEDCL_CHECK_GT(c, 0.0);
   ClippingSchedule s;

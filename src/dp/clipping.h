@@ -1,5 +1,6 @@
-// L2-norm clipping of gradient updates plus the clipping-bound
-// schedules behind Fed-CDP(decay).
+// Clip groups for L2-norm clipping, plus the clipping-bound schedules
+// behind Fed-CDP(decay). The clip itself is part of the fused
+// sanitizer (dp/fused_sanitize.h), which both policies run.
 //
 // Grouping follows the paper's Algorithms 1 and 2: each model layer m
 // (weight + bias of one parameterized layer) is clipped independently
@@ -19,12 +20,6 @@ using ParamGroups = std::vector<std::vector<std::size_t>>;
 
 // Treats all parameters as a single group.
 ParamGroups single_group(std::size_t param_count);
-
-// Scales each group so its joint L2 norm is at most `bound`
-// (no-op for groups already within the bound): Algorithm 2 line 10.
-// Returns the pre-clip norm of each group.
-std::vector<double> clip_per_layer(TensorList& grads,
-                                   const ParamGroups& groups, double bound);
 
 // Clipping-bound schedule over federated rounds. Fed-CDP uses
 // kConstant; Fed-CDP(decay) uses kLinear (paper: C=6 -> C=2 over T

@@ -1,4 +1,7 @@
-// Fused per-example clip+noise for the batched Fed-CDP hot path.
+// Fused per-example clip+noise: Fed-CDP's batched hot path, and
+// Fed-SDP's round update as a one-example batch
+// (tensor::list::as_one_example), so one sampler draws all privacy
+// noise.
 //
 // Two passes over the per-example gradients (tensor_list.h), neither of
 // which writes a per-example row:
@@ -76,8 +79,7 @@ void scale_noise_row_v4(float* d, std::int64_t n, float scale, float stddev,
 // Batched forms, parallel on `pool` (nullptr: the process compute
 // pool). norms / bounds / stddevs / keys are example-major:
 // norms[j * groups.size() + g], bounds[j], stddevs[j], keys[j]
-// (per-example entries support the adaptive policy, whose bound moves
-// between examples).
+// (both policies pass one bound and one stddev for every example).
 std::vector<double> batch_group_norms(
     const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
     ThreadPool* pool = nullptr);

@@ -240,15 +240,6 @@ Tensor& Tensor::scale_(float s) {
   return *this;
 }
 
-Tensor& Tensor::add_gaussian_noise_(Rng& rng, float stddev) {
-  FEDCL_CHECK_GE(stddev, 0.0f);
-  if (stddev == 0.0f) return *this;
-  float* p = data();
-  for (std::int64_t i = 0; i < numel_; ++i)
-    p[i] += static_cast<float>(rng.normal(0.0, stddev));
-  return *this;
-}
-
 float Tensor::sum() const {
   const float* p = data();
   double s = 0.0;

@@ -4,7 +4,7 @@
 // and the DP machinery. Tensors are cheap to copy (storage is shared);
 // clone() deep-copies. All math functions allocate a fresh result; the
 // *_  suffixed members mutate in place and are used by the SGD
-// optimizer and DP noise injection on detached buffers only.
+// optimizer and update arithmetic on detached buffers only.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,6 @@ class Tensor {
   Tensor& fill_(float value);
   Tensor& add_(const Tensor& other, float alpha = 1.0f);  // this += alpha*other
   Tensor& scale_(float s);
-  Tensor& add_gaussian_noise_(Rng& rng, float stddev);
 
   // ---- reductions over all elements ----
   float sum() const;

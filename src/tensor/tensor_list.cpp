@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace fedcl::tensor::list {
 
@@ -29,10 +28,6 @@ void add_(TensorList& a, const TensorList& b, float alpha) {
 
 void scale_(TensorList& a, float s) {
   for (Tensor& t : a) t.scale_(s);
-}
-
-void add_gaussian_noise_(TensorList& a, Rng& rng, float stddev) {
-  for (Tensor& t : a) t.add_gaussian_noise_(rng, stddev);
 }
 
 double l2_norm(const TensorList& a) {
@@ -119,6 +114,17 @@ PerExampleGrads make_per_example(std::int64_t batch,
   out.params.resize(out.shapes.size());
   for (std::size_t p = 0; p < out.shapes.size(); ++p) {
     out.params[p].rows = Tensor({batch, shape_numel(out.shapes[p])});
+  }
+  return out;
+}
+
+PerExampleGrads as_one_example(const TensorList& a) {
+  PerExampleGrads out;
+  out.batch = 1;
+  out.shapes = shapes_of(a);
+  out.params.resize(a.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    out.params[p].rows = a[p].reshape({1, a[p].numel()});
   }
   return out;
 }

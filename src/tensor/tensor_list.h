@@ -7,10 +7,6 @@
 
 #include "tensor/tensor.h"
 
-namespace fedcl {
-class Rng;
-}
-
 namespace fedcl::tensor::list {
 
 using TensorList = std::vector<Tensor>;
@@ -20,7 +16,6 @@ TensorList clone(const TensorList& a);
 // a += alpha * b (elementwise per entry; shapes must match).
 void add_(TensorList& a, const TensorList& b, float alpha = 1.0f);
 void scale_(TensorList& a, float s);
-void add_gaussian_noise_(TensorList& a, Rng& rng, float stddev);
 // L2 norm over the concatenation of all entries.
 double l2_norm(const TensorList& a);
 double l2_norm_subset(const TensorList& a, const std::vector<std::size_t>& idx);
@@ -71,5 +66,9 @@ struct PerExampleGrads {
 // Zero-initialized row-form batch for the given parameter shapes.
 PerExampleGrads make_per_example(std::int64_t batch,
                                  std::vector<Shape> shapes);
+
+// `a` viewed as a one-example row-form batch: each tensor is its own
+// [1, numel] row, sharing storage with `a` (no copy).
+PerExampleGrads as_one_example(const TensorList& a);
 
 }  // namespace fedcl::tensor::list

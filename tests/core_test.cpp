@@ -56,6 +56,100 @@ TEST(FedSdpPolicy, ClipsAndNoisesClientUpdate) {
   EXPECT_NEAR(clipped[1].l2_norm(), 1.0f, 1e-5);
 }
 
+TEST(FedSdpPolicy, UpdateIsOneExampleOfTheFusedSanitizer) {
+  // The update is Fed-CDP's sanitize of one example with the same
+  // gradient, bound, sigma and stream, value for value: groups above C
+  // and under it, tensors that end in a partial noise chunk, and one
+  // long enough to split across the pool.
+  const ParamGroups groups = {{0, 1}, {2}, {3}};
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    for (double sigma : {0.0, 0.25, 6.0}) {
+      Rng data(seed);
+      const TensorList update = {Tensor::randn({37, 11}, data, 0.0f, 1.0f),
+                                 Tensor::randn({11}, data, 0.0f, 1.0f),
+                                 Tensor::randn({5}, data, 0.0f, 0.1f),
+                                 Tensor::randn({40000}, data, 0.0f, 0.1f)};
+      TensorList sdp = tensor::list::clone(update);
+      TensorList cdp = tensor::list::clone(update);
+      Rng sdp_rng(100 + seed);
+      Rng cdp_rng(100 + seed);
+      FedSdpPolicy(/*clipping_bound=*/4.0, sigma)
+          .sanitize_client_update(sdp, groups, 0, sdp_rng);
+      testing::sanitize_one_example(FedCdpPolicy(4.0, sigma), cdp, groups, 0,
+                                    cdp_rng);
+      ASSERT_EQ(sdp.size(), cdp.size());
+      for (std::size_t p = 0; p < sdp.size(); ++p) {
+        ASSERT_EQ(sdp[p].shape(), update[p].shape());
+        for (std::int64_t i = 0; i < sdp[p].numel(); ++i) {
+          // == rather than bitwise: the update is the batch mean, where
+          // a -0 output sums to +0.
+          ASSERT_TRUE(sdp[p].at(i) == cdp[p].at(i))
+              << "seed " << seed << " sigma " << sigma << " param " << p
+              << " element " << i << ": " << sdp[p].at(i)
+              << " != " << cdp[p].at(i);
+        }
+      }
+      EXPECT_EQ(sdp_rng.next_u64(), cdp_rng.next_u64());
+    }
+  }
+}
+
+TEST(FedSdpPolicy, NoiseStddevMatchesSigmaTimesC) {
+  // sigma * C = 24 on an update of zeros; 40,000 elements split across
+  // the pool's threads.
+  FedSdpPolicy policy(/*clipping_bound=*/4.0, /*noise_scale=*/6.0);
+  Rng rng(1);
+  TensorList update = {Tensor::zeros({40000})};
+  policy.sanitize_client_update(update, {{0}}, 0, rng);
+  const Tensor& t = update[0];
+  double mean = t.sum() / t.numel();
+  double var = 0;
+  for (std::int64_t i = 0; i < t.numel(); ++i) var += t.at(i) * t.at(i);
+  var /= t.numel();
+  EXPECT_NEAR(mean, 0.0, 0.5);
+  EXPECT_NEAR(std::sqrt(var), 24.0, 0.5);
+}
+
+TEST(FedSdpPolicy, ZeroScaleIsNoop) {
+  // sigma = 0 and an update under the bound: nothing to do.
+  FedSdpPolicy policy(/*clipping_bound=*/4.0, /*noise_scale=*/0.0);
+  Rng rng(2);
+  TensorList update = {Tensor::ones({8})};
+  policy.sanitize_client_update(update, {{0}}, 0, rng);
+  for (std::int64_t i = 0; i < update[0].numel(); ++i) {
+    EXPECT_EQ(update[0].at(i), 1.0f);
+  }
+}
+
+TEST(FedSdpPolicy, RejectsInvalidParameters) {
+  EXPECT_THROW(FedSdpPolicy(1.0, -1.0), Error);
+  EXPECT_THROW(FedSdpPolicy(0.0, 1.0), Error);
+}
+
+// ---- per-layer clipping, through Fed-SDP at sigma = 0 ----
+
+TEST(Clipping, PerLayerClipsToBound) {
+  // Two groups: group 0 has norm 5 (> C), group 1 has norm 1 (< C).
+  TensorList grads = {Tensor::full({1}, 3.0f), Tensor::full({1}, 4.0f),
+                      Tensor::full({1}, 1.0f)};
+  Rng rng(3);
+  FedSdpPolicy(/*clipping_bound=*/2.0, /*noise_scale=*/0.0)
+      .sanitize_client_update(grads, {{0, 1}, {2}}, 0, rng);
+  // Group 0 rescaled to norm 2, preserving direction.
+  EXPECT_NEAR(grads[0].at(0), 3.0f * 2.0f / 5.0f, 1e-5);
+  EXPECT_NEAR(grads[1].at(0), 4.0f * 2.0f / 5.0f, 1e-5);
+  // Group 1 untouched.
+  EXPECT_FLOAT_EQ(grads[2].at(0), 1.0f);
+}
+
+TEST(Clipping, ExactlyAtBoundUntouched) {
+  TensorList grads = {Tensor::full({1}, 2.0f)};
+  Rng rng(4);
+  FedSdpPolicy(/*clipping_bound=*/2.0, /*noise_scale=*/0.0)
+      .sanitize_client_update(grads, {{0}}, 0, rng);
+  EXPECT_FLOAT_EQ(grads[0].at(0), 2.0f);
+}
+
 TEST(FedCdpPolicy, ClipsAndNoisesPerExample) {
   FedCdpPolicy policy(/*clipping_bound=*/2.0, /*noise_scale=*/0.5);
   EXPECT_TRUE(policy.needs_per_example_gradients());

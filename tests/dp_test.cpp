@@ -5,37 +5,11 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/clipping.h"
-#include "dp/gaussian.h"
 
 namespace fedcl::dp {
 namespace {
-
-using tensor::Tensor;
-
-TEST(Clipping, PerLayerClipsToBound) {
-  // Two groups: group 0 has norm 5 (> C), group 1 has norm 1 (< C).
-  TensorList grads = {Tensor::full({1}, 3.0f), Tensor::full({1}, 4.0f),
-                      Tensor::full({1}, 1.0f)};
-  ParamGroups groups = {{0, 1}, {2}};
-  auto norms = clip_per_layer(grads, groups, 2.0);
-  ASSERT_EQ(norms.size(), 2u);
-  EXPECT_NEAR(norms[0], 5.0, 1e-5);
-  EXPECT_NEAR(norms[1], 1.0, 1e-6);
-  // Group 0 rescaled to norm 2, preserving direction.
-  EXPECT_NEAR(grads[0].at(0), 3.0f * 2.0f / 5.0f, 1e-5);
-  EXPECT_NEAR(grads[1].at(0), 4.0f * 2.0f / 5.0f, 1e-5);
-  // Group 1 untouched.
-  EXPECT_FLOAT_EQ(grads[2].at(0), 1.0f);
-}
-
-TEST(Clipping, ExactlyAtBoundUntouched) {
-  TensorList grads = {Tensor::full({1}, 2.0f)};
-  clip_per_layer(grads, {{0}}, 2.0);
-  EXPECT_FLOAT_EQ(grads[0].at(0), 2.0f);
-}
 
 TEST(Clipping, SingleGroupHelper) {
   ParamGroups g = single_group(3);
@@ -73,34 +47,6 @@ TEST(ClippingSchedule, ExponentialAndStep) {
   EXPECT_DOUBLE_EQ(st.bound_at(25), 2.0);
   EXPECT_THROW(ClippingSchedule::exponential(1.0, 1.5), Error);
   EXPECT_THROW(st.bound_at(-1), Error);
-}
-
-TEST(Gaussian, NoiseStddevMatchesSigmaTimesS) {
-  GaussianMechanism mech(/*noise_scale=*/6.0, /*sensitivity=*/4.0);
-  EXPECT_DOUBLE_EQ(mech.noise_stddev(), 24.0);
-
-  Rng rng(1);
-  Tensor t = Tensor::zeros({40000});
-  mech.sanitize(t, rng);
-  double mean = t.sum() / t.numel();
-  double var = 0;
-  for (std::int64_t i = 0; i < t.numel(); ++i) var += t.at(i) * t.at(i);
-  var /= t.numel();
-  EXPECT_NEAR(mean, 0.0, 0.5);
-  EXPECT_NEAR(std::sqrt(var), 24.0, 0.5);
-}
-
-TEST(Gaussian, ZeroScaleIsNoop) {
-  GaussianMechanism mech(0.0, 4.0);
-  Rng rng(2);
-  TensorList update = {Tensor::ones({8})};
-  mech.sanitize(update, rng);
-  EXPECT_FLOAT_EQ(update[0].sum(), 8.0f);
-}
-
-TEST(Gaussian, RejectsInvalidParameters) {
-  EXPECT_THROW(GaussianMechanism(-1.0, 1.0), Error);
-  EXPECT_THROW(GaussianMechanism(1.0, 0.0), Error);
 }
 
 // ---- moments accountant ----

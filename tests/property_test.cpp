@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "core/policy.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "dp/clipping.h"
@@ -82,18 +83,19 @@ TEST_P(ClippingInvariant, NormNeverExceedsBoundAndDirectionPreserved) {
   }
   dp::TensorList before = tensor::list::clone(grads);
   const double bound = 0.5 + rng.uniform() * 4.0;
-  std::vector<double> norms = dp::clip_per_layer(grads, groups, bound);
+  core::FedSdpPolicy(bound, /*noise_scale=*/0.0)
+      .sanitize_client_update(grads, groups, 0, rng);
   for (std::size_t l = 0; l < layers; ++l) {
-    const double after =
-        tensor::list::l2_norm_subset(grads, groups[l]);
+    const double norm = tensor::list::l2_norm_subset(before, groups[l]);
+    const double after = tensor::list::l2_norm_subset(grads, groups[l]);
     EXPECT_LE(after, bound * (1.0 + 1e-4));
     // Unclipped groups untouched; clipped groups keep direction.
-    if (norms[l] <= bound) {
-      EXPECT_NEAR(after, norms[l], 1e-3);
+    if (norm <= bound) {
+      EXPECT_NEAR(after, norm, 1e-3);
     } else if (before[groups[l][0]].numel() > 0) {
       const float ratio = grads[groups[l][0]].at(0) /
                           before[groups[l][0]].at(0);
-      EXPECT_NEAR(ratio, bound / norms[l], 1e-3);
+      EXPECT_NEAR(ratio, bound / norm, 1e-3);
     }
   }
 }

@@ -103,22 +103,6 @@ TEST(Tensor, InPlaceOps) {
   EXPECT_EQ(t.sum(), -3.0f);
 }
 
-TEST(Tensor, GaussianNoiseInPlace) {
-  Rng rng(3);
-  Tensor t = Tensor::zeros({20000});
-  t.add_gaussian_noise_(rng, 3.0f);
-  double m = t.sum() / t.numel();
-  EXPECT_NEAR(m, 0.0, 0.1);
-  double var = 0;
-  for (std::int64_t i = 0; i < t.numel(); ++i) var += t.at(i) * t.at(i);
-  var /= t.numel();
-  EXPECT_NEAR(var, 9.0, 0.5);
-  // stddev 0 is a no-op
-  Tensor z = Tensor::ones({4});
-  z.add_gaussian_noise_(rng, 0.0f);
-  EXPECT_EQ(z.sum(), 4.0f);
-}
-
 TEST(Tensor, ElementwiseBinary) {
   Tensor a = Tensor::from_vector({2}, {1, 2});
   Tensor b = Tensor::from_vector({2}, {3, 5});

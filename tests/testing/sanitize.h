@@ -20,10 +20,9 @@ inline void sanitize_one_example(const core::PrivacyPolicy& policy,
                                  tensor::list::TensorList& grad,
                                  const core::ParamGroups& groups,
                                  std::int64_t round, Rng& rng) {
-  tensor::list::PerExampleGrads rows =
-      tensor::list::make_per_example(1, tensor::list::shapes_of(grad));
-  rows.set_example(0, grad);
-  grad = policy.sanitize_per_example_batch(rows, groups, round, rng, 0)
+  grad = policy
+             .sanitize_per_example_batch(tensor::list::as_one_example(grad),
+                                         groups, round, rng, 0)
              .observed;
 }
 

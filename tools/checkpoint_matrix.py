@@ -4,10 +4,18 @@
 Runs `fl_simulator --rounds=3 --seed=97 --save=...` over three datasets,
 the four paper policies and three engines (36 runs) and prints one line
 per run, "<config> <sha256 of the saved checkpoint>", in a fixed order.
+A first line, "# build=<type> <compiler>", names the build the digests
+came from; it is read from the run manifest (`run.build` in the meta
+line) of one extra one-round `--telemetry-out` run, because after a
+default configure the CMake cache holds an empty build type.
 Two listings are equal exactly when every run saved the same bytes, so
 diffing them checks bit identity:
 
-  - across builds (a parent and a change, same flags and host);
+  - across builds (a parent and a change, same flags and host). Build
+    both sides with the same CMAKE_BUILD_TYPE: the optimization level
+    changes the bits (RelWithDebInfo, the default, and Release list
+    different digests for all 36 configs), and the first line differs
+    when the types do;
   - across thread counts: run it at FEDCL_THREADS=1 and at 4 and compare
     (the checkpoint_matrix_threads ctest does this).
 
@@ -21,6 +29,7 @@ FEDCL_THREADS passes through to every run. Exits 1 if a run fails.
 """
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +46,24 @@ ENGINES = [
 RUN_TIMEOUT_S = 300
 
 
+def build_line(binary, env, tmp):
+    """The "# build=<type> <compiler>" line from a one-round run's meta,
+    or None (reason on stderr) if the run fails."""
+    meta = os.path.join(tmp, "meta.jsonl")
+    cmd = [binary, "--dataset=cancer", "--rounds=1",
+           "--telemetry-out=" + meta]
+    run = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True,
+                         timeout=RUN_TIMEOUT_S)
+    if run.returncode != 0:
+        print("checkpoint_matrix: manifest run exited with %d:\n%s"
+              % (run.returncode, run.stderr), file=sys.stderr)
+        return None
+    with open(meta) as f:
+        build = json.loads(f.readline())["run"]["build"]
+    return "# build=%s %s" % (build["type"], build["compiler"])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bin", required=True, help="fl_simulator binary")
@@ -46,6 +73,10 @@ def main():
 
     env = dict(os.environ, FEDCL_SCALE=args.scale)
     with tempfile.TemporaryDirectory(prefix="checkpoint_matrix_") as tmp:
+        line = build_line(args.bin, env, tmp)
+        if line is None:
+            return 1
+        print(line, flush=True)
         ckpt = os.path.join(tmp, "global.ckpt")
         for dataset in DATASETS:
             for policy in POLICIES:
