@@ -1,9 +1,9 @@
 // Extension experiment: the virtualized million-client federation.
 // Two parts, one process:
 //
-//   Part 1 — reduction-order pin. The sync engine's streamed fold
-//   (streaming_aggregation, fl/trainer.cpp) runs the SAME experiment
-//   at every edge fan-out {2, 8, 64, >=Kt(flat)}, with sanitization
+//   Part 1 — reduction-order pin. The sync engine, folding in edge
+//   blocks (streaming_aggregation, fl/round_engine.cpp), runs the SAME
+//   experiment at every edge fan-out {2, 8, 64, >=Kt(flat)}, with sanitization
 //   on (fed_sdp), and the final models must be BITWISE identical: the
 //   binary-counter reduction order is fan-out-invariant on fault-free
 //   rounds (DESIGN.md §7). This is the cheap, always-on guard that the tree

@@ -8,6 +8,8 @@
 //
 // writes BENCH_suite.json at the repo root; feed it to
 // tools/fedcl_report.py for paper-style tables and regression diffs.
+// `bench_suite_runner --help` lists the flags; an unlisted one stops it
+// before it runs a bench or writes a file.
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -40,6 +42,16 @@ const std::vector<std::string> kSuite = {
     "perf_hotpath",
 };
 
+// What --help prints (a printf format, the program name its one
+// argument), and the flags the binary accepts.
+constexpr char kUsage[] =
+    "usage: %s [--bench-dir=DIR] [--out=FILE.json] [--work-dir=DIR]\n"
+    "          [--scale=smoke|small|paper]\n"
+    "  Runs each suite bench (DIR/bench_<name>, DIR defaulting to .) at\n"
+    "  --scale (default: FEDCL_SCALE, else smoke), keeps its log and JSON\n"
+    "  under --work-dir (default bench_suite_work), and writes the\n"
+    "  assembled suite to --out (default BENCH_suite.json).\n";
+
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -68,6 +80,11 @@ int main(int argc, char** argv) {
   using namespace fedcl;
   runinfo::set_command_line(argc, argv);
   FlagParser flags(argc, argv);
+  if (flags.has("help")) {
+    std::printf(kUsage, flags.program().c_str());
+    return 0;
+  }
+  if (flags.refuse_unlisted(kUsage, "bench_suite_runner")) return 1;
   const std::string bench_dir = flags.get("bench-dir", ".");
   const std::string out_path = flags.get("out", "BENCH_suite.json");
   // Scale precedence: --scale flag, then the caller's FEDCL_SCALE,

@@ -40,8 +40,7 @@ constexpr char kUsage[] =
     "[--local-iters=L]\n"
     "          [--sigma=S] [--clip=C] [--prune=R] [--seed=N]\n"
     "          [--eval-every=N] [--min-reporting=N] [--reduced-quorum=N]\n"
-    "          [--server-momentum=M]\n"
-    "          [--screen-outlier=F] [--screen-max-norm=C]\n"
+    "          [--server-momentum=M] [--screen-max-norm=C]\n"
     "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
     "          [--max-staleness=S] [--max-inflight=N] "
     "[--round-wait-ms=W]\n"
@@ -115,8 +114,6 @@ int run_server(const FlagParser& flags) {
   options.min_reporting = flags.get_int("min-reporting", 1);
   options.reduced_min_reporting = flags.get_int("reduced-quorum", 0);
   options.server_momentum = flags.get_double("server-momentum", 0.0);
-  options.screening.norm_outlier_factor =
-      flags.get_double("screen-outlier", 0.0);
   options.screening.max_update_norm =
       flags.get_double("screen-max-norm", 0.0);
   options.async_mode = flags.get_bool("async", false);

@@ -61,13 +61,13 @@ constexpr char kUsage[] =
     "          [--server-momentum=M] [--attack]\n"
     "          [--seed=N] [--eval-every=N]\n"
     "          [--fault-rate=P] [--min-reporting=N] [--no-retry]\n"
-    "          [--screen-outlier=F] [--screen-max-norm=C]\n"
+    "          [--screen-max-norm=C]\n"
     "          [--async] [--async-min-apply=M] [--staleness-alpha=A]\n"
     "          [--max-staleness=S] [--retry-attempts=N]\n"
     "          [--retry-backoff-ms=B] [--soft-deadline-ms=D]\n"
     "          [--reduced-quorum=N]\n"
-    "          [--streaming]  (bounded-memory streaming/tree aggregation "
-    "for virtualized scale)\n"
+    "          [--streaming]  (fold the cohort in edge-aggregator units "
+    "of --tree-fan-out clients, not one)\n"
     "          [--tree-fan-out=F]  (edge-aggregator fan-out, power of "
     "two; default 64)\n"
     "          [--telemetry-out=FILE.jsonl] [--telemetry-prom=FILE.prom]\n"
@@ -148,8 +148,6 @@ int run_simulator(const FlagParser& flags) {
   config.faults.fault_rate = flags.get_double("fault-rate", 0.0);
   config.min_reporting = flags.get_int("min-reporting", 1);
   config.retry_failed_clients = !flags.get_bool("no-retry", false);
-  config.screening.norm_outlier_factor =
-      flags.get_double("screen-outlier", 0.0);
   config.screening.max_update_norm =
       flags.get_double("screen-max-norm", 0.0);
   config.async_mode = flags.get_bool("async", false);

@@ -59,9 +59,8 @@ class AsyncAggregator {
     std::optional<RejectReason> reject;   // set when !accepted
   };
 
-  // Every offer is screened under `screening` (structural / finite /
-  // absolute-norm; the median-relative band needs a population and
-  // does not apply to a streamed update).
+  // Every offer is screened under `screening` (stale / structural /
+  // finite / absolute-norm cap, UpdateScreener::screen_one).
   AsyncAggregator(TensorList initial_weights, AsyncAggregatorConfig config,
                   ScreeningConfig screening = {});
 

@@ -108,7 +108,7 @@ struct RoundFailureStats {
   std::int64_t rejected_decode = 0;        // channel open / deserialize
   std::int64_t rejected_shape = 0;         // structural mismatch
   std::int64_t rejected_non_finite = 0;    // NaN/Inf in the delta
-  std::int64_t rejected_norm_outlier = 0;  // L2 norm out of band
+  std::int64_t rejected_norm_outlier = 0;  // L2 norm above the cap
   std::int64_t rejected_stale = 0;         // wrong-round update
   // Recovery.
   std::int64_t retried_clients = 0;  // replacement clients sampled

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <tuple>
@@ -37,13 +36,12 @@ LocalTrainConfig local_of(const data::BenchmarkConfig& bench,
           .lr_decay_per_round = bench.lr_decay_per_round};
 }
 
-// What one unit of the sync fold produced: a single client (buffered
-// fold) or an edge block of tree_fan_out consecutive cohort members
-// (streamed fold), run start to finish on one scratch model.
+// What one unit of the sync fold produced: an edge block of consecutive
+// cohort members (tree_fan_out of them under streaming_aggregation,
+// else one), run start to finish on one scratch model.
 struct FoldUnit {
   RoundTally tally;
-  std::vector<ClientUpdate> updates;  // buffered: delivered, unscreened
-  ReduceNode partial;  // streamed: the block's screened sum
+  ReduceNode partial;  // the block's screened sum
   int max_levels = 0;
 };
 
@@ -383,24 +381,20 @@ FlRunResult RoundLedger::finish() {
 
 FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
   const FlExperimentConfig& config = run.config;
-  const bool streamed = config.streaming_aggregation;
   const Rng& round_rng = run.fed.round_rng;
   const FaultPlan& plan = run.fed.provider.fault_plan();
   telemetry::Registry& registry = telemetry::global_registry();
-  const UpdateScreener screener(config.screening);
-  const std::vector<tensor::Shape> expected_shapes =
-      tensor::list::shapes_of(run.server.weights());
+  // The unit size is an execution detail: the pinned order sums the
+  // same bits at every power-of-two size on fault-free rounds.
   const std::size_t unit_size =
-      streamed ? static_cast<std::size_t>(config.tree_fan_out) : 1;
-  // A wave is the units alive at once: every buffered client (the fold
-  // holds their updates anyway), or a few streamed blocks per slot.
+      config.streaming_aggregation
+          ? static_cast<std::size_t>(config.tree_fan_out)
+          : 1;
+  // A wave is the units alive at once: a few per slot.
   const std::size_t wave_width =
-      !streamed ? static_cast<std::size_t>(config.clients_per_round)
-                : (run.runner.parallel() ? run.runner.slots() * 4 : 1);
-  if (streamed) {
-    registry.gauge("fl.scale.virtual_clients")
-        .set(static_cast<double>(config.total_clients));
-  }
+      run.runner.parallel() ? run.runner.slots() * 4 : 1;
+  registry.gauge("fl.scale.virtual_clients")
+      .set(static_cast<double>(config.total_clients));
   FlRunResult& result = run.ledger.result();
 
   for (std::int64_t t = 0; t < config.effective_rounds(); ++t) {
@@ -413,7 +407,6 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     Rng drop_rng = round_rng.fork("dropout", static_cast<std::uint64_t>(t));
     const DeliveryContext ctx = run.delivery(t, run.server.weights());
     RoundTally tally;
-    std::vector<ClientUpdate> updates;
     StreamingReducer root;
     std::int64_t edge_blocks = 0;
     int max_levels = 0;
@@ -450,40 +443,29 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
       return dispatches;
     };
 
-    // One unit's clients, in cohort order, on one scratch model.
+    // One unit's clients, in cohort order, on one scratch model: each
+    // delivered update is screened as it lands and pushed into the
+    // unit's reducer.
     auto run_unit = [&](const std::vector<Dispatch>& dispatches,
                         const ClientExecutor::Deliver& deliver,
                         std::size_t begin, FoldUnit& unit,
                         nn::Sequential& scratch) {
       StreamingReducer reducer;
+      ScreeningReport report;
       const std::size_t end = std::min(begin + unit_size, dispatches.size());
       for (std::size_t i = begin; i < end; ++i) {
         if (!dispatches[i].run) continue;
         ClientDelivery delivery = deliver(i, scratch);
         unit.tally.add(delivery);
         if (!delivery.update.has_value()) continue;
-        ClientUpdate& update = *delivery.update;
-        const bool faulty = delivery.fault != FaultType::kNone;
-        if (!streamed) {
-          // Batch screening rejects every faulty delivery: corrupt
-          // deltas as non-finite, replays as stale.
-          if (faulty) ++unit.tally.stats.fault_screened;
-          unit.updates.push_back(std::move(update));
-          continue;
+        if (!run.server.screen_and_push(std::move(*delivery.update), reducer,
+                                        report) &&
+            delivery.fault != FaultType::kNone) {
+          ++unit.tally.stats.fault_screened;
         }
-        // max_staleness 0: any round mismatch rejects. The median band
-        // needs a population, so only the absolute caps apply here.
-        ScreeningReport report;
-        const ScreenVerdict verdict =
-            screener.screen_one(update, expected_shapes, t, 0, report);
-        unit.tally.stats.count_screening(report);
-        if (!verdict.accepted()) {
-          if (faulty) ++unit.tally.stats.fault_screened;
-          continue;
-        }
-        reducer.push(std::move(update.delta), 1.0);
-        ++unit.tally.accepted;
       }
+      unit.tally.stats.count_screening(report);
+      unit.tally.accepted = report.accepted;
       unit.partial = reducer.finalize();
       unit.max_levels = reducer.max_occupancy();
     };
@@ -506,9 +488,7 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
                        });
         for (FoldUnit& unit : units) {
           tally.merge(unit.tally);
-          std::move(unit.updates.begin(), unit.updates.end(),
-                    std::back_inserter(updates));
-          if (!unit.partial.empty()) root.push_node(std::move(unit.partial));
+          root.push_node(std::move(unit.partial));
           max_levels = std::max(max_levels, unit.max_levels);
         }
       }
@@ -518,16 +498,14 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     local_train_span.emplace(registry, "fl.phase",
                              telemetry::Labels{{"phase", "local_train"}}, t);
     attempt(chosen);
-    // One resample-retry pass: when the fold holds fewer than the quorum
-    // and some failures were transient (crash, straggler, dropout), draw
-    // replacement clients from the unsampled pool. They enter as fresh
-    // units after the primary cohort's.
+    // One resample-retry pass: when the fold accepted fewer than the
+    // quorum and some failures were transient (crash, straggler,
+    // dropout), draw replacement clients from the unsampled pool. They
+    // enter as fresh units after the primary cohort's.
     const std::int64_t transient_failed =
         tally.stats.dropouts + tally.stats.fault_expired;
-    const std::int64_t held =
-        streamed ? tally.accepted : static_cast<std::int64_t>(updates.size());
     if (config.retry_failed_clients && transient_failed > 0 &&
-        held < config.min_reporting) {
+        tally.accepted < config.min_reporting) {
       std::vector<bool> in_round(static_cast<std::size_t>(config.total_clients),
                                  false);
       for (std::size_t ci : chosen) in_round[ci] = true;
@@ -545,13 +523,7 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     local_train_span.reset();
 
     AggregateOutcome outcome;
-    if (!streamed && !updates.empty()) {
-      telemetry::SpanTimer aggregate_span(registry, "fl.phase",
-                                          {{"phase", "aggregate"}}, t);
-      outcome = run.server.aggregate(std::move(updates));
-      tally.stats.count_screening(outcome.screening);
-      tally.accepted = outcome.screening.accepted;
-    } else if (streamed) {
+    {
       telemetry::SpanTimer aggregate_span(registry, "fl.phase",
                                           {{"phase", "aggregate"}}, t);
       outcome = run.server.quorum(tally.accepted);

@@ -276,19 +276,17 @@ class ClientExecutor {
 
 // The synchronous engine. One round: sample a cohort, plan every
 // dispatch serially, fold each client's delivery unit by unit on the
-// runner, run one resample-retry pass when the fold holds fewer than
-// min_reporting, then apply or skip. Its one fork is the fold
-// (streaming_aggregation):
-//  - buffered: the delivered updates are held and Server::aggregate
-//    screens them as one batch (the median-relative norm band needs the
-//    round's population) and averages them;
-//  - streamed: each delivered update is screened and pushed into its
-//    edge block's StreamingReducer on the pool. Blocks run in waves so
-//    only O(wave) partials are alive, and the root folds them in block
-//    order, which keeps the sum bitwise equal to the flat pinned order
-//    (DESIGN.md §7).
+// runner, run one resample-retry pass when the fold accepted fewer than
+// min_reporting, then apply the mean (Server::quorum, apply_mean) or
+// skip. The fold: each delivered update is screened as it lands and
+// pushed into its unit's StreamingReducer on the pool
+// (Server::screen_and_push). Units run in waves so only O(wave)
+// partials are alive, and the root folds them in cohort order, which
+// keeps the sum bitwise equal to the flat pinned order (DESIGN.md §7).
+// A unit holds tree_fan_out clients under streaming_aggregation and
+// one otherwise; on fault-free rounds both compute the same bits.
 // Every draw a client makes comes from a per-(round, client) stream, so
-// both folds are bitwise identical across executors, schedules and
+// the engine is bitwise identical across executors, schedules and
 // thread counts.
 FlRunResult run_sync(const RunState& run, ClientExecutor& executor);
 

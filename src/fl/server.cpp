@@ -9,6 +9,7 @@ namespace fedcl::fl {
 
 Server::Server(TensorList initial_weights, AggregationOptions options)
     : weights_(std::move(initial_weights)),
+      shapes_(tensor::list::shapes_of(weights_)),
       options_(options),
       screener_(options.screening) {
   FEDCL_CHECK(!weights_.empty()) << "server needs a model";
@@ -29,24 +30,27 @@ std::vector<std::size_t> Server::sample_clients(std::size_t total_clients,
   return rng.sample_without_replacement(total_clients, clients_per_round);
 }
 
+bool Server::screen_and_push(ClientUpdate update, StreamingReducer& reducer,
+                             ScreeningReport& report) const {
+  if (!screener_.screen_one(update, shapes_, round_, 0, report).accepted()) {
+    return false;
+  }
+  reducer.push(std::move(update.delta), 1.0);
+  return true;
+}
+
 AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates) {
+  StreamingReducer reducer;
   ScreeningReport report;
-  std::vector<ClientUpdate> accepted =
-      screener_.screen(std::move(updates), tensor::list::shapes_of(weights_),
-                       round_, report);
+  for (ClientUpdate& update : updates) {
+    screen_and_push(std::move(update), reducer, report);
+  }
   AggregateOutcome outcome = quorum(report.accepted);
   outcome.screening = report;
   // Quorum missed: leave the model and round untouched; the caller
   // records the skip.
   if (outcome.tier == DegradationTier::kSkipRound) return outcome;
-
-  const auto scale =
-      static_cast<float>(1.0 / static_cast<double>(accepted.size()));
-  TensorList mean_delta = tensor::list::zeros_like(weights_);
-  for (const ClientUpdate& u : accepted) {
-    tensor::list::add_(mean_delta, u.delta, scale);
-  }
-  apply_mean(mean_delta, report.accepted);
+  apply_mean(finalize_mean(reducer.finalize()), report.accepted);
   outcome.applied = true;
   return outcome;
 }

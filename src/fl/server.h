@@ -9,6 +9,7 @@
 #include "core/policy.h"
 #include "fl/protocol.h"
 #include "fl/retry_policy.h"
+#include "fl/tree_aggregation.h"
 #include "fl/update_screening.h"
 
 namespace fedcl {
@@ -21,7 +22,7 @@ struct AggregationOptions {
   // Server-side momentum on the aggregated delta (0 = plain FedSGD;
   // the momentum-accelerated FL the paper cites as [32]).
   double server_momentum = 0.0;
-  // Validation applied to every received update before aggregation.
+  // Validation applied to every received update before it is summed.
   ScreeningConfig screening{};
   // Minimum number of accepted updates required to apply the round;
   // below it aggregate() leaves the model untouched and the caller
@@ -62,16 +63,27 @@ class Server {
                                           std::size_t clients_per_round,
                                           Rng& rng) const;
 
-  // FedSGD: W(t+1) = W(t) + (1/Kt) * sum_k delta_k. Every update is
-  // screened first (shape / finite / norm / round checks — see
-  // update_screening.h); a rejected update is dropped and counted in
-  // the returned report rather than aborting the round. When fewer than
-  // min_reporting updates survive, nothing is applied, the round does
-  // not advance, and the report shows the quorum miss — the caller
-  // decides (normally skip_round()). Every client holds the same number
-  // of examples, and every delta is relative to the same W(t), so this
-  // uniform mean is also exactly FedAveraging (Section IV notes the two
-  // are mathematically equivalent).
+  // The sync fold's one step: screens `update` against this round (any
+  // round mismatch rejects; update_screening.h) and pushes an accepted
+  // delta into `reducer`, which sums in its storage. Counts the verdict
+  // in `report` and returns whether the update was accepted. run_sync's
+  // units (fl/round_engine.cpp) run it concurrently on the pool, each
+  // into its own reducer; aggregate() runs it serially.
+  bool screen_and_push(ClientUpdate update, StreamingReducer& reducer,
+                       ScreeningReport& report) const;
+
+  // FedSGD: W(t+1) = W(t) + (1/Kt) * sum_k delta_k, where Kt counts the
+  // accepted updates. Each update goes through screen_and_push in order,
+  // so the sum is the pinned-order tree over the accepted deltas and
+  // the mean is finalize_mean's (fl/tree_aggregation.h): the same bits
+  // run_sync computes for the same cohort. A rejected update is dropped
+  // and counted in the returned report rather than aborting the round.
+  // When fewer than min_reporting updates survive, nothing is applied,
+  // the round does not advance, and the report shows the quorum miss —
+  // the caller decides (normally skip_round()). Every client holds the
+  // same number of examples, and every delta is relative to the same
+  // W(t), so this uniform mean is also exactly FedAveraging (Section IV
+  // notes the two are mathematically equivalent).
   AggregateOutcome aggregate(std::vector<ClientUpdate> updates);
   // The same; the policy, groups and stream go unused. perfbench still
   // calls this form.
@@ -83,17 +95,14 @@ class Server {
 
   // The degradation tier (and noise widening) `accepted` screened
   // updates earn under this server's quorum options — the decision
-  // aggregate() makes, exposed for callers that screen and reduce
-  // updates themselves. `applied` is left false.
+  // aggregate() makes, exposed for run_sync, which screens and reduces
+  // updates itself. `applied` is left false.
   AggregateOutcome quorum(std::int64_t accepted) const;
 
-  // Applies an externally reduced mean delta (the streamed fold of the
-  // sync engine, fl/round_engine.cpp, screens and reduces updates as
-  // they arrive and hands the server only the finished mean). Same
-  // momentum tail and round advance as aggregate(), which ends in it;
-  // the caller decides the quorum first (quorum()) and keeps the
-  // screening accounting. Adds `accepted` to
-  // fl.server.updates_accepted_total.
+  // Applies a reduced mean delta: run_sync's, or aggregate()'s, which
+  // ends in it. Momentum tail and round advance; the caller decides the
+  // quorum first (quorum()) and keeps the screening accounting. Adds
+  // `accepted` to fl.server.updates_accepted_total.
   void apply_mean(const TensorList& mean_delta, std::int64_t accepted);
 
   // Advances the round without an update (e.g. every sampled client
@@ -102,6 +111,7 @@ class Server {
 
  private:
   TensorList weights_;
+  std::vector<tensor::Shape> shapes_;  // of weights_, which never reshape
   AggregationOptions options_;
   UpdateScreener screener_;
   TensorList velocity_;  // lazily sized when momentum is enabled

@@ -28,9 +28,8 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
        "[0, min_reporting]"},
       {c.server_momentum >= 0.0 && c.server_momentum < 1.0,
        "server momentum must be in [0, 1)"},
-      {c.screening.norm_outlier_factor >= 0.0 &&
-           c.screening.max_update_norm >= 0.0,
-       "screening bounds must be non-negative"},
+      {c.screening.max_update_norm >= 0.0,
+       "--screen-max-norm must be >= 0"},
       // Ranges hold whatever the engine.
       {c.retry.max_attempts >= 1, "--retry-attempts must be >= 1"},
       {c.retry.base_backoff_ms >= 0.0, "--retry-backoff-ms must be >= 0"},
@@ -45,7 +44,8 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
        "streaming_aggregation needs the sync engine"},
       // Knobs the chosen engine never reads: refused, not ignored.
       {c.streaming_aggregation || c.tree_fan_out == d.tree_fan_out,
-       "only the streamed fold reads --tree-fan-out; set --streaming"},
+       "--tree-fan-out sizes the fold's units only under --streaming; "
+       "set --streaming"},
       {c.async_mode || async_knobs_default,
        "only the async engine reads --async-min-apply, --staleness-alpha "
        "and --max-staleness; set --async"},
@@ -63,12 +63,6 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
       {!c.async_mode || c.retry_failed_clients,
        "async_mode ignores the resample-retry pass (--no-retry); its "
        "re-dispatch budget is --retry-attempts"},
-      {!c.async_mode || c.screening.norm_outlier_factor == 0.0,
-       "async_mode ignores the norm outlier band, which needs the "
-       "buffered sync round; use --screen-max-norm"},
-      {!c.streaming_aggregation || c.screening.norm_outlier_factor == 0.0,
-       "streaming_aggregation ignores the norm outlier band, which needs "
-       "the buffered sync round; use --screen-max-norm"},
   };
   for (const auto& [ok, message] : rules) {
     if (!ok) return Result<FlExperimentConfig>::failure(message);

@@ -7,11 +7,11 @@
 // The round engine is fault-tolerant: every update travels through the
 // serialize/seal/open/deserialize transport path, injected faults
 // (fault_injection.h) and natural dropout are survived per client, the
-// server screens updates before aggregation (update_screening.h), and a
+// server screens each update as it lands (update_screening.h), and a
 // min_reporting quorum with one resample-retry pass governs when a
 // round is applied versus skipped. The run itself is fl/round_engine.h's
-// run_federation, which the serving server calls too: run_sync, for
-// both folds (streaming_aggregation), or run_async, for async_mode.
+// run_federation, which the serving server calls too: run_sync, or
+// run_async for async_mode.
 #pragma once
 
 #include <cstdint>
@@ -58,15 +58,13 @@ struct FlExperimentConfig {
   // Injected faults (crash/straggler/corrupt/bit-flip/stale); the plan
   // is seeded from `seed` so runs stay reproducible.
   FaultInjectionConfig faults;
-  // Server-side screening of received updates before aggregation. The
-  // median-relative norm band (norm_outlier_factor) is buffered-fold
-  // only: refused with async_mode or streaming_aggregation.
+  // Server-side screening of each received update, in both engines.
   ScreeningConfig screening;
   // Minimum accepted updates for a round to be applied; below it the
   // round is skipped (weights untouched, counted in dropped_rounds and
   // quorum_missed). Sync engine only.
   std::int64_t min_reporting = 1;
-  // When delivered updates fall below min_reporting, sample replacement
+  // When accepted updates fall below min_reporting, sample replacement
   // clients (one retry pass) for the transiently failed ones before
   // giving up on the round. Sync engine only.
   bool retry_failed_clients = true;
@@ -99,19 +97,16 @@ struct FlExperimentConfig {
   // apply-or-skip behavior. In the async engine the analogous tier is
   // the end-of-round partial flush, which is always on.
   std::int64_t reduced_min_reporting = 0;
-  // Selects the sync engine's streamed fold: updates are screened,
-  // sanitized, and folded into an O(log K) binary-counter accumulator
-  // as they arrive — no K-sized update buffer — with edge aggregators
-  // of `tree_fan_out` clients feeding a root reducer. Same cohort,
-  // quorum, and retry behavior as the buffered fold (the default,
-  // Server::aggregate); the reduction order is pinned so any fan-out
-  // produces bitwise-identical results on fault-free rounds (DESIGN.md
-  // §7). The median-relative norm band needs the buffered round's
-  // population and does not apply. Mutually exclusive with async_mode.
-  // The mean rounds differently (sum × 1/Σw vs incremental w/Σw folds),
-  // so the two folds are bitwise self-consistent but not equal.
+  // The sync engine screens each update as it lands and folds it into
+  // an O(log K) binary-counter accumulator, unit by unit: no K-sized
+  // update buffer. This flag sets only how many clients a unit (an
+  // edge aggregator feeding the root reducer) holds: `tree_fan_out`
+  // when set, one when not. The reduction order is pinned, so every
+  // power-of-two unit size computes bitwise-identical results on
+  // fault-free rounds (DESIGN.md §7). Mutually exclusive with
+  // async_mode.
   bool streaming_aggregation = false;
-  // Edge-aggregator fan-out for the streamed fold; must be a power of
+  // Clients per unit under streaming_aggregation; must be a power of
   // two >= 2. Values >= clients_per_round degenerate to one flat
   // streaming accumulator.
   std::int64_t tree_fan_out = 64;
@@ -147,13 +142,13 @@ struct FlRunResult {
   std::int64_t dropped_rounds = 0;
   // Rounds where an aggregate was applied (= rounds - dropped_rounds).
   std::int64_t completed_rounds = 0;
-  // Updates the folds took in, over every round and the async engine's
+  // Updates the engine took in, over every round and the async engine's
   // end-of-run drain.
   std::int64_t updates_accepted = 0;
   // Async engine: total aggregate applications (the final model
   // version); a round can apply more than once.
   std::int64_t async_applies = 0;
-  // Streamed fold: high-water binary-counter occupancy across every
+  // Sync engine: high-water binary-counter occupancy across every
   // reducer the run created — the bounded-memory witness, bounded by
   // floor(log2(units)) + 1 regardless of K (fl/tree_aggregation.h).
   std::int64_t max_stream_levels = 0;

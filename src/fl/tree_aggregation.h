@@ -14,7 +14,8 @@
 // aggregator's partial over leaves [bF, bF+F) occupies exactly the
 // tree position the flat counter would have given those leaves, so
 // pushing finished partials into a parent counter in block order
-// replays the flat schedule operation for operation.
+// replays the flat schedule operation for operation. A block of one
+// leaf is the degenerate case: push_node of a one-leaf partial is push.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "fl/update_screening.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -57,13 +56,6 @@ bool all_finite(const TensorList& delta) {
   return true;
 }
 
-double median(std::vector<double> v) {
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  return v[mid];
-}
-
 }  // namespace
 
 const char* reject_reason_name(RejectReason reason) {
@@ -105,7 +97,6 @@ void ScreeningReport::count(RejectReason reason) {
 }
 
 UpdateScreener::UpdateScreener(ScreeningConfig config) : config_(config) {
-  FEDCL_CHECK_GE(config_.norm_outlier_factor, 0.0);
   FEDCL_CHECK_GE(config_.max_update_norm, 0.0);
 }
 
@@ -134,61 +125,6 @@ ScreenVerdict UpdateScreener::screen_one(
     ++report.accepted;
   }
   return verdict;
-}
-
-std::vector<ClientUpdate> UpdateScreener::screen(
-    std::vector<ClientUpdate> updates,
-    const std::vector<tensor::Shape>& expected, std::int64_t current_round,
-    ScreeningReport& report) const {
-  // Pass 1: per-update checks, cheapest first. An update that fails any
-  // of them is counted against its first failing reason only.
-  std::vector<std::optional<RejectReason>> verdict(updates.size());
-  std::vector<double> norms(updates.size(), 0.0);
-  std::vector<double> valid_norms;
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const ClientUpdate& u = updates[i];
-    if (u.round != current_round) {
-      verdict[i] = RejectReason::kStaleRound;
-    } else if (!shapes_match(u, expected)) {
-      verdict[i] = RejectReason::kShapeMismatch;
-    } else if (!all_finite(u.delta)) {
-      verdict[i] = RejectReason::kNonFinite;
-    } else {
-      norms[i] = tensor::list::l2_norm(u.delta);
-      if (config_.max_update_norm > 0.0 &&
-          norms[i] > config_.max_update_norm) {
-        verdict[i] = RejectReason::kNormOutlier;
-      } else {
-        valid_norms.push_back(norms[i]);
-      }
-    }
-  }
-
-  // Pass 2: relative norm-outlier rejection against the round median of
-  // the surviving updates (robust to the outliers themselves).
-  if (config_.norm_outlier_factor > 0.0 && valid_norms.size() >= 3) {
-    const double med = median(valid_norms);
-    if (med > 0.0) {
-      const double cutoff = config_.norm_outlier_factor * med;
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (!verdict[i].has_value() && norms[i] > cutoff) {
-          verdict[i] = RejectReason::kNormOutlier;
-        }
-      }
-    }
-  }
-
-  std::vector<ClientUpdate> accepted;
-  accepted.reserve(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (verdict[i].has_value()) {
-      report.count(*verdict[i]);
-      continue;
-    }
-    accepted.push_back(std::move(updates[i]));
-  }
-  report.accepted += static_cast<std::int64_t>(accepted.size());
-  return accepted;
 }
 
 }  // namespace fedcl::fl

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -128,7 +130,7 @@ ClientUpdate good_update(std::int64_t id, std::int64_t round,
 }
 
 TEST(UpdateScreening, AcceptsValidRejectsEachReason) {
-  UpdateScreener screener({.norm_outlier_factor = 0.0});
+  UpdateScreener screener;
   std::vector<ClientUpdate> updates;
   updates.push_back(good_update(0, 5));
   updates.push_back(good_update(1, 4));  // stale
@@ -140,10 +142,15 @@ TEST(UpdateScreening, AcceptsValidRejectsEachReason) {
   updates.push_back(std::move(poisoned));
 
   ScreeningReport report;
-  auto accepted =
-      screener.screen(std::move(updates), expected_shapes(), 5, report);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].client_id, 0);
+  std::vector<std::optional<RejectReason>> verdicts;
+  for (const ClientUpdate& u : updates) {
+    verdicts.push_back(
+        screener.screen_one(u, expected_shapes(), 5, 0, report).reject);
+  }
+  const std::vector<std::optional<RejectReason>> expected = {
+      std::nullopt, RejectReason::kStaleRound, RejectReason::kShapeMismatch,
+      RejectReason::kNonFinite};
+  EXPECT_EQ(verdicts, expected);
   EXPECT_EQ(report.accepted, 1);
   EXPECT_EQ(report.rejected_stale, 1);
   EXPECT_EQ(report.rejected_shape, 1);
@@ -151,43 +158,19 @@ TEST(UpdateScreening, AcceptsValidRejectsEachReason) {
   EXPECT_EQ(report.rejected_total(), 3);
 }
 
-TEST(UpdateScreening, RelativeNormOutlierAgainstMedian) {
-  UpdateScreener screener({.norm_outlier_factor = 10.0});
-  std::vector<ClientUpdate> updates;
-  updates.push_back(good_update(0, 0, 1.0f));
-  updates.push_back(good_update(1, 0, 1.1f));
-  updates.push_back(good_update(2, 0, 0.9f));
-  updates.push_back(good_update(3, 0, 1000.0f));  // 1000x the median
-  ScreeningReport report;
-  auto accepted =
-      screener.screen(std::move(updates), expected_shapes(), 0, report);
-  EXPECT_EQ(accepted.size(), 3u);
-  EXPECT_EQ(report.rejected_norm_outlier, 1);
-  for (const auto& u : accepted) EXPECT_NE(u.client_id, 3);
-}
-
-TEST(UpdateScreening, RelativeCheckNeedsThreeCandidates) {
-  UpdateScreener screener({.norm_outlier_factor = 2.0});
-  std::vector<ClientUpdate> updates;
-  updates.push_back(good_update(0, 0, 1.0f));
-  updates.push_back(good_update(1, 0, 100.0f));
-  ScreeningReport report;
-  auto accepted =
-      screener.screen(std::move(updates), expected_shapes(), 0, report);
-  // Two candidates: no median to trust, both kept.
-  EXPECT_EQ(accepted.size(), 2u);
-}
-
 TEST(UpdateScreening, AbsoluteNormCap) {
   UpdateScreener screener({.max_update_norm = 1.0});
-  std::vector<ClientUpdate> updates;
-  updates.push_back(good_update(0, 0, 0.1f));
-  updates.push_back(good_update(1, 0, 50.0f));
   ScreeningReport report;
-  auto accepted =
-      screener.screen(std::move(updates), expected_shapes(), 0, report);
-  ASSERT_EQ(accepted.size(), 1u);
-  EXPECT_EQ(accepted[0].client_id, 0);
+  EXPECT_TRUE(screener
+                  .screen_one(good_update(0, 0, 0.1f), expected_shapes(), 0,
+                              0, report)
+                  .accepted());
+  EXPECT_EQ(screener
+                .screen_one(good_update(1, 0, 50.0f), expected_shapes(), 0, 0,
+                            report)
+                .reject,
+            RejectReason::kNormOutlier);
+  EXPECT_EQ(report.accepted, 1);
   EXPECT_EQ(report.rejected_norm_outlier, 1);
 }
 
@@ -371,15 +354,41 @@ TEST(TrainerFaults, DropoutAndQuorumAccountingStayConsistent) {
 }
 
 TEST(TrainerFaults, NormScreeningSurvivesTraining) {
-  // Norm screening enabled on an honest run: nothing should be
+  // A norm cap far above an honest update's norm: nothing should be
   // rejected, accuracy unaffected.
   FlExperimentConfig config = faulty_config();
-  config.screening.norm_outlier_factor = 25.0;
+  config.screening.max_update_norm = 1e3;
   core::NonPrivatePolicy policy;
   FlRunResult result = run_experiment(config, policy);
   EXPECT_EQ(result.total_failures.rejected_total(), 0);
   EXPECT_EQ(result.dropped_rounds, 0);
   EXPECT_GE(result.final_accuracy, 0.0);
+}
+
+TEST(TrainerFaults, RoundWithEveryUpdateScreenedOutRunsTheRetryPass) {
+  // The retry trigger counts accepted updates, not deliveries: a cap
+  // below every honest update's norm screens out whatever a round
+  // delivers, so a round that also lost a client to dropout draws
+  // replacements though some of its clients delivered.
+  FlExperimentConfig config = faulty_config();
+  config.client_dropout = 0.5;
+  config.screening.max_update_norm = 1e-12;
+  core::NonPrivatePolicy policy;
+  FlRunResult result = run_experiment(config, policy);
+
+  EXPECT_EQ(result.updates_accepted, 0);
+  EXPECT_EQ(result.dropped_rounds, 6);
+  std::int64_t screened_and_dropped = 0;
+  for (const RoundRecord& r : result.history) {
+    const std::int64_t delivered = r.failures.rejected_norm_outlier;
+    EXPECT_EQ(r.failures.retried_clients > 0, r.failures.dropouts > 0)
+        << "round " << r.round;
+    if (r.failures.dropouts > 0 &&
+        delivered > r.failures.retried_clients) {
+      ++screened_and_dropped;  // a primary client delivered, and retried
+    }
+  }
+  EXPECT_GT(screened_and_dropped, 0);
 }
 
 TEST(TrainerFaults, ValidatesMinReporting) {

@@ -179,7 +179,7 @@ TEST(MetricsDoc, EveryEmittedNameIsDocumented) {
   config.eval_every = 1;
   config.seed = 42;
   config.faults.fault_rate = 0.4;
-  config.screening.norm_outlier_factor = 3.0;
+  config.screening.max_update_norm = 50.0;
   config.noise_scale = 0.5;
   auto policy = core::make_fed_cdp(4.0, 0.5);
   fl::FlRunResult result = fl::run_experiment(config, *policy);

@@ -1,12 +1,14 @@
 // The virtualized scale path: pinned-order reductions (streaming ==
-// buffered == tree, bitwise), the streaming round engine's fan-out /
-// schedule invariance, and the on-demand client provider's determinism
-// across calls and threads. These are the contracts that let one box
+// buffered == tree, bitwise), the sync round engine's fan-out /
+// schedule invariance, one sync fold whatever streaming_aggregation
+// says, and the on-demand client provider's determinism across calls
+// and threads. These are the contracts that let one box
 // simulate a million-client federation in bounded memory without
 // giving up bitwise reproducibility (DESIGN.md §7).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/protocol.h"
+#include "fl/server.h"
 #include "fl/trainer.h"
 #include "fl/tree_aggregation.h"
 #include "fl/virtual_client.h"
@@ -200,18 +203,81 @@ TEST(ScaleEngine, DeterministicUnderFaults) {
   EXPECT_GT(a.total_failures.injected_total(), 0);
 }
 
-TEST(ScaleEngine, AgreesWithLegacySyncEngineUpToRounding) {
-  // Streaming computes sum × (1/Σw); the legacy engine folds w/Σw
-  // incrementally. Same math, different rounding — so close, not
-  // bitwise (the documented boundary in DESIGN.md §7).
-  std::unique_ptr<core::PrivacyPolicy> policy = core::make_non_private();
-  FlExperimentConfig config = scale_config();
-  FlRunResult streaming;
-  run_scale(config, *policy, &streaming);
-  config.streaming_aggregation = false;
-  const FlRunResult legacy = run_experiment(config, *policy);
-  EXPECT_TRUE(tensor::list::allclose(streaming.final_weights,
-                                     legacy.final_weights, 1e-4f, 1e-4f));
+// ---- one sync fold ----
+
+// streaming_aggregation sets only how many clients a unit of the sync
+// fold holds, tree_fan_out or one. Every update is screened as it lands
+// and summed in the pinned tree order, so on fault-free rounds both
+// settings compute the same bytes at every power-of-two fan-out. Kt = 21
+// leaves a short last unit at fan-outs 2 and 8.
+TEST(SyncFold, StreamingFlagOnlySetsTheUnitSize) {
+  for (const bool noising : {true, false}) {
+    std::unique_ptr<core::PrivacyPolicy> policy = core::make_non_private();
+    if (noising) policy = core::make_fed_cdp(4.0, 0.25);
+    SCOPED_TRACE(policy->name());
+    FlExperimentConfig config = scale_config();
+    config.clients_per_round = 21;
+    config.noise_scale = 0.25;
+    config.streaming_aggregation = false;
+    FlRunResult one_client;
+    const std::vector<std::uint8_t> reference =
+        run_scale(config, *policy, &one_client);
+    EXPECT_EQ(one_client.completed_rounds, config.rounds);
+    EXPECT_EQ(one_client.updates_accepted,
+              config.rounds * config.clients_per_round);
+    config.streaming_aggregation = true;
+    for (std::int64_t fan_out : {2, 8, 64, 256}) {
+      config.tree_fan_out = fan_out;
+      EXPECT_EQ(run_scale(config, *policy), reference)
+          << "fan-out " << fan_out << " diverged from one-client units";
+    }
+  }
+}
+
+// Server::aggregate is the same fold run serially: on a mixed cohort it
+// adds to the weights exactly finalize_mean of the pinned-order sum of
+// the accepted deltas, in cohort order.
+TEST(SyncFold, ServerAggregateIsThePinnedOrderMean) {
+  Rng rng(31);
+  const TensorList initial = make_deltas(1, rng).front();
+  Server server(tensor::list::clone(initial),
+                {.screening = {.max_update_norm = 20.0}});
+  const std::vector<TensorList> deltas = make_deltas(11, rng);
+  std::vector<ClientUpdate> cohort;
+  std::vector<TensorList> accepted;
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    ClientUpdate u{static_cast<std::int64_t>(i), 0,
+                   tensor::list::clone(deltas[i])};
+    if (i == 1) {
+      u.round = 5;  // a future round: stale
+    } else if (i == 4) {
+      u.delta[1].data()[2] = std::numeric_limits<float>::infinity();
+    } else if (i == 7) {
+      tensor::list::scale_(u.delta, 100.0f);  // far above the cap
+    } else if (i == 10) {
+      u.delta.pop_back();  // wrong tensor count
+    } else {
+      accepted.push_back(deltas[i]);
+    }
+    cohort.push_back(std::move(u));
+  }
+  ASSERT_EQ(accepted.size(), 7u);
+  TensorList expected = tensor::list::clone(initial);
+  tensor::list::add_(
+      expected,
+      finalize_mean(reduce_buffered(
+          accepted, std::vector<double>(accepted.size(), 1.0))),
+      1.0f);
+
+  const AggregateOutcome outcome = server.aggregate(std::move(cohort));
+  EXPECT_TRUE(outcome.applied);
+  EXPECT_EQ(outcome.screening.accepted, 7);
+  EXPECT_EQ(outcome.screening.rejected_stale, 1);
+  EXPECT_EQ(outcome.screening.rejected_non_finite, 1);
+  EXPECT_EQ(outcome.screening.rejected_norm_outlier, 1);
+  EXPECT_EQ(outcome.screening.rejected_shape, 1);
+  EXPECT_EQ(serialize_tensor_list(server.weights()),
+            serialize_tensor_list(expected));
 }
 
 // ---- the virtualized provider ----

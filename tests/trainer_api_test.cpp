@@ -169,20 +169,15 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   ASSERT_TRUE(fl::validate_config(tuned_streamed).ok());
 
   std::vector<std::pair<fl::FlExperimentConfig, const char*>> cases(
-      6, {async, ""});
+      4, {async, ""});
   cases[0].first.server_momentum = 0.9;
   cases[0].second = "--staleness-alpha";
   cases[1].first.min_reporting = 2;
   cases[1].second = "--async-min-apply";
   cases[2].first.reduced_min_reporting = 1;
   cases[2].second = "--async-min-apply";
-  cases[3].first.screening.norm_outlier_factor = 3.0;
-  cases[3].second = "--screen-max-norm";
-  cases[4].first = streamed;
-  cases[4].first.screening.norm_outlier_factor = 3.0;
-  cases[4].second = "--screen-max-norm";
-  cases[5].first.retry_failed_clients = false;
-  cases[5].second = "--retry-attempts";
+  cases[3].first.retry_failed_clients = false;
+  cases[3].second = "--retry-attempts";
   // Knobs only the unselected engine reads keep their defaults.
   const auto add = [&](fl::FlExperimentConfig config, const char* knob) {
     cases.emplace_back(std::move(config), knob);

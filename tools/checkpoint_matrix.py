@@ -19,8 +19,9 @@ diffing them checks bit identity:
   - across thread counts: run it at FEDCL_THREADS=1 and at 4 and compare
     (the checkpoint_matrix_threads ctest does this).
 
-The engines are the sync fold, the streamed fold with faults, retries
-and fan-out 2, and the async engine with faults and retries.
+The engines are the sync engine (one-client units), the sync engine
+with --streaming (edge blocks of two clients) under faults and retries,
+and the async engine with faults and retries.
 
 Usage:
   checkpoint_matrix.py --bin PATH [--scale smoke|small]
