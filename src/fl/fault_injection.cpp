@@ -113,23 +113,6 @@ void RoundFailureStats::count_injected(FaultType fault) {
   }
 }
 
-void RoundFailureStats::count_rejected(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kShapeMismatch:
-      ++rejected_shape;
-      return;
-    case RejectReason::kNonFinite:
-      ++rejected_non_finite;
-      return;
-    case RejectReason::kNormOutlier:
-      ++rejected_norm_outlier;
-      return;
-    case RejectReason::kStaleRound:
-      ++rejected_stale;
-      return;
-  }
-}
-
 void RoundFailureStats::count_screening(const ScreeningReport& report) {
   rejected_shape += report.rejected_shape;
   rejected_non_finite += report.rejected_non_finite;

@@ -66,8 +66,6 @@ class FaultPlan {
   FaultType fault_for_attempt(std::int64_t round, std::int64_t client_id,
                               int attempt) const;
 
-  const FaultInjectionConfig& config() const { return config_; }
-
  private:
   FaultInjectionConfig config_;
   std::uint64_t seed_;
@@ -87,7 +85,6 @@ void corrupt_delta(TensorList& delta, Rng& rng);
 void flip_random_bits(std::vector<std::uint8_t>& bytes, Rng& rng,
                       int flips = 3);
 
-enum class RejectReason;
 struct ScreeningReport;
 
 // Per-round failure accounting, aggregated across the run in
@@ -146,8 +143,6 @@ struct RoundFailureStats {
   // Engines call it once per instance, at draw time, so the disposition
   // bijection above can be checked against injected_total().
   void count_injected(FaultType fault);
-  // Counts one screening rejection under its per-reason field.
-  void count_rejected(RejectReason reason);
   // Adds a screening pass's per-reason rejections.
   void count_screening(const ScreeningReport& report);
   void accumulate(const RoundFailureStats& other);

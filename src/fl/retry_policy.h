@@ -11,8 +11,9 @@
 // per-client soft deadline over a *virtual* latency clock (simulated
 // milliseconds, deterministic per seed): in the synchronous engine a
 // missed deadline costs the round the update, in the asynchronous
-// engine (fl/async_aggregator.h) the update arrives `rounds_late`
-// rounds later and is folded in with a staleness-decay weight.
+// engine (run_async, fl/round_engine.h) the update arrives
+// `rounds_late` rounds later and is folded in with a staleness-decay
+// weight.
 //
 // When a round still comes up short, it degrades through explicit
 // tiers instead of flipping straight to skip:
@@ -75,8 +76,6 @@ struct RetryPolicyConfig {
 class RetryPolicy {
  public:
   explicit RetryPolicy(RetryPolicyConfig config = {});
-
-  const RetryPolicyConfig& config() const { return config_; }
 
   // Transient failures are worth re-dispatching: a crashed client can
   // restart, a corrupted payload can be regenerated, damaged wire

@@ -45,24 +45,6 @@ struct FoldUnit {
   int max_levels = 0;
 };
 
-// The async round's end: applied when an offer tripped the threshold
-// since `applies_before`; otherwise a non-empty partial buffer is
-// flushed in under the reduced-quorum tier instead of dropping the work.
-AggregateOutcome close_async_round(AsyncAggregator& agg,
-                                   std::int64_t applies_before) {
-  AggregateOutcome outcome;
-  if (agg.applies() > applies_before) {
-    outcome.tier = DegradationTier::kFullQuorum;
-  } else if (agg.buffered() > 0) {
-    outcome.tier = DegradationTier::kReducedQuorum;
-    outcome.noise_widening = static_cast<double>(agg.min_to_apply()) /
-                             static_cast<double>(agg.buffered());
-    agg.flush();
-  }
-  outcome.applied = outcome.tier != DegradationTier::kSkipRound;
-  return outcome;
-}
-
 }  // namespace
 
 Federation::Federation(const data::BenchmarkConfig& bench_config,
@@ -363,7 +345,7 @@ void RoundLedger::close_run(const RoundTally& tally) {
 }
 
 double RoundLedger::evaluate() {
-  options_.eval_model->set_weights(options_.weights());
+  options_.eval_model->set_weights(options_.server.weights());
   return nn::evaluate_accuracy(*options_.eval_model, options_.val->features(),
                                options_.val->labels());
 }
@@ -374,6 +356,7 @@ FlRunResult RoundLedger::finish() {
           ? total_ms_ / static_cast<double>(total_local_iters_)
           : 0.0;
   result_.completed_rounds = options_.rounds - result_.dropped_rounds;
+  result_.final_weights = tensor::list::clone(options_.server.weights());
   registry_.flush_sinks();
   result_.telemetry = registry_.snapshot();
   return std::move(result_);
@@ -458,9 +441,9 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
         ClientDelivery delivery = deliver(i, scratch);
         unit.tally.add(delivery);
         if (!delivery.update.has_value()) continue;
-        if (!run.server.screen_and_push(std::move(*delivery.update), reducer,
-                                        report) &&
-            delivery.fault != FaultType::kNone) {
+        const ScreenVerdict verdict = run.server.screen_and_push(
+            std::move(*delivery.update), run.server.round(), reducer, report);
+        if (!verdict.accepted() && delivery.fault != FaultType::kNone) {
           ++unit.tally.stats.fault_screened;
         }
       }
@@ -546,7 +529,6 @@ FlRunResult run_sync(const RunState& run, ClientExecutor& executor) {
     run.ledger.close_round(t, tally, outcome);
   }
 
-  result.final_weights = tensor::list::clone(run.server.weights());
   // A skipped last round has no accuracy: evaluate the surviving model.
   result.final_accuracy = result.history.back().accuracy;
   if (std::isnan(result.final_accuracy)) {
@@ -641,34 +623,59 @@ std::vector<Arrival> InProcessExecutor::drain(std::int64_t) {
   return expired;
 }
 
-FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
-                      ClientExecutor& executor) {
+FlRunResult run_async(const RunState& run, ClientExecutor& executor) {
   const FlExperimentConfig& config = run.config;
   const Rng& round_rng = run.fed.round_rng;
   const FaultPlan& plan = run.fed.provider.fault_plan();
   const RetryPolicy rpolicy(config.retry);
+  const std::int64_t min_to_apply =
+      resolve_async_config(config.async, config.clients_per_round)
+          .min_to_apply;
+  Server& server = run.server;
   telemetry::Registry& registry = telemetry::global_registry();
 
-  // Books each arrival into `tally` and offers its update, if any, at
+  // The FedBuff buffer: the updates accepted since the last apply,
+  // summed in the pinned tree order. It applies at min_to_apply of
+  // them, so it holds at most floor(log2 M) + 1 partials.
+  StreamingReducer buffer;
+  std::int64_t buffered = 0;
+  auto apply = [&](const char* trigger) {
+    server.apply_mean(finalize_mean(buffer.finalize()), buffered);
+    buffered = 0;
+    registry.counter("fl.async.applied_total", {{"trigger", trigger}}).add(1);
+    registry.gauge("fl.async.buffer_occupancy").set(0.0);
+  };
+
+  // Books each arrival into `tally` and folds its update, if any, at
   // round `now`. The injected instance (if any) behind an accepted
   // update was absorbed stale; behind a rejected one it was screened
   // out.
   auto land = [&](std::vector<Arrival> arrivals, std::int64_t now,
                   RoundTally& tally) {
+    ScreeningReport report;
     for (Arrival& a : arrivals) {
       tally.add(a.delivery);
       if (!a.delivery.update.has_value()) continue;
-      const AsyncAggregator::OfferResult res =
-          agg.offer(std::move(*a.delivery.update), now);
       const bool faulty = a.delivery.fault != FaultType::kNone;
-      if (res.accepted) {
-        ++tally.accepted;
-        if (faulty) ++tally.stats.fault_accepted_stale;
+      const ScreenVerdict verdict = server.screen_and_push(
+          std::move(*a.delivery.update), now, buffer, report);
+      if (!verdict.accepted()) {
+        if (faulty) ++tally.stats.fault_screened;
         continue;
       }
-      tally.stats.count_rejected(*res.reject);
-      if (faulty) ++tally.stats.fault_screened;
+      if (faulty) ++tally.stats.fault_accepted_stale;
+      // Inclusive upper edges in rounds behind, plus an overflow bucket.
+      registry.histogram("fl.async.staleness", {0, 1, 2, 4, 8, 16, 32})
+          .observe(static_cast<double>(verdict.staleness));
+      if (verdict.staleness > 0) {
+        registry.counter("fl.async.stale_accepted_total").add(1);
+      }
+      registry.gauge("fl.async.buffer_occupancy")
+          .set(static_cast<double>(++buffered));
+      if (buffered == min_to_apply) apply("quorum");
     }
+    tally.stats.count_screening(report);
+    tally.accepted += report.accepted;
   };
 
   for (std::int64_t t = 0; t < config.effective_rounds(); ++t) {
@@ -676,7 +683,7 @@ FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
     telemetry::SpanTimer round_span(registry, "fl.round", {}, t);
     run.ledger.open_round();
     RoundTally tally;
-    const std::int64_t applies_before = agg.applies();
+    const std::int64_t version_before = server.round();
     land(executor.due(t), t, tally);
 
     // Plan (serial): each client's dispatch-attempt chain on the virtual
@@ -719,28 +726,45 @@ FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
       }
     }
 
-    const TensorList weights = agg.weights_snapshot();
+    // Clients train from the server's weights in place: no apply runs
+    // while a dispatch reads them. The in-process executor finishes
+    // training before dispatch returns, and the socket executor
+    // serializes them as it sends.
     std::vector<Arrival> arrivals;
     {
       telemetry::SpanTimer train_span(
           registry, "fl.phase", telemetry::Labels{{"phase", "local_train"}},
           t);
-      arrivals = executor.dispatch(run.delivery(t, weights), runnable);
+      arrivals = executor.dispatch(run.delivery(t, server.weights()),
+                                   runnable);
     }
     land(std::move(arrivals), t, tally);
-    run.ledger.close_round(t, tally, close_async_round(agg, applies_before));
+    // The round's end: applied when an update tripped the threshold;
+    // otherwise a non-empty partial buffer is flushed in under the
+    // reduced-quorum tier instead of dropping the work.
+    AggregateOutcome outcome;
+    if (server.round() > version_before) {
+      outcome.tier = DegradationTier::kFullQuorum;
+    } else if (buffered > 0) {
+      outcome.tier = DegradationTier::kReducedQuorum;
+      outcome.noise_widening = static_cast<double>(min_to_apply) /
+                               static_cast<double>(buffered);
+      apply("flush");
+    }
+    outcome.applied = outcome.tier != DegradationTier::kSkipRound;
+    run.ledger.close_round(t, tally, outcome);
   }
 
-  // End of run: what still lands is offered at the last round, the rest
+  // End of run: what still lands is folded at the last round, the rest
   // expires, and the last partial buffer is drained into the model.
   const std::int64_t last = config.effective_rounds() - 1;
   RoundTally drain;
   land(executor.drain(last), last, drain);
   run.ledger.close_run(drain);
-  agg.flush();
+  if (buffered > 0) apply("flush");
   FlRunResult& result = run.ledger.result();
-  result.async_applies = agg.applies();
-  result.final_weights = agg.weights_snapshot();
+  result.async_applies = server.round();
+  result.max_stream_levels = buffer.max_occupancy();
   result.final_accuracy = run.ledger.evaluate();
   return run.ledger.finish();
 }
@@ -762,12 +786,15 @@ FlRunResult run_federation(const FlExperimentConfig& config,
 
   const data::Dataset val = fed.validation_set();
   ClientRunner runner(fed, config.parallel_clients, config.clients_per_round);
-  Server server(fed.model->weights(),
-                {.server_momentum = config.server_momentum,
-                 .screening = config.screening,
-                 .min_reporting = config.min_reporting,
-                 .reduced_min_reporting = config.reduced_min_reporting});
-  std::unique_ptr<AsyncAggregator> agg;  // the async engine's global model
+  // The one global model. Only the async engine accepts late updates.
+  Server server(
+      fed.model->weights(),
+      {.server_momentum = config.server_momentum,
+       .screening = config.screening,
+       .min_reporting = config.min_reporting,
+       .reduced_min_reporting = config.reduced_min_reporting,
+       .max_staleness = config.async_mode ? config.async.max_staleness : 0,
+       .staleness_alpha = config.async.staleness_alpha});
 
   const core::FlPrivacySetup privacy_setup = {
       .total_examples = fed.train->size(),
@@ -800,9 +827,7 @@ FlRunResult run_federation(const FlExperimentConfig& config,
       .policy = policy,
       .eval_model = fed.model.get(),
       .val = &val,
-      .weights = [&]() -> TensorList {
-        return agg ? agg->weights_snapshot() : server.weights();
-      },
+      .server = server,
       .log_prefix = config.bench.name + " " + policy.name() + engine_label,
   });
   ledger.result().privacy_setup = privacy_setup;
@@ -810,14 +835,8 @@ FlRunResult run_federation(const FlExperimentConfig& config,
   const RunState run{config, policy, fed, runner, server, ledger};
   InProcessExecutor in_process(runner);
   ClientExecutor& executor = remote != nullptr ? *remote : in_process;
-  if (!config.async_mode) return run_sync(run, executor);
-  // The async engine's global model: the federation's initial weights,
-  // the resolved apply threshold, and screening under config.screening.
-  agg = std::make_unique<AsyncAggregator>(
-      fed.model->weights(),
-      resolve_async_config(config.async, config.clients_per_round),
-      config.screening);
-  return run_async(run, *agg, executor);
+  return config.async_mode ? run_async(run, executor)
+                           : run_sync(run, executor);
 }
 
 }  // namespace fedcl::fl

@@ -22,7 +22,6 @@
 #include "core/accounting.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
-#include "fl/async_aggregator.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
 #include "fl/virtual_client.h"
@@ -157,8 +156,9 @@ struct RoundLedgerOptions {
   const core::PrivacyPolicy& policy;
   nn::Sequential* eval_model = nullptr;
   const data::Dataset* val = nullptr;
-  // The current global weights (evaluated after applied rounds).
-  std::function<TensorList()> weights{};
+  // The global model: evaluated after applied rounds, and its weights
+  // are the run's final weights.
+  const Server& server;
   // The eval line, logged at Debug: "<prefix> round t/T acc=...".
   std::string log_prefix{};
 };
@@ -184,8 +184,8 @@ class RoundLedger {
   // Accuracy of the current global weights on the validation set.
   double evaluate();
   // Completes the run summary (ms per local iteration, completed
-  // rounds, the telemetry snapshot) and hands it over. Set the final
-  // weights and accuracy on result() first.
+  // rounds, the final weights, the telemetry snapshot) and hands it
+  // over. Set the final accuracy on result() first.
   FlRunResult finish();
 
   FlRunResult& result() { return result_; }
@@ -260,7 +260,7 @@ struct Arrival {
 //    land at round t; dispatch() sets the round's runnable clients going
 //    and hands over what lands during the round; drain(t) ends the run
 //    at its last round t with what still lands and the expiry of the
-//    rest. The loop offers every update on its own thread, in the order
+//    rest. The loop folds every update on its own thread, in the order
 //    handed over.
 class ClientExecutor {
  public:
@@ -290,18 +290,21 @@ class ClientExecutor {
 // thread counts.
 FlRunResult run_sync(const RunState& run, ClientExecutor& executor);
 
-// The asynchronous (FedBuff) engine. One round: offer the arrivals due
+// The asynchronous (FedBuff) engine. One round: fold the arrivals due
 // now, sample a cohort, plan every client's dispatch-attempt chain
 // (dropout, faults, latency and backoff) serially on the virtual clock,
-// dispatch the runnable clients, offer what lands during the round, and
-// close it: applied if an offer tripped min_to_apply, else a non-empty
-// partial buffer flushes under the reduced-quorum tier. At the end the
-// executor drains, and the last partial buffer is applied. The loop
-// alone offers, on its own thread in the executor's order, and books
-// each offer's disposition: an accepted faulty arrival was absorbed
-// stale, a rejected one counts its reason and, if faulty, was screened.
-FlRunResult run_async(const RunState& run, AsyncAggregator& agg,
-                      ClientExecutor& executor);
+// dispatch the runnable clients from the server's weights, fold what
+// lands during the round, and close it: applied if an update tripped
+// min_to_apply, else a non-empty partial buffer flushes under the
+// reduced-quorum tier. At the end the executor drains, and the last
+// partial buffer is applied. The fold is the sync engine's step,
+// Server::screen_and_push at the loop's round under the staleness
+// horizon, into one StreamingReducer buffer, applied through
+// finalize_mean and Server::apply_mean. The loop alone folds, on its own
+// thread in the executor's order, and books each update's disposition:
+// an accepted faulty arrival was absorbed stale, a rejected one counts
+// its reason and, if faulty, was screened.
+FlRunResult run_async(const RunState& run, ClientExecutor& executor);
 
 // Runs `config` under `policy` on `fed`, the federation built from the
 // same config. Validates the config and that a noising policy adds

@@ -1,5 +1,7 @@
 #include "fl/server.h"
 
+#include <cmath>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
@@ -20,6 +22,8 @@ Server::Server(TensorList initial_weights, AggregationOptions options)
   FEDCL_CHECK_GE(options_.reduced_min_reporting, 0);
   FEDCL_CHECK_LE(options_.reduced_min_reporting, options_.min_reporting)
       << "reduced quorum above the full quorum";
+  FEDCL_CHECK_GE(options_.max_staleness, 0);
+  FEDCL_CHECK_GE(options_.staleness_alpha, 0.0);
 }
 
 std::vector<std::size_t> Server::sample_clients(std::size_t total_clients,
@@ -30,20 +34,26 @@ std::vector<std::size_t> Server::sample_clients(std::size_t total_clients,
   return rng.sample_without_replacement(total_clients, clients_per_round);
 }
 
-bool Server::screen_and_push(ClientUpdate update, StreamingReducer& reducer,
-                             ScreeningReport& report) const {
-  if (!screener_.screen_one(update, shapes_, round_, 0, report).accepted()) {
-    return false;
-  }
-  reducer.push(std::move(update.delta), 1.0);
-  return true;
+ScreenVerdict Server::screen_and_push(ClientUpdate update, std::int64_t now,
+                                      StreamingReducer& reducer,
+                                      ScreeningReport& report) const {
+  const ScreenVerdict verdict = screener_.screen_one(
+      update, shapes_, now, options_.max_staleness, report);
+  if (!verdict.accepted()) return verdict;
+  const double weight =
+      verdict.staleness == 0
+          ? 1.0
+          : std::pow(1.0 + static_cast<double>(verdict.staleness),
+                     -options_.staleness_alpha);
+  reducer.push(std::move(update.delta), weight);
+  return verdict;
 }
 
 AggregateOutcome Server::aggregate(std::vector<ClientUpdate> updates) {
   StreamingReducer reducer;
   ScreeningReport report;
   for (ClientUpdate& update : updates) {
-    screen_and_push(std::move(update), reducer, report);
+    screen_and_push(std::move(update), round_, reducer, report);
   }
   AggregateOutcome outcome = quorum(report.accepted);
   outcome.screening = report;

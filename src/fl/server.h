@@ -34,6 +34,14 @@ struct AggregationOptions {
   // factor surfaced in the outcome. 0 (default) disables the tier and
   // keeps the historical binary apply-or-skip behavior.
   std::int64_t reduced_min_reporting = 0;
+  // Staleness horizon: the oldest round tag screen_and_push accepts, in
+  // rounds behind its `now`. 0 (default, the sync engine's setting):
+  // any round mismatch rejects. The async engine sets its
+  // max_staleness.
+  std::int64_t max_staleness = 0;
+  // Staleness-decay exponent: an update s rounds behind enters the sum
+  // with weight (1 + s)^-alpha. Read only when max_staleness > 0.
+  double staleness_alpha = 0.5;
 };
 
 // What aggregate() did with the round's updates. `noise_widening` is
@@ -54,7 +62,10 @@ class Server {
   explicit Server(TensorList initial_weights,
                   AggregationOptions options = {});
 
+  // The one global model of either engine.
   const TensorList& weights() const { return weights_; }
+  // Rounds applied or skipped so far. The async engine never skips, so
+  // there it counts applies: the model version.
   std::int64_t round() const { return round_; }
 
   // Selects Kt distinct clients out of K for this round (the paper's
@@ -63,21 +74,26 @@ class Server {
                                           std::size_t clients_per_round,
                                           Rng& rng) const;
 
-  // The sync fold's one step: screens `update` against this round (any
-  // round mismatch rejects; update_screening.h) and pushes an accepted
-  // delta into `reducer`, which sums in its storage. Counts the verdict
-  // in `report` and returns whether the update was accepted. run_sync's
-  // units (fl/round_engine.cpp) run it concurrently on the pool, each
-  // into its own reducer; aggregate() runs it serially.
-  bool screen_and_push(ClientUpdate update, StreamingReducer& reducer,
-                       ScreeningReport& report) const;
+  // The one fold step of both engines: screens `update` against round
+  // `now` under the staleness horizon (update_screening.h) and pushes
+  // an accepted delta into `reducer`, which sums in its storage, with
+  // weight (1 + s)^-alpha for staleness s. A fresh update (s = 0) enters
+  // with weight exactly 1.0, unscaled. Counts the verdict in `report`
+  // and returns it. The sync engine passes round() under horizon 0:
+  // run_sync's units (fl/round_engine.cpp) run it concurrently on the
+  // pool, each into its own reducer, and aggregate() runs it serially.
+  // run_async passes its round clock and sums into its buffer.
+  ScreenVerdict screen_and_push(ClientUpdate update, std::int64_t now,
+                                StreamingReducer& reducer,
+                                ScreeningReport& report) const;
 
   // FedSGD: W(t+1) = W(t) + (1/Kt) * sum_k delta_k, where Kt counts the
-  // accepted updates. Each update goes through screen_and_push in order,
-  // so the sum is the pinned-order tree over the accepted deltas and
-  // the mean is finalize_mean's (fl/tree_aggregation.h): the same bits
-  // run_sync computes for the same cohort. A rejected update is dropped
-  // and counted in the returned report rather than aborting the round.
+  // accepted updates. Each update goes through screen_and_push at
+  // round(), in order, so the sum is the pinned-order tree over the
+  // accepted deltas and the mean is finalize_mean's
+  // (fl/tree_aggregation.h): the same bits run_sync computes for the
+  // same cohort. A rejected update is dropped and counted in the
+  // returned report rather than aborting the round.
   // When fewer than min_reporting updates survive, nothing is applied,
   // the round does not advance, and the report shows the quorum miss —
   // the caller decides (normally skip_round()). Every client holds the
@@ -99,10 +115,10 @@ class Server {
   // updates itself. `applied` is left false.
   AggregateOutcome quorum(std::int64_t accepted) const;
 
-  // Applies a reduced mean delta: run_sync's, or aggregate()'s, which
-  // ends in it. Momentum tail and round advance; the caller decides the
-  // quorum first (quorum()) and keeps the screening accounting. Adds
-  // `accepted` to fl.server.updates_accepted_total.
+  // Applies a reduced mean delta: run_sync's, run_async's, or
+  // aggregate()'s, which ends in it. Momentum tail and round advance;
+  // the caller decides when to apply (quorum()) and keeps the screening
+  // accounting. Adds `accepted` to fl.server.updates_accepted_total.
   void apply_mean(const TensorList& mean_delta, std::int64_t accepted);
 
   // Advances the round without an update (e.g. every sampled client

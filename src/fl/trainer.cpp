@@ -1,5 +1,6 @@
 #include "fl/trainer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/telemetry.h"
@@ -7,6 +8,14 @@
 #include "fl/tree_aggregation.h"
 
 namespace fedcl::fl {
+
+AsyncAggregatorConfig resolve_async_config(AsyncAggregatorConfig config,
+                                           std::int64_t clients_per_round) {
+  if (config.min_to_apply <= 0) {
+    config.min_to_apply = std::max<std::int64_t>(1, clients_per_round / 2);
+  }
+  return config;
+}
 
 Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
   const FlExperimentConfig& c = config;

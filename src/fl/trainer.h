@@ -22,12 +22,27 @@
 #include "core/accounting.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
-#include "fl/async_aggregator.h"
 #include "fl/fault_injection.h"
 #include "fl/retry_policy.h"
 #include "fl/update_screening.h"
 
 namespace fedcl::fl {
+
+struct AsyncAggregatorConfig {
+  // M: buffered updates that trigger an apply; 0 leaves it to
+  // resolve_async_config's max(1, clients_per_round / 2).
+  std::int64_t min_to_apply = 0;
+  // Staleness-decay exponent: weight = 1 / (1 + staleness)^alpha.
+  // 0 treats stale updates like fresh ones.
+  double staleness_alpha = 0.5;
+  // Oldest acceptable round tag, in rounds behind the current round.
+  std::int64_t max_staleness = 8;
+};
+
+// `config` with an unset min_to_apply (<= 0) resolved to the engines'
+// default, max(1, clients_per_round / 2).
+AsyncAggregatorConfig resolve_async_config(AsyncAggregatorConfig config,
+                                           std::int64_t clients_per_round);
 
 struct FlExperimentConfig {
   data::BenchmarkConfig bench;
@@ -75,18 +90,19 @@ struct FlExperimentConfig {
   // results are bitwise identical to the serial schedule for any
   // FEDCL_THREADS.
   bool parallel_clients = true;
-  // Asynchronous (FedBuff-style) round engine: updates stream into a
-  // bounded-memory accumulator (fl/async_aggregator.h) and the model
-  // advances as soon as `async.min_to_apply` updates are buffered;
-  // stragglers arrive `rounds_late` rounds later and are folded in with
-  // a 1/(1+staleness)^alpha weight instead of being rejected. Clients
-  // train on the pool, but the loop offers their updates in a fixed
+  // Asynchronous (FedBuff-style) round engine: each update is screened
+  // as it lands and summed into a pinned-order buffer
+  // (Server::screen_and_push), and the model advances as soon as
+  // `async.min_to_apply` updates are buffered; stragglers arrive
+  // `rounds_late` rounds later and are folded in with a
+  // 1/(1+staleness)^alpha weight instead of being rejected. Clients
+  // train on the pool, but the loop folds their updates in a fixed
   // order (late arrivals, then the round's own in cohort order), so the
   // engine is bitwise identical across schedules and thread counts
   // (DESIGN.md §5).
   bool async_mode = false;
   // Async engine knobs. min_to_apply <= 0 defaults to
-  // max(1, clients_per_round / 2) (resolve_async_config); offers are
+  // max(1, clients_per_round / 2) (resolve_async_config); updates are
   // screened under `screening` above.
   AsyncAggregatorConfig async;
   // Deadline / retry / backoff for client dispatch, in both engines.
@@ -148,9 +164,11 @@ struct FlRunResult {
   // Async engine: total aggregate applications (the final model
   // version); a round can apply more than once.
   std::int64_t async_applies = 0;
-  // Sync engine: high-water binary-counter occupancy across every
-  // reducer the run created — the bounded-memory witness, bounded by
-  // floor(log2(units)) + 1 regardless of K (fl/tree_aggregation.h).
+  // High-water binary-counter occupancy across every reducer the run
+  // created, in either engine — the bounded-memory witness
+  // (fl/tree_aggregation.h). Sync: bounded by floor(log2(units)) + 1
+  // regardless of K. Async: its one buffer applies at min_to_apply = M
+  // updates, so it is bounded by floor(log2 M) + 1.
   std::int64_t max_stream_levels = 0;
   // Rounds applied under the reduced-quorum degradation tier (sync:
   // below min_reporting but at or above reduced_min_reporting; async:

@@ -136,45 +136,6 @@ ReduceNode reduce_buffered(std::vector<TensorList> deltas,
   return acc;
 }
 
-ReduceNode tree_reduce(std::vector<TensorList> deltas,
-                       const std::vector<double>& weights,
-                       std::int64_t fan_out) {
-  FEDCL_CHECK_EQ(deltas.size(), weights.size());
-  FEDCL_CHECK(is_power_of_two(fan_out) && fan_out >= 2)
-      << "tree fan-out must be a power of two >= 2, got " << fan_out;
-  if (deltas.empty()) return ReduceNode{};
-  // Same storage-detach as reduce_buffered: shallow Tensor copies mean
-  // the caller's deltas would otherwise be scaled/merged in place.
-  for (TensorList& d : deltas) d = tensor::list::clone(d);
-
-  // Tier 0: edge aggregators over consecutive fan_out-sized leaf
-  // blocks (the last block may be short).
-  const std::size_t f = static_cast<std::size_t>(fan_out);
-  std::vector<ReduceNode> tier;
-  for (std::size_t b = 0; b < deltas.size(); b += f) {
-    StreamingReducer edge;
-    const std::size_t end = std::min(b + f, deltas.size());
-    for (std::size_t i = b; i < end; ++i) {
-      edge.push(std::move(deltas[i]), weights[i]);
-    }
-    tier.push_back(edge.finalize());
-  }
-  // Higher tiers: each parent reduces fan_out consecutive partials.
-  while (tier.size() > 1) {
-    std::vector<ReduceNode> next;
-    for (std::size_t b = 0; b < tier.size(); b += f) {
-      StreamingReducer parent;
-      const std::size_t end = std::min(b + f, tier.size());
-      for (std::size_t i = b; i < end; ++i) {
-        parent.push_node(std::move(tier[i]));
-      }
-      next.push_back(parent.finalize());
-    }
-    tier = std::move(next);
-  }
-  return std::move(tier.front());
-}
-
 TensorList finalize_mean(ReduceNode node) {
   FEDCL_CHECK(!node.empty()) << "cannot take the mean of zero updates";
   FEDCL_CHECK_GT(node.weight, 0.0);

@@ -1,21 +1,23 @@
 // Pinned-order reductions for bounded-memory aggregation at scale.
 //
-// Every reduction shape in this module — the O(log K) streaming
-// accumulator, the buffered recursive reference, and the hierarchical
-// fan-out tree — executes the exact same float additions in the exact
-// same association order: the canonical binary-counter pairwise tree
-// over the leaf sequence. That makes "streaming == buffered == tree"
-// a bitwise identity, not an approximation (tests/scale_engine_test
-// pins it for fan-outs {2, 8, 64} across leaf counts).
+// Both reductions in this module — the O(log K) streaming accumulator
+// and the buffered recursive reference — execute the exact same float
+// additions in the exact same association order: the canonical
+// binary-counter pairwise tree over the leaf sequence. That makes
+// "streaming == buffered" a bitwise identity, not an approximation
+// (tests/scale_engine_test pins it across leaf counts).
 //
-// Determinism boundary (DESIGN.md §7): the identity requires blocks
-// that are aligned and power-of-two sized, which is why tree fan-outs
-// are restricted to powers of two. With that restriction, an edge
-// aggregator's partial over leaves [bF, bF+F) occupies exactly the
-// tree position the flat counter would have given those leaves, so
-// pushing finished partials into a parent counter in block order
-// replays the flat schedule operation for operation. A block of one
-// leaf is the degenerate case: push_node of a one-leaf partial is push.
+// The sync engine's fold is two-tier: edge reducers over consecutive
+// blocks of F leaves, whose partials a root reducer takes in block
+// order (run_sync, fl/round_engine.cpp). Determinism boundary
+// (DESIGN.md §7): that equals the flat counter when the blocks are
+// aligned and power-of-two sized, which is why tree fan-outs are
+// restricted to powers of two. With that restriction, an edge
+// partial over leaves [bF, bF+F) occupies exactly the tree position
+// the flat counter would have given those leaves, so pushing finished
+// partials into the root in block order replays the flat schedule
+// operation for operation. A block of one leaf is the degenerate case:
+// push_node of a one-leaf partial is push.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +43,9 @@ struct ReduceNode {
 // The fixed-size accumulator: a binary counter over pushed units.
 // Level l holds the pending sum of 2^l consecutive units; pushing the
 // (2k+1)-th unit at a level merges it up (older += newer). Memory is
-// O(log n) nodes for n pushes — the sync-path analogue of the async
-// engine's single-buffer accumulator, but bitwise equal to the
-// buffered reduction.
+// O(log n) nodes for n pushes, bitwise equal to the buffered
+// reduction. It is every fold of both engines: run_sync's units and
+// root, and run_async's buffer.
 class StreamingReducer {
  public:
   // Pushes one leaf update. `delta` is consumed and mutated in place
@@ -73,19 +75,10 @@ class StreamingReducer {
 // Reference implementation: materializes the binary-counter tree
 // recursively over fully buffered inputs. Deliberately shares no code
 // with StreamingReducer so the bitwise pin between them is meaningful.
-// Unlike push(), both buffered reductions detach (deep-copy) their
-// inputs, so the caller's tensors are never mutated.
+// Unlike push(), it detaches (deep-copies) its inputs, so the caller's
+// tensors are never mutated.
 ReduceNode reduce_buffered(std::vector<TensorList> deltas,
                            const std::vector<double>& weights);
-
-// Hierarchical reduction: consecutive fan_out-sized blocks of leaves
-// are reduced by edge aggregators, whose partials are reduced by the
-// next tier, until one node remains. fan_out must be a power of two
-// (>= 2) — the alignment condition under which the result is bitwise
-// identical to reduce_buffered / StreamingReducer.
-ReduceNode tree_reduce(std::vector<TensorList> deltas,
-                       const std::vector<double>& weights,
-                       std::int64_t fan_out);
 
 // sum / Σw — the streaming mean. Checks the node is non-empty with
 // positive total weight.

@@ -80,8 +80,6 @@ class UpdateScreener {
                            std::int64_t max_staleness,
                            ScreeningReport& report) const;
 
-  const ScreeningConfig& config() const { return config_; }
-
  private:
   ScreeningConfig config_;
 };

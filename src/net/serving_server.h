@@ -18,7 +18,7 @@
 // from the shared seed, updates are re-assembled in cohort order
 // before aggregation, and weights travel as exact f32 bytes — so the
 // final model state is BITWISE identical to fl::run_experiment at the
-// same seed and configuration. The asynchronous engine offers the
+// same seed and configuration. The asynchronous engine folds the
 // updates that land within a real-time window in the order they are
 // read, tolerates workers running rounds behind (staleness decay;
 // expiry past the horizon keeps the worker), and withholds dispatches
@@ -41,8 +41,8 @@
 
 #include "common/error.h"
 #include "core/accounting.h"
-#include "fl/async_aggregator.h"
 #include "fl/fault_injection.h"
+#include "fl/trainer.h"
 #include "fl/update_screening.h"
 #include "net/frame.h"
 #include "net/socket.h"

@@ -1,8 +1,9 @@
 // The asynchronous round engine and its supporting layers: the
 // deadline/retry/backoff policy, the streaming screen_one verdict, the
-// bounded-memory FedBuff aggregator with staleness-decay weighting, the
-// reduced-quorum degradation tier, and the async trainer mode —
-// including its determinism contract across schedules.
+// async fold (Server::screen_and_push into a pinned-order buffer, with
+// staleness-decay weighting), the reduced-quorum degradation tier, and
+// the async trainer mode — including its determinism contract across
+// schedules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,10 +16,11 @@
 #include "common/telemetry.h"
 #include "core/policy.h"
 #include "data/benchmarks.h"
-#include "fl/async_aggregator.h"
+#include "fl/protocol.h"
 #include "fl/retry_policy.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
+#include "fl/tree_aggregation.h"
 #include "fl/update_screening.h"
 
 namespace fedcl::fl {
@@ -207,85 +209,89 @@ TEST(KernelCheck, FiniteTestRejectsEveryNonFiniteAnywhere) {
   }
 }
 
-// ---- async aggregator ----
-
-AsyncAggregatorConfig agg_config(std::int64_t min_to_apply, double alpha = 1.0,
-                                 std::int64_t max_staleness = 8) {
-  AsyncAggregatorConfig cfg;
-  cfg.min_to_apply = min_to_apply;
-  cfg.staleness_alpha = alpha;
-  cfg.max_staleness = max_staleness;
-  return cfg;
-}
+// ---- the async fold ----
 
 ClientUpdate delta_update(std::int64_t round, float v0, float v1) {
   return {0, round, {Tensor::from_vector({2}, {v0, v1})}};
 }
 
-TEST(AsyncAggregator, AppliesExactlyAtTheMthOffer) {
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2));
-  auto r1 = agg.offer(delta_update(0, 2.0f, 4.0f), 0);
-  EXPECT_TRUE(r1.accepted);
-  EXPECT_FALSE(r1.applied);
-  EXPECT_EQ(agg.buffered(), 1);
-  EXPECT_EQ(agg.applies(), 0);
-  auto r2 = agg.offer(delta_update(0, 4.0f, 0.0f), 0);
-  EXPECT_TRUE(r2.applied);
-  EXPECT_EQ(agg.applies(), 1);
-  EXPECT_EQ(agg.buffered(), 0);  // accumulator reset
-  // Plain mean of the two fresh updates.
-  TensorList w = agg.weights_snapshot();
-  EXPECT_FLOAT_EQ(w[0].at(0), 3.0f);
-  EXPECT_FLOAT_EQ(w[0].at(1), 2.0f);
-}
-
-TEST(AsyncAggregator, StaleUpdateEntersWithDecayWeight) {
+TEST(AsyncFold, StaleByOneEntersAtHalfWeight) {
   // alpha = 1: staleness 1 -> weight 1/2.
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0));
-  auto fresh = agg.offer(delta_update(3, 6.0f, 0.0f), 3);
+  Server server({Tensor::zeros({2})},
+                {.max_staleness = 8, .staleness_alpha = 1.0});
+  StreamingReducer buffer;
+  ScreeningReport report;
+  const ScreenVerdict fresh = server.screen_and_push(
+      delta_update(3, 6.0f, 0.0f), /*now=*/3, buffer, report);
+  EXPECT_TRUE(fresh.accepted());
   EXPECT_EQ(fresh.staleness, 0);
-  auto stale = agg.offer(delta_update(2, 12.0f, 3.0f), 3);
-  EXPECT_TRUE(stale.accepted);
+  const ScreenVerdict stale = server.screen_and_push(
+      delta_update(2, 12.0f, 3.0f), /*now=*/3, buffer, report);
+  EXPECT_TRUE(stale.accepted());
   EXPECT_EQ(stale.staleness, 1);
-  ASSERT_TRUE(stale.applied);
+  EXPECT_EQ(report.accepted, 2);
+  server.apply_mean(finalize_mean(buffer.finalize()), 2);
+
+  TensorList expected = {Tensor::zeros({2})};
+  tensor::list::add_(expected,
+                     finalize_mean(reduce_buffered(
+                         {delta_update(3, 6.0f, 0.0f).delta,
+                          delta_update(2, 12.0f, 3.0f).delta},
+                         {1.0, 0.5})),
+                     1.0f);
+  EXPECT_EQ(serialize_tensor_list(server.weights()),
+            serialize_tensor_list(expected));
   // (1*6 + 0.5*12) / 1.5 = 8 ; (1*0 + 0.5*3) / 1.5 = 1.
-  TensorList w = agg.weights_snapshot();
-  EXPECT_FLOAT_EQ(w[0].at(0), 8.0f);
-  EXPECT_FLOAT_EQ(w[0].at(1), 1.0f);
+  EXPECT_FLOAT_EQ(server.weights()[0].at(0), 8.0f);
+  EXPECT_FLOAT_EQ(server.weights()[0].at(1), 1.0f);
 }
 
-TEST(AsyncAggregator, TooStaleIsScreenedOut) {
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(1, 0.5, 2));
-  auto r = agg.offer(delta_update(0, 1.0f, 1.0f), /*now_round=*/5);
-  EXPECT_FALSE(r.accepted);
-  EXPECT_EQ(*r.reject, RejectReason::kStaleRound);
-  EXPECT_EQ(agg.buffered(), 0);
+TEST(AsyncFold, PastHorizonOrFutureRejectsAndPushesNothing) {
+  Server server({Tensor::zeros({2})},
+                {.max_staleness = 2, .staleness_alpha = 0.5});
+  StreamingReducer buffer;
+  ScreeningReport report;
+  for (const std::int64_t round : {2, 6}) {  // 3 behind now, 1 ahead
+    const ScreenVerdict v = server.screen_and_push(
+        delta_update(round, 1.0f, 1.0f), /*now=*/5, buffer, report);
+    ASSERT_FALSE(v.accepted()) << "round " << round;
+    EXPECT_EQ(*v.reject, RejectReason::kStaleRound);
+  }
+  EXPECT_EQ(report.rejected_stale, 2);
+  EXPECT_EQ(buffer.max_occupancy(), 0);
+  EXPECT_TRUE(buffer.finalize().empty());
+  // The horizon itself is inside.
+  EXPECT_TRUE(server
+                  .screen_and_push(delta_update(3, 1.0f, 1.0f), 5, buffer,
+                                   report)
+                  .accepted());
+  EXPECT_EQ(buffer.finalize().leaves, 1);
 }
 
-TEST(AsyncAggregator, FlushAppliesAPartialBuffer) {
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(4));
-  EXPECT_FALSE(agg.flush());  // nothing buffered
-  agg.offer(delta_update(0, 2.0f, 2.0f), 0);
-  EXPECT_TRUE(agg.flush());
-  EXPECT_EQ(agg.applies(), 1);
-  EXPECT_FLOAT_EQ(agg.weights_snapshot()[0].at(0), 2.0f);
-}
-
-TEST(AsyncAggregator, EmitsStalenessAndOccupancyTelemetry) {
-  telemetry::Registry& registry = telemetry::global_registry();
-  registry.reset();
-  AsyncAggregator agg({Tensor::zeros({2})}, agg_config(2, 1.0));
-  agg.offer(delta_update(1, 1.0f, 0.0f), 2);  // staleness 1
-  telemetry::TelemetrySnapshot mid = registry.snapshot();
-  EXPECT_EQ(mid.gauge_value("fl.async.buffer_occupancy"), 1.0);
-  agg.offer(delta_update(2, 1.0f, 0.0f), 2);  // triggers apply
-  telemetry::TelemetrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter_value("fl.async.stale_accepted_total"), 1);
-  EXPECT_EQ(snap.counter_value("fl.async.applied_total",
-                               {{"trigger", "quorum"}}),
-            1);
-  EXPECT_EQ(snap.gauge_value("fl.async.buffer_occupancy"), 0.0);
-  EXPECT_NE(snap.find_histogram("fl.async.staleness"), nullptr);
+TEST(AsyncFold, FreshUpdateIsPushedUnscaled) {
+  // The sync setting (horizon 0): whatever alpha says, a fresh update
+  // enters with weight exactly 1 and its bytes untouched.
+  Rng rng(9);
+  Server server({Tensor::zeros({3, 4}), Tensor::zeros({5})},
+                {.staleness_alpha = 1.0});
+  StreamingReducer folded;
+  StreamingReducer pushed;
+  ScreeningReport report;
+  for (int i = 0; i < 5; ++i) {
+    const TensorList delta = {Tensor::randn({3, 4}, rng),
+                              Tensor::randn({5}, rng)};
+    ASSERT_TRUE(server
+                    .screen_and_push({i, server.round(),
+                                      tensor::list::clone(delta)},
+                                     server.round(), folded, report)
+                    .accepted());
+    pushed.push(tensor::list::clone(delta), 1.0);
+  }
+  const ReduceNode a = folded.finalize();
+  const ReduceNode b = pushed.finalize();
+  EXPECT_EQ(a.weight, 5.0);
+  EXPECT_EQ(a.leaves, b.leaves);
+  EXPECT_EQ(serialize_tensor_list(a.sum), serialize_tensor_list(b.sum));
 }
 
 // ---- reduced-quorum degradation tier (sync server) ----
@@ -335,6 +341,85 @@ FlExperimentConfig async_config() {
   config.seed = 77;
   config.async_mode = true;
   return config;
+}
+
+// End to end: with M = 3 and four fault-free clients a round, the 24
+// accepted updates of six rounds trip eight quorum applies, each at the
+// third buffered update, with the leftovers carried into the next
+// round. Every round applies, so none flushes.
+TEST(AsyncFold, AppliesAtTheMthAcceptedUpdate) {
+  FlExperimentConfig config = async_config();
+  config.async.min_to_apply = 3;
+  core::NonPrivatePolicy policy;
+  const FlRunResult result = run_experiment(config, policy);
+  const telemetry::TelemetrySnapshot& snap = result.telemetry;
+  EXPECT_EQ(result.updates_accepted, 24);
+  EXPECT_EQ(snap.counter_value("fl.async.applied_total",
+                               {{"trigger", "quorum"}}),
+            8);
+  EXPECT_EQ(snap.counter_value("fl.async.applied_total",
+                               {{"trigger", "flush"}}),
+            0);
+  EXPECT_EQ(result.async_applies, 8);
+  EXPECT_EQ(result.reduced_quorum_rounds, 0);
+  // Counted at apply, so every accepted update, once.
+  EXPECT_EQ(snap.counter_value("fl.server.updates_accepted_total"), 24);
+  // The buffer never holds more than M = 3 leaves: floor(log2 3) + 1.
+  EXPECT_GT(result.max_stream_levels, 0);
+  EXPECT_LE(result.max_stream_levels, 2);
+}
+
+// With M = 5 above the four clients a round, no round trips the
+// threshold: each flushes its four updates at its end under the
+// reduced-quorum tier, widening M / buffered = 5/4.
+TEST(AsyncFold, FlushesAPartialBufferAtRoundEnd) {
+  FlExperimentConfig config = async_config();
+  config.rounds = 3;
+  config.async.min_to_apply = 5;
+  core::NonPrivatePolicy policy;
+  const FlRunResult result = run_experiment(config, policy);
+  const telemetry::TelemetrySnapshot& snap = result.telemetry;
+  EXPECT_EQ(snap.counter_value("fl.async.applied_total",
+                               {{"trigger", "flush"}}),
+            3);
+  EXPECT_EQ(snap.counter_value("fl.async.applied_total",
+                               {{"trigger", "quorum"}}),
+            0);
+  EXPECT_EQ(result.completed_rounds, 3);
+  EXPECT_EQ(result.reduced_quorum_rounds, 3);
+  EXPECT_EQ(snap.counter_value("fl.round.degraded_total",
+                               {{"tier", "reduced-quorum"}}),
+            3);
+  EXPECT_DOUBLE_EQ(result.max_noise_widening, 1.25);
+  for (const telemetry::SeriesPoint& p :
+       snap.series_points("fl.round.noise_widening")) {
+    EXPECT_DOUBLE_EQ(p.value, 1.25);
+  }
+}
+
+// Under stragglers: every accepted update's staleness is observed, the
+// ones above zero are the stale accepts, and the last apply leaves the
+// buffer empty.
+TEST(AsyncFold, RecordsStalenessAndEmptiesTheBuffer) {
+  FlExperimentConfig config = async_config();
+  config.rounds = 8;
+  config.faults.fault_rate = 0.5;
+  config.faults.crash_weight = 0.0;
+  config.faults.corrupt_weight = 0.0;
+  config.faults.bit_flip_weight = 0.0;
+  config.faults.stale_round_weight = 0.0;
+  core::NonPrivatePolicy policy;
+  const FlRunResult result = run_experiment(config, policy);
+  const telemetry::TelemetrySnapshot& snap = result.telemetry;
+  const telemetry::HistogramSample* staleness =
+      snap.find_histogram("fl.async.staleness");
+  ASSERT_NE(staleness, nullptr);
+  EXPECT_EQ(staleness->count, result.updates_accepted);
+  const std::int64_t stale =
+      snap.counter_value("fl.async.stale_accepted_total");
+  EXPECT_GT(stale, 0);
+  EXPECT_EQ(staleness->count - staleness->counts[0], stale);
+  EXPECT_EQ(snap.gauge_value("fl.async.buffer_occupancy"), 0.0);
 }
 
 TEST(AsyncTrainer, FaultFreeRunAppliesEveryRound) {
@@ -409,7 +494,7 @@ std::vector<std::int64_t> ledger_fields(const RoundFailureStats& f) {
 }
 
 // The determinism contract: the async engine trains a round's clients
-// on the pool but offers their updates on the loop thread, in cohort
+// on the pool but folds their updates on the loop thread, in cohort
 // order, so the serial and the parallel schedule fold the same updates
 // in the same order and end bitwise equal — under faults, retries and
 // late arrivals, and with Fed-SDP noising each update at the client

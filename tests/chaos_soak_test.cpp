@@ -92,6 +92,24 @@ void assert_survived(const FlRunResult& result,
             result.total_failures.fault_accepted_stale);
 }
 
+// floor(log2 n) + 1: the binary-counter levels n pushed leaves can fill.
+std::int64_t level_bound(std::int64_t n) {
+  std::int64_t bound = 1;
+  for (std::int64_t v = n; v > 1; v >>= 1) ++bound;
+  return bound;
+}
+
+// The async buffer applies at M = min_to_apply updates, so it never
+// holds more than M leaves: 0 < occupancy <= floor(log2 M) + 1.
+void assert_async_buffer_bounded(const FlRunResult& result,
+                                 const FlExperimentConfig& config) {
+  const std::int64_t m =
+      resolve_async_config(config.async, config.clients_per_round)
+          .min_to_apply;
+  EXPECT_GT(result.max_stream_levels, 0);
+  EXPECT_LE(result.max_stream_levels, level_bound(m));
+}
+
 TEST(ChaosSoak, SyncEngineNoRetries) {
   FlExperimentConfig config = soak_config(/*async=*/false,
                                           /*max_attempts=*/1, 1301);
@@ -127,6 +145,7 @@ TEST(ChaosSoak, AsyncEngineNoRetries) {
   core::NonPrivatePolicy policy;
   FlRunResult result = run_experiment(config, policy);
   assert_survived(result, config);
+  assert_async_buffer_bounded(result, config);
   EXPECT_GT(result.async_applies, 0);
 }
 
@@ -137,6 +156,7 @@ TEST(ChaosSoak, AsyncEngineWithRetriesAndDropout) {
   core::NonPrivatePolicy policy;
   FlRunResult result = run_experiment(config, policy);
   assert_survived(result, config);
+  assert_async_buffer_bounded(result, config);
   EXPECT_GT(result.async_applies, 0);
   EXPECT_GT(result.total_failures.retry_attempts, 0);
   // Stragglers under sustained load must have been folded in late
@@ -170,10 +190,8 @@ TEST(ChaosSoak, StreamingEngineVirtualizedFederation) {
   // the worst-case unit count of a round (every dispatch retried).
   const std::int64_t worst_units =
       config.clients_per_round * config.retry.max_attempts;
-  std::int64_t bound = 1;
-  for (std::int64_t v = worst_units; v > 1; v >>= 1) ++bound;
   EXPECT_GT(result.max_stream_levels, 0);
-  EXPECT_LE(result.max_stream_levels, bound);
+  EXPECT_LE(result.max_stream_levels, level_bound(worst_units));
 }
 
 TEST(ChaosSoak, StreamingEngineUnderDpPolicySurvives) {
@@ -194,9 +212,9 @@ TEST(ChaosSoak, StreamingEngineUnderDpPolicySurvives) {
 }
 
 TEST(ChaosSoak, AsyncUnderDpPolicySurvives) {
-  // The async aggregator folds noised Fed-SDP updates, late ones with
-  // their staleness weight, under faults and retries — soak it with
-  // real noise, which the no-op policy cannot give.
+  // The async fold sums noised Fed-SDP updates, late ones with their
+  // staleness weight, under faults and retries — soak it with real
+  // noise, which the no-op policy cannot give.
   FlExperimentConfig config = soak_config(/*async=*/true,
                                           /*max_attempts=*/2, 1305);
   config.rounds = 50;
@@ -204,6 +222,7 @@ TEST(ChaosSoak, AsyncUnderDpPolicySurvives) {
   core::FedSdpPolicy policy(/*clip=*/4.0, /*noise_scale=*/0.5);
   FlRunResult result = run_experiment(config, policy);
   assert_survived(result, config);
+  assert_async_buffer_bounded(result, config);
 }
 
 }  // namespace

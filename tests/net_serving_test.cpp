@@ -707,8 +707,8 @@ TEST(NetServing, AsyncEngineCompletesWithBalancedLedger) {
 }
 
 // PROTOCOL.md §5.3 with one worker and a window no reply misses: the
-// worker answers in cohort order, so async serving offers exactly what
-// in-process async offers, in the same order, and the two runs end
+// worker answers in cohort order, so async serving folds exactly what
+// in-process async folds, in the same order, and the two runs end
 // bitwise equal under every policy the wire carries.
 TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
   for (const PolicyId policy :

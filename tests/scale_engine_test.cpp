@@ -1,5 +1,5 @@
 // The virtualized scale path: pinned-order reductions (streaming ==
-// buffered == tree, bitwise), the sync round engine's fan-out /
+// buffered == two-tier, bitwise), the sync round engine's fan-out /
 // schedule invariance, one sync fold whatever streaming_aggregation
 // says, and the on-demand client provider's determinism across calls
 // and threads. These are the contracts that let one box
@@ -7,6 +7,7 @@
 // giving up bitwise reproducibility (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -50,6 +51,22 @@ void expect_bitwise_equal(const ReduceNode& a, const ReduceNode& b) {
   ASSERT_EQ(serialize_tensor_list(a.sum), serialize_tensor_list(b.sum));
 }
 
+// The sync fold's shape (run_sync): an edge reducer per consecutive
+// block of fan_out leaves, the last one short, whose partials a root
+// reducer takes in block order.
+ReduceNode two_tier(const std::vector<TensorList>& deltas,
+                    const std::vector<double>& weights, std::size_t fan_out) {
+  StreamingReducer root;
+  for (std::size_t b = 0; b < deltas.size(); b += fan_out) {
+    StreamingReducer edge;
+    for (std::size_t i = b; i < std::min(b + fan_out, deltas.size()); ++i) {
+      edge.push(tensor::list::clone(deltas[i]), weights[i]);
+    }
+    root.push_node(edge.finalize());
+  }
+  return root.finalize();
+}
+
 TEST(TreeReduction, StreamingEqualsBufferedEqualsTreeBitwise) {
   for (std::int64_t n :
        {1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65, 100, 127, 130}) {
@@ -71,13 +88,12 @@ TEST(TreeReduction, StreamingEqualsBufferedEqualsTreeBitwise) {
     const ReduceNode from_buffer = reduce_buffered(deltas, weights);
     expect_bitwise_equal(from_stream, from_buffer);
 
-    for (std::int64_t fan_out : {2, 8, 64}) {
-      const ReduceNode from_tree = tree_reduce(deltas, weights, fan_out);
-      expect_bitwise_equal(from_tree, from_buffer);
+    for (std::size_t fan_out : {2, 8, 64}) {
+      expect_bitwise_equal(two_tier(deltas, weights, fan_out), from_buffer);
     }
-    // The buffered reductions detach their inputs: the caller's
-    // tensors must come through untouched (tensors share storage on
-    // copy, so this pins the deep-copy-at-entry contract).
+    // The buffered reduction detaches its inputs: the caller's tensors
+    // must come through untouched (tensors share storage on copy, so
+    // this pins the deep-copy-at-entry contract).
     EXPECT_EQ(serialize_tensor_list(deltas[0]), pristine);
   }
 }
@@ -94,7 +110,7 @@ TEST(TreeReduction, UnweightedPathSkipsTheScaleAndStaysBitwise) {
   }
   const ReduceNode s = streaming.finalize();
   expect_bitwise_equal(s, reduce_buffered(deltas, ones));
-  expect_bitwise_equal(s, tree_reduce(deltas, ones, 8));
+  expect_bitwise_equal(s, two_tier(deltas, ones, 8));
   EXPECT_EQ(s.leaves, n);
   EXPECT_EQ(s.weight, static_cast<double>(n));
 }
