@@ -10,6 +10,7 @@
 
 #include "common/env.h"
 #include "common/thread_pool.h"
+#include "tensor/simd.h"
 
 #ifndef FEDCL_SOURCE_DIR
 #define FEDCL_SOURCE_DIR ""
@@ -107,6 +108,7 @@ RunInfo current() {
   info.build_type = FEDCL_BUILD_TYPE;
   info.compiler = kCompiler;
   info.hostname = kHostname;
+  info.isa = fedcl_host_isa();
   info.hardware_threads =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
   info.compute_threads = static_cast<std::int64_t>(compute_pool().size());
@@ -131,6 +133,7 @@ json::Value to_json(const RunInfo& info) {
   v["build"] = std::move(build);
   json::Value host = json::Value::object();
   host["name"] = info.hostname;
+  host["isa"] = info.isa;
   host["hardware_threads"] = info.hardware_threads;
   host["compute_threads"] = info.compute_threads;
   v["host"] = std::move(host);

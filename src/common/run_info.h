@@ -2,8 +2,8 @@
 // and embedded in every machine-readable artifact the stack emits —
 // the telemetry JSONL meta header and every BENCH_*.json document —
 // so a run is reproducible by inspection (git sha + dirty flag,
-// compiler/build type, hostname, core counts, seed, scale, and the
-// command line it was invoked with).
+// compiler/build type, hostname, the ISA its kernels dispatch on, core
+// counts, seed, scale, and the command line it was invoked with).
 //
 // The git fields are resolved at runtime against the source tree the
 // binary was built from (FEDCL_SOURCE_DIR, baked in by CMake), so a
@@ -27,6 +27,7 @@ struct RunInfo {
   std::string build_type;     // CMAKE_BUILD_TYPE at configure time
   std::string compiler;       // e.g. "g++ 12.2.0"
   std::string hostname;       // gethostname(), or "unknown"
+  std::string isa;            // fedcl_host_isa() (tensor/simd.h)
   std::int64_t hardware_threads = 0;  // std::thread::hardware_concurrency
   std::int64_t compute_threads = 0;   // compute_pool().size()
   std::uint64_t seed = 0;     // experiment_seed() (FEDCL_SEED)
@@ -46,7 +47,8 @@ RunInfo current();
 
 // JSON form used by the telemetry meta line and bench documents:
 //   {"git":{"sha":...,"dirty":...},"build":{"type":...,"compiler":...},
-//    "host":{"name":...,"hardware_threads":...,"compute_threads":...},
+//    "host":{"name":...,"isa":...,"hardware_threads":...,
+//            "compute_threads":...},
 //    "seed":...,"scale":...,"argv":[...]}
 json::Value to_json(const RunInfo& info);
 inline json::Value to_json() { return to_json(current()); }

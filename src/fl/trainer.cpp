@@ -72,6 +72,15 @@ Result<FlExperimentConfig> validate_config(FlExperimentConfig config) {
       {!c.async_mode || c.retry_failed_clients,
        "async_mode ignores the resample-retry pass (--no-retry); its "
        "re-dispatch budget is --retry-attempts"},
+      // At M = 1 every apply is the mean of one update, whose staleness
+      // weight cancels.
+      {!c.async_mode ||
+           resolve_async_config(c.async, c.clients_per_round).min_to_apply >
+               1 ||
+           c.async.staleness_alpha == d.async.staleness_alpha,
+       "--staleness-alpha cannot act when each apply is the mean of one "
+       "update; set --async-min-apply to 2 or more (it defaults to "
+       "clients per round / 2)"},
   };
   for (const auto& [ok, message] : rules) {
     if (!ok) return Result<FlExperimentConfig>::failure(message);

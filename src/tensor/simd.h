@@ -1,17 +1,18 @@
 // Shared SIMD dispatch attribute for the hot tensor kernels.
 //
-// Kernels marked FEDCL_KERNEL_CLONES are compiled once per ISA level
-// and dispatched at load time (GNU ifunc), so a generic build still
-// uses AVX2/FMA or AVX-512 where the CPU has them; the baseline clone
-// keeps the binary portable. Clones may contract multiply-adds into
-// FMA differently, so only mark kernels whose results are either
-// tolerance-checked or reached identically by every caller that must
-// agree bitwise (the fused-sanitize rule: every Fed-CDP example, in a
-// batch of B or of one, runs the same kernel, so contraction cancels
-// out of the comparison).
+// Kernels marked FEDCL_KERNEL_CLONES are compiled once per x86-64 level
+// and dispatched at load time (GNU ifunc) on the level the CPU reports,
+// so a generic build still uses AVX2/FMA or AVX-512 where the CPU has
+// them; the baseline clone keeps the binary portable. Clones may
+// contract multiply-adds into FMA differently, so only mark kernels
+// whose results are either tolerance-checked or reached identically by
+// every caller that must agree bitwise (the fused-sanitize rule: every
+// Fed-CDP example, in a batch of B or of one, runs the same kernel, so
+// contraction cancels out of the comparison).
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #if defined(__SANITIZE_THREAD__)
@@ -20,19 +21,24 @@
 // and the loader runs it before the TSan runtime is initialized, so a
 // binary holding any clone segfaults at load (g++ 12). The v4 kernels
 // below need no resolver, so they keep running under TSan, except the
-// matmul ones (tensor/tensor.cpp: FEDCL_MATMUL_V4).
+// matmul one (tensor/tensor.cpp: FEDCL_MATMUL_V4).
 #define FEDCL_KERNEL_CLONES
+#define FEDCL_KERNELS_CLONED 0
 #else
-#define FEDCL_KERNEL_CLONES \
-  __attribute__((target_clones("default", "arch=haswell", "arch=x86-64-v4")))
+#define FEDCL_KERNEL_CLONES                                          \
+  __attribute__((target_clones("default", "arch=x86-64-v3",          \
+                               "arch=x86-64-v4")))
+#define FEDCL_KERNELS_CLONED 1
 #endif
 // For kernels whose best tile shape differs by ISA (wider registers
 // want wider/taller tiles), clones are not enough: the clone mechanism
 // recompiles one body, it cannot change the blocking. Such kernels
-// provide an explicitly v4-targeted variant and branch on
-// fedcl_cpu_has_v4() at the dispatch site. The variant must compute
-// bitwise-identical per-element results (same ascending-k order, same
-// contraction) so the branch never changes values, only speed.
+// write the body once, always inline, and instantiate it a second time
+// at the wider tile in a v4-targeted entry, branching on
+// fedcl_cpu_has_v4() at the dispatch site. The wider instantiation
+// must compute bitwise-identical per-element results (same ascending-k
+// order, same contraction) so the branch never changes values, only
+// speed.
 #define FEDCL_KERNEL_V4 __attribute__((target("arch=x86-64-v4")))
 #define FEDCL_HAVE_V4_KERNELS 1
 inline bool fedcl_cpu_has_v4() {
@@ -41,9 +47,33 @@ inline bool fedcl_cpu_has_v4() {
 }
 #else
 #define FEDCL_KERNEL_CLONES
+#define FEDCL_KERNELS_CLONED 0
 #define FEDCL_KERNEL_V4
 #define FEDCL_HAVE_V4_KERNELS 0
 #endif
+
+// The x86-64 level the CPU reports: "x86-64-v4", "x86-64-v3" or
+// "baseline" ("non-x86" where the kernels have no ISA dispatch). It
+// picks the clone a FEDCL_KERNEL_CLONES kernel runs and whether the v4
+// kernels run.
+inline const char* fedcl_cpu_level() {
+#if FEDCL_HAVE_V4_KERNELS
+  if (fedcl_cpu_has_v4()) return "x86-64-v4";
+  if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+  return "baseline";
+#else
+  return "non-x86";
+#endif
+}
+
+// The run manifest's host.isa: the CPU's level, then "+clones" when
+// this build compiled the clones. A matmul's bits depend on both (the
+// v3 and v4 clones contract each multiply-add into one FMA, the
+// baseline does not), so results compare bitwise only under one value.
+inline std::string fedcl_host_isa() {
+  return std::string(fedcl_cpu_level()) +
+         (FEDCL_KERNELS_CLONED ? "+clones" : "");
+}
 
 namespace fedcl::tensor {
 

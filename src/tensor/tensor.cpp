@@ -311,336 +311,162 @@ constexpr std::int64_t kParallelFlops = 1 << 18;
 // and computes the dot products four rows to a vector.
 constexpr std::int64_t kNtPackRows = 16;
 
-// The NN/TN workers are register-tiled: 4 output rows x 8 columns of
-// accumulators live in named vector variables for the whole k sweep,
-// so each element has its own FMA chain and the 4x8 tile gives the
-// core 32 independent chains to hide FMA latency behind (the previous
-// one-chain-per-element saxpy form was latency-bound at roughly a
-// fifth of this throughput on the narrow-N conv shapes).
+// The NN and TN products share one register-tiled body: R output rows
+// by one vector of columns live in accumulators for the whole k sweep,
+// so each element has its own multiply-add chain and the tile gives the
+// core R independent vectors of chains to hide FMA latency behind. It
+// is instantiated at two tile shapes, 4x8 in the cloned entry and 8x16
+// in the x86-64-v4 one; the last n % 8 columns run through it as one
+// 8-lane tile over a zero-padded copy of B's tail columns, so no column
+// is left to scalar code. Every output element is therefore one lane's
+// chain, acc = 0 then acc += a_ik * b_kj in ascending k, added into
+// `out` once, whatever its row block, column tile or the pool's row
+// split: results are bitwise identical for any thread count. Where the
+// entry's ISA has FMA, GCC contracts each step (and only the step) into
+// one fused multiply-add.
 //
-// Accumulation order per output element is fixed (ascending k) in
-// every path — vector body, scalar column tail, and single-row
-// remainder all issue the same per-element multiply-add sequence — so
-// results do not depend on how rows are partitioned across threads.
-// FMA contraction may round intermediate products differently across
-// the FEDCL_KERNEL_CLONES ISA levels (tensor/simd.h), which stays
-// within the library-wide float tolerance.
-typedef float vf8
-    __attribute__((vector_size(32), aligned(4), may_alias));
+// Lanes<W>::V is the vector of W floats. Loads and stores through it
+// need only float alignment; the template argument is the lane count,
+// as a vector type passed as a template argument loses those attributes.
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<8> {
+  typedef float V __attribute__((vector_size(32), aligned(4), may_alias));
+};
+template <>
+struct Lanes<16> {
+  typedef float V __attribute__((vector_size(64), aligned(4), may_alias));
+};
 
-// The v4 workers below contract to FMA and hand their row tails to the
-// portable workers. Under ThreadSanitizer the portable workers compile
-// to their baseline body, which does not contract (tensor/simd.h), so a
-// v4 call would round its tail rows differently from its blocked rows
-// and results would depend on the row partition. TSan builds therefore
-// run every row on the portable workers.
+// The v4 entry hands its last m % 8 rows to the cloned one, which under
+// ThreadSanitizer compiles to its baseline body and does not contract
+// (tensor/simd.h), so TSan builds run every row on the cloned entry.
 #if FEDCL_HAVE_V4_KERNELS && !defined(__SANITIZE_THREAD__)
 #define FEDCL_MATMUL_V4 1
 #else
 #define FEDCL_MATMUL_V4 0
 #endif
 
-// One output row of C = A B over columns [0, n): vf8 tiles then a
-// scalar tail, ascending k. Also the row-remainder kernel, so every
-// row runs identical arithmetic whether or not it sits in a 4-row
-// block.
-FEDCL_KERNEL_CLONES
-void nn_one_row(const float* __restrict arow, const float* __restrict b,
-                float* __restrict orow, std::int64_t k, std::int64_t n) {
-  std::int64_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    vf8 c0 = {};
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      c0 += arow[kk] * *(const vf8*)(b + kk * n + j0);
-    }
-    *(vf8*)(orow + j0) += c0;
+// out[m,n] += op(A) B with B [k,n]. NN reads row i of A [m,k], TN reads
+// column i of A [k,m]. `tail` holds B's last n % 8 columns, k-major and
+// zero-padded to 8.
+struct Product {
+  const float* a;
+  const float* b;
+  const float* tail;
+  float* out;
+  std::int64_t k, m, n;
+  bool tn;
+};
+
+// Rows [i, i + R) by W columns from j0, reading B's columns from
+// `bcol` with row stride `ldb`; stores the first `cols` lanes. NN reads
+// A's rows through `ar`, TN its columns from row kk.
+template <bool kTN, int R, int W>
+[[gnu::always_inline]] inline void tile(const Product& p, std::int64_t i,
+                                        const float* const* ar,
+                                        const float* bcol, std::int64_t ldb,
+                                        std::int64_t j0, std::int64_t cols) {
+  typedef typename Lanes<W>::V V;
+  V c[R] = {};
+  for (std::int64_t kk = 0; kk < p.k; ++kk) {
+    const V bv = *(const V*)(bcol + kk * ldb);
+    const float* acol = p.a + kk * p.m + i;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) c[r] += (kTN ? acol[r] : ar[r][kk]) * bv;
   }
-  for (; j0 < n; ++j0) {
-    float s = 0.0f;
-    for (std::int64_t kk = 0; kk < k; ++kk) s += arow[kk] * b[kk * n + j0];
-    orow[j0] += s;
+  // Locals: a store through V may alias p.
+  float* const out = p.out + i * p.n + j0;
+  const std::int64_t n = p.n;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* o = out + r * n;
+    if (cols == W) {
+      *(V*)o += c[r];
+    } else {
+      // A tail's cols < W lanes, in a loop of fixed trip count that GCC
+      // unrolls rather than vectorizing with runtime checks.
+      for (int l = 0; l < W - 1; ++l)
+        if (l < cols) o[l] += c[r][l];
+    }
   }
 }
 
-// Row-range worker for C[i0:i1) of C = A B.
+// Every column of rows [i, i + R): W-lane tiles, then 8-lane tiles,
+// then the padded tail.
+template <bool kTN, int R, int W>
+[[gnu::always_inline]] inline void row_tiles(const Product& p,
+                                             std::int64_t i) {
+  // A's row pointers, set once per block: GCC then steps each of them in
+  // the k loop of the 8x16 tiles, whose FMAs keep base+displacement
+  // memory operands (set per tile, they become base+index operands off
+  // one pointer, an extra micro-op each on Intel cores).
+  const float* ar[R];
+  for (int r = 0; r < R; ++r) ar[r] = p.a + (i + r) * p.k;
+  const std::int64_t n8 = p.n - p.n % 8;
+  std::int64_t j0 = 0;
+  for (; j0 + W <= n8; j0 += W)
+    tile<kTN, R, W>(p, i, ar, p.b + j0, p.n, j0, W);
+  for (; j0 < n8; j0 += 8) tile<kTN, R, 8>(p, i, ar, p.b + j0, p.n, j0, 8);
+  if (n8 < p.n) tile<kTN, R, 8>(p, i, ar, p.tail, 8, n8, p.n - n8);
+}
+
+// Rows [i, i + R) in the product's layout.
+template <int R, int W>
+[[gnu::always_inline]] inline void row_block(const Product& p,
+                                             std::int64_t i) {
+  if (p.tn) {
+    row_tiles<true, R, W>(p, i);
+  } else {
+    row_tiles<false, R, W>(p, i);
+  }
+}
+
+// Rows [i0, i1) at the 4x8 tile, the last m % 4 one at a time.
 FEDCL_KERNEL_CLONES
-void matmul_nn_rows(const float* __restrict a, const float* __restrict b,
-                    float* __restrict out, std::int64_t i0, std::int64_t i1,
-                    std::int64_t k, std::int64_t n) {
+void rows_4x8(const Product& p, std::int64_t i0, std::int64_t i1) {
   std::int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    std::int64_t j0 = 0;
-    for (; j0 + 8 <= n; j0 += 8) {
-      vf8 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const vf8 bv = *(const vf8*)(b + kk * n + j0);
-        c0 += a0[kk] * bv;
-        c1 += a1[kk] * bv;
-        c2 += a2[kk] * bv;
-        c3 += a3[kk] * bv;
-      }
-      *(vf8*)(out + (i + 0) * n + j0) += c0;
-      *(vf8*)(out + (i + 1) * n + j0) += c1;
-      *(vf8*)(out + (i + 2) * n + j0) += c2;
-      *(vf8*)(out + (i + 3) * n + j0) += c3;
-    }
-    for (; j0 < n; ++j0) {
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float bv = b[kk * n + j0];
-        s0 += a0[kk] * bv;
-        s1 += a1[kk] * bv;
-        s2 += a2[kk] * bv;
-        s3 += a3[kk] * bv;
-      }
-      out[(i + 0) * n + j0] += s0;
-      out[(i + 1) * n + j0] += s1;
-      out[(i + 2) * n + j0] += s2;
-      out[(i + 3) * n + j0] += s3;
-    }
-  }
-  for (; i < i1; ++i) nn_one_row(a + i * k, b, out + i * n, k, n);
+  for (; i + 4 <= i1; i += 4) row_block<4, 8>(p, i);
+  for (; i < i1; ++i) row_block<1, 8>(p, i);
 }
 
-// One output row of C = A^T B (row i of C; A column i read with
-// stride m), same tile/tail structure as nn_one_row.
-FEDCL_KERNEL_CLONES
-void tn_one_row(const float* __restrict a, const float* __restrict b,
-                float* __restrict orow, std::int64_t i, std::int64_t k,
-                std::int64_t m, std::int64_t n) {
-  std::int64_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    vf8 c0 = {};
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      c0 += a[kk * m + i] * *(const vf8*)(b + kk * n + j0);
-    }
-    *(vf8*)(orow + j0) += c0;
+#if FEDCL_MATMUL_V4
+// Rows [i0, i1) at the 8x16 tile, which fills the AVX-512 register
+// file; the last m % 8 rows go to the cloned entry, whose v4 clone
+// computes the same chains.
+FEDCL_KERNEL_V4
+void rows_8x16(const Product& p, std::int64_t i0, std::int64_t i1) {
+  std::int64_t i = i0;
+  for (; i + 8 <= i1; i += 8) row_block<8, 16>(p, i);
+  if (i < i1) rows_4x8(p, i, i1);
+}
+#endif
+
+void product_rows(const Product& p, std::int64_t i0, std::int64_t i1) {
+#if FEDCL_MATMUL_V4
+  if (fedcl_cpu_has_v4()) {
+    rows_8x16(p, i0, i1);
+    return;
   }
-  for (; j0 < n; ++j0) {
-    float s = 0.0f;
+#endif
+  rows_4x8(p, i0, i1);
+}
+
+// The operands of out += op(A) B. B's tail columns are packed into this
+// thread's buffer, which stays valid until the thread's next call; the
+// pool's workers only read it while the caller waits for them.
+Product operands(bool tn, const float* a, const float* b, float* out,
+                 std::int64_t k, std::int64_t m, std::int64_t n) {
+  thread_local std::vector<float> tail;
+  const std::int64_t n8 = n - n % 8;
+  if (n8 < n) {
+    tail.assign(static_cast<std::size_t>(8 * k), 0.0f);
     for (std::int64_t kk = 0; kk < k; ++kk)
-      s += a[kk * m + i] * b[kk * n + j0];
-    orow[j0] += s;
+      for (std::int64_t c = 0; n8 + c < n; ++c)
+        tail[kk * 8 + c] = b[kk * n + n8 + c];
   }
-}
-
-// Row-range worker for C[i0:i1) of C = A^T B with A: [k,m] — the
-// per-example conv dW shapes (small m*n, deep k) live here.
-FEDCL_KERNEL_CLONES
-void matmul_tn_rows(const float* __restrict a, const float* __restrict b,
-                    float* __restrict out, std::int64_t i0, std::int64_t i1,
-                    std::int64_t k, std::int64_t m, std::int64_t n) {
-  std::int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    std::int64_t j0 = 0;
-    for (; j0 + 8 <= n; j0 += 8) {
-      vf8 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m + i;
-        const vf8 bv = *(const vf8*)(b + kk * n + j0);
-        c0 += arow[0] * bv;
-        c1 += arow[1] * bv;
-        c2 += arow[2] * bv;
-        c3 += arow[3] * bv;
-      }
-      *(vf8*)(out + (i + 0) * n + j0) += c0;
-      *(vf8*)(out + (i + 1) * n + j0) += c1;
-      *(vf8*)(out + (i + 2) * n + j0) += c2;
-      *(vf8*)(out + (i + 3) * n + j0) += c3;
-    }
-    for (; j0 < n; ++j0) {
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m + i;
-        const float bv = b[kk * n + j0];
-        s0 += arow[0] * bv;
-        s1 += arow[1] * bv;
-        s2 += arow[2] * bv;
-        s3 += arow[3] * bv;
-      }
-      out[(i + 0) * n + j0] += s0;
-      out[(i + 1) * n + j0] += s1;
-      out[(i + 2) * n + j0] += s2;
-      out[(i + 3) * n + j0] += s3;
-    }
-  }
-  for (; i < i1; ++i) tn_one_row(a, b, out + i * n, i, k, m, n);
-}
-
-#if FEDCL_MATMUL_V4
-typedef float vf16
-    __attribute__((vector_size(64), aligned(4), may_alias));
-
-// AVX-512 widening of the same tile scheme: 8 rows x 16 columns of
-// ZMM accumulators (the 4x8 tile leaves most of the wider register
-// file idle). Per-element arithmetic is unchanged — ascending-k FMA —
-// so this path is bitwise identical to the portable kernels and the
-// fedcl_cpu_has_v4() branch only changes speed. Column tails drop to
-// 8-wide then scalar; row tails delegate to the portable kernel.
-FEDCL_KERNEL_V4
-void matmul_nn_rows_v4(const float* __restrict a, const float* __restrict b,
-                       float* __restrict out, std::int64_t i0,
-                       std::int64_t i1, std::int64_t k, std::int64_t n) {
-  std::int64_t i = i0;
-  for (; i + 8 <= i1; i += 8) {
-    const float* ar[8];
-    for (int r = 0; r < 8; ++r) ar[r] = a + (i + r) * k;
-    std::int64_t j0 = 0;
-    for (; j0 + 16 <= n; j0 += 16) {
-      vf16 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      vf16 c4 = {}, c5 = {}, c6 = {}, c7 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const vf16 bv = *(const vf16*)(b + kk * n + j0);
-        c0 += ar[0][kk] * bv;
-        c1 += ar[1][kk] * bv;
-        c2 += ar[2][kk] * bv;
-        c3 += ar[3][kk] * bv;
-        c4 += ar[4][kk] * bv;
-        c5 += ar[5][kk] * bv;
-        c6 += ar[6][kk] * bv;
-        c7 += ar[7][kk] * bv;
-      }
-      *(vf16*)(out + (i + 0) * n + j0) += c0;
-      *(vf16*)(out + (i + 1) * n + j0) += c1;
-      *(vf16*)(out + (i + 2) * n + j0) += c2;
-      *(vf16*)(out + (i + 3) * n + j0) += c3;
-      *(vf16*)(out + (i + 4) * n + j0) += c4;
-      *(vf16*)(out + (i + 5) * n + j0) += c5;
-      *(vf16*)(out + (i + 6) * n + j0) += c6;
-      *(vf16*)(out + (i + 7) * n + j0) += c7;
-    }
-    for (; j0 + 8 <= n; j0 += 8) {
-      vf8 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      vf8 c4 = {}, c5 = {}, c6 = {}, c7 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const vf8 bv = *(const vf8*)(b + kk * n + j0);
-        c0 += ar[0][kk] * bv;
-        c1 += ar[1][kk] * bv;
-        c2 += ar[2][kk] * bv;
-        c3 += ar[3][kk] * bv;
-        c4 += ar[4][kk] * bv;
-        c5 += ar[5][kk] * bv;
-        c6 += ar[6][kk] * bv;
-        c7 += ar[7][kk] * bv;
-      }
-      *(vf8*)(out + (i + 0) * n + j0) += c0;
-      *(vf8*)(out + (i + 1) * n + j0) += c1;
-      *(vf8*)(out + (i + 2) * n + j0) += c2;
-      *(vf8*)(out + (i + 3) * n + j0) += c3;
-      *(vf8*)(out + (i + 4) * n + j0) += c4;
-      *(vf8*)(out + (i + 5) * n + j0) += c5;
-      *(vf8*)(out + (i + 6) * n + j0) += c6;
-      *(vf8*)(out + (i + 7) * n + j0) += c7;
-    }
-    for (; j0 < n; ++j0) {
-      float s[8] = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float bv = b[kk * n + j0];
-        for (int r = 0; r < 8; ++r) s[r] += ar[r][kk] * bv;
-      }
-      for (int r = 0; r < 8; ++r) out[(i + r) * n + j0] += s[r];
-    }
-  }
-  if (i < i1) matmul_nn_rows(a, b, out, i, i1, k, n);
-}
-
-FEDCL_KERNEL_V4
-void matmul_tn_rows_v4(const float* __restrict a, const float* __restrict b,
-                       float* __restrict out, std::int64_t i0,
-                       std::int64_t i1, std::int64_t k, std::int64_t m,
-                       std::int64_t n) {
-  std::int64_t i = i0;
-  for (; i + 8 <= i1; i += 8) {
-    std::int64_t j0 = 0;
-    for (; j0 + 16 <= n; j0 += 16) {
-      vf16 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      vf16 c4 = {}, c5 = {}, c6 = {}, c7 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m + i;
-        const vf16 bv = *(const vf16*)(b + kk * n + j0);
-        c0 += arow[0] * bv;
-        c1 += arow[1] * bv;
-        c2 += arow[2] * bv;
-        c3 += arow[3] * bv;
-        c4 += arow[4] * bv;
-        c5 += arow[5] * bv;
-        c6 += arow[6] * bv;
-        c7 += arow[7] * bv;
-      }
-      *(vf16*)(out + (i + 0) * n + j0) += c0;
-      *(vf16*)(out + (i + 1) * n + j0) += c1;
-      *(vf16*)(out + (i + 2) * n + j0) += c2;
-      *(vf16*)(out + (i + 3) * n + j0) += c3;
-      *(vf16*)(out + (i + 4) * n + j0) += c4;
-      *(vf16*)(out + (i + 5) * n + j0) += c5;
-      *(vf16*)(out + (i + 6) * n + j0) += c6;
-      *(vf16*)(out + (i + 7) * n + j0) += c7;
-    }
-    for (; j0 + 8 <= n; j0 += 8) {
-      vf8 c0 = {}, c1 = {}, c2 = {}, c3 = {};
-      vf8 c4 = {}, c5 = {}, c6 = {}, c7 = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m + i;
-        const vf8 bv = *(const vf8*)(b + kk * n + j0);
-        c0 += arow[0] * bv;
-        c1 += arow[1] * bv;
-        c2 += arow[2] * bv;
-        c3 += arow[3] * bv;
-        c4 += arow[4] * bv;
-        c5 += arow[5] * bv;
-        c6 += arow[6] * bv;
-        c7 += arow[7] * bv;
-      }
-      *(vf8*)(out + (i + 0) * n + j0) += c0;
-      *(vf8*)(out + (i + 1) * n + j0) += c1;
-      *(vf8*)(out + (i + 2) * n + j0) += c2;
-      *(vf8*)(out + (i + 3) * n + j0) += c3;
-      *(vf8*)(out + (i + 4) * n + j0) += c4;
-      *(vf8*)(out + (i + 5) * n + j0) += c5;
-      *(vf8*)(out + (i + 6) * n + j0) += c6;
-      *(vf8*)(out + (i + 7) * n + j0) += c7;
-    }
-    for (; j0 < n; ++j0) {
-      float s[8] = {};
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m + i;
-        const float bv = b[kk * n + j0];
-        for (int r = 0; r < 8; ++r) s[r] += arow[r] * bv;
-      }
-      for (int r = 0; r < 8; ++r) out[(i + r) * n + j0] += s[r];
-    }
-  }
-  if (i < i1) matmul_tn_rows(a, b, out, i, i1, k, m, n);
-}
-#endif  // FEDCL_MATMUL_V4
-
-// ISA-dispatched row workers: same values on every path, wider tiles
-// where the CPU has the registers for them.
-void nn_rows(const float* a, const float* b, float* out, std::int64_t i0,
-             std::int64_t i1, std::int64_t k, std::int64_t n) {
-#if FEDCL_MATMUL_V4
-  if (fedcl_cpu_has_v4()) {
-    matmul_nn_rows_v4(a, b, out, i0, i1, k, n);
-    return;
-  }
-#endif
-  matmul_nn_rows(a, b, out, i0, i1, k, n);
-}
-
-void tn_rows(const float* a, const float* b, float* out, std::int64_t i0,
-             std::int64_t i1, std::int64_t k, std::int64_t m,
-             std::int64_t n) {
-#if FEDCL_MATMUL_V4
-  if (fedcl_cpu_has_v4()) {
-    matmul_tn_rows_v4(a, b, out, i0, i1, k, m, n);
-    return;
-  }
-#endif
-  matmul_tn_rows(a, b, out, i0, i1, k, m, n);
+  return {a, b, tail.data(), out, k, m, n, tn};
 }
 
 typedef float vf4 __attribute__((vector_size(16), aligned(4), may_alias));
@@ -727,22 +553,12 @@ void dispatch_rows(std::int64_t m, std::int64_t k, std::int64_t n,
 
 void matmul_nn_into(const float* a, const float* b, float* out,
                     std::int64_t m, std::int64_t k, std::int64_t n) {
-  nn_rows(a, b, out, 0, m, k, n);
+  product_rows(operands(/*tn=*/false, a, b, out, k, m, n), 0, m);
 }
 
 void matmul_tn_into(const float* a, const float* b, float* out,
                     std::int64_t k, std::int64_t m, std::int64_t n) {
-  tn_rows(a, b, out, 0, m, k, m, n);
-}
-
-void matmul_nt_into(const float* a, const float* b, float* out,
-                    std::int64_t m, std::int64_t k, std::int64_t n) {
-  if (m >= kNtPackRows) {
-    const std::vector<float> bt = pack_transpose(b, n, k);
-    nn_rows(a, bt.data(), out, 0, m, k, n);
-    return;
-  }
-  matmul_nt_rows(a, b, out, 0, m, k, n);
+  product_rows(operands(/*tn=*/true, a, b, out, k, m, n), 0, m);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -751,11 +567,10 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   FEDCL_CHECK_EQ(a.dim(1), b.dim(0));
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
+  const Product p =
+      operands(/*tn=*/false, a.data(), b.data(), out.data(), k, m, n);
   dispatch_rows(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
-    nn_rows(pa, pb, po, i0, i1, k, n);
+    product_rows(p, i0, i1);
   });
   return out;
 }
@@ -766,11 +581,10 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   FEDCL_CHECK_EQ(a.dim(0), b.dim(0));
   const std::int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
+  const Product p =
+      operands(/*tn=*/true, a.data(), b.data(), out.data(), k, m, n);
   dispatch_rows(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
-    tn_rows(pa, pb, po, i0, i1, k, m, n);
+    product_rows(p, i0, i1);
   });
   return out;
 }
@@ -786,9 +600,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   float* po = out.data();
   if (m >= kNtPackRows) {
     const std::vector<float> bt = pack_transpose(pb, n, k);
-    const float* pbt = bt.data();
+    const Product p = operands(/*tn=*/false, pa, bt.data(), po, k, m, n);
     dispatch_rows(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
-      nn_rows(pa, pbt, po, i0, i1, k, n);
+      product_rows(p, i0, i1);
     });
     return out;
   }

@@ -95,10 +95,15 @@ Tensor sigmoid(const Tensor& a);
 Tensor tanh(const Tensor& a);
 
 // ---- linear algebra ----
-// Matrix products use a cache-blocked kernel and, for large shapes,
-// split output rows across the shared compute pool. Each output
-// element is accumulated by exactly one thread in ascending-k order,
-// so results are bitwise identical for any thread count.
+// NN and TN products run one register-tiled body (tensor.cpp) and, for
+// large shapes, split output rows across the shared compute pool. Each
+// output element is one chain, acc = a_0 b_0 then acc += a_k b_k in
+// ascending k, added into the output once; a step is one fused
+// multiply-add where the kernel's ISA contracts (tensor/simd.h,
+// fedcl_host_isa). No element depends on its row block, column or
+// thread, so results are bitwise identical for any thread count.
+// matmul_nt with fewer than 16 rows is the dot form (multiply, then
+// add, never fused); with more, the NN chain over b^T.
 // a: [M,K], b: [K,N] -> [M,N]
 Tensor matmul(const Tensor& a, const Tensor& b);
 // a: [K,M], b: [K,N] -> a^T b [M,N], without materializing a^T.
@@ -114,9 +119,6 @@ void matmul_nn_into(const float* a, const float* b, float* out,
 // a: [K,M] column-addressed -> out += a^T b, out: [M,N].
 void matmul_tn_into(const float* a, const float* b, float* out,
                     std::int64_t k, std::int64_t m, std::int64_t n);
-// b: [N,K] -> out += a b^T, out: [M,N].
-void matmul_nt_into(const float* a, const float* b, float* out,
-                    std::int64_t m, std::int64_t k, std::int64_t n);
 
 // Sum of the squares of p[0, n) in double, summed in eight lanes
 // (tensor/simd.h gives the order); the same bits on every ISA. Behind

@@ -7,7 +7,9 @@
 // against the injection counters exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/policy.h"
 #include "data/benchmarks.h"
@@ -162,6 +164,45 @@ TEST(ChaosSoak, AsyncEngineWithRetriesAndDropout) {
   // Stragglers under sustained load must have been folded in late
   // rather than silently dropped.
   EXPECT_GT(result.total_failures.fault_accepted_stale, 0);
+}
+
+TEST(ChaosSoak, AsyncEngineWeighsStaleUpdatesInItsBuffer) {
+  // The legs above run Kt = 3, so M = 1 and every apply is the mean of
+  // one update. At Kt = 8, M = 4: buffers sum several updates and the
+  // stragglers among them enter with weight (1 + s)^-alpha, so alpha
+  // changes where the run ends.
+  std::vector<core::TensorList> final_weights;
+  for (const double alpha : {0.0, 1.0}) {
+    FlExperimentConfig config = soak_config(/*async=*/true,
+                                            /*max_attempts=*/3, 1306);
+    config.total_clients = 16;
+    config.clients_per_round = 8;
+    config.async.staleness_alpha = alpha;
+    ASSERT_EQ(resolve_async_config(config.async, config.clients_per_round)
+                  .min_to_apply,
+              4);
+    core::NonPrivatePolicy policy;
+    FlRunResult result = run_experiment(config, policy);
+    assert_survived(result, config);
+    assert_async_buffer_bounded(result, config);
+    // Three updates in one buffer fill two levels.
+    EXPECT_GE(result.max_stream_levels, 2);
+    EXPECT_GT(result.total_failures.retry_attempts, 0);
+    EXPECT_GT(result.telemetry.counter_value("fl.async.stale_accepted_total"),
+              0);
+    final_weights.push_back(std::move(result.final_weights));
+  }
+  ASSERT_EQ(final_weights[0].size(), final_weights[1].size());
+  float max_diff = 0.0f;
+  for (std::size_t t = 0; t < final_weights[0].size(); ++t) {
+    const tensor::Tensor& a = final_weights[0][t];
+    const tensor::Tensor& b = final_weights[1][t];
+    ASSERT_EQ(a.numel(), b.numel());
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+      max_diff = std::max(max_diff, std::abs(a.data()[i] - b.data()[i]));
+  }
+  // Far beyond the 3e-8 that rounding alone moved the M = 1 runs by.
+  EXPECT_GT(max_diff, 1e-4f);
 }
 
 TEST(ChaosSoak, StreamingEngineVirtualizedFederation) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/philox.h"
@@ -17,6 +18,7 @@
 #include "core/policy.h"
 #include "dp/fused_sanitize.h"
 #include "tensor/im2col.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_list.h"
 #include "testing/kernel_check.h"
@@ -83,6 +85,212 @@ TEST(KernelCheck, MatmulNTMatchesNaive) {
     expect_matmul_close(c, naive_matmul_nt(a.data(), b.data(), s.m, s.k, s.n),
                         s.k, "matmul_nt");
   }
+}
+
+// The three product forms.
+enum class Form { kNN, kTN, kNT };
+
+const char* form_name(Form form) {
+  switch (form) {
+    case Form::kNN:
+      return "NN";
+    case Form::kTN:
+      return "TN";
+    case Form::kNT:
+      return "NT";
+  }
+  return "?";
+}
+
+// A is [m, k] for NN and NT and [k, m] for TN; B is [k, n], or [n, k]
+// for NT.
+Tensor product(Form form, const Tensor& a, const Tensor& b) {
+  switch (form) {
+    case Form::kNN:
+      return t::matmul(a, b);
+    case Form::kTN:
+      return t::matmul_tn(a, b);
+    case Form::kNT:
+      return t::matmul_nt(a, b);
+  }
+  return {};
+}
+
+// Random A and B of an [m, k] by [k, n] product in `form`'s layout.
+std::pair<Tensor, Tensor> random_operands(Form form, std::int64_t m,
+                                          std::int64_t k, std::int64_t n,
+                                          std::uint64_t seed) {
+  return {form == Form::kTN ? rng_fill({k, m}, seed) : rng_fill({m, k}, seed),
+          form == Form::kNT ? rng_fill({n, k}, seed + 1)
+                            : rng_fill({k, n}, seed + 1)};
+}
+
+// The A operand of output rows [r0, r1): A's rows, or for TN its
+// columns.
+Tensor rows_of_a(Form form, const Tensor& a, std::int64_t r0,
+                 std::int64_t r1) {
+  if (form != Form::kTN) {
+    const std::int64_t k = a.dim(1);
+    Tensor s({r1 - r0, k});
+    std::memcpy(s.data(), a.data() + r0 * k,
+                sizeof(float) * static_cast<std::size_t>((r1 - r0) * k));
+    return s;
+  }
+  const std::int64_t k = a.dim(0), m = a.dim(1);
+  Tensor s({k, r1 - r0});
+  for (std::int64_t kk = 0; kk < k; ++kk)
+    for (std::int64_t i = r0; i < r1; ++i)
+      s.data()[kk * (r1 - r0) + i - r0] = a.data()[kk * m + i];
+  return s;
+}
+
+// Output element (i, j) as the one chain of tensor.h: acc = 0, then
+// acc = fma(a, b, acc) in ascending k where the kernels contract, or
+// acc = acc + a * b where they do not (this file compiles with
+// -ffp-contract=off), added to `init` once.
+float one_chain(Form form, const Tensor& a, const Tensor& b, std::int64_t i,
+                std::int64_t j, bool fused, float init = 0.0f) {
+  const std::int64_t m = form == Form::kTN ? a.dim(1) : a.dim(0);
+  const std::int64_t k = form == Form::kTN ? a.dim(0) : a.dim(1);
+  const std::int64_t n = form == Form::kNT ? b.dim(0) : b.dim(1);
+  const float* pa = a.data() + (form == Form::kTN ? i : i * k);
+  const std::int64_t ak = form == Form::kTN ? m : 1;
+  const float* pb = b.data() + (form == Form::kNT ? j * k : j);
+  const std::int64_t bk = form == Form::kNT ? 1 : n;
+  float acc = 0.0f;
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    acc = fused ? std::fma(pa[kk * ak], pb[kk * bk], acc)
+                : acc + pa[kk * ak] * pb[kk * bk];
+  }
+  return init + acc;
+}
+
+// Whether the NN/TN kernels this process dispatches fuse each chain
+// step: the v3 and v4 clones and the v4 entry contract, the baseline
+// clone does not, and neither does a ThreadSanitizer build, which
+// compiles no clones and skips the v4 entry, unless the whole build
+// targets an FMA ISA.
+bool kernels_fuse() {
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  return true;
+#else
+  return FEDCL_KERNELS_CLONED &&
+         std::strcmp(fedcl_cpu_level(), "baseline") != 0;
+#endif
+}
+
+// Consecutive row slices of [0, m), min_rows - 1 rows longer than a
+// cycle of lengths that starts them off the 4- and 8-row grids; the
+// last slice takes a remainder shorter than min_rows.
+std::vector<std::pair<std::int64_t, std::int64_t>> row_slices(
+    std::int64_t m, std::int64_t min_rows) {
+  const std::int64_t lengths[] = {3, 2, 9, 1, 5, 13, 6, 17};
+  std::vector<std::pair<std::int64_t, std::int64_t>> slices;
+  std::int64_t r0 = 0;
+  for (std::size_t s = 0; r0 < m; ++s) {
+    std::int64_t r1 = r0 + min_rows - 1 + lengths[s % 8];
+    if (m - r1 < min_rows) r1 = m;
+    slices.emplace_back(r0, r1);
+    r0 = r1;
+  }
+  return slices;
+}
+
+// Product `form` of a and b equals, byte for byte, the stacked products
+// of its row slices, and (NN and TN at every m, NT on its packed path)
+// every element is the one chain; NN and TN's raw kernels add it into a
+// nonzero output once. NT below kNtPackRows rows is the dot form
+// (SmallMatmulNtIsBitwiseTheDotForm), so its slices stay on their side
+// of that boundary. Returns the elements whose fused and unfused chains
+// differ, so the caller can see the chain check had power.
+std::int64_t expect_row_slices_are_the_whole(Form form, const Tensor& a,
+                                             const Tensor& b,
+                                             std::uint64_t seed) {
+  constexpr std::int64_t kNtPackRows = 16;
+  const Tensor whole = product(form, a, b);
+  const std::int64_t m = whole.dim(0), n = whole.dim(1);
+  const std::int64_t k = form == Form::kTN ? a.dim(0) : a.dim(1);
+  const std::string shape = std::string(form_name(form)) +
+                            " m=" + std::to_string(m) +
+                            " k=" + std::to_string(k) +
+                            " n=" + std::to_string(n);
+  const bool packed_nt = form == Form::kNT && m >= kNtPackRows;
+  for (const auto& [r0, r1] : row_slices(m, packed_nt ? kNtPackRows : 1)) {
+    const Tensor part = product(form, rows_of_a(form, a, r0, r1), b);
+    const auto bytes = sizeof(float) * static_cast<std::size_t>(part.numel());
+    EXPECT_EQ(std::memcmp(part.data(), whole.data() + r0 * n, bytes), 0)
+        << shape << ": rows [" << r0 << ", " << r1 << ") alone differ";
+  }
+  if (form == Form::kNT && !packed_nt) return 0;
+  const bool fused = kernels_fuse();
+  Tensor init;
+  Tensor into;
+  if (form != Form::kNT) {
+    init = rng_fill({m, n}, seed);
+    into = init.clone();
+    if (form == Form::kNN) {
+      t::matmul_nn_into(a.data(), b.data(), into.data(), m, k, n);
+    } else {
+      t::matmul_tn_into(a.data(), b.data(), into.data(), k, m, n);
+    }
+  }
+  std::int64_t separable = 0;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float want = one_chain(form, a, b, i, j, fused);
+      separable += want != one_chain(form, a, b, i, j, !fused);
+      const float got = whole.data()[i * n + j];
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << shape << " element (" << i << ", " << j << "): " << got
+          << " is not the " << (fused ? "fused" : "unfused") << " chain "
+          << want;
+      if (form == Form::kNT) continue;
+      const float want_into = one_chain(form, a, b, i, j, fused,
+                                        init.data()[i * n + j]);
+      const float got_into = into.data()[i * n + j];
+      EXPECT_EQ(std::memcmp(&got_into, &want_into, sizeof(float)), 0)
+          << shape << " element (" << i << ", " << j
+          << ") of the raw kernel";
+    }
+  }
+  return separable;
+}
+
+TEST(KernelCheck, MatmulRowSlicesAreBitwiseTheWhole) {
+  // Shapes span m mod 8 (and both sides of NT's 16-row pack threshold),
+  // k mod 8 and n mod 16, then one product past the threading
+  // threshold, which the pool splits into row chunks off the 8-row grid.
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 24; ++m) ms.push_back(m);
+  ms.insert(ms.end(), {31, 37});
+  std::vector<std::int64_t> ks;
+  for (std::int64_t k = 1; k <= 20; ++k) ks.push_back(k);
+  ks.push_back(33);
+  const std::int64_t ns[] = {1, 2, 7, 8, 9, 10, 16, 17, 25, 62};
+  std::int64_t separable = 0;
+  std::uint64_t seed = 7000;
+  for (const Form form : {Form::kNN, Form::kTN, Form::kNT}) {
+    for (const std::int64_t m : ms) {
+      for (const std::int64_t k : ks) {
+        for (const std::int64_t n : ns) {
+          seed += 3;
+          const auto [a, b] = random_operands(form, m, k, n, seed);
+          separable += expect_row_slices_are_the_whole(form, a, b, seed + 2);
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+  for (const Form form : {Form::kNN, Form::kTN, Form::kNT}) {
+    const std::int64_t m = 7490, k = 5, n = 7;
+    ASSERT_GE(m * k * n, std::int64_t{1} << 18);
+    const auto [a, b] = random_operands(form, m, k, n, 91);
+    separable += expect_row_slices_are_the_whole(form, a, b, 93);
+    if (HasFailure()) return;
+  }
+  // Some chains in the sweep round differently fused and unfused, so the
+  // chain check tells the two apart.
+  EXPECT_GT(separable, 0);
 }
 
 const ConvSpec kConvSpecs[] = {

@@ -24,6 +24,7 @@
 #include "core/policy.h"
 #include "data/benchmarks.h"
 #include "fl/trainer.h"
+#include "tensor/simd.h"
 
 namespace fedcl {
 namespace {
@@ -47,6 +48,15 @@ TEST(RunInfo, CapturesHostSeedAndScale) {
   runinfo::RunInfo info = runinfo::current();
   EXPECT_FALSE(info.hostname.empty());
   EXPECT_FALSE(info.compiler.empty());
+  // The CPU's x86-64 level, then "+clones" exactly when the kernels
+  // were built as clones.
+  const std::string level = fedcl_cpu_level();
+  EXPECT_TRUE(level == "x86-64-v4" || level == "x86-64-v3" ||
+              level == "baseline" || level == "non-x86")
+      << level;
+  EXPECT_EQ(info.isa, level + (FEDCL_KERNELS_CLONED ? "+clones" : ""));
+  EXPECT_EQ(runinfo::to_json(info).find("host")->find("isa")->as_string(),
+            info.isa);
   EXPECT_EQ(info.seed, experiment_seed());
   EXPECT_GE(info.hardware_threads, 1);
   EXPECT_GE(info.compute_threads, 1);

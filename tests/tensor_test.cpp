@@ -369,16 +369,6 @@ TEST(KernelCheck, SmallMatmulNtIsBitwiseTheDotForm) {
             std::memcmp(c.data(), want.data(), want.size() * sizeof(float)),
             0)
             << "m=" << m << " n=" << n << " k=" << k;
-        // The raw kernel accumulates into its output.
-        const Tensor init = Tensor::randn({m, n}, rng);
-        Tensor acc = init.clone();
-        matmul_nt_into(a.data(), b.data(), acc.data(), m, k, n);
-        for (std::int64_t i = 0; i < m * n; ++i) {
-          const float expected =
-              init.at(i) + want[static_cast<std::size_t>(i)];
-          ASSERT_EQ(std::memcmp(&acc.data()[i], &expected, sizeof(float)), 0)
-              << "m=" << m << " n=" << n << " k=" << k << " element " << i;
-        }
       }
     }
   }

@@ -167,6 +167,16 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   fl::FlExperimentConfig tuned_streamed = streamed;
   tuned_streamed.tree_fan_out = 8;
   ASSERT_TRUE(fl::validate_config(tuned_streamed).ok());
+  // The staleness weight acts only where an apply can mean two
+  // updates: the resolved M = max(1, Kt / 2) is 1 at Kt = 3 and 2 at 4.
+  fl::FlExperimentConfig one_update = async;
+  one_update.total_clients = 6;
+  one_update.clients_per_round = 3;
+  ASSERT_TRUE(fl::validate_config(one_update).ok());
+  fl::FlExperimentConfig two_updates = one_update;
+  two_updates.clients_per_round = 4;
+  two_updates.async.staleness_alpha = 4.0;
+  ASSERT_TRUE(fl::validate_config(two_updates).ok());
 
   std::vector<std::pair<fl::FlExperimentConfig, const char*>> cases(
       4, {async, ""});
@@ -182,7 +192,10 @@ TEST(TrainerApi, ValidateConfigRefusesKnobsTheEngineIgnores) {
   const auto add = [&](fl::FlExperimentConfig config, const char* knob) {
     cases.emplace_back(std::move(config), knob);
   };
-  fl::FlExperimentConfig c = base;
+  fl::FlExperimentConfig c = one_update;
+  c.async.staleness_alpha = 4.0;
+  add(c, "set --async-min-apply to 2 or more");
+  c = base;
   c.tree_fan_out = 8;
   add(c, "set --streaming");
   c = base;

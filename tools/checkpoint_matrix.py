@@ -4,8 +4,9 @@
 Runs `fl_simulator --rounds=3 --seed=97 --save=...` over three datasets,
 the four paper policies and three engines (36 runs) and prints one line
 per run, "<config> <sha256 of the saved checkpoint>", in a fixed order.
-A first line, "# build=<type> <compiler>", names the build the digests
-came from; it is read from the run manifest (`run.build` in the meta
+A first line, "# build=<type> <compiler> isa=<host.isa>", names the
+build the digests came from and the ISA its kernels dispatched on; it is
+read from the run manifest (`run.build` and `run.host.isa` in the meta
 line) of one extra one-round `--telemetry-out` run, because after a
 default configure the CMake cache holds an empty build type.
 Two listings are equal exactly when every run saved the same bytes, so
@@ -15,7 +16,10 @@ diffing them checks bit identity:
     both sides with the same CMAKE_BUILD_TYPE: the optimization level
     changes the bits (RelWithDebInfo, the default, and Release list
     different digests for all 36 configs), and the first line differs
-    when the types do;
+    when the types do. So does the ISA: whether the matmul kernels fuse
+    their multiply-adds depends on the CPU's x86-64 level and on whether
+    the build has clones (not under ThreadSanitizer), so listings from
+    two host.isa values are not comparable either;
   - across thread counts: run it at FEDCL_THREADS=1 and at 4 and compare
     (the checkpoint_matrix_threads ctest does this).
 
@@ -48,8 +52,8 @@ RUN_TIMEOUT_S = 300
 
 
 def build_line(binary, env, tmp):
-    """The "# build=<type> <compiler>" line from a one-round run's meta,
-    or None (reason on stderr) if the run fails."""
+    """The "# build=<type> <compiler> isa=<host.isa>" line from a
+    one-round run's meta, or None (reason on stderr) if the run fails."""
     meta = os.path.join(tmp, "meta.jsonl")
     cmd = [binary, "--dataset=cancer", "--rounds=1",
            "--telemetry-out=" + meta]
@@ -61,8 +65,11 @@ def build_line(binary, env, tmp):
               % (run.returncode, run.stderr), file=sys.stderr)
         return None
     with open(meta) as f:
-        build = json.loads(f.readline())["run"]["build"]
-    return "# build=%s %s" % (build["type"], build["compiler"])
+        manifest = json.loads(f.readline())["run"]
+    # Binaries older than host.isa print "unknown".
+    return "# build=%s %s isa=%s" % (manifest["build"]["type"],
+                                     manifest["build"]["compiler"],
+                                     manifest["host"].get("isa", "unknown"))
 
 
 def main():
