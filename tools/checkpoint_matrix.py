@@ -12,14 +12,16 @@ default configure the CMake cache holds an empty build type.
 Two listings are equal exactly when every run saved the same bytes, so
 diffing them checks bit identity:
 
-  - across builds (a parent and a change, same flags and host). Build
-    both sides with the same CMAKE_BUILD_TYPE: the optimization level
-    changes the bits (RelWithDebInfo, the default, and Release list
-    different digests for all 36 configs), and the first line differs
-    when the types do. So does the ISA: whether the matmul kernels fuse
-    their multiply-adds depends on the CPU's x86-64 level and on whether
-    the build has clones (not under ThreadSanitizer), so listings from
-    two host.isa values are not comparable either;
+  - across builds (a parent and a change, same compiler and host). The
+    optimization level does not change the bits: every matmul element
+    is one ascending-k chain, so RelWithDebInfo, the default, and
+    Release list the same 36 digests, and only the first line differs.
+    The ISA does: whether the matmul kernels fuse their multiply-adds
+    depends on the CPU's x86-64 level and on whether the build has
+    clones (not under ThreadSanitizer), so listings from two host.isa
+    values are not comparable. tools/checkpoint_pin.py compares a
+    binary's smoke listing with the one committed for its compiler and
+    host.isa (the checkpoint_digests_pinned ctest);
   - across thread counts: run it at FEDCL_THREADS=1 and at 4 and compare
     (the checkpoint_matrix_threads ctest does this).
 
