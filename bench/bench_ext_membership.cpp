@@ -42,7 +42,6 @@ TrainedModel train_under_policy(const core::PrivacyPolicy& policy,
                      .hidden2 = 32};
   Rng mrng = Rng(seed).fork("model");
   out.model = nn::build_model(spec, mrng);
-  auto params = out.model->parameters();
   const dp::ParamGroups groups = [&] {
     dp::ParamGroups g;
     for (const auto& lg : out.model->layer_groups())
@@ -78,7 +77,7 @@ TrainedModel train_under_policy(const core::PrivacyPolicy& policy,
       }
     }
     tensor::list::scale_(grad, 1.0f / static_cast<float>(batch_size));
-    opt.step(params, grad);
+    opt.step(*out.model, grad);
   }
   out.train_accuracy =
       nn::evaluate_accuracy(*out.model, members.x, members.labels);

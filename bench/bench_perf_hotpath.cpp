@@ -5,8 +5,8 @@
 // the outer-product trick (see DESIGN.md "Performance architecture").
 // The sliced leg is this bench's own copy of that round's per-example
 // loop (sample, sliced engine, sanitize hook, mean, SGD step) on the
-// reference engine: B independent autograd graphs, the pre-engine
-// baseline.
+// reference engine: B independent graphs of the test-only autograd
+// oracle (tests/testing/reference.h), the pre-engine baseline.
 //
 // Non-private and Fed-SDP never take the per-example path, so both of
 // their legs run Client::run_round and their rows are context; the
@@ -67,6 +67,7 @@
 #include "nn/optimizer.h"
 #include "nn/per_example.h"
 #include "tensor/tensor.h"
+#include "testing/reference.h"
 
 namespace {
 
@@ -133,7 +134,6 @@ void sliced_round(const fl::Client& client, nn::Sequential& model,
                   const tensor::list::TensorList& global_weights,
                   const core::PrivacyPolicy& policy, Rng& rng) {
   model.set_weights(global_weights);
-  std::vector<tensor::Var> params = model.parameters();
   const dp::ParamGroups groups = fl::to_param_groups(model.layer_groups());
   nn::SgdOptimizer optimizer(client.config().learning_rate_at(0));
   for (std::int64_t l = 0; l < client.config().local_iterations; ++l) {
@@ -142,11 +142,11 @@ void sliced_round(const fl::Client& client, nn::Sequential& model,
     const tensor::list::PerExampleGrads grads =
         nn::compute_per_example_gradients_sliced(model, batch.x,
                                                  batch.labels);
-    optimizer.step(params, policy
-                               .sanitize_per_example_batch(
-                                   grads, groups, /*round=*/0, rng,
-                                   /*observe=*/std::nullopt)
-                               .mean);
+    optimizer.step(model, policy
+                              .sanitize_per_example_batch(
+                                  grads, groups, /*round=*/0, rng,
+                                  /*observe=*/std::nullopt)
+                              .mean);
   }
 }
 

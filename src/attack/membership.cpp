@@ -5,16 +5,14 @@
 
 #include "common/error.h"
 #include "nn/loss.h"
-#include "tensor/ops.h"
+#include "nn/per_example.h"
 
 namespace fedcl::attack {
 
 std::vector<double> per_example_losses(const nn::Sequential& model,
                                        const data::Batch& batch) {
   FEDCL_CHECK_GT(batch.size(), 0);
-  tensor::GradModeGuard no_grad(false);
-  tensor::Var logits = model.forward(tensor::Var(batch.x, false));
-  const tensor::Tensor probs = nn::softmax(logits.value());
+  const tensor::Tensor probs = nn::softmax(nn::forward(model, batch.x));
   const std::int64_t c = probs.dim(1);
   std::vector<double> losses;
   losses.reserve(static_cast<std::size_t>(batch.size()));

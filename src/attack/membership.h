@@ -33,7 +33,7 @@ MembershipResult evaluate_membership(const nn::Sequential& model,
                                      const data::Batch& members,
                                      const data::Batch& nonmembers);
 
-// Per-example cross-entropy losses (no graph recorded).
+// Per-example cross-entropy losses of the tape's raw forward.
 std::vector<double> per_example_losses(const nn::Sequential& model,
                                        const data::Batch& batch);
 

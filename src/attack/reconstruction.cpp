@@ -5,14 +5,9 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "nn/grad_utils.h"
-#include "tensor/ops.h"
+#include "nn/per_example.h"
 
 namespace fedcl::attack {
-
-namespace o = tensor::ops;
-using tensor::Gradients;
-using tensor::Var;
 
 namespace {
 
@@ -37,8 +32,14 @@ AttackResult GradientReconstructionAttack::run(
     const TensorList& observed_gradient, const tensor::Shape& input_shape,
     const std::vector<std::int64_t>& labels,
     const Tensor& ground_truth) const {
-  const std::vector<Var>& params = model_->parameters();
+  const std::vector<Tensor>& params = model_->parameters();
   FEDCL_CHECK_EQ(observed_gradient.size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    FEDCL_CHECK(observed_gradient[i].shape() == params[i].shape())
+        << "observed gradient " << i << " has shape "
+        << tensor::shape_str(observed_gradient[i].shape())
+        << ", the parameter " << tensor::shape_str(params[i].shape());
+  }
   FEDCL_CHECK_EQ(tensor::shape_numel(input_shape), ground_truth.numel());
   FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), input_shape[0]);
 
@@ -51,7 +52,7 @@ AttackResult GradientReconstructionAttack::run(
   // the CPL attack handles selective sharing (DSSGD) and compressed
   // updates: pruned coordinates carry no constraint. Harmless for dense
   // observations (noise makes exact zeros vanishingly rare).
-  std::vector<Var> masks;
+  TensorList masks;
   masks.reserve(observed_gradient.size());
   bool any_zero = false;
   for (const Tensor& g : observed_gradient) {
@@ -62,34 +63,45 @@ AttackResult GradientReconstructionAttack::run(
       dst[i] = src[i] != 0.0f ? 1.0f : 0.0f;
       any_zero = any_zero || src[i] == 0.0f;
     }
-    masks.push_back(o::constant(std::move(mask)));
+    masks.push_back(std::move(mask));
   }
   if (!any_zero) masks.clear();  // dense observation: skip the muls
 
-  // Gradient-matching objective: value and d/dx via double backward.
+  // Gradient-matching objective F = sum_i ||mask_i * (g_i(x) - g*_i)||^2
+  // and its input gradient grad_x <g(x), v> at v = 2 mask * (g - g*),
+  // from one forward-over-reverse pass on the tape.
   auto objective = [&](const std::vector<double>& x,
                        std::vector<double>& grad_out) -> double {
     Tensor xt(input_shape);
     for (std::int64_t i = 0; i < xt.numel(); ++i) {
       xt.at(i) = static_cast<float>(x[static_cast<std::size_t>(i)]);
     }
-    Var xv(std::move(xt), /*requires_grad=*/true);
-    std::vector<Var> dummy_grads =
-        nn::compute_gradient_vars(*model_, xv, labels);
-    Var loss;
-    for (std::size_t i = 0; i < dummy_grads.size(); ++i) {
-      Var diff = o::sub(dummy_grads[i], o::constant(observed_gradient[i]));
-      if (!masks.empty()) diff = o::mul(diff, masks[i]);
-      Var term = o::l2_norm_squared(diff);
-      loss = loss.defined() ? o::add(loss, term) : term;
+    double loss = 0.0;
+    const Tensor gx = nn::input_grad_of_gradient_dot(
+        *model_, xt, labels, [&](const TensorList& g) {
+          TensorList v;
+          v.reserve(g.size());
+          for (std::size_t i = 0; i < g.size(); ++i) {
+            Tensor vi(g[i].shape());
+            const float* dummy = g[i].data();
+            const float* seen = observed_gradient[i].data();
+            const float* mask = masks.empty() ? nullptr : masks[i].data();
+            float* out = vi.data();
+            for (std::int64_t e = 0; e < vi.numel(); ++e) {
+              float diff = dummy[e] - seen[e];
+              if (mask != nullptr) diff *= mask[e];
+              loss += static_cast<double>(diff) * diff;
+              out[e] = 2.0f * diff;
+            }
+            v.push_back(std::move(vi));
+          }
+          return v;
+        });
+    grad_out.resize(static_cast<std::size_t>(gx.numel()));
+    for (std::int64_t i = 0; i < gx.numel(); ++i) {
+      grad_out[static_cast<std::size_t>(i)] = gx.at(i);
     }
-    Gradients gx = tensor::backward(loss);
-    const Tensor& gxt = gx.of(xv).value();
-    grad_out.resize(static_cast<std::size_t>(gxt.numel()));
-    for (std::int64_t i = 0; i < gxt.numel(); ++i) {
-      grad_out[static_cast<std::size_t>(i)] = gxt.at(i);
-    }
-    return loss.value().item();
+    return loss;
   };
 
   // The adversary knows the valid input range and projects the

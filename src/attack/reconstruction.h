@@ -5,7 +5,9 @@
 //  2. computes the dummy gradient grad_W loss(x_rec, y) through the
 //     intercepted model,
 //  3. minimizes the L2 gradient-matching loss
-//     sum_layers ||grad_W(x_rec) - g*||^2 over x_rec with L-BFGS,
+//     sum_layers ||grad_W(x_rec) - g*||^2 over x_rec with L-BFGS, each
+//     evaluation one forward-over-reverse pass on the tape
+//     (nn::input_grad_of_gradient_dot),
 //  4. declares success when the reconstruction distance (RMSE against
 //     the private input) falls below a threshold, or gives up after
 //     `max_iterations` (the paper's attack-termination condition T,
@@ -69,6 +71,8 @@ class GradientReconstructionAttack {
   //  - input_shape includes the batch dim ({B,H,W,C} or {B,D});
   //  - labels are the labels of the examples (the probe captures them);
   //  - ground_truth is the private input, used only for scoring.
+  // Throws fedcl::Error unless observed_gradient has one tensor per
+  // model parameter, each of that parameter's shape.
   AttackResult run(const TensorList& observed_gradient,
                    const tensor::Shape& input_shape,
                    const std::vector<std::int64_t>& labels,

@@ -47,7 +47,6 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
   const auto start = Clock::now();
 
   model.set_weights(global_weights);
-  std::vector<tensor::Var> params = model.parameters();
   const dp::ParamGroups groups = to_param_groups(model.layer_groups());
   nn::SgdOptimizer optimizer(config_.learning_rate_at(round));
 
@@ -119,7 +118,7 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
     }
 
     // Line 15: local gradient descent with the sanitized batch gradient.
-    optimizer.step(params, step_grad);
+    optimizer.step(model, step_grad);
   }
 
   // Line 17: Delta W_i(t) = W_i(t)_L - W(t).

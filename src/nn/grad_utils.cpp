@@ -5,41 +5,9 @@
 
 #include "common/error.h"
 #include "nn/loss.h"
+#include "nn/per_example.h"
 
 namespace fedcl::nn {
-
-TensorList compute_gradients_reference(const Sequential& model,
-                                       const Tensor& x,
-                                       const std::vector<std::int64_t>& labels,
-                                       double* out_loss) {
-  Var input(x, /*requires_grad=*/false);
-  Var logits = model.forward(input);
-  Var loss = softmax_cross_entropy(logits, labels);
-  if (out_loss != nullptr) *out_loss = loss.value().item();
-  Gradients grads = tensor::backward(loss, /*create_graph=*/false);
-  TensorList out;
-  out.reserve(model.parameters().size());
-  for (const Var& p : model.parameters()) {
-    FEDCL_CHECK(grads.contains(p)) << "parameter unreached in backward";
-    out.push_back(grads.of(p).value().clone());
-  }
-  return out;
-}
-
-std::vector<Var> compute_gradient_vars(
-    const Sequential& model, const Var& x,
-    const std::vector<std::int64_t>& labels) {
-  Var logits = model.forward(x);
-  Var loss = softmax_cross_entropy(logits, labels);
-  Gradients grads = tensor::backward(loss, /*create_graph=*/true);
-  std::vector<Var> out;
-  out.reserve(model.parameters().size());
-  for (const Var& p : model.parameters()) {
-    FEDCL_CHECK(grads.contains(p)) << "parameter unreached in backward";
-    out.push_back(grads.of(p));
-  }
-  return out;
-}
 
 double evaluate_accuracy(const Sequential& model, const Tensor& x,
                          const std::vector<std::int64_t>& labels,
@@ -49,7 +17,6 @@ double evaluate_accuracy(const Sequential& model, const Tensor& x,
   FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), n);
   FEDCL_CHECK_GT(n, 0);
   const std::int64_t row = x.numel() / n;
-  tensor::GradModeGuard no_grad(false);
   std::size_t hits = 0;
   // One scratch chunk reused across iterations; only the final partial
   // chunk (if any) triggers a second allocation.
@@ -63,8 +30,7 @@ double evaluate_accuracy(const Sequential& model, const Tensor& x,
     }
     std::memcpy(bx.data(), x.data() + start * row,
                 sizeof(float) * static_cast<std::size_t>(count * row));
-    Var logits = model.forward(Var(bx, false));
-    std::vector<std::int64_t> pred = predict(logits.value());
+    std::vector<std::int64_t> pred = predict(forward(model, bx));
     for (std::int64_t i = 0; i < count; ++i) {
       if (pred[static_cast<std::size_t>(i)] ==
           labels[static_cast<std::size_t>(start + i)])

@@ -3,28 +3,36 @@
 // A "layer" here matches the paper's per-layer clipping granularity
 // (Algorithm 2 lines 7-12): each parameterized layer contributes one
 // clip group m in 1..M, covering its weight and bias together.
+//
+// A layer is geometry only. Its parameters are plain Tensors that the
+// Sequential owns; the tape engine (nn/per_example.h) runs every layer,
+// forward and backward, from that geometry and those tensors.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "tensor/autograd.h"
 #include "tensor/tensor_list.h"
 
 namespace fedcl::nn {
 
-using tensor::Var;
+using tensor::Tensor;
 using tensor::list::TensorList;
 
 class Layer {
  public:
   virtual ~Layer() = default;
-  // A pure function of the input and the layer's weights.
-  virtual Var forward(const Var& x) const = 0;
-  // Trainable parameters in a stable order; empty for stateless layers.
-  virtual std::vector<Var> parameters() const { return {}; }
   virtual std::string name() const = 0;
+
+  // Moves out the trainable parameters the constructor initialized, in
+  // a stable order; empty for stateless layers and after the first call.
+  // Sequential::add takes them over.
+  std::vector<Tensor> take_parameters() { return std::exchange(params_, {}); }
+
+ protected:
+  std::vector<Tensor> params_;
 };
 
 // Parameter indices belonging to one clip group (one model layer m).
@@ -45,26 +53,26 @@ class Sequential {
     return add(std::make_shared<L>(std::forward<Args>(args)...));
   }
 
-  Var forward(const Var& x) const;
-
   std::size_t layer_count() const { return layers_.size(); }
   const Layer& layer(std::size_t i) const;
 
-  // All trainable parameters, ordered by layer.
-  const std::vector<Var>& parameters() const { return params_; }
+  // All trainable parameters, ordered by layer. The handles share the
+  // model's storage: SgdOptimizer steps it in place through them.
+  const std::vector<Tensor>& parameters() const { return params_; }
   // One group per *parameterized* layer (M groups for an M-layer model).
   const std::vector<LayerGroup>& layer_groups() const { return groups_; }
   std::size_t parameter_count() const { return params_.size(); }
 
   // Deep copies of the parameter values (a model snapshot).
   TensorList weights() const;
-  // Installs weights (shapes must match) — used to sync the global
-  // model into clients each round.
+  // Installs copies of w — used to sync the global model into clients
+  // each round. Throws fedcl::Error unless w has one tensor per
+  // parameter, each of that parameter's shape.
   void set_weights(const TensorList& w);
 
  private:
   std::vector<std::shared_ptr<Layer>> layers_;
-  std::vector<Var> params_;
+  std::vector<Tensor> params_;
   std::vector<LayerGroup> groups_;
 };
 

@@ -1,5 +1,6 @@
-// Concrete layers: Linear, Conv2d (NHWC, im2col), AvgPool2d, Flatten
-// and elementwise activations.
+// Concrete layers: Linear, Conv2d (NHWC, im2col), AvgPool2d, Flatten,
+// InputScale and elementwise activations. Each holds its geometry; the
+// tape engine (nn/per_example.cpp) runs them.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +8,6 @@
 
 #include "common/rng.h"
 #include "nn/layer.h"
-#include "tensor/im2col.h"
 
 namespace fedcl::nn {
 
@@ -15,28 +15,21 @@ namespace fedcl::nn {
 class Linear : public Layer {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
-  Var forward(const Var& x) const override;
-  std::vector<Var> parameters() const override { return {weight_, bias_}; }
   std::string name() const override { return name_; }
   std::int64_t in_features() const { return in_features_; }
 
  private:
   std::int64_t in_features_;
-  Var weight_;
-  Var bias_;
   std::string name_;
 };
 
 // 2-D convolution on NHWC input. Weight is stored unfolded as
-// [kernel*kernel*in_c, out_c] so forward is im2col + matmul, which
-// keeps conv twice differentiable for the leakage attack.
+// [kernel*kernel*in_c, out_c] so forward is im2col + matmul.
 class Conv2d : public Layer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
          Rng& rng);
-  Var forward(const Var& x) const override;
-  std::vector<Var> parameters() const override { return {weight_, bias_}; }
   std::string name() const override { return name_; }
   std::int64_t in_channels() const { return in_channels_; }
   std::int64_t out_channels() const { return out_channels_; }
@@ -50,18 +43,14 @@ class Conv2d : public Layer {
   std::int64_t kernel_;
   std::int64_t stride_;
   std::int64_t pad_;
-  Var weight_;
-  Var bias_;
   std::string name_;
 };
 
-// Average pooling with kernel == stride, expressed as im2col followed
-// by a constant pooling matrix (linear, hence trivially twice
-// differentiable).
+// Average pooling with kernel == stride: each output is the mean of its
+// channel's k x k window.
 class AvgPool2d : public Layer {
  public:
   explicit AvgPool2d(std::int64_t kernel);
-  Var forward(const Var& x) const override;
   std::string name() const override { return "avgpool"; }
   std::int64_t kernel() const { return kernel_; }
 
@@ -72,7 +61,6 @@ class AvgPool2d : public Layer {
 // [N,H,W,C] -> [N, H*W*C].
 class Flatten : public Layer {
  public:
-  Var forward(const Var& x) const override;
   std::string name() const override { return "flatten"; }
 };
 
@@ -82,7 +70,6 @@ class Flatten : public Layer {
 class InputScale : public Layer {
  public:
   InputScale(float shift, float scale) : shift_(shift), scale_(scale) {}
-  Var forward(const Var& x) const override;
   std::string name() const override { return "input_scale"; }
   float shift() const { return shift_; }
   float scale() const { return scale_; }
@@ -99,7 +86,6 @@ const char* activation_name(Activation a);
 class ActivationLayer : public Layer {
  public:
   explicit ActivationLayer(Activation kind) : kind_(kind) {}
-  Var forward(const Var& x) const override;
   std::string name() const override { return activation_name(kind_); }
   Activation kind() const { return kind_; }
 

@@ -4,36 +4,28 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "tensor/ops.h"
 
 namespace fedcl::nn {
 
-namespace o = tensor::ops;
-
-Var softmax_cross_entropy(const Var& logits,
-                          const std::vector<std::int64_t>& labels) {
-  FEDCL_CHECK_EQ(logits.value().ndim(), 2u);
-  const std::int64_t n = logits.value().dim(0);
-  const std::int64_t c = logits.value().dim(1);
-  FEDCL_CHECK_EQ(static_cast<std::int64_t>(labels.size()), n);
-  // Numerically stable log-softmax; the detached row max cancels in the
-  // gradient so detaching is exact.
-  Var m = o::row_max_detached(logits);
-  Var z = o::sub(logits, o::broadcast_col(m, c));
-  Var lse = o::log(o::row_sum(o::exp(z)));
-  Var logp = o::sub(z, o::broadcast_col(lse, c));
-  Var picked = o::pick(logp, labels);
-  return o::mul_scalar(o::sum_all(picked), -1.0f / static_cast<float>(n));
-}
-
 Tensor softmax(const Tensor& logits) {
   FEDCL_CHECK_EQ(logits.ndim(), 2u);
-  const std::int64_t c = logits.dim(1);
-  Tensor shifted =
-      tensor::sub(logits, tensor::broadcast_col(tensor::row_max(logits), c));
-  Tensor e = tensor::exp(shifted);
-  Tensor denom = tensor::broadcast_col(tensor::row_sum(e), c);
-  return tensor::div(e, denom);
+  const std::int64_t n = logits.dim(0), c = logits.dim(1);
+  FEDCL_CHECK_GT(c, 0);
+  Tensor out({n, c});
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* z = logits.data() + i * c;
+    float* p = out.data() + i * c;
+    float m = z[0];
+    for (std::int64_t j = 1; j < c; ++j) m = std::max(m, z[j]);
+    double sum = 0.0;
+    for (std::int64_t j = 0; j < c; ++j) {
+      p[j] = std::exp(z[j] - m);
+      sum += p[j];
+    }
+    const float total = static_cast<float>(sum);
+    for (std::int64_t j = 0; j < c; ++j) p[j] = p[j] / total;
+  }
+  return out;
 }
 
 std::vector<std::int64_t> predict(const Tensor& logits) {

@@ -1,21 +1,19 @@
-// Loss functions and classification metrics.
+// Classification outputs of the raw logits: softmax, argmax, accuracy.
+// The mean softmax cross-entropy and its gradients live in the tape
+// engine (nn/per_example.h).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "tensor/autograd.h"
+#include "tensor/tensor.h"
 
 namespace fedcl::nn {
 
 using tensor::Tensor;
-using tensor::Var;
 
-// Mean softmax cross-entropy over the batch. logits: [N,C]. Composed
-// from differentiable primitives, so it supports double backward.
-Var softmax_cross_entropy(const Var& logits, const std::vector<std::int64_t>& labels);
-
-// Row-wise softmax probabilities (raw tensor, no graph).
+// Row-wise softmax probabilities: row max m, e = exp(z - m), S = the
+// row's sum of e accumulated in double and rounded to float, e / S.
 Tensor softmax(const Tensor& logits);
 
 // Argmax class per row.

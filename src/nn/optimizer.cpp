@@ -8,14 +8,16 @@ SgdOptimizer::SgdOptimizer(double learning_rate) : lr_(learning_rate) {
   FEDCL_CHECK_GT(learning_rate, 0.0);
 }
 
-void SgdOptimizer::step(std::vector<Var>& params, const TensorList& grads) {
+void SgdOptimizer::step(Sequential& model, const TensorList& grads) {
+  const std::vector<Tensor>& params = model.parameters();
   FEDCL_CHECK_EQ(params.size(), grads.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    FEDCL_CHECK(params[i].value().shape() == grads[i].shape())
+    FEDCL_CHECK(params[i].shape() == grads[i].shape())
         << "grad shape mismatch at param " << i;
-    tensor::Tensor updated = params[i].value().clone();
-    updated.add_(grads[i], static_cast<float>(-lr_));
-    params[i].set_value(std::move(updated));
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Tensor p = params[i];  // shares the model's storage
+    p.add_(grads[i], static_cast<float>(-lr_));
   }
 }
 

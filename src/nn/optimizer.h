@@ -1,12 +1,10 @@
-// SGD optimizer operating on a model's parameter Vars with externally
+// SGD optimizer stepping a model's parameters in place with externally
 // supplied gradients.
 //
-// Gradients arrive as raw TensorLists (not Vars) because the DP
-// policies sanitize them numerically (clip + noise) outside the graph
-// before the descent step — exactly Algorithm 2 lines 13-15.
+// Gradients arrive as raw TensorLists because the DP policies sanitize
+// them numerically (clip + noise) before the descent step — exactly
+// Algorithm 2 lines 13-15.
 #pragma once
-
-#include <vector>
 
 #include "nn/layer.h"
 #include "tensor/tensor_list.h"
@@ -18,8 +16,9 @@ class SgdOptimizer {
  public:
   explicit SgdOptimizer(double learning_rate);
 
-  // params[i] -= lr * grads[i].
-  void step(std::vector<Var>& params, const TensorList& grads);
+  // params[i] += (-lr) * grads[i], in place, for every parameter of the
+  // model; throws fedcl::Error on a count or shape mismatch.
+  void step(Sequential& model, const TensorList& grads);
 
  private:
   double lr_;

@@ -1,10 +1,12 @@
-// The tape gradient engine: one batched forward, one backward walk,
-// two reductions.
+// The tape engine, the one model engine: one batched forward, one
+// backward walk, two reductions, and a forward-over-reverse pass for the
+// leakage attack.
 //
 // The forward runs the model's layers on raw tensors and records what
-// each backward step needs (a tape). The backward walk is written once
-// and runs the same dX step per layer for both reductions; they differ
-// only in the seed and at the two parameterized layers (Linear, Conv):
+// each backward step needs (a tape); nn::forward runs it without
+// recording. The backward walk is written once and runs the same dX
+// step per layer for both reductions; they differ only in the seed and
+// at the two parameterized layers (Linear, Conv):
 //
 //  - Per-example (Fed-CDP, Algorithm 2). The loss is seeded with each
 //    example's own softmax-cross-entropy gradient (softmax(z) - onehot,
@@ -22,25 +24,33 @@
 //    average either form in one pass (dp/fused_sanitize.h).
 //
 //  - Batch (every other policy, through nn::compute_gradients). The
-//    seed is autograd's VJP of the mean loss written step for step
+//    seed is the autograd VJP of the mean loss written step for step
 //    (row max, exp, a double row sum S, q = (1/B)/S, q*e, then -1/B
 //    at the label), and Linear and Conv write dW = matmul_tn(A or
 //    cols, Delta) and db = col_sum(Delta) over the whole batch. Every
 //    step calls the kernel, or repeats the arithmetic, of the VJP it
-//    replaces, so the result is bitwise the autograd graph's
-//    (compute_gradients_reference), loss included
+//    replaces, so the result is bitwise the graph of the test-only
+//    autograd oracle (tests/testing/reference.h), loss included
 //    (PerExampleEngine.BatchGradientMatchesAutogradBitwise). The one
 //    exception lies below every model-zoo shape: a Conv after the
 //    first parameterized layer whose batch has fewer than 16 output
-//    positions, where autograd's matmul_nt takes its dot-product form
+//    positions, where the oracle's matmul_nt takes its dot-product form
 //    and the fused conv_input_grad does not (DESIGN.md §7).
 //
 // Both reductions take activation derivatives as autograd does (relu
 // d * mask, sigmoid d * (y * (1 - y)), tanh d * (1 - y^2)) and stop dX
 // at the first parameterized layer. per_example.cpp is compiled with
-// -ffp-contract=off (src/nn/CMakeLists.txt): autograd's separate ops
+// -ffp-contract=off (src/nn/CMakeLists.txt): the oracle's separate ops
 // never fuse a multiply-add, so under an FMA-capable -march the tape
 // must not either.
+//
+// The attack's pass (input_grad_of_gradient_dot) reuses the batch
+// reduction's forward and walk, keeping each node's delta, then carries
+// a parameter tangent v forward through every layer and walks a second
+// adjoint back to the input: Linear and Conv add delta V^T to their dX,
+// activations add sigma''(a) a' delta, and the loss starts it with its
+// Hessian-vector product. It is allclose, not bitwise, to the oracle's
+// double backward (ModelGradCheck.GradientDotInputGrad*).
 //
 // The engine covers every layer class in nn/layers.h (Linear, Conv2d,
 // AvgPool2d, Flatten, InputScale, activations); a model with any other
@@ -48,6 +58,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/layer.h"
@@ -66,12 +77,21 @@ tensor::list::PerExampleGrads compute_per_example_gradients(
     const Sequential& model, const Tensor& x,
     const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
 
-// Reference implementation: B single-example autograd graphs — the
-// exact computation the engine replaces — in row form for every
-// parameter. Only the parity tests and bench_perf_hotpath's baseline
-// legs call it.
-tensor::list::PerExampleGrads compute_per_example_gradients_sliced(
+// The model's logits for x: the tape's forward without the tape.
+Tensor forward(const Sequential& model, const Tensor& x);
+
+// grad_x <grad_theta L(x), v> for the mean cross-entropy L, where
+// v = direction(g) is chosen from g = grad_theta L(x), the batch
+// gradient of the same forward (bitwise compute_gradients'), one tensor
+// per parameter in g's shapes. One tape forward and batch walk give g;
+// the pass then carries v forward as a tangent and walks two adjoints
+// back to x, about three batch gradients in all. The gradient-matching
+// objective ||mask * (g - g*)||^2 has input gradient
+// grad_x <g, 2 mask * (g - g*)>. out_loss as in compute_gradients.
+Tensor input_grad_of_gradient_dot(
     const Sequential& model, const Tensor& x,
-    const std::vector<std::int64_t>& labels, double* out_loss = nullptr);
+    const std::vector<std::int64_t>& labels,
+    const std::function<TensorList(const TensorList& grad)>& direction,
+    double* out_loss = nullptr);
 
 }  // namespace fedcl::nn

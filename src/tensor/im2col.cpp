@@ -159,25 +159,6 @@ Tensor im2col(const Tensor& x, const ConvSpec& spec) {
   return cols;
 }
 
-Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::int64_t n) {
-  spec.validate();
-  FEDCL_CHECK_EQ(cols.ndim(), 2u);
-  const std::int64_t oh = spec.out_h(), ow = spec.out_w();
-  const std::int64_t patch = spec.patch_size();
-  FEDCL_CHECK_EQ(cols.dim(0), n * oh * ow);
-  FEDCL_CHECK_EQ(cols.dim(1), patch);
-
-  const std::int64_t per_image = oh * ow * patch;
-  Tensor x({n, spec.in_h, spec.in_w, spec.in_c});
-  const float* pc = cols.data();
-  float* px = x.data();
-  const std::int64_t img_stride = spec.in_h * spec.in_w * spec.in_c;
-  for_each_image(n, per_image, [&](std::int64_t b) {
-    col2im_image(pc + b * per_image, px + b * img_stride, spec);
-  });
-  return x;
-}
-
 Tensor conv_input_grad(const Tensor& delta, const Tensor& w,
                        const ConvSpec& spec, std::int64_t n) {
   spec.validate();

@@ -1,17 +1,15 @@
-// im2col / col2im for NHWC convolution.
+// im2col and the fused conv input gradient for NHWC convolution.
 //
-// im2col and col2im are mutually adjoint linear maps, so conv2d built
-// as im2col + matmul is automatically twice differentiable — which the
-// gradient-leakage reconstruction attack relies on.
-//
-// Both directions run a blocked fast path: in NHWC the kw range of one
-// (output row, kh) pair is a single contiguous span of kernel_w * in_c
-// floats in the source image, so the per-element bounds checks of the
-// naive triple loop collapse into one clamped memcpy/memset (im2col)
-// or one vectorized span add (col2im) per (row, kh). Images are
-// independent, so both directions parallelize over the batch with
-// bitwise-stable results (per-image work is serial and identical to
-// the single-threaded order).
+// A conv layer is im2col + matmul forward; its input gradient is the
+// adjoint scatter of the patch gradients (col2im), fused with their
+// matmul in conv_input_grad. Both run a blocked fast path: in NHWC the
+// kw range of one (output row, kh) pair is a single contiguous span of
+// kernel_w * in_c floats in the source image, so the per-element bounds
+// checks of the naive triple loop collapse into one clamped
+// memcpy/memset (im2col) or one vectorized span add (the scatter) per
+// (row, kh). Images are independent, so both parallelize over the batch
+// with bitwise-stable results (per-image work is serial and identical
+// to the single-threaded order).
 #pragma once
 
 #include <cstdint>
@@ -45,10 +43,6 @@ struct ConvSpec {
 // (kh, kw, c), matching an NHWC weight tensor reshaped to
 // [KH*KW*C, OC].
 Tensor im2col(const Tensor& x, const ConvSpec& spec);
-
-// Adjoint of im2col: cols [N*OH*OW, KH*KW*C] -> [N, H, W, C], with
-// overlapping patches accumulated.
-Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::int64_t n);
 
 // Fused conv input gradient: col2im(delta @ w^T) without materializing
 // the [N*OH*OW, KH*KW*C] unfolded gradient. delta is the output

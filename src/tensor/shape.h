@@ -1,4 +1,4 @@
-// Shape type shared by tensor and autograd code.
+// Shape type shared by the tensor code.
 #pragma once
 
 #include <cstdint>

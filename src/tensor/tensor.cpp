@@ -106,17 +106,6 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 }
 
 template <typename F>
-Tensor binary_op(const Tensor& a, const Tensor& b, const char* name, F f) {
-  check_same_shape(a, b, name);
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) po[i] = f(pa[i], pb[i]);
-  return out;
-}
-
-template <typename F>
 Tensor unary_op(const Tensor& a, F f) {
   Tensor out(a.shape());
   const float* pa = a.data();
@@ -258,19 +247,6 @@ float Tensor::l2_norm() const {
 
 // ---- free functions ----
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, "add", [](float x, float y) { return x + y; });
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, "sub", [](float x, float y) { return x - y; });
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, "mul", [](float x, float y) { return x * y; });
-}
-Tensor div(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, "div", [](float x, float y) { return x / y; });
-}
-
 Tensor add_scalar(const Tensor& a, float s) {
   return unary_op(a, [s](float x) { return x + s; });
 }
@@ -278,20 +254,8 @@ Tensor mul_scalar(const Tensor& a, float s) {
   return unary_op(a, [s](float x) { return x * s; });
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; });
-}
-Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::log(x); });
-}
 Tensor relu(const Tensor& a) {
   return unary_op(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-Tensor step_mask(const Tensor& a) {
-  return unary_op(a, [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 Tensor sigmoid(const Tensor& a) {
   return unary_op(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
@@ -612,57 +576,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-float dot(const Tensor& a, const Tensor& b) {
-  FEDCL_CHECK_EQ(a.numel(), b.numel());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  double s = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i)
-    s += static_cast<double>(pa[i]) * static_cast<double>(pb[i]);
-  return static_cast<float>(s);
-}
-
-Tensor row_sum(const Tensor& x) {
-  FEDCL_CHECK_EQ(x.ndim(), 2u);
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  Tensor out({n, 1});
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::int64_t j = 0; j < c; ++j) s += px[i * c + j];
-    po[i] = static_cast<float>(s);
-  }
-  return out;
-}
-
-Tensor row_max(const Tensor& x) {
-  FEDCL_CHECK_EQ(x.ndim(), 2u);
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FEDCL_CHECK_GT(c, 0);
-  Tensor out({n, 1});
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    float m = px[i * c];
-    for (std::int64_t j = 1; j < c; ++j) m = std::max(m, px[i * c + j]);
-    po[i] = m;
-  }
-  return out;
-}
-
-Tensor broadcast_col(const Tensor& x, std::int64_t c) {
-  FEDCL_CHECK_EQ(x.ndim(), 2u);
-  FEDCL_CHECK_EQ(x.dim(1), 1);
-  const std::int64_t n = x.dim(0);
-  Tensor out({n, c});
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i)
-    for (std::int64_t j = 0; j < c; ++j) po[i * c + j] = px[i];
-  return out;
-}
-
 Tensor col_sum(const Tensor& x) {
   FEDCL_CHECK_EQ(x.ndim(), 2u);
   const std::int64_t n = x.dim(0), c = x.dim(1);
@@ -671,54 +584,6 @@ Tensor col_sum(const Tensor& x) {
   float* po = out.data();
   for (std::int64_t i = 0; i < n; ++i)
     for (std::int64_t j = 0; j < c; ++j) po[j] += px[i * c + j];
-  return out;
-}
-
-Tensor broadcast_row(const Tensor& x, std::int64_t n) {
-  FEDCL_CHECK_EQ(x.ndim(), 1u);
-  const std::int64_t c = x.dim(0);
-  Tensor out({n, c});
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i)
-    for (std::int64_t j = 0; j < c; ++j) po[i * c + j] = px[j];
-  return out;
-}
-
-Tensor expand_scalar(const Tensor& x, const Shape& shape) {
-  FEDCL_CHECK_EQ(x.numel(), 1);
-  return Tensor::full(shape, x.item());
-}
-
-Tensor sum_all(const Tensor& x) { return Tensor::scalar(x.sum()); }
-
-Tensor pick(const Tensor& x, const std::vector<std::int64_t>& idx) {
-  FEDCL_CHECK_EQ(x.ndim(), 2u);
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FEDCL_CHECK_EQ(static_cast<std::int64_t>(idx.size()), n);
-  Tensor out({n, 1});
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    FEDCL_CHECK(idx[i] >= 0 && idx[i] < c) << "label " << idx[i];
-    po[i] = px[i * c + idx[i]];
-  }
-  return out;
-}
-
-Tensor scatter(const Tensor& s, const std::vector<std::int64_t>& idx,
-               std::int64_t c) {
-  FEDCL_CHECK_EQ(s.ndim(), 2u);
-  FEDCL_CHECK_EQ(s.dim(1), 1);
-  const std::int64_t n = s.dim(0);
-  FEDCL_CHECK_EQ(static_cast<std::int64_t>(idx.size()), n);
-  Tensor out({n, c});
-  const float* ps = s.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    FEDCL_CHECK(idx[i] >= 0 && idx[i] < c) << "label " << idx[i];
-    po[i * c + idx[i]] = ps[i];
-  }
   return out;
 }
 

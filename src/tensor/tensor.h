@@ -1,10 +1,11 @@
 // Dense float32 tensor with shared, contiguous storage.
 //
-// This is the numeric substrate under the autograd engine (autograd.h)
-// and the DP machinery. Tensors are cheap to copy (storage is shared);
-// clone() deep-copies. All math functions allocate a fresh result; the
-// *_  suffixed members mutate in place and are used by the SGD
-// optimizer and update arithmetic on detached buffers only.
+// This is the numeric substrate under the tape gradient engine
+// (nn/per_example.h) and the DP machinery. Tensors are cheap to copy
+// (storage is shared); clone() deep-copies. All math functions allocate
+// a fresh result; the *_ suffixed members mutate in place, through
+// every handle that shares the storage, and are used by the SGD step on
+// a model's parameters and update arithmetic on detached buffers.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +59,7 @@ class Tensor {
   // Deep copy.
   Tensor clone() const;
 
-  // ---- in-place mutation (storage must not be aliased into a live
-  // autograd graph; callers operate on detached buffers) ----
+  // ---- in-place mutation (every handle sharing the storage sees it) ----
   Tensor& fill_(float value);
   Tensor& add_(const Tensor& other, float alpha = 1.0f);  // this += alpha*other
   Tensor& scale_(float s);
@@ -74,23 +74,12 @@ class Tensor {
   std::shared_ptr<float[]> data_;
 };
 
-// ---- elementwise binary (same shape) ----
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
-
 // ---- elementwise with scalar ----
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 
 // ---- elementwise unary ----
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
 Tensor relu(const Tensor& a);
-// 1 where a > 0 else 0 (the ReLU mask).
-Tensor step_mask(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor tanh(const Tensor& a);
 
@@ -125,28 +114,8 @@ void matmul_tn_into(const float* a, const float* b, float* out,
 // Tensor::l2_norm and the clip norm of a per-example row.
 double sum_squares(const float* p, std::int64_t n);
 
-float dot(const Tensor& a, const Tensor& b);
-
-// ---- structured reductions / broadcasts used by autograd vjps ----
-// x: [N,C] -> [N,1]
-Tensor row_sum(const Tensor& x);
-// x: [N,C] -> [N,1], maximum per row
-Tensor row_max(const Tensor& x);
-// x: [N,1] -> [N,C] (repeat each row value C times)
-Tensor broadcast_col(const Tensor& x, std::int64_t c);
-// x: [N,C] -> [C] (sum over rows)
+// x: [N,C] -> [C] (sum over rows): a bias gradient.
 Tensor col_sum(const Tensor& x);
-// x: [C] -> [N,C]
-Tensor broadcast_row(const Tensor& x, std::int64_t n);
-// x: [1] -> given shape (repeat scalar)
-Tensor expand_scalar(const Tensor& x, const Shape& shape);
-// all-elements sum -> [1]
-Tensor sum_all(const Tensor& x);
-// x: [N,C], idx: size-N labels -> [N,1] with x[i, idx[i]]
-Tensor pick(const Tensor& x, const std::vector<std::int64_t>& idx);
-// s: [N,1], idx -> [N,C] zeros with s[i] at column idx[i]
-Tensor scatter(const Tensor& s, const std::vector<std::int64_t>& idx,
-               std::int64_t c);
 
 bool allclose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-4f);

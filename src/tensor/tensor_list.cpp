@@ -93,18 +93,6 @@ TensorList PerExampleGrads::example(std::int64_t j) const {
   return out;
 }
 
-void PerExampleGrads::set_example(std::int64_t j, const TensorList& grads) {
-  FEDCL_CHECK(j >= 0 && j < batch) << "example " << j << " batch " << batch;
-  FEDCL_CHECK_EQ(grads.size(), params.size());
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    FEDCL_CHECK(!params[p].factored()) << "param " << p << " is factored";
-    const std::int64_t width = grads[p].numel();
-    FEDCL_CHECK_EQ(width, params[p].rows.numel() / batch);
-    std::memcpy(params[p].rows.data() + j * width, grads[p].data(),
-                sizeof(float) * static_cast<std::size_t>(width));
-  }
-}
-
 PerExampleGrads make_per_example(std::int64_t batch,
                                  std::vector<Shape> shapes) {
   FEDCL_CHECK_GT(batch, 0);

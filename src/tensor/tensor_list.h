@@ -58,9 +58,6 @@ struct PerExampleGrads {
   // Example j's gradient as a TensorList in the original shapes (copy;
   // factors are multiplied out).
   TensorList example(std::int64_t j) const;
-  // Overwrites example j's rows from a TensorList in original shapes;
-  // every parameter must be in row form.
-  void set_example(std::int64_t j, const TensorList& grads);
 };
 
 // Zero-initialized row-form batch for the given parameter shapes.

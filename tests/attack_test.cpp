@@ -216,6 +216,14 @@ TEST(Reconstruction, ValidatesInputs) {
   EXPECT_THROW(attack.run(fx.true_gradient, {1, 4, 4, 1},
                           fx.example.labels, fx.example.x),
                Error);
+  // The right count with one tensor of the wrong shape at equal numel:
+  // the first conv weight [25, 4] read as [4, 25].
+  TensorList reshaped = tensor::list::clone(fx.true_gradient);
+  ASSERT_EQ(reshaped[0].shape(), (Shape{25, 4}));
+  reshaped[0] = reshaped[0].reshape({4, 25});
+  EXPECT_THROW(attack.run(reshaped, fx.example.x.shape(), fx.example.labels,
+                          fx.example.x),
+               Error);
 }
 
 // ---- end-to-end leakage evaluation ----
@@ -266,6 +274,30 @@ TEST(LeakageEval, FedSdpVulnerableToType2Only) {
   // (type-0/1) but leaves per-example gradients (type-2) exposed.
   EXPECT_TRUE(report.type2.any_success);
   EXPECT_FALSE(report.type01.any_success);
+}
+
+TEST(LeakageEval, FedCdpType2CellNeedsItsNoise) {
+  // Table VII's Fed-CDP type-2 cell under the L2 objective, at the
+  // bench's smoke setting (MNIST, sigmoid CNN, seed 42, one client,
+  // budget 300). At C = 4 the 8x8 per-example norms fall below the
+  // bound, so clipping alone leaves the gradient intact and the attack
+  // recovers the input; the configured noise is what stops it. A Fed-CDP
+  // that silently stops noising fails here.
+  LeakageExperimentConfig config;
+  config.bench =
+      data::benchmark_config(data::BenchmarkId::kMnist, BenchScale::kSmoke);
+  config.bench.model.activation = nn::Activation::kSigmoid;
+  config.clients = 1;
+  config.seed = 42;
+  config.attack.max_iterations = 300;
+  const LeakageReport clip_only =
+      evaluate_leakage(config, core::FedCdpPolicy(4.0, 0.0));
+  const LeakageReport noised =
+      evaluate_leakage(config, core::FedCdpPolicy(4.0, 0.25));
+  EXPECT_TRUE(clip_only.type2.any_success);
+  EXPECT_LT(clip_only.type2.mean_distance, 0.05);
+  EXPECT_FALSE(noised.type2.any_success);
+  EXPECT_GT(noised.type2.mean_distance, 0.4);
 }
 
 TEST(LeakageEval, AsciiImageRendering) {

@@ -4,8 +4,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "tensor/autograd.h"
-#include "tensor/ops.h"
+#include "testing/autograd.h"
+#include "testing/ops.h"
 #include "testing/gradcheck.h"
 
 namespace fedcl::tensor {

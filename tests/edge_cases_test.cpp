@@ -10,9 +10,9 @@
 #include "data/synthetic.h"
 #include "dp/accountant.h"
 #include "fl/client.h"
-#include "nn/loss.h"
 #include "nn/model_zoo.h"
-#include "tensor/ops.h"
+#include "testing/ops.h"
+#include "testing/reference.h"
 #include "testing/sanitize.h"
 
 namespace fedcl {

@@ -1,5 +1,5 @@
 // Fast-vs-naive checks for the optimized kernels (matmul variants,
-// span-based im2col/col2im, fused conv input gradient, fused DP
+// span-based im2col, fused conv input gradient, fused DP
 // sanitizer) and the counter-based Philox Gaussian: bitwise against the
 // scalar reference, plus its distribution and tail.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "tensor/tensor.h"
 #include "tensor/tensor_list.h"
 #include "testing/kernel_check.h"
+#include "testing/ops.h"
 #include "testing/sanitize.h"
 
 namespace fedcl {
@@ -33,7 +34,6 @@ using t::Tensor;
 using t::list::PerExampleGrads;
 using t::list::TensorList;
 using testing::expect_matmul_close;
-using testing::naive_col2im;
 using testing::naive_im2col;
 using testing::naive_matmul_nn;
 using testing::naive_matmul_nt;
@@ -309,22 +309,6 @@ TEST(KernelCheck, Im2colMatchesNaiveBitwise) {
           rng_fill({n, spec.in_h, spec.in_w, spec.in_c}, 700 + spec.pad);
       const Tensor fast = t::im2col(x, spec);
       const Tensor naive = naive_im2col(x, spec);
-      ASSERT_EQ(fast.numel(), naive.numel());
-      for (std::int64_t i = 0; i < fast.numel(); ++i) {
-        ASSERT_EQ(fast.at(i), naive.at(i)) << "element " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelCheck, Col2imMatchesNaiveBitwise) {
-  for (const auto& spec : kConvSpecs) {
-    for (std::int64_t n : {1, 3}) {
-      const Tensor cols = rng_fill(
-          {n * spec.out_h() * spec.out_w(), spec.patch_size()},
-          800 + spec.kernel_h);
-      const Tensor fast = t::col2im(cols, spec, n);
-      const Tensor naive = naive_col2im(cols, spec, n);
       ASSERT_EQ(fast.numel(), naive.numel());
       for (std::int64_t i = 0; i < fast.numel(); ++i) {
         ASSERT_EQ(fast.at(i), naive.at(i)) << "element " << i;

@@ -48,12 +48,11 @@ struct MembershipFixture {
   }
 
   void overfit(int epochs) {
-    auto params = model->parameters();
     nn::SgdOptimizer opt(0.5);
     for (int e = 0; e < epochs; ++e) {
       nn::TensorList g =
           nn::compute_gradients(*model, members.x, members.labels);
-      opt.step(params, g);
+      opt.step(*model, g);
     }
   }
 };

@@ -10,27 +10,33 @@
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
-#include "tensor/ops.h"
+#include "nn/per_example.h"
 #include "testing/gradcheck.h"
+#include "testing/reference.h"
 
 namespace fedcl::nn {
 namespace {
 
-namespace o = tensor::ops;
 using tensor::Shape;
 using tensor::Tensor;
 using tensor::Var;
 using fedcl::testing::expect_gradcheck;
 
+// A one-layer model around `layer`, run on the tape's raw forward.
+template <typename L, typename... Args>
+Sequential one_layer(Args&&... args) {
+  Sequential model;
+  model.emplace<L>(std::forward<Args>(args)...);
+  return model;
+}
+
 TEST(Linear, ForwardShapeAndValue) {
   Rng rng(1);
-  Linear layer(3, 2, rng);
+  Sequential model = one_layer<Linear>(3, 2, rng);
   // Overwrite with known weights.
-  auto params = layer.parameters();
-  params[0].set_value(Tensor::from_vector({3, 2}, {1, 0, 0, 1, 1, 1}));
-  params[1].set_value(Tensor::from_vector({2}, {0.5f, -0.5f}));
-  Var x(Tensor::from_vector({1, 3}, {1, 2, 3}), false);
-  Tensor y = layer.forward(x).value();
+  model.set_weights({Tensor::from_vector({3, 2}, {1, 0, 0, 1, 1, 1}),
+                     Tensor::from_vector({2}, {0.5f, -0.5f})});
+  Tensor y = forward(model, Tensor::from_vector({1, 3}, {1, 2, 3}));
   EXPECT_EQ(y.shape(), (Shape{1, 2}));
   EXPECT_FLOAT_EQ(y.at(0), 1 + 3 + 0.5f);
   EXPECT_FLOAT_EQ(y.at(1), 2 + 3 - 0.5f);
@@ -38,37 +44,34 @@ TEST(Linear, ForwardShapeAndValue) {
 
 TEST(Linear, RejectsWrongWidth) {
   Rng rng(2);
-  Linear layer(3, 2, rng);
-  Var x(Tensor::ones({1, 4}), false);
-  EXPECT_THROW(layer.forward(x), Error);
+  Sequential model = one_layer<Linear>(3, 2, rng);
+  EXPECT_THROW(forward(model, Tensor::ones({1, 4})), Error);
 }
 
 TEST(Conv2d, ShapeAndIdentityKernel) {
   Rng rng(3);
   // 1x1 kernel conv is a per-pixel linear map.
-  Conv2d conv(2, 3, /*kernel=*/1, /*stride=*/1, /*pad=*/0, rng);
-  Var x(Tensor::ones({2, 4, 4, 2}), false);
-  Tensor y = conv.forward(x).value();
+  Sequential model =
+      one_layer<Conv2d>(2, 3, /*kernel=*/1, /*stride=*/1, /*pad=*/0, rng);
+  Tensor y = forward(model, Tensor::ones({2, 4, 4, 2}));
   EXPECT_EQ(y.shape(), (Shape{2, 4, 4, 3}));
 }
 
 TEST(Conv2d, PaddedSameSize) {
   Rng rng(4);
-  Conv2d conv(1, 4, 5, 1, 2, rng);
-  Var x(Tensor::ones({1, 12, 12, 1}), false);
-  EXPECT_EQ(conv.forward(x).value().shape(), (Shape{1, 12, 12, 4}));
+  Sequential model = one_layer<Conv2d>(1, 4, 5, 1, 2, rng);
+  EXPECT_EQ(forward(model, Tensor::ones({1, 12, 12, 1})).shape(),
+            (Shape{1, 12, 12, 4}));
 }
 
 TEST(Conv2d, MatchesManualConvolution) {
   Rng rng(5);
-  Conv2d conv(1, 1, 2, 1, 0, rng);
-  auto params = conv.parameters();
+  Sequential model = one_layer<Conv2d>(1, 1, 2, 1, 0, rng);
   // Kernel [[1,2],[3,4]] flattened in (kh,kw,c) order; bias 0.5.
-  params[0].set_value(Tensor::from_vector({4, 1}, {1, 2, 3, 4}));
-  params[1].set_value(Tensor::from_vector({1}, {0.5f}));
-  Var x(Tensor::from_vector({1, 3, 3, 1}, {1, 2, 3, 4, 5, 6, 7, 8, 9}),
-        false);
-  Tensor y = conv.forward(x).value();
+  model.set_weights({Tensor::from_vector({4, 1}, {1, 2, 3, 4}),
+                     Tensor::from_vector({1}, {0.5f})});
+  Tensor y = forward(
+      model, Tensor::from_vector({1, 3, 3, 1}, {1, 2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_EQ(y.shape(), (Shape{1, 2, 2, 1}));
   // Patch (1,2,4,5) . (1,2,3,4) + 0.5 = 1+4+12+20+0.5
   EXPECT_FLOAT_EQ(y.at(0), 37.5f);
@@ -76,34 +79,31 @@ TEST(Conv2d, MatchesManualConvolution) {
 }
 
 TEST(AvgPool2d, Averages) {
-  AvgPool2d pool(2);
-  Var x(Tensor::from_vector({1, 2, 2, 1}, {1, 2, 3, 4}), false);
-  Tensor y = pool.forward(x).value();
+  Sequential model = one_layer<AvgPool2d>(2);
+  Tensor y = forward(model, Tensor::from_vector({1, 2, 2, 1}, {1, 2, 3, 4}));
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_FLOAT_EQ(y.at(0), 2.5f);
 }
 
 TEST(AvgPool2d, PerChannel) {
-  AvgPool2d pool(2);
+  Sequential model = one_layer<AvgPool2d>(2);
   // Two channels with distinct values.
-  Var x(Tensor::from_vector({1, 2, 2, 2}, {1, 10, 2, 20, 3, 30, 4, 40}),
-        false);
-  Tensor y = pool.forward(x).value();
+  Tensor y = forward(
+      model, Tensor::from_vector({1, 2, 2, 2}, {1, 10, 2, 20, 3, 30, 4, 40}));
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 2}));
   EXPECT_FLOAT_EQ(y.at(0), 2.5f);
   EXPECT_FLOAT_EQ(y.at(1), 25.0f);
 }
 
 TEST(Flatten, Shape) {
-  Flatten fl;
-  Var x(Tensor::ones({2, 3, 4, 5}), false);
-  EXPECT_EQ(fl.forward(x).value().shape(), (Shape{2, 60}));
+  Sequential model = one_layer<Flatten>();
+  EXPECT_EQ(forward(model, Tensor::ones({2, 3, 4, 5})).shape(),
+            (Shape{2, 60}));
 }
 
 TEST(InputScale, CentersInput) {
-  InputScale scale(-0.5f, 2.0f);
-  Var x(Tensor::from_vector({1, 2}, {0.0f, 1.0f}), false);
-  Tensor y = scale.forward(x).value();
+  Sequential model = one_layer<InputScale>(-0.5f, 2.0f);
+  Tensor y = forward(model, Tensor::from_vector({1, 2}, {0.0f, 1.0f}));
   EXPECT_FLOAT_EQ(y.at(0), -1.0f);
   EXPECT_FLOAT_EQ(y.at(1), 1.0f);
 }
@@ -111,10 +111,9 @@ TEST(InputScale, CentersInput) {
 class ActivationTest : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(ActivationTest, ForwardMatchesRawOp) {
-  ActivationLayer layer(GetParam());
-  Tensor in = Tensor::from_vector({4}, {-2, -0.5f, 0.5f, 2});
-  Var x(in.clone(), false);
-  Tensor y = layer.forward(x).value();
+  Sequential model = one_layer<ActivationLayer>(GetParam());
+  Tensor in = Tensor::from_vector({1, 4}, {-2, -0.5f, 0.5f, 2});
+  Tensor y = forward(model, in);
   for (int i = 0; i < 4; ++i) {
     float expect = 0;
     switch (GetParam()) {
@@ -155,22 +154,31 @@ TEST(Sequential, LayerGroupsOnlyParameterized) {
 TEST(Sequential, WeightsRoundTrip) {
   Rng rng(7);
   Sequential model;
-  model.emplace<Linear>(2, 2, rng);
+  model.emplace<Linear>(2, 3, rng);
   TensorList w = model.weights();
   w[0].fill_(3.0f);
   model.set_weights(w);
-  EXPECT_FLOAT_EQ(model.parameters()[0].value().at(0), 3.0f);
-  // weights() returns copies: mutating them later is inert.
+  EXPECT_FLOAT_EQ(model.parameters()[0].at(0), 3.0f);
+  // weights() returns copies: mutating them later is inert, and so is
+  // mutating the list set_weights installed.
   TensorList w2 = model.weights();
   w2[0].fill_(9.0f);
-  EXPECT_FLOAT_EQ(model.parameters()[0].value().at(0), 3.0f);
+  w[0].fill_(7.0f);
+  EXPECT_FLOAT_EQ(model.parameters()[0].at(0), 3.0f);
   w2.pop_back();
   EXPECT_THROW(model.set_weights(w2), Error);
+  // The right count with the weight transposed: every numel matches,
+  // the shape does not, and the model keeps its weights.
+  TensorList transposed = model.weights();
+  transposed[0] = Tensor::full({3, 2}, 5.0f);
+  EXPECT_THROW(model.set_weights(transposed), Error);
+  EXPECT_EQ(model.parameters()[0].shape(), (Shape{2, 3}));
+  EXPECT_FLOAT_EQ(model.parameters()[0].at(0), 3.0f);
 }
 
 TEST(Sequential, EmptyForwardThrows) {
   Sequential model;
-  EXPECT_THROW(model.forward(Var(Tensor::ones({1, 2}), false)), Error);
+  EXPECT_THROW(forward(model, Tensor::ones({1, 2})), Error);
 }
 
 TEST(Loss, CrossEntropyUniformLogits) {
@@ -220,12 +228,11 @@ TEST(Optimizer, PlainSgdStep) {
   Rng rng(10);
   Sequential model;
   model.emplace<Linear>(2, 1, rng);
-  auto params = model.parameters();
-  Tensor before = params[0].value().clone();
+  Tensor before = model.parameters()[0].clone();
   TensorList grads = {Tensor::ones({2, 1}), Tensor::ones({1})};
   SgdOptimizer opt(0.5);
-  opt.step(params, grads);
-  EXPECT_FLOAT_EQ(params[0].value().at(0), before.at(0) - 0.5f);
+  opt.step(model, grads);
+  EXPECT_FLOAT_EQ(model.parameters()[0].at(0), before.at(0) - 0.5f);
   EXPECT_THROW(SgdOptimizer(0.0), Error);
 }
 
@@ -233,10 +240,9 @@ TEST(Optimizer, ShapeMismatchThrows) {
   Rng rng(12);
   Sequential model;
   model.emplace<Linear>(2, 1, rng);
-  auto params = model.parameters();
   TensorList bad = {Tensor::ones({3, 1}), Tensor::ones({1})};
   SgdOptimizer opt(0.1);
-  EXPECT_THROW(opt.step(params, bad), Error);
+  EXPECT_THROW(opt.step(model, bad), Error);
 }
 
 TEST(ModelZoo, ImageCnnStructure) {
@@ -249,8 +255,8 @@ TEST(ModelZoo, ImageCnnStructure) {
   auto model = build_image_cnn(spec, rng);
   // Paper architecture: 2 conv + 1 fc = 3 clip groups (M layers).
   EXPECT_EQ(model->layer_groups().size(), 3u);
-  Var x(Tensor::ones({2, 12, 12, 1}), false);
-  EXPECT_EQ(model->forward(x).value().shape(), (Shape{2, 10}));
+  EXPECT_EQ(forward(*model, Tensor::ones({2, 12, 12, 1})).shape(),
+            (Shape{2, 10}));
 }
 
 TEST(ModelZoo, MlpStructure) {
@@ -261,8 +267,7 @@ TEST(ModelZoo, MlpStructure) {
   auto model = build_mlp(spec, rng);
   // Two hidden layers + classifier = 3 clip groups.
   EXPECT_EQ(model->layer_groups().size(), 3u);
-  Var x(Tensor::ones({4, 30}), false);
-  EXPECT_EQ(model->forward(x).value().shape(), (Shape{4, 2}));
+  EXPECT_EQ(forward(*model, Tensor::ones({4, 30})).shape(), (Shape{4, 2}));
 }
 
 TEST(ModelZoo, RejectsBadDimensions) {
@@ -300,7 +305,7 @@ TEST(GradUtils, ComputeGradientsMatchesAutodiff) {
   EXPECT_EQ(grads.size(), 2u);
   EXPECT_GT(loss, 0.0);
 
-  // Cross-check against the Var pathway.
+  // Cross-check against the autograd oracle.
   std::vector<Var> gvars =
       compute_gradient_vars(model, Var(x, false), labels);
   ASSERT_EQ(gvars.size(), 2u);
@@ -313,9 +318,8 @@ TEST(GradUtils, EvaluateAccuracyBatched) {
   Sequential model;
   model.emplace<Linear>(2, 2, rng);
   // Weights mapping x0>x1 -> class 0.
-  auto params = model.parameters();
-  params[0].set_value(Tensor::from_vector({2, 2}, {1, -1, -1, 1}));
-  params[1].set_value(Tensor::zeros({2}));
+  model.set_weights(
+      {Tensor::from_vector({2, 2}, {1, -1, -1, 1}), Tensor::zeros({2})});
   Tensor x = Tensor::from_vector({3, 2}, {2, 0, 0, 2, 3, 1});
   std::vector<std::int64_t> labels{0, 1, 0};
   EXPECT_DOUBLE_EQ(evaluate_accuracy(model, x, labels, /*batch=*/2), 1.0);
@@ -331,7 +335,6 @@ TEST(Training, MlpLearnsSeparableTask) {
                  .hidden1 = 8,
                  .hidden2 = 8};
   auto model = build_mlp(spec, rng);
-  auto params = model->parameters();
   SgdOptimizer opt(0.3);
   Rng drng(20);
   // Class = sign of the first coordinate.
@@ -341,7 +344,7 @@ TEST(Training, MlpLearnsSeparableTask) {
   for (int i = 0; i < n; ++i) labels[i] = x.at(i * 4) > 0 ? 1 : 0;
   for (int epoch = 0; epoch < 60; ++epoch) {
     TensorList g = compute_gradients(*model, x, labels);
-    opt.step(params, g);
+    opt.step(*model, g);
   }
   EXPECT_GT(evaluate_accuracy(*model, x, labels), 0.95);
 }

@@ -24,6 +24,7 @@
 #include "nn/per_example.h"
 #include "tensor/tensor_list.h"
 #include "testing/kernel_check.h"
+#include "testing/reference.h"
 #include "testing/sanitize.h"
 
 namespace fedcl {
@@ -163,7 +164,7 @@ TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
       tensor::list::make_per_example(3, {{2, 2}, {2}});
   TensorList one = {Tensor::from_vector({2, 2}, {1, 2, 3, 4}),
                     Tensor::from_vector({2}, {5, 6})};
-  grads.set_example(1, one);
+  nn::set_example(grads, 1, one);
   TensorList back = grads.example(1);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_FLOAT_EQ(back[0].at(3), 4.0f);
@@ -177,7 +178,6 @@ TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
 // backward rule for.
 class UnknownLayer final : public nn::Layer {
  public:
-  tensor::Var forward(const tensor::Var& x) const override { return x; }
   std::string name() const override { return "UnknownLayer"; }
 };
 
@@ -317,6 +317,37 @@ TEST(PerExampleEngine, BatchGradientMatchesAutogradBitwise) {
       SCOPED_TRACE("Conv-first stack B=" + std::to_string(batch));
       const Tensor x = Tensor::uniform({batch, 8, 8, 1}, rng);
       expect_batch_matches_autograd(model, x, random_labels(rng, batch, 3));
+    }
+  }
+}
+
+TEST(PerExampleEngine, ForwardLogitsMatchOracleBitwise) {
+  // evaluate_accuracy and the membership attack read nn::forward, the
+  // tape's forward without the tape: on every model-zoo architecture,
+  // activation and scale its logits are the oracle graph's, bit for bit.
+  std::uint64_t seed = 3000;
+  for (const data::BenchmarkId id : data::all_benchmarks()) {
+    for (const BenchScale scale : {BenchScale::kSmall, BenchScale::kPaper}) {
+      for (const nn::Activation act :
+           {nn::Activation::kRelu, nn::Activation::kSigmoid,
+            nn::Activation::kTanh}) {
+        nn::ModelSpec spec = data::benchmark_config(id, scale).model;
+        spec.activation = act;
+        Rng rng(++seed);
+        auto model = nn::build_model(spec, rng);
+        for (const std::int64_t batch : {1, 3, 17}) {
+          SCOPED_TRACE(std::string(data::benchmark_name(id)) + " " +
+                       bench_scale_name(scale) + " " +
+                       nn::activation_name(act) +
+                       " B=" + std::to_string(batch));
+          const Tensor x = random_input(spec, batch, rng);
+          const Tensor tape = nn::forward(*model, x);
+          const Tensor graph =
+              nn::graph_forward(*model, tensor::Var(x, false)).value();
+          ASSERT_EQ(tape.shape(), graph.shape());
+          testing::expect_bitwise_equal({tape}, {graph}, "logits");
+        }
+      }
     }
   }
 }

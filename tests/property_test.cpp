@@ -14,10 +14,10 @@
 #include "fl/protocol.h"
 #include "fl/virtual_client.h"
 #include "nn/grad_utils.h"
-#include "nn/loss.h"
 #include "nn/model_zoo.h"
-#include "tensor/ops.h"
 #include "testing/gradcheck.h"
+#include "testing/ops.h"
+#include "testing/reference.h"
 
 namespace fedcl {
 namespace {
@@ -156,11 +156,12 @@ TEST_P(ModelGradcheck, MlpLossGradMatchesFiniteDifference) {
   std::vector<std::int64_t> labels = {
       static_cast<std::int64_t>(rng.uniform_int(classes)),
       static_cast<std::int64_t>(rng.uniform_int(classes))};
-  // Check the gradient w.r.t. the *input* via the Var pathway (this is
-  // the quantity the leakage attack differentiates).
+  // Check the gradient w.r.t. the *input* on the oracle's graph (the
+  // leakage attack differentiates the input through the gradient).
   expect_gradcheck(
       [&](const std::vector<Var>& v) {
-        return nn::softmax_cross_entropy(model->forward(v[0]), labels);
+        return nn::softmax_cross_entropy(nn::graph_forward(*model, v[0]),
+                                         labels);
       },
       {x});
 }

@@ -12,6 +12,7 @@
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "testing/kernel_check.h"
+#include "testing/ops.h"
 
 namespace fedcl::tensor {
 namespace {

@@ -1,9 +1,9 @@
-#include "tensor/autograd.h"
+#include "testing/autograd.h"
 
 #include <unordered_set>
 
 #include "common/error.h"
-#include "tensor/ops.h"
+#include "testing/ops.h"
 
 namespace fedcl::tensor {
 

@@ -1,14 +1,17 @@
-// Define-by-run reverse-mode automatic differentiation with support for
-// higher-order gradients.
+// The test oracle's define-by-run reverse-mode automatic
+// differentiation, with support for higher-order gradients. No program
+// code links it: the tape engine (nn/per_example.h) is the one model
+// engine, and the parity tests pin it to this graph, bitwise for the
+// batch gradient and allclose for the attack's forward-over-reverse
+// pass (testing/reference.h builds the model graphs).
 //
 // Design notes:
 //  - A Var is a shared handle to a Node holding the forward value, the
 //    parent Vars and a VJP (vector-Jacobian product) callback.
 //  - Every VJP is implemented *in terms of other ops* (ops.h), so
 //    running backward(root, create_graph=true) produces gradients that
-//    are themselves differentiable graphs. The gradient-leakage
-//    reconstruction attack differentiates the training gradient w.r.t.
-//    the input this way.
+//    are themselves differentiable graphs: the reconstruction attack's
+//    double backward, which the tape's pass is checked against.
 //  - Gradients are returned in an external Gradients map rather than
 //    stored on nodes. This avoids shared_ptr cycles (a node's gradient
 //    graph usually references the node's parents, sometimes the node

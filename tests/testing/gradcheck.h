@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/autograd.h"
-#include "tensor/ops.h"
+#include "testing/autograd.h"
+#include "testing/ops.h"
 #include "tensor/tensor.h"
 
 namespace fedcl::testing {

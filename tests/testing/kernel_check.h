@@ -1,6 +1,6 @@
 // Fast-vs-naive kernel checking helpers shared by tests.
 //
-// Each optimized kernel (blocked matmul, span-based im2col/col2im, the
+// Each optimized kernel (blocked matmul, span-based im2col, the
 // fused DP sanitizer and its counter Gaussian) is checked against a
 // deliberately naive reference: straight loops, double accumulation
 // where the reference is numerical, and the exact float order where the
@@ -153,41 +153,6 @@ inline Tensor naive_im2col(const Tensor& x, const ConvSpec& spec) {
     }
   }
   return cols;
-}
-
-// The original per-element col2im (adjoint scatter), same role.
-inline Tensor naive_col2im(const Tensor& cols, const ConvSpec& spec,
-                           std::int64_t n) {
-  const std::int64_t oh = spec.out_h(), ow = spec.out_w();
-  const std::int64_t patch = spec.patch_size();
-  Tensor x({n, spec.in_h, spec.in_w, spec.in_c});
-  const float* pc = cols.data();
-  float* px = x.data();
-  const std::int64_t hw_stride = spec.in_w * spec.in_c;
-  for (std::int64_t b = 0; b < n; ++b) {
-    float* img = px + b * spec.in_h * hw_stride;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t xo = 0; xo < ow; ++xo) {
-        const float* row = pc + ((b * oh + y) * ow + xo) * patch;
-        const std::int64_t ys = y * spec.stride - spec.pad;
-        const std::int64_t xs = xo * spec.stride - spec.pad;
-        std::int64_t k = 0;
-        for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-          const std::int64_t yy = ys + kh;
-          for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw) {
-            const std::int64_t xx = xs + kw;
-            if (yy >= 0 && yy < spec.in_h && xx >= 0 && xx < spec.in_w) {
-              float* dst = img + yy * hw_stride + xx * spec.in_c;
-              for (std::int64_t c = 0; c < spec.in_c; ++c) dst[c] += row[k++];
-            } else {
-              k += spec.in_c;
-            }
-          }
-        }
-      }
-    }
-  }
-  return x;
 }
 
 // Scalar reference of the counter Gaussian (common/philox.h), one

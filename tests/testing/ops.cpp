@@ -1,8 +1,201 @@
-#include "tensor/ops.h"
+#include "testing/ops.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.h"
+
+namespace fedcl::tensor {
+
+namespace {
+
+template <typename F>
+Tensor binary_op(const Tensor& a, const Tensor& b, const char* name, F f) {
+  FEDCL_CHECK(a.shape() == b.shape())
+      << name << ": shape mismatch " << shape_str(a.shape()) << " vs "
+      << shape_str(b.shape());
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < a.numel(); ++i) po[i] = f(pa[i], pb[i]);
+  return out;
+}
+
+template <typename F>
+Tensor unary_op(const Tensor& a, F f) {
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < a.numel(); ++i) po[i] = f(pa[i]);
+  return out;
+}
+
+}  // namespace
+
+Tensor add(const Tensor& a, const Tensor& b) {
+  return binary_op(a, b, "add", [](float x, float y) { return x + y; });
+}
+Tensor sub(const Tensor& a, const Tensor& b) {
+  return binary_op(a, b, "sub", [](float x, float y) { return x - y; });
+}
+Tensor mul(const Tensor& a, const Tensor& b) {
+  return binary_op(a, b, "mul", [](float x, float y) { return x * y; });
+}
+Tensor div(const Tensor& a, const Tensor& b) {
+  return binary_op(a, b, "div", [](float x, float y) { return x / y; });
+}
+Tensor neg(const Tensor& a) {
+  return unary_op(a, [](float x) { return -x; });
+}
+Tensor exp(const Tensor& a) {
+  return unary_op(a, [](float x) { return std::exp(x); });
+}
+Tensor log(const Tensor& a) {
+  return unary_op(a, [](float x) { return std::log(x); });
+}
+Tensor step_mask(const Tensor& a) {
+  return unary_op(a, [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
+}
+
+float dot(const Tensor& a, const Tensor& b) {
+  FEDCL_CHECK_EQ(a.numel(), b.numel());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  double s = 0.0;
+  for (std::int64_t i = 0; i < a.numel(); ++i)
+    s += static_cast<double>(pa[i]) * static_cast<double>(pb[i]);
+  return static_cast<float>(s);
+}
+
+Tensor row_sum(const Tensor& x) {
+  FEDCL_CHECK_EQ(x.ndim(), 2u);
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  Tensor out({n, 1});
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (std::int64_t j = 0; j < c; ++j) s += px[i * c + j];
+    po[i] = static_cast<float>(s);
+  }
+  return out;
+}
+
+Tensor row_max(const Tensor& x) {
+  FEDCL_CHECK_EQ(x.ndim(), 2u);
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  FEDCL_CHECK_GT(c, 0);
+  Tensor out({n, 1});
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float m = px[i * c];
+    for (std::int64_t j = 1; j < c; ++j) m = std::max(m, px[i * c + j]);
+    po[i] = m;
+  }
+  return out;
+}
+
+Tensor broadcast_col(const Tensor& x, std::int64_t c) {
+  FEDCL_CHECK_EQ(x.ndim(), 2u);
+  FEDCL_CHECK_EQ(x.dim(1), 1);
+  const std::int64_t n = x.dim(0);
+  Tensor out({n, c});
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t j = 0; j < c; ++j) po[i * c + j] = px[i];
+  return out;
+}
+
+Tensor broadcast_row(const Tensor& x, std::int64_t n) {
+  FEDCL_CHECK_EQ(x.ndim(), 1u);
+  const std::int64_t c = x.dim(0);
+  Tensor out({n, c});
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t j = 0; j < c; ++j) po[i * c + j] = px[j];
+  return out;
+}
+
+Tensor expand_scalar(const Tensor& x, const Shape& shape) {
+  FEDCL_CHECK_EQ(x.numel(), 1);
+  return Tensor::full(shape, x.item());
+}
+
+Tensor sum_all(const Tensor& x) { return Tensor::scalar(x.sum()); }
+
+Tensor pick(const Tensor& x, const std::vector<std::int64_t>& idx) {
+  FEDCL_CHECK_EQ(x.ndim(), 2u);
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  FEDCL_CHECK_EQ(static_cast<std::int64_t>(idx.size()), n);
+  Tensor out({n, 1});
+  const float* px = x.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    FEDCL_CHECK(idx[i] >= 0 && idx[i] < c) << "label " << idx[i];
+    po[i] = px[i * c + idx[i]];
+  }
+  return out;
+}
+
+Tensor scatter(const Tensor& s, const std::vector<std::int64_t>& idx,
+               std::int64_t c) {
+  FEDCL_CHECK_EQ(s.ndim(), 2u);
+  FEDCL_CHECK_EQ(s.dim(1), 1);
+  const std::int64_t n = s.dim(0);
+  FEDCL_CHECK_EQ(static_cast<std::int64_t>(idx.size()), n);
+  Tensor out({n, c});
+  const float* ps = s.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    FEDCL_CHECK(idx[i] >= 0 && idx[i] < c) << "label " << idx[i];
+    po[i * c + idx[i]] = ps[i];
+  }
+  return out;
+}
+
+Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::int64_t n) {
+  spec.validate();
+  FEDCL_CHECK_EQ(cols.ndim(), 2u);
+  const std::int64_t oh = spec.out_h(), ow = spec.out_w();
+  const std::int64_t patch = spec.patch_size();
+  FEDCL_CHECK_EQ(cols.dim(0), n * oh * ow);
+  FEDCL_CHECK_EQ(cols.dim(1), patch);
+  Tensor x({n, spec.in_h, spec.in_w, spec.in_c});
+  const float* pc = cols.data();
+  float* px = x.data();
+  const std::int64_t hw_stride = spec.in_w * spec.in_c;
+  for (std::int64_t b = 0; b < n; ++b) {
+    float* img = px + b * spec.in_h * hw_stride;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t xo = 0; xo < ow; ++xo) {
+        const float* row = pc + ((b * oh + y) * ow + xo) * patch;
+        const std::int64_t ys = y * spec.stride - spec.pad;
+        const std::int64_t xs = xo * spec.stride - spec.pad;
+        std::int64_t k = 0;
+        for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
+          const std::int64_t yy = ys + kh;
+          for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw) {
+            const std::int64_t xx = xs + kw;
+            if (yy >= 0 && yy < spec.in_h && xx >= 0 && xx < spec.in_w) {
+              float* dst = img + yy * hw_stride + xx * spec.in_c;
+              for (std::int64_t c = 0; c < spec.in_c; ++c) dst[c] += row[k++];
+            } else {
+              k += spec.in_c;
+            }
+          }
+        }
+      }
+    }
+  }
+  return x;
+}
+
+}  // namespace fedcl::tensor
 
 // Naming convention inside VJP lambdas: `g` is the upstream gradient of
 // the op's output. Each lambda returns one gradient per parent, in

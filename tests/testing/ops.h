@@ -1,16 +1,55 @@
-// Differentiable operations on Var.
+// Differentiable operations on Var, the test oracle's ops.
 //
 // Every op's VJP is itself written with these ops, so gradients are
 // differentiable graphs when backward(create_graph=true) is used.
-// Shape contracts mirror the raw tensor functions in tensor.h.
+// Shape contracts mirror the raw tensor functions in tensor.h and the
+// ones below, which only the oracle reaches.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "tensor/autograd.h"
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
+#include "testing/autograd.h"
+
+namespace fedcl::tensor {
+
+// ---- raw functions only the oracle's ops and their tests use ----
+Tensor add(const Tensor& a, const Tensor& b);
+Tensor sub(const Tensor& a, const Tensor& b);
+Tensor mul(const Tensor& a, const Tensor& b);
+Tensor div(const Tensor& a, const Tensor& b);
+Tensor neg(const Tensor& a);
+Tensor exp(const Tensor& a);
+Tensor log(const Tensor& a);
+// 1 where a > 0 else 0 (the ReLU mask).
+Tensor step_mask(const Tensor& a);
+// Sum of a * b accumulated in double.
+float dot(const Tensor& a, const Tensor& b);
+// x: [N,C] -> [N,1]
+Tensor row_sum(const Tensor& x);
+// x: [N,C] -> [N,1], maximum per row
+Tensor row_max(const Tensor& x);
+// x: [N,1] -> [N,C] (repeat each row value C times)
+Tensor broadcast_col(const Tensor& x, std::int64_t c);
+// x: [C] -> [N,C]
+Tensor broadcast_row(const Tensor& x, std::int64_t n);
+// x: [1] -> given shape (repeat scalar)
+Tensor expand_scalar(const Tensor& x, const Shape& shape);
+// all-elements sum -> [1]
+Tensor sum_all(const Tensor& x);
+// x: [N,C], idx: size-N labels -> [N,1] with x[i, idx[i]]
+Tensor pick(const Tensor& x, const std::vector<std::int64_t>& idx);
+// s: [N,1], idx -> [N,C] zeros with s[i] at column idx[i]
+Tensor scatter(const Tensor& s, const std::vector<std::int64_t>& idx,
+               std::int64_t c);
+// Adjoint of im2col: cols [N*OH*OW, KH*KW*C] -> [N, H, W, C], with
+// overlapping patches accumulated one element at a time in row order,
+// the order conv_input_grad's span scatter keeps.
+Tensor col2im(const Tensor& cols, const ConvSpec& spec, std::int64_t n);
+
+}  // namespace fedcl::tensor
 
 namespace fedcl::tensor::ops {
 
