@@ -1,8 +1,16 @@
 #include "nn/layer.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace fedcl::nn {
+
+std::vector<Tensor> Layer::take_parameters() {
+  FEDCL_CHECK(!taken_) << "layer " << name() << " is already in a model";
+  taken_ = true;
+  return std::exchange(params_, {});
+}
 
 Sequential& Sequential::add(std::shared_ptr<Layer> layer) {
   FEDCL_CHECK(layer != nullptr);

@@ -27,12 +27,16 @@ class Layer {
   virtual std::string name() const = 0;
 
   // Moves out the trainable parameters the constructor initialized, in
-  // a stable order; empty for stateless layers and after the first call.
-  // Sequential::add takes them over.
-  std::vector<Tensor> take_parameters() { return std::exchange(params_, {}); }
+  // a stable order (empty for stateless layers): Sequential::add takes
+  // them over. Throws fedcl::Error on a second call, so one layer cannot
+  // sit in two models, the second without its parameters.
+  std::vector<Tensor> take_parameters();
 
  protected:
   std::vector<Tensor> params_;
+
+ private:
+  bool taken_ = false;
 };
 
 // Parameter indices belonging to one clip group (one model layer m).

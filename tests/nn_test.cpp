@@ -176,6 +176,18 @@ TEST(Sequential, WeightsRoundTrip) {
   EXPECT_FLOAT_EQ(model.parameters()[0].at(0), 3.0f);
 }
 
+TEST(Sequential, RefusesALayerAlreadyInAModel) {
+  // The first model owns the layer's parameters; a second model holding
+  // the same layer would have none to run it with.
+  Rng rng(9);
+  auto layer = std::make_shared<Linear>(3, 2, rng);
+  Sequential first;
+  first.add(layer);
+  EXPECT_EQ(first.parameter_count(), 2u);
+  Sequential second;
+  EXPECT_THROW(second.add(layer), Error);
+}
+
 TEST(Sequential, EmptyForwardThrows) {
   Sequential model;
   EXPECT_THROW(forward(model, Tensor::ones({1, 2})), Error);
