@@ -85,7 +85,7 @@ Tensor forward(const Sequential& model, const Tensor& x);
 // gradient of the same forward (bitwise compute_gradients'), one tensor
 // per parameter in g's shapes. One tape forward and batch walk give g;
 // the pass then carries v forward as a tangent and walks two adjoints
-// back to x, about three batch gradients in all. The gradient-matching
+// back to x, two to three batch gradients in all. The gradient-matching
 // objective ||mask * (g - g*)||^2 has input gradient
 // grad_x <g, 2 mask * (g - g*)>. out_loss as in compute_gradients.
 Tensor input_grad_of_gradient_dot(
