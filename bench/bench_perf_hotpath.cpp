@@ -31,8 +31,8 @@
 // thread scaling — the one-write pass is parallel over element spans,
 // since counter-based noise needs no visit order, so it should scale
 // with cores — (b) fedcdp_floor_ratio.MLP, the one-thread Fed-CDP
-// round over the floor per-example noise allows (the non-private round
-// plus L * B * |params| draws at the noise-row kernel's throughput),
+// round over the floor its noise allows (the non-private round plus
+// L * |params| draws at the noise-row kernel's throughput),
 // and (c) the telemetry-on vs telemetry-off overhead of the
 // instrumented trainer round path (the number DESIGN.md §8 quotes).
 // The telemetry-on leg writes its own JSONL,
@@ -238,17 +238,19 @@ BatchGradRow time_batch_grad(const std::string& name, nn::Sequential& model,
   return row;
 }
 
-// Fed-CDP's noise floor for one client's local round. Per-example
-// noise is irreducible: a Fed-CDP round draws L * B * |params|
-// Gaussians, so it cannot beat the non-private round plus that many
-// draws at the noise-row kernel's throughput. Every leg runs on one
-// compute-pool worker, where nested pool loops run inline, so all
-// three are one-thread costs from the same run.
+// Fed-CDP's noise floor for one client's local round. The step
+// gradient's noise is one Gaussian per coordinate (the B examples'
+// draws summed into one, dp/fused_sanitize.h), so a Fed-CDP round
+// draws at least L * |params| Gaussians and cannot beat the
+// non-private round plus that many draws at the noise-row kernel's
+// throughput. Every leg runs on one compute-pool worker, where nested
+// pool loops run inline, so all three are one-thread costs from the
+// same run.
 struct NoiseFloor {
   double fedcdp_ms = 0.0;
   double non_private_ms = 0.0;
   double row_mfloats_per_s = 0.0;
-  double draws = 0.0;  // L * B * |params| per round
+  double draws = 0.0;  // L * |params| per round
 
   double floor_ms() const {
     return non_private_ms + draws / (row_mfloats_per_s * 1e3);
@@ -266,8 +268,9 @@ NoiseFloor measure_noise_floor(const fl::Client& client,
   constexpr int kReps = 21;
   const fl::LocalTrainConfig& train = client.config();
   NoiseFloor f;
-  f.draws = static_cast<double>(train.local_iterations * train.batch_size *
-                                tensor::list::total_numel(global_weights));
+  const auto numel =
+      static_cast<double>(tensor::list::total_numel(global_weights));
+  f.draws = static_cast<double>(train.local_iterations) * numel;
   auto median_ms = [&](const std::function<void(int)>& run) {
     run(-1);  // warmup
     std::vector<double> ms;
@@ -290,8 +293,8 @@ NoiseFloor measure_noise_floor(const fl::Client& client,
       .submit([&] {
         f.fedcdp_ms = round_ms(fed_cdp);
         f.non_private_ms = round_ms(non_private);
-        // One iteration's noise on the row kernel: B rows of every
-        // parameter's width, one key per example.
+        // The row kernel's throughput, timed over B rows of every
+        // parameter's width, one key per row.
         tensor::list::TensorList rows =
             tensor::list::zeros_like(global_weights);
         const double row_ms = median_ms([&](int r) {
@@ -305,9 +308,8 @@ NoiseFloor measure_noise_floor(const fl::Client& client,
             }
           }
         });
-        f.row_mfloats_per_s = f.draws /
-                              static_cast<double>(train.local_iterations) /
-                              row_ms / 1e3;
+        f.row_mfloats_per_s =
+            static_cast<double>(train.batch_size) * numel / row_ms / 1e3;
       })
       .get();
   return f;
@@ -455,8 +457,8 @@ int main(int argc, char** argv) {
       "what the batched engine replaces, batch rows the autograd graph "
       "the tape replaces for non-private and Fed-SDP. Non-private and Fed-SDP never take the "
       "per-example path, so their round rows hover around 1x. Fed-CDP "
-      "round time also pays for B x params Gaussian draws per iteration "
-      "(identical in both legs by design — the noise stream is "
+      "round time also pays for one Gaussian draw per parameter per "
+      "iteration (identical in both legs by design — the noise stream is "
       "bit-for-bit shared), which bounds the round-level ratio on models "
       "where noise dominates. Speedups grow with cores: the batched "
       "engine threads its matmuls and the trainer rounds run clients in "
@@ -692,8 +694,8 @@ int main(int argc, char** argv) {
                         ? sanitize_mfloats_4t / sanitize_mfloats_1t
                         : 0.0,
                     "higher", "ratio");
-  // How far the Fed-CDP round sits above what per-example noise
-  // allows; all three legs come from this run on one thread.
+  // How far the Fed-CDP round sits above what its noise allows; all
+  // three legs come from this run on one thread.
   bench::add_metric(doc, "fedcdp_floor_ratio.MLP", mlp_floor.ratio(),
                     "lower", "ratio");
   // Class "time": the overhead is a delta between two wall-clock

@@ -7,6 +7,9 @@
 // immediate. Scale comes from FEDCL_SCALE (see data/benchmarks.h).
 #pragma once
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -148,14 +151,34 @@ inline std::string bench_out_dir() {
   return ".";
 }
 
+// Exits 1 with one stderr line naming `dir` unless it is a directory
+// this process may create files in.
+inline void require_writable_dir(const std::string& dir) {
+  struct stat st;
+  int err = 0;
+  if (::stat(dir.c_str(), &st) != 0) {
+    err = errno;
+  } else if (!S_ISDIR(st.st_mode)) {
+    err = ENOTDIR;
+  } else if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    err = errno;
+  }
+  if (err == 0) return;
+  std::fprintf(stderr, "bench: cannot write to output directory '%s': %s\n",
+               dir.c_str(), std::strerror(err));
+  std::exit(1);
+}
+
 // Standard per-bench startup: records the command line in the run
-// manifest (common/run_info.h), resolves --bench-out / FEDCL_BENCH_DIR,
+// manifest (common/run_info.h), resolves --bench-out / FEDCL_BENCH_DIR
+// and refuses it before any work unless it is a writable directory,
 // and attaches --telemetry-out. Every bench main() starts with this.
 inline FlagParser init_bench(int argc, char** argv) {
   runinfo::set_command_line(argc, argv);
   FlagParser flags(argc, argv);
   const std::string out_dir = flags.get("bench-out", "");
   if (!out_dir.empty()) set_bench_out_dir(out_dir);
+  require_writable_dir(bench_out_dir());
   init_telemetry_from_flags(flags);
   return flags;
 }

@@ -93,8 +93,10 @@ dp::SanitizedBatch FedCdpPolicy::sanitize_per_example_batch(
     std::int64_t round, Rng& rng, std::optional<std::int64_t> observe) const {
   // Algorithm 2 lines 9-14 over a batch: every example's groups are
   // clipped to C(round) and noised with stddev sigma * C(round)
-  // (S <- C), inside the batch sum. One Philox key per example, drawn
-  // serially in example order, then the parallel one-write pass.
+  // (S <- C), inside the batch sum, where the examples' noise is one
+  // draw of the summed variance (dp/fused_sanitize.h). One Philox key
+  // per example, drawn serially in example order, then the parallel
+  // one-write pass.
   const double bound = schedule_.bound_at(round);
   const std::vector<double> norms = dp::batch_group_norms(grads, groups);
   count_clipped_groups(name(), norms, bound);

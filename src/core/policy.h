@@ -51,8 +51,11 @@ class PrivacyPolicy {
   // of the sanitized gradients (the step gradient) plus, when
   // `observe` names one, that example's sanitized gradient. Draws one
   // noise key per example from `rng`, in example order, so a B-example
-  // call adds up the same per-example bits as B one-example calls from
-  // the same stream. The default sanitizes nothing.
+  // call takes as much of the stream as B one-example calls, and its
+  // observed example is bitwise a one-example call on that example's
+  // key. The mean carries the B examples' noise in at most two draws
+  // (dp/fused_sanitize.h): the distribution of B per-example draws,
+  // not their bits. The default sanitizes nothing.
   virtual dp::SanitizedBatch sanitize_per_example_batch(
       const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
       std::int64_t round, Rng& rng,

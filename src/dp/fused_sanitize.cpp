@@ -287,15 +287,21 @@ double squared_norm(const PerExampleParam& param, std::int64_t batch,
   return sum_sq(param.a.data() + j * in, in) * delta_sq;
 }
 
-// Draws per work unit below which a call stays on fewer threads: a
-// pool hand-off costs microseconds, as much as ~10k Gaussians.
+// Work per chunk below which a call stays on fewer threads, counted in
+// Gaussian draws: a pool hand-off costs microseconds, as much as ~10k
+// of them. A noise-free row costs about 1/kScaledPerDraw of a noised
+// one (1/6 to 1/9 from factors, 1/11 to 1/16 from rows; Release, one
+// thread).
 constexpr std::int64_t kMinDrawsPerChunk = std::int64_t{1} << 14;
+constexpr std::int64_t kScaledPerDraw = 8;
 
 // The one write (see the header): mean[p] = (1/B) sum_j y_jp with
-// y_jp = v * scales[j * P + p] + stddevs[j] * z, examples added in
-// order from 0. Work units are kStep-element spans of one parameter,
-// numbered across parameters; a unit runs every example, so each
-// element's sum keeps its order whatever the split.
+// y_jp = v * scales[j * P + p] + draws[j] * z, examples added in
+// order from 0, where at most two examples draw: the observed one at
+// its own stddev, and the last other one at the root of the summed
+// variances of all others. Work units are kStep-element spans of one
+// parameter, numbered across parameters; a unit runs every example,
+// so each element's sum keeps its order whatever the split.
 SanitizedBatch one_write(const PerExampleGrads& grads,
                          const std::vector<float>& scales,
                          const std::vector<double>& stddevs,
@@ -316,9 +322,30 @@ SanitizedBatch one_write(const PerExampleGrads& grads,
     const std::int64_t numel = out.mean.back().numel();
     first_unit[p + 1] = first_unit[p] + (numel + kStep - 1) / kStep;
   }
+  // A sum of independent N(0, s_j^2) is N(0, sum_j s_j^2), so the
+  // examples other than the observed one share one draw.
+  std::vector<double> draws(static_cast<std::size_t>(batch), 0.0);
+  double rest_var = 0.0;
+  std::int64_t last = -1;
+  for (std::int64_t j = 0; j < batch; ++j) {
+    const auto ju = static_cast<std::size_t>(j);
+    if (observe == j) {
+      draws[ju] = stddevs[ju];
+    } else {
+      rest_var += stddevs[ju] * stddevs[ju];
+      last = j;
+    }
+  }
+  if (last >= 0) draws[static_cast<std::size_t>(last)] = std::sqrt(rest_var);
+  const auto noised = static_cast<std::int64_t>(std::count_if(
+      draws.begin(), draws.end(), [](double s) { return s != 0.0; }));
+  // A unit's work in 1/kScaledPerDraw draws: kStep elements of every
+  // row, the noised ones at full cost.
+  const std::int64_t unit_work =
+      kStep * (kScaledPerDraw * noised + batch - noised);
   const float inv = 1.0f / static_cast<float>(batch);
-  const auto grain = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, kMinDrawsPerChunk / (kStep * batch)));
+  const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, kMinDrawsPerChunk * kScaledPerDraw / unit_work));
   ThreadPool& pl = pool != nullptr ? *pool : compute_pool();
   pl.parallel_for_chunks(
       static_cast<std::size_t>(first_unit[params]), grain,
@@ -338,10 +365,10 @@ SanitizedBatch one_write(const PerExampleGrads& grads,
             float* obs = observe == j ? out.observed[p].data() : nullptr;
             const auto ju = static_cast<std::size_t>(j);
             const float scale = scales[ju * params + p];
-            if (stddevs[ju] == 0.0) {
+            if (draws[ju] == 0.0) {
               scale_range(src, lo, hi, scale, acc, obs);
             } else {
-              noise_range(src, lo, hi, scale, static_cast<float>(stddevs[ju]),
+              noise_range(src, lo, hi, scale, static_cast<float>(draws[ju]),
                           keys[ju], static_cast<std::uint64_t>(p), acc, obs);
             }
           }

@@ -17,17 +17,29 @@
 //      norms add up, and the sqrt comes last.
 //   2. batch_scale_noise — the one write. Per element it forms example
 //      j's value v (float(a_r * delta_c) from factors, or the row's
-//      element), then y = float(float(v * s_j) + float(stddev_j * z))
-//      with z example j's counter Gaussian (common/philox.h), and adds
-//      y into the batch mean, examples in order from 0; the mean is
-//      then multiplied by 1/B. Noise is generated two 64-element
-//      chunks per step and never materialized.
+//      element), then y = float(v * s_j), plus float(d_j * z) with z
+//      example j's counter Gaussian (common/philox.h) on the rows
+//      that draw, and adds y into the batch mean, examples in order
+//      from 0; the mean is then multiplied by 1/B. Noise is generated
+//      two 64-element chunks per step and never materialized.
+//
+// Algorithm 2 noises each of the B clipped gradients with
+// N(0, stddev_j^2) and averages them. A sum of independent Gaussians
+// is one Gaussian with the summed variance, so at most two rows draw:
+// the observed example o at d_o = stddev_o, the row the type-2 probe
+// reads, and the last other example at d = sqrt(sum_{j != o}
+// stddev_j^2), the noise of all the others in one draw. The released
+// mean has the distribution of B per-example draws, and (observed,
+// mean) jointly too, from |params| or 2 |params| draws instead of
+// B |params|. A probed call's mean therefore differs in bits from an
+// unprobed one's. One example (Fed-SDP's update, B = 1) draws
+// sqrt(stddev^2) = stddev on its own key, as before.
 //
 // Noise element i of parameter p for example j is a pure function of
 // (keys[j], p, i), so results are bitwise independent of pool size and
-// visit order. At equal norms the mean equals scaling and noising each
-// example's rows in place and then averaging them in example order,
-// bit for bit.
+// visit order. With no noise the mean equals scaling each example's
+// rows in place and then averaging them in example order, bit for
+// bit.
 //
 // fused_sanitize.cpp is compiled with -ffp-contract=off (see
 // src/dp/CMakeLists.txt), so every ISA variant of the noise kernel and
@@ -85,8 +97,10 @@ std::vector<double> batch_group_norms(
     ThreadPool* pool = nullptr);
 
 // Example j's groups whose norm exceeds bounds[j] are scaled by
-// float(bounds[j] / norm); stddevs[j] == 0 adds no noise. `observe`
-// names the example whose sanitized gradient comes back in `observed`.
+// float(bounds[j] / norm); stddevs[j] is the stddev of example j's
+// share of the mean's noise (see the top of this file), 0 for none.
+// `observe` names the example whose sanitized gradient, noised on its
+// own key at its own stddev, comes back in `observed`.
 SanitizedBatch batch_scale_noise(
     const tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
     const std::vector<double>& norms, const std::vector<double>& bounds,

@@ -68,8 +68,11 @@ ClientRoundOutcome Client::run_round(nn::Sequential& model,
     TensorList step_grad;
     if (policy.needs_per_example_gradients()) {
       // Algorithm 2 lines 6-14: one batched forward/backward yields
-      // every example's gradient, then per-layer clip + per-example
-      // noise + the 1/B batch average in one pass.
+      // every example's gradient, then per-layer clip + the examples'
+      // noise + the 1/B batch average in one pass. The noise of the
+      // examples a probe does not observe is one draw per coordinate
+      // (dp/fused_sanitize.h), so a probed iteration's step has the
+      // distribution of an unprobed one but not its bits.
       const tensor::list::PerExampleGrads grads =
           nn::compute_per_example_gradients(model, batch.x, batch.labels);
       if (l == 0) {

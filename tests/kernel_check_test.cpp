@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,7 @@ using testing::naive_matmul_nt;
 using testing::naive_matmul_tn;
 using testing::reference_group_norms;
 using testing::reference_normal;
+using testing::reference_one_draw_mean;
 using testing::reference_radius;
 using testing::reference_row_mean;
 using testing::reference_sanitized_rows;
@@ -438,13 +440,17 @@ TEST(KernelCheck, FactorNormsMatchMaterializedProduct) {
 }
 
 TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
-  // The one-write mean against the row path it replaced, at equal norms
-  // and keys: every example multiplied out into rows, clipped and
-  // noised in place with the scalar reference normal, then averaged in
-  // example order. Bit for bit, over a factored weight, its shared-delta
-  // bias and row-form Conv params, B in {1, 3, 8}, pools of 1, 2 and 8
-  // threads, with and without noise. The last example's sanitized
-  // gradient comes back alongside, bitwise its reference rows.
+  // The one-write mean against straight loops at equal norms and keys:
+  // every example multiplied out into rows, clipped and noised in place
+  // with the scalar reference normal, then averaged in example order.
+  // With no noise that is the row path the pass replaced. With noise
+  // the examples other than the observed one draw once, on the last
+  // one's key, at the root of their summed variance
+  // (reference_one_draw_mean). Bit for bit, over a factored weight, its
+  // shared-delta bias and row-form Conv params, B in {1, 3, 8}, pools of
+  // 1, 2 and 8 threads, unobserved and observing the first or the last
+  // example; the observed example's sanitized gradient is bitwise its
+  // per-example reference row.
   for (std::int64_t batch : {1, 3, 8}) {
     const PerExampleGrads grads = sample_grads(batch, 42, /*wide=*/true);
     const std::vector<double> norms =
@@ -456,17 +462,32 @@ TEST(KernelCheck, FusedSanitizeMatchesNaiveReference) {
                                         stddev);
       const std::vector<TensorList> rows = reference_sanitized_rows(
           grads, kSampleGroups, norms, bounds, stddevs, keys);
-      const TensorList mean = reference_row_mean(rows);
-      for (std::size_t threads : {1, 2, 8}) {
-        SCOPED_TRACE("batch " + std::to_string(batch) + " stddev " +
-                     std::to_string(stddev) + " threads " +
-                     std::to_string(threads));
-        ThreadPool pool(threads);
-        const dp::SanitizedBatch out =
-            dp::batch_scale_noise(grads, kSampleGroups, norms, bounds,
-                                  stddevs, keys, &pool, batch - 1);
-        testing::expect_bitwise_equal(out.mean, mean, "mean");
-        testing::expect_bitwise_equal(out.observed, rows.back(), "observed");
+      for (const std::optional<std::int64_t> observe :
+           {std::optional<std::int64_t>(), std::optional<std::int64_t>(0),
+            std::optional<std::int64_t>(batch - 1)}) {
+        const TensorList mean =
+            stddev == 0.0
+                ? reference_row_mean(rows)
+                : reference_one_draw_mean(grads, kSampleGroups, norms, bounds,
+                                          stddevs, keys, observe);
+        for (std::size_t threads : {1, 2, 8}) {
+          SCOPED_TRACE("batch " + std::to_string(batch) + " stddev " +
+                       std::to_string(stddev) + " observe " +
+                       (observe ? std::to_string(*observe) : "none") +
+                       " threads " + std::to_string(threads));
+          ThreadPool pool(threads);
+          const dp::SanitizedBatch out =
+              dp::batch_scale_noise(grads, kSampleGroups, norms, bounds,
+                                    stddevs, keys, &pool, observe);
+          testing::expect_bitwise_equal(out.mean, mean, "mean");
+          if (observe) {
+            testing::expect_bitwise_equal(
+                out.observed, rows[static_cast<std::size_t>(*observe)],
+                "observed");
+          } else {
+            EXPECT_TRUE(out.observed.empty());
+          }
+        }
       }
     }
   }
@@ -619,20 +640,19 @@ TEST(PhiloxNoise, IndependentOfVisitOrder) {
   EXPECT_NE(fill[0], noise_fill(0xDEADBEF0u, 3, 1)[0]);
 }
 
-TEST(PhiloxNoise, MomentsAreSane) {
-  // First four moments of 2^22 draws against N(0, 1), each within five
-  // standard errors (sqrt(1/n), sqrt(2/n), sqrt(6/n), sqrt(24/n)).
-  const std::int64_t n = std::int64_t{1} << 22;
-  const std::vector<float> z = noise_fill(31337, 0, n);
+// First four moments of the samples z against N(0, 1), each within
+// five standard errors (sqrt(1/n), sqrt(2/n), sqrt(6/n), sqrt(24/n)).
+template <typename T>
+void expect_standard_normal_moments(const std::vector<T>& z) {
   double m1 = 0.0, m2 = 0.0, m3 = 0.0, m4 = 0.0;
-  for (float v : z) {
+  for (T v : z) {
     const double x = v;
     m1 += x;
     m2 += x * x;
     m3 += x * x * x;
     m4 += x * x * x * x;
   }
-  const double dn = static_cast<double>(n);
+  const double dn = static_cast<double>(z.size());
   m1 /= dn;
   m2 /= dn;
   m3 /= dn;
@@ -649,21 +669,29 @@ TEST(PhiloxNoise, MomentsAreSane) {
   EXPECT_NEAR(kurt, 3.0, 5.0 * std::sqrt(24.0 / dn));
 }
 
-TEST(PhiloxNoise, KolmogorovSmirnovAgainstStandardNormal) {
-  const std::int64_t n = std::int64_t{1} << 22;
-  std::vector<float> z = noise_fill(4242, 1, n);
+// Kolmogorov-Smirnov distance of the samples z from N(0, 1) below its
+// critical value at alpha = 0.001, 1.95 / sqrt(n).
+template <typename T>
+void expect_standard_normal_ks(std::vector<T> z) {
   std::sort(z.begin(), z.end());
   double d = 0.0;
-  const double dn = static_cast<double>(n);
-  for (std::int64_t i = 0; i < n; ++i) {
+  const double dn = static_cast<double>(z.size());
+  for (std::size_t i = 0; i < z.size(); ++i) {
     const double cdf =
-        0.5 * std::erfc(-static_cast<double>(z[static_cast<std::size_t>(i)]) /
-                        std::sqrt(2.0));
+        0.5 * std::erfc(-static_cast<double>(z[i]) / std::sqrt(2.0));
     d = std::max({d, static_cast<double>(i + 1) / dn - cdf,
                   cdf - static_cast<double>(i) / dn});
   }
-  // Critical value at alpha = 0.001: 1.95 / sqrt(n).
   EXPECT_LT(d, 1.95 / std::sqrt(dn));
+}
+
+TEST(PhiloxNoise, MomentsAreSane) {
+  expect_standard_normal_moments(
+      noise_fill(31337, 0, std::int64_t{1} << 22));
+}
+
+TEST(PhiloxNoise, KolmogorovSmirnovAgainstStandardNormal) {
+  expect_standard_normal_ks(noise_fill(4242, 1, std::int64_t{1} << 22));
 }
 
 TEST(PhiloxNoise, TailReachAndRadialAccuracy) {
@@ -741,6 +769,59 @@ TEST(PhiloxNoise, EveryExampleRowCarriesItsOwnNoise) {
         << "example " << j;
     EXPECT_NEAR(cross / n / var, 0.0, 5.0 * std::sqrt(1.0 / n))
         << "examples " << j << " and " << (j + 1) % batch;
+  }
+}
+
+TEST(PhiloxNoise, MeanNoiseHasTheDistributionOfPerExampleDraws) {
+  // Algorithm 2 averages B clipped gradients, each noised with
+  // N(0, sigma^2 C^2), so the step gradient's noise has stddev
+  // sigma C / sqrt(B), and the example a type-2 probe observes
+  // covaries with it at sigma^2 C^2 / B. The sanitizer draws the
+  // noise of every unobserved example once; on zero gradients, through
+  // the Fed-CDP hook, at B in {1, 3, 5, 32}, unprobed and probed, the
+  // mean's noise must still have both: its first four moments within
+  // five standard errors of N(0, sigma^2 C^2 / B), a KS distance below
+  // the alpha = 0.001 critical value, and the covariance within five
+  // standard errors (sqrt((B + 1) / n) relative).
+  const double clip = 3.0, sigma = 0.5;
+  const double var = sigma * sigma * clip * clip;
+  const core::FedCdpPolicy policy(clip, sigma);
+  const std::int64_t in = 512, out = 512;
+  for (const std::int64_t batch : {1, 3, 5, 32}) {
+    PerExampleGrads grads;
+    grads.batch = batch;
+    grads.shapes = {{in, out}};
+    grads.params.resize(1);
+    grads.params[0].a = Tensor({batch, in});
+    grads.params[0].delta = Tensor({batch, out});
+    for (const std::optional<std::int64_t> observe :
+         {std::optional<std::int64_t>(),
+          std::optional<std::int64_t>(batch / 2)}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) +
+                   (observe ? " observed" : " unobserved"));
+      Rng rng(7000 + static_cast<std::uint64_t>(batch));
+      const dp::SanitizedBatch s = policy.sanitize_per_example_batch(
+          grads, {{0}}, /*round=*/0, rng, observe);
+      const Tensor& mean = s.mean[0];
+      const auto n = static_cast<std::size_t>(mean.numel());
+      const double dn = static_cast<double>(n);
+      const double mean_sd = std::sqrt(var / static_cast<double>(batch));
+      std::vector<double> z(n);
+      for (std::size_t i = 0; i < n; ++i)
+        z[i] = mean.at(static_cast<std::int64_t>(i)) / mean_sd;
+      expect_standard_normal_moments(z);
+      expect_standard_normal_ks(std::move(z));
+      if (observe) {
+        const Tensor& seen = s.observed[0];
+        double cross = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto at = static_cast<std::int64_t>(i);
+          cross += static_cast<double>(seen.at(at)) * mean.at(at);
+        }
+        EXPECT_NEAR(cross / dn / (var / static_cast<double>(batch)), 1.0,
+                    5.0 * std::sqrt(static_cast<double>(batch + 1) / dn));
+      }
+    }
   }
 }
 

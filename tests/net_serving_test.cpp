@@ -493,10 +493,12 @@ TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {
   cases[1].name = "eval every round";
   cases[1].options.eval_every = 1;
   // Fed-CDP's noise dominates these updates, so their norms concentrate
-  // (8.9-9.2 here): a cap of 9.09 rejects about half of them, and the
-  // reduced tier must carry the rounds that survive.
+  // (9.0-9.2 here): a cap of 9.16 rejects a third of them, and the
+  // reduced tier must carry the rounds that survive. Caps in
+  // [9.105, 9.21) do both; a change to the update's bits may move that
+  // band.
   cases[2].name = "screened, reduced quorum, momentum, pruned";
-  cases[2].options.screening.max_update_norm = 9.09;
+  cases[2].options.screening.max_update_norm = 9.16;
   cases[2].options.min_reporting = d.clients_per_round;
   cases[2].options.reduced_min_reporting = 2;
   cases[2].options.server_momentum = 0.5;

@@ -353,11 +353,15 @@ TEST(PerExampleEngine, ForwardLogitsMatchOracleBitwise) {
 }
 
 TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
-  // One hook call on B = 8 examples must add up the same bits as eight
-  // calls on one-example slices of the same factors from the same
-  // stream, averaged in example order: every example draws its one
-  // noise key in example order, and both sides take clip norms from
-  // the same factors.
+  // One hook call on B = 8 examples against eight calls on one-example
+  // slices of the same factors from the same stream, averaged in
+  // example order. Every example draws its one noise key in example
+  // order, so both sides take the same stream, and example 0 observed
+  // is bitwise its slice's sanitize. Without noise the means are
+  // bitwise equal too, since both sides take clip norms from the same
+  // factors; with noise the batched mean draws the unobserved
+  // examples' noise once, so it matches the loop in distribution only
+  // (PhiloxNoise.MeanNoiseHasTheDistributionOfPerExampleDraws).
   Rng rng(42);
   auto model = nn::build_model(mlp_spec(), rng);
   Tensor x = Tensor::randn({8, 20}, rng);
@@ -377,35 +381,39 @@ TEST(PerExamplePolicy, BatchedSanitizeMatchesExampleLoopBitwise) {
     ASSERT_GT(*hi, bound);
   }
 
-  const std::unique_ptr<core::FedCdpPolicy> policies[] = {
-      core::make_fed_cdp(2.0, 1.3),
-      core::make_fed_cdp_decay(7, 4.0, 2.0, 1.3)};
-  for (const auto& policy : policies) {
-    SCOPED_TRACE(policy->name());
-    Rng noise_a(2024);
-    const dp::SanitizedBatch batched = policy->sanitize_per_example_batch(
-        raw, groups, round, noise_a, /*observe=*/0);
+  for (const double sigma : {0.0, 1.3}) {
+    const std::unique_ptr<core::FedCdpPolicy> policies[] = {
+        core::make_fed_cdp(2.0, sigma),
+        core::make_fed_cdp_decay(7, 4.0, 2.0, sigma)};
+    for (const auto& policy : policies) {
+      SCOPED_TRACE(policy->name() + " sigma " + std::to_string(sigma));
+      Rng noise_a(2024);
+      const dp::SanitizedBatch batched = policy->sanitize_per_example_batch(
+          raw, groups, round, noise_a, /*observe=*/0);
 
-    TensorList looped;
-    TensorList first;
-    Rng noise_b(2024);
-    for (std::int64_t j = 0; j < raw.batch; ++j) {
-      TensorList y = policy
-                         ->sanitize_per_example_batch(
-                             testing::slice_example(raw, j), groups, round,
-                             noise_b, /*observe=*/0)
-                         .observed;
-      if (j == 0) {
-        first = tensor::list::clone(y);
-        looped = tensor::list::zeros_like(y);
+      TensorList looped;
+      TensorList first;
+      Rng noise_b(2024);
+      for (std::int64_t j = 0; j < raw.batch; ++j) {
+        TensorList y = policy
+                           ->sanitize_per_example_batch(
+                               testing::slice_example(raw, j), groups, round,
+                               noise_b, /*observe=*/0)
+                           .observed;
+        if (j == 0) {
+          first = tensor::list::clone(y);
+          looped = tensor::list::zeros_like(y);
+        }
+        tensor::list::add_(looped, y);
       }
-      tensor::list::add_(looped, y);
-    }
-    tensor::list::scale_(looped, 1.0f / static_cast<float>(raw.batch));
+      tensor::list::scale_(looped, 1.0f / static_cast<float>(raw.batch));
 
-    testing::expect_bitwise_equal(batched.mean, looped, "mean");
-    testing::expect_bitwise_equal(batched.observed, first, "example 0");
-    EXPECT_EQ(noise_a.next_u64(), noise_b.next_u64());
+      if (sigma == 0.0) {
+        testing::expect_bitwise_equal(batched.mean, looped, "mean");
+      }
+      testing::expect_bitwise_equal(batched.observed, first, "example 0");
+      EXPECT_EQ(noise_a.next_u64(), noise_b.next_u64());
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,7 +295,10 @@ inline std::vector<double> reference_group_norms(
 // gradient multiplied out into rows (example(j)), each group whose
 // norm exceeds bounds[j] scaled by float(bounds[j] / norm), then noised
 // in place, d = d * scale + stddev * z with the scalar reference
-// normal; stddev 0 only scales.
+// normal; stddev 0 only scales. Row j is what the pass returns when it
+// observes example j. With no noise the rows' mean is the pass's mean;
+// with noise it is Algorithm 2's mean of B per-example draws, which
+// the pass matches in distribution only (reference_one_draw_mean).
 inline std::vector<TensorList> reference_sanitized_rows(
     const PerExampleGrads& grads,
     const std::vector<std::vector<std::size_t>>& groups,
@@ -346,6 +350,36 @@ inline TensorList reference_row_mean(const std::vector<TensorList>& rows) {
     for (std::int64_t i = 0; i < t.numel(); ++i) t.at(i) *= inv;
   }
   return mean;
+}
+
+// The mean the one-write pass releases (dp/fused_sanitize.h), from the
+// scalar pieces above: the noise of every example but `observe` drawn
+// once, on the last such example's row and key at
+// sqrt(sum_{j != observe} stddevs[j]^2) (summed in example order, in
+// double), the observed example's on its own row and key at its own
+// stddev, no other row noised; then the row path's mean.
+inline TensorList reference_one_draw_mean(
+    const PerExampleGrads& grads,
+    const std::vector<std::vector<std::size_t>>& groups,
+    const std::vector<double>& norms, const std::vector<double>& bounds,
+    const std::vector<double>& stddevs,
+    const std::vector<std::uint64_t>& keys,
+    std::optional<std::int64_t> observe) {
+  std::vector<double> draws(stddevs.size(), 0.0);
+  double rest_var = 0.0;
+  std::int64_t last = -1;
+  for (std::int64_t j = 0; j < grads.batch; ++j) {
+    const auto ju = static_cast<std::size_t>(j);
+    if (observe == j) {
+      draws[ju] = stddevs[ju];
+    } else {
+      rest_var += stddevs[ju] * stddevs[ju];
+      last = j;
+    }
+  }
+  if (last >= 0) draws[static_cast<std::size_t>(last)] = std::sqrt(rest_var);
+  return reference_row_mean(
+      reference_sanitized_rows(grads, groups, norms, bounds, draws, keys));
 }
 
 // Bitwise equality of two TensorLists (memcmp per tensor).
