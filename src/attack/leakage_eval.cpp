@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "common/thread_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/client.h"
@@ -16,10 +17,6 @@
 namespace fedcl::attack {
 
 namespace {
-
-void accumulate(LeakageOutcome& outcome, AttackResult result) {
-  outcome.per_client.push_back(std::move(result));
-}
 
 // Per-client reconstruction quality into the global registry: the RMSE
 // series is the telemetry face of the paper's attack-success metric
@@ -73,9 +70,8 @@ LeakageReport evaluate_leakage(const LeakageExperimentConfig& config,
   std::vector<data::ClientData> shards =
       data::partition(train, part, part_rng);
 
-  std::shared_ptr<nn::Sequential> model =
-      nn::build_model(config.bench.model, model_rng);
-  const TensorList global_weights = model->weights();
+  const TensorList global_weights =
+      nn::build_model(config.bench.model, model_rng)->weights();
 
   // The paper attacks gradients from the first local iteration, so the
   // observed round update is produced with L=1 and maps back to the
@@ -84,11 +80,22 @@ LeakageReport evaluate_leakage(const LeakageExperimentConfig& config,
                              .batch_size = config.bench.batch_size,
                              .learning_rate = config.bench.learning_rate};
 
+  // One client per pool index. Each index trains and attacks on a model
+  // of its own, so indices share only read-only inputs, and the kernels
+  // inside one run inline on its thread: the attacks are the same
+  // computations as in a serial loop, whatever the pool size.
+  const auto n = static_cast<std::size_t>(config.clients);
   LeakageReport report;
-  for (std::int64_t ci = 0; ci < config.clients; ++ci) {
-    fl::Client client(ci, shards[static_cast<std::size_t>(ci)], local);
+  report.type01.per_client.resize(n);
+  report.type2.per_client.resize(n);
+  compute_pool().parallel_for(n, [&](std::size_t i) {
+    const auto ci = static_cast<std::int64_t>(i);
+    Rng scratch_rng = root.fork("scratch-model", i);
+    std::shared_ptr<nn::Sequential> model =
+        nn::build_model(config.bench.model, scratch_rng);
+    fl::Client client(ci, shards[i], local);
     fl::LeakageProbe probe;
-    Rng crng = root.fork("round", static_cast<std::uint64_t>(ci));
+    Rng crng = root.fork("round", i);
     fl::ClientRoundOutcome outcome = client.run_round(
         *model, global_weights, policy, /*round=*/0, crng, &probe);
     FEDCL_CHECK(probe.captured);
@@ -100,7 +107,7 @@ LeakageReport evaluate_leakage(const LeakageExperimentConfig& config,
     model->set_weights(global_weights);
 
     AttackConfig attack_cfg = config.attack;
-    attack_cfg.seed = config.attack.seed + static_cast<std::uint64_t>(ci);
+    attack_cfg.seed = config.attack.seed + i;
     GradientReconstructionAttack attacker(model, attack_cfg);
 
     // ---- type-0/1: shared round update -> batched gradient ----
@@ -108,18 +115,21 @@ LeakageReport evaluate_leakage(const LeakageExperimentConfig& config,
     tensor::list::scale_(
         observed01,
         static_cast<float>(-1.0 / config.bench.learning_rate));
-    AttackResult result01 =
+    report.type01.per_client[i] =
         attacker.run(observed01, probe.first_batch.x.shape(),
                      probe.first_batch.labels, probe.first_batch.x);
-    record_attack("type01", policy.name(), ci, result01);
-    accumulate(report.type01, std::move(result01));
 
     // ---- type-2: per-example gradient during local training ----
-    AttackResult result2 = attacker.run(
+    report.type2.per_client[i] = attacker.run(
         probe.type2_observed, probe.type2_example.x.shape(),
         probe.type2_example.labels, probe.type2_example.x);
-    record_attack("type2", policy.name(), ci, result2);
-    accumulate(report.type2, std::move(result2));
+  });
+
+  // Telemetry in client order, as a serial loop records it.
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ci = static_cast<std::int64_t>(i);
+    record_attack("type01", policy.name(), ci, report.type01.per_client[i]);
+    record_attack("type2", policy.name(), ci, report.type2.per_client[i]);
   }
   finalize(report.type01);
   finalize(report.type2);

@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <utility>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -9,19 +12,63 @@ namespace fedcl {
 
 namespace {
 
-// Worker threads mark the pool they belong to so parallel_for can
-// detect nested calls and run inline instead of deadlocking on a full
-// queue.
+// The pool the calling thread is inside: set for a worker's lifetime
+// and for a caller while it runs indices of its own job, so
+// parallel_for can detect nested calls and run them inline instead of
+// publishing.
 thread_local const ThreadPool* t_current_pool = nullptr;
 
 }  // namespace
+
+// One parallel_for call, on its caller's stack. fn and n are fixed
+// before the record is published and indices are claimed through
+// `next` without a lock; done, joined and first are guarded by the
+// pool's mutex_. The caller returns only once finished(): a worker
+// that took the pointer must be gone before the frame is.
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t)>& f, std::size_t count)
+      : fn(f), n(count) {}
+
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};
+  std::size_t done = 0;    // indices run, booked by each thread as it leaves
+  std::size_t joined = 0;  // workers holding a pointer to this record
+  std::exception_ptr first;
+
+  bool exhausted() const { return next.load(std::memory_order_relaxed) >= n; }
+  bool finished() const { return done == n && joined == 0; }
+
+  // Claims and runs indices until none is left unclaimed. Returns how
+  // many this thread ran; the first exception among them lands in err.
+  std::size_t run(std::exception_ptr& err) {
+    std::size_t ran = 0;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!err) err = std::current_exception();
+      }
+      ++ran;
+    }
+    return ran;
+  }
+
+  void book(std::size_t ran, std::exception_ptr err) {
+    done += ran;
+    if (err && !first) first = std::move(err);
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
+  size_ = n_threads;
+  const std::size_t n_workers = std::max<std::size_t>(1, n_threads - 1);
+  workers_.reserve(n_workers);
+  for (std::size_t i = 0; i < n_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -31,7 +78,7 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -43,9 +90,9 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FEDCL_CHECK(!stop_) << "submit on stopped pool";
-    queue_.push(std::move(packaged));
+    tasks_.push(std::move(packaged));
   }
-  cv_.notify_one();
+  work_cv_.notify_one();
   return fut;
 }
 
@@ -57,38 +104,29 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
 
-  // Shared completion state instead of per-task futures: the caller
-  // must not return (and release `fn` and the captures inside it)
-  // until *every* task has finished, even when several throw
-  // concurrently. The first exception to complete is kept under the
-  // mutex and rethrown after the barrier; later ones are discarded
-  // deliberately rather than racing on a single slot.
-  struct State {
-    std::mutex m;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr first;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = n;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([state, &fn, i] {
-      std::exception_ptr err;
-      try {
-        fn(i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->m);
-      if (err && !state->first) state->first = err;
-      if (--state->remaining == 0) state->done.notify_all();
-    });
+  Job job(fn, n);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs_.push_back(&job);
   }
+  // The caller takes one index itself; wake a worker for each other.
+  const std::size_t wake = std::min(n - 1, workers_.size());
+  for (std::size_t w = 0; w < wake; ++w) work_cv_.notify_one();
 
-  std::unique_lock<std::mutex> lock(state->m);
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  if (state->first) std::rethrow_exception(state->first);
+  const ThreadPool* outer = std::exchange(t_current_pool, this);
+  std::exception_ptr err;
+  const std::size_t ran = job.run(err);
+  t_current_pool = outer;
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  job.book(ran, std::move(err));
+  // Off the deque, the record can gain no worker; wait for those that
+  // joined it to leave.
+  const auto it = std::find(jobs_.begin(), jobs_.end(), &job);
+  if (it != jobs_.end()) jobs_.erase(it);
+  done_cv_.wait(lock, [&] { return job.finished(); });
+  lock.unlock();
+  if (job.first) std::rethrow_exception(job.first);
 }
 
 void ThreadPool::parallel_for_chunks(
@@ -108,16 +146,33 @@ void ThreadPool::parallel_for_chunks(
 
 void ThreadPool::worker_loop() {
   t_current_pool = this;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
+    work_cv_.wait(lock, [this] {
+      return stop_ || !jobs_.empty() || !tasks_.empty();
+    });
+    // A record whose indices are all claimed leaves the deque here or
+    // in its caller; the caller waits on done_cv_, not on the deque.
+    while (!jobs_.empty() && jobs_.front()->exhausted()) jobs_.pop_front();
+    if (!jobs_.empty()) {
+      Job& job = *jobs_.front();
+      ++job.joined;
+      lock.unlock();
+      std::exception_ptr err;
+      const std::size_t ran = job.run(err);
+      lock.lock();
+      job.book(ran, std::move(err));
+      --job.joined;
+      if (job.finished()) done_cv_.notify_all();
+    } else if (!tasks_.empty()) {
+      std::packaged_task<void()> task = std::move(tasks_.front());
+      tasks_.pop();
+      lock.unlock();
+      task();
+      lock.lock();
+    } else if (stop_) {
+      return;
     }
-    task();
   }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -212,6 +215,19 @@ TEST(Table, Fmt) {
   EXPECT_EQ(AsciiTable::fmt(1.23456, 3), "1.235");
 }
 
+// Counts the calling thread in and waits, at most 10 s, until `count`
+// threads have arrived. Returns whether they all did.
+bool arrive_and_wait(std::atomic<int>& arrived, int count) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < count) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -269,16 +285,132 @@ TEST(ThreadPool, ManyExceptionsPropagateExactlyOne) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
-  // parallel_for called from a worker of the same pool must run inline
-  // instead of enqueuing (which could deadlock a saturated pool).
+  // parallel_for called from inside the pool, on a worker or on the
+  // caller running an index of its own job, must run inline instead of
+  // publishing (which could deadlock a saturated pool).
   ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
   std::atomic<int> inner_total{0};
-  pool.parallel_for(4, [&](std::size_t) {
+  std::atomic<int> caller_indices{0};
+  pool.parallel_for(4, [&](std::size_t i) {
+    // Indices 0 and 1 wait for each other, so two threads run them:
+    // the worker and the caller.
+    if (i < 2) {
+      EXPECT_TRUE(arrive_and_wait(started, 2));
+    }
+    const std::thread::id self = std::this_thread::get_id();
     EXPECT_TRUE(pool.on_worker_thread());
-    pool.parallel_for(8, [&](std::size_t) { inner_total++; });
+    if (self == caller) caller_indices++;
+    pool.parallel_for(8, [&](std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      inner_total++;
+    });
   });
   EXPECT_EQ(inner_total.load(), 32);
+  EXPECT_GE(caller_indices.load(), 1);
   EXPECT_FALSE(pool.on_worker_thread());
+}
+
+TEST(ThreadPool, CallerRunsAnIndex) {
+  // Two indices that wait for each other both start only when two
+  // threads run them; a pool of two has one worker, so the other
+  // thread is the caller.
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::vector<std::thread::id> ids(2);
+  std::vector<char> met(2, 0);
+  pool.parallel_for(2, [&](std::size_t i) {
+    ids[i] = std::this_thread::get_id();
+    met[i] = arrive_and_wait(started, 2);
+  });
+  EXPECT_TRUE(met[0] && met[1]);
+  EXPECT_NE(ids[0], ids[1]);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_TRUE(ids[0] == caller || ids[1] == caller);
+}
+
+TEST(ThreadPool, NeverRunsMoreThanSizeAtOnce) {
+  // ClientRunner keeps size() scratch models, one per index running.
+  for (std::size_t threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.size(), threads);
+    std::atomic<std::size_t> active{0};
+    std::atomic<std::size_t> peak{0};
+    pool.parallel_for(64, [&](std::size_t) {
+      const std::size_t now = active.fetch_add(1) + 1;
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      active.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1u);
+    EXPECT_LE(peak.load(), pool.size()) << threads << " threads";
+  }
+}
+
+TEST(ThreadPool, CallerExceptionWaitsForOtherIndices) {
+  // The caller's own index throws while the worker's still runs: the
+  // exception may leave parallel_for only after that index is done.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<bool> other_done{false};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&](std::size_t) {
+                                   EXPECT_TRUE(arrive_and_wait(started, 2));
+                                   if (std::this_thread::get_id() == caller) {
+                                     throw Error("caller");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(50));
+                                   other_done = true;
+                                 }),
+               Error);
+  EXPECT_TRUE(other_done.load());
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  // Three external callers publish short jobs on one pool at once. Each
+  // index writes its own slot without synchronization; the caller reads
+  // them after parallel_for returns, so a record that dies before its
+  // workers leave, or a missed index, shows as a wrong sum (and, under
+  // TSan or ASan, as a report).
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  constexpr int kCalls = 2000;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int k = 0; k < kCalls; ++k) {
+        const std::size_t n = 2 + static_cast<std::size_t>((k + c) % 4);
+        std::vector<std::size_t> slots(n, 0);
+        pool.parallel_for(n, [&](std::size_t i) { slots[i] = i + 1; });
+        std::size_t sum = 0;
+        for (std::size_t v : slots) sum += v;
+        if (sum != n * (n + 1) / 2) ++wrong[static_cast<std::size_t>(c)];
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong, std::vector<int>(kCallers, 0));
+}
+
+TEST(ThreadPool, SubmitRunsOnAWorker) {
+  // A pool of one computes loops inline but still keeps a worker.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  bool inside = false;
+  std::thread::id id;
+  pool.submit([&] {
+        inside = pool.on_worker_thread();
+        id = std::this_thread::get_id();
+      })
+      .get();
+  EXPECT_TRUE(inside);
+  EXPECT_NE(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ParallelForChunksCoversRangeOnce) {
