@@ -57,6 +57,7 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/policy.h"
+#include "data/benchmarks.h"
 #include "data/dataset.h"
 #include "dp/clipping.h"
 #include "dp/fused_sanitize.h"
@@ -66,6 +67,7 @@
 #include "nn/model_zoo.h"
 #include "nn/optimizer.h"
 #include "nn/per_example.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "testing/reference.h"
 
@@ -73,11 +75,13 @@ namespace {
 
 using namespace fedcl;
 
+// Each round leg reports the median of timed_rounds rounds, at least
+// seven at every scale, so one run can read a leg.
 struct BenchDims {
   std::int64_t batch_size = 32;
   std::int64_t local_iterations = 2;
   int warmup_rounds = 1;
-  int timed_rounds = 5;
+  int timed_rounds = 7;
 };
 
 BenchDims scaled_dims() {
@@ -85,7 +89,6 @@ BenchDims scaled_dims() {
   switch (bench_scale()) {
     case BenchScale::kSmoke:
       d.local_iterations = 1;
-      d.timed_rounds = 2;
       break;
     case BenchScale::kSmall:
       break;
@@ -315,6 +318,109 @@ NoiseFloor measure_noise_floor(const fl::Client& client,
   return f;
 }
 
+// The MNIST CNN's batch gradient split into its stages, one thread:
+// each conv's im2col, forward matmul, dW and dX, each pool's forward
+// and gradient, and the whole nn::compute_gradients. conv1 has no dX
+// stage: the backward walk stops at the first parameterized layer.
+// What the stages leave of the whole (activations, biases, the Linear
+// layer, the loss, reshapes) is the residual.
+struct CnnStages {
+  std::int64_t side = 0;  // image height and width
+  std::vector<std::pair<std::string, double>> stage_ms;
+  double whole_ms = 0.0;
+
+  double residual_ms() const {
+    double sum = 0.0;
+    for (const auto& [name, ms] : stage_ms) sum += ms;
+    return whole_ms - sum;
+  }
+};
+
+CnnStages measure_cnn_stages(std::int64_t side, std::int64_t batch,
+                             const Rng& root) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kReps = 31;
+  nn::ModelSpec spec =
+      data::benchmark_config(data::BenchmarkId::kMnist, BenchScale::kSmall)
+          .model;
+  spec.height = side;
+  spec.width = side;
+  Rng rng = root.fork("cnn-stages", static_cast<std::uint64_t>(side));
+  const std::shared_ptr<nn::Sequential> model = nn::build_model(spec, rng);
+  const tensor::list::TensorList weights = model->weights();
+  const tensor::Tensor x = tensor::Tensor::randn(
+      {batch, side, side, spec.channels}, rng);
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(batch));
+  for (auto& l : labels)
+    l = static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(spec.classes)));
+  // Conv geometry of the zoo CNN (nn/model_zoo.h): 5x5, stride 1, pad 2,
+  // a 2x2 pool after each conv.
+  const auto conv_spec = [](std::int64_t s, std::int64_t c) {
+    return tensor::ConvSpec{.in_h = s, .in_w = s, .in_c = c, .kernel_h = 5,
+                            .kernel_w = 5, .stride = 1, .pad = 2};
+  };
+  const std::int64_t c1 = spec.conv1_channels, c2 = spec.conv2_channels;
+  const tensor::ConvSpec conv1 = conv_spec(side, spec.channels);
+  const tensor::ConvSpec conv2 = conv_spec(side / 2, c1);
+  const tensor::Tensor h1 = tensor::Tensor::randn({batch, side, side, c1}, rng);
+  const tensor::Tensor x2 =
+      tensor::Tensor::randn({batch, side / 2, side / 2, c1}, rng);
+  const tensor::Tensor h2 =
+      tensor::Tensor::randn({batch, side / 2, side / 2, c2}, rng);
+  const tensor::Tensor g1 =
+      tensor::Tensor::randn({batch, side / 2, side / 2, c1}, rng);
+  const tensor::Tensor g2 =
+      tensor::Tensor::randn({batch, side / 4, side / 4, c2}, rng);
+  const tensor::Tensor d1 =
+      tensor::Tensor::randn({batch * side * side, c1}, rng);
+  const tensor::Tensor d2 =
+      tensor::Tensor::randn({batch * (side / 2) * (side / 2), c2}, rng);
+  const tensor::Tensor cols1 = tensor::im2col(x, conv1);
+  const tensor::Tensor cols2 = tensor::im2col(x2, conv2);
+
+  const std::vector<std::pair<std::string, std::function<void()>>> stages = {
+      {"conv1.im2col", [&] { (void)tensor::im2col(x, conv1); }},
+      {"conv1.forward", [&] { (void)tensor::matmul(cols1, weights[0]); }},
+      {"conv1.dW", [&] { (void)tensor::matmul_tn(cols1, d1); }},
+      {"pool1.forward", [&] { (void)nn::avg_pool(h1, 2); }},
+      {"pool1.grad", [&] { (void)nn::avg_pool_grad(g1, h1.shape(), 2); }},
+      {"conv2.im2col", [&] { (void)tensor::im2col(x2, conv2); }},
+      {"conv2.forward", [&] { (void)tensor::matmul(cols2, weights[2]); }},
+      {"conv2.dW", [&] { (void)tensor::matmul_tn(cols2, d2); }},
+      {"conv2.dX",
+       [&] { (void)tensor::conv_input_grad(d2, weights[2], conv2, batch); }},
+      {"pool2.forward", [&] { (void)nn::avg_pool(h2, 2); }},
+      {"pool2.grad", [&] { (void)nn::avg_pool_grad(g2, h2.shape(), 2); }},
+  };
+  const auto median_ms = [&](const std::function<void()>& call) {
+    call();  // warmup
+    std::vector<double> ms;
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = Clock::now();
+      call();
+      ms.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count());
+    }
+    return median_of(std::move(ms));
+  };
+  CnnStages out;
+  out.side = side;
+  // On a compute-pool worker, where nested pool loops run inline: one
+  // thread's cost of every stage, as inside the engines' client loops.
+  compute_pool()
+      .submit([&] {
+        for (const auto& [name, call] : stages) {
+          out.stage_ms.emplace_back(name, median_ms(call));
+        }
+        out.whole_ms = median_ms(
+            [&] { (void)nn::compute_gradients(*model, x, labels); });
+      })
+      .get();
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -449,6 +555,39 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   engine_table.print();
+
+  // ---- the MNIST CNN's batch gradient, stage by stage ----
+  constexpr std::int64_t kStageBatch = 5;
+  std::vector<CnnStages> cnn_stages;
+  for (const std::int64_t side : {12, 28}) {
+    cnn_stages.push_back(measure_cnn_stages(side, kStageBatch, root));
+  }
+  AsciiTable stage_table(
+      "ms per call, MNIST CNN batch gradient by stage (B=5, 1 thread, "
+      "median of 31)");
+  std::vector<std::string> stage_header = {"stage"};
+  for (const CnnStages& c : cnn_stages) {
+    stage_header.push_back(std::to_string(c.side) + "x" +
+                           std::to_string(c.side) + " ms");
+  }
+  stage_table.set_header(stage_header);
+  for (std::size_t i = 0; i < cnn_stages.front().stage_ms.size(); ++i) {
+    std::vector<std::string> row = {cnn_stages.front().stage_ms[i].first};
+    for (const CnnStages& c : cnn_stages) {
+      row.push_back(AsciiTable::fmt(c.stage_ms[i].second, 4));
+    }
+    stage_table.add_row(row);
+  }
+  for (const char* total : {"residual", "compute_gradients"}) {
+    std::vector<std::string> row = {total};
+    for (const CnnStages& c : cnn_stages) {
+      row.push_back(AsciiTable::fmt(
+          std::string(total) == "residual" ? c.residual_ms() : c.whole_ms, 4));
+    }
+    stage_table.add_row(row);
+  }
+  std::printf("\n");
+  stage_table.print();
 
   std::printf(
       "\nReading the numbers: the round rows time the full local round "
@@ -641,6 +780,19 @@ int main(int argc, char** argv) {
     batch_grad.push_back(std::move(row));
   }
   doc["batch_grad"] = std::move(batch_grad);
+  json::Value stages_doc = json::Value::array();
+  for (const CnnStages& c : cnn_stages) {
+    json::Value entry = json::Value::object();
+    entry["side"] = c.side;
+    entry["batch_size"] = kStageBatch;
+    json::Value ms = json::Value::object();
+    for (const auto& [name, v] : c.stage_ms) ms[name] = v;
+    entry["stage_ms"] = std::move(ms);
+    entry["residual_ms"] = c.residual_ms();
+    entry["compute_gradients_ms"] = c.whole_ms;
+    stages_doc.push_back(std::move(entry));
+  }
+  doc["cnn_stages"] = std::move(stages_doc);
   json::Value sanitize = json::Value::object();
   sanitize["mfloats_per_s_1t"] = sanitize_mfloats_1t;
   sanitize["mfloats_per_s_4t"] = sanitize_mfloats_4t;
@@ -683,6 +835,18 @@ int main(int argc, char** argv) {
   for (const BatchGradRow& r : batch_grad_rows) {
     bench::add_metric(doc, "batch_grad_speedup." + r.model, r.speedup(),
                       "higher", "ratio");
+  }
+  // The CNN stage table: absolute one-thread times, class "time".
+  for (const CnnStages& c : cnn_stages) {
+    const std::string prefix = "cnn_stage_ms." + std::to_string(c.side) +
+                               "x" + std::to_string(c.side) + ".";
+    for (const auto& [name, v] : c.stage_ms) {
+      bench::add_metric(doc, prefix + name, v, "lower", "time");
+    }
+    bench::add_metric(doc, prefix + "residual", c.residual_ms(), "lower",
+                      "time");
+    bench::add_metric(doc, prefix + "compute_gradients", c.whole_ms, "lower",
+                      "time");
   }
   // Absolute throughput is host-specific (class "time"); the 1->4
   // thread scaling ratio is the portable, gated number — it only drops

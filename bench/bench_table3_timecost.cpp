@@ -1,8 +1,9 @@
 // Table III: wall-clock cost of one local training iteration per
 // client (ms), for each dataset and policy. Each cell times one
 // client's Client::run_round over the benchmark's own L local
-// iterations (warmup + fixed reps, bench::time_rounds) and divides by
-// L, so Fed-SDP's once-per-round clip + noise is spread over the L
+// iterations (the median of fixed reps after a warmup,
+// bench::time_rounds) and divides by L, so Fed-SDP's once-per-round
+// clip + noise is spread over the L
 // iterations it covers, as in the paper's setting. The summary table
 // is printed at the end.
 #include <memory>
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("bench_table3_timecost",
                         "Table III: time cost per local iteration (ms)");
   std::printf("one client per cell: ms per round of the benchmark's L local "
-              "iterations / L, 1 warmup + %d timed rounds\n\n",
+              "iterations / L, median of %d timed rounds after 1 warmup\n\n",
               timed_reps());
   std::vector<std::vector<Cell>> grid;
   for (data::BenchmarkId id : data::all_benchmarks())

@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -91,10 +92,11 @@ inline void print_preamble(const char* bench_name, const char* paper_ref) {
 
 inline std::string yes_no(bool v) { return v ? "Y" : "N"; }
 
-// Mean wall-clock ms of one call of `round`: `warmup` untimed calls,
-// then the mean of `reps` timed ones. Every call gets a fresh fork of
-// `stream_root`, so two legs timed from the same root replay the same
-// RNG streams (same batches, same noise).
+// Median wall-clock ms of one call of `round`: `warmup` untimed calls,
+// then the median of `reps` timed ones, which one slow round cannot
+// move. Every call gets a fresh fork of `stream_root`, so two legs
+// timed from the same root replay the same RNG streams (same batches,
+// same noise).
 inline double time_rounds(const std::function<void(Rng&)>& round, int warmup,
                           int reps, const Rng& stream_root) {
   using Clock = std::chrono::steady_clock;
@@ -102,16 +104,17 @@ inline double time_rounds(const std::function<void(Rng&)>& round, int warmup,
     Rng rng = stream_root.fork("warmup", static_cast<std::uint64_t>(r));
     round(rng);
   }
-  double total_ms = 0.0;
+  std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
     Rng rng = stream_root.fork("timed", static_cast<std::uint64_t>(r));
     const auto start = Clock::now();
     round(rng);
-    total_ms +=
+    ms.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
+            .count());
   }
-  return total_ms / reps;
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
 }
 
 // Attaches a JSONL telemetry sink to the global registry when the

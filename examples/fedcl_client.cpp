@@ -1,8 +1,8 @@
 // fedcl_client: one worker process of the multi-process serving path
 // (docs/DEPLOYMENT.md). Connects to a fedcl_server, receives the
-// experiment descriptor, rebuilds its hosted clients' data shards and
-// model from the shared seed, and serves training rounds until the
-// server says Bye.
+// experiment descriptor, rebuilds every client's data shard and the
+// model from the shared seed, and trains whichever clients the server
+// names until it says Bye.
 //
 // Example (2-worker deployment):
 //   fedcl_client --port=7100 --worker-index=0 --workers=2 &
@@ -29,7 +29,8 @@ constexpr char kUsage[] =
     "usage: %s --port=N [--host=ADDR] [--worker-index=I] [--workers=N]\n"
     "          [--connect-timeout-ms=T] [--io-timeout-ms=T]\n"
     "          [--telemetry-out=FILE.jsonl]\n"
-    "  Hosts every client c with c %% workers == worker-index.\n"
+    "  Trains whichever of the run's clients the server sends; the\n"
+    "  server splits each round's cohort evenly over the workers.\n"
     "  The spans in --telemetry-out adopt the server's per-round trace\n"
     "  ids (docs/PROTOCOL.md §3.4).\n";
 

@@ -144,6 +144,17 @@ void ThreadPool::parallel_for_chunks(
   });
 }
 
+void ThreadPool::parallel_for_work(
+    std::size_t n, std::int64_t work_per_index,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (n == 0) return;
+  if (static_cast<std::int64_t>(n) * work_per_index < kMinParallelWork) {
+    fn(0, n);
+    return;
+  }
+  parallel_for_chunks(n, /*grain=*/1, fn);
+}
+
 void ThreadPool::worker_loop() {
   t_current_pool = this;
   std::unique_lock<std::mutex> lock(mutex_);

@@ -21,6 +21,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -69,6 +70,20 @@ class ThreadPool {
   // work partitioned this way is reproducible across runs.
   void parallel_for_chunks(
       std::size_t n, std::size_t grain,
+      const std::function<void(std::size_t, std::size_t)>& fn);
+
+  // The least work, in floats moved or multiply-adds, that a
+  // parallel_for_work loop fans out for. Below it the loop takes a few
+  // microseconds, less than waking the workers costs.
+  static constexpr std::int64_t kMinParallelWork = std::int64_t{1} << 18;
+
+  // A loop over n independent items of `work_per_index` each:
+  // parallel_for_chunks(n, 1, fn) when the whole loop reaches
+  // kMinParallelWork, else fn(0, n) on the caller. Each index runs
+  // once on one thread either way, so the branch taken changes no
+  // result.
+  void parallel_for_work(
+      std::size_t n, std::int64_t work_per_index,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:

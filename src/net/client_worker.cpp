@@ -62,32 +62,20 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
 
   // ---- rebuild the client-side experiment from the descriptor: the
   // same forked streams the in-process trainer consumes, so shards,
-  // model init, and per-round training are bit-identical. Virtualized
-  // hosting: this worker owns every client id with
-  // id % num_workers == worker_index, but materializes a client only
-  // when a round asks for it, so startup is O(dataset) instead of
-  // O(total_clients) (fl/virtual_client.h) ----
+  // model init, and per-round training are bit-identical. Virtualized:
+  // the worker can train any of the K client ids, but materializes a
+  // client only when a round asks for it, so startup is O(dataset)
+  // instead of O(total_clients) (fl/virtual_client.h) ----
   const fl::Federation fed(
       data::benchmark_config(static_cast<data::BenchmarkId>(d.bench_id),
                              static_cast<BenchScale>(d.scale)),
       d.total_clients, d.local_iterations, /*faults=*/{}, d.seed);
-  const auto hosts = [&](std::int64_t ci) {
-    return ci >= 0 && ci < d.total_clients &&
-           ci % static_cast<std::int64_t>(config.num_workers) ==
-               static_cast<std::int64_t>(config.worker_index);
-  };
-  std::int64_t hosted_count = 0;
-  for (std::int64_t ci = config.worker_index; ci < d.total_clients;
-       ci += config.num_workers) {
-    ++hosted_count;
-  }
-
   std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
 
   FEDCL_LOG(Info) << "fedcl_client: worker " << config.worker_index << "/"
-                  << config.num_workers << " hosting " << hosted_count
-                  << " of " << d.total_clients
-                  << " clients (virtualized) on " << fed.bench.name;
+                  << config.num_workers << " serving any of "
+                  << d.total_clients << " clients (virtualized) on "
+                  << fed.bench.name;
 
   telemetry::Registry& reg = telemetry::global_registry();
   const std::string worker_label = std::to_string(config.worker_index);
@@ -139,11 +127,14 @@ Result<WorkerReport> run_worker(const WorkerConfig& config) {
         reg, "fl.client.round", {{"worker", worker_label}}, req.round);
 
     for (std::int64_t ci : req.client_ids) {
-      if (!hosts(ci)) {
+      // The only guard between a wire id and the federation's shard
+      // lookup.
+      if (ci < 0 || ci >= d.total_clients) {
         TrainErrorMsg err;
         err.client_id = ci;
-        err.message = "client not hosted by worker " +
-                      std::to_string(config.worker_index);
+        err.message = "client id " + std::to_string(ci) +
+                      " outside [0, " + std::to_string(d.total_clients) +
+                      ")";
         if (!write_frame(conn, MsgType::kTrainError,
                          encode_train_error(err))) {
           return R::failure("failed to send train error");

@@ -2,16 +2,18 @@
 //
 // run_worker connects to a ServingServer, introduces itself with
 // Hello, and rebuilds the entire client-side experiment state — the
-// synthetic training data, the non-IID partition, its hosted Client
-// objects, the scratch model, and the privacy policy — from the
-// Welcome descriptor alone (client `c` is hosted by worker
-// `c % num_workers`). It then serves TrainRequest frames until Bye:
-// each request carries the round and the global weights; the worker
-// trains each named client from its (round, client)-forked RNG stream
-// and replies with one sealed Update frame per client, in request
-// order. Because every RNG stream is forked by label from the shared
-// seed, the updates are bitwise identical to the ones the in-process
-// trainer would produce (docs/PROTOCOL.md §5).
+// synthetic training data, the non-IID partition of all K clients, the
+// scratch model, and the privacy policy — from the Welcome descriptor
+// alone, so it can train any client id in [0, K): the server decides
+// which worker trains which client, one attempt at a time. It then
+// serves TrainRequest frames until Bye: each request carries the round
+// and the global weights; the worker trains each named client from its
+// (round, client)-forked RNG stream and replies with one sealed Update
+// frame per client, in request order, or a TrainError for an id
+// outside [0, K). Because every RNG stream is forked by label from the
+// shared seed, the updates are bitwise identical to the ones the
+// in-process trainer would produce, whichever worker trains them
+// (docs/PROTOCOL.md §5).
 #pragma once
 
 #include <cstdint>

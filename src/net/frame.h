@@ -18,9 +18,10 @@ namespace fedcl::net {
 // "FCL1" read as a little-endian u32.
 inline constexpr std::uint32_t kFrameMagic = 0x314C4346;
 // Bumped on any incompatible wire change, the sealed Update envelope
-// (PROTOCOL.md §4) included, so a mismatched peer fails at its first
-// frame instead of at every update.
-inline constexpr std::uint8_t kProtocolVersion = 3;
+// (PROTOCOL.md §4) and what a worker must accept included, so a
+// mismatched peer fails at its first frame instead of at every update.
+// Version 4: a worker trains any client id in [0, K).
+inline constexpr std::uint8_t kProtocolVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 // Default admission cap on one frame's payload. A model broadcast for
 // the paper-scale benchmarks stays well under this; anything larger is

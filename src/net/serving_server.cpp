@@ -81,9 +81,11 @@ void expire(fl::RoundFailureStats& stats, fl::FaultType fault) {
   ++stats.fault_expired;
 }
 
-// The serving transport, and the round loops' executor over it: each
-// dispatched client trains on the worker hosting it (client c lives on
-// worker c % n). It builds no scratch models; each update is opened
+// The serving transport, and the round loops' executor over it: the
+// k-th runnable dispatch of an attempt trains on worker k mod n, so
+// each worker trains ceil(m/n) or floor(m/n) of an attempt's m clients
+// (every worker rebuilds the whole federation and trains any id). It
+// builds no scratch models; each update is opened
 // and decoded as its reply is read, and network events land on the
 // affected clients' deliveries as docs/PROTOCOL.md §6 lists them. Both
 // loops read replies through one reader: run_sync waits for every reply
@@ -220,9 +222,11 @@ class SocketExecutor final : public fl::ClientExecutor {
   }
 
   // Sends each worker its share of the runnable dispatches, carrying the
-  // context of the span the loop dispatches from. A worker already
-  // max_inflight_rounds behind gets nothing new: its share expires as
-  // stragglers rather than queueing without bound.
+  // context of the span the loop dispatches from: the k-th runnable
+  // dispatch goes to worker k mod n, live or not, so a lost worker's
+  // share expires as crashes. A worker already max_inflight_rounds
+  // behind gets nothing new: its share expires as stragglers rather
+  // than queueing without bound.
   void send(const fl::DeliveryContext& ctx,
             const std::vector<fl::Dispatch>& dispatches) {
     telemetry::Registry& reg = telemetry::global_registry();
@@ -231,10 +235,11 @@ class SocketExecutor final : public fl::ClientExecutor {
     telemetry::SpanTimer dispatch_span(reg, "fl.phase",
                                        {{"phase", "dispatch"}}, t);
     std::vector<std::vector<WorkerSlot::Expected>> share(workers.size());
+    std::size_t runnable = 0;
     for (std::size_t i = 0; i < dispatches.size(); ++i) {
       if (!dispatches[i].run) continue;
       const auto id = static_cast<std::int64_t>(dispatches[i].ci);
-      share[dispatches[i].ci % workers.size()].push_back(
+      share[runnable++ % workers.size()].push_back(
           {.client = id, .round = t, .slot = i});
     }
     const std::vector<std::uint8_t> blob =

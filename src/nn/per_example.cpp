@@ -67,82 +67,6 @@ void add_bias_rows_(Tensor& y, const Tensor& bias) {
   }
 }
 
-// The k x k average pool of NHWC h (kernel == stride): channel-
-// contiguous accumulation into the zero-initialized output, the (ky, kx)
-// terms of each output element in ascending order. Images are
-// independent, so the batch loop parallelizes.
-Tensor avg_pool(const Tensor& h, std::int64_t k) {
-  FEDCL_CHECK_EQ(h.ndim(), 4u);
-  const std::int64_t n = h.dim(0), ih = h.dim(1), iw = h.dim(2),
-                     c = h.dim(3);
-  const std::int64_t oh = (ih - k) / k + 1, ow = (iw - k) / k + 1;
-  const float inv = 1.0f / static_cast<float>(k * k);
-  Tensor y({n, oh, ow, c});
-  const float* src = h.data();
-  float* dst = y.data();
-  compute_pool().parallel_for_chunks(
-      static_cast<std::size_t>(n), 1, [&](std::size_t nb, std::size_t ne) {
-        for (std::size_t b = nb; b < ne; ++b) {
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              float* out_row =
-                  dst +
-                  ((static_cast<std::int64_t>(b) * oh + oy) * ow + ox) * c;
-              for (std::int64_t ky = 0; ky < k; ++ky) {
-                const float* in_row =
-                    src + ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
-                               iw +
-                           ox * k) *
-                              c;
-                for (std::int64_t kx = 0; kx < k; ++kx) {
-                  for (std::int64_t ch = 0; ch < c; ++ch)
-                    out_row[ch] += in_row[kx * c + ch] * inv;
-                }
-              }
-            }
-          }
-        }
-      });
-  return y;
-}
-
-// The pool's input gradient: pool windows tile the input, so each input
-// element receives exactly one g*inv contribution; images are
-// independent and the channel-contiguous spread vectorizes.
-Tensor avg_pool_grad(const Tensor& g, const Shape& in_shape,
-                     std::int64_t k) {
-  const std::int64_t n = in_shape[0], ih = in_shape[1], iw = in_shape[2],
-                     c = in_shape[3];
-  const std::int64_t oh = (ih - k) / k + 1, ow = (iw - k) / k + 1;
-  const float inv = 1.0f / static_cast<float>(k * k);
-  Tensor dx(in_shape);
-  float* dst = dx.data();
-  const float* src = g.data();
-  compute_pool().parallel_for_chunks(
-      static_cast<std::size_t>(n), 1, [&](std::size_t nb, std::size_t ne) {
-        for (std::size_t b = nb; b < ne; ++b) {
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              const float* g_row =
-                  src +
-                  ((static_cast<std::int64_t>(b) * oh + oy) * ow + ox) * c;
-              for (std::int64_t ky = 0; ky < k; ++ky) {
-                float* d_row =
-                    dst + ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
-                               iw +
-                           ox * k) *
-                              c;
-                for (std::int64_t kx = 0; kx < k; ++kx) {
-                  for (std::int64_t ch = 0; ch < c; ++ch)
-                    d_row[kx * c + ch] += g_row[ch] * inv;
-                }
-              }
-            }
-          }
-        }
-      });
-  return dx;
-}
 
 // g * sigma'(a) for the activation at input a, written from its output
 // y with the oracle's arithmetic: relu g * mask (y > 0 exactly where the
@@ -382,8 +306,8 @@ void backward_walk(const std::vector<TapeNode>& tape, Tensor delta,
           const float* d = d2.data();
           float* dw_p = dw.data();
           float* db_p = db.data();
-          pool.parallel_for_chunks(
-              static_cast<std::size_t>(batch), 1,
+          pool.parallel_for_work(
+              static_cast<std::size_t>(batch), patches * width * oc,
               [&](std::size_t begin, std::size_t end) {
                 for (std::size_t j = begin; j < end; ++j) {
                   // grad_W[j] = cols_j^T delta_j over this example's
@@ -601,6 +525,85 @@ Tensor cross_entropy_hvp(const Tensor& logits, const Tensor& dz) {
 }
 
 }  // namespace
+
+// The k x k average pool of NHWC h (kernel == stride): channel-
+// contiguous accumulation into the zero-initialized output, the (ky, kx)
+// terms of each output element in ascending order. Images are
+// independent, so a large batch loop parallelizes.
+Tensor avg_pool(const Tensor& h, std::int64_t k) {
+  FEDCL_CHECK_EQ(h.ndim(), 4u);
+  const std::int64_t n = h.dim(0), ih = h.dim(1), iw = h.dim(2),
+                     c = h.dim(3);
+  const std::int64_t oh = (ih - k) / k + 1, ow = (iw - k) / k + 1;
+  const float inv = 1.0f / static_cast<float>(k * k);
+  Tensor y({n, oh, ow, c});
+  const float* src = h.data();
+  float* dst = y.data();
+  compute_pool().parallel_for_work(
+      static_cast<std::size_t>(n), ih * iw * c,
+      [&](std::size_t nb, std::size_t ne) {
+        for (std::size_t b = nb; b < ne; ++b) {
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              float* out_row =
+                  dst +
+                  ((static_cast<std::int64_t>(b) * oh + oy) * ow + ox) * c;
+              for (std::int64_t ky = 0; ky < k; ++ky) {
+                const float* in_row =
+                    src + ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
+                               iw +
+                           ox * k) *
+                              c;
+                for (std::int64_t kx = 0; kx < k; ++kx) {
+                  for (std::int64_t ch = 0; ch < c; ++ch)
+                    out_row[ch] += in_row[kx * c + ch] * inv;
+                }
+              }
+            }
+          }
+        }
+      });
+  return y;
+}
+
+// The pool's input gradient: pool windows tile the input, so each input
+// element receives exactly one g*inv contribution; images are
+// independent and the channel-contiguous spread vectorizes.
+Tensor avg_pool_grad(const Tensor& g, const Shape& in_shape,
+                     std::int64_t k) {
+  const std::int64_t n = in_shape[0], ih = in_shape[1], iw = in_shape[2],
+                     c = in_shape[3];
+  const std::int64_t oh = (ih - k) / k + 1, ow = (iw - k) / k + 1;
+  const float inv = 1.0f / static_cast<float>(k * k);
+  Tensor dx(in_shape);
+  float* dst = dx.data();
+  const float* src = g.data();
+  compute_pool().parallel_for_work(
+      static_cast<std::size_t>(n), ih * iw * c,
+      [&](std::size_t nb, std::size_t ne) {
+        for (std::size_t b = nb; b < ne; ++b) {
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const float* g_row =
+                  src +
+                  ((static_cast<std::int64_t>(b) * oh + oy) * ow + ox) * c;
+              for (std::int64_t ky = 0; ky < k; ++ky) {
+                float* d_row =
+                    dst + ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
+                               iw +
+                           ox * k) *
+                              c;
+                for (std::int64_t kx = 0; kx < k; ++kx) {
+                  for (std::int64_t ch = 0; ch < c; ++ch)
+                    d_row[kx * c + ch] += g_row[ch] * inv;
+                }
+              }
+            }
+          }
+        }
+      });
+  return dx;
+}
 
 PerExampleGrads compute_per_example_gradients(
     const Sequential& model, const Tensor& x,

@@ -80,6 +80,13 @@ tensor::list::PerExampleGrads compute_per_example_gradients(
 // The model's logits for x: the tape's forward without the tape.
 Tensor forward(const Sequential& model, const Tensor& x);
 
+// The tape's AvgPool2d steps on NHWC tensors, kernel == stride == k:
+// the forward, and the input gradient for an output gradient g of an
+// input of in_shape. Exposed so benches can time a pool by itself.
+Tensor avg_pool(const Tensor& h, std::int64_t k);
+Tensor avg_pool_grad(const Tensor& g, const tensor::Shape& in_shape,
+                     std::int64_t k);
+
 // grad_x <grad_theta L(x), v> for the mean cross-entropy L, where
 // v = direction(g) is chosen from g = grad_theta L(x), the batch
 // gradient of the same forward (bitwise compute_gradients'), one tensor

@@ -2,126 +2,136 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "tensor/simd.h"
 
 namespace fedcl::tensor {
 
 namespace {
 
-// Work threshold (total floats moved) below which the batch loop stays
-// serial; small unfoldings are dominated by pool handoff latency.
-constexpr std::int64_t kParallelFloats = 1 << 15;
+// One image with `pad` zero rows above and below and `pad` zero columns
+// left and right, so every (output pixel, kh) segment of the unfolding
+// lies inside it. Unpadded convolutions read and write the image itself.
+struct Bordered {
+  std::int64_t row_floats = 0;  // one bordered row: (in_w + 2 pad) * in_c
+  std::vector<float> buf;       // (in_h + 2 pad) rows; empty when pad == 0
 
-// Unfolds one image. For each (output row, kh) the valid kw range
-// [kw_lo, kw_hi) maps to one contiguous span of the NHWC source row,
-// so the body is clamped memset / memcpy / memset instead of per-
-// element bounds checks.
-// Row segments of at most this many floats are copied with inline
-// loops: at conv1-like shapes (in_c=1, kernel 5 -> 5-float segments)
-// the libc memset/memcpy call overhead costs more than the move.
-constexpr std::int64_t kInlineSegFloats = 16;
+  explicit Bordered(const ConvSpec& spec)
+      : row_floats((spec.in_w + 2 * spec.pad) * spec.in_c) {
+    if (spec.pad > 0) {
+      buf.assign(static_cast<std::size_t>(
+                     (spec.in_h + 2 * spec.pad) * row_floats),
+                 0.0f);
+    }
+  }
 
-void im2col_image(const float* img, float* cols, const ConvSpec& spec) {
+  // The first in-image element of row 0.
+  float* interior(const ConvSpec& spec) {
+    return buf.data() + spec.pad * row_floats + spec.pad * spec.in_c;
+  }
+};
+
+// Runs fn with the segment length kernel_w * in_c as a compile-time
+// constant for the zoo's 5-wide kernels on 1, 3 or 8 channels, so each
+// segment is a few fixed-size vector moves instead of a counted loop or
+// a libc call; any other length runs the same body with a run-time
+// count.
+template <class Fn>
+void with_segment_length(std::int64_t seg, const Fn& fn) {
+  switch (seg) {
+    case 5:
+      fn(std::integral_constant<std::int64_t, 5>());
+      return;
+    case 15:
+      fn(std::integral_constant<std::int64_t, 15>());
+      return;
+    case 40:
+      fn(std::integral_constant<std::int64_t, 40>());
+      return;
+    default:
+      fn(seg);
+  }
+}
+
+// The (output pixel, kh) segment at output row y, column xo: its first
+// element in an image whose rows are `row_floats` apart, with (0, 0)
+// the top-left corner of the bordered image.
+std::int64_t segment_offset(const ConvSpec& spec, std::int64_t row_floats,
+                            std::int64_t y, std::int64_t xo) {
+  return y * spec.stride * row_floats + xo * spec.stride * spec.in_c;
+}
+
+// Unfolds one image: every (output pixel, kh) segment is one copy of
+// seg = kernel_w * in_c floats from the bordered image. The border's
+// zeros are the out-of-image taps.
+template <class Len>
+void im2col_image(const float* img, float* __restrict cols,
+                  const ConvSpec& spec, Bordered& border, Len seg) {
   const std::int64_t oh = spec.out_h(), ow = spec.out_w();
   const std::int64_t patch = spec.patch_size();
-  const std::int64_t hw_stride = spec.in_w * spec.in_c;
-  const std::int64_t row_seg = spec.kernel_w * spec.in_c;
-  const bool inline_seg = row_seg <= kInlineSegFloats;
+  const std::int64_t in_row = spec.in_w * spec.in_c;
+  const float* src = img;
+  if (spec.pad > 0) {
+    float* dst = border.interior(spec);
+    for (std::int64_t r = 0; r < spec.in_h; ++r) {
+      std::memcpy(dst + r * border.row_floats, img + r * in_row,
+                  static_cast<std::size_t>(in_row) * sizeof(float));
+    }
+    src = border.buf.data();
+  }
+  const std::int64_t row_floats = border.row_floats;
   for (std::int64_t y = 0; y < oh; ++y) {
-    const std::int64_t ys = y * spec.stride - spec.pad;
     for (std::int64_t xo = 0; xo < ow; ++xo) {
-      float* row = cols + (y * ow + xo) * patch;
-      const std::int64_t xs = xo * spec.stride - spec.pad;
-      const std::int64_t kw_lo = std::max<std::int64_t>(0, -xs);
-      const std::int64_t kw_hi =
-          std::min(spec.kernel_w, spec.in_w - xs);
-      const std::int64_t lo = kw_lo * spec.in_c;
-      const std::int64_t hi = kw_hi * spec.in_c;
-      const float* col_base = img + xs * spec.in_c;
+      float* __restrict row = cols + (y * ow + xo) * patch;
+      const float* base = src + segment_offset(spec, row_floats, y, xo);
       for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-        float* seg = row + kh * row_seg;
-        const std::int64_t yy = ys + kh;
-        if (yy < 0 || yy >= spec.in_h || kw_lo >= kw_hi) {
-          if (inline_seg) {
-            for (std::int64_t i = 0; i < row_seg; ++i) seg[i] = 0.0f;
-          } else {
-            std::memset(seg, 0, static_cast<std::size_t>(row_seg) *
-                                    sizeof(float));
-          }
-          continue;
-        }
-        const float* src = col_base + yy * hw_stride;
-        if (inline_seg) {
-          std::int64_t i = 0;
-          for (; i < lo; ++i) seg[i] = 0.0f;
-          for (; i < hi; ++i) seg[i] = src[i];
-          for (; i < row_seg; ++i) seg[i] = 0.0f;
-          continue;
-        }
-        if (lo > 0)
-          std::memset(seg, 0, static_cast<std::size_t>(lo) * sizeof(float));
-        std::memcpy(seg + lo, src + lo,
-                    static_cast<std::size_t>(hi - lo) * sizeof(float));
-        if (hi < row_seg)
-          std::memset(seg + hi, 0,
-                      static_cast<std::size_t>(row_seg - hi) * sizeof(float));
+        const float* from = base + kh * row_floats;
+        float* __restrict to = row + kh * seg;
+        for (std::int64_t i = 0; i < seg; ++i) to[i] = from[i];
       }
     }
   }
 }
 
-// Folds one image's unfolded gradient back, span-adds in the same
-// (y, xo, kh, kw, c) order as the naive triple loop — col2im output is
-// therefore bitwise independent of the blocking.
-FEDCL_KERNEL_CLONES
-void span_add(float* __restrict dst, const float* __restrict src,
-              std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-void col2im_image(const float* cols, float* img, const ConvSpec& spec) {
+// Folds one image's unfolded gradient back into the zero-initialized
+// image `img`. Each (output pixel, kh) segment is one span add into the
+// bordered image, in the naive loop's (y, xo, kh, kw, c) order, so
+// every in-image element gets the same adds in the same order and the
+// result is bitwise the naive col2im's; the adds that land on the
+// border are dropped with it.
+template <class Len>
+void col2im_image(const float* __restrict cols, float* img,
+                  const ConvSpec& spec, Bordered& border, Len seg) {
   const std::int64_t oh = spec.out_h(), ow = spec.out_w();
   const std::int64_t patch = spec.patch_size();
-  const std::int64_t hw_stride = spec.in_w * spec.in_c;
-  const std::int64_t row_seg = spec.kernel_w * spec.in_c;
+  const std::int64_t in_row = spec.in_w * spec.in_c;
+  float* dst = img;
+  if (spec.pad > 0) {
+    std::fill(border.buf.begin(), border.buf.end(), 0.0f);
+    dst = border.buf.data();
+  }
+  const std::int64_t row_floats = border.row_floats;
   for (std::int64_t y = 0; y < oh; ++y) {
-    const std::int64_t ys = y * spec.stride - spec.pad;
     for (std::int64_t xo = 0; xo < ow; ++xo) {
-      const float* row = cols + (y * ow + xo) * patch;
-      const std::int64_t xs = xo * spec.stride - spec.pad;
-      const std::int64_t kw_lo = std::max<std::int64_t>(0, -xs);
-      const std::int64_t kw_hi =
-          std::min(spec.kernel_w, spec.in_w - xs);
-      if (kw_lo >= kw_hi) continue;
-      const std::int64_t lo = kw_lo * spec.in_c;
-      const std::int64_t hi = kw_hi * spec.in_c;
+      const float* __restrict row = cols + (y * ow + xo) * patch;
+      float* base = dst + segment_offset(spec, row_floats, y, xo);
       for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-        const std::int64_t yy = ys + kh;
-        if (yy < 0 || yy >= spec.in_h) continue;
-        span_add(img + yy * hw_stride + xs * spec.in_c + lo,
-                 row + kh * row_seg + lo, hi - lo);
+        float* __restrict to = base + kh * row_floats;
+        const float* from = row + kh * seg;
+        for (std::int64_t i = 0; i < seg; ++i) to[i] += from[i];
       }
     }
   }
-}
-
-void for_each_image(std::int64_t n, std::int64_t floats_per_image,
-                    const std::function<void(std::int64_t)>& body) {
-  ThreadPool& pool = compute_pool();
-  if (n * floats_per_image < kParallelFloats || pool.size() <= 1) {
-    for (std::int64_t b = 0; b < n; ++b) body(b);
-    return;
+  if (spec.pad > 0) {
+    const float* from = border.interior(spec);
+    for (std::int64_t r = 0; r < spec.in_h; ++r) {
+      std::memcpy(img + r * in_row, from + r * row_floats,
+                  static_cast<std::size_t>(in_row) * sizeof(float));
+    }
   }
-  pool.parallel_for_chunks(static_cast<std::size_t>(n), /*grain=*/1,
-                           [&](std::size_t begin, std::size_t end) {
-                             for (std::size_t b = begin; b < end; ++b)
-                               body(static_cast<std::int64_t>(b));
-                           });
 }
 
 }  // namespace
@@ -153,9 +163,18 @@ Tensor im2col(const Tensor& x, const ConvSpec& spec) {
   const float* px = x.data();
   float* pc = cols.data();
   const std::int64_t img_stride = spec.in_h * spec.in_w * spec.in_c;
-  for_each_image(n, per_image, [&](std::int64_t b) {
-    im2col_image(px + b * img_stride, pc + b * per_image, spec);
-  });
+  compute_pool().parallel_for_work(
+      static_cast<std::size_t>(n), per_image,
+      [&](std::size_t begin, std::size_t end) {
+        Bordered border(spec);
+        with_segment_length(spec.kernel_w * spec.in_c, [&](auto seg) {
+          for (std::size_t b = begin; b < end; ++b) {
+            const auto i = static_cast<std::int64_t>(b);
+            im2col_image(px + i * img_stride, pc + i * per_image, spec,
+                         border, seg);
+          }
+        });
+      });
   return cols;
 }
 
@@ -183,28 +202,22 @@ Tensor conv_input_grad(const Tensor& delta, const Tensor& w,
   float* px = x.data();
   const std::int64_t rows = oh * ow;
   const std::int64_t img_stride = spec.in_h * spec.in_w * spec.in_c;
-  ThreadPool& pool = compute_pool();
-  const bool parallel =
-      n > 1 && n * rows * oc * patch >= (1 << 18) && pool.size() > 1;
-  auto image = [&](std::int64_t b, std::vector<float>& scratch) {
-    std::memset(scratch.data(), 0,
-                static_cast<std::size_t>(rows) * patch * sizeof(float));
-    matmul_nn_into(pd + b * rows * oc, wt.data(), scratch.data(), rows, oc,
-                   patch);
-    col2im_image(scratch.data(), px + b * img_stride, spec);
-  };
-  if (!parallel) {
-    std::vector<float> scratch(static_cast<std::size_t>(rows) * patch);
-    for (std::int64_t b = 0; b < n; ++b) image(b, scratch);
-    return x;
-  }
-  pool.parallel_for_chunks(static_cast<std::size_t>(n), /*grain=*/1,
-                           [&](std::size_t begin, std::size_t end) {
-                             std::vector<float> scratch(
-                                 static_cast<std::size_t>(rows) * patch);
-                             for (std::size_t b = begin; b < end; ++b)
-                               image(static_cast<std::int64_t>(b), scratch);
-                           });
+  compute_pool().parallel_for_work(
+      static_cast<std::size_t>(n), rows * oc * patch,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<float> scratch(static_cast<std::size_t>(rows) * patch);
+        Bordered border(spec);
+        with_segment_length(spec.kernel_w * spec.in_c, [&](auto seg) {
+          for (std::size_t b = begin; b < end; ++b) {
+            const auto i = static_cast<std::int64_t>(b);
+            std::fill(scratch.begin(), scratch.end(), 0.0f);
+            matmul_nn_into(pd + i * rows * oc, wt.data(), scratch.data(),
+                           rows, oc, patch);
+            col2im_image(scratch.data(), px + i * img_stride, spec, border,
+                         seg);
+          }
+        });
+      });
   return x;
 }
 

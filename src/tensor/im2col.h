@@ -2,14 +2,18 @@
 //
 // A conv layer is im2col + matmul forward; its input gradient is the
 // adjoint scatter of the patch gradients (col2im), fused with their
-// matmul in conv_input_grad. Both run a blocked fast path: in NHWC the
-// kw range of one (output row, kh) pair is a single contiguous span of
-// kernel_w * in_c floats in the source image, so the per-element bounds
-// checks of the naive triple loop collapse into one clamped
-// memcpy/memset (im2col) or one vectorized span add (the scatter) per
-// (row, kh). Images are independent, so both parallelize over the batch
-// with bitwise-stable results (per-image work is serial and identical
-// to the single-threaded order).
+// matmul in conv_input_grad. Both work on a zero-bordered copy of each
+// image (pad zero rows and columns on every side; an unpadded
+// convolution uses the image itself). In NHWC the kw range of one
+// (output pixel, kh) pair is one contiguous span of kernel_w * in_c
+// floats of a bordered row, so im2col is one copy per segment and the
+// scatter one span add, with no bounds checks: the border supplies
+// im2col's zeros and absorbs the scatter's out-of-image adds, which are
+// dropped with it. Images are independent, so both parallelize over
+// the batch above the pool's work threshold with bitwise-stable
+// results (per-image work is serial and identical to the
+// single-threaded order, and the scatter adds in the naive loop's
+// order).
 #pragma once
 
 #include <cstdint>

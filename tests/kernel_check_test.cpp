@@ -297,24 +297,42 @@ TEST(KernelCheck, MatmulRowSlicesAreBitwiseTheWhole) {
 
 const ConvSpec kConvSpecs[] = {
     // in_h, in_w, in_c, kh, kw, stride, pad
-    {8, 8, 1, 3, 3, 1, 1},   // all-interior plus border clamping
-    {8, 8, 3, 5, 5, 1, 2},   // the model-zoo conv shape, multi-channel
-    {9, 7, 2, 3, 3, 2, 1},   // non-square, strided
-    {6, 6, 4, 2, 2, 2, 0},   // pad-free tiling
-    {5, 5, 1, 5, 5, 1, 4},   // pad wider than the image interior
+    {8, 8, 1, 3, 3, 1, 1},    // all-interior plus border clamping
+    {8, 8, 3, 5, 5, 1, 2},    // the model-zoo conv shape, multi-channel
+    {9, 7, 2, 3, 3, 2, 1},    // non-square, strided
+    {6, 6, 4, 2, 2, 2, 0},    // pad-free tiling
+    {5, 5, 1, 5, 5, 1, 4},    // pad wider than the image interior
+    {12, 12, 1, 5, 5, 1, 2},  // the zoo's 12x12 MNIST CNN, conv1
+    {6, 6, 8, 5, 5, 1, 2},    // ... and its conv2
+    {28, 28, 1, 5, 5, 1, 2},  // the 28x28 CNN, conv1
+    {14, 14, 8, 5, 5, 1, 2},  // ... and its conv2
+    {11, 10, 3, 5, 5, 2, 2},  // strided with a two-wide border
 };
+
+// Batch sizes for a conv check: one image, a few, and enough images of
+// `work_per_image` that the batch loop reaches the pool's work
+// threshold and takes its parallel branch on a pool of several threads.
+std::vector<std::int64_t> conv_batches(std::int64_t work_per_image) {
+  return {1, 3, ThreadPool::kMinParallelWork / work_per_image + 1};
+}
 
 TEST(KernelCheck, Im2colMatchesNaiveBitwise) {
   for (const auto& spec : kConvSpecs) {
-    for (std::int64_t n : {1, 3}) {
+    for (std::int64_t n : conv_batches(spec.out_h() * spec.out_w() *
+                                       spec.patch_size())) {
+      SCOPED_TRACE(::testing::Message()
+                   << spec.in_h << "x" << spec.in_w << "x" << spec.in_c
+                   << " stride " << spec.stride << " pad " << spec.pad
+                   << " n " << n);
       const Tensor x =
           rng_fill({n, spec.in_h, spec.in_w, spec.in_c}, 700 + spec.pad);
       const Tensor fast = t::im2col(x, spec);
       const Tensor naive = naive_im2col(x, spec);
       ASSERT_EQ(fast.numel(), naive.numel());
-      for (std::int64_t i = 0; i < fast.numel(); ++i) {
-        ASSERT_EQ(fast.at(i), naive.at(i)) << "element " << i;
-      }
+      ASSERT_EQ(std::memcmp(fast.data(), naive.data(),
+                            static_cast<std::size_t>(fast.numel()) *
+                                sizeof(float)),
+                0);
     }
   }
 }
@@ -352,6 +370,46 @@ TEST(KernelCheck, ConvInputGradMatchesUnfused) {
                   1e-5 * std::max(1.0, std::abs(
                              static_cast<double>(unfused.at(i)))))
           << "element " << i;
+    }
+  }
+}
+
+// conv_input_grad, byte for byte, against its two halves done by hand:
+// each image's patch-gradient tile from matmul_nn_into (delta's rows
+// times w transposed, into a zeroed buffer, as conv_input_grad computes
+// it), then the naive col2im loop's element-at-a-time scatter. The
+// bordered scatter must give every in-image element the same adds in
+// the same order, at every batch size and on either pool branch.
+TEST(KernelCheck, ConvInputGradMatchesNaiveScatterBitwise) {
+  for (const auto& spec : kConvSpecs) {
+    const std::int64_t oc = 4;
+    const std::int64_t rows = spec.out_h() * spec.out_w();
+    const std::int64_t patch = spec.patch_size();
+    for (std::int64_t n : conv_batches(rows * oc * patch)) {
+      SCOPED_TRACE(::testing::Message()
+                   << spec.in_h << "x" << spec.in_w << "x" << spec.in_c
+                   << " stride " << spec.stride << " pad " << spec.pad
+                   << " n " << n);
+      const Tensor delta = rng_fill({n * rows, oc}, 1100 + spec.in_c);
+      const Tensor w = rng_fill({patch, oc}, 1101 + spec.in_c);
+      std::vector<float> wt(static_cast<std::size_t>(oc * patch));
+      for (std::int64_t p = 0; p < patch; ++p) {
+        for (std::int64_t c = 0; c < oc; ++c) {
+          wt[static_cast<std::size_t>(c * patch + p)] = w.at(p * oc + c);
+        }
+      }
+      Tensor tiles({n * rows, patch});
+      for (std::int64_t b = 0; b < n; ++b) {
+        t::matmul_nn_into(delta.data() + b * rows * oc, wt.data(),
+                          tiles.data() + b * rows * patch, rows, oc, patch);
+      }
+      const Tensor expected = t::col2im(tiles, spec, n);
+      const Tensor fused = t::conv_input_grad(delta, w, spec, n);
+      ASSERT_EQ(fused.numel(), expected.numel());
+      ASSERT_EQ(std::memcmp(fused.data(), expected.data(),
+                            static_cast<std::size_t>(fused.numel()) *
+                                sizeof(float)),
+                0);
     }
   }
 }

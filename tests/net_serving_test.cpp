@@ -14,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -107,11 +108,12 @@ TEST(NetFrame, RejectsBadVersion) {
 }
 
 TEST(NetFrame, RejectsPreviousVersion) {
-  // Version 1 sealed updates with the FNV-1a tag, and version 2 sent
-  // TrainRequests with or without the trace field; a peer still
-  // speaking either must be refused at the header, not ledgered as
-  // decode failures.
-  for (const std::uint8_t version : {1, 2}) {
+  // Version 1 sealed updates with the FNV-1a tag, version 2 sent
+  // TrainRequests with or without the trace field, and a version 3
+  // worker trains only the ids it hosts (c mod n); a peer still
+  // speaking any of them must be refused at the header, not ledgered
+  // as decode failures or TrainErrors.
+  for (const std::uint8_t version : {1, 2, 3}) {
     SCOPED_TRACE(static_cast<int>(version));
     SocketPair pair = make_pair();
     const auto h = raw_header(kFrameMagic, version,
@@ -586,9 +588,10 @@ TEST(NetServing, InvalidServerOptionsFailAtCreate) {
 }
 
 // A worker lost mid-run (PROTOCOL.md §6): worker 1 handshakes, takes
-// its first TrainRequest and hangs up. Its clients expire as crashes in
-// every round, the quorum miss runs the resample-retry pass, and the
-// reduced tier applies what worker 0 delivered.
+// its first TrainRequest and hangs up. Its share of every attempt
+// expires as crashes, the quorum miss runs the resample-retry pass,
+// whose spares sent to it expire too, and the reduced tier applies what
+// worker 0 delivered.
 TEST(NetServing, LostWorkerExpiresItsClientsAndRetries) {
   ExperimentDescriptor d = sample_descriptor();
   d.total_clients = 8;
@@ -638,7 +641,7 @@ TEST(NetServing, LostWorkerExpiresItsClientsAndRetries) {
             1);
 
   // Replay each round's cohort and retry spares from the seed: worker 1
-  // hosts the odd client ids.
+  // gets the odd runnable positions of each attempt, spares included.
   const fl::Federation fed(
       data::benchmark_config(data::BenchmarkId::kCancer, BenchScale::kSmoke),
       d.total_clients, d.local_iterations, {}, d.seed);
@@ -657,13 +660,15 @@ TEST(NetServing, LostWorkerExpiresItsClientsAndRetries) {
         spare.push_back(ci);
       }
     }
-    const auto odd = [](std::size_t ci) { return ci % 2 == 1; };
-    const auto lost_primary = std::count_if(chosen.begin(), chosen.end(), odd);
-    ASSERT_GT(lost_primary, 0) << "worker 1 hosts no client in round " << t;
+    const auto odd_positions = [](const std::vector<std::size_t>& attempt) {
+      return static_cast<std::int64_t>(attempt.size() / 2);
+    };
+    const std::int64_t lost_primary = odd_positions(chosen);
+    ASSERT_GT(lost_primary, 0) << "worker 1 gets no client in round " << t;
     Rng retry_rng = fed.round_rng.fork("retry", static_cast<std::uint64_t>(t));
     retry_rng.shuffle(spare);
     spare.resize(static_cast<std::size_t>(lost_primary));
-    lost += lost_primary + std::count_if(spare.begin(), spare.end(), odd);
+    lost += lost_primary + odd_positions(spare);
     retried += lost_primary;
   }
 
@@ -761,17 +766,25 @@ TEST(NetServing, AsyncSingleWorkerBitwiseParityWithInProcessEngine) {
 // A stub worker that trains nothing: it answers every client of each
 // TrainRequest with a TrainError frame, `delay` after the request
 // arrived, in request order. It returns when the server says Bye
-// (recorded in `ended_on_bye`) or the connection fails; `answered`
-// counts the requests it answered.
-void run_train_error_worker(int port, std::chrono::milliseconds delay,
-                            std::atomic<int>& answered,
-                            std::atomic<bool>& ended_on_bye) {
+// (recorded in `ended_on_bye`) or the connection fails.
+struct StubWorker {
+  int index = 0;
+  int count = 1;  // the roster size it announces
+  std::chrono::milliseconds delay{0};
+  std::atomic<int> answered{0};  // requests answered
+  std::atomic<bool> ended_on_bye{false};
+  // Every TrainRequest's client ids, in arrival order; read it only
+  // after the stub's thread has joined.
+  std::vector<std::vector<std::int64_t>> requests;
+};
+
+void run_train_error_worker(int port, StubWorker& stub) {
   using Clock = std::chrono::steady_clock;
   Result<TcpConn> conn = TcpConn::connect("127.0.0.1", port, 5000);
   if (!conn.ok()) return;
   HelloMsg hello;
-  hello.worker_index = 0;
-  hello.num_workers = 1;
+  hello.worker_index = static_cast<std::uint32_t>(stub.index);
+  hello.num_workers = static_cast<std::uint32_t>(stub.count);
   Frame frame;
   if (!write_frame(conn.value(), MsgType::kHello, encode_hello(hello)) ||
       read_frame(conn.value(), frame, kDefaultMaxPayload, 5000) !=
@@ -793,12 +806,13 @@ void run_train_error_worker(int port, std::chrono::milliseconds delay,
         return;
       }
       if (frame.type == MsgType::kBye) {
-        ended_on_bye = true;
+        stub.ended_on_bye = true;
         return;
       }
       Result<TrainRequestMsg> req = decode_train_request(frame.payload);
       if (frame.type != MsgType::kTrainRequest || !req.ok()) return;
-      owed.emplace_back(Clock::now() + delay, req.value().client_ids);
+      stub.requests.push_back(req.value().client_ids);
+      owed.emplace_back(Clock::now() + stub.delay, req.value().client_ids);
       continue;
     }
     if (owed.empty()) return;
@@ -812,7 +826,7 @@ void run_train_error_worker(int port, std::chrono::milliseconds delay,
       }
     }
     owed.pop_front();
-    ++answered;
+    ++stub.answered;
   }
 }
 
@@ -827,14 +841,12 @@ TEST(NetServing, TrainErrorRepliesExpireAsCrashesAndKeepTheWorker) {
   Result<std::unique_ptr<ServingServer>> server =
       ServingServer::create(d, options);
   ASSERT_TRUE(server.ok()) << server.error();
-  std::atomic<int> answered{0};
-  std::atomic<bool> ended_on_bye{false};
-  std::thread stub([&, port = server.value()->port()] {
-    run_train_error_worker(port, std::chrono::milliseconds(0), answered,
-                           ended_on_bye);
+  StubWorker stub;
+  std::thread stub_thread([&, port = server.value()->port()] {
+    run_train_error_worker(port, stub);
   });
   const ServingReport report = server.value()->run();
-  stub.join();
+  stub_thread.join();
   ASSERT_TRUE(report.ok) << report.error;
 
   EXPECT_EQ(telemetry::global_registry()
@@ -842,7 +854,7 @@ TEST(NetServing, TrainErrorRepliesExpireAsCrashesAndKeepTheWorker) {
                 .value(),
             0);
   EXPECT_EQ(report.frames_rejected, 0);
-  EXPECT_TRUE(ended_on_bye.load()) << "the worker lost its connection";
+  EXPECT_TRUE(stub.ended_on_bye.load()) << "the worker lost its connection";
   const fl::RoundFailureStats& f = report.failures;
   EXPECT_GT(f.retried_clients, 0);
   EXPECT_EQ(f.injected_crash,
@@ -855,7 +867,7 @@ TEST(NetServing, TrainErrorRepliesExpireAsCrashesAndKeepTheWorker) {
   EXPECT_EQ(report.updates_accepted, 0);
   EXPECT_EQ(report.dropped_rounds, d.rounds);
   // One request per round, and one more per retry pass.
-  EXPECT_EQ(answered.load(), 2 * d.rounds);
+  EXPECT_EQ(stub.answered.load(), 2 * d.rounds);
 }
 
 // A healthy worker slower than the staleness horizon (PROTOCOL.md §5.3).
@@ -878,11 +890,10 @@ TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
       ServingServer::create(d, options);
   ASSERT_TRUE(server.ok()) << server.error();
 
-  std::atomic<bool> ended_on_bye{false};
-  std::atomic<int> answered{0};
+  StubWorker slow;
+  slow.delay = std::chrono::milliseconds(120);
   std::thread slow_worker([&, port = server.value()->port()] {
-    run_train_error_worker(port, std::chrono::milliseconds(120), answered,
-                           ended_on_bye);
+    run_train_error_worker(port, slow);
   });
   const ServingReport report = server.value()->run();
   slow_worker.join();
@@ -891,9 +902,10 @@ TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
   telemetry::Registry& reg = telemetry::global_registry();
   EXPECT_EQ(reg.counter("fl.net.disconnects_total").value(), 0);
   EXPECT_EQ(report.frames_rejected, 0);
-  EXPECT_TRUE(ended_on_bye.load()) << "the slow worker lost its connection";
+  EXPECT_TRUE(slow.ended_on_bye.load())
+      << "the slow worker lost its connection";
   // Not vacuous: replies came after their clients expired, and were read.
-  EXPECT_GT(answered.load(), 0);
+  EXPECT_GT(slow.answered.load(), 0);
   EXPECT_GT(reg.counter("fl.net.frames_received_total").value(), 0);
   const fl::RoundFailureStats& f = report.failures;
   EXPECT_GT(f.injected_straggler, 0);
@@ -902,6 +914,170 @@ TEST(NetServing, AsyncHorizonExpiryKeepsSlowWorker) {
   EXPECT_EQ(f.faults_resolved_total(), f.injected_total());
   EXPECT_EQ(f.fault_expired, f.injected_total());
   EXPECT_EQ(report.updates_accepted, 0);
+}
+
+// Two stub workers record every TrainRequest (PROTOCOL.md §1): the
+// k-th runnable client of an attempt goes to worker k mod 2, whatever
+// its id, so each request carries ceil(m/2) or floor(m/2) of the
+// attempt's m clients. Every client answers TrainError, so each round
+// runs its cohort and then a retry pass over as many spares.
+TEST(NetServing, TwoWorkersSplitEveryAttemptEvenly) {
+  ExperimentDescriptor d = sample_descriptor();
+  d.total_clients = 16;
+  d.clients_per_round = 5;
+  d.rounds = 4;
+  ServingOptions options;
+  options.num_workers = 2;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(d, options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  std::vector<StubWorker> stubs(2);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    stubs[static_cast<std::size_t>(w)].index = w;
+    stubs[static_cast<std::size_t>(w)].count = 2;
+    threads.emplace_back([&, w, port = server.value()->port()] {
+      run_train_error_worker(port, stubs[static_cast<std::size_t>(w)]);
+    });
+  }
+  const ServingReport report = server.value()->run();
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_TRUE(report.ok) << report.error;
+
+  // Replay each round's attempts from the seed: the cohort, then the
+  // retry pass's spares, one per client that failed.
+  const fl::Federation fed(
+      data::benchmark_config(data::BenchmarkId::kCancer, BenchScale::kSmoke),
+      d.total_clients, d.local_iterations, {}, d.seed);
+  std::vector<std::size_t> next(2, 0);  // each stub's next request
+  std::int64_t sent = 0;
+  bool uneven_parity = false;
+  for (std::int64_t t = 0; t < d.rounds; ++t) {
+    Rng sample_rng =
+        fed.round_rng.fork("sample", static_cast<std::uint64_t>(t));
+    const std::vector<std::size_t> chosen =
+        sample_rng.sample_without_replacement(
+            static_cast<std::size_t>(d.total_clients),
+            static_cast<std::size_t>(d.clients_per_round));
+    std::vector<std::size_t> spare;
+    for (std::size_t ci = 0; ci < static_cast<std::size_t>(d.total_clients);
+         ++ci) {
+      if (std::find(chosen.begin(), chosen.end(), ci) == chosen.end()) {
+        spare.push_back(ci);
+      }
+    }
+    Rng retry_rng = fed.round_rng.fork("retry", static_cast<std::uint64_t>(t));
+    retry_rng.shuffle(spare);
+    spare.resize(chosen.size());
+    for (const std::vector<std::size_t>& attempt : {chosen, spare}) {
+      const std::size_t m = attempt.size();
+      std::vector<std::vector<std::int64_t>> expected(2);
+      std::size_t odd_ids = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        expected[k % 2].push_back(static_cast<std::int64_t>(attempt[k]));
+        odd_ids += attempt[k] % 2;
+      }
+      // Splitting by id parity would give worker 1 odd_ids clients.
+      if (odd_ids != m / 2 && odd_ids != (m + 1) / 2) uneven_parity = true;
+      for (std::size_t w = 0; w < 2; ++w) {
+        SCOPED_TRACE(::testing::Message() << "round " << t << " worker " << w);
+        ASSERT_LT(next[w], stubs[w].requests.size());
+        const std::vector<std::int64_t>& got = stubs[w].requests[next[w]++];
+        EXPECT_EQ(got.size(), w == 0 ? (m + 1) / 2 : m / 2);
+        EXPECT_EQ(got, expected[w]);
+      }
+      sent += static_cast<std::int64_t>(m);
+    }
+  }
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(next[w], stubs[w].requests.size()) << "worker " << w;
+    EXPECT_TRUE(stubs[w].ended_on_bye.load()) << "worker " << w;
+  }
+  // Not vacuous: some attempt's ids split unevenly by parity.
+  EXPECT_TRUE(uneven_parity);
+  EXPECT_EQ(report.failures.injected_crash, sent);
+  EXPECT_EQ(report.failures.fault_expired, sent);
+  EXPECT_EQ(report.updates_accepted, 0);
+}
+
+// The worker half against a scripted server: worker 0 of two trains an
+// odd id and an even one, each update bitwise the in-process engine's,
+// answers an id outside [0, K) with TrainError, and keeps its
+// connection: the next request is served too.
+TEST(NetServing, WorkerTrainsAnyIdAndRefusesOutOfRange) {
+  const ExperimentDescriptor d = sample_descriptor();
+  Result<TcpListener> listener = TcpListener::bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.error();
+  std::optional<Result<WorkerReport>> report;
+  std::jthread worker([&report, port = listener.value().port()] {
+    WorkerConfig config;
+    config.port = port;
+    config.worker_index = 0;
+    config.num_workers = 2;
+    config.io_timeout_ms = 10000;
+    report.emplace(run_worker(config));
+  });
+  TcpConn conn = listener.value().accept(5000);
+  ASSERT_TRUE(conn.valid());
+  Frame frame;
+  ASSERT_EQ(read_frame(conn, frame, kDefaultMaxPayload, 5000),
+            FrameStatus::kOk);
+  ASSERT_EQ(frame.type, MsgType::kHello);
+  ASSERT_TRUE(write_frame(conn, MsgType::kWelcome, encode_descriptor(d)));
+
+  const fl::Federation fed(
+      data::benchmark_config(data::BenchmarkId::kCancer, BenchScale::kSmoke),
+      d.total_clients, d.local_iterations, {}, d.seed);
+  const std::unique_ptr<core::PrivacyPolicy> policy = make_policy(d);
+  const fl::TensorList weights = fed.model->weights();
+  const auto request = [&](std::int64_t round,
+                           std::vector<std::int64_t> ids) {
+    TrainRequestMsg req;
+    req.round = round;
+    req.client_ids = std::move(ids);
+    req.weights_blob = fl::serialize_tensor_list(weights);
+    return write_frame(conn, MsgType::kTrainRequest,
+                       encode_train_request(req));
+  };
+  const auto expect_update = [&](std::int64_t round, std::int64_t id) {
+    SCOPED_TRACE(::testing::Message() << "client " << id);
+    Frame reply;
+    ASSERT_EQ(read_frame(conn, reply, kDefaultMaxPayload, 10000),
+              FrameStatus::kOk);
+    ASSERT_EQ(reply.type, MsgType::kUpdate);
+    Result<UpdateMsg> msg = decode_update(reply.payload);
+    ASSERT_TRUE(msg.ok()) << msg.error();
+    EXPECT_EQ(msg.value().client_id, id);
+    const fl::DeliveryContext ctx{.provider = fed.provider,
+                                  .round_rng = fed.round_rng,
+                                  .policy = *policy,
+                                  .weights = weights,
+                                  .seed = d.seed,
+                                  .round = round,
+                                  .prune_ratio = d.prune_ratio,
+                                  .max_attempts = 1};
+    EXPECT_EQ(msg.value().sealed,
+              fl::seal_update(d.seed, id,
+                              fl::train_client(ctx, id, *fed.model).update));
+  };
+
+  ASSERT_TRUE(request(0, {1, 2, d.total_clients}));
+  expect_update(0, 1);
+  expect_update(0, 2);
+  ASSERT_EQ(read_frame(conn, frame, kDefaultMaxPayload, 10000),
+            FrameStatus::kOk);
+  ASSERT_EQ(frame.type, MsgType::kTrainError);
+  Result<TrainErrorMsg> err = decode_train_error(frame.payload);
+  ASSERT_TRUE(err.ok()) << err.error();
+  EXPECT_EQ(err.value().client_id, d.total_clients);
+  ASSERT_TRUE(request(1, {3}));
+  expect_update(1, 3);
+  ASSERT_TRUE(write_frame(conn, MsgType::kBye, nullptr, 0));
+  worker.join();
+  ASSERT_TRUE(report.has_value());
+  ASSERT_TRUE(report->ok()) << report->error();
+  EXPECT_EQ(report->value().rounds_served, 2);
+  EXPECT_EQ(report->value().clients_trained, 3);
 }
 
 // Collects every span event the registry emits during a run. write()
